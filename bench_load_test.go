@@ -169,7 +169,7 @@ func reportLatencyDistribution(b *testing.B, all []time.Duration) {
 // independent ones.
 func benchmarkPartitionScaling(b *testing.B, parts int) {
 	const items = 8192
-	pipe := tuning.Pipe(8, 200*time.Microsecond, 1)
+	var pipe tuning.Pipeline
 	pipe.OrderDelay = 150 * time.Microsecond
 	cluster, err := partition.New(core.ClusterConfig{
 		Replicas:      3,

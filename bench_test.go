@@ -251,11 +251,11 @@ func BenchmarkAtomicBroadcast(b *testing.B) {
 	}
 }
 
-// benchmarkAbcastBatching measures uniform atomic broadcast throughput under
-// concurrent producers at one batch size, reporting the per-broadcast
-// protocol message count (the O(3n) → O(3n/B) reduction) and the achieved
-// mean batch size.
-func benchmarkAbcastBatching(b *testing.B, batch int) {
+// BenchmarkAbcastBatching measures uniform atomic broadcast throughput under
+// 32 concurrent producers, reporting the per-broadcast protocol message count
+// (one round per message costs n DATA + n ORDER + n*n ACK sends; the lane's
+// ranges cut that toward 1/B of it) and the achieved mean batch size.
+func BenchmarkAbcastBatching(b *testing.B) {
 	network := transport.NewMemNetwork()
 	members := make([]string, 5)
 	for i := range members {
@@ -268,11 +268,7 @@ func benchmarkAbcastBatching(b *testing.B, batch int) {
 	nodes := make([]*node, len(members))
 	for i, m := range members {
 		router := gcs.NewRouter(network.Endpoint(m))
-		bc, err := abcast.New(abcast.Config{
-			Self:     m,
-			Members:  members,
-			Batching: tuning.Batching{BatchSize: batch, BatchDelay: 200 * time.Microsecond},
-		}, router)
+		bc, err := abcast.New(abcast.Config{Self: m, Members: members}, router)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -363,26 +359,15 @@ func benchmarkAbcastBatching(b *testing.B, batch int) {
 	}
 }
 
-// BenchmarkAbcastBatching compares unbatched and batched atomic broadcast
-// under concurrent load (the tentpole claim: batching cuts the message count
-// from O(3n) per transaction toward O(3n/B) and lifts throughput).
-func BenchmarkAbcastBatching(b *testing.B) {
-	for _, batch := range []int{1, 8, 32} {
-		b.Run("batch-"+itoa(batch), func(b *testing.B) {
-			benchmarkAbcastBatching(b, batch)
-		})
-	}
-}
-
-// benchmarkLatencySweep runs one (config, load) point of the latency-versus-
-// throughput sweep: each operation broadcasts and waits for its own message's
+// benchmarkLatencySweep runs one load point of the latency-versus-throughput
+// sweep: each operation broadcasts and waits for its own message's
 // delivery, so per-op latency is the real broadcast-to-delivery time under
 // that offered load.  The load shape comes from the shared harness
 // (bench_load_test.go): closed-loop client counts or an open-loop Poisson
 // arrival rate.  Reported metrics: p50/p99 latency, protocol messages per
 // broadcast, and the sequencer's inbound messages per broadcast (the
 // ACK-coalescing win).
-func benchmarkLatencySweep(b *testing.B, mode loadMode, batching tuning.Batching, seqCfg tuning.Sequencer) {
+func benchmarkLatencySweep(b *testing.B, mode loadMode) {
 	network := transport.NewMemNetwork()
 	members := make([]string, 5)
 	for i := range members {
@@ -395,7 +380,7 @@ func benchmarkLatencySweep(b *testing.B, mode loadMode, batching tuning.Batching
 	nodes := make([]*node, len(members))
 	for i, m := range members {
 		router := gcs.NewRouter(network.Endpoint(m))
-		bc, err := abcast.New(abcast.Config{Self: m, Members: members, Batching: batching, Sequencer: seqCfg}, router)
+		bc, err := abcast.New(abcast.Config{Self: m, Members: members}, router)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -482,56 +467,30 @@ func benchmarkLatencySweep(b *testing.B, mode loadMode, batching tuning.Batching
 	b.ReportMetric(float64(sent)/float64(len(members))/float64(b.N), "seq-in/txn")
 }
 
-// BenchmarkLatencyThroughputSweep is the adaptive-batching acceptance sweep:
-// load points (closed-loop producer counts) crossed with batching configs.
-// The claim under test: adaptive stays within a few percent of the best
-// fixed config at EVERY load point — idle-flush latency at low load, fixed-32
-// batching efficiency at high load — where each fixed config is only good at
-// one end.  CI uploads the output as the bench-sweep artifact; compare the
-// p50/p99 columns per load point.
+// BenchmarkLatencyThroughputSweep sweeps the ordered-update lane over
+// closed-loop producer counts: idle-send latency at low load, batching
+// efficiency at high load.  CI uploads the output as the bench-sweep
+// artifact; compare the p50/p99 columns per load point between commits.
 func BenchmarkLatencyThroughputSweep(b *testing.B) {
-	configs := []struct {
-		name     string
-		batching tuning.Batching
-		seq      tuning.Sequencer
-	}{
-		{"fixed-1", tuning.Batching{BatchSize: 1}, tuning.Sequencer{}},
-		{"fixed-8", tuning.Batching{BatchSize: 8, BatchDelay: 200 * time.Microsecond}, tuning.Sequencer{}},
-		{"fixed-32", tuning.Batching{BatchSize: 32, BatchDelay: 200 * time.Microsecond}, tuning.Sequencer{}},
-		{"adaptive", tuning.Batching{BatchSize: 32, Mode: tuning.Adaptive}, tuning.Sequencer{Pipelined: true}},
-	}
-	for _, cfg := range configs {
-		for _, producers := range []int{1, 4, 32} {
-			cfg, producers := cfg, producers
-			b.Run(cfg.name+"/load-"+itoa(producers), func(b *testing.B) {
-				benchmarkLatencySweep(b, closedLoop(producers), cfg.batching, cfg.seq)
-			})
-		}
+	for _, producers := range []int{1, 4, 32} {
+		producers := producers
+		b.Run("load-"+itoa(producers), func(b *testing.B) {
+			benchmarkLatencySweep(b, closedLoop(producers))
+		})
 	}
 }
 
 // BenchmarkLatencyThroughputSweepOpenLoop is the open-loop companion of the
 // sweep above: Poisson arrivals at fixed offered rates instead of closed-loop
-// clients, so a config that falls behind shows the backlog as p99 latency
+// clients, so a lane that falls behind shows the backlog as p99 latency
 // rather than silently slowing the offered load (coordinated omission).  Same
-// harness, same metrics — compare the p99 column between the fixed and
-// adaptive configs at the high rate.
+// harness, same metrics.
 func BenchmarkLatencyThroughputSweepOpenLoop(b *testing.B) {
-	configs := []struct {
-		name     string
-		batching tuning.Batching
-		seq      tuning.Sequencer
-	}{
-		{"fixed-1", tuning.Batching{BatchSize: 1}, tuning.Sequencer{}},
-		{"adaptive", tuning.Batching{BatchSize: 32, Mode: tuning.Adaptive}, tuning.Sequencer{Pipelined: true}},
-	}
-	for _, cfg := range configs {
-		for _, mean := range []time.Duration{500 * time.Microsecond, 100 * time.Microsecond} {
-			cfg, mean := cfg, mean
-			b.Run(cfg.name+"/"+openLoop(mean).name(), func(b *testing.B) {
-				benchmarkLatencySweep(b, openLoop(mean), cfg.batching, cfg.seq)
-			})
-		}
+	for _, mean := range []time.Duration{500 * time.Microsecond, 100 * time.Microsecond} {
+		mean := mean
+		b.Run(openLoop(mean).name(), func(b *testing.B) {
+			benchmarkLatencySweep(b, openLoop(mean))
+		})
 	}
 }
 
@@ -539,13 +498,13 @@ func BenchmarkLatencyThroughputSweepOpenLoop(b *testing.B) {
 // throughput (optimistic execution, batched atomic broadcast, certification,
 // batched apply with one force per batch, conflict-scheduled parallel
 // install when applyWorkers > 1) with concurrent clients.
-func benchmarkBatchedReplication(b *testing.B, level core.SafetyLevel, batch, applyWorkers int) {
+func benchmarkBatchedReplication(b *testing.B, level core.SafetyLevel, applyWorkers int) {
 	cluster, err := core.NewCluster(core.ClusterConfig{
 		Replicas:      3,
 		Items:         8192,
 		Level:         level,
 		DiskSyncDelay: 100 * time.Microsecond,
-		Pipeline:      tuning.Pipe(batch, 200*time.Microsecond, applyWorkers),
+		Pipeline:      tuning.Pipeline{ApplyWorkers: applyWorkers},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -575,22 +534,19 @@ func benchmarkBatchedReplication(b *testing.B, level core.SafetyLevel, batch, ap
 	b.ReportMetric(float64(sent)/float64(b.N), "msgs/txn")
 }
 
-// BenchmarkBatchedReplication compares batched and unbatched pipelines at
-// every group-communication safety level; for the forcing levels the batched
-// apply loop additionally amortises the commit force.  The batch-8 point is
-// additionally run with a 4-worker parallel apply stage (the workers-4
-// variants need >= 4 cores to show their speed-up; on fewer cores they bound
-// the scheduler overhead instead).
+// BenchmarkBatchedReplication runs the batched pipeline at every
+// group-communication safety level; for the forcing levels the batched apply
+// loop additionally amortises the commit force.  Each level also runs with a
+// 4-worker parallel apply stage (the workers-4 variants need >= 4 cores to
+// show their speed-up; on fewer cores they bound the scheduler overhead
+// instead).
 func BenchmarkBatchedReplication(b *testing.B) {
 	for _, level := range []core.SafetyLevel{core.GroupSafe, core.Group1Safe, core.Safety2} {
-		for _, batch := range []int{1, 8} {
-			b.Run(level.String()+"/batch-"+itoa(batch), func(b *testing.B) {
-				benchmarkBatchedReplication(b, level, batch, 1)
+		for _, workers := range []int{1, 4} {
+			b.Run(level.String()+"/workers-"+itoa(workers), func(b *testing.B) {
+				benchmarkBatchedReplication(b, level, workers)
 			})
 		}
-		b.Run(level.String()+"/batch-8/workers-4", func(b *testing.B) {
-			benchmarkBatchedReplication(b, level, 8, 4)
-		})
 	}
 }
 
@@ -756,7 +712,6 @@ func benchmarkQueryVsUpdate(b *testing.B, readOnly bool) {
 		Items:         8192,
 		Level:         core.GroupSafe,
 		DiskSyncDelay: 100 * time.Microsecond,
-		Pipeline:      tuning.Pipe(8, 200*time.Microsecond, 1),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -827,7 +782,6 @@ func benchmarkReadMix(b *testing.B, readFraction float64) {
 		Items:         8192,
 		Level:         core.GroupSafe,
 		DiskSyncDelay: 100 * time.Microsecond,
-		Pipeline:      tuning.Pipe(8, 200*time.Microsecond, 1),
 	})
 	if err != nil {
 		b.Fatal(err)

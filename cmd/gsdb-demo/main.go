@@ -35,11 +35,6 @@ func main() {
 	netLatency := flag.Duration("net-latency", 70*time.Microsecond, "emulated one-way network latency")
 	crash := flag.Bool("crash", true, "crash and recover one replica mid-run")
 	seed := flag.Int64("seed", 1, "workload seed")
-	batch := flag.Int("batch", 1, "atomic broadcast batch size (<=1 disables sender batching)")
-	batchDelay := flag.Duration("batch-delay", time.Millisecond, "max wait for broadcast co-travellers when batching")
-	adaptive := flag.Bool("batch-adaptive", false, "adapt the co-traveller wait to each sender's arrival rate (ignores -batch-delay)")
-	delayCap := flag.Duration("batch-delay-cap", 0, "upper bound on the adaptive co-traveller wait (0: default cap)")
-	pipelined := flag.Bool("pipelined-sequencer", false, "overlap ORDER assignment with DATA reception and coalesce ACK fan-in")
 	rotateEvery := flag.Int("rotate-sequencer-every", 0, "rotate the sequencer role after this many assignments (0: fixed sequencer)")
 	applyWorkers := flag.Int("apply-workers", 1, "concurrent write-set installs per replica (<=1: serial apply)")
 	mixSafety := flag.String("mix-safety", "", "per-transaction safety override applied to every 10th transaction (e.g. very-safe)")
@@ -65,7 +60,7 @@ func main() {
 			QueryKeys:      *queryKeys,
 			DiskSyncDelay:  *diskSync,
 			NetworkLatency: *netLatency,
-			Pipeline:       demoPipeline(*batch, *batchDelay, *applyWorkers, *adaptive, *delayCap, *pipelined, *rotateEvery),
+			Pipeline:       demoPipeline(*applyWorkers, *rotateEvery),
 			Seed:           *seed,
 		})
 		if err != nil {
@@ -110,14 +105,7 @@ func main() {
 		gsdb.WithNetworkLatency(*netLatency),
 		gsdb.WithExecTimeout(15 * time.Second),
 		gsdb.WithSeed(*seed),
-		gsdb.WithBatching(*batch, *batchDelay),
 		gsdb.WithApplyWorkers(*applyWorkers),
-	}
-	if *adaptive {
-		openOpts = append(openOpts, gsdb.WithAdaptiveBatching(*batch, *delayCap))
-	}
-	if *pipelined {
-		openOpts = append(openOpts, gsdb.WithPipelinedSequencer())
 	}
 	if *rotateEvery > 0 {
 		openOpts = append(openOpts, gsdb.WithRotatingSequencer(*rotateEvery))
@@ -212,12 +200,8 @@ func main() {
 }
 
 // demoPipeline assembles the comparison-run tuning knobs from the flags.
-func demoPipeline(batch int, batchDelay time.Duration, applyWorkers int, adaptive bool, delayCap time.Duration, pipelined bool, rotateEvery int) gsdb.Pipeline {
-	p := gsdb.Pipe(batch, batchDelay, applyWorkers)
-	if adaptive {
-		p = gsdb.AdaptivePipe(batch, delayCap, applyWorkers)
-	}
-	p.Pipelined = pipelined
+func demoPipeline(applyWorkers, rotateEvery int) gsdb.Pipeline {
+	p := gsdb.Pipeline{ApplyWorkers: applyWorkers}
 	p.RotateEvery = rotateEvery
 	return p
 }

@@ -47,11 +47,6 @@ func main() {
 		fdInterval   = flag.Duration("fd-interval", 50*time.Millisecond, "failure detector heartbeat interval")
 		fdTimeout    = flag.Duration("fd-timeout", 0, "silence after which a peer is suspected (default 4x fd-interval)")
 		resync       = flag.Duration("resync-interval", time.Second, "stall interval after which peer state is re-pulled")
-		batch        = flag.Int("batch", 1, "atomic broadcast batch size (<=1 disables sender batching)")
-		batchDelay   = flag.Duration("batch-delay", time.Millisecond, "max wait for broadcast co-travellers when batching")
-		adaptive     = flag.Bool("batch-adaptive", false, "adapt the co-traveller wait to each sender's arrival rate (ignores -batch-delay)")
-		delayCap     = flag.Duration("batch-delay-cap", 0, "upper bound on the adaptive co-traveller wait (0: default cap)")
-		pipelined    = flag.Bool("pipelined-sequencer", false, "overlap ORDER assignment with DATA reception and coalesce ACK fan-in")
 		rotateEvery  = flag.Int("rotate-sequencer-every", 0, "rotate the sequencer role after this many assignments (0: fixed sequencer)")
 		partitions   = flag.Int("partitions", 1, "keyspace partitions; a server process hosts one replica of ONE partition's group, so this must stay 1 (see docs/OPERATIONS.md)")
 	)
@@ -105,11 +100,6 @@ func main() {
 		HeartbeatInterval:    *fdInterval,
 		SuspectTimeout:       *fdTimeout,
 		ResyncInterval:       *resync,
-		BatchSize:            *batch,
-		BatchDelay:           *batchDelay,
-		BatchAdaptive:        *adaptive,
-		BatchDelayCap:        *delayCap,
-		PipelinedSequencer:   *pipelined,
 		RotateSequencerEvery: *rotateEvery,
 	})
 	if err != nil {

@@ -38,10 +38,7 @@ func run() int {
 	levelsFlag := flag.String("levels", "", "comma-separated levels: group-safe,1-safe-lazy,group-1-safe,2-safe,very-safe,0-safe")
 	printConfig := flag.Bool("print-config", false, "print the Table 4 simulator parameters and exit")
 	seed := flag.Int64("seed", 1, "random seed")
-	batch := flag.Int("batch", 1, "atomic broadcast batch size (<=1 disables batching)")
-	batchDelay := flag.Duration("batch-delay", time.Millisecond, "max wait for broadcast co-travellers when batching")
-	adaptive := flag.Bool("batch-adaptive", false, "adapt the co-traveller wait to the offered load (ignores -batch-delay)")
-	delayCap := flag.Duration("batch-delay-cap", 0, "upper bound on the adaptive co-traveller wait (0: default cap)")
+	batch := flag.Int("batch", 1, "most transactions one simulated dissemination round carries (1: the paper's unbatched flow)")
 	applyWorkers := flag.Int("apply-workers", 0, "concurrent write-set installs per server (0: one per disk)")
 	partitions := flag.Int("partitions", 1, "hash partitions of the keyspace, each with its own total order (certification technique only; 1: single global order)")
 	readFraction := flag.Float64("read-fraction", 0, "fraction of transactions that are pure read-only queries (0: Table 4 mix)")
@@ -70,11 +67,7 @@ func run() int {
 	cfg.Duration = *duration
 	cfg.Seed = *seed
 	cfg.BatchSize = *batch
-	cfg.BatchDelay = *batchDelay
 	cfg.ApplyWorkers = *applyWorkers
-	if *adaptive {
-		cfg.Pipeline = gsdb.AdaptivePipe(*batch, *delayCap, *applyWorkers)
-	}
 	cfg.Partitions = *partitions
 	cfg.ReadFraction = *readFraction
 	cfg.QueryMinOps = *queryKeys

@@ -5,7 +5,6 @@ import (
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/gcs/fd"
-	"groupsafe/internal/tuning"
 )
 
 // Option configures Open.
@@ -117,42 +116,10 @@ func WithSeed(seed int64) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Seed = seed }
 }
 
-// WithBatching coalesces up to size concurrent broadcasts into one network
-// message, waiting at most delay for co-travellers (size <= 1 disables
-// sender batching).
-func WithBatching(size int, delay time.Duration) Option {
-	return func(cfg *core.ClusterConfig) {
-		cfg.BatchSize = size
-		cfg.BatchDelay = delay
-	}
-}
-
-// WithAdaptiveBatching coalesces up to size concurrent broadcasts like
-// WithBatching, but sizes the co-traveller wait adaptively from each sender's
-// arrival rate: an idle sender's payload flushes immediately (batching costs
-// no latency at low load) and a busy sender waits just long enough to fill
-// the batch, never more than delayCap (<= 0 selects the default cap).
-func WithAdaptiveBatching(size int, delayCap time.Duration) Option {
-	return func(cfg *core.ClusterConfig) {
-		cfg.BatchSize = size
-		cfg.BatchDelay = 0
-		cfg.Mode = tuning.Adaptive
-		cfg.DelayCap = delayCap
-	}
-}
-
-// WithPipelinedSequencer overlaps the sequencer's ORDER assignment with DATA
-// reception (back-to-back batches coalesce into wider ORDER ranges) and
-// range-merges contiguous acknowledgements within a short adaptive window,
-// shrinking the all-to-all ACK fan-in on loaded clusters.
-func WithPipelinedSequencer() Option {
-	return func(cfg *core.ClusterConfig) { cfg.Pipelined = true }
-}
-
 // WithRotatingSequencer rotates the ordering role to the next replica after
 // every sequence assignments (a planned, gather-free epoch handoff), so the
 // sequencer's CPU and fan-in load is spread across the group instead of
-// pinned to one member.  Implies the pipelined sequencer.
+// pinned to one member.
 func WithRotatingSequencer(every int) Option {
 	return func(cfg *core.ClusterConfig) { cfg.RotateEvery = every }
 }
@@ -285,16 +252,4 @@ func WithFreshnessVec(vec []uint64) TxnOption {
 // ErrSafetyUnavailable.
 func WithMaxStaleness(d time.Duration) TxnOption {
 	return func(o *txnOptions) { o.maxStaleness = d }
-}
-
-// Pipe bundles the batching and apply-worker knobs into a Pipeline value,
-// as used by the experiments subpackage's configurations.
-func Pipe(batchSize int, batchDelay time.Duration, applyWorkers int) Pipeline {
-	return tuning.Pipe(batchSize, batchDelay, applyWorkers)
-}
-
-// AdaptivePipe is Pipe with adaptive batching: payloads flush immediately
-// when their sender is idle and wait up to delayCap under sustained load.
-func AdaptivePipe(batchSize int, delayCap time.Duration, applyWorkers int) Pipeline {
-	return tuning.AdaptivePipe(batchSize, delayCap, applyWorkers)
 }

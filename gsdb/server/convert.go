@@ -18,11 +18,6 @@ func toInternal(cfg Config) server.Config {
 		HeartbeatInterval:    cfg.HeartbeatInterval,
 		SuspectTimeout:       cfg.SuspectTimeout,
 		ResyncInterval:       cfg.ResyncInterval,
-		BatchSize:            cfg.BatchSize,
-		BatchDelay:           cfg.BatchDelay,
-		BatchAdaptive:        cfg.BatchAdaptive,
-		BatchDelayCap:        cfg.BatchDelayCap,
-		PipelinedSequencer:   cfg.PipelinedSequencer,
 		RotateSequencerEvery: cfg.RotateSequencerEvery,
 		Logf:                 cfg.Logf,
 	}

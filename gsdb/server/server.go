@@ -53,19 +53,8 @@ type Config struct {
 	// ResyncInterval is how often a stalled replica re-pulls peer state to
 	// close delivery gaps after a restart (default 1s).
 	ResyncInterval time.Duration
-	// Batching tunes the broadcast pipeline (see gsdb.WithBatching).  With
-	// BatchAdaptive the co-traveller wait adapts to each sender's arrival
-	// rate (BatchDelay is ignored, BatchDelayCap bounds the wait — see
-	// gsdb.WithAdaptiveBatching).
-	BatchSize     int
-	BatchDelay    time.Duration
-	BatchAdaptive bool
-	BatchDelayCap time.Duration
-	// PipelinedSequencer overlaps ORDER assignment with DATA reception and
-	// coalesces ACK fan-in (see gsdb.WithPipelinedSequencer);
 	// RotateSequencerEvery rotates the ordering role after that many
 	// assignments (see gsdb.WithRotatingSequencer).
-	PipelinedSequencer   bool
 	RotateSequencerEvery int
 	// Logf receives operational log lines (default stderr).
 	Logf func(format string, args ...interface{})

@@ -34,9 +34,10 @@ type (
 	// expires first: it names the first replica pair and item that
 	// disagreed and wraps the context error.
 	DivergenceError = core.DivergenceError
-	// Pipeline carries the shared tuning knobs (BatchSize, BatchDelay,
+	// Pipeline carries the shared tuning knobs (RotateEvery, OrderDelay,
 	// ApplyWorkers) used by the experiments subpackage; clusters opened
-	// with Open configure them via WithBatching and WithApplyWorkers.
+	// with Open configure them via WithRotatingSequencer and
+	// WithApplyWorkers.
 	Pipeline = tuning.Pipeline
 	// Workload generates the paper's Table 4 transaction mix.
 	Workload = workload.Generator

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -50,7 +49,6 @@ func TestClusterBatchedConvergence(t *testing.T) {
 		Replicas: 3,
 		Items:    512,
 		Level:    GroupSafe,
-		Pipeline: tuning.Pipe(8, 500*time.Microsecond, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +83,6 @@ func TestClusterBatched2Safe(t *testing.T) {
 		Replicas: 3,
 		Items:    256,
 		Level:    Safety2,
-		Pipeline: tuning.Pipe(4, 500*time.Microsecond, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +149,6 @@ func TestClusterBatchedFailover(t *testing.T) {
 		Replicas: 5,
 		Items:    512,
 		Level:    Group1Safe,
-		Pipeline: tuning.Pipe(8, 500*time.Microsecond, 0),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -357,3 +357,44 @@ func TestReplicaConfigValidation(t *testing.T) {
 		t.Fatal("self not in members should fail")
 	}
 }
+
+// TestMergeSnapshotResolvesOwnInFlightTransaction: a replica cut off from the
+// sequencer's orders submits a transaction; its peers deliver and apply it,
+// and a resync snapshot from one of them reaches the delegate before the
+// orders do.  The merge steps the delivery cursor past the transaction, so
+// the merge itself must answer the waiting Execute.
+func TestMergeSnapshotResolvesOwnInFlightTransaction(t *testing.T) {
+	c := newTestCluster(t, GroupSafe, 3)
+	seq, delegate, donor := c.Replica(0), c.Replica(1), c.Replica(2)
+	c.Network().BlockLink(seq.ID(), delegate.ID())
+
+	type result struct {
+		res Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := delegate.Execute(context.Background(), writeReq(0, 3, 33))
+		done <- result{res, err}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for donor.LastAppliedSeq() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the peers never applied the transaction")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	delegate.MergeSnapshot(donor.Snapshot())
+
+	select {
+	case r := <-done:
+		if r.err != nil || !r.res.Committed() {
+			t.Fatalf("Execute = %+v, %v", r.res, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Execute still waits for an outcome the merge skipped over")
+	}
+	if v, _ := c.Value(1, 3); v != 33 {
+		t.Fatalf("delegate's item 3 = %d after the merge", v)
+	}
+}

@@ -61,7 +61,7 @@ type ClusterConfig struct {
 	// When set, NetworkLatency/NetworkJitter/Seed are ignored here (the owner
 	// of the base network configures them) and Cluster.Network returns nil.
 	Network transport.Network
-	// Pipeline carries the shared tuning knobs (BatchSize, BatchDelay,
+	// Pipeline carries the shared tuning knobs (RotateEvery, OrderDelay,
 	// ApplyWorkers) applied to every replica; see the tuning package.
 	tuning.Pipeline
 }

@@ -29,7 +29,7 @@
 // the atomic broadcast coalesces concurrent payloads into multi-payload DATA
 // messages, and the apply loops drain delivered bursts, installing every
 // write set of a batch with a single group-committed log force before any
-// delegate is notified (knobs shared via the tuning package).  See
+// delegate is notified.  See
 // docs/ARCHITECTURE.md for the layering diagram and BENCH.md for measured
 // effects.
 package core

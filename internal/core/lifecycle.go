@@ -42,7 +42,6 @@ func (r *Replica) startGroupCommunication() error {
 		ab, err = abcast.New(abcast.Config{
 			Self:        r.cfg.ID,
 			Members:     r.cfg.Members,
-			Batching:    r.cfg.Batching,
 			Sequencer:   r.cfg.Sequencer,
 			Incarnation: r.cfg.IncarnationBase + uint64(r.incarnation),
 			// Advertised freshness rides the existing ACK/ORDER traffic:
@@ -309,6 +308,20 @@ func (r *Replica) MergeSnapshot(s StateSnapshot) int {
 	r.advanceAppliedSeq(s.LastAppliedSeq)
 	r.mu.Lock()
 	ab := r.ab
+	// The snapshot can contain this replica's own in-flight transactions (a
+	// peer applied them while this one was behind).  SkipTo steps over their
+	// deliveries, so the apply loop will never answer their waiters; the
+	// donor applied them, so they committed.
+	if len(r.pending) > 0 {
+		for _, id := range s.AppliedTxns {
+			if ch, ok := r.pending[id]; ok {
+				select {
+				case ch <- txnOutcome{outcome: OutcomeCommitted, seq: s.LastAppliedSeq}:
+				default:
+				}
+			}
+		}
+	}
 	r.mu.Unlock()
 	if ab != nil {
 		ab.SkipTo(s.LastAppliedSeq + 1)

@@ -88,7 +88,7 @@ func runParallelApplyWorkload(t *testing.T, workers int) {
 		Replicas: 3,
 		Items:    96, // small database: plenty of intra-batch conflicts
 		Level:    GroupSafe,
-		Pipeline: tuning.Pipe(8, 200*time.Microsecond, workers),
+		Pipeline: tuning.Pipeline{ApplyWorkers: workers},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestParallelApplyConcurrentRecovery(t *testing.T) {
 		Replicas: 3,
 		Items:    128,
 		Level:    GroupSafe,
-		Pipeline: tuning.Pipe(8, 200*time.Microsecond, 4),
+		Pipeline: tuning.Pipeline{ApplyWorkers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,7 @@ type ReplicaConfig struct {
 	// ErrSnapshotTooOld (0: unlimited).  It caps the version history one slow
 	// analytic scan can retain under a write storm.
 	MaxPinAge uint64
-	// Pipeline carries the shared tuning knobs (BatchSize, BatchDelay,
+	// Pipeline carries the shared tuning knobs (RotateEvery, OrderDelay,
 	// ApplyWorkers); see the tuning package for their semantics.
 	tuning.Pipeline
 }

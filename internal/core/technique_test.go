@@ -286,7 +286,6 @@ func TestCertAndActiveReachSameStateOnConflictFreeWorkload(t *testing.T) {
 			Level:       GroupSafe,
 			Technique:   tech,
 			ExecTimeout: 10 * time.Second,
-			Pipeline:    tuning.Pipe(4, 200*time.Microsecond, 0),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -328,7 +327,7 @@ func TestTechniquesDeterministicAcrossApplyWorkers(t *testing.T) {
 					Level:       level,
 					Technique:   tech,
 					ExecTimeout: 10 * time.Second,
-					Pipeline:    tuning.Pipe(8, 200*time.Microsecond, workers),
+					Pipeline:    tuning.Pipeline{ApplyWorkers: workers},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -20,45 +20,42 @@
 //     majority, adopts the highest-epoch order for every sequence number,
 //     re-announces them under its own epoch and continues numbering.
 //
-// The protocol is batched: every wire message carries a *range* of protocol
-// steps.  A DATA message holds up to Config.BatchSize payloads coalesced at
-// the sender, the sequencer answers a multi-payload DATA with a single ORDER
-// assigning a contiguous sequence range, and members acknowledge the whole
-// range with one ACK.  For a batch of B messages in an n-member group this
-// cuts the message count from 3·B·n (one round per message) to about 3·n per
-// batch, without weakening any of the four properties: ordering,
-// acknowledgement counting and delivery remain per (sequence, message id)
-// pair internally, so partial batches interleave and fail over exactly like
-// individual messages.
+// There is one lane, and every wire message carries a *range* of protocol
+// steps (sender.go, sequencer.go, member.go):
 //
-// How long a payload waits for co-travellers is governed by the batching
-// mode (see the tuning package): FixedDelay holds a partial batch exactly
-// BatchDelay; Adaptive clocks batching off the sender's own deliveries.  A
-// payload arriving while none of the sender's previous payloads are between
-// send and self-delivery goes out immediately (an idle sender pays zero added
-// latency), while payloads arriving behind an in-flight batch buffer until
-// that batch's delivery drains the pipe — the group-commit discipline:
-// waiting is only ever done behind work that is already pending.  An EWMA of
-// the sender's inter-arrival gaps backstops the drain clock with a deadline,
-// never more than DelayCap.
+//   - The sender's batching is clocked off its own deliveries.  A payload
+//     arriving while none of the sender's previous payloads are between send
+//     and self-delivery goes out immediately (an idle sender pays zero added
+//     latency); payloads arriving behind an in-flight batch buffer until that
+//     batch's delivery drains the pipe — the group-commit discipline: waiting
+//     is only ever done behind work that is already pending.  A DATA message
+//     holds up to maxBatch payloads.
+//   - The sequencer answers DATA with one ORDER assigning a contiguous
+//     sequence range.  An idle sequencer assigns on the router thread
+//     (cut-through); behind a backlog a dedicated goroutine assigns, so
+//     assignment of one batch overlaps decoding of the next and back-to-back
+//     DATA batches coalesce into one wider ORDER.
+//   - Members acknowledge a whole range with one ACK and merge contiguous
+//     ranges while more ORDERs are known to be imminent.
 //
-// Two further opt-in hot-path modes (tuning.Sequencer):
+// Ordering, acknowledgement counting and delivery remain per (sequence,
+// message id) pair internally, so partial batches interleave and fail over
+// exactly like individual messages.
 //
-//   - Pipelined: the sequencer moves ORDER assignment off the router thread
-//     onto a dedicated ordering goroutine, so assignment of one batch
-//     overlaps decoding of the next and back-to-back DATA batches coalesce
-//     into one wider ORDER.  Members also range-merge contiguous ACKs within
-//     an adaptive window, shrinking the all-to-all ACK fan-in.
-//   - RotateEvery: planned sequencer rotation.  After a quota of
-//     assignments the sequencer bumps the epoch and sends a HANDOFF carrying
-//     its nextSeq — a gather-free handover (the outgoing sequencer is alive,
-//     unlike a crash takeover).  Per-link FIFO guarantees the new sequencer
-//     has seen every ORDER the old one sent before the HANDOFF arrives, so
-//     sweeping its own unordered pending payloads into a fresh ORDER cannot
-//     reuse a sequence number.  Because a planned handoff does not advance
-//     the order-epoch floor (minOrderEpoch), in-flight ORDERs from earlier
-//     rotation epochs stay acceptable; the delivery loop suppresses the rare
-//     duplicate assignment a chained rotation can produce (see tryDeliver).
+// What a member remembers is one seq-indexed window (window.go): every ORDER
+// and ACK carries its sender's delivery cursor, and records below the lowest
+// cursor of the non-suspected members are dropped.
+//
+// One opt-in mode remains (tuning.Sequencer.RotateEvery): planned sequencer
+// rotation.  After a quota of assignments the sequencer bumps the epoch and
+// sends a HANDOFF carrying its nextSeq — a gather-free handover (the outgoing
+// sequencer is alive, unlike a crash takeover).  Per-link FIFO guarantees the
+// new sequencer has seen every ORDER the old one sent before the HANDOFF
+// arrives, so sweeping its own unordered payloads into a fresh ORDER cannot
+// reuse a sequence number.  Because a planned handoff does not advance the
+// order-epoch floor (minOrderEpoch), in-flight ORDERs from earlier rotation
+// epochs stay acceptable; the delivery loop suppresses the rare duplicate
+// assignment a chained rotation can produce (see tryDeliver).
 //
 // The resulting primitive satisfies Validity, Uniform Agreement, Uniform
 // Integrity and Uniform Total Order (Sect. 2.3 of the paper) as long as a
@@ -72,7 +69,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,6 +92,28 @@ const (
 	MsgHandoff  = "ab.handoff"
 )
 
+// The lane's fixed parameters.  They were knobs while the fixed-delay and
+// inline-sequencer lanes existed to compare against; one lane needs none.
+const (
+	// maxBatch is the most payloads one DATA message carries.
+	maxBatch = 32
+	// delayCap bounds how long a buffered payload waits for co-travellers
+	// when the drain clock stalls (loss, a sequencer change).
+	delayCap = time.Millisecond
+	// ackWindow bounds how long a member holds an ACK for a mergeable
+	// neighbour.
+	ackWindow = 100 * time.Microsecond
+	// ackMergeBound caps how many order acknowledgements one merged ACK may
+	// carry before it is flushed regardless of the window.
+	ackMergeBound = 256
+	// deliveryBuffer is the capacity of the delivery channel: the apply loop
+	// may trail the protocol by this many messages before deliveries block.
+	deliveryBuffer = 65536
+	// minFlushWait floors the sender's adaptive window: below this, timer
+	// overhead exceeds the wait, and the size trigger closes hot batches anyway.
+	minFlushWait = 20 * time.Microsecond
+)
+
 // Delivery is one totally-ordered message handed to the application.
 type Delivery struct {
 	Seq     uint64
@@ -106,25 +125,18 @@ type Delivery struct {
 type Config struct {
 	// Self is this member's address.
 	Self string
-	// Members is the static list of group members (must include Self).
+	// Members is the static list of group members (must include Self; at
+	// most 64 — acknowledgements are counted in a bitmask).
 	Members []string
-	// DeliveryBuffer is the capacity of the delivery channel (default 65536).
-	DeliveryBuffer int
-	// Batching carries the shared sender-side coalescing knobs (BatchSize,
-	// BatchDelay, Mode, DelayCap); see the tuning package.  Values <= 1
-	// disable batching: every Broadcast sends its DATA message synchronously,
-	// as in the unbatched protocol.  BatchSize > 1 with a zero BatchDelay
-	// selects the Adaptive mode (idle-flush) rather than stalling.
-	tuning.Batching
-	// Sequencer carries the ordering hot-path knobs (Pipelined, AckWindow,
-	// RotateEvery); see the tuning package.  The zero value keeps the
-	// classical synchronous fixed-sequencer behaviour.
+	// Sequencer carries the two remaining ordering knobs (RotateEvery,
+	// OrderDelay); see the tuning package.
 	tuning.Sequencer
-	// NackDelay bounds how long a member waits on an order-without-data
-	// stall (an assigned ORDER whose DATA payload has not arrived) before
-	// asking the group to retransmit the payload (default 3ms — comfortably
-	// above a LAN message but far below any client timeout).  The request
-	// retries at the same cadence while the stall lasts.
+	// NackDelay is the retransmission period (default 3ms — comfortably
+	// above a LAN message but far below any client timeout): a member whose
+	// delivery cursor sits on an order-without-data stall that long asks the
+	// group for the payload, and a sender whose own payload is still
+	// unordered that long re-sends it to the sequencer.  Both retry at the
+	// same cadence while the condition lasts.
 	NackDelay time.Duration
 	// Incarnation namespaces this member's message ids.  In the dynamic
 	// crash no-recovery model a recovered process is a new process: if it
@@ -152,7 +164,7 @@ type Stats struct {
 	// MsgsSent counts point-to-point protocol messages handed to the router
 	// (the denominator of the batching win: fewer sends per broadcast).
 	MsgsSent uint64
-	// DataBatches counts DATA messages sent by this member; with batching on,
+	// DataBatches counts DATA messages sent by this member;
 	// Broadcast/DataBatches is the achieved mean batch size.
 	DataBatches uint64
 	// Rotations counts planned sequencer handoffs this member observed
@@ -160,27 +172,22 @@ type Stats struct {
 	// suspicion/gather takeover, which EpochJumps keeps counting.
 	Rotations uint64
 	// AckSends counts ACK messages this member emitted (each fans out to all
-	// members).  With ACK coalescing, Ordered/AckSends is the achieved mean
-	// merge width.
+	// members); Ordered/AckSends is the achieved mean merge width.
 	AckSends uint64
 	// NacksSent counts retransmission requests this member emitted after an
 	// order-without-data stall outlived the bounded NackDelay wait.
 	NacksSent uint64
-	// Retransmits counts payloads this member re-sent in answer to another
-	// member's NACK.
+	// Retransmits counts payloads this member re-sent: in answer to another
+	// member's NACK, or to the sequencer because its own payload was still
+	// unordered after NackDelay.
 	Retransmits uint64
 }
 
 // ErrClosed is returned by Broadcast after Close.
 var ErrClosed = errors.New("abcast: broadcaster closed")
 
-type orderRec struct {
-	MsgID string
-	Epoch uint64
-}
-
-// wire formats (gob encoded); DATA, ORDER and ACK are batched: one message
-// covers a whole range of broadcasts.
+// wire formats; DATA, ORDER and ACK are batched: one message covers a whole
+// range of broadcasts.
 type dataEntry struct {
 	MsgID   string
 	Payload []byte
@@ -204,6 +211,9 @@ type orderMsg struct {
 	// AppliedSeq advertises the sender's applied-sequence watermark (see
 	// Config.AdvertiseSeq); 0 when the sender has no watermark to share.
 	AppliedSeq uint64
+	// Cursor is the sender's delivery cursor: it has delivered every
+	// sequence number below it.  Receivers prune their window with it.
+	Cursor uint64
 }
 
 // ackMsg acknowledges a whole order range at once.
@@ -211,8 +221,9 @@ type ackMsg struct {
 	Epoch   uint64
 	BaseSeq uint64
 	MsgIDs  []string
-	// AppliedSeq advertises the sender's applied-sequence watermark.
+	// AppliedSeq and Cursor are the sender's watermarks, as in orderMsg.
 	AppliedSeq uint64
+	Cursor     uint64
 }
 
 type newEpochMsg struct {
@@ -230,17 +241,12 @@ type handoffMsg struct {
 	MinEpoch uint64
 }
 
-type stateMsg struct {
-	Epoch   uint64
-	Orders  map[uint64]orderRec
-	Pending map[string][]byte
-	MaxSeq  uint64
-}
-
 // Broadcaster implements uniform atomic broadcast for one group member.
 type Broadcaster struct {
 	cfg    Config
 	router *gcs.Router
+	self   int            // index of cfg.Self in cfg.Members
+	member map[string]int // address → index in cfg.Members
 
 	mu            sync.Mutex
 	epoch         uint64
@@ -249,56 +255,68 @@ type Broadcaster struct {
 	nextSeq       uint64 // next sequence number this sequencer will assign
 	nextDeliver   uint64 // next sequence number to deliver (1-based)
 	localCounter  uint64
-	pendingData   map[string][]byte
-	orders        map[uint64]orderRec
-	orderedMsg    map[string]uint64
-	deliveredID   map[string]bool // suppresses duplicate emission after chained rotations
-	acks          map[uint64]map[string]map[string]bool
-	suspected     map[string]bool
-	gathering     bool
-	gatherEpoch   uint64
-	gatherFrom    map[string]stateMsg
-	sendBuf       []dataEntry   // payloads awaiting batch flush
-	flushTimer    *time.Timer   // single resettable timer, reused across batches
-	flushArmed    bool          // the timer is set for the currently open batch
-	sendGapEWMA   time.Duration // EWMA of Broadcast inter-arrival gaps (Adaptive mode)
-	lastSendAt    time.Time     // previous Broadcast arrival (Adaptive mode)
-	inFlight      int           // own payloads sent but not yet self-delivered (Adaptive mode)
-	closed        bool
-	stats         Stats
-	idPrefix      string // "self/incarnation/", precomputed for message ids
-	idBuf         []byte // scratch for message-id formatting (under mu)
 
-	// Retransmission state (see nack.go): the bounded wait on the current
-	// order-without-data stall of the delivery cursor.
+	// What this member knows of the total order (window.go).
+	win       window
+	idx       map[string]uint64     // ordered ids in the window → their lowest sequence number
+	unordered map[string][]byte     // payloads whose ORDER has not arrived
+	pruned    map[string]*senderLog // per sender incarnation: counters that left the window
+	cursors   []uint64              // by member index: latest advertised delivery cursor
+	suspected []bool                // by member index
+
+	gathering   bool
+	gatherEpoch uint64
+	gatherFrom  map[string]stateMsg
+
+	// Sender state (sender.go).
+	sendBuf     []dataEntry   // payloads awaiting batch flush
+	flushTimer  *time.Timer   // single resettable timer, reused across batches
+	flushArmed  bool          // the timer is set for the currently open batch
+	sendGapEWMA time.Duration // EWMA of Broadcast inter-arrival gaps
+	lastSendAt  time.Time     // previous buffered Broadcast arrival
+	inFlight    int           // own payloads sent but not yet self-delivered
+
+	closed   bool
+	stats    Stats
+	idPrefix string // "self/incarnation/", precomputed for message ids
+	idBuf    []byte // scratch for message-id formatting (under mu)
+
+	// Retransmission state (nack.go): one periodic check while a stall or an
+	// unordered own payload exists.
 	nackTimer *time.Timer
 	nackArmed bool
-	nackSeq   uint64
-	nackID    string
+	stallSeq  uint64 // order-without-data stall seen at the previous check
+	retryMark uint64 // own counters <= this were already sent at the previous check
 
-	// Pipelined-sequencer state: DATA batches queue here and a dedicated
-	// goroutine assigns ORDER ranges, overlapping with router-side decoding.
+	// Sequencer state (sequencer.go): behind a backlog DATA batches queue here
+	// and a dedicated goroutine assigns ORDER ranges, overlapping with
+	// router-side decoding.
 	orderQ    []dataEntry
 	orderKick chan struct{} // cap 1, nudges orderLoop
 	orderStop chan struct{} // closed by Close
 	orderBusy bool          // orderLoop is assigning/sending a drained batch
 
-	// ACK coalescing state (Pipelined mode): contiguous same-epoch ORDER
-	// ranges merge into one pending ACK, flushed by adjacency break, size,
-	// the adaptive window timer, or Close.
+	// ACK coalescing state (member.go): contiguous same-epoch ORDER ranges
+	// merge into one pending ACK, flushed by adjacency break, size, the
+	// window timer, or Close.
 	ackPend      ackMsg
 	ackPendValid bool
 	ackTimer     *time.Timer
 	ackArmed     bool
-	orderGapEWMA time.Duration // EWMA of inbound ORDER inter-arrival gaps
-	lastOrderAt  time.Time
 
-	// Send-path counters are atomic so sendAll does not need to re-acquire
-	// mu just to count (it is called on every protocol message).
+	// Send-path counters and the advertised cursor are atomic so the send
+	// helpers do not need to re-acquire mu (they run on every protocol
+	// message).
 	msgsSent    atomic.Uint64
 	dataBatches atomic.Uint64
 	ackSends    atomic.Uint64
+	cursor      atomic.Uint64 // mirror of nextDeliver
 
+	// deliverMu serialises tryDeliver: the router thread, the ordering
+	// goroutine and the timers all deliver, and the channel must receive the
+	// total order in order.
+	deliverMu  sync.Mutex
+	ready      []Delivery // scratch, under deliverMu
 	deliveries chan Delivery
 }
 
@@ -308,63 +326,40 @@ func New(cfg Config, router *gcs.Router) (*Broadcaster, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("abcast: empty member list")
 	}
-	found := false
-	for _, m := range cfg.Members {
-		if m == cfg.Self {
-			found = true
-			break
-		}
+	if len(cfg.Members) > 64 {
+		return nil, fmt.Errorf("abcast: %d members, at most 64 are supported", len(cfg.Members))
 	}
+	member := make(map[string]int, len(cfg.Members))
+	for i, m := range cfg.Members {
+		member[m] = i
+	}
+	self, found := member[cfg.Self]
 	if !found {
 		return nil, fmt.Errorf("abcast: self %q not in member list", cfg.Self)
-	}
-	if cfg.DeliveryBuffer <= 0 {
-		cfg.DeliveryBuffer = 65536
-	}
-	if cfg.BatchSize > 1 && cfg.Mode == tuning.FixedDelay && cfg.BatchDelay <= 0 {
-		// Historically this injected a silent 1ms BatchDelay — a hidden stall
-		// on every partial batch.  Zero now means "adaptive/idle-flush": a
-		// lone payload goes out immediately, co-travellers are only awaited
-		// when the sender's arrival rate says they are coming.
-		cfg.Mode = tuning.Adaptive
-	}
-	if cfg.Mode == tuning.Adaptive && cfg.DelayCap <= 0 {
-		cfg.DelayCap = tuning.DefaultDelayCap
-	}
-	if cfg.Pipelined && cfg.AckWindow <= 0 {
-		cfg.AckWindow = 100 * time.Microsecond
 	}
 	if cfg.NackDelay <= 0 {
 		cfg.NackDelay = 3 * time.Millisecond
 	}
-	if cfg.RotateEvery > 0 && !cfg.Pipelined {
-		// Rotation reuses the pipelined assignment path so the handoff is
-		// emitted off the router thread; enabling it implies pipelining.
-		cfg.Pipelined = true
-		if cfg.AckWindow <= 0 {
-			cfg.AckWindow = 100 * time.Microsecond
-		}
-	}
 	b := &Broadcaster{
 		cfg:         cfg,
 		router:      router,
+		self:        self,
+		member:      member,
 		nextSeq:     1,
 		nextDeliver: 1,
-		pendingData: make(map[string][]byte),
-		orders:      make(map[uint64]orderRec),
-		orderedMsg:  make(map[string]uint64),
-		deliveredID: make(map[string]bool),
-		acks:        make(map[uint64]map[string]map[string]bool),
-		suspected:   make(map[string]bool),
-		gatherFrom:  make(map[string]stateMsg),
-		deliveries:  make(chan Delivery, cfg.DeliveryBuffer),
+		win:         newWindow(),
+		idx:         make(map[string]uint64),
+		unordered:   make(map[string][]byte),
+		pruned:      make(map[string]*senderLog),
+		cursors:     make([]uint64, len(cfg.Members)),
+		suspected:   make([]bool, len(cfg.Members)),
+		orderKick:   make(chan struct{}, 1),
+		orderStop:   make(chan struct{}),
+		deliveries:  make(chan Delivery, deliveryBuffer),
 		idPrefix:    cfg.Self + "/" + strconv.FormatUint(cfg.Incarnation, 10) + "/",
 	}
-	if cfg.Pipelined {
-		b.orderKick = make(chan struct{}, 1)
-		b.orderStop = make(chan struct{})
-		go b.orderLoop()
-	}
+	b.cursor.Store(1)
+	go b.orderLoop()
 	router.Handle("ab.", b.onMessage)
 	return b, nil
 }
@@ -403,18 +398,16 @@ func (b *Broadcaster) Sequencer() string {
 // them (which is exactly the gap exploited by the scenario of Fig. 5).
 func (b *Broadcaster) SkipTo(seq uint64) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if seq > b.nextDeliver {
 		b.nextDeliver = seq
+		b.cursor.Store(seq)
 	}
+	b.mu.Unlock()
+	b.tryDeliver()
 }
 
 // NextDeliver returns the sequence number of the next message to deliver.
-func (b *Broadcaster) NextDeliver() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.nextDeliver
-}
+func (b *Broadcaster) NextDeliver() uint64 { return b.cursor.Load() }
 
 // Stats returns a snapshot of the broadcaster counters.
 func (b *Broadcaster) Stats() Stats {
@@ -441,18 +434,13 @@ func (b *Broadcaster) Close() {
 	batch := b.takeBatchLocked()
 	ack, haveAck := b.takeAckLocked()
 	b.closed = true
-	if b.ackTimer != nil {
-		b.ackTimer.Stop()
-	}
 	if b.nackTimer != nil {
 		b.nackTimer.Stop()
 	}
 	b.mu.Unlock()
-	if b.orderStop != nil {
-		close(b.orderStop)
-	}
+	close(b.orderStop)
 	if len(batch) > 0 {
-		b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
+		b.sendData(batch)
 	}
 	if haveAck {
 		b.sendAck(ack)
@@ -465,684 +453,31 @@ func (b *Broadcaster) sequencerFor(epoch uint64) string {
 	return b.cfg.Members[int(epoch)%len(b.cfg.Members)]
 }
 
-// minFlushWait floors the adaptive co-traveller window: below this, timer
-// overhead exceeds the wait, and the size trigger closes hot batches anyway.
-const minFlushWait = 20 * time.Microsecond
-
-// Broadcast A-broadcasts a payload and returns the assigned message id.
-// With batching enabled (Config.BatchSize > 1) the payload may travel in a
-// multi-payload DATA message: it is sent once the batch fills, the sender's
-// previous in-flight batch delivers (Adaptive mode's drain clock), or the
-// co-traveller window (fixed BatchDelay, or the adaptive EWMA-derived
-// deadline backstop) elapses, whichever comes first.  In Adaptive mode a
-// sender with nothing in flight skips buffering entirely and the payload is
-// sent immediately.
-func (b *Broadcaster) Broadcast(payload []byte) (string, error) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return "", ErrClosed
-	}
-	b.localCounter++
-	// One allocation (the string itself) instead of fmt.Sprintf's boxing.
-	b.idBuf = strconv.AppendUint(append(b.idBuf[:0], b.idPrefix...), b.localCounter, 10)
-	msgID := string(b.idBuf)
-	b.stats.Broadcast++
-
-	if b.cfg.BatchSize <= 1 {
-		b.mu.Unlock()
-		buf := encodeData(dataMsg{Entries: []dataEntry{{MsgID: msgID, Payload: payload}}})
-		b.sendAll(transport.Message{Type: MsgData, Payload: buf})
-		return msgID, nil
-	}
-
-	wait := b.cfg.BatchDelay
-	if b.cfg.Mode == tuning.Adaptive {
-		if b.inFlight == 0 && len(b.sendBuf) == 0 {
-			// Delivery-clocked send: none of our payloads are between send
-			// and self-delivery, so there is no later event for this one to
-			// batch behind — any wait would be pure added latency (and in a
-			// closed loop the wait would feed back into the measured arrival
-			// gap, inflating the next wait).  Send the lone payload now;
-			// arrivals while it is in flight ride behind it and flush when
-			// its delivery drains the pipe.
-			b.inFlight++
-			b.mu.Unlock()
-			buf := encodeData(dataMsg{Entries: []dataEntry{{MsgID: msgID, Payload: payload}}})
-			b.sendAll(transport.Message{Type: MsgData, Payload: buf})
-			return msgID, nil
-		}
-		// Only the buffering path samples the clock: the EWMA sets nothing
-		// but the backstop deadline, so keeping time.Now off the immediate
-		// path costs accuracy only where accuracy is not consumed.
-		wait = b.adaptiveWaitLocked()
-	}
-
-	b.sendBuf = append(b.sendBuf, dataEntry{MsgID: msgID, Payload: payload})
-	if len(b.sendBuf) >= b.cfg.BatchSize {
-		batch := b.takeBatchLocked()
-		if b.cfg.Mode == tuning.Adaptive {
-			b.inFlight += len(batch)
-		}
-		b.mu.Unlock()
-		b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
-		return msgID, nil
-	}
-	if len(b.sendBuf) == 1 {
-		// Deadline semantics: the window is armed once, when the batch
-		// opens, so the first payload's added latency is bounded by it.
-		if wait <= 0 {
-			wait = minFlushWait
-		}
-		b.armFlushLocked(wait)
-	}
-	b.mu.Unlock()
-	return msgID, nil
-}
-
-// adaptiveWaitLocked updates the sender's inter-arrival EWMA with the gap
-// since the previous Broadcast and derives the deadline backstop for a
-// buffered payload: the expected time for the remaining batch slots to fill,
-// floored at minFlushWait and capped at DelayCap.  The backstop only matters
-// when the drain clock stalls (our in-flight batch is stuck behind loss or a
-// sequencer change); in the common case delivery flushes the buffer first.
-// A gap EWMA at or above DelayCap (or no history yet) means the sender is
-// idle: returns 0, which arms the minimum window.
-func (b *Broadcaster) adaptiveWaitLocked() time.Duration {
-	now := time.Now()
-	if !b.lastSendAt.IsZero() {
-		gap := now.Sub(b.lastSendAt)
-		if gap > b.cfg.DelayCap {
-			gap = b.cfg.DelayCap + 1 // one idle gap is enough to mean idle
-		}
-		if b.sendGapEWMA == 0 || gap >= b.sendGapEWMA {
-			// Fast up: one long gap flips the sender back to idle-flush.
-			b.sendGapEWMA = (b.sendGapEWMA + gap) / 2
-		} else {
-			// Faster down: a burst engages batching within a few arrivals.
-			b.sendGapEWMA = gap + (b.sendGapEWMA-gap)/4
-		}
-	}
-	b.lastSendAt = now
-	if b.sendGapEWMA == 0 || b.sendGapEWMA >= b.cfg.DelayCap {
-		return 0
-	}
-	wait := b.sendGapEWMA * time.Duration(b.cfg.BatchSize-len(b.sendBuf)-1)
-	if wait < minFlushWait {
-		wait = minFlushWait
-	}
-	if wait > b.cfg.DelayCap {
-		wait = b.cfg.DelayCap
-	}
-	return wait
-}
-
-// armFlushLocked (re)arms the single flush timer for the batch that just
-// opened.  The timer object is reused across batches (Reset instead of a
-// fresh time.AfterFunc per first-payload), which removes the per-batch
-// runtime timer allocation from the batched send path.
-func (b *Broadcaster) armFlushLocked(d time.Duration) {
-	b.flushArmed = true
-	if b.flushTimer == nil {
-		b.flushTimer = time.AfterFunc(d, b.flushBatch)
-	} else {
-		b.flushTimer.Reset(d)
-	}
-}
-
-// takeBatchLocked detaches the pending batch and disarms the flush timer.
-func (b *Broadcaster) takeBatchLocked() []dataEntry {
-	batch := b.sendBuf
-	b.sendBuf = nil
-	if b.flushArmed {
-		b.flushTimer.Stop()
-		b.flushArmed = false
-	}
-	return batch
-}
-
-// flushBatch sends a partial batch whose co-traveller window expired.  (A
-// stale fire — the timer lapsing just as the batch it was armed for closes
-// and a new one opens — at worst flushes the new batch early, which is
-// harmless.)
-func (b *Broadcaster) flushBatch() {
-	b.mu.Lock()
-	if b.closed || !b.flushArmed {
-		b.mu.Unlock()
-		return
-	}
-	b.flushArmed = false
-	batch := b.sendBuf
-	b.sendBuf = nil
-	if b.cfg.Mode == tuning.Adaptive {
-		b.inFlight += len(batch)
-	}
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
-	}
-}
-
-// Suspect informs the broadcaster that peer is believed crashed (typically
-// wired to the failure detector).  If peer is the current sequencer, a new
-// epoch is started.
-func (b *Broadcaster) Suspect(peer string) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	b.suspected[peer] = true
-	if b.sequencerFor(b.epoch) != peer {
-		b.mu.Unlock()
-		return
-	}
-	// Advance to the next epoch whose sequencer is not suspected.
-	e := b.epoch + 1
-	for i := 0; i < len(b.cfg.Members); i++ {
-		if !b.suspected[b.sequencerFor(e)] {
-			break
-		}
-		e++
-	}
-	b.stats.EpochJumps++
-	b.epoch = e
-	// Crash takeover voids every older-epoch ORDER still in flight: the
-	// gather majority's replies promise exactly this (otherwise a stale
-	// sequencer's assignment could still reach an ack-majority and split
-	// delivery from the adopted order).  Planned rotations do NOT move this
-	// floor.
-	b.minOrderEpoch = e
-	b.epochAssigned = 0
-	iAmNewSequencer := b.sequencerFor(e) == b.cfg.Self
-	var selfState stateMsg
-	if iAmNewSequencer {
-		b.gathering = true
-		b.gatherEpoch = e
-		b.gatherFrom = map[string]stateMsg{b.cfg.Self: b.snapshotStateLocked(e)}
-		selfState = b.gatherFrom[b.cfg.Self]
-	}
-	b.mu.Unlock()
-
-	if iAmNewSequencer {
-		b.sendAll(transport.Message{Type: MsgNewEpoch, Payload: encode(newEpochMsg{Epoch: e})})
-		// A single-member group gathers only from itself.
-		b.mu.Lock()
-		b.maybeFinishGatherLocked()
-		b.mu.Unlock()
-		_ = selfState
-	}
-}
-
-// Unsuspect clears a suspicion (e.g. a false positive of the failure
-// detector).
-func (b *Broadcaster) Unsuspect(peer string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.suspected, peer)
-}
-
-func (b *Broadcaster) snapshotStateLocked(epoch uint64) stateMsg {
-	orders := make(map[uint64]orderRec, len(b.orders))
-	for s, o := range b.orders {
-		orders[s] = o
-	}
-	pending := make(map[string][]byte, len(b.pendingData))
-	for id, p := range b.pendingData {
-		pending[id] = p
-	}
-	var maxSeq uint64
-	for s := range b.orders {
-		if s > maxSeq {
-			maxSeq = s
-		}
-	}
-	return stateMsg{Epoch: epoch, Orders: orders, Pending: pending, MaxSeq: maxSeq}
-}
-
 func (b *Broadcaster) sendAll(m transport.Message) {
 	b.msgsSent.Add(uint64(len(b.cfg.Members)))
-	if m.Type == MsgData {
-		b.dataBatches.Add(1)
-	}
 	for _, member := range b.cfg.Members {
-		_ = b.router.Send(member, m)
+		_ = b.router.Send(member, m) // at-most-once transport: loss is the NACK timer's job
 	}
 }
 
-// onMessage dispatches inbound protocol messages (registered on the router).
-func (b *Broadcaster) onMessage(m transport.Message) {
-	switch m.Type {
-	case MsgData:
-		var d dataMsg
-		if err := decodeData(m.Payload, &d); err != nil {
-			return
-		}
-		b.handleData(d)
-	case MsgOrder:
-		var o orderMsg
-		if err := decodeOrder(m.Payload, &o); err != nil {
-			return
-		}
-		b.noteAdvert(m.From, o.AppliedSeq)
-		b.handleOrder(o)
-	case MsgAck:
-		var a ackMsg
-		if err := decodeAck(m.Payload, &a); err != nil {
-			return
-		}
-		b.noteAdvert(m.From, a.AppliedSeq)
-		b.handleAck(a, m.From)
-	case MsgNack:
-		var n nackMsg
-		if err := decode(m.Payload, &n); err != nil {
-			return
-		}
-		b.handleNack(n, m.From)
-	case MsgNewEpoch:
-		var ne newEpochMsg
-		if err := decode(m.Payload, &ne); err != nil {
-			return
-		}
-		b.handleNewEpoch(ne, m.From)
-	case MsgState:
-		var st stateMsg
-		if err := decode(m.Payload, &st); err != nil {
-			return
-		}
-		b.handleState(st, m.From)
-	case MsgHandoff:
-		var h handoffMsg
-		if err := decodeHandoff(m.Payload, &h); err != nil {
-			return
-		}
-		b.handleHandoff(h)
-	}
-}
-
-func (b *Broadcaster) handleData(d dataMsg) {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
-	}
-	for _, e := range d.Entries {
-		if _, seen := b.pendingData[e.MsgID]; !seen {
-			b.pendingData[e.MsgID] = e.Payload
-		}
-	}
-	isSequencer := b.sequencerFor(b.epoch) == b.cfg.Self && !b.gathering
-	if isSequencer && b.cfg.Pipelined && (len(b.orderQ) > 0 || b.orderBusy) {
-		// Pipelined: park the batch for the ordering goroutine and return to
-		// decoding the next inbound message.  Assignment of this batch
-		// overlaps reception of the next, and back-to-back batches coalesce
-		// into one wider ORDER range when the loop drains them together.
-		// With no backlog and the loop idle the batch falls through to the
-		// inline path below instead (cut-through): the queue hand-off is a
-		// scheduler hop that would be pure added latency on an idle pipeline.
-		b.orderQ = append(b.orderQ, d.Entries...)
-		b.mu.Unlock()
-		select {
-		case b.orderKick <- struct{}{}:
-		default:
-		}
-		b.tryDeliver()
-		return
-	}
-	var order orderMsg
-	var handoff handoffMsg
-	rotate := false
-	if isSequencer {
-		order, handoff, rotate = b.assignLocked(d.Entries)
-	}
-	b.mu.Unlock()
-	if len(order.MsgIDs) > 0 {
-		b.sendOrder(order)
-	}
-	if rotate {
-		b.sendAll(transport.Message{Type: MsgHandoff, Payload: encodeHandoff(handoff)})
-	}
-	b.tryDeliver()
-}
-
-// assignLocked gives one contiguous sequence range to every not-yet-ordered
-// payload (a single ORDER covers the whole slice) and, when the rotation
-// quota fills, bumps the epoch and prepares the gather-free HANDOFF for the
-// next sequencer.  The caller sends the ORDER before the HANDOFF: per-link
-// FIFO then guarantees every member — the successor above all — sees this
-// epoch's final assignments before the handover.
-func (b *Broadcaster) assignLocked(entries []dataEntry) (order orderMsg, handoff handoffMsg, rotate bool) {
-	for _, e := range entries {
-		if _, done := b.orderedMsg[e.MsgID]; done {
-			continue
-		}
-		if len(order.MsgIDs) == 0 {
-			order.Epoch = b.epoch
-			order.MinEpoch = b.minOrderEpoch
-			order.BaseSeq = b.nextSeq
-		}
-		order.MsgIDs = append(order.MsgIDs, e.MsgID)
-		b.nextSeq++
-		b.stats.Ordered++
-	}
-	if b.cfg.OrderDelay > 0 && len(order.MsgIDs) > 0 {
-		// Emulated ordering service cost, per assigned payload.  Slept under
-		// mu on purpose: the ordering site is one serial resource, and while
-		// it is busy the member's whole protocol engine is busy — exactly the
-		// sequencer bottleneck the knob exists to model (cf. DiskSyncDelay,
-		// which likewise serialises the forces of one simulated disk).
-		time.Sleep(b.cfg.OrderDelay * time.Duration(len(order.MsgIDs)))
-	}
-	b.epochAssigned += len(order.MsgIDs)
-	if b.cfg.RotateEvery > 0 && b.epochAssigned >= b.cfg.RotateEvery && !b.gathering {
-		// Advance to the next epoch whose sequencer is alive (as far as the
-		// local suspicions know).  If the rotation would land back on us —
-		// every other member suspected — stay put and just reset the quota.
-		e := b.epoch + 1
-		for i := 0; i < len(b.cfg.Members); i++ {
-			if !b.suspected[b.sequencerFor(e)] {
-				break
-			}
-			e++
-		}
-		b.epochAssigned = 0
-		if b.sequencerFor(e) != b.cfg.Self {
-			b.epoch = e
-			b.stats.Rotations++
-			handoff = handoffMsg{Epoch: e, NextSeq: b.nextSeq, MinEpoch: b.minOrderEpoch}
-			rotate = true
-		}
-	}
-	return order, handoff, rotate
-}
-
-// orderLoop is the pipelined sequencer's assignment stage: it drains queued
-// DATA batches, assigns their ORDER ranges and sends them, while the router
-// thread keeps decoding inbound messages.
-func (b *Broadcaster) orderLoop() {
-	for {
-		select {
-		case <-b.orderStop:
-			return
-		case <-b.orderKick:
-		}
-		for {
-			b.mu.Lock()
-			if b.closed {
-				b.mu.Unlock()
-				return
-			}
-			if len(b.orderQ) == 0 {
-				b.mu.Unlock()
-				break
-			}
-			if b.gathering || b.sequencerFor(b.epoch) != b.cfg.Self {
-				// Lost the sequencer role between enqueue and drain.  Drop
-				// the queue: the payloads stay in pendingData everywhere, and
-				// whoever ordering fell to picks them up — a crash takeover
-				// sweeps them from the gather set, a planned successor sweeps
-				// its own pendingData at handoff or orders them at receipt.
-				b.orderQ = nil
-				b.mu.Unlock()
-				break
-			}
-			entries := b.orderQ
-			b.orderQ = nil
-			b.orderBusy = true
-			order, handoff, rotate := b.assignLocked(entries)
-			b.mu.Unlock()
-			if len(order.MsgIDs) > 0 {
-				b.sendOrder(order)
-			}
-			if rotate {
-				b.sendAll(transport.Message{Type: MsgHandoff, Payload: encodeHandoff(handoff)})
-			}
-			b.mu.Lock()
-			b.orderBusy = false
-			b.mu.Unlock()
-			b.tryDeliver()
-		}
-	}
-}
-
-// handleHandoff installs a planned sequencer rotation.  The successor adopts
-// the handed-over numbering and immediately orders any payloads it holds
-// that the outgoing sequencer never assigned: link FIFO guarantees it has
-// already processed every ORDER the outgoing sequencer sent, so anything
-// still unordered here was unordered, full stop — except for assignments by
-// sequencers of *earlier* rotation epochs whose ORDERs are still in flight
-// on other links.  Those can produce a duplicate assignment of the same
-// message id at two sequence numbers; tryDeliver suppresses the second
-// emission, identically at every member.
-func (b *Broadcaster) handleHandoff(h handoffMsg) {
-	b.mu.Lock()
-	if b.closed || h.Epoch < b.epoch {
-		b.mu.Unlock()
-		return
-	}
-	if h.Epoch > b.epoch {
-		b.epoch = h.Epoch
-		b.gathering = false
-		b.epochAssigned = 0
-		b.stats.Rotations++
-	}
-	if h.MinEpoch > b.minOrderEpoch {
-		b.minOrderEpoch = h.MinEpoch
-	}
-	var fresh orderMsg
-	if b.sequencerFor(b.epoch) == b.cfg.Self && !b.gathering {
-		if h.NextSeq > b.nextSeq {
-			b.nextSeq = h.NextSeq
-		}
-		var unordered []string
-		for id := range b.pendingData {
-			if _, ordered := b.orderedMsg[id]; !ordered {
-				unordered = append(unordered, id)
-			}
-		}
-		if len(unordered) > 0 {
-			sort.Strings(unordered)
-			fresh = orderMsg{Epoch: b.epoch, MinEpoch: b.minOrderEpoch, BaseSeq: b.nextSeq}
-			for _, id := range unordered {
-				fresh.MsgIDs = append(fresh.MsgIDs, id)
-				b.nextSeq++
-				b.stats.Ordered++
-			}
-			b.epochAssigned += len(fresh.MsgIDs)
-		}
-	}
-	b.mu.Unlock()
-	if len(fresh.MsgIDs) > 0 {
-		b.sendOrder(fresh)
-	}
-	b.tryDeliver()
-}
-
-func (b *Broadcaster) handleOrder(o orderMsg) {
-	b.mu.Lock()
-	if b.closed || len(o.MsgIDs) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	if o.Epoch < b.minOrderEpoch {
-		// Void: a crash takeover's gather majority has promised to forget
-		// this sequencer's assignments.  Epochs in [minOrderEpoch, epoch)
-		// stay acceptable — they are live planned-rotation history.
-		b.mu.Unlock()
-		return
-	}
-	if o.MinEpoch > b.minOrderEpoch {
-		b.minOrderEpoch = o.MinEpoch
-		if o.MinEpoch > o.Epoch {
-			// Malformed (floor above the sender's own epoch); drop.
-			b.mu.Unlock()
-			return
-		}
-	}
-	if o.Epoch > b.epoch {
-		// A newer sequencer is active; follow it.
-		b.epoch = o.Epoch
-		b.gathering = false
-		b.epochAssigned = 0
-	}
-	for i, id := range o.MsgIDs {
-		seq := o.BaseSeq + uint64(i)
-		existing, have := b.orders[seq]
-		if !have || o.Epoch >= existing.Epoch {
-			b.orders[seq] = orderRec{MsgID: id, Epoch: o.Epoch}
-			b.orderedMsg[id] = seq
-		}
-	}
-	// One ACK acknowledges the whole range.
-	ack := ackMsg{Epoch: o.Epoch, BaseSeq: o.BaseSeq, MsgIDs: o.MsgIDs}
-	if b.cfg.Pipelined {
-		// Coalesce: contiguous same-epoch ranges merge into one pending ACK,
-		// sent when the adaptive window lapses, adjacency breaks, the merge
-		// grows past bound, or Close.  Under load this collapses the
-		// sequencer's ACK fan-in to one inbound message per delivery window.
-		flush, nFlush := b.mergeAckLocked(ack)
-		b.mu.Unlock()
-		for i := 0; i < nFlush; i++ {
-			b.sendAck(flush[i])
-		}
-		b.tryDeliver()
-		return
-	}
-	b.mu.Unlock()
-	b.sendAck(ack)
-	b.tryDeliver()
-}
-
-// ackMergeBound caps how many order acknowledgements one merged ACK may
-// carry before it is flushed regardless of the window.
-const ackMergeBound = 256
-
-// mergeAckLocked folds ack into the pending merged ACK and returns the ACKs
-// to send now (at most two: a displaced non-contiguous pend plus the merged
-// one).  The merge flushes immediately unless more ORDERs are known to be
-// imminent — some received payload still lacks an order — because only then
-// does holding the ACK buy a wider merge; otherwise waiting would stall
-// delivery by the window for nothing.  While holding, the adaptive window
-// timer (from an EWMA of ORDER inter-arrival gaps) bounds the wait.
-func (b *Broadcaster) mergeAckLocked(ack ackMsg) (flush [2]ackMsg, n int) {
-	if b.ackPendValid {
-		if b.ackPend.Epoch == ack.Epoch && b.ackPend.BaseSeq+uint64(len(b.ackPend.MsgIDs)) == ack.BaseSeq {
-			b.ackPend.MsgIDs = append(b.ackPend.MsgIDs, ack.MsgIDs...)
-		} else {
-			if out, ok := b.takeAckLocked(); ok {
-				flush[n] = out
-				n++
-			}
-			b.ackPend = ack
-			b.ackPendValid = true
-		}
-	} else {
-		b.ackPend = ack
-		b.ackPendValid = true
-	}
-
-	if len(b.orderedMsg) >= len(b.pendingData) || len(b.ackPend.MsgIDs) >= ackMergeBound {
-		// Pending-work signal, O(1) and conservative: if every known payload
-		// already has an order, no follow-up ORDER is imminent and holding
-		// the ACK would stall delivery by the window for no merge gain.
-		// Orphan orders (ORDER seen before its DATA) can tip the comparison
-		// toward flushing early, which only costs a merge opportunity; a
-		// hold is only ever taken when some payload is genuinely unordered.
-		// This branch takes no clock sample, keeping time.Now off the
-		// low-load hot path entirely.
-		b.lastOrderAt = time.Time{}
-		if out, ok := b.takeAckLocked(); ok {
-			flush[n] = out
-			n++
-		}
-		return flush, n
-	}
-
-	// Holding for a wider merge: sample the ORDER inter-arrival gap and arm
-	// the window timer from its EWMA.  Sampling only on this path means the
-	// EWMA describes exactly the busy stream the timer has to bound.
-	now := time.Now()
-	if !b.lastOrderAt.IsZero() {
-		gap := now.Sub(b.lastOrderAt)
-		if gap > b.cfg.AckWindow {
-			gap = b.cfg.AckWindow + 1
-		}
-		if b.orderGapEWMA == 0 || gap >= b.orderGapEWMA {
-			b.orderGapEWMA = (b.orderGapEWMA + gap) / 2
-		} else {
-			b.orderGapEWMA = gap + (b.orderGapEWMA-gap)/4
-		}
-	}
-	b.lastOrderAt = now
-	if !b.ackArmed {
-		wait := 2 * b.orderGapEWMA
-		if wait < minFlushWait {
-			wait = minFlushWait
-		}
-		if wait > b.cfg.AckWindow {
-			wait = b.cfg.AckWindow
-		}
-		b.armAckLocked(wait)
-	}
-	return flush, n
-}
-
-// takeAckLocked detaches the pending merged ACK and disarms its timer.
-func (b *Broadcaster) takeAckLocked() (ackMsg, bool) {
-	if !b.ackPendValid {
-		return ackMsg{}, false
-	}
-	ack := b.ackPend
-	b.ackPend = ackMsg{}
-	b.ackPendValid = false
-	if b.ackArmed {
-		b.ackTimer.Stop()
-		b.ackArmed = false
-	}
-	return ack, true
-}
-
-// armAckLocked (re)arms the single ACK window timer (reused, like the batch
-// flush timer).
-func (b *Broadcaster) armAckLocked(d time.Duration) {
-	b.ackArmed = true
-	if b.ackTimer == nil {
-		b.ackTimer = time.AfterFunc(d, b.flushAck)
-	} else {
-		b.ackTimer.Reset(d)
-	}
-}
-
-// flushAck sends the pending merged ACK when its window expires.
-func (b *Broadcaster) flushAck() {
-	b.mu.Lock()
-	if b.closed || !b.ackArmed {
-		b.mu.Unlock()
-		return
-	}
-	b.ackArmed = false
-	ack := b.ackPend
-	have := b.ackPendValid
-	b.ackPend = ackMsg{}
-	b.ackPendValid = false
-	b.mu.Unlock()
-	if have && len(ack.MsgIDs) > 0 {
-		b.sendAck(ack)
-	}
+// sendData fans one DATA batch out to every member.
+func (b *Broadcaster) sendData(batch []dataEntry) {
+	b.dataBatches.Add(1)
+	b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
 }
 
 // sendAck fans an ACK out to every member, counting it for the coalescing
-// stats and stamping the applied-seq advertisement.
+// stats and stamping the sender's watermarks.
 func (b *Broadcaster) sendAck(a ackMsg) {
-	a.AppliedSeq = b.advertisedSeq()
+	a.AppliedSeq, a.Cursor = b.advertisedSeq(), b.cursor.Load()
 	b.ackSends.Add(1)
 	b.sendAll(transport.Message{Type: MsgAck, Payload: encodeAck(a)})
 }
 
-// sendOrder fans an ORDER out to every member, stamping the applied-seq
-// advertisement.
+// sendOrder fans an ORDER out to every member, stamping the sender's
+// watermarks.
 func (b *Broadcaster) sendOrder(o orderMsg) {
-	o.AppliedSeq = b.advertisedSeq()
+	o.AppliedSeq, o.Cursor = b.advertisedSeq(), b.cursor.Load()
 	b.sendAll(transport.Message{Type: MsgOrder, Payload: encodeOrder(o)})
 }
 
@@ -1164,211 +499,128 @@ func (b *Broadcaster) noteAdvert(from string, seq uint64) {
 	b.cfg.OnPeerAdvert(from, seq)
 }
 
-func (b *Broadcaster) handleAck(a ackMsg, from string) {
+// noteCursorLocked records a peer's advertised delivery cursor, the input of
+// the window's stability watermark.  Latest wins, not highest: links are
+// FIFO, and a recovered incarnation legitimately restarts below its
+// predecessor's cursor.
+func (b *Broadcaster) noteCursorLocked(from string, cursor uint64) {
+	if i, ok := b.member[from]; ok && i != b.self {
+		b.cursors[i] = cursor
+	}
+}
+
+// onMessage dispatches inbound protocol messages (registered on the router);
+// a malformed message is dropped.
+func (b *Broadcaster) onMessage(m transport.Message) {
+	switch m.Type {
+	case MsgData:
+		var d dataMsg
+		if decodeData(m.Payload, &d) == nil {
+			b.handleData(d)
+		}
+	case MsgOrder:
+		var o orderMsg
+		if decodeOrder(m.Payload, &o) == nil {
+			b.noteAdvert(m.From, o.AppliedSeq)
+			b.handleOrder(o)
+		}
+	case MsgAck:
+		var a ackMsg
+		if decodeAck(m.Payload, &a) == nil {
+			b.noteAdvert(m.From, a.AppliedSeq)
+			b.handleAck(a, m.From)
+		}
+	case MsgNack:
+		var n nackMsg
+		if decode(m.Payload, &n) == nil {
+			b.handleNack(n, m.From)
+		}
+	case MsgNewEpoch:
+		var ne newEpochMsg
+		if decode(m.Payload, &ne) == nil {
+			b.handleNewEpoch(ne, m.From)
+		}
+	case MsgState:
+		var st stateMsg
+		if decode(m.Payload, &st) == nil {
+			b.handleState(st, m.From)
+		}
+	case MsgHandoff:
+		var h handoffMsg
+		if decodeHandoff(m.Payload, &h) == nil {
+			b.handleHandoff(h)
+		}
+	}
+}
+
+// tryDeliver delivers every message whose order is stable (majority-acked)
+// and whose predecessors have all been delivered, then prunes the window.
+func (b *Broadcaster) tryDeliver() {
+	b.deliverMu.Lock()
+	defer b.deliverMu.Unlock()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	for i, id := range a.MsgIDs {
-		seq := a.BaseSeq + uint64(i)
-		bySeq, ok := b.acks[seq]
-		if !ok {
-			bySeq = make(map[string]map[string]bool)
-			b.acks[seq] = bySeq
-		}
-		voters, ok := bySeq[id]
-		if !ok {
-			voters = make(map[string]bool)
-			bySeq[id] = voters
-		}
-		voters[from] = true
-	}
-	b.mu.Unlock()
-	b.tryDeliver()
-}
-
-func (b *Broadcaster) handleNewEpoch(ne newEpochMsg, from string) {
-	if from == b.cfg.Self {
-		// Our own take-over announcement looping back: the local state is
-		// already part of the gather set.
-		return
-	}
-	b.mu.Lock()
-	if b.closed || ne.Epoch < b.epoch {
-		b.mu.Unlock()
-		return
-	}
-	if ne.Epoch > b.epoch {
-		b.stats.EpochJumps++
-	}
-	b.epoch = ne.Epoch
-	// Replying STATE is the promise that makes the gather binding: from here
-	// on, ORDERs below the takeover epoch are void at this member.
-	if ne.Epoch > b.minOrderEpoch {
-		b.minOrderEpoch = ne.Epoch
-	}
-	b.epochAssigned = 0
-	b.gathering = false
-	reply := b.snapshotStateLocked(ne.Epoch)
-	b.mu.Unlock()
-	_ = b.router.Send(from, transport.Message{Type: MsgState, Payload: encode(reply)})
-}
-
-func (b *Broadcaster) handleState(st stateMsg, from string) {
-	b.mu.Lock()
-	if b.closed || !b.gathering || st.Epoch != b.gatherEpoch {
-		b.mu.Unlock()
-		return
-	}
-	b.gatherFrom[from] = st
-	b.maybeFinishGatherLocked()
-	b.mu.Unlock()
-}
-
-// maybeFinishGatherLocked completes sequencer takeover once a majority of
-// state replies (including our own) has been collected.
-func (b *Broadcaster) maybeFinishGatherLocked() {
-	if !b.gathering || len(b.gatherFrom) < b.majority() {
-		return
-	}
-	b.gathering = false
-
-	// Adopt, for every sequence number, the order with the highest epoch.
-	adopted := make(map[uint64]orderRec)
-	var maxSeq uint64
-	for _, st := range b.gatherFrom {
-		for seq, rec := range st.Orders {
-			if cur, ok := adopted[seq]; !ok || rec.Epoch > cur.Epoch {
-				adopted[seq] = rec
-			}
-			if seq > maxSeq {
-				maxSeq = seq
-			}
-		}
-		for id, payload := range st.Pending {
-			if _, seen := b.pendingData[id]; !seen {
-				b.pendingData[id] = payload
-			}
-		}
-	}
-	for seq, rec := range adopted {
-		b.orders[seq] = orderRec{MsgID: rec.MsgID, Epoch: b.epoch}
-		b.orderedMsg[rec.MsgID] = seq
-	}
-	b.nextSeq = maxSeq + 1
-
-	// Re-announce adopted orders under the new epoch, coalescing contiguous
-	// sequence runs into batched ORDER messages, then order any pending
-	// payloads that still lack a sequence number as one fresh batch.
-	seqs := make([]uint64, 0, len(adopted))
-	for seq := range adopted {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	var reannounce []orderMsg
-	for _, seq := range seqs {
-		if n := len(reannounce); n > 0 && reannounce[n-1].BaseSeq+uint64(len(reannounce[n-1].MsgIDs)) == seq {
-			reannounce[n-1].MsgIDs = append(reannounce[n-1].MsgIDs, adopted[seq].MsgID)
-			continue
-		}
-		reannounce = append(reannounce, orderMsg{Epoch: b.epoch, MinEpoch: b.minOrderEpoch, BaseSeq: seq, MsgIDs: []string{adopted[seq].MsgID}})
-	}
-	var unordered []string
-	for id := range b.pendingData {
-		if _, ordered := b.orderedMsg[id]; !ordered {
-			unordered = append(unordered, id)
-		}
-	}
-	sort.Strings(unordered)
-	fresh := orderMsg{Epoch: b.epoch, MinEpoch: b.minOrderEpoch, BaseSeq: b.nextSeq}
-	for _, id := range unordered {
-		b.orders[b.nextSeq] = orderRec{MsgID: id, Epoch: b.epoch}
-		b.orderedMsg[id] = b.nextSeq
-		fresh.MsgIDs = append(fresh.MsgIDs, id)
-		b.nextSeq++
-		b.stats.Ordered++
-	}
-	b.mu.Unlock()
-	for _, o := range reannounce {
-		b.sendOrder(o)
-	}
-	if len(fresh.MsgIDs) > 0 {
-		b.sendOrder(fresh)
-	}
-	b.mu.Lock()
-}
-
-// tryDeliver delivers every message whose order is stable (majority-acked)
-// and whose predecessors have all been delivered.
-func (b *Broadcaster) tryDeliver() {
+	ready := b.ready[:0]
+	var drained []dataEntry
 	for {
-		b.mu.Lock()
-		if b.closed {
-			b.mu.Unlock()
-			return
-		}
 		seq := b.nextDeliver
-		rec, ordered := b.orders[seq]
-		if !ordered {
-			b.disarmNackLocked()
-			b.mu.Unlock()
-			return
+		r := b.win.get(seq)
+		if r == nil || !r.ordered {
+			break
 		}
-		payload, haveData := b.pendingData[rec.MsgID]
-		if !haveData {
-			// Order-without-data: the one stall the positive-ack flow can
-			// never clear by itself.  Start (or keep) the bounded wait that
-			// ends in a retransmission request — see nack.go.
-			b.armNackLocked(seq, rec.MsgID)
-			b.mu.Unlock()
-			return
+		// Chained planned rotations can assign one message id at two
+		// sequence numbers (an earlier rotation epoch's ORDER still in flight
+		// while a later successor sweeps the payload afresh).  The lowest one
+		// emits — the cursor reaches it first — and the later ones advance
+		// the cursor silently, once stable like any other: every member has
+		// passed the lower number by then, so all resolve the duplicate alike.
+		first, indexed := b.idx[r.id]
+		dup := indexed && first < seq || !indexed && b.staleLocked(r.id)
+		if !dup && !b.claimPayloadLocked(r) {
+			// (The payload may have been waiting unordered: its record was
+			// displaced and re-placed.)  Order-without-data is the one stall
+			// the positive-ack flow never clears by itself — see nack.go.
+			b.armCheckLocked(seq)
+			break
 		}
-		voters := b.acks[seq][rec.MsgID]
-		if len(voters) < b.majority() {
-			b.disarmNackLocked()
-			b.mu.Unlock()
-			return
+		if bits.OnesCount64(r.voters) < b.majority() {
+			break
 		}
-		b.disarmNackLocked()
 		b.nextDeliver++
-		if b.deliveredID[rec.MsgID] {
-			// Chained planned rotations can assign one message id at two
-			// sequence numbers (an earlier rotation epoch's ORDER still in
-			// flight while a later successor sweeps the payload afresh).
-			// The decision here uses exactly the delivery stability rule —
-			// order known, payload held, majority acked — so every member
-			// resolves the duplicate at the same sequence numbers: the
-			// lowest one emits (the cursor reaches it first), later ones
-			// advance the cursor silently.
-			b.mu.Unlock()
+		if dup {
 			continue
 		}
-		b.deliveredID[rec.MsgID] = true
+		if !indexed || first != seq {
+			b.idx[r.id] = seq
+		}
 		b.stats.Delivered++
-		var drained []dataEntry
-		if b.cfg.Mode == tuning.Adaptive && b.cfg.BatchSize > 1 && strings.HasPrefix(rec.MsgID, b.idPrefix) {
+		ready = append(ready, Delivery{Seq: seq, MsgID: r.id, Payload: r.payload})
+		if strings.HasPrefix(r.id, b.idPrefix) && b.inFlight > 0 {
 			b.inFlight--
-			if b.inFlight <= 0 {
-				b.inFlight = 0
-				if len(b.sendBuf) > 0 {
-					// The pipe just drained with co-travellers buffered
-					// behind it: flush them now — the delivery of our
-					// previous batch is the adaptive clock tick, usually
-					// well ahead of the window-timer backstop.
-					drained = b.takeBatchLocked()
-					b.inFlight = len(drained)
-				}
+			if b.inFlight == 0 && len(b.sendBuf) > 0 {
+				// The pipe just drained with co-travellers buffered behind
+				// it: flush them now — the delivery of our previous batch is
+				// the batching clock tick, usually well ahead of the
+				// window-timer backstop.
+				drained = append(drained, b.takeBatchLocked()...)
+				b.inFlight = len(drained)
 			}
 		}
-		d := Delivery{Seq: seq, MsgID: rec.MsgID, Payload: payload}
-		ch := b.deliveries
-		b.mu.Unlock()
-		if len(drained) > 0 {
-			b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: drained})})
-		}
-		ch <- d
 	}
+	b.cursor.Store(b.nextDeliver)
+	b.pruneLocked()
+	b.ready = ready
+	b.mu.Unlock()
+	if len(drained) > 0 {
+		b.sendData(drained)
+	}
+	for _, d := range ready {
+		b.deliveries <- d
+	}
+	clear(ready) // the scratch must not pin delivered payloads
 }
 
 func encode(v interface{}) []byte {

@@ -302,3 +302,24 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 	t.Fatal("condition not reached before timeout")
 }
+
+// TestLoneFalseSuspicionKeepsFollowingTheSequencer: one member wrongly
+// suspects the sequencer while everyone else keeps following it.  The
+// suspecting member has promised nothing to any takeover, so it must keep
+// accepting the live sequencer's orders — its own broadcasts included.
+func TestLoneFalseSuspicionKeepsFollowingTheSequencer(t *testing.T) {
+	net := transport.NewMemNetwork()
+	addrs := []string{"s1", "s2", "s3"}
+	nodes := makeGroup(t, net, addrs)
+	nodes[2].bc.Suspect("s1")
+	nodes[2].bc.Unsuspect("s1")
+	if _, err := nodes[2].bc.Broadcast([]byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		ds := collect(t, n, 1, 3*time.Second)
+		if string(ds[0].Payload) != "still here" || ds[0].Seq != 1 {
+			t.Fatalf("%s delivered %+v", n.addr, ds[0])
+		}
+	}
+}

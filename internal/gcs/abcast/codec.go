@@ -51,43 +51,76 @@ func encodeData(d dataMsg) []byte {
 	return buf
 }
 
-// decodeData decodes a DATA message, aliasing entry payloads into data.
-func decodeData(data []byte, d *dataMsg) error {
-	pos := 0
-	n, w := binary.Uvarint(data)
-	if w <= 0 || n > uint64(len(data)) {
-		return errBadWire
+// wireReader decodes the uvarint-framed fields of a message in order.  The
+// first malformed field latches bad and every later read returns zero, so a
+// decoder checks once, at the end.  Byte fields alias the wire buffer.
+type wireReader struct {
+	data []byte
+	bad  bool
+}
+
+func (r *wireReader) uvarint() uint64 {
+	v, w := binary.Uvarint(r.data)
+	if w <= 0 {
+		r.bad, r.data = true, nil
+		return 0
 	}
-	pos += w
-	d.Entries = make([]dataEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, adv, err := readBytes(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = adv
-		payload, adv, err := readBytes(data, pos)
-		if err != nil {
-			return err
-		}
-		pos = adv
-		d.Entries = append(d.Entries, dataEntry{MsgID: string(id), Payload: payload})
+	r.data = r.data[w:]
+	return v
+}
+
+// bytes reads a length followed by that many bytes; count reads the length
+// of a list, which cannot exceed the bytes left.
+func (r *wireReader) bytes() []byte {
+	n := r.count()
+	b := r.data[:n]
+	r.data = r.data[n:]
+	return b
+}
+
+func (r *wireReader) count() int {
+	n := r.uvarint()
+	if n > uint64(len(r.data)) {
+		r.bad, r.data = true, nil
+		return 0
+	}
+	return int(n)
+}
+
+func (r *wireReader) err() error {
+	if r.bad {
+		return errBadWire
 	}
 	return nil
 }
 
-// encodeSeqRange encodes the shared shape of ORDER and ACK messages: an
-// epoch, a base sequence number, the message ids of the covered range, and
-// the sender's applied-sequence advertisement.  The advertisement rides as a
-// trailing field so it costs one uvarint on messages the protocol sends
-// anyway — replicas learn how fresh their peers are without any extra
-// message type.
-func encodeSeqRange(epoch, baseSeq uint64, ids []string, appliedSeq uint64) []byte {
-	size := uvarintLen(epoch) + uvarintLen(baseSeq) + uvarintLen(uint64(len(ids))) + uvarintLen(appliedSeq)
+// decodeData decodes a DATA message, aliasing entry payloads into data.
+func decodeData(data []byte, d *dataMsg) error {
+	r := wireReader{data: data}
+	d.Entries = make([]dataEntry, r.count())
+	for i := range d.Entries {
+		d.Entries[i] = dataEntry{MsgID: string(r.bytes()), Payload: r.bytes()}
+	}
+	return r.err()
+}
+
+// seqRangeLen is the encoded size of the shared shape of ORDER and ACK
+// messages: an epoch, a base sequence number, the message ids of the covered
+// range, and the sender's two watermarks — its applied sequence and its
+// delivery cursor.  The watermarks ride as trailing fields, so they cost two
+// uvarints on messages the protocol sends anyway: replicas learn how fresh
+// their peers are, and members learn what no peer needs any more, without any
+// extra message type.
+func seqRangeLen(epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64) int {
+	size := uvarintLen(epoch) + uvarintLen(baseSeq) + uvarintLen(uint64(len(ids))) + uvarintLen(appliedSeq) + uvarintLen(cursor)
 	for _, id := range ids {
 		size += uvarintLen(uint64(len(id))) + len(id)
 	}
-	buf := make([]byte, 0, size)
+	return size
+}
+
+// appendSeqRange appends the shared ORDER/ACK shape to buf.
+func appendSeqRange(buf []byte, epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64) []byte {
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.AppendUvarint(buf, baseSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
@@ -95,72 +128,34 @@ func encodeSeqRange(epoch, baseSeq uint64, ids []string, appliedSeq uint64) []by
 		buf = binary.AppendUvarint(buf, uint64(len(id)))
 		buf = append(buf, id...)
 	}
-	return binary.AppendUvarint(buf, appliedSeq)
+	buf = binary.AppendUvarint(buf, appliedSeq)
+	return binary.AppendUvarint(buf, cursor)
 }
 
-// decodeSeqRange decodes the shared ORDER/ACK shape.
-func decodeSeqRange(data []byte) (epoch, baseSeq uint64, ids []string, appliedSeq uint64, err error) {
-	pos := 0
-	epoch, w := binary.Uvarint(data)
-	if w <= 0 {
-		return 0, 0, nil, 0, errBadWire
+// seqRange reads the shared ORDER/ACK shape.
+func (r *wireReader) seqRange() (epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64) {
+	epoch, baseSeq = r.uvarint(), r.uvarint()
+	ids = make([]string, r.count())
+	for i := range ids {
+		ids[i] = string(r.bytes())
 	}
-	pos += w
-	baseSeq, w = binary.Uvarint(data[pos:])
-	if w <= 0 {
-		return 0, 0, nil, 0, errBadWire
-	}
-	pos += w
-	n, w := binary.Uvarint(data[pos:])
-	if w <= 0 || n > uint64(len(data)) {
-		return 0, 0, nil, 0, errBadWire
-	}
-	pos += w
-	ids = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, adv, err := readBytes(data, pos)
-		if err != nil {
-			return 0, 0, nil, 0, err
-		}
-		pos = adv
-		ids = append(ids, string(id))
-	}
-	appliedSeq, w = binary.Uvarint(data[pos:])
-	if w <= 0 {
-		return 0, 0, nil, 0, errBadWire
-	}
-	return epoch, baseSeq, ids, appliedSeq, nil
+	return epoch, baseSeq, ids, r.uvarint(), r.uvarint()
 }
 
 // encodeOrder prepends the order-epoch floor (MinEpoch) to the shared
 // seq-range shape: ORDER carries the floor so every receiver learns how far
 // back in-flight assignments remain valid; ACK does not need it.
 func encodeOrder(o orderMsg) []byte {
-	size := uvarintLen(o.MinEpoch) + uvarintLen(o.Epoch) + uvarintLen(o.BaseSeq) + uvarintLen(uint64(len(o.MsgIDs))) + uvarintLen(o.AppliedSeq)
-	for _, id := range o.MsgIDs {
-		size += uvarintLen(uint64(len(id))) + len(id)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, o.MinEpoch)
-	buf = binary.AppendUvarint(buf, o.Epoch)
-	buf = binary.AppendUvarint(buf, o.BaseSeq)
-	buf = binary.AppendUvarint(buf, uint64(len(o.MsgIDs)))
-	for _, id := range o.MsgIDs {
-		buf = binary.AppendUvarint(buf, uint64(len(id)))
-		buf = append(buf, id...)
-	}
-	return binary.AppendUvarint(buf, o.AppliedSeq)
+	size := uvarintLen(o.MinEpoch) + seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
+	buf := binary.AppendUvarint(make([]byte, 0, size), o.MinEpoch)
+	return appendSeqRange(buf, o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
 }
 
 func decodeOrder(data []byte, o *orderMsg) error {
-	minEpoch, w := binary.Uvarint(data)
-	if w <= 0 {
-		return errBadWire
-	}
-	o.MinEpoch = minEpoch
-	var err error
-	o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, err = decodeSeqRange(data[w:])
-	return err
+	r := wireReader{data: data}
+	o.MinEpoch = r.uvarint()
+	o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor = r.seqRange()
+	return r.err()
 }
 
 // encodeHandoff encodes the planned-rotation HANDOFF message.
@@ -172,42 +167,18 @@ func encodeHandoff(h handoffMsg) []byte {
 }
 
 func decodeHandoff(data []byte, h *handoffMsg) error {
-	pos := 0
-	var w int
-	if h.Epoch, w = binary.Uvarint(data); w <= 0 {
-		return errBadWire
-	}
-	pos += w
-	if h.NextSeq, w = binary.Uvarint(data[pos:]); w <= 0 {
-		return errBadWire
-	}
-	pos += w
-	if h.MinEpoch, w = binary.Uvarint(data[pos:]); w <= 0 {
-		return errBadWire
-	}
-	return nil
+	r := wireReader{data: data}
+	h.Epoch, h.NextSeq, h.MinEpoch = r.uvarint(), r.uvarint(), r.uvarint()
+	return r.err()
 }
 
 func encodeAck(a ackMsg) []byte {
-	return encodeSeqRange(a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq)
+	size := seqRangeLen(a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor)
+	return appendSeqRange(make([]byte, 0, size), a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor)
 }
 
 func decodeAck(data []byte, a *ackMsg) error {
-	var err error
-	a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, err = decodeSeqRange(data)
-	return err
-}
-
-// readBytes reads a uvarint length followed by that many bytes, returning the
-// (aliased) bytes and the position after them.
-func readBytes(data []byte, pos int) ([]byte, int, error) {
-	n, w := binary.Uvarint(data[pos:])
-	if w <= 0 {
-		return nil, 0, errBadWire
-	}
-	pos += w
-	if n > uint64(len(data)-pos) {
-		return nil, 0, errBadWire
-	}
-	return data[pos : pos+int(n)], pos + int(n), nil
+	r := wireReader{data: data}
+	a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor = r.seqRange()
+	return r.err()
 }

@@ -1,30 +1,21 @@
 package abcast
 
-import (
-	"time"
+import "groupsafe/internal/gcs/transport"
 
-	"groupsafe/internal/gcs/transport"
-)
-
-// Retransmission (negative acknowledgement).  The protocol's only
-// unrecoverable in-epoch stall is an assigned ORDER whose DATA payload never
-// arrived: the delivery cursor sits on the sequence number, every later
-// delivery queues behind it, and nothing in the positive-ack flow ever
-// re-sends a payload.  A single dropped DATA message to one member (loss
-// injection, an inbox overflow under burst, a sender crashing mid-fan-out
-// after the sequencer already got its copy) would previously wedge that
-// member until a state transfer happened by.
+// Retransmission.  The positive-ack flow never re-sends a payload and the
+// transports are at-most-once, so two in-epoch stalls need a timer:
 //
-// The NACK closes the gap at the broadcast layer: when the delivery cursor
-// stalls on order-without-data, the member waits a bounded NackDelay (the
-// payload is usually just still in flight — DATA and ORDER race on
-// independent links), then asks the whole group for the payload by id.  ANY
-// member holding it in pendingData answers with a point-to-point re-send of
-// the original DATA entry; handleData's idempotence makes duplicate answers
-// harmless.  The request keeps re-arming while the stall lasts, so a lost
-// NACK or a lost retransmission is retried, and it disarms the moment the
-// cursor moves for any reason (payload arrived, state transfer, epoch
-// change).
+//   - order-without-data: an assigned ORDER whose DATA never arrived here.  The
+//     cursor sits on the sequence number and every later delivery queues
+//     behind it.  The member asks the group for the payload by id (NACK); any
+//     member still holding it re-sends the DATA entry point-to-point.
+//   - data-without-order: this member's own DATA never reached the sequencer,
+//     so nobody will ever order it.  The sender re-sends it to the sequencer.
+//
+// One periodic check, running only while either condition exists, acts on a
+// condition that has lasted a full NackDelay — usually the payload or the
+// order is just still in flight.  handleData is idempotent, so duplicate
+// answers and needless re-sends are harmless.
 
 // nackMsg requests the retransmission of one payload by message id.  Seq is
 // the stalled sequence number, carried for observability only — holders
@@ -34,66 +25,74 @@ type nackMsg struct {
 	MsgID string
 }
 
-// armNackLocked starts (or keeps) the bounded stall wait for sequence seq.
-// Re-arming for the same sequence is a no-op: the timer from the first
-// observation of the stall keeps running, so repeated tryDeliver passes do
-// not push the NACK out indefinitely.
-func (b *Broadcaster) armNackLocked(seq uint64, msgID string) {
-	if b.nackArmed && b.nackSeq == seq {
+// armCheckLocked starts the periodic check unless it is already running: for
+// an order-without-data stall of the cursor on stall (0: none), or because the
+// payload just numbered will await its order.  Either way the first check
+// falls a full NackDelay after the condition was first seen.
+func (b *Broadcaster) armCheckLocked(stall uint64) {
+	if b.nackArmed {
 		return
 	}
-	b.nackSeq = seq
-	b.nackID = msgID
-	b.nackArmed = true
-	if b.nackTimer == nil {
-		b.nackTimer = time.AfterFunc(b.cfg.NackDelay, b.fireNack)
-	} else {
-		b.nackTimer.Reset(b.cfg.NackDelay)
-	}
+	b.nackArmed, b.stallSeq, b.retryMark = true, stall, b.localCounter
+	rearm(&b.nackTimer, b.cfg.NackDelay, b.checkStalls)
 }
 
-// disarmNackLocked cancels the stall wait (the cursor moved or the stall is
-// not an order-without-data one).
-func (b *Broadcaster) disarmNackLocked() {
-	if !b.nackArmed {
-		return
-	}
-	b.nackArmed = false
-	b.nackTimer.Stop()
-}
-
-// fireNack runs when the bounded wait expires: if the delivery cursor still
-// sits on the same order-without-data stall, it broadcasts the NACK and
-// re-arms for the next retry round.
-func (b *Broadcaster) fireNack() {
+// checkStalls NACKs a cursor stall and re-sends own unordered payloads that
+// were already there at the previous check, and re-arms while either exists.
+func (b *Broadcaster) checkStalls() {
 	b.mu.Lock()
 	if b.closed || !b.nackArmed {
 		b.mu.Unlock()
 		return
 	}
-	b.nackArmed = false
-	seq, id := b.nackSeq, b.nackID
-	rec, ordered := b.orders[seq]
-	_, haveData := b.pendingData[id]
-	if b.nextDeliver != seq || !ordered || rec.MsgID != id || haveData {
-		// The stall cleared (or changed shape) between arming and firing;
-		// the next tryDeliver pass re-arms if a new stall exists.
-		b.mu.Unlock()
-		return
+	var nack nackMsg
+	stall := uint64(0)
+	if r := b.win.get(b.nextDeliver); r != nil && r.ordered && r.payload == nil {
+		if _, waiting := b.unordered[r.id]; !waiting {
+			stall = b.nextDeliver
+			if stall == b.stallSeq {
+				nack = nackMsg{Seq: stall, MsgID: r.id}
+				b.stats.NacksSent++
+			}
+		}
 	}
-	b.stats.NacksSent++
-	// Re-arm before releasing the lock: the stall persists until a
-	// retransmission lands, and a lost NACK or a lost answer must be retried.
-	b.nackArmed = true
-	b.nackTimer.Reset(b.cfg.NackDelay)
+	b.stallSeq = stall
+
+	var resend []dataEntry
+	own := false
+	for id, p := range b.unordered {
+		prefix, n, ok := splitID(id)
+		if !ok || prefix != b.idPrefix {
+			continue
+		}
+		own = true
+		if n <= b.retryMark {
+			resend = append(resend, dataEntry{MsgID: id, Payload: p})
+		}
+	}
+	b.retryMark = b.localCounter
+	b.stats.Retransmits += uint64(len(resend))
+	sequencer := b.sequencerFor(b.epoch)
+
+	// Re-arm under the lock: a lost NACK, answer or re-send must be retried.
+	b.nackArmed = stall != 0 || own
+	if b.nackArmed {
+		b.nackTimer.Reset(b.cfg.NackDelay)
+	}
 	b.mu.Unlock()
-	b.sendAll(transport.Message{Type: MsgNack, Payload: encode(nackMsg{Seq: seq, MsgID: id})})
+
+	if nack.MsgID != "" {
+		b.sendAll(transport.Message{Type: MsgNack, Payload: encode(nack)})
+	}
+	if len(resend) > 0 {
+		b.msgsSent.Add(1)
+		_ = b.router.Send(sequencer, transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: resend})}) // retried next period
+	}
 }
 
 // handleNack answers a retransmission request when this member holds the
-// payload.  The answer is a normal DATA message with the single entry, sent
-// point-to-point to the requester; receivers treat it exactly like the
-// original fan-out (idempotent).
+// payload: a normal DATA message with the single entry, point-to-point to the
+// requester.  A request for a payload that has left the window is ignored.
 func (b *Broadcaster) handleNack(n nackMsg, from string) {
 	if from == b.cfg.Self {
 		return // our own fan-out looping back
@@ -103,7 +102,12 @@ func (b *Broadcaster) handleNack(n nackMsg, from string) {
 		b.mu.Unlock()
 		return
 	}
-	payload, ok := b.pendingData[n.MsgID]
+	payload, ok := b.unordered[n.MsgID]
+	if seq, ordered := b.idx[n.MsgID]; ordered {
+		if r := b.win.get(seq); r != nil && r.id == n.MsgID && r.payload != nil {
+			payload, ok = r.payload, true
+		}
+	}
 	if ok {
 		b.stats.Retransmits++
 	}
@@ -112,7 +116,7 @@ func (b *Broadcaster) handleNack(n nackMsg, from string) {
 		return
 	}
 	b.msgsSent.Add(1)
-	_ = b.router.Send(from, transport.Message{
+	_ = b.router.Send(from, transport.Message{ // a lost answer is re-requested
 		Type:    MsgData,
 		Payload: encodeData(dataMsg{Entries: []dataEntry{{MsgID: n.MsgID, Payload: payload}}}),
 	})

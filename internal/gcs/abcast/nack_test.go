@@ -121,3 +121,40 @@ func TestNackClearsWithoutStallAfterRetransmit(t *testing.T) {
 		t.Fatal("no NACKs sent across three forced stalls")
 	}
 }
+
+// TestDataWithoutOrderIsResent is the regression test for the other
+// retransmission gap: the sender's first DATA is lost on its link to the
+// sequencer (here a one-way link fault; over TCP, a frame in flight across a
+// reconnect), so every member but the sequencer holds the payload and nobody
+// will ever order it.  The sender must notice its own payload is still
+// unordered after NackDelay and re-send it to the sequencer.
+func TestDataWithoutOrderIsResent(t *testing.T) {
+	net := transport.NewMemNetwork()
+	addrs := []string{"s1", "s2", "s3"}
+	nodes := makeGroupCfg(t, net, addrs, func(cfg *Config) {
+		cfg.NackDelay = 2 * time.Millisecond
+	})
+	sender := nodes[1] // s1 is the sequencer
+
+	net.BlockLink(sender.addr, "s1")
+	if _, err := sender.bc.Broadcast([]byte("lost on the way")); err != nil {
+		t.Fatal(err)
+	}
+	net.UnblockLink(sender.addr, "s1")
+
+	for _, n := range nodes {
+		ds := collect(t, n, 1, 5*time.Second)
+		if string(ds[0].Payload) != "lost on the way" || ds[0].Seq != 1 {
+			t.Fatalf("%s delivered %+v", n.addr, ds[0])
+		}
+	}
+	if got := sender.bc.Stats().Retransmits; got == 0 {
+		t.Fatal("the payload was ordered without the sender re-sending it")
+	}
+	// Ordered now, the payload is not re-sent again.
+	settled := sender.bc.Stats().Retransmits
+	time.Sleep(10 * time.Millisecond)
+	if got := sender.bc.Stats().Retransmits; got != settled {
+		t.Fatalf("sender kept re-sending an ordered payload: %d re-sends, was %d", got, settled)
+	}
+}

@@ -11,26 +11,10 @@ import (
 	"groupsafe/internal/tuning"
 )
 
-// makeTunedGroup is makeGroup with full control over the batching and
-// sequencer knobs.
-func makeTunedGroup(t *testing.T, net *transport.MemNetwork, addrs []string, batching tuning.Batching, seq tuning.Sequencer) []*node {
+// makeSeqGroup is makeGroup with the sequencer-role knobs set.
+func makeSeqGroup(t *testing.T, net *transport.MemNetwork, addrs []string, seq tuning.Sequencer) []*node {
 	t.Helper()
-	nodes := make([]*node, 0, len(addrs))
-	for _, addr := range addrs {
-		ep := net.Endpoint(addr)
-		router := gcs.NewRouter(ep)
-		bc, err := New(Config{Self: addr, Members: addrs, Batching: batching, Sequencer: seq}, router)
-		if err != nil {
-			t.Fatal(err)
-		}
-		router.Start()
-		nodes = append(nodes, &node{addr: addr, router: router, bc: bc})
-		t.Cleanup(func() {
-			bc.Close()
-			router.Stop()
-		})
-	}
-	return nodes
+	return makeGroupCfg(t, net, addrs, func(cfg *Config) { cfg.Sequencer = seq })
 }
 
 // assertUniformTotalOrder drains total deliveries from every node and checks
@@ -85,56 +69,13 @@ func broadcastConcurrently(t *testing.T, nodes []*node, perSender int) {
 	wg.Wait()
 }
 
-// TestZeroBatchDelayDefaultsToAdaptive pins the config resolution that
-// replaced the silent 1ms fallback: BatchSize > 1 with a zero BatchDelay now
-// selects the Adaptive (idle-flush) mode instead of injecting a hidden stall,
-// and the adaptive mode gets the default wait cap.  An explicit BatchDelay
-// keeps the classical fixed-delay behaviour.
-func TestZeroBatchDelayDefaultsToAdaptive(t *testing.T) {
-	net := transport.NewMemNetwork()
-	mk := func(batching tuning.Batching, seq tuning.Sequencer) *Broadcaster {
-		t.Helper()
-		router := gcs.NewRouter(net.Endpoint("a"))
-		b, err := New(Config{Self: "a", Members: []string{"a"}, Batching: batching, Sequencer: seq}, router)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(b.Close)
-		return b
-	}
-
-	b := mk(tuning.Batching{BatchSize: 8}, tuning.Sequencer{})
-	if b.cfg.Mode != tuning.Adaptive {
-		t.Fatalf("BatchSize 8 + zero BatchDelay resolved to mode %v, want Adaptive", b.cfg.Mode)
-	}
-	if b.cfg.DelayCap != tuning.DefaultDelayCap {
-		t.Fatalf("adaptive default DelayCap = %v, want %v", b.cfg.DelayCap, tuning.DefaultDelayCap)
-	}
-
-	b = mk(tuning.Batching{BatchSize: 8, BatchDelay: 500 * time.Microsecond}, tuning.Sequencer{})
-	if b.cfg.Mode != tuning.FixedDelay || b.cfg.BatchDelay != 500*time.Microsecond {
-		t.Fatalf("explicit BatchDelay was not preserved: mode %v delay %v", b.cfg.Mode, b.cfg.BatchDelay)
-	}
-
-	b = mk(tuning.Batching{BatchSize: 8, Mode: tuning.Adaptive, DelayCap: 2 * time.Millisecond}, tuning.Sequencer{})
-	if b.cfg.Mode != tuning.Adaptive || b.cfg.DelayCap != 2*time.Millisecond {
-		t.Fatalf("explicit adaptive config was not preserved: mode %v cap %v", b.cfg.Mode, b.cfg.DelayCap)
-	}
-
-	// Rotation implies the pipelined assignment path.
-	b = mk(tuning.Batching{}, tuning.Sequencer{RotateEvery: 8})
-	if !b.cfg.Pipelined || b.cfg.AckWindow <= 0 {
-		t.Fatalf("RotateEvery must imply Pipelined with an ACK window, got %+v", b.cfg.Sequencer)
-	}
-}
-
-// TestAdaptiveIdleFlushNoStall checks the user-visible half of the same fix:
-// a lone broadcast through a large adaptive batch is sent immediately (one
-// DATA message carrying one payload), not parked behind a co-traveller wait.
-func TestAdaptiveIdleFlushNoStall(t *testing.T) {
+// TestIdleSenderSendsImmediately checks the zero-added-latency half of the
+// delivery-clocked batching: a lone broadcast is sent immediately (one DATA
+// message carrying one payload), not parked behind a co-traveller wait.
+func TestIdleSenderSendsImmediately(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3"}
-	nodes := makeTunedGroup(t, net, addrs, tuning.Batching{BatchSize: 64}, tuning.Sequencer{})
+	nodes := makeGroup(t, net, addrs)
 	if _, err := nodes[1].bc.Broadcast([]byte("lonely")); err != nil {
 		t.Fatal(err)
 	}
@@ -147,43 +88,14 @@ func TestAdaptiveIdleFlushNoStall(t *testing.T) {
 	}
 }
 
-// TestAdaptiveTotalOrder runs concurrent senders through adaptive batching
-// and checks the uniform total-order contract end to end.
-func TestAdaptiveTotalOrder(t *testing.T) {
-	net := transport.NewMemNetwork()
-	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	nodes := makeTunedGroup(t, net, addrs,
-		tuning.Batching{BatchSize: 8, Mode: tuning.Adaptive, DelayCap: time.Millisecond}, tuning.Sequencer{})
-	const perSender = 20
-	broadcastConcurrently(t, nodes, perSender)
-	assertUniformTotalOrder(t, nodes, perSender*len(nodes))
-}
-
-// TestPipelinedTotalOrder runs concurrent senders against the pipelined
-// sequencer (ORDER assignment off the router thread, coalesced ACKs) and
-// checks the uniform total-order contract end to end.
-func TestPipelinedTotalOrder(t *testing.T) {
-	net := transport.NewMemNetwork()
-	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	nodes := makeTunedGroup(t, net, addrs,
-		tuning.Batching{BatchSize: 4, BatchDelay: 500 * time.Microsecond},
-		tuning.Sequencer{Pipelined: true})
-	const perSender = 20
-	broadcastConcurrently(t, nodes, perSender)
-	assertUniformTotalOrder(t, nodes, perSender*len(nodes))
-}
-
 // TestAckCoalescingReducesAckSends verifies the ACK fan-in win: under a
-// stream of back-to-back ORDERs, the pipelined members merge contiguous
-// ranges and emit far fewer ACK messages than the one-per-ORDER baseline.
+// stream of back-to-back broadcasts, members acknowledge whole ORDER ranges
+// and merge contiguous ones, emitting far fewer ACK messages than one per
+// order per member.
 func TestAckCoalescingReducesAckSends(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3"}
-	// BatchSize 1 makes every broadcast its own DATA and ORDER: 100 ORDERs.
-	// The generous AckWindow keeps scheduler hiccups from looking like idle
-	// gaps, so the merge engages deterministically.
-	nodes := makeTunedGroup(t, net, addrs, tuning.Batching{},
-		tuning.Sequencer{Pipelined: true, AckWindow: 5 * time.Millisecond})
+	nodes := makeGroup(t, net, addrs)
 	const count = 100
 	go func() {
 		for i := 0; i < count; i++ {
@@ -199,9 +111,9 @@ func TestAckCoalescingReducesAckSends(t *testing.T) {
 		ackSends += s.AckSends
 		ordered += s.Ordered
 	}
-	// Without coalescing every member ACKs every ORDER: 3 members x 100
-	// ORDERs = 300 sends.  Require at least a 2x reduction (in practice the
-	// merge collapses it much further).
+	// One ACK per order per member would be 3 members x 100 orders = 300
+	// sends.  Require at least a 2x reduction (in practice ranges and merges
+	// collapse it much further).
 	if ackSends >= count*uint64(len(addrs))/2 {
 		t.Fatalf("ACK coalescing sent %d ACK messages for %d orders across %d members (baseline %d)",
 			ackSends, count, len(addrs), count*len(addrs))
@@ -209,15 +121,15 @@ func TestAckCoalescingReducesAckSends(t *testing.T) {
 	t.Logf("ACK sends: %d for %d orders across %d members (baseline %d)", ackSends, count, len(addrs), count*len(addrs))
 }
 
-// TestPipelinedCrashBeforeOrderEscapes drives the new mid-pipeline failover
+// TestCrashBeforeOrderEscapes drives the mid-pipeline failover
 // window: the sequencer receives a DATA batch but crashes before any of its
 // ORDER messages reach another member (all its outbound links are cut).  The
-// payload must still be delivered exactly once by the survivors — it lives in
-// their pendingData, and the takeover sequencer orders it fresh.
-func TestPipelinedCrashBeforeOrderEscapes(t *testing.T) {
+// payload must still be delivered exactly once by the survivors — they hold
+// it unordered, and the takeover sequencer orders it fresh.
+func TestCrashBeforeOrderEscapes(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	nodes := makeTunedGroup(t, net, addrs, tuning.Batching{}, tuning.Sequencer{Pipelined: true})
+	nodes := makeGroup(t, net, addrs)
 
 	for _, to := range addrs[1:] {
 		net.BlockLink("s1", to)
@@ -225,7 +137,7 @@ func TestPipelinedCrashBeforeOrderEscapes(t *testing.T) {
 	if _, err := nodes[2].bc.Broadcast([]byte("orphaned")); err != nil {
 		t.Fatal(err)
 	}
-	// Give the pipelined sequencer time to receive the DATA and send its
+	// Give the sequencer time to receive the DATA and send its
 	// (blackholed) ORDER: the crash lands after assignment, before escape.
 	time.Sleep(20 * time.Millisecond)
 	net.Crash("s1")
@@ -246,16 +158,16 @@ func TestPipelinedCrashBeforeOrderEscapes(t *testing.T) {
 	}
 }
 
-// TestPipelinedCrashMinorityOrderEscaped is the harder half of the same
+// TestCrashMinorityOrderEscaped is the harder half of the same
 // window: the dying sequencer's ORDER reached exactly one survivor (a
 // minority — nothing deliverable), and that survivor happens to lead the next
 // epoch.  Its gather set carries the assignment, so the message must keep its
 // original sequence number and be delivered exactly once — neither lost nor
 // double-ordered.
-func TestPipelinedCrashMinorityOrderEscaped(t *testing.T) {
+func TestCrashMinorityOrderEscaped(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	nodes := makeTunedGroup(t, net, addrs, tuning.Batching{}, tuning.Sequencer{Pipelined: true})
+	nodes := makeGroup(t, net, addrs)
 
 	// ORDER (and everything else from s1) reaches only s2.
 	for _, to := range addrs[2:] {
@@ -291,7 +203,7 @@ func TestPipelinedCrashMinorityOrderEscaped(t *testing.T) {
 func TestRotatingSequencerTotalOrder(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	nodes := makeTunedGroup(t, net, addrs, tuning.Batching{}, tuning.Sequencer{RotateEvery: 4})
+	nodes := makeSeqGroup(t, net, addrs, tuning.Sequencer{RotateEvery: 4})
 	const perSender = 20
 	broadcastConcurrently(t, nodes, perSender)
 	assertUniformTotalOrder(t, nodes, perSender*len(nodes))
@@ -316,7 +228,7 @@ func TestRotatingSequencerTotalOrder(t *testing.T) {
 func TestRotationHandoffThenCrash(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3"}
-	nodes := makeTunedGroup(t, net, addrs, tuning.Batching{}, tuning.Sequencer{RotateEvery: 2})
+	nodes := makeSeqGroup(t, net, addrs, tuning.Sequencer{RotateEvery: 2})
 
 	for i := 0; i < 2; i++ {
 		if _, err := nodes[0].bc.Broadcast([]byte{byte(i)}); err != nil {
@@ -383,22 +295,22 @@ func TestRotationHandoffThenCrash(t *testing.T) {
 func TestChainedRotationDuplicateSuppressed(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3"}
-	router := gcs.NewRouter(net.Endpoint("s2"))
-	// s2 is a non-sequencer follower; the router is never started, every
-	// protocol step is injected directly.
-	b, err := New(Config{Self: "s2", Members: addrs}, router)
+	router := gcs.NewRouter(net.Endpoint("s3"))
+	// s3 is a non-sequencer follower in both epochs; the router is never
+	// started, every protocol step is injected directly.
+	b, err := New(Config{Self: "s3", Members: addrs}, router)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	b.handleData(dataMsg{Entries: []dataEntry{{MsgID: "s3/0/1", Payload: []byte("x")}}})
-	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s3/0/1"}})
-	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s3/0/1"}}, "s1")
-	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s3/0/1"}}, "s2")
+	b.handleData(dataMsg{Entries: []dataEntry{{MsgID: "s2/0/1", Payload: []byte("x")}}})
+	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}})
+	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}, "s1")
+	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}, "s3")
 	select {
 	case d := <-b.Deliveries():
-		if d.Seq != 1 || d.MsgID != "s3/0/1" {
+		if d.Seq != 1 || d.MsgID != "s2/0/1" {
 			t.Fatalf("first delivery %+v", d)
 		}
 	case <-time.After(2 * time.Second):
@@ -408,15 +320,15 @@ func TestChainedRotationDuplicateSuppressed(t *testing.T) {
 	// The epoch-1 rotation successor swept the same payload into seq 2 (its
 	// handoff arrived before the epoch-0 ORDER above).  The duplicate reaches
 	// stability: the cursor must pass it without a second emission.
-	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s3/0/1"}})
-	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s3/0/1"}}, "s1")
-	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s3/0/1"}}, "s2")
+	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}})
+	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s1")
+	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s3")
 
 	// A later message proves the cursor moved past the suppressed duplicate.
 	b.handleData(dataMsg{Entries: []dataEntry{{MsgID: "s1/0/9", Payload: []byte("y")}}})
 	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}})
 	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}}, "s1")
-	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}}, "s2")
+	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}}, "s3")
 
 	select {
 	case d := <-b.Deliveries():
@@ -457,39 +369,29 @@ func TestCrashTakeoverVoidsOlderOrders(t *testing.T) {
 	// The pre-crash sequencer's ORDER arrives late: it must be void.
 	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 5, MsgIDs: []string{"s3/0/1"}})
 	b.mu.Lock()
-	_, adopted := b.orders[5]
+	adopted := b.win.get(5)
 	b.mu.Unlock()
-	if adopted {
+	if adopted != nil {
 		t.Fatal("an epoch-0 ORDER was adopted after the epoch-1 crash takeover voided it")
 	}
 }
 
 // TestOrderDelayTotalOrder pins the emulated ordering service cost: with a
 // per-payload OrderDelay the broadcaster still satisfies the uniform total
-// order contract on both the inline and the pipelined assignment paths, and
-// the sequencer actually pays the cost (the run takes at least payloads ×
-// OrderDelay of wall clock).  Zero OrderDelay stays the default everywhere
-// else in the suite, so the knob cannot silently distort other timings.
+// order contract, and the sequencer actually pays the cost (the run takes at
+// least payloads × OrderDelay of wall clock).  Zero OrderDelay stays the
+// default everywhere else in the suite, so the knob cannot silently distort
+// other timings.
 func TestOrderDelayTotalOrder(t *testing.T) {
 	const perSender = 6
 	addrs := []string{"a", "b", "c"}
-	for _, pipelined := range []bool{false, true} {
-		name := "inline"
-		if pipelined {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			net := transport.NewMemNetwork()
-			delay := 2 * time.Millisecond
-			nodes := makeTunedGroup(t, net, addrs,
-				tuning.Batching{},
-				tuning.Sequencer{Pipelined: pipelined, OrderDelay: delay})
-			start := time.Now()
-			broadcastConcurrently(t, nodes, perSender)
-			assertUniformTotalOrder(t, nodes, len(addrs)*perSender)
-			if min := time.Duration(len(addrs)*perSender) * delay; time.Since(start) < min {
-				t.Fatalf("run finished in %v, below the %v floor the ordering cost imposes — OrderDelay was not paid", time.Since(start), min)
-			}
-		})
+	net := transport.NewMemNetwork()
+	delay := 2 * time.Millisecond
+	nodes := makeSeqGroup(t, net, addrs, tuning.Sequencer{OrderDelay: delay})
+	start := time.Now()
+	broadcastConcurrently(t, nodes, perSender)
+	assertUniformTotalOrder(t, nodes, len(addrs)*perSender)
+	if min := time.Duration(len(addrs)*perSender) * delay; time.Since(start) < min {
+		t.Fatalf("run finished in %v, below the %v floor the ordering cost imposes — OrderDelay was not paid", time.Since(start), min)
 	}
 }

@@ -76,9 +76,14 @@ type Broadcaster struct {
 	log   wal.Log
 	sync  bool
 
-	mu        sync.Mutex
-	delivered map[uint64]logged // logged deliveries (durable intent)
-	acked     map[uint64]bool   // successfully delivered
+	mu sync.Mutex
+	// What is kept is bounded by the unacknowledged suffix, not the history:
+	// a payload is dropped once acknowledged, and the acknowledged set is a
+	// watermark plus the few sequence numbers acknowledged ahead of it.
+	delivered map[uint64]logged   // logged, unacknowledged deliveries
+	order     []uint64            // their sequence numbers, ascending
+	low       uint64              // every sequence number <= low is acknowledged or was never delivered
+	above     map[uint64]struct{} // acknowledged sequence numbers > low
 	closed    bool
 	started   bool
 	stop      chan struct{}
@@ -122,7 +127,7 @@ func Wrap(under Underlying, cfg Config) (*Broadcaster, error) {
 		log:        cfg.Log,
 		sync:       syncEach,
 		delivered:  make(map[uint64]logged),
-		acked:      make(map[uint64]bool),
+		above:      make(map[uint64]struct{}),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		deliveries: make(chan Delivery, cfg.Buffer),
@@ -133,21 +138,60 @@ func Wrap(under Underlying, cfg Config) (*Broadcaster, error) {
 	return b, nil
 }
 
-// loadLog rebuilds the delivered/acked maps from the durable log.
+// loadLog rebuilds the unacknowledged suffix from the durable log.
 func (b *Broadcaster) loadLog() error {
-	return b.log.Replay(func(r wal.Record) error {
+	var top uint64
+	err := b.log.Replay(func(r wal.Record) error {
 		switch r.Kind {
 		case wal.KindMessage:
 			var l logged
 			if err := decode(r.Data, &l); err != nil {
 				return fmt.Errorf("e2e: corrupt message record %d: %w", r.LSN, err)
 			}
-			b.delivered[r.TxnID] = l
+			if _, acked := b.above[r.TxnID]; !acked {
+				b.delivered[r.TxnID] = l
+			}
 		case wal.KindAck:
-			b.acked[r.TxnID] = true
+			b.above[r.TxnID] = struct{}{}
+			delete(b.delivered, r.TxnID)
 		}
+		top = max(top, r.TxnID)
 		return nil
 	})
+	for seq := range b.delivered {
+		b.order = append(b.order, seq)
+	}
+	sort.Slice(b.order, func(i, j int) bool { return b.order[i] < b.order[j] })
+	b.low = top
+	b.retireLocked()
+	return err
+}
+
+// ackedLocked reports whether seq has been successfully delivered.
+func (b *Broadcaster) ackedLocked(seq uint64) bool {
+	_, ok := b.above[seq]
+	return ok || seq <= b.low
+}
+
+// retireLocked advances the watermark to just below the oldest
+// unacknowledged delivery — the underlying broadcast delivers in sequence
+// order, so nothing lower can still arrive — and forgets what it covers.
+func (b *Broadcaster) retireLocked() {
+	for len(b.order) > 0 {
+		if _, acked := b.above[b.order[0]]; !acked {
+			break
+		}
+		b.low = max(b.low, b.order[0])
+		b.order = b.order[1:]
+	}
+	if len(b.order) > 0 {
+		b.low = b.order[0] - 1
+	}
+	for seq := range b.above {
+		if seq <= b.low {
+			delete(b.above, seq)
+		}
+	}
 }
 
 // Recover re-delivers, in sequence order, every logged message that was never
@@ -159,13 +203,7 @@ func (b *Broadcaster) Recover() (int, error) {
 		b.mu.Unlock()
 		return 0, ErrClosed
 	}
-	var seqs []uint64
-	for seq := range b.delivered {
-		if !b.acked[seq] {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	seqs := b.unackedLocked()
 	replay := make([]Delivery, 0, len(seqs))
 	for _, seq := range seqs {
 		l := b.delivered[seq]
@@ -237,7 +275,7 @@ func (b *Broadcaster) handleBatch(batch []abcast.Delivery) {
 	forward := batch[:0]
 	var toLog []abcast.Delivery
 	for _, d := range batch {
-		if b.acked[d.Seq] {
+		if b.ackedLocked(d.Seq) {
 			// Already successfully delivered in a previous incarnation:
 			// refined uniform integrity suppresses the duplicate.
 			b.stats.Suppressed++
@@ -269,6 +307,11 @@ func (b *Broadcaster) handleBatch(batch []abcast.Delivery) {
 		b.mu.Lock()
 		for _, d := range toLog {
 			b.delivered[d.Seq] = logged{MsgID: d.MsgID, Payload: d.Payload}
+			// Deliveries arrive in sequence order; anything else is slotted in.
+			at := sort.Search(len(b.order), func(i int) bool { return b.order[i] >= d.Seq })
+			b.order = append(b.order, 0)
+			copy(b.order[at+1:], b.order[at:])
+			b.order[at] = d.Seq
 			b.stats.Logged++
 		}
 		if b.sync {
@@ -311,11 +354,13 @@ func (b *Broadcaster) Ack(seq uint64) error {
 		b.mu.Unlock()
 		return ErrClosed
 	}
-	if b.acked[seq] {
+	if b.ackedLocked(seq) {
 		b.mu.Unlock()
 		return nil
 	}
-	b.acked[seq] = true
+	b.above[seq] = struct{}{}
+	delete(b.delivered, seq)
+	b.retireLocked()
 	b.stats.Acked++
 	b.mu.Unlock()
 	if _, err := b.log.Append(wal.Record{Kind: wal.KindAck, TxnID: seq}); err != nil {
@@ -330,20 +375,23 @@ func (b *Broadcaster) Ack(seq uint64) error {
 func (b *Broadcaster) Acked(seq uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.acked[seq]
+	return b.ackedLocked(seq)
 }
 
 // Unacked returns the sequence numbers delivered but not yet acknowledged.
 func (b *Broadcaster) Unacked() []uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return b.unackedLocked()
+}
+
+func (b *Broadcaster) unackedLocked() []uint64 {
 	var out []uint64
-	for seq := range b.delivered {
-		if !b.acked[seq] {
+	for _, seq := range b.order {
+		if _, acked := b.above[seq]; !acked {
 			out = append(out, seq)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -287,3 +287,72 @@ func TestDoubleStartAndCloseAreIdempotent(t *testing.T) {
 	b.Close()
 	b.Close()
 }
+
+// TestAcknowledgedStateIsDropped checks that what the layer keeps follows the
+// unacknowledged suffix, not the history: payloads go when acknowledged, the
+// acknowledged set collapses into a watermark — also across the gap a state
+// transfer leaves in the sequence numbers and across out-of-order
+// acknowledgements — and a restart rebuilds the same suffix from the log.
+func TestAcknowledgedStateIsDropped(t *testing.T) {
+	under := newFakeUnder()
+	log := wal.NewMemLog()
+	b, err := Wrap(under, Config{Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	defer b.Close()
+
+	const n = 1000
+	seqs := make([]uint64, 0, n)
+	for i := uint64(1); i <= n; i++ {
+		seq := i
+		if i > n/2 {
+			seq += 5000 // the delivery cursor skipped ahead (state transfer)
+		}
+		seqs = append(seqs, seq)
+		under.deliver(seq, "p")
+		recvDelivery(t, b, time.Second)
+	}
+	// Acknowledge everything but two stragglers, newest first.
+	early, late := seqs[10], seqs[n-10]
+	for i := n - 1; i >= 0; i-- {
+		if seqs[i] != early && seqs[i] != late {
+			if err := b.Ack(seqs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := b.Unacked(); len(got) != 2 || got[0] != early || got[1] != late {
+		t.Fatalf("Unacked = %v, want [%d %d]", got, early, late)
+	}
+	if !b.Acked(seqs[0]) || !b.Acked(seqs[n-1]) || b.Acked(early) || b.Acked(late) {
+		t.Fatal("Acked disagrees with the acknowledgements issued")
+	}
+	b.Ack(early)
+	b.Ack(late)
+	b.mu.Lock()
+	payloads, sparse, queued := len(b.delivered), len(b.above), len(b.order)
+	b.mu.Unlock()
+	if payloads != 0 || sparse != 0 || queued != 0 {
+		t.Fatalf("everything acknowledged, yet %d payloads, %d sparse acknowledgements and %d queued sequence numbers remain", payloads, sparse, queued)
+	}
+	if !b.Acked(late) || b.Acked(seqs[n-1]+1) {
+		t.Fatal("the watermark does not sit on the last acknowledged sequence number")
+	}
+
+	// One more message stays unacknowledged across a restart.
+	under.deliver(seqs[n-1]+1, "tail")
+	recvDelivery(t, b, time.Second)
+	log.Sync()
+	b2, err := Wrap(newFakeUnder(), Config{Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b2.Unacked(); len(got) != 1 || got[0] != seqs[n-1]+1 {
+		t.Fatalf("after the restart Unacked = %v", got)
+	}
+	if !b2.Acked(early) || !b2.Acked(seqs[n-1]) || len(b2.above) != 0 {
+		t.Fatalf("after the restart the acknowledged prefix is not a watermark (%d sparse entries)", len(b2.above))
+	}
+}

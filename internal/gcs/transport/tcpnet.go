@@ -30,9 +30,10 @@ import (
 //     like an overloaded receiver on a lossy LAN) and inbound reads carry an
 //     idle deadline so leaked connections do not accumulate.
 //
-// Like MemNetwork, delivery is at-most-once: a message in flight on a
-// connection that breaks may be lost (it is counted as dropped, never
-// retransmitted, so no duplicates and no reordering).
+// Like MemNetwork, delivery is at-most-once: messages in flight on a
+// connection that breaks — the sender writes whatever is queued as one burst
+// — may be lost (a failed write counts every frame it carried as dropped;
+// nothing is retransmitted, so no duplicates and no reordering).
 type TCPEndpoint struct {
 	cfg      TCPConfig
 	addr     string
@@ -342,6 +343,11 @@ type tcpPeer struct {
 	done  chan struct{}
 }
 
+// maxWriteBurst bounds how many bytes of queued frames one write gathers, so
+// a deep queue still reaches the wire in steps the write deadline was sized
+// for.
+const maxWriteBurst = 64 << 10
+
 func (p *tcpPeer) loop() {
 	defer close(p.done)
 	var conn net.Conn
@@ -363,20 +369,33 @@ func (p *tcpPeer) loop() {
 					return // stopped while backing off
 				}
 			}
+			// Whatever else is already queued shares the write: one deadline
+			// and one system call for the burst, in queue order.
 			buf = appendFrame(buf[:0], m)
+			frames := uint64(1)
+			for more := true; more && len(buf) < maxWriteBurst; {
+				select {
+				case m = <-p.queue:
+					buf = appendFrame(buf, m)
+					frames++
+				default:
+					more = false
+				}
+			}
 			conn.SetWriteDeadline(time.Now().Add(p.ep.cfg.WriteTimeout))
 			if _, err := conn.Write(buf); err != nil {
-				// The frame may have partially reached the peer: treat it as
-				// lost (at-most-once — no retransmission, so no duplicates
-				// and no reordering) and re-dial for the rest of the queue.
+				// The frames may have partially reached the peer: treat them
+				// all as lost (at-most-once — no retransmission, so no
+				// duplicates and no reordering) and re-dial for the rest of
+				// the queue.
 				conn.Close()
 				conn = nil
-				p.ep.dropped.Add(1)
+				p.ep.dropped.Add(frames)
 				p.ep.reconnects.Add(1)
 				p.ep.cfg.logf("transport %s: connection to %s broke (%v); reconnecting", p.ep.addr, p.addr, err)
 				continue
 			}
-			p.ep.sent.Add(1)
+			p.ep.sent.Add(frames)
 		}
 	}
 }

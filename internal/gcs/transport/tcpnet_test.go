@@ -69,6 +69,15 @@ func TestTCPChannelFIFO(t *testing.T) {
 			t.Fatalf("delivery %d carried sequence %d: link reordered", i, s)
 		}
 	}
+	// The sender gathers queued frames into one write; the counter (bumped
+	// after the write returns) still counts frames.
+	deadline := time.Now().Add(2 * time.Second)
+	for a.Stats().Sent != msgs && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := a.Stats(); st.Sent != msgs || st.Dropped != 0 {
+		t.Fatalf("sender counted %d frames sent and %d dropped, want %d and 0", st.Sent, st.Dropped, msgs)
+	}
 }
 
 // TestTCPFIFOAcrossPeerRestart kills the receiving endpoint mid-stream
@@ -106,6 +115,13 @@ func TestTCPFIFOAcrossPeerRestart(t *testing.T) {
 		// must never error in a way that loses later messages' positions.
 		if err := a.Send(addr, seqMsg(i)); err != nil && !errors.Is(err, ErrSendQueueFull) {
 			t.Fatalf("send while peer down: %v", err)
+		}
+		// The sender learns of the break from a failed write, and one write
+		// carries whatever is queued: until it has noticed, pace the sends,
+		// so that the break costs the frames in flight and not the test's
+		// whole stream.
+		if a.Stats().Reconnects == 0 {
+			time.Sleep(time.Millisecond)
 		}
 	}
 

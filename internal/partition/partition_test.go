@@ -163,6 +163,7 @@ func TestCrossPartitionCertificationAbort(t *testing.T) {
 	// conflicting update to item 0 commits between T1's read phase and its
 	// prepare, so partition 0's certification must vote no and the whole
 	// transaction — including the partition-1 write — must abort.
+	read0 := make(chan struct{}) // T1 has read item 0
 	gate := make(chan struct{})
 	done := make(chan struct{})
 	var res core.Result
@@ -172,12 +173,14 @@ func TestCrossPartitionCertificationAbort(t *testing.T) {
 		res, err = c.Execute(ctx, 0, core.Request{
 			Ops: []workload.Op{read(0)},
 			Compute: func(reads map[int]int64) []workload.Op {
+				close(read0)
 				<-gate
 				return []workload.Op{write(1, reads[0]+1)}
 			},
 		})
 	}()
 
+	<-read0
 	if _, err := c.Execute(ctx, 1, core.Request{Ops: []workload.Op{write(0, 555)}}); err != nil {
 		t.Fatal(err)
 	}

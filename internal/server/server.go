@@ -64,16 +64,8 @@ type Config struct {
 	// ResyncInterval is how often a stalled replica re-pulls a peer snapshot
 	// to close gaps left by messages sent while it was down (default 1s).
 	ResyncInterval time.Duration
-	// BatchSize, BatchDelay and ApplyWorkers are the pipeline tuning knobs
-	// (see internal/tuning).  BatchAdaptive selects the adaptive co-traveller
-	// window (BatchDelay is then ignored; BatchDelayCap bounds the wait);
-	// PipelinedSequencer and RotateSequencerEvery enable the sequencer
-	// hot-path modes.
-	BatchSize            int
-	BatchDelay           time.Duration
-	BatchAdaptive        bool
-	BatchDelayCap        time.Duration
-	PipelinedSequencer   bool
+	// RotateSequencerEvery and ApplyWorkers are the pipeline tuning knobs
+	// (see internal/tuning).
 	RotateSequencerEvery int
 	ApplyWorkers         int
 	// Logf receives operational log lines (default os.Stderr via fmt).
@@ -102,19 +94,6 @@ func (c *Config) applyDefaults() error {
 		}
 	}
 	return nil
-}
-
-// pipeline assembles the replica's tuning knob set from the flat config.
-func (c *Config) pipeline() tuning.Pipeline {
-	p := tuning.Pipe(c.BatchSize, c.BatchDelay, c.ApplyWorkers)
-	if c.BatchAdaptive {
-		p.Mode = tuning.Adaptive
-		p.DelayCap = c.BatchDelayCap
-		p.BatchDelay = 0
-	}
-	p.Pipelined = c.PipelinedSequencer
-	p.RotateEvery = c.RotateSequencerEvery
-	return p
 }
 
 // Server is one running replica process.
@@ -198,7 +177,10 @@ func Start(cfg Config) (*Server, error) {
 		StartDetector:   true,
 		Detector:        fd.Config{Interval: cfg.HeartbeatInterval, Timeout: cfg.SuspectTimeout},
 		OnDetectorEvent: s.onDetectorEvent,
-		Pipeline:        cfg.pipeline(),
+		Pipeline: tuning.Pipeline{
+			Sequencer:    tuning.Sequencer{RotateEvery: cfg.RotateSequencerEvery},
+			ApplyWorkers: cfg.ApplyWorkers,
+		},
 	})
 	if err != nil {
 		s.teardown()

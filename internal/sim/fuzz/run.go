@@ -211,7 +211,7 @@ func Run(s *Scenario) (*RunRecord, error) {
 		Partitions:    cfg.Partitions,
 		ExecTimeout:   cfg.TxnTimeout,
 		RecordApplied: true,
-		Pipeline:      pipelineFor(cfg),
+		Pipeline:      tuning.Pipeline{Sequencer: tuning.Sequencer{RotateEvery: cfg.RotateEvery}},
 		Seed:          sim.DeriveSeed(cfg.Seed, streamNetwork),
 	})
 	if err != nil {
@@ -242,23 +242,6 @@ func Run(s *Scenario) (*RunRecord, error) {
 	r.rescue()
 	r.collect()
 	return rec, nil
-}
-
-// pipelineFor maps the scenario's broadcast-lane knobs onto the tuning
-// pipeline: Adaptive runs adaptive batching with the pipelined sequencer,
-// RotateEvery adds planned sequencer rotation (which implies pipelining).
-func pipelineFor(cfg Config) tuning.Pipeline {
-	var p tuning.Pipeline
-	if cfg.Adaptive {
-		p.BatchSize = 4
-		p.Mode = tuning.Adaptive
-		p.Pipelined = true
-	}
-	if cfg.RotateEvery > 0 {
-		p.RotateEvery = cfg.RotateEvery
-		p.Pipelined = true
-	}
-	return p
 }
 
 type runner struct {

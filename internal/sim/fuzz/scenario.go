@@ -52,10 +52,6 @@ type Config struct {
 	// changing the trace... except that it is part of the marshalled header,
 	// so corpus entries replay with the timeout they were found under.
 	TxnTimeout time.Duration
-	// Adaptive runs the cluster's broadcast lane in adaptive-batching +
-	// pipelined-sequencer mode (default fixed/unbatched).  Marshalled only
-	// when set, so pre-existing corpus traces keep their exact bytes.
-	Adaptive bool
 	// RotateEvery enables planned sequencer rotation after that many
 	// assignments (0: fixed sequencer).  Marshalled only when non-zero.
 	RotateEvery int
@@ -548,9 +544,6 @@ func (s *Scenario) Marshal() []byte {
 	fmt.Fprintf(&b, "profile %s\n", s.Cfg.Profile)
 	fmt.Fprintf(&b, "txn-timeout %s\n", s.Cfg.TxnTimeout)
 	// Emitted only when non-default: older traces stay byte-identical.
-	if s.Cfg.Adaptive {
-		fmt.Fprintf(&b, "adaptive %t\n", s.Cfg.Adaptive)
-	}
 	if s.Cfg.RotateEvery != 0 {
 		fmt.Fprintf(&b, "rotate-every %d\n", s.Cfg.RotateEvery)
 	}
@@ -642,7 +635,9 @@ func ParseScenario(data []byte) (*Scenario, error) {
 		case "txn-timeout":
 			s.Cfg.TxnTimeout, err = time.ParseDuration(val)
 		case "adaptive":
-			s.Cfg.Adaptive, err = strconv.ParseBool(val)
+			// Traces recorded while the broadcast lane still had a fixed
+			// mode carry this line; there is one lane now.
+			_, err = strconv.ParseBool(val)
 		case "rotate-every":
 			s.Cfg.RotateEvery, err = strconv.Atoi(val)
 		case "partitions":

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"groupsafe/internal/core"
-	"groupsafe/internal/tuning"
 )
 
 // Config is the simulator parameter set; the defaults reproduce Table 4 of
@@ -56,17 +55,16 @@ type Config struct {
 	// executes the full transaction in delivery order, zero aborts), or
 	// lazy primary-copy (all update transactions execute at server 0).
 	Technique core.TechniqueID
-	// Pipeline carries the shared tuning knobs (BatchSize, BatchDelay, Mode,
-	// DelayCap, ApplyWorkers) mirroring core.ReplicaConfig; the simulator
-	// reads ApplyWorkers 0 as its historical default of one install slot per
-	// disk, and models the Adaptive batching mode delivery-clocked like the
-	// real sender: an idle delegate broadcasts immediately and co-travellers
-	// accumulate behind the in-flight round, flushing as one batch when the
-	// round completes.  DelayCap is accepted but not modelled (it backstops
-	// stalled rounds, which the simulated network cannot produce), and the
-	// Sequencer knobs are accepted but not modelled (the simulated sequencer
-	// is already a zero-latency oracle).  See the tuning package.
-	tuning.Pipeline
+	// BatchSize is the most transactions one simulated dissemination round
+	// carries.  1 (the default) is the paper's flow: every broadcast pays its
+	// own round.  Above 1 the delegate's sender is modelled delivery-clocked
+	// like the real one (internal/gcs/abcast): an idle delegate broadcasts
+	// immediately and co-travellers accumulate behind the in-flight round,
+	// flushing as one batch when the round completes.
+	BatchSize int
+	// ApplyWorkers bounds how many write sets a server installs concurrently
+	// (0: one install slot per disk).
+	ApplyWorkers int
 	// Partitions hash-partitions the keyspace over that many independent
 	// total orders (mirroring internal/partition): item i belongs to
 	// partition i%Partitions, every server runs one in-order apply stage per
@@ -102,7 +100,7 @@ func DefaultConfig() Config {
 		NetworkDelay:     70 * time.Microsecond,
 		CPUPerNetworkOp:  70 * time.Microsecond,
 		CertifyCPU:       300 * time.Microsecond,
-		Pipeline:         tuning.Pipe(1, 0, 0),
+		BatchSize:        1,
 		Duration:         2 * time.Minute,
 		WarmupFraction:   0.1,
 		Seed:             1,
@@ -137,18 +135,6 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 {
 		return fmt.Errorf("simrep: warmup fraction must be in [0,1)")
-	}
-	if c.BatchDelay < 0 {
-		return fmt.Errorf("simrep: batch delay must be non-negative")
-	}
-	if c.DelayCap < 0 {
-		return fmt.Errorf("simrep: delay cap must be non-negative")
-	}
-	if c.Mode != tuning.FixedDelay && c.Mode != tuning.Adaptive {
-		return fmt.Errorf("simrep: unknown batch mode %d", c.Mode)
-	}
-	if c.AckWindow < 0 || c.RotateEvery < 0 {
-		return fmt.Errorf("simrep: sequencer knobs must be non-negative")
 	}
 	if c.ApplyWorkers < 0 {
 		return fmt.Errorf("simrep: apply workers must be non-negative")

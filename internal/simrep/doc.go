@@ -31,8 +31,8 @@
 //
 // With Config.BatchSize > 1 the group-communication flows run through a
 // batched broadcast stage: transactions queue at their delegate's sender,
-// and everything that arrives within Config.BatchDelay (up to BatchSize)
-// shares a single dissemination round and a single ordering round on the
-// LAN — the simulator counterpart of the batched pipeline in
+// and everything that arrives while the previous round is in flight (up to
+// BatchSize) shares a single dissemination round and a single ordering round
+// on the LAN — the simulator counterpart of the delivery-clocked lane in
 // internal/gcs/abcast.
 package simrep

@@ -7,7 +7,6 @@ import (
 	"groupsafe/internal/core"
 	"groupsafe/internal/sim"
 	"groupsafe/internal/stats"
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -81,13 +80,7 @@ type simulation struct {
 	versions []uint64
 	gen      *workload.Generator
 
-	batchSize  int
-	batchDelay time.Duration
-	// adaptive selects the delivery-clocked batching model: a delegate with
-	// no round in flight sends immediately, and co-travellers accumulate only
-	// behind the in-flight round (see batcher).  False means the fixed
-	// BatchDelay co-traveller window.
-	adaptive bool
+	batchSize int
 
 	parts     int // keyspace partitions (>= 1), each its own total order
 	nextSeqs  []uint64
@@ -128,19 +121,8 @@ func newSimulation(cfg Config, level core.SafetyLevel, loadTPS float64) *simulat
 		queryResp: stats.NewSample(),
 		updResp:   stats.NewSample(),
 
-		batchSize:  cfg.BatchSize,
-		batchDelay: cfg.BatchDelay,
+		batchSize: max(cfg.BatchSize, 1),
 	}
-	if s.batchSize < 1 {
-		s.batchSize = 1
-	}
-	// Mirror abcast.New: zero BatchDelay with batching on means adaptive
-	// idle-flush, not a hidden fixed stall.
-	mode := cfg.Mode
-	if s.batchSize > 1 && mode == tuning.FixedDelay && s.batchDelay <= 0 {
-		mode = tuning.Adaptive
-	}
-	s.adaptive = mode == tuning.Adaptive
 	applyWorkers := cfg.ApplyWorkers
 	if applyWorkers <= 0 {
 		applyWorkers = cfg.DisksPerServer
@@ -422,35 +404,26 @@ func (s *simulation) writePartitions(t *simTxn) []int {
 	return parts
 }
 
-// batcher is the delegate's batched atomic-broadcast sender stage: the first
-// queued transaction opens a batch window of BatchDelay, everything that
-// arrived by its close (up to BatchSize) shares a single dissemination round
-// and a single ordering round on the LAN — the O(3n) → O(3n/B) message
-// reduction of the batched pipeline.
+// batcher is the delegate's batched atomic-broadcast sender stage, clocked
+// off its own rounds like the real sender: while it pays an in-flight round's
+// CPU and network costs, arrivals accumulate in bcastQueue, and the next loop
+// iteration flushes everything queued (up to BatchSize) as one dissemination
+// round and one ordering round on the LAN — the O(3n) → O(3n/B) message
+// reduction of the batched pipeline.  The round time itself is the batching
+// window, so an idle delegate never waits.  (The real sender's deadline
+// backstop exists only for stalled rounds — loss or a sequencer change —
+// which the simulated resource holds cannot exhibit, so it is not modelled.)
 func (s *simulation) batcher(p *sim.Process, srv *server) {
 	peers := time.Duration(s.cfg.Servers - 1)
 	for {
 		first := srv.bcastQueue.Get(p)
 		batch := []*simTxn{first}
-		take := func() {
-			for len(batch) < s.batchSize {
-				t, ok := srv.bcastQueue.TryGet()
-				if !ok {
-					return
-				}
-				batch = append(batch, t)
+		for len(batch) < s.batchSize {
+			t, ok := srv.bcastQueue.TryGet()
+			if !ok {
+				break
 			}
-		}
-		// Like abcast.Broadcast, a full batch flushes immediately; only a
-		// partial batch waits out the batch window for co-travellers.  (The
-		// engine has no interruptible hold, so a batch that fills mid-window
-		// still waits the remainder — an upper bound on the real latency.)
-		take()
-		if len(batch) < s.batchSize {
-			if hold := s.coTravellerWindow(); hold > 0 {
-				p.Hold(hold)
-				take()
-			}
+			batch = append(batch, t)
 		}
 		srv.cpu.Use(p, peers*s.cfg.CPUPerNetworkOp)
 		s.network.Use(p, peers*s.cfg.NetworkDelay)
@@ -459,25 +432,6 @@ func (s *simulation) batcher(p *sim.Process, srv *server) {
 			s.orderAndEnqueue(t)
 		}
 	}
-}
-
-// coTravellerWindow is how long a partial batch waits for co-travellers.  In
-// FixedDelay mode it is the configured BatchDelay.  In Adaptive mode it is
-// zero: the real sender is delivery-clocked — a payload arriving with nothing
-// in flight is sent immediately, and later arrivals buffer only until the
-// in-flight round's own delivery drains the pipe.  The batcher process models
-// that clock structurally: while it pays an in-flight round's CPU and network
-// costs, arrivals accumulate in bcastQueue and the next loop iteration
-// flushes them as one batch, so the round time itself is the batching window
-// and an idle delegate never pays any window at all.  (The real sender's
-// EWMA-derived backstop deadline exists only for stalled rounds — loss or a
-// sequencer change — which the simulated resource holds cannot exhibit, so
-// it is not modelled.)
-func (s *simulation) coTravellerWindow() time.Duration {
-	if s.adaptive {
-		return 0
-	}
-	return s.batchDelay
 }
 
 // certify implements first-updater-wins certification against the logical

@@ -1,76 +1,16 @@
-// Package tuning holds the pipeline tuning knobs shared by every layer of
-// the stack.  BatchSize/BatchDelay/ApplyWorkers used to be copy-pasted across
-// abcast.Config, core.ReplicaConfig, core.ClusterConfig and simrep.Config;
-// each of those now embeds one of the structs below, so a knob is documented
-// once and promoted field access (cfg.BatchSize) keeps working everywhere.
+// Package tuning holds the pipeline tuning knobs shared by the layers of the
+// stack: abcast.Config, core.ReplicaConfig, core.ClusterConfig and the
+// experiment configurations each embed one of the structs below, so a knob is
+// documented once and promoted field access (cfg.ApplyWorkers) works
+// everywhere.  The ordered-update lane itself has no knobs: delivery-clocked
+// batching, the backlog-pipelined sequencer and coalesced ACKs are the only
+// behaviour (see internal/gcs/abcast).
 package tuning
 
 import "time"
 
-// BatchMode selects how the sender-side co-traveller window is chosen.
-type BatchMode int
-
-const (
-	// FixedDelay is the classical knob: a partial batch waits exactly
-	// BatchDelay for co-travellers.  Right at exactly one load point, wrong
-	// everywhere else (an idle sender stalls the full delay for nothing; a
-	// saturated one never needs it).
-	FixedDelay BatchMode = iota
-	// Adaptive clocks the co-traveller wait off the sender's own deliveries:
-	// a payload arriving while the sender has nothing in flight is sent
-	// immediately (zero added latency when idle), while payloads arriving
-	// behind an in-flight batch buffer and flush when that batch's delivery
-	// drains the pipe — group-commit discipline.  An EWMA of inter-arrival
-	// gaps only backstops the deadline; DelayCap bounds the worst-case added
-	// latency (the p99 budget).  BatchDelay is ignored in this mode.
-	Adaptive
-)
-
-// String returns the mode name for logs and flag round-trips.
-func (m BatchMode) String() string {
-	if m == Adaptive {
-		return "adaptive"
-	}
-	return "fixed"
-}
-
-// DefaultDelayCap bounds the adaptive co-traveller wait when the caller does
-// not set one: no payload is ever held back more than this for batching.
-const DefaultDelayCap = time.Millisecond
-
-// Batching tunes the sender-side coalescing of the atomic broadcast (and the
-// simulator's model of it).
-type Batching struct {
-	// BatchSize is the maximum number of concurrent payloads coalesced into
-	// one DATA message / dissemination round.  Values <= 1 disable
-	// sender-side batching: every broadcast pays its own round, as in the
-	// unbatched protocol.  Independent of this knob, the apply loops always
-	// drain delivered bursts and force the log once per drained batch.
-	BatchSize int
-	// BatchDelay bounds how long a payload waits for co-travellers before a
-	// partial batch is flushed, in FixedDelay mode.  With BatchSize > 1 a
-	// zero BatchDelay now selects the Adaptive mode (idle-flush) instead of
-	// the historical silent 1 ms stall.
-	BatchDelay time.Duration
-	// Mode selects fixed-delay or adaptive co-traveller windows.
-	Mode BatchMode
-	// DelayCap bounds the adaptive co-traveller wait (default
-	// DefaultDelayCap).  Ignored in FixedDelay mode.
-	DelayCap time.Duration
-}
-
-// Sequencer tunes the ordering hot path of the atomic broadcast.
+// Sequencer tunes the ordering role of the atomic broadcast.
 type Sequencer struct {
-	// Pipelined overlaps ORDER assignment with DATA reception: the sequencer
-	// queues decoded batches for a dedicated ordering goroutine (coalescing
-	// several DATA batches into one contiguous ORDER range) instead of
-	// assigning synchronously on the router thread, and members range-merge
-	// contiguous ACKs within a short window into one acknowledgement.
-	Pipelined bool
-	// AckWindow bounds how long a member may hold an ACK waiting for a
-	// mergeable neighbour when Pipelined is on (default 100µs; the window
-	// adapts below the cap exactly like the sender-side batching window).
-	AckWindow time.Duration
 	// RotateEvery, when > 0, rotates the sequencer role to the next member
 	// after that many sequence assignments: a planned, gather-free epoch
 	// handoff so ordering load is not pinned to one member.  0 keeps the
@@ -87,10 +27,9 @@ type Sequencer struct {
 	OrderDelay time.Duration
 }
 
-// Pipeline is the full replica-pipeline knob set: broadcast batching, the
-// sequencer hot path, and the parallel apply stage.
+// Pipeline is the replica-pipeline knob set: the sequencer role and the
+// parallel apply stage.
 type Pipeline struct {
-	Batching
 	Sequencer
 	// ApplyWorkers bounds how many certified write sets of one drained batch
 	// are installed concurrently.  Certification always stays serial in
@@ -98,23 +37,6 @@ type Pipeline struct {
 	// partitioned by their item-conflict graph and independent write sets
 	// install in parallel, conflicting ones chained in delivery order —
 	// observationally identical to serial apply.  <= 1 keeps the serial
-	// apply loop.  (The simulator reads 0 as its historical default of one
-	// install slot per disk.)
+	// apply loop.
 	ApplyWorkers int
-}
-
-// Pipe is a literal-friendly constructor: embedding hides the promoted
-// fields from composite literals, so call sites use Pipe(8, time.Millisecond, 4)
-// instead of nesting Pipeline{Batching{...}}.
-func Pipe(batchSize int, batchDelay time.Duration, applyWorkers int) Pipeline {
-	return Pipeline{Batching: Batching{BatchSize: batchSize, BatchDelay: batchDelay}, ApplyWorkers: applyWorkers}
-}
-
-// AdaptivePipe is Pipe for the adaptive batching mode: payloads flush
-// immediately when the sender is idle and wait up to delayCap under load.
-func AdaptivePipe(batchSize int, delayCap time.Duration, applyWorkers int) Pipeline {
-	return Pipeline{
-		Batching:     Batching{BatchSize: batchSize, Mode: Adaptive, DelayCap: delayCap},
-		ApplyWorkers: applyWorkers,
-	}
 }

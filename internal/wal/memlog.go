@@ -12,8 +12,11 @@ import (
 // (the paper's setting: a disk write takes 4–12 ms, far more than the 0.07 ms
 // network message).
 type MemLog struct {
-	mu        sync.Mutex
-	records   []Record
+	mu sync.Mutex
+	// segs holds the records in fixed-size segments (every one but the last
+	// is full), so a log of any length appends without re-copying itself.
+	segs      [][]Record
+	n         int // number of records
 	synced    int // number of durable records
 	nextLSN   LSN
 	closed    bool
@@ -22,6 +25,12 @@ type MemLog struct {
 	syncs   uint64
 	appends uint64
 }
+
+// memSegment is the number of records per segment.
+const memSegment = 4096
+
+// at returns record i.
+func (l *MemLog) at(i int) *Record { return &l.segs[i/memSegment][i%memSegment] }
 
 // NewMemLog creates an empty in-memory log with no artificial sync latency.
 func NewMemLog() *MemLog { return &MemLog{nextLSN: 1} }
@@ -47,7 +56,12 @@ func (l *MemLog) Append(r Record) (LSN, error) {
 		copy(data, r.Data)
 		r.Data = data
 	}
-	l.records = append(l.records, r)
+	if l.n == len(l.segs)*memSegment {
+		l.segs = append(l.segs, make([]Record, 0, memSegment))
+	}
+	last := len(l.segs) - 1
+	l.segs[last] = append(l.segs[last], r)
+	l.n++
 	l.appends++
 	return r.LSN, nil
 }
@@ -60,7 +74,7 @@ func (l *MemLog) Sync() error {
 		return ErrClosed
 	}
 	delay := l.syncDelay
-	l.synced = len(l.records)
+	l.synced = l.n
 	l.syncs++
 	l.mu.Unlock()
 	if delay > 0 {
@@ -71,14 +85,18 @@ func (l *MemLog) Sync() error {
 
 // Replay implements Log: it iterates over durable (synced) records only.
 func (l *MemLog) Replay(fn func(Record) error) error {
+	// The durable prefix never changes (Crash and Append only touch what lies
+	// past it), so the segments can be read outside the lock.
 	l.mu.Lock()
-	durable := make([]Record, l.synced)
-	copy(durable, l.records[:l.synced])
+	segs, left := append([][]Record(nil), l.segs...), l.synced
 	l.mu.Unlock()
-	for _, r := range durable {
-		if err := fn(r); err != nil {
-			return err
+	for _, seg := range segs {
+		for _, r := range seg[:min(left, len(seg))] {
+			if err := fn(r); err != nil {
+				return err
+			}
 		}
+		left -= min(left, len(seg))
 	}
 	return nil
 }
@@ -103,11 +121,14 @@ func (l *MemLog) Close() error {
 func (l *MemLog) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.records = l.records[:l.synced]
-	if len(l.records) == 0 {
-		l.nextLSN = 1
-	} else {
-		l.nextLSN = l.records[len(l.records)-1].LSN + 1
+	l.segs = l.segs[:(l.synced+memSegment-1)/memSegment]
+	if tail := l.synced % memSegment; tail != 0 {
+		l.segs[len(l.segs)-1] = l.segs[len(l.segs)-1][:tail]
+	}
+	l.n = l.synced
+	l.nextLSN = 1
+	if l.n > 0 {
+		l.nextLSN = l.at(l.n-1).LSN + 1
 	}
 	l.closed = false
 }
@@ -117,7 +138,7 @@ func (l *MemLog) Crash() {
 func (l *MemLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return l.n
 }
 
 // DurableLen returns the number of durable records.
@@ -135,7 +156,7 @@ func (l *MemLog) DurableLSN() LSN {
 	if l.synced == 0 {
 		return 0
 	}
-	return l.records[l.synced-1].LSN
+	return l.at(l.synced - 1).LSN
 }
 
 // Syncs returns the number of Sync calls, used by the group-commit tests.

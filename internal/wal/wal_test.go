@@ -383,3 +383,40 @@ func TestLogInterfaceCompliance(t *testing.T) {
 	defer fl.Close()
 	var _ Log = fl
 }
+
+// TestMemLogSegmentBoundaries drives the segmented storage across its
+// boundaries: a sync point inside a segment, exactly on a boundary and in the
+// last partial segment, each followed by a crash, must leave exactly the
+// durable prefix behind and continue the LSNs after it.
+func TestMemLogSegmentBoundaries(t *testing.T) {
+	for _, durable := range []int{memSegment - 1, memSegment, 2*memSegment + 5} {
+		l := NewMemLog()
+		for i := 1; i <= durable; i++ {
+			l.Append(Record{Kind: KindCommit, TxnID: uint64(i)})
+		}
+		l.Sync()
+		for i := 0; i < memSegment+3; i++ {
+			l.Append(Record{Kind: KindAbort})
+		}
+		if got := l.Len(); got != durable+memSegment+3 {
+			t.Fatalf("durable %d: Len = %d before the crash", durable, got)
+		}
+		l.Crash()
+		if l.Len() != durable || l.DurableLen() != durable || l.DurableLSN() != LSN(durable) {
+			t.Fatalf("durable %d: after the crash Len %d, DurableLen %d, DurableLSN %d", durable, l.Len(), l.DurableLen(), l.DurableLSN())
+		}
+		if lsn, _ := l.Append(Record{Kind: KindCommit, TxnID: uint64(durable + 1)}); lsn != LSN(durable+1) {
+			t.Fatalf("durable %d: post-crash LSN = %d", durable, lsn)
+		}
+		l.Sync()
+		got := replayAll(t, l)
+		if len(got) != durable+1 {
+			t.Fatalf("durable %d: replayed %d records", durable, len(got))
+		}
+		for i, r := range got {
+			if r.LSN != LSN(i+1) || r.TxnID != uint64(i+1) || r.Kind != KindCommit {
+				t.Fatalf("durable %d: record %d replayed as %+v", durable, i, r)
+			}
+		}
+	}
+}
