@@ -35,7 +35,7 @@ type Config struct {
 	// ClientAddr is where gsdb.Dial clients connect (host:port; port 0 picks
 	// a free port, see Server.ClientAddr).
 	ClientAddr string
-	// WALDir holds this replica's durable state (database WAL, message WAL,
+	// WALDir holds this replica's durable state (its write-ahead log and
 	// incarnation counter).  Each replica needs its own directory.
 	WALDir string
 	// Technique selects the replication technique (default certification).

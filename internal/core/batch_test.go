@@ -76,7 +76,7 @@ func TestClusterBatchedConvergence(t *testing.T) {
 }
 
 // TestClusterBatched2Safe exercises the end-to-end (2-safe) pipeline under
-// batching: the message log force and the commit force both amortise over
+// batching: the one force covering message and commit records amortises over
 // batches, and the cluster must stay consistent.
 func TestClusterBatched2Safe(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"groupsafe/internal/apply"
-	"groupsafe/internal/gcs/abcast"
-	"groupsafe/internal/gcs/e2e"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/storage"
 	"groupsafe/internal/wal"
@@ -22,11 +20,36 @@ import (
 // behind the Technique interface (technique.go).
 
 // applyItem is one totally-ordered delivery handed to the batched apply loop.
-// ack is non-nil for end-to-end deliveries and signals successful delivery.
+// For end-to-end deliveries ack is non-nil and signals successful delivery,
+// and lsn is where the pump logged the message, without forcing.
 type applyItem struct {
 	seq     uint64
 	payload []byte
 	ack     func()
+	lsn     wal.LSN
+}
+
+// batchForce collects how far one applied batch must force the replica's log
+// before externalize — one force for message and commit records together —
+// and whether at all: pure group-safe batches on a classical cluster do not
+// (durability stays with the group).
+type batchForce struct {
+	lsn  wal.LSN
+	need bool
+}
+
+// note folds in one processed delivery: its message record, stable before
+// anything about it is externalised (a response of either outcome, a
+// very-safe acknowledgement, the end-to-end ack), and its commit or prepare
+// record (zero: nothing staged), stable when its level forces on commit.
+func (f *batchForce) note(item applyItem, commitLSN wal.LSN, level SafetyLevel) {
+	if mutationSkip2SafeForce && level == Safety2 {
+		return
+	}
+	f.lsn = max(f.lsn, item.lsn, commitLSN)
+	if item.lsn > 0 || commitLSN > 0 && level.SyncOnCommit() {
+		f.need = true
+	}
 }
 
 // maxApplyBatch bounds how many deliveries are applied under one force.
@@ -106,65 +129,40 @@ type txnOutcome struct {
 	reads   map[int]int64
 }
 
-// applyLoopClassical consumes deliveries from the classical atomic broadcast,
-// draining every delivery already queued so the whole batch is applied with a
-// single log force and one bookkeeping lock round.
+// applyLoop consumes one incarnation's ordered deliveries — the classical
+// atomic broadcast's, or the end-to-end broadcast's, whose items carry the
+// ack that signals successful delivery (Sect. 4.2) — draining every delivery
+// already queued so the whole batch is applied with a single log force and
+// one bookkeeping lock round.  End-to-end acks follow the batch force, so a
+// crash mid-batch has externalised nothing and recovery replays the
+// unacknowledged messages the log holds (apply is idempotent).
 //
 // When the stop signal races a pending delivery, the queued suffix is
 // deliberately DISCARDED, never applied (one-by-one or otherwise): stop is
 // only ever closed by a crash-model teardown (Crash/Close mark the replica
 // crashed first), and a crashed process losing its delivered-but-unprocessed
 // messages is exactly the paper's Fig. 5 window — classical levels recover
-// them by state transfer, end-to-end levels replay them from the message
-// log.  Applying them here would externalise work a crashed process cannot
-// have done.  A batch already inside applyBatch when the race happens is
-// likewise abandoned at the next applierCurrent gate.
-func (r *Replica) applyLoopClassical(st *applyState, ab *abcast.Broadcaster, stop chan struct{}) {
+// them by state transfer, end-to-end levels replay the ones whose records
+// were forced; the rest were never answered.  Applying them here would
+// externalise work a crashed process cannot have done.  A batch already
+// inside applyBatch when the race happens is likewise abandoned at the next
+// applierCurrent gate.
+func applyLoop[D any](r *Replica, st *applyState, deliveries <-chan D, item func(D) applyItem, stop chan struct{}) {
 	for {
 		select {
 		case <-stop:
 			return
-		case d := <-ab.Deliveries():
-			ds := drainUpTo(ab.Deliveries(), d, maxApplyBatch)
+		case d := <-deliveries:
+			ds := drainUpTo(deliveries, d, maxApplyBatch)
 			batch := make([]applyItem, len(ds))
 			for i, dd := range ds {
-				batch[i] = applyItem{seq: dd.Seq, payload: dd.Payload}
+				batch[i] = item(dd)
 			}
 			r.applyMu.Lock()
 			r.tech.applyBatch(r, st, stop, batch)
 			r.applyMu.Unlock()
 		}
 	}
-}
-
-// applyLoopE2E consumes deliveries from the end-to-end atomic broadcast and
-// acknowledges each one after the database has processed it (successful
-// delivery, Sect. 4.2).  Like the classical loop it applies drained batches;
-// acknowledgements are issued only after the batch force, so a crash mid-batch
-// replays the whole unacknowledged suffix (apply is idempotent).  Like the
-// classical loop, deliveries that race the stop signal are discarded, not
-// applied — they are logged and unacknowledged, so recovery replays them.
-func (r *Replica) applyLoopE2E(st *applyState, b *e2e.Broadcaster, stop chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case d := <-b.Deliveries():
-			ds := drainUpTo(b.Deliveries(), d, maxApplyBatch)
-			batch := make([]applyItem, len(ds))
-			for i, dd := range ds {
-				batch[i] = r.e2eItem(b, dd)
-			}
-			r.applyMu.Lock()
-			r.tech.applyBatch(r, st, stop, batch)
-			r.applyMu.Unlock()
-		}
-	}
-}
-
-func (r *Replica) e2eItem(b *e2e.Broadcaster, d e2e.Delivery) applyItem {
-	seq := d.Seq
-	return applyItem{seq: seq, payload: d.Payload, ack: func() { _ = b.Ack(seq) }}
 }
 
 // applierCurrent reports whether the apply loop identified by stop still

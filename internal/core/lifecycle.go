@@ -9,7 +9,6 @@ import (
 	"groupsafe/internal/gcs/e2e"
 	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/storage"
-	"groupsafe/internal/wal"
 )
 
 // This file is the replica's incarnation lifecycle: building and tearing
@@ -55,10 +54,9 @@ func (r *Replica) startGroupCommunication() error {
 			return err
 		}
 		if r.cfg.Level.RequiresEndToEnd() {
-			if r.msgLog == nil {
-				r.msgLog = wal.NewMemLogWithDelay(r.cfg.DiskSyncDelay)
-			}
-			e2eb, err = e2e.Wrap(ab, e2e.Config{Log: r.msgLog})
+			// Messages go into the database's log unforced: the apply loop's
+			// one force per batch (batchForce) covers them with the commits.
+			e2eb, err = e2e.Wrap(ab, e2e.Config{Log: r.cfg.DBLog, ConsumerForces: true})
 			if err != nil {
 				return err
 			}
@@ -104,9 +102,13 @@ func (r *Replica) startGroupCommunication() error {
 	st := newApplyState(r.cfg.ApplyWorkers)
 	if e2eb != nil {
 		e2eb.Start()
-		go r.applyLoopE2E(st, e2eb, stop)
+		go applyLoop(r, st, e2eb.Deliveries(), func(d e2e.Delivery) applyItem {
+			return applyItem{seq: d.Seq, payload: d.Payload, lsn: d.LSN, ack: func() { _ = e2eb.Ack(d.Seq) }}
+		}, stop)
 	} else if ab != nil {
-		go r.applyLoopClassical(st, ab, stop)
+		go applyLoop(r, st, ab.Deliveries(), func(d abcast.Delivery) applyItem {
+			return applyItem{seq: d.Seq, payload: d.Payload}
+		}, stop)
 	}
 	return nil
 }
@@ -214,16 +216,12 @@ func (r *Replica) Recover(snapshot *StateSnapshot) (int, error) {
 	r.lifeMu.Lock()
 	defer r.lifeMu.Unlock()
 
-	// Volatile state of the database component is lost; rebuild from the
-	// durable prefix of its write-ahead log.
+	// Volatile state is lost: the log drops its unsynced tail, database and
+	// message records alike, and the database rebuilds from the durable
+	// prefix.  (In-memory logs only: a file-backed log's process dies for
+	// real and a fresh Replica reopens it.)
 	if err := r.dbase.CrashAndRecover(); err != nil {
 		return 0, fmt.Errorf("core: database recovery: %w", err)
-	}
-	// The group communication message log also loses its unsynced tail (the
-	// in-process crash model only exists for in-memory logs; a file-backed
-	// log's process dies for real and is reopened by a fresh Replica).
-	if mem, ok := r.msgLog.(*wal.MemLog); ok {
-		mem.Crash()
 	}
 
 	r.cfg.Network.Recover(r.cfg.ID)
@@ -247,15 +245,7 @@ func (r *Replica) Recover(snapshot *StateSnapshot) (int, error) {
 		r.installSnapshot(*snapshot)
 	}
 
-	replayed := 0
-	if r.e2eb != nil {
-		n, err := r.e2eb.Recover()
-		if err != nil {
-			return 0, fmt.Errorf("core: end-to-end recovery: %w", err)
-		}
-		replayed = n
-	}
-	return replayed, nil
+	return r.ReplayLoggedMessages()
 }
 
 func (r *Replica) installSnapshot(s StateSnapshot) {
@@ -343,7 +333,7 @@ func (r *Replica) Router() *gcs.Router {
 // ReplayLoggedMessages re-delivers every logged-but-unacknowledged end-to-end
 // broadcast message to the apply loop, returning the number replayed.  A
 // restarting server process calls it once after constructing the replica over
-// its surviving file-backed message log; clusters without the end-to-end
+// its surviving file-backed log; clusters without the end-to-end
 // layer replay nothing.
 func (r *Replica) ReplayLoggedMessages() (int, error) {
 	r.mu.Lock()

@@ -3,11 +3,11 @@
 package core
 
 // Building with -tags simmutation plants a deliberate safety bug: 2-safe
-// transactions no longer force the local database log before the client is
-// acknowledged (the batch force in the certification apply path skips them).
-// The end-to-end message log still runs, so the cluster LOOKS healthy — the
-// bug only surfaces when a total failure destroys every volatile buffer and
-// recovery must rebuild committed state from what was actually forced.
+// transactions no longer force the replica's log before the client is
+// acknowledged (batchForce.note skips them, message and commit record alike).
+// The cluster LOOKS healthy — the bug only surfaces when a total failure
+// destroys every volatile buffer and recovery must rebuild committed state
+// from what was actually forced.
 //
 // This exists to prove the scenario fuzzer has teeth: the mutation self-test
 // (internal/sim/fuzz, TestMutationSelfTest) asserts the invariant suite

@@ -44,7 +44,7 @@ func (r *Replica) AppliedLog() []AppliedRecord {
 	return out
 }
 
-// DurableLSN returns the local database log's durable frontier: the LSN of
+// DurableLSN returns the durable frontier of the replica's log: the LSN of
 // the last record that would survive a crash at this instant.  The fuzzer
 // samples it just before injecting a crash to decide which acknowledged
 // transactions a group-safe cluster was still allowed to lose.  Logs that do
@@ -52,10 +52,10 @@ func (r *Replica) AppliedLog() []AppliedRecord {
 // soon as the write syscall returns; only the OS cache is at risk) report
 // their last appended LSN.
 func (r *Replica) DurableLSN() uint64 {
-	if l, ok := r.dbLog.(interface{ DurableLSN() wal.LSN }); ok {
+	if l, ok := r.cfg.DBLog.(interface{ DurableLSN() wal.LSN }); ok {
 		return uint64(l.DurableLSN())
 	}
-	return uint64(r.dbLog.LastLSN())
+	return uint64(r.cfg.DBLog.LastLSN())
 }
 
 // StoreItems returns a copy of the replica's committed store contents

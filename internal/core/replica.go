@@ -76,14 +76,11 @@ type ReplicaConfig struct {
 	// network in simulated clusters, a transport.TCPNode in one-process-per-
 	// replica deployments.
 	Network transport.Network
-	// DBLog overrides the database component's write-ahead log.  Nil selects
-	// an in-memory log with DiskSyncDelay (the simulated-cluster default);
-	// server processes pass a file-backed wal.FileLog so committed state
-	// survives a real process kill.
+	// DBLog overrides the replica's one stable log (database records and, at
+	// the end-to-end levels, broadcast message records).  Nil selects an
+	// in-memory log with DiskSyncDelay (the simulated-cluster default); server
+	// processes pass a wal.FileLog so state survives a real process kill.
 	DBLog wal.Log
-	// MsgLog overrides the end-to-end broadcast's message log the same way.
-	// Only consulted when Level.RequiresEndToEnd().
-	MsgLog wal.Log
 	// IncarnationBase offsets the abcast incarnation numbers AND the
 	// transaction-id counter of this process.  The in-process crash model
 	// bumps incarnations within one Replica value; a restarted OS process
@@ -150,6 +147,9 @@ func (c *ReplicaConfig) applyDefaults() (Technique, error) {
 	if c.ExecTimeout <= 0 {
 		c.ExecTimeout = 10 * time.Second
 	}
+	if c.DBLog == nil {
+		c.DBLog = wal.NewMemLogWithDelay(c.DiskSyncDelay)
+	}
 	tech, err := techniqueFor(c.Technique)
 	if err != nil {
 		return nil, err
@@ -206,8 +206,6 @@ type Replica struct {
 
 	mu          sync.Mutex
 	dbase       *db.DB
-	dbLog       wal.Log
-	msgLog      wal.Log
 	router      *gcs.Router
 	ab          *abcast.Broadcaster
 	e2eb        *e2e.Broadcaster
@@ -270,16 +268,11 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		r.peerApplied[m] = new(atomic.Uint64)
 	}
 
-	r.dbLog = cfg.DBLog
-	if r.dbLog == nil {
-		r.dbLog = wal.NewMemLogWithDelay(cfg.DiskSyncDelay)
-	}
-	r.msgLog = cfg.MsgLog
 	policy := db.AsyncCommit
 	if cfg.Level.SyncOnCommit() {
 		policy = db.SyncOnCommit
 	}
-	dbase, err := db.Open(db.Config{Items: cfg.Items, Policy: policy, Log: r.dbLog, MaxPinAge: cfg.MaxPinAge})
+	dbase, err := db.Open(db.Config{Items: cfg.Items, Policy: policy, Log: cfg.DBLog, MaxPinAge: cfg.MaxPinAge})
 	if err != nil {
 		return nil, fmt.Errorf("core: open database: %w", err)
 	}

@@ -90,8 +90,7 @@ func (activeTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}
 	}
 	staged := st.staged[:0]
 	numItems := r.dbase.Store().NumItems()
-	var maxLSN wal.LSN
-	needSync := false
+	var force batchForce
 
 	for i := range batch {
 		hook, current := r.deliveryGate(stop)
@@ -163,29 +162,21 @@ func (activeTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}
 		var commitLSN wal.LSN
 		if fresh {
 			commitLSN = lsn
-			if lsn > maxLSN {
-				maxLSN = lsn
-			}
-			if rec.Level.SyncOnCommit() {
-				needSync = true
-			}
 			// Install immediately (serial): the next transaction of the
 			// batch may read these items at its serialisation point.
 			if err := r.dbase.InstallWrites(ws); err != nil {
 				return
 			}
 		}
+		force.note(batch[i], commitLSN, rec.Level)
 		staged = append(staged, stagedTxn{item: batch[i], txnID: rec.TxnID, delegate: rec.Delegate, level: rec.Level, outcome: OutcomeCommitted, lsn: commitLSN, reads: reads})
 	}
 	st.staged = staged
 
-	// One force covers every commit record of the batch when any of its
-	// transactions runs at a force-on-commit level (the cluster's, or a
-	// per-transaction override); nothing was externalised before it.
-	if maxLSN > 0 && needSync {
-		if err := r.dbase.ForceTo(maxLSN); err != nil {
-			return
-		}
+	// One force covers the batch's commit and end-to-end message records when
+	// any transaction needs it (batchForce); nothing was externalised before.
+	if force.need && r.dbase.ForceTo(force.lsn) != nil {
+		return
 	}
 	r.externalize(staged)
 }

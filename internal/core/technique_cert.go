@@ -135,7 +135,8 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 //     a version overlay (store versions plus the bumps staged earlier in this
 //     batch), the write sets and commit records are appended to the log in
 //     delivery order but not yet forced or installed;
-//  3. one group-committed force covers every commit record of the batch,
+//  3. one group-committed force covers every commit record of the batch and,
+//     at the end-to-end levels, its message records (the path's only force),
 //     overlapped with step 4 (neither depends on the other);
 //  4. the committed write sets are installed by the conflict-graph scheduler:
 //     disjoint write sets in parallel on the worker pool, conflicting ones
@@ -152,9 +153,10 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 // system dying before its force.  That is safe under every criterion because
 // no outcome has been externalised: delegates are notified and e2e messages
 // acknowledged strictly after the batch force, so an unforced transaction
-// was never reported committed; end-to-end levels replay the whole
-// unacknowledged suffix from the message log, and classical levels recover
-// missed messages by state transfer, exactly as for a single lost delivery.
+// was never reported committed; end-to-end levels replay the unacknowledged
+// messages the log holds (one lost with the tail was answered to nobody, as
+// if the crash had come just before its delivery), and classical levels
+// recover missed messages by state transfer, as for a single lost delivery.
 func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, batch []applyItem) {
 	if !r.applierCurrent(stop) {
 		return
@@ -197,8 +199,7 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 	tasks := st.tasks[:0]
 	clear(st.certBumps)
 	numItems := r.dbase.Store().NumItems()
-	var maxLSN wal.LSN
-	needSync := false
+	var force batchForce
 	for i := range batch {
 		hook, current := r.deliveryGate(stop)
 		if !current {
@@ -242,12 +243,6 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 				}
 				if fresh {
 					commitLSN = lsn
-					if lsn > maxLSN {
-						maxLSN = lsn
-					}
-					if rec.Level.SyncOnCommit() && !(mutationSkip2SafeForce && rec.Level == Safety2) {
-						needSync = true
-					}
 					for _, w := range rec.Writes {
 						st.certBumps[w.Item]++
 					}
@@ -281,20 +276,12 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 				}
 				writes := make([]storage.Write, len(rec.Writes))
 				copy(writes, rec.Writes)
-				fresh, lsn, err := r.dbase.StagePrepare(rec.TxnID, rec.Coord, readItems, writes)
-				if err != nil {
+				// The prepare record (none, LSN zero, for a replayed prepare) is
+				// this partition's vote; levels that force on commit force the
+				// vote before it is reported.
+				var err error
+				if _, commitLSN, err = r.dbase.StagePrepare(rec.TxnID, rec.Coord, readItems, writes); err != nil {
 					continue
-				}
-				if fresh {
-					commitLSN = lsn
-					if lsn > maxLSN {
-						maxLSN = lsn
-					}
-					// The prepare record is this partition's vote; levels that
-					// force on commit force the vote before it is reported.
-					if rec.Level.SyncOnCommit() && !(mutationSkip2SafeForce && rec.Level == Safety2) {
-						needSync = true
-					}
 				}
 			}
 
@@ -318,12 +305,6 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 			}
 			if fresh && committed {
 				commitLSN = lsn
-				if lsn > maxLSN {
-					maxLSN = lsn
-				}
-				if rec.Level.SyncOnCommit() && !(mutationSkip2SafeForce && rec.Level == Safety2) {
-					needSync = true
-				}
 				for _, w := range install {
 					st.certBumps[w.Item]++
 				}
@@ -333,20 +314,19 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 		default:
 			continue
 		}
+		force.note(batch[i], commitLSN, rec.Level)
 		staged = append(staged, stagedTxn{item: batch[i], txnID: rec.TxnID, delegate: rec.Delegate, level: rec.Level, outcome: outcome, vote: rec.Phase == phasePrepare, lsn: commitLSN})
 	}
 	st.staged, st.tasks = staged, tasks
 
 	// Phases 3+4: the batch force and the conflict-scheduled installs run
 	// concurrently; both must finish before any outcome is externalised.
-	// The force decision is per-batch: one group-committed force covers the
-	// batch when ANY of its transactions runs at a force-on-commit level (the
-	// cluster's own level, or a per-transaction override riding the payload).
-	// Pure group-safe batches skip the force — durability stays delegated to
-	// the group.
+	// The force decision is per-batch (batchForce): ANY transaction at a
+	// force-on-commit level (the cluster's, or a per-transaction override
+	// riding the payload) or delivered end-to-end forces the whole batch.
 	forceErr := make(chan error, 1)
-	if maxLSN > 0 && needSync {
-		go func() { forceErr <- r.dbase.ForceTo(maxLSN) }()
+	if force.need {
+		go func() { forceErr <- r.dbase.ForceTo(force.lsn) }()
 	} else {
 		forceErr <- nil
 	}

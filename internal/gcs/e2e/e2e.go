@@ -6,8 +6,10 @@
 // message: this is why group-communication-based replication cannot be 2-safe
 // (Sect. 3, Fig. 5).  End-to-end atomic broadcast closes the gap:
 //
-//   - every delivered message is first written to stable storage by the group
-//     communication component (log-based recovery instead of state transfer);
+//   - every delivered message is written to the stable log by the group
+//     communication component before it is handed to the application, and is
+//     stable before anything about it is externalised (log-based recovery
+//     instead of state transfer);
 //   - the application signals *successful delivery* by acknowledging the
 //     message (Ack);
 //   - after a crash, every logged-but-unacknowledged message is delivered
@@ -20,8 +22,7 @@
 package e2e
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,11 +34,13 @@ import (
 
 // Delivery is a message delivered to the application.  Replayed is true when
 // the delivery is a post-recovery replay of a logged, unacknowledged message.
+// LSN is the position of the message's record in the stable log.
 type Delivery struct {
 	Seq      uint64
 	MsgID    string
 	Payload  []byte
 	Replayed bool
+	LSN      wal.LSN
 }
 
 // Underlying is the classical atomic broadcast being wrapped.
@@ -49,26 +52,22 @@ type Underlying interface {
 
 // Config configures the end-to-end layer.
 type Config struct {
-	// Log is the stable message log (required).
+	// Log is the stable log (required).  It may be shared: only
+	// wal.KindMessage and wal.KindAck records are read back.
 	Log wal.Log
-	// Buffer is the delivery channel capacity (default 65536).
-	Buffer int
-	// SyncEveryMessage forces the log before each delivery (default true;
-	// turning it off trades recovery completeness for latency and is used by
-	// the ablation benchmarks).
-	SyncEveryMessage bool
-	// NoSyncEveryMessage disables the per-message force explicitly (Config is
-	// zero-value friendly: the default remains "force each message").
-	NoSyncEveryMessage bool
+	// ConsumerForces says the consumer of Deliveries forces Log itself, up to
+	// Delivery.LSN, before it externalises anything about a message (the
+	// replica's apply loop: one force per batch covers message and commit
+	// records).  The pump then appends and hands off without forcing; by
+	// default it forces each drained batch before hand-off.
+	ConsumerForces bool
 }
 
 // ErrClosed is returned by operations on a closed broadcaster.
 var ErrClosed = errors.New("e2e: broadcaster closed")
 
-type logged struct {
-	MsgID   string
-	Payload []byte
-}
+// deliveryBuffer is the delivery channel capacity.
+const deliveryBuffer = 65536
 
 // Broadcaster is an end-to-end atomic broadcast endpoint.
 type Broadcaster struct {
@@ -80,7 +79,7 @@ type Broadcaster struct {
 	// What is kept is bounded by the unacknowledged suffix, not the history:
 	// a payload is dropped once acknowledged, and the acknowledged set is a
 	// watermark plus the few sequence numbers acknowledged ahead of it.
-	delivered map[uint64]logged   // logged, unacknowledged deliveries
+	delivered map[uint64]Delivery // logged, unacknowledged deliveries
 	order     []uint64            // their sequence numbers, ascending
 	low       uint64              // every sequence number <= low is acknowledged or was never delivered
 	above     map[uint64]struct{} // acknowledged sequence numbers > low
@@ -112,25 +111,15 @@ func Wrap(under Underlying, cfg Config) (*Broadcaster, error) {
 	if cfg.Log == nil {
 		return nil, fmt.Errorf("e2e: a stable log is required")
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 65536
-	}
-	syncEach := true
-	if cfg.NoSyncEveryMessage {
-		syncEach = false
-	}
-	if cfg.SyncEveryMessage {
-		syncEach = true
-	}
 	b := &Broadcaster{
 		under:      under,
 		log:        cfg.Log,
-		sync:       syncEach,
-		delivered:  make(map[uint64]logged),
+		sync:       !cfg.ConsumerForces,
+		delivered:  make(map[uint64]Delivery),
 		above:      make(map[uint64]struct{}),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		deliveries: make(chan Delivery, cfg.Buffer),
+		deliveries: make(chan Delivery, deliveryBuffer),
 	}
 	if err := b.loadLog(); err != nil {
 		return nil, err
@@ -138,22 +127,25 @@ func Wrap(under Underlying, cfg Config) (*Broadcaster, error) {
 	return b, nil
 }
 
-// loadLog rebuilds the unacknowledged suffix from the durable log.
+// loadLog rebuilds the unacknowledged suffix from the durable log.  Other
+// kinds of record are skipped: their TxnID is not a sequence number.
 func (b *Broadcaster) loadLog() error {
 	var top uint64
 	err := b.log.Replay(func(r wal.Record) error {
 		switch r.Kind {
 		case wal.KindMessage:
-			var l logged
-			if err := decode(r.Data, &l); err != nil {
+			msgID, payload, err := decodeMessage(r.Data)
+			if err != nil {
 				return fmt.Errorf("e2e: corrupt message record %d: %w", r.LSN, err)
 			}
 			if _, acked := b.above[r.TxnID]; !acked {
-				b.delivered[r.TxnID] = l
+				b.delivered[r.TxnID] = Delivery{Seq: r.TxnID, MsgID: msgID, Payload: payload, LSN: r.LSN}
 			}
 		case wal.KindAck:
 			b.above[r.TxnID] = struct{}{}
 			delete(b.delivered, r.TxnID)
+		default:
+			return nil
 		}
 		top = max(top, r.TxnID)
 		return nil
@@ -206,14 +198,14 @@ func (b *Broadcaster) Recover() (int, error) {
 	seqs := b.unackedLocked()
 	replay := make([]Delivery, 0, len(seqs))
 	for _, seq := range seqs {
-		l := b.delivered[seq]
-		replay = append(replay, Delivery{Seq: seq, MsgID: l.MsgID, Payload: l.Payload, Replayed: true})
+		d := b.delivered[seq]
+		d.Replayed = true
+		replay = append(replay, d)
 	}
 	b.stats.Replayed += uint64(len(replay))
-	ch := b.deliveries
 	b.mu.Unlock()
 	for _, d := range replay {
-		ch <- d
+		b.deliveries <- d
 	}
 	return len(replay), nil
 }
@@ -264,16 +256,16 @@ func (b *Broadcaster) pump() {
 	}
 }
 
-// handleBatch logs every new message of the batch, forces the log once, and
-// forwards the deliveries in order.
+// handleBatch logs every new message of the batch, forces the log once
+// unless the consumer does, and forwards the deliveries in order.
 func (b *Broadcaster) handleBatch(batch []abcast.Delivery) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	forward := batch[:0]
-	var toLog []abcast.Delivery
+	forward := make([]Delivery, 0, len(batch))
+	var toLog []int // indices into forward of the messages not logged yet
 	for _, d := range batch {
 		if b.ackedLocked(d.Seq) {
 			// Already successfully delivered in a previous incarnation:
@@ -281,54 +273,50 @@ func (b *Broadcaster) handleBatch(batch []abcast.Delivery) {
 			b.stats.Suppressed++
 			continue
 		}
-		if _, alreadyLogged := b.delivered[d.Seq]; !alreadyLogged {
-			toLog = append(toLog, d)
+		logged, alreadyLogged := b.delivered[d.Seq]
+		if !alreadyLogged {
+			toLog = append(toLog, len(forward))
 		}
-		forward = append(forward, d)
+		forward = append(forward, Delivery{Seq: d.Seq, MsgID: d.MsgID, Payload: d.Payload, LSN: logged.LSN})
 	}
 	b.mu.Unlock()
 
-	if len(toLog) > 0 {
-		for _, d := range toLog {
-			rec := wal.Record{
-				Kind:  wal.KindMessage,
-				TxnID: d.Seq,
-				Data:  encode(logged{MsgID: d.MsgID, Payload: d.Payload}),
-			}
-			if _, err := b.log.Append(rec); err != nil {
-				return
-			}
+	var data []byte
+	for _, i := range toLog {
+		d := &forward[i]
+		data = appendMessage(data[:0], d.MsgID, d.Payload)
+		lsn, err := b.log.Append(wal.Record{Kind: wal.KindMessage, TxnID: d.Seq, Data: data})
+		if err != nil {
+			return
 		}
-		if b.sync {
-			if err := b.log.Sync(); err != nil {
-				return
-			}
-		}
-		b.mu.Lock()
-		for _, d := range toLog {
-			b.delivered[d.Seq] = logged{MsgID: d.MsgID, Payload: d.Payload}
-			// Deliveries arrive in sequence order; anything else is slotted in.
-			at := sort.Search(len(b.order), func(i int) bool { return b.order[i] >= d.Seq })
-			b.order = append(b.order, 0)
-			copy(b.order[at+1:], b.order[at:])
-			b.order[at] = d.Seq
-			b.stats.Logged++
-		}
-		if b.sync {
-			b.stats.Forces++
-		}
-		b.mu.Unlock()
+		d.LSN = lsn
+	}
+	forced := b.sync && len(toLog) > 0
+	if forced && b.log.Sync() != nil {
+		return
 	}
 
 	b.mu.Lock()
+	for _, i := range toLog {
+		d := forward[i]
+		b.delivered[d.Seq] = d
+		// Deliveries arrive in sequence order; anything else is slotted in.
+		at := sort.Search(len(b.order), func(i int) bool { return b.order[i] >= d.Seq })
+		b.order = append(b.order, 0)
+		copy(b.order[at+1:], b.order[at:])
+		b.order[at] = d.Seq
+		b.stats.Logged++
+	}
+	if forced {
+		b.stats.Forces++
+	}
 	closed := b.closed
-	ch := b.deliveries
 	b.mu.Unlock()
 	if closed {
 		return
 	}
 	for _, d := range forward {
-		ch <- Delivery{Seq: d.Seq, MsgID: d.MsgID, Payload: d.Payload}
+		b.deliveries <- d
 	}
 }
 
@@ -419,14 +407,20 @@ func (b *Broadcaster) Close() {
 	}
 }
 
-func encode(v interface{}) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("e2e: encode: %v", err))
-	}
-	return buf.Bytes()
+// appendMessage appends the data of a message record to buf: the length of
+// the message id as a uvarint, the id, then the payload to the end.
+func appendMessage(buf []byte, msgID string, payload []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(msgID)))
+	buf = append(buf, msgID...)
+	return append(buf, payload...)
 }
 
-func decode(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+// decodeMessage is the inverse of appendMessage; the results own their bytes.
+func decodeMessage(data []byte) (msgID string, payload []byte, err error) {
+	n, w := binary.Uvarint(data)
+	if w <= 0 || n > uint64(len(data)-w) {
+		return "", nil, errors.New("message id length runs past the record")
+	}
+	end := w + int(n)
+	return string(data[w:end]), append([]byte(nil), data[end:]...), nil
 }

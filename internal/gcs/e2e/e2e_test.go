@@ -3,6 +3,8 @@ package e2e
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,7 +136,7 @@ func TestEndToEndPropertyAcrossCrash(t *testing.T) {
 	under.deliver(1, "t1")
 	recvDelivery(t, b, time.Second)
 	// Crash before ack: volatile state is lost but the synced log survives
-	// (per-message sync is the default).
+	// (the standalone pump forces before hand-off).
 	b.Close()
 	log.Crash()
 
@@ -258,24 +260,116 @@ func TestRecoverOrdersReplaysBySeq(t *testing.T) {
 	}
 }
 
-func TestNoSyncEveryMessageOption(t *testing.T) {
+// TestConsumerForcesLeavesTheForceToTheConsumer: with ConsumerForces the pump
+// logs and hands off without forcing, stamps the record's position on the
+// delivery, and a message the consumer never forced does not survive a crash.
+func TestConsumerForcesLeavesTheForceToTheConsumer(t *testing.T) {
 	log := wal.NewMemLog()
 	under := newFakeUnder()
-	b, _ := Wrap(under, Config{Log: log, NoSyncEveryMessage: true})
+	b, _ := Wrap(under, Config{Log: log, ConsumerForces: true})
 	defer b.Close()
 	b.Start()
 	under.deliver(1, "t1")
-	recvDelivery(t, b, time.Second)
-	if log.DurableLen() != 0 {
-		t.Fatal("NoSyncEveryMessage should not force the log per message")
+	d := recvDelivery(t, b, time.Second)
+	if log.Syncs() != 0 || log.DurableLen() != 0 || b.Stats().Forces != 0 {
+		t.Fatalf("the pump forced a log its consumer forces (syncs=%d, stats=%+v)", log.Syncs(), b.Stats())
 	}
-	// With the lazy setting, an unsynced message does not survive a crash —
-	// the durability/latency trade-off measured by the ablation benchmark.
+	if d.LSN != log.LastLSN() || d.LSN == 0 {
+		t.Fatalf("delivery LSN = %d, message record at %d", d.LSN, log.LastLSN())
+	}
+	// An unacknowledged redelivery carries the same position: the consumer
+	// may not have forced it yet.
+	under.deliver(1, "t1")
+	if again := recvDelivery(t, b, time.Second); again.LSN != d.LSN {
+		t.Fatalf("redelivery LSN = %d, want %d", again.LSN, d.LSN)
+	}
 	log.Crash()
-	b2, _ := Wrap(newFakeUnder(), Config{Log: log})
+	b2, _ := Wrap(newFakeUnder(), Config{Log: log, ConsumerForces: true})
 	defer b2.Close()
 	if n, _ := b2.Recover(); n != 0 {
-		t.Fatalf("unsynced message replayed after crash: %d", n)
+		t.Fatalf("unforced message replayed after crash: %d", n)
+	}
+}
+
+// TestSharedLogReplaysTheSameSuffix interleaves message and acknowledgement
+// records with database records whose transaction ids dwarf every sequence
+// number: the rebuilt state must be what the message records alone give.
+func TestSharedLogReplaysTheSameSuffix(t *testing.T) {
+	shared, alone := wal.NewMemLog(), wal.NewMemLog()
+	dbRecord := func(kind wal.Kind, txn uint64) {
+		if _, err := shared.Append(wal.Record{Kind: kind, TxnID: txn, Item: 3, Value: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, log := range []*wal.MemLog{shared, alone} {
+		under := newFakeUnder()
+		b, err := Wrap(under, Config{Log: log, ConsumerForces: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Start()
+		for seq := uint64(1); seq <= 6; seq++ {
+			under.deliver(seq, fmt.Sprintf("t%d", seq))
+			d := recvDelivery(t, b, time.Second)
+			if log == shared {
+				dbRecord(wal.KindUpdate, 1<<40|seq)
+				dbRecord(wal.KindCommit, 1<<40|seq)
+			}
+			if seq != 2 && seq != 5 {
+				if err := b.Ack(d.Seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		b.Close()
+		log.Sync()
+	}
+	dbRecord(wal.KindAbort, 1<<41)
+	shared.Sync()
+
+	var got [2][]Delivery
+	for i, log := range []*wal.MemLog{shared, alone} {
+		b, err := Wrap(newFakeUnder(), Config{Log: log, ConsumerForces: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if b.Acked(7) || !b.Acked(6) || b.Acked(5) {
+			t.Fatalf("log %d: acknowledged watermark is off (a database transaction id leaked into it?)", i)
+		}
+		n, err := b.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; n > 0; n-- {
+			d := recvDelivery(t, b, time.Second)
+			d.LSN = 0 // positions differ between the two logs by construction
+			got[i] = append(got[i], d)
+		}
+	}
+	if len(got[0]) != 2 || got[0][0].Seq != 2 || got[0][1].Seq != 5 || string(got[0][1].Payload) != "t5" || got[0][1].MsgID != "m5" {
+		t.Fatalf("shared log replayed %+v, want messages 2 and 5", got[0])
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("shared log replayed %+v, message-only log %+v", got[0], got[1])
+	}
+}
+
+// TestMessageRecordRoundTrip covers the record format's edges.
+func TestMessageRecordRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		id      string
+		payload []byte
+	}{{"", nil}, {"s1/1/7", []byte("payload")}, {strings.Repeat("x", 300), []byte{0}}} {
+		id, payload, err := decodeMessage(appendMessage(nil, c.id, c.payload))
+		if err != nil || id != c.id || string(payload) != string(c.payload) {
+			t.Fatalf("round trip of (%q, %q) = %q, %q, %v", c.id, c.payload, id, payload, err)
+		}
+	}
+	for _, bad := range [][]byte{nil, {5, 'a'}, {0x80}} {
+		if _, _, err := decodeMessage(bad); err == nil {
+			t.Fatalf("decodeMessage(%v) accepted a malformed record", bad)
+		}
 	}
 }
 

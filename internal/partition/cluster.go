@@ -227,7 +227,7 @@ func (c *Cluster) AppliedSeq(i, p int) uint64 {
 	return 0
 }
 
-// DurableLSN sums server i's per-partition database-log durable frontiers: a
+// DurableLSN sums the durable frontiers of server i's per-partition logs: a
 // coarse "how much of this server survives a crash" measure used by the fuzz
 // harness to pick recovery donors (per-partition LSNs are not comparable
 // across partitions, but the sum orders servers well enough for a heuristic).

@@ -44,8 +44,8 @@ type Config struct {
 	Members []string
 	// ClientAddr is the address the client listener binds (host:port).
 	ClientAddr string
-	// WALDir holds the durable state: the database WAL, the end-to-end
-	// message WAL and the incarnation counter.  Created if missing.
+	// WALDir holds the durable state: the replica's log (database and
+	// broadcast message records) and the incarnation counter.  Created if missing.
 	WALDir string
 	// Technique and Level select the replication technique and the safety
 	// criterion, as in core.ReplicaConfig.
@@ -103,7 +103,6 @@ type Server struct {
 	replica *core.Replica
 	views   *membership.Manager
 	dbLog   *wal.FileLog
-	msgLog  *wal.FileLog
 
 	clientLn net.Listener
 
@@ -115,7 +114,7 @@ type Server struct {
 	wg   sync.WaitGroup // client handlers + accept loop + resync loop
 }
 
-// Start builds and runs a server process: it opens (replaying) the WALs,
+// Start builds and runs a server process: it opens (replaying) the WAL,
 // binds the peer and client listeners, starts the replica engine with a fresh
 // incarnation, replays logged end-to-end messages, pulls a state snapshot
 // from its peers and begins serving.
@@ -125,6 +124,12 @@ func Start(cfg Config) (*Server, error) {
 	}
 	if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: create WAL dir: %w", err)
+	}
+	// Earlier versions logged broadcast messages apart.  That log cannot be
+	// read here, and starting without it would silently drop what it holds.
+	legacy := filepath.Join(cfg.WALDir, "msg.wal")
+	if info, err := os.Stat(legacy); err == nil && info.Size() > 0 {
+		return nil, fmt.Errorf("server: %s is the separate message log of an earlier version and cannot be imported (messages are now logged in db.wal): start this replica on an empty WAL directory so it rejoins by state transfer, or remove the file to give up the messages in it", legacy)
 	}
 	incarnation, err := bumpIncarnation(filepath.Join(cfg.WALDir, "incarnation"))
 	if err != nil {
@@ -145,16 +150,7 @@ func Start(cfg Config) (*Server, error) {
 	s.dbLog, err = wal.OpenFileLog(filepath.Join(cfg.WALDir, "db.wal"))
 	if err != nil {
 		s.node.Close()
-		return nil, fmt.Errorf("server: open database WAL: %w", err)
-	}
-	var msgLog wal.Log
-	if cfg.Level.RequiresEndToEnd() {
-		s.msgLog, err = wal.OpenFileLog(filepath.Join(cfg.WALDir, "msg.wal"))
-		if err != nil {
-			s.teardown()
-			return nil, fmt.Errorf("server: open message WAL: %w", err)
-		}
-		msgLog = s.msgLog
+		return nil, fmt.Errorf("server: open WAL: %w", err)
 	}
 
 	s.views, err = membership.New(cfg.ID, cfg.Members)
@@ -171,7 +167,6 @@ func Start(cfg Config) (*Server, error) {
 		Technique:       cfg.Technique,
 		Network:         s.node,
 		DBLog:           s.dbLog,
-		MsgLog:          msgLog,
 		IncarnationBase: incarnation << 20,
 		ExecTimeout:     cfg.ExecTimeout,
 		StartDetector:   true,
@@ -324,7 +319,7 @@ func (s *Server) resyncLoop() {
 }
 
 // Close shuts the server down gracefully: stop accepting clients, let
-// in-flight transactions finish, force the WALs, then tear the replica and
+// in-flight transactions finish, force the WAL, then tear the replica and
 // transports down.  Safe to call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -349,32 +344,20 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 
-	// Force everything appended so far; the replica teardown below closes
-	// the logs.
-	if s.dbLog != nil {
-		s.dbLog.Sync()
-	}
-	if s.msgLog != nil {
-		s.msgLog.Sync()
-	}
-	var err error
-	if s.replica != nil {
-		err = s.replica.Close()
-	}
+	// Force everything appended so far; closing the replica closes the log.
+	err := errors.Join(s.dbLog.Sync(), s.replica.Close())
 	s.teardown()
 	s.cfg.Logf("server %s: shut down", s.cfg.ID)
 	return err
 }
 
-// teardown releases listeners and logs (idempotent; Close order matters: the
-// replica owns the db log's lifetime via db.Close).
+// teardown releases the peer transport and the log (idempotent: after a
+// clean shutdown the replica has closed the log already, via db.Close).
 func (s *Server) teardown() {
-	if s.msgLog != nil {
-		if err := s.msgLog.Close(); err != nil && !errors.Is(err, wal.ErrClosed) {
-			s.cfg.Logf("server %s: close message WAL: %v", s.cfg.ID, err)
-		}
-	}
 	s.node.Close()
+	if err := s.dbLog.Close(); err != nil {
+		s.cfg.Logf("server %s: close WAL: %v", s.cfg.ID, err)
+	}
 }
 
 // bumpIncarnation reads, increments and durably rewrites the process

@@ -4,11 +4,15 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"groupsafe/internal/core"
+	"groupsafe/internal/wal"
 	"groupsafe/internal/workload"
 )
 
@@ -280,5 +284,67 @@ func TestRestartedDelegateWritesAreNotSilentlyLost(t *testing.T) {
 					s.PeerAddr(), 10+i, items[10+i].Value, 200+i)
 			}
 		}
+	}
+}
+
+// TestTwoSafeServerKeepsOneLog: at an end-to-end level a server's WAL
+// directory still holds one log — the broadcast's message records live in
+// db.wal — and Close reports a clean final force.
+func TestTwoSafeServerKeepsOneLog(t *testing.T) {
+	servers, _ := startCluster(t, 3, core.Safety2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 6; i++ {
+		res, err := servers[i%3].Replica().Execute(ctx, core.Request{Ops: []workload.Op{{Item: i, Write: true, Value: int64(i)}}})
+		if err != nil || !res.Committed() {
+			t.Fatalf("txn %d: %+v, %v", i, res, err)
+		}
+	}
+	waitConverged(t, servers, 10*time.Second)
+	for i, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Fatalf("server %d: Close: %v", i, err)
+		}
+		entries, err := os.ReadDir(s.cfg.WALDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if want := []string{"db.wal", "incarnation"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("server %d: WAL directory holds %v, want %v", i, names, want)
+		}
+		log, err := wal.OpenFileLog(filepath.Join(s.cfg.WALDir, "db.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := make(map[wal.Kind]int)
+		err = log.Replay(func(r wal.Record) error { kinds[r.Kind]++; return nil })
+		log.Close()
+		if err != nil || kinds[wal.KindMessage] != 6 || kinds[wal.KindCommit] != 6 {
+			t.Fatalf("server %d: db.wal holds %v (%v), want 6 message and 6 commit records", i, kinds, err)
+		}
+	}
+}
+
+// TestStartRefusesLegacyMessageLog: a WAL directory written by a version that
+// kept the message log apart must not be started on silently.
+func TestStartRefusesLegacyMessageLog(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "msg.wal")
+	if err := os.WriteFile(legacy, []byte("records of an earlier version"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{ID: "127.0.0.1:1", Members: []string{"127.0.0.1:1"}, ClientAddr: "127.0.0.1:0", WALDir: dir, Level: core.Safety2, Logf: t.Logf}
+	if srv, err := Start(cfg); err == nil || !strings.Contains(err.Error(), legacy) {
+		if srv != nil {
+			srv.Close()
+		}
+		t.Fatalf("Start over a legacy msg.wal: %v, want an error naming the file", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "db.wal")); !os.IsNotExist(err) {
+		t.Fatalf("the refused start touched the WAL directory: %v", err)
 	}
 }

@@ -74,7 +74,7 @@ type CrashEvent struct {
 	Replica int
 	// Idx is the global event-counter stamp (taken after the crash landed).
 	Idx uint64
-	// DurableLSN is the replica's database-log durable frontier sampled just
+	// DurableLSN is the durable frontier of the replica's log sampled just
 	// before the crash: everything at or below it survives.
 	DurableLSN uint64
 	// TotalFailure is true when this crash took the last live replica down.

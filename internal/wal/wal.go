@@ -1,7 +1,8 @@
 // Package wal implements the write-ahead log / stable-storage abstraction
 // used by both the database component (transaction logging, redo recovery)
 // and the end-to-end atomic broadcast (message logging and acknowledgement
-// records).
+// records).  A replica keeps both in one log: Record.Kind tells them apart,
+// and each component skips the other's kinds on replay.
 //
 // Two implementations are provided:
 //
