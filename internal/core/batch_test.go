@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -174,5 +175,52 @@ func TestClusterBatchedFailover(t *testing.T) {
 	}
 	if !waitConsistent(c, 10*time.Second) {
 		t.Fatal("survivors did not converge after a batched failover")
+	}
+}
+
+// BenchmarkSmallBatchAfterBulkLoad applies two-write batches through the
+// certification pipeline, fresh and after one 1024-write transaction (the
+// shape of any bulk load) went through the same apply state.  The bulk load
+// grows the per-batch certBumps table for good; a small batch must not pay
+// for that capacity: the two cases should cost the same.
+func BenchmarkSmallBatchAfterBulkLoad(b *testing.B) {
+	for _, bulk := range []int{0, 1024} {
+		b.Run(fmt.Sprintf("bulk=%d", bulk), func(b *testing.B) {
+			c, err := NewCluster(ClusterConfig{Replicas: 1, Items: 2048, Level: GroupSafe})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			r := c.Replica(0)
+			st := newApplyState(1)
+			nextID := uint64(1) << 40 // clear of the ids the cluster hands out
+			apply := func(writes map[int]int64) {
+				nextID++
+				batch := []applyItem{{seq: nextID, payload: encodeTxnPayload(nextID, r.cfg.ID, GroupSafe, nil, writes)}}
+				r.applyMu.Lock()
+				r.mu.Lock()
+				stop := r.applierStop
+				r.mu.Unlock()
+				certTechnique{}.applyBatch(r, st, stop, batch)
+				r.applyMu.Unlock()
+			}
+			if bulk > 0 {
+				load := make(map[int]int64, bulk)
+				for i := 0; i < bulk; i++ {
+					load[i] = int64(i)
+				}
+				apply(load)
+			}
+			small := map[int]int64{7: 1, 1500: 2}
+			apply(small)
+			if v, err := c.Value(0, 1500); err != nil || v != 2 {
+				b.Fatalf("the small batch was not installed: item 1500 = %d, %v", v, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(small)
+			}
+		})
 	}
 }

@@ -197,7 +197,6 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 	// Phase 2: serial certification and staging in delivery order.
 	staged := st.staged[:0]
 	tasks := st.tasks[:0]
-	clear(st.certBumps)
 	numItems := r.dbase.Store().NumItems()
 	var force batchForce
 	for i := range batch {
@@ -318,6 +317,14 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 		staged = append(staged, stagedTxn{item: batch[i], txnID: rec.TxnID, delegate: rec.Delegate, level: rec.Level, outcome: outcome, vote: rec.Phase == phasePrepare, lsn: commitLSN})
 	}
 	st.staged, st.tasks = staged, tasks
+	// certBumps overlaid this batch only.  Its entries go by key: clear()
+	// sweeps the table's whole capacity, which one bulk load grows for good.
+	// (A return above abandons the apply state.)
+	for _, writes := range tasks {
+		for _, w := range writes {
+			delete(st.certBumps, w.Item)
+		}
+	}
 
 	// Phases 3+4: the batch force and the conflict-scheduled installs run
 	// concurrently; both must finish before any outcome is externalised.

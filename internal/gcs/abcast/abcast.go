@@ -5,16 +5,25 @@
 // The protocol is a fixed-sequencer total order broadcast hardened for
 // uniformity:
 //
-//  1. A-broadcast(m): the sender assigns m a unique message id and sends a
-//     DATA message to every member.
-//  2. The current sequencer assigns consecutive sequence numbers and sends an
-//     ORDER message for each data message.
-//  3. Every member acknowledges an ORDER to every member.  A message is
-//     A-delivered at a member once the member has the payload, the order, a
-//     majority of acknowledgements for that (sequence, message id) pair, and
-//     every lower sequence number has been delivered.  The majority
-//     requirement gives Uniform Agreement: if any process delivers m, a
-//     majority stores its order, so every later sequencer learns it.
+//  1. A-broadcast(m): the sender assigns m a unique message id, files the
+//     payload locally and sends a DATA message to the other members.
+//  2. The current sequencer assigns consecutive sequence numbers — to its own
+//     payloads like to remote DATA — stores each assignment in its window and
+//     sends an ORDER message to the other members.
+//  3. A vote for a (sequence, message id) pair says its member has stored that
+//     assignment.  A member casts its own the moment it stores an ORDER and
+//     tells the other members with an ACK.  The ORDER is the sequencer's vote
+//     (it sends no ACK), so one that does not come from the sequencer of its
+//     epoch is dropped.  A message is A-delivered at a member once the member
+//     has the payload, the order, a majority of votes for the pair, and every
+//     lower sequence number has been delivered.  The majority requirement
+//     gives Uniform Agreement: if any process delivers m, a majority stores
+//     its order, so every later sequencer learns it.  That covers the
+//     sequencer's vote: it stored the assignment before announcing it and
+//     stops assigning in the critical section in which it answers a NEWEPOCH,
+//     so every STATE it can still send contains it.  No step a member takes
+//     for itself touches the transport: an unbatched broadcast costs n²−1
+//     messages, and in a group of three delivery is two hops from it.
 //  4. When the sequencer is suspected, the next member (round-robin by epoch)
 //     takes over: it gathers the known orders and pending payloads from a
 //     majority, adopts the highest-epoch order for every sequence number,
@@ -31,10 +40,12 @@
 //     is only ever done behind work that is already pending.  A DATA message
 //     holds up to maxBatch payloads.
 //   - The sequencer answers DATA with one ORDER assigning a contiguous
-//     sequence range.  An idle sequencer assigns on the router thread
-//     (cut-through); behind a backlog a dedicated goroutine assigns, so
-//     assignment of one batch overlaps decoding of the next and back-to-back
-//     DATA batches coalesce into one wider ORDER.
+//     sequence range; assigning a range and announcing it are one serial
+//     step, so every link carries its ORDERs in sequence order.  An idle
+//     sequencer assigns on the thread that brought the payloads
+//     (cut-through); otherwise a dedicated goroutine assigns, so assignment
+//     of one batch overlaps decoding of the next and back-to-back DATA
+//     batches coalesce into one wider ORDER.
 //   - Members acknowledge a whole range with one ACK and merge contiguous
 //     ranges while more ORDERs are known to be imminent.
 //
@@ -162,7 +173,8 @@ type Stats struct {
 	Ordered    uint64
 	EpochJumps uint64
 	// MsgsSent counts point-to-point protocol messages handed to the router
-	// (the denominator of the batching win: fewer sends per broadcast).
+	// (the denominator of the batching win: fewer sends per broadcast); a
+	// fan-out counts the other members, nothing is addressed to self.
 	MsgsSent uint64
 	// DataBatches counts DATA messages sent by this member;
 	// Broadcast/DataBatches is the achieved mean batch size.
@@ -171,8 +183,9 @@ type Stats struct {
 	// (initiated or adopted) — epoch changes that did NOT go through the
 	// suspicion/gather takeover, which EpochJumps keeps counting.
 	Rotations uint64
-	// AckSends counts ACK messages this member emitted (each fans out to all
-	// members); Ordered/AckSends is the achieved mean merge width.
+	// AckSends counts ACK messages this member emitted (each fans out to the
+	// other members; a sequencer emits none for its own ORDERs).  Over the
+	// group, Ordered/AckSends is the achieved mean merge width.
 	AckSends uint64
 	// NacksSent counts retransmission requests this member emitted after an
 	// order-without-data stall outlived the bounded NackDelay wait.
@@ -288,13 +301,14 @@ type Broadcaster struct {
 	stallSeq  uint64 // order-without-data stall seen at the previous check
 	retryMark uint64 // own counters <= this were already sent at the previous check
 
-	// Sequencer state (sequencer.go): behind a backlog DATA batches queue here
-	// and a dedicated goroutine assigns ORDER ranges, overlapping with
-	// router-side decoding.
+	// Sequencer state (sequencer.go).  orderMu (taken before mu) is held from
+	// the assignment of a range until its ORDER — and HANDOFF — is on every
+	// link.  Payloads arriving meanwhile, or behind a backlog, queue in orderQ
+	// and a dedicated goroutine assigns them, overlapping with decoding.
+	orderMu   sync.Mutex
 	orderQ    []dataEntry
 	orderKick chan struct{} // cap 1, nudges orderLoop
 	orderStop chan struct{} // closed by Close
-	orderBusy bool          // orderLoop is assigning/sending a drained batch
 
 	// ACK coalescing state (member.go): contiguous same-epoch ORDER ranges
 	// merge into one pending ACK, flushed by adjacency break, size, the
@@ -312,9 +326,9 @@ type Broadcaster struct {
 	ackSends    atomic.Uint64
 	cursor      atomic.Uint64 // mirror of nextDeliver
 
-	// deliverMu serialises tryDeliver: the router thread, the ordering
-	// goroutine and the timers all deliver, and the channel must receive the
-	// total order in order.
+	// deliverMu serialises tryDeliver: the router thread, broadcasting
+	// callers, the ordering goroutine and the timers all deliver, and the
+	// channel must receive the total order in order.
 	deliverMu  sync.Mutex
 	ready      []Delivery // scratch, under deliverMu
 	deliveries chan Delivery
@@ -449,32 +463,38 @@ func (b *Broadcaster) Close() {
 
 func (b *Broadcaster) majority() int { return len(b.cfg.Members)/2 + 1 }
 
+// selfBit is this member's bit in a record's voters mask.
+func (b *Broadcaster) selfBit() uint64 { return 1 << uint(b.self) }
+
 func (b *Broadcaster) sequencerFor(epoch uint64) string {
 	return b.cfg.Members[int(epoch)%len(b.cfg.Members)]
 }
 
+// sendAll sends m to the other members; a member's own steps are local.
 func (b *Broadcaster) sendAll(m transport.Message) {
-	b.msgsSent.Add(uint64(len(b.cfg.Members)))
-	for _, member := range b.cfg.Members {
-		_ = b.router.Send(member, m) // at-most-once transport: loss is the NACK timer's job
+	b.msgsSent.Add(uint64(len(b.cfg.Members) - 1))
+	for i, member := range b.cfg.Members {
+		if i != b.self {
+			_ = b.router.Send(member, m) // at-most-once transport: loss is the NACK timer's job
+		}
 	}
 }
 
-// sendData fans one DATA batch out to every member.
+// sendData fans one DATA batch out to the other members.
 func (b *Broadcaster) sendData(batch []dataEntry) {
 	b.dataBatches.Add(1)
 	b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
 }
 
-// sendAck fans an ACK out to every member, counting it for the coalescing
-// stats and stamping the sender's watermarks.
+// sendAck fans an ACK out to the other members, counting it for the
+// coalescing stats and stamping the sender's watermarks.
 func (b *Broadcaster) sendAck(a ackMsg) {
 	a.AppliedSeq, a.Cursor = b.advertisedSeq(), b.cursor.Load()
 	b.ackSends.Add(1)
 	b.sendAll(transport.Message{Type: MsgAck, Payload: encodeAck(a)})
 }
 
-// sendOrder fans an ORDER out to every member, stamping the sender's
+// sendOrder fans an ORDER out to the other members, stamping the sender's
 // watermarks.
 func (b *Broadcaster) sendOrder(o orderMsg) {
 	o.AppliedSeq, o.Cursor = b.advertisedSeq(), b.cursor.Load()
@@ -491,9 +511,9 @@ func (b *Broadcaster) advertisedSeq() uint64 {
 }
 
 // noteAdvert forwards a piggybacked applied-seq advertisement to the
-// configured hook, skipping our own loopback copies.
+// configured hook.
 func (b *Broadcaster) noteAdvert(from string, seq uint64) {
-	if seq == 0 || from == b.cfg.Self || b.cfg.OnPeerAdvert == nil {
+	if seq == 0 || b.cfg.OnPeerAdvert == nil {
 		return
 	}
 	b.cfg.OnPeerAdvert(from, seq)
@@ -504,7 +524,7 @@ func (b *Broadcaster) noteAdvert(from string, seq uint64) {
 // FIFO, and a recovered incarnation legitimately restarts below its
 // predecessor's cursor.
 func (b *Broadcaster) noteCursorLocked(from string, cursor uint64) {
-	if i, ok := b.member[from]; ok && i != b.self {
+	if i, ok := b.member[from]; ok {
 		b.cursors[i] = cursor
 	}
 }
@@ -522,7 +542,7 @@ func (b *Broadcaster) onMessage(m transport.Message) {
 		var o orderMsg
 		if decodeOrder(m.Payload, &o) == nil {
 			b.noteAdvert(m.From, o.AppliedSeq)
-			b.handleOrder(o)
+			b.handleOrder(o, m.From)
 		}
 	case MsgAck:
 		var a ackMsg
@@ -557,10 +577,10 @@ func (b *Broadcaster) onMessage(m transport.Message) {
 // and whose predecessors have all been delivered, then prunes the window.
 func (b *Broadcaster) tryDeliver() {
 	b.deliverMu.Lock()
-	defer b.deliverMu.Unlock()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		b.deliverMu.Unlock()
 		return
 	}
 	ready := b.ready[:0]
@@ -614,13 +634,15 @@ func (b *Broadcaster) tryDeliver() {
 	b.pruneLocked()
 	b.ready = ready
 	b.mu.Unlock()
-	if len(drained) > 0 {
-		b.sendData(drained)
-	}
 	for _, d := range ready {
 		b.deliveries <- d
 	}
 	clear(ready) // the scratch must not pin delivered payloads
+	b.deliverMu.Unlock()
+	if len(drained) > 0 {
+		b.mu.Lock() // deliverMu is released: at the sequencer, submitting delivers
+		b.submitLocked(drained)
+	}
 }
 
 func encode(v interface{}) []byte {

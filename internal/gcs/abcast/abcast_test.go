@@ -19,22 +19,7 @@ type node struct {
 
 func makeGroup(t *testing.T, net *transport.MemNetwork, addrs []string) []*node {
 	t.Helper()
-	nodes := make([]*node, 0, len(addrs))
-	for _, addr := range addrs {
-		ep := net.Endpoint(addr)
-		router := gcs.NewRouter(ep)
-		bc, err := New(Config{Self: addr, Members: addrs}, router)
-		if err != nil {
-			t.Fatal(err)
-		}
-		router.Start()
-		nodes = append(nodes, &node{addr: addr, router: router, bc: bc})
-		t.Cleanup(func() {
-			bc.Close()
-			router.Stop()
-		})
-	}
-	return nodes
+	return makeGroupCfg(t, net, addrs, nil)
 }
 
 func collect(t *testing.T, n *node, count int, timeout time.Duration) []Delivery {

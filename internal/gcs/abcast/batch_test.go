@@ -178,12 +178,12 @@ func TestPartiallyAckedBatchSurvivesFailover(t *testing.T) {
 		{MsgID: "s3/2", Payload: []byte("b")},
 		{MsgID: "s3/3", Payload: []byte("c")},
 	}
-	// s2 has the payloads and the batch order of epoch 0, acked only by
-	// itself and s3 (2 of 5 — a minority, nothing deliverable).
+	// s2 has the payloads and the batch order of epoch 0, stored only by the
+	// sequencer (the ORDER is its vote) and s2 itself (2 of 5 — a minority,
+	// nothing deliverable).
 	b.handleData(dataMsg{Entries: entries})
 	order := orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s3/1", "s3/2", "s3/3"}}
-	b.handleOrder(order)
-	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: order.MsgIDs}, "s3")
+	b.handleOrder(order, "s1")
 	select {
 	case d := <-b.Deliveries():
 		t.Fatalf("minority-acked batch must not deliver, got %+v", d)
@@ -202,11 +202,8 @@ func TestPartiallyAckedBatchSurvivesFailover(t *testing.T) {
 	b.handleState(stateMsg{Epoch: 1}, "s4")
 	b.handleState(stateMsg{Epoch: 1}, "s5")
 
-	// The re-announced epoch-1 order is acked by a majority (the router is
-	// not running, so s2's own loopback ack is injected by hand too).
-	reann := orderMsg{Epoch: 1, BaseSeq: 1, MsgIDs: order.MsgIDs}
-	b.handleOrder(reann)
-	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 1, MsgIDs: order.MsgIDs}, "s2")
+	// s2 voted for the adopted orders when it re-announced them under epoch
+	// 1; the votes of s3 and s4 arrive as ACKs and complete the majority.
 	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 1, MsgIDs: order.MsgIDs}, "s3")
 	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 1, MsgIDs: order.MsgIDs}, "s4")
 

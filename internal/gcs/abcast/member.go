@@ -1,9 +1,9 @@
 package abcast
 
-func (b *Broadcaster) handleOrder(o orderMsg) {
+func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 	b.mu.Lock()
-	if b.closed || len(o.MsgIDs) == 0 {
-		b.mu.Unlock()
+	if b.closed || len(o.MsgIDs) == 0 || from != b.sequencerFor(o.Epoch) {
+		b.mu.Unlock() // (an ORDER counts as the vote of its epoch's sequencer, nobody else's)
 		return
 	}
 	if o.Epoch < b.minOrderEpoch {
@@ -27,7 +27,7 @@ func (b *Broadcaster) handleOrder(o orderMsg) {
 		b.gathering = false
 		b.epochAssigned = 0
 	}
-	b.noteCursorLocked(b.sequencerFor(o.Epoch), o.Cursor)
+	b.noteCursorLocked(from, o.Cursor)
 	if o.BaseSeq+uint64(len(o.MsgIDs)) <= b.win.base {
 		// Wholly below the window: delivered everywhere, nothing to store or
 		// to acknowledge.
@@ -35,16 +35,20 @@ func (b *Broadcaster) handleOrder(o orderMsg) {
 		b.tryDeliver()
 		return
 	}
+	// Storing the assignment is this member's vote — cast after the floor
+	// check above, so before any promise — and the ORDER is the sequencer's.
+	votes := b.selfBit() | 1<<uint(b.member[from])
 	for i, id := range o.MsgIDs {
 		seq := o.BaseSeq + uint64(i)
 		if r := b.win.slot(seq); r != nil && b.placeLocked(seq, r, id, o.Epoch) {
-			b.orderLocked(seq, r)
+			b.orderLocked(seq, r, votes)
 		}
 	}
-	// One ACK acknowledges the whole range; contiguous same-epoch ranges merge
-	// into one pending ACK, sent when the window lapses, adjacency
-	// breaks, the merge grows past bound, or Close.  Under load this collapses
-	// the sequencer's ACK fan-in to one inbound message per delivery window.
+	// One ACK carries the vote for the whole range to the other members;
+	// contiguous same-epoch ranges merge into one pending ACK, sent when the
+	// window lapses, adjacency breaks, the merge grows past bound, or Close.
+	// Under load this collapses the sequencer's ACK fan-in to one inbound
+	// message per delivery window.
 	flush, nFlush := b.mergeAckLocked(ackMsg{Epoch: o.Epoch, BaseSeq: o.BaseSeq, MsgIDs: o.MsgIDs})
 	b.mu.Unlock()
 	for i := 0; i < nFlush; i++ {

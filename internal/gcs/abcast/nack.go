@@ -60,19 +60,19 @@ func (b *Broadcaster) checkStalls() {
 
 	var resend []dataEntry
 	own := false
+	sequencer := b.sequencerFor(b.epoch)
 	for id, p := range b.unordered {
 		prefix, n, ok := splitID(id)
 		if !ok || prefix != b.idPrefix {
 			continue
 		}
 		own = true
-		if n <= b.retryMark {
+		if n <= b.retryMark && sequencer != b.cfg.Self { // (a sequencer orders its own as it files them)
 			resend = append(resend, dataEntry{MsgID: id, Payload: p})
 		}
 	}
 	b.retryMark = b.localCounter
 	b.stats.Retransmits += uint64(len(resend))
-	sequencer := b.sequencerFor(b.epoch)
 
 	// Re-arm under the lock: a lost NACK, answer or re-send must be retried.
 	b.nackArmed = stall != 0 || own
@@ -94,9 +94,6 @@ func (b *Broadcaster) checkStalls() {
 // payload: a normal DATA message with the single entry, point-to-point to the
 // requester.  A request for a payload that has left the window is ignored.
 func (b *Broadcaster) handleNack(n nackMsg, from string) {
-	if from == b.cfg.Self {
-		return // our own fan-out looping back
-	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

@@ -12,10 +12,15 @@ import (
 // makeGroupCfg is makeGroup with per-node config knobs (beyond Self/Members).
 func makeGroupCfg(t *testing.T, net *transport.MemNetwork, addrs []string, tweak func(*Config)) []*node {
 	t.Helper()
+	return makeGroupOn(t, addrs, tweak, net.Endpoint)
+}
+
+// makeGroupOn is makeGroupCfg over caller-supplied endpoints.
+func makeGroupOn(t *testing.T, addrs []string, tweak func(*Config), endpoint func(addr string) transport.Endpoint) []*node {
+	t.Helper()
 	nodes := make([]*node, 0, len(addrs))
 	for _, addr := range addrs {
-		ep := net.Endpoint(addr)
-		router := gcs.NewRouter(ep)
+		router := gcs.NewRouter(endpoint(addr))
 		cfg := Config{Self: addr, Members: addrs}
 		if tweak != nil {
 			tweak(&cfg)

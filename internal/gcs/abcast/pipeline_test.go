@@ -305,9 +305,8 @@ func TestChainedRotationDuplicateSuppressed(t *testing.T) {
 	defer b.Close()
 
 	b.handleData(dataMsg{Entries: []dataEntry{{MsgID: "s2/0/1", Payload: []byte("x")}}})
-	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}})
-	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}, "s1")
-	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}, "s3")
+	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}, "s1")
+	b.handleAck(ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}, "s2")
 	select {
 	case d := <-b.Deliveries():
 		if d.Seq != 1 || d.MsgID != "s2/0/1" {
@@ -320,15 +319,13 @@ func TestChainedRotationDuplicateSuppressed(t *testing.T) {
 	// The epoch-1 rotation successor swept the same payload into seq 2 (its
 	// handoff arrived before the epoch-0 ORDER above).  The duplicate reaches
 	// stability: the cursor must pass it without a second emission.
-	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}})
+	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s2")
 	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s1")
-	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s3")
 
 	// A later message proves the cursor moved past the suppressed duplicate.
 	b.handleData(dataMsg{Entries: []dataEntry{{MsgID: "s1/0/9", Payload: []byte("y")}}})
-	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}})
+	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}}, "s2")
 	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}}, "s1")
-	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 3, MsgIDs: []string{"s1/0/9"}}, "s3")
 
 	select {
 	case d := <-b.Deliveries():
@@ -367,7 +364,7 @@ func TestCrashTakeoverVoidsOlderOrders(t *testing.T) {
 	}
 
 	// The pre-crash sequencer's ORDER arrives late: it must be void.
-	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 5, MsgIDs: []string{"s3/0/1"}})
+	b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 5, MsgIDs: []string{"s3/0/1"}}, "s1")
 	b.mu.Lock()
 	adopted := b.win.get(5)
 	b.mu.Unlock()

@@ -32,8 +32,7 @@ func (b *Broadcaster) Broadcast(payload []byte) (string, error) {
 		// the next wait).  Send the lone payload now; arrivals while it is in
 		// flight ride behind it and flush when its delivery drains the pipe.
 		b.inFlight++
-		b.mu.Unlock()
-		b.sendData([]dataEntry{{MsgID: msgID, Payload: payload}})
+		b.submitLocked([]dataEntry{{MsgID: msgID, Payload: payload}})
 		return msgID, nil
 	}
 
@@ -45,8 +44,7 @@ func (b *Broadcaster) Broadcast(payload []byte) (string, error) {
 	if len(b.sendBuf) >= maxBatch {
 		batch := b.takeBatchLocked()
 		b.inFlight += len(batch)
-		b.mu.Unlock()
-		b.sendData(batch)
+		b.submitLocked(batch)
 		return msgID, nil
 	}
 	if len(b.sendBuf) == 1 {
@@ -57,6 +55,24 @@ func (b *Broadcaster) Broadcast(payload []byte) (string, error) {
 	}
 	b.mu.Unlock()
 	return msgID, nil
+}
+
+// submitLocked hands a batch of this member's own payloads to the group; it
+// is called with mu held and releases it.  The payloads are filed locally, in
+// the caller's critical section, and the other members get one DATA message;
+// at the sequencer the batch then takes the same assignment path as remote
+// DATA, so its DATA is on every link before an ORDER can name it.
+func (b *Broadcaster) submitLocked(batch []dataEntry) {
+	if !b.closed {
+		for _, e := range batch {
+			b.storePayloadLocked(e.MsgID, e.Payload)
+		}
+	}
+	b.mu.Unlock()
+	b.sendData(batch) // also after Close: every id Broadcast returned reaches the network
+	b.mu.Lock()
+	b.sequenceLocked(batch)
+	b.tryDeliver() // a single-member group is its own majority
 }
 
 // adaptiveWaitLocked updates the sender's inter-arrival EWMA with the gap
@@ -121,8 +137,5 @@ func (b *Broadcaster) flushBatch() {
 	}
 	batch := b.takeBatchLocked()
 	b.inFlight += len(batch)
-	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.sendData(batch)
-	}
+	b.submitLocked(batch)
 }

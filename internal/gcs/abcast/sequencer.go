@@ -16,37 +16,44 @@ func (b *Broadcaster) handleData(d dataMsg) {
 	for _, e := range d.Entries {
 		b.storePayloadLocked(e.MsgID, e.Payload)
 	}
-	if b.sequencerFor(b.epoch) != b.cfg.Self || b.gathering {
+	b.sequenceLocked(d.Entries)
+	b.tryDeliver()
+}
+
+// sequenceLocked orders payloads this member has just filed — remote DATA and
+// its own broadcasts alike — if it is the sequencer.  It is called with mu
+// held and releases it.
+func (b *Broadcaster) sequenceLocked(entries []dataEntry) {
+	if b.closed || b.gathering || b.sequencerFor(b.epoch) != b.cfg.Self {
 		b.mu.Unlock()
-		b.tryDeliver()
 		return
 	}
-	if len(b.orderQ) > 0 || b.orderBusy {
-		// Behind a backlog: park the batch for the ordering goroutine and
-		// return to decoding the next inbound message.  Assignment of this
-		// batch overlaps reception of the next, and back-to-back batches
-		// coalesce into one wider ORDER range when the loop drains them
-		// together.
-		b.orderQ = append(b.orderQ, d.Entries...)
+	if len(b.orderQ) > 0 || !b.orderMu.TryLock() {
+		// Behind a backlog, or while a range is being announced: park the
+		// batch for the ordering goroutine and return to decoding (or to the
+		// client).  Assignment of this batch overlaps the announcement of the
+		// previous one, and back-to-back batches coalesce into one wider
+		// ORDER range when the loop drains them together.
+		b.orderQ = append(b.orderQ, entries...)
 		b.mu.Unlock()
 		select {
 		case b.orderKick <- struct{}{}:
 		default:
 		}
-		b.tryDeliver()
 		return
 	}
-	// Cut-through: with no backlog and the loop idle, the queue hand-off is a
+	// Cut-through: with no backlog and the lane idle, the queue hand-off is a
 	// scheduler hop that would be pure added latency.
-	order, handoff, rotate := b.assignLocked(d.Entries)
+	order, handoff, rotate := b.assignLocked(entries)
 	b.mu.Unlock()
 	b.announce(order, handoff, rotate)
-	b.tryDeliver()
+	b.orderMu.Unlock()
 }
 
 // announce sends what assignLocked produced: the ORDER before the HANDOFF, so
 // per-link FIFO guarantees every member — the successor above all — sees this
-// epoch's final assignments before the handover.
+// epoch's final assignments before the handover.  The caller holds orderMu
+// since before the assignment, so no later range overtakes this one.
 func (b *Broadcaster) announce(order orderMsg, handoff handoffMsg, rotate bool) {
 	if len(order.MsgIDs) > 0 {
 		b.sendOrder(order)
@@ -57,15 +64,16 @@ func (b *Broadcaster) announce(order orderMsg, handoff handoffMsg, rotate bool) 
 }
 
 // assignSeqLocked gives id the next sequence number and records the order in
-// this sequencer's own window at once, so a duplicate copy of the payload
-// (a retransmission racing the ORDER's loopback) is never assigned twice.
+// this sequencer's own window at once — that is the sequencer's vote, which
+// the ORDER then carries to the other members — so a duplicate copy of the
+// payload (a retransmission) is never assigned twice.
 func (b *Broadcaster) assignSeqLocked(order *orderMsg, id string) {
 	if len(order.MsgIDs) == 0 {
 		*order = orderMsg{Epoch: b.epoch, MinEpoch: b.minOrderEpoch, BaseSeq: b.nextSeq}
 	}
 	order.MsgIDs = append(order.MsgIDs, id)
 	if r := b.win.slot(b.nextSeq); r != nil && b.placeLocked(b.nextSeq, r, id, b.epoch) {
-		b.orderLocked(b.nextSeq, r)
+		b.orderLocked(b.nextSeq, r, b.selfBit())
 	}
 	b.nextSeq++
 	b.stats.Ordered++
@@ -142,38 +150,33 @@ func (b *Broadcaster) orderLoop() {
 			return
 		case <-b.orderKick:
 		}
-		for {
-			b.mu.Lock()
-			if b.closed {
-				b.mu.Unlock()
-				return
-			}
-			if len(b.orderQ) == 0 {
-				b.mu.Unlock()
-				break
-			}
-			if b.gathering || b.sequencerFor(b.epoch) != b.cfg.Self {
-				// Lost the sequencer role between enqueue and drain.  Drop
-				// the queue: the payloads stay unordered everywhere, and
-				// whoever ordering fell to picks them up — a crash takeover
-				// sweeps them from the gather set, a planned successor sweeps
-				// its own at handoff or orders them at receipt.
-				b.orderQ = nil
-				b.mu.Unlock()
-				break
-			}
-			entries := b.orderQ
-			b.orderQ = nil
-			b.orderBusy = true
-			order, handoff, rotate := b.assignLocked(entries)
-			b.mu.Unlock()
-			b.announce(order, handoff, rotate)
-			b.mu.Lock()
-			b.orderBusy = false
-			b.mu.Unlock()
+		for b.drainOrderQ() {
 			b.tryDeliver()
 		}
 	}
+}
+
+// drainOrderQ assigns everything queued as one range and announces it; it
+// reports whether it ordered anything.
+func (b *Broadcaster) drainOrderQ() bool {
+	b.orderMu.Lock()
+	defer b.orderMu.Unlock()
+	b.mu.Lock()
+	entries := b.orderQ
+	b.orderQ = nil
+	if b.closed || len(entries) == 0 || b.gathering || b.sequencerFor(b.epoch) != b.cfg.Self {
+		// Lost the sequencer role between enqueue and drain: the queue is
+		// dropped.  The payloads stay unordered everywhere, and whoever
+		// ordering fell to picks them up — a crash takeover sweeps them from
+		// the gather set, a planned successor sweeps its own at handoff or
+		// orders them at receipt.
+		b.mu.Unlock()
+		return false
+	}
+	order, handoff, rotate := b.assignLocked(entries)
+	b.mu.Unlock()
+	b.announce(order, handoff, rotate)
+	return true
 }
 
 // handleHandoff installs a planned sequencer rotation.  The successor adopts
@@ -186,9 +189,11 @@ func (b *Broadcaster) orderLoop() {
 // message id at two sequence numbers; tryDeliver suppresses the second
 // emission, identically at every member.
 func (b *Broadcaster) handleHandoff(h handoffMsg) {
+	b.orderMu.Lock() // the sweep below is a range like any other
 	b.mu.Lock()
 	if b.closed || h.Epoch < b.epoch {
 		b.mu.Unlock()
+		b.orderMu.Unlock()
 		return
 	}
 	if h.Epoch > b.epoch {
@@ -212,5 +217,6 @@ func (b *Broadcaster) handleHandoff(h handoffMsg) {
 	if len(fresh.MsgIDs) > 0 {
 		b.sendOrder(fresh)
 	}
+	b.orderMu.Unlock()
 	b.tryDeliver()
 }

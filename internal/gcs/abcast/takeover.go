@@ -94,11 +94,6 @@ func (b *Broadcaster) snapshotStateLocked(epoch uint64) stateMsg {
 }
 
 func (b *Broadcaster) handleNewEpoch(ne newEpochMsg, from string) {
-	if from == b.cfg.Self {
-		// Our own take-over announcement looping back: the local state is
-		// already part of the gather set.
-		return
-	}
 	b.mu.Lock()
 	if b.closed || ne.Epoch < b.epoch {
 		b.mu.Unlock()
@@ -136,9 +131,11 @@ func (b *Broadcaster) handleState(st stateMsg, from string) {
 // some window it adopts the order with the highest epoch, re-announces the
 // adopted orders under the new epoch, and orders whatever is left unordered.
 func (b *Broadcaster) finishGather() {
+	b.orderMu.Lock() // the re-announcement goes out as one range: nothing assigned after it may overtake it
 	b.mu.Lock()
 	if !b.gathering || len(b.gatherFrom) < b.majority() {
 		b.mu.Unlock()
+		b.orderMu.Unlock()
 		return
 	}
 	b.gathering = false
@@ -182,7 +179,7 @@ func (b *Broadcaster) finishGather() {
 	for _, seq := range seqs {
 		s := adopted[seq]
 		if r := b.win.slot(seq); r != nil && b.placeLocked(seq, r, s.MsgID, b.epoch) {
-			b.orderLocked(seq, r)
+			b.orderLocked(seq, r, b.selfBit())
 		}
 		if n := len(reannounce); n > 0 && reannounce[n-1].BaseSeq+uint64(len(reannounce[n-1].MsgIDs)) == seq {
 			reannounce[n-1].MsgIDs = append(reannounce[n-1].MsgIDs, s.MsgID)
@@ -198,5 +195,6 @@ func (b *Broadcaster) finishGather() {
 	if len(fresh.MsgIDs) > 0 {
 		b.sendOrder(fresh)
 	}
+	b.orderMu.Unlock()
 	b.tryDeliver()
 }

@@ -18,7 +18,7 @@ type record struct {
 	id      string // message id placed here by an ORDER or, ahead of it, an ACK; "" = nothing known
 	epoch   uint64 // highest epoch that placed id here
 	payload []byte // nil until the DATA arrives
-	voters  uint64 // bitmask over member indices that acknowledged (seq, id)
+	voters  uint64 // bitmask over member indices known to have stored (seq, id)
 	ordered bool   // an ORDER (not only ACKs) placed id here
 }
 
@@ -178,9 +178,11 @@ func (b *Broadcaster) placeLocked(seq uint64, r *record, id string, epoch uint64
 
 // orderLocked marks the record of seq as ordered: it enters the id index (the
 // lowest sequence number wins when chained rotations assigned an id twice)
-// and claims the payload if the DATA arrived first.
-func (b *Broadcaster) orderLocked(seq uint64, r *record) {
+// and claims the payload if the DATA arrived first.  votes are the members
+// this proves to hold (seq, id): this one, and the sequencer of an ORDER.
+func (b *Broadcaster) orderLocked(seq uint64, r *record, votes uint64) {
 	r.ordered = true
+	r.voters |= votes
 	if first, ok := b.idx[r.id]; !ok || seq < first {
 		b.idx[r.id] = seq
 	}

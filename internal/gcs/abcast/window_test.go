@@ -121,9 +121,8 @@ func TestPrunedSequenceNumbersAreIgnored(t *testing.T) {
 	data := dataMsg{Entries: []dataEntry{{MsgID: "s2/0/1", Payload: []byte("x")}}}
 	order := orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{"s2/0/1"}}
 	ack := ackMsg{Epoch: 0, BaseSeq: 1, MsgIDs: order.MsgIDs, Cursor: 2}
-	b.handleData(data) // assigns sequence number 1
-	b.handleOrder(order)
-	for _, from := range addrs {
+	b.handleData(data) // assigns sequence number 1 and casts the sequencer's vote
+	for _, from := range addrs[1:] {
 		b.handleAck(ack, from)
 	}
 	select {
@@ -140,7 +139,7 @@ func TestPrunedSequenceNumbersAreIgnored(t *testing.T) {
 	before := b.Stats()
 
 	b.handleData(data)
-	b.handleOrder(order)
+	b.handleOrder(order, "s1")
 	b.handleAck(ack, "s2")
 	b.handleNack(nackMsg{Seq: 1, MsgID: "s2/0/1"}, "s3")
 

@@ -5,8 +5,10 @@
 package gcs
 
 import (
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"groupsafe/internal/gcs/transport"
 )
@@ -21,23 +23,32 @@ type Handler func(transport.Message)
 type Router struct {
 	ep transport.Endpoint
 
-	mu       sync.Mutex
+	// table is the immutable routing snapshot the dispatch loop reads without
+	// a lock, once per inbound message; Handle and HandleFallback swap in a
+	// new one under mu.
+	table   atomic.Pointer[routes]
+	mu      sync.Mutex
+	stopped chan struct{}
+	done    chan struct{}
+	started bool
+}
+
+// routes is one routing snapshot; it is never modified once published.
+type routes struct {
 	handlers map[string]Handler
 	fallback Handler
-	stopped  chan struct{}
-	done     chan struct{}
-	started  bool
 }
 
 // NewRouter creates a router over the endpoint.  Handle registrations must
 // happen before Start (or are picked up dynamically, both are safe).
 func NewRouter(ep transport.Endpoint) *Router {
-	return &Router{
-		ep:       ep,
-		handlers: make(map[string]Handler),
-		stopped:  make(chan struct{}),
-		done:     make(chan struct{}),
+	r := &Router{
+		ep:      ep,
+		stopped: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
+	r.table.Store(&routes{handlers: map[string]Handler{}})
+	return r
 }
 
 // Endpoint returns the underlying endpoint.
@@ -48,14 +59,17 @@ func (r *Router) Endpoint() transport.Endpoint { return r.ep }
 func (r *Router) Handle(prefix string, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.handlers[prefix] = h
+	old := r.table.Load()
+	next := &routes{handlers: maps.Clone(old.handlers), fallback: old.fallback}
+	next.handlers[prefix] = h
+	r.table.Store(next)
 }
 
 // HandleFallback registers a handler for messages that match no prefix.
 func (r *Router) HandleFallback(h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.fallback = h
+	r.table.Store(&routes{handlers: r.table.Load().handlers, fallback: h})
 }
 
 // Send transmits a message through the underlying endpoint.
@@ -91,19 +105,18 @@ func (r *Router) loop() {
 }
 
 func (r *Router) dispatch(m transport.Message) {
-	r.mu.Lock()
+	table := r.table.Load()
 	var best Handler
 	bestLen := -1
-	for prefix, h := range r.handlers {
+	for prefix, h := range table.handlers {
 		if strings.HasPrefix(m.Type, prefix) && len(prefix) > bestLen {
 			best = h
 			bestLen = len(prefix)
 		}
 	}
 	if best == nil {
-		best = r.fallback
+		best = table.fallback
 	}
-	r.mu.Unlock()
 	if best != nil {
 		best(m)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -40,10 +41,14 @@ type TCPEndpoint struct {
 	listener net.Listener
 	inbox    chan Message
 
+	// peers is a copy-on-write snapshot and closed an atomic, so the two
+	// per-message paths — Send's peer lookup and readLoop's closed check —
+	// take no lock; mu serialises the writers (first Send to a peer, Close)
+	// and guards inConns.
+	peers   atomic.Pointer[map[string]*tcpPeer]
+	closed  atomic.Bool
 	mu      sync.Mutex
-	peers   map[string]*tcpPeer
 	inConns map[net.Conn]struct{}
-	closed  bool
 	wg      sync.WaitGroup // accept loop and read loops
 
 	sent         atomic.Uint64
@@ -167,9 +172,9 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCPEndpoint, error) {
 		addr:     l.Addr().String(),
 		listener: l,
 		inbox:    make(chan Message, cfg.Inbox),
-		peers:    make(map[string]*tcpPeer),
 		inConns:  make(map[net.Conn]struct{}),
 	}
+	ep.peers.Store(&map[string]*tcpPeer{})
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
@@ -183,7 +188,7 @@ func (ep *TCPEndpoint) acceptLoop() {
 			return
 		}
 		ep.mu.Lock()
-		if ep.closed {
+		if ep.closed.Load() {
 			ep.mu.Unlock()
 			conn.Close()
 			return
@@ -233,10 +238,7 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 			}
 			return
 		}
-		ep.mu.Lock()
-		closed := ep.closed
-		ep.mu.Unlock()
-		if closed {
+		if ep.closed.Load() {
 			return
 		}
 		select {
@@ -273,24 +275,15 @@ func (ep *TCPEndpoint) Stats() TCPStats {
 // severely backlogged) fails fast with a *PeerError wrapping
 // ErrSendQueueFull — typed and retryable, never a silent drop.
 func (ep *TCPEndpoint) Send(to string, m Message) error {
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
+	if ep.closed.Load() {
 		return ErrClosed
 	}
-	p, ok := ep.peers[to]
-	if !ok {
-		p = &tcpPeer{
-			ep:    ep,
-			addr:  to,
-			queue: make(chan Message, ep.cfg.SendQueue),
-			stop:  make(chan struct{}),
-			done:  make(chan struct{}),
+	p := (*ep.peers.Load())[to]
+	if p == nil {
+		if p = ep.addPeer(to); p == nil {
+			return ErrClosed
 		}
-		ep.peers[to] = p
-		go p.loop()
 	}
-	ep.mu.Unlock()
 
 	m.From = ep.addr
 	m.To = to
@@ -303,19 +296,40 @@ func (ep *TCPEndpoint) Send(to string, m Message) error {
 	}
 }
 
+// addPeer starts the link to a peer on the first Send to it (nil once the
+// endpoint is closed) and publishes a new peers snapshot.
+func (ep *TCPEndpoint) addPeer(to string) *tcpPeer {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.closed.Load() {
+		return nil
+	}
+	old := *ep.peers.Load()
+	if p := old[to]; p != nil {
+		return p
+	}
+	p := &tcpPeer{
+		ep:    ep,
+		addr:  to,
+		queue: make(chan Message, ep.cfg.SendQueue),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	next := maps.Clone(old)
+	next[to] = p
+	ep.peers.Store(&next)
+	go p.loop()
+	return p
+}
+
 // Close implements Endpoint.
 func (ep *TCPEndpoint) Close() error {
 	ep.mu.Lock()
-	if ep.closed {
+	if ep.closed.Swap(true) {
 		ep.mu.Unlock()
 		return nil
 	}
-	ep.closed = true
-	peers := make([]*tcpPeer, 0, len(ep.peers))
-	for _, p := range ep.peers {
-		peers = append(peers, p)
-	}
-	ep.peers = make(map[string]*tcpPeer)
+	peers := *ep.peers.Swap(&map[string]*tcpPeer{})
 	for conn := range ep.inConns {
 		conn.Close()
 	}

@@ -24,8 +24,12 @@ import (
 //	str:       uvarint(len) bytes
 
 const (
-	tcpMagic   = "GSTP"
-	tcpVersion = 1
+	tcpMagic = "GSTP"
+	// tcpVersion changes whenever processes on the two sides of the change
+	// must not form a group, not only when the frame layout does.  2: the
+	// atomic broadcast counts an ORDER as its sequencer's vote and the
+	// sequencer sends no ACK; a version-1 member would wait for that ACK.
+	tcpVersion = 2
 
 	// maxFrameSize bounds one frame; a peer announcing more is treated as
 	// corrupt and disconnected (fail fast instead of allocating unbounded).
