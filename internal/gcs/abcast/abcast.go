@@ -23,7 +23,16 @@
 //     stops assigning in the critical section in which it answers a NEWEPOCH,
 //     so every STATE it can still send contains it.  No step a member takes
 //     for itself touches the transport: an unbatched broadcast costs n²−1
-//     messages, and in a group of three delivery is two hops from it.
+//     messages, and in a group of three delivery is two hops from it.  The
+//     ACK leaves at once for the members whose delivery can be waiting on the
+//     vote: the sequencer of the order's epoch, which holds only its own, and
+//     everybody when the ORDER and a member's own vote are no majority.  In a
+//     group of three they are one, so only the sequencer is told at once —
+//     3(n−1) = 6 prompt messages — and the third member up to delayCap later.
+//     A vote nobody waits on may be late because delivery counts assignments
+//     known to be *stored* and a takeover's gather reads the windows they are
+//     stored in, not who has been told: the late ACK is needed only for the
+//     watermarks it carries.
 //  4. When the sequencer is suspected, the next member (round-robin by epoch)
 //     takes over: it gathers the known orders and pending payloads from a
 //     majority, adopts the highest-epoch order for every sequence number,
@@ -47,7 +56,9 @@
 //     of one batch overlaps decoding of the next and back-to-back DATA
 //     batches coalesce into one wider ORDER.
 //   - Members acknowledge a whole range with one ACK and merge contiguous
-//     ranges while more ORDERs are known to be imminent.
+//     ranges: towards the members that can be waiting on the votes while more
+//     ORDERs are known to be imminent (at most ackWindow), towards the rest
+//     for delayCap, whatever arrives.
 //
 // Ordering, acknowledgement counting and delivery remain per (sequence,
 // message id) pair internally, so partial batches interleave and fail over
@@ -174,7 +185,7 @@ type Stats struct {
 	EpochJumps uint64
 	// MsgsSent counts point-to-point protocol messages handed to the router
 	// (the denominator of the batching win: fewer sends per broadcast); a
-	// fan-out counts the other members, nothing is addressed to self.
+	// fan-out counts the members it goes to, nothing is addressed to self.
 	MsgsSent uint64
 	// DataBatches counts DATA messages sent by this member;
 	// Broadcast/DataBatches is the achieved mean batch size.
@@ -183,8 +194,10 @@ type Stats struct {
 	// (initiated or adopted) — epoch changes that did NOT go through the
 	// suspicion/gather takeover, which EpochJumps keeps counting.
 	Rotations uint64
-	// AckSends counts ACK messages this member emitted (each fans out to the
-	// other members; a sequencer emits none for its own ORDERs).  Over the
+	// AckSends counts ACK messages this member emitted, once each whether the
+	// ACK goes to one member or to all the others: in a group of three a vote
+	// is emitted twice, at once to the sequencer and merged over delayCap to
+	// the third member (a sequencer emits none for its own ORDERs).  Over the
 	// group, Ordered/AckSends is the achieved mean merge width.
 	AckSends uint64
 	// NacksSent counts retransmission requests this member emitted after an
@@ -311,12 +324,10 @@ type Broadcaster struct {
 	orderStop chan struct{} // closed by Close
 
 	// ACK coalescing state (member.go): contiguous same-epoch ORDER ranges
-	// merge into one pending ACK, flushed by adjacency break, size, the
-	// window timer, or Close.
-	ackPend      ackMsg
-	ackPendValid bool
-	ackTimer     *time.Timer
-	ackArmed     bool
+	// merge into one pending ACK per audience, flushed by adjacency break,
+	// size, its window timer, or Close.
+	ackPend pendingAck // for the members whose delivery can be waiting on the vote
+	ackLazy pendingAck // for the rest
 
 	// Send-path counters and the advertised cursor are atomic so the send
 	// helpers do not need to re-acquire mu (they run on every protocol
@@ -371,6 +382,8 @@ func New(cfg Config, router *gcs.Router) (*Broadcaster, error) {
 		orderStop:   make(chan struct{}),
 		deliveries:  make(chan Delivery, deliveryBuffer),
 		idPrefix:    cfg.Self + "/" + strconv.FormatUint(cfg.Incarnation, 10) + "/",
+		ackPend:     pendingAck{window: ackWindow},
+		ackLazy:     pendingAck{window: delayCap, lazy: true},
 	}
 	b.cursor.Store(1)
 	go b.orderLoop()
@@ -446,7 +459,8 @@ func (b *Broadcaster) Close() {
 		return
 	}
 	batch := b.takeBatchLocked()
-	ack, haveAck := b.takeAckLocked()
+	ack, haveAck := b.ackPend.take()
+	lazy, haveLazy := b.ackLazy.take()
 	b.closed = true
 	if b.nackTimer != nil {
 		b.nackTimer.Stop()
@@ -457,7 +471,10 @@ func (b *Broadcaster) Close() {
 		b.sendData(batch)
 	}
 	if haveAck {
-		b.sendAck(ack)
+		b.sendAck(ack, false)
+	}
+	if haveLazy {
+		b.sendAck(lazy, true)
 	}
 }
 
@@ -486,12 +503,24 @@ func (b *Broadcaster) sendData(batch []dataEntry) {
 	b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
 }
 
-// sendAck fans an ACK out to the other members, counting it for the
-// coalescing stats and stamping the sender's watermarks.
-func (b *Broadcaster) sendAck(a ackMsg) {
+// sendAck sends an ACK, counting it for the coalescing stats and stamping the
+// sender's watermarks, to the members its votes are urgent for or, lazy, to
+// the rest.  A vote is urgent for a member whose delivery can be waiting on
+// it: the sequencer of the order's epoch, which holds only its own vote, and
+// everybody when the member's own vote and the ORDER — the sequencer's — fall
+// short of a majority.  A member that already holds a majority needs the vote
+// only for the watermarks it carries, and those can be a delayCap late.
+func (b *Broadcaster) sendAck(a ackMsg, lazy bool) {
 	a.AppliedSeq, a.Cursor = b.advertisedSeq(), b.cursor.Load()
 	b.ackSends.Add(1)
-	b.sendAll(transport.Message{Type: MsgAck, Payload: encodeAck(a)})
+	m := transport.Message{Type: MsgAck, Payload: encodeAck(a)}
+	sequencer, everybody := b.sequencerFor(a.Epoch), b.majority() > 2
+	for i, member := range b.cfg.Members {
+		if urgent := everybody || member == sequencer; i != b.self && urgent != lazy {
+			b.msgsSent.Add(1)
+			_ = b.router.Send(member, m) // at-most-once transport, like sendAll
+		}
+	}
 }
 
 // sendOrder fans an ORDER out to the other members, stamping the sender's

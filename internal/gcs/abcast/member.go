@@ -1,5 +1,7 @@
 package abcast
 
+import "time"
+
 func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 	b.mu.Lock()
 	if b.closed || len(o.MsgIDs) == 0 || from != b.sequencerFor(o.Epoch) {
@@ -44,82 +46,94 @@ func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 			b.orderLocked(seq, r, votes)
 		}
 	}
-	// One ACK carries the vote for the whole range to the other members;
-	// contiguous same-epoch ranges merge into one pending ACK, sent when the
-	// window lapses, adjacency breaks, the merge grows past bound, or Close.
-	// Under load this collapses the sequencer's ACK fan-in to one inbound
-	// message per delivery window.
-	flush, nFlush := b.mergeAckLocked(ackMsg{Epoch: o.Epoch, BaseSeq: o.BaseSeq, MsgIDs: o.MsgIDs})
+	// One ACK carries the vote for the whole range, and contiguous same-epoch
+	// ranges merge into one pending ACK per audience (see sendAck).  For the
+	// members that can be waiting on the vote, holding it buys a wider merge
+	// only while more ORDERs are known to be imminent — some received payload
+	// still lacks an order; otherwise it would stall delivery by the window
+	// for nothing.  Under load this collapses the sequencer's ACK fan-in to
+	// one inbound message per delivery window.
+	ack := ackMsg{Epoch: o.Epoch, BaseSeq: o.BaseSeq, MsgIDs: o.MsgIDs}
+	prompt, nPrompt := b.mergeAckLocked(&b.ackPend, ack, len(b.unordered) > 0)
+	var lazy [2]ackMsg
+	nLazy := 0
+	if b.majority() <= 2 && len(b.cfg.Members) > 2 {
+		// A third member holds a majority without this vote: it is told when
+		// the lazy window lapses, whatever arrives meanwhile.
+		lazy, nLazy = b.mergeAckLocked(&b.ackLazy, ack, true)
+	}
 	b.mu.Unlock()
-	for i := 0; i < nFlush; i++ {
-		b.sendAck(flush[i])
+	for i := 0; i < nPrompt; i++ {
+		b.sendAck(prompt[i], false)
+	}
+	for i := 0; i < nLazy; i++ {
+		b.sendAck(lazy[i], true)
 	}
 	b.tryDeliver()
 }
 
-// mergeAckLocked folds ack into the pending merged ACK and returns the ACKs
-// to send now (at most two: a displaced non-contiguous pend plus the merged
-// one).  The merge flushes immediately unless more ORDERs are known to be
-// imminent — some received payload still lacks an order — because only then
-// does holding the ACK buy a wider merge; otherwise waiting would stall
-// delivery by the window for nothing.  While holding, the window timer
-// bounds the wait.
-func (b *Broadcaster) mergeAckLocked(ack ackMsg) (flush [2]ackMsg, n int) {
-	if b.ackPendValid && b.ackPend.Epoch == ack.Epoch && b.ackPend.BaseSeq+uint64(len(b.ackPend.MsgIDs)) == ack.BaseSeq {
-		b.ackPend.MsgIDs = append(b.ackPend.MsgIDs, ack.MsgIDs...)
+// pendingAck accumulates the votes for contiguous same-epoch ORDER ranges
+// into one ACK for one audience: the members a vote is urgent for, or (lazy)
+// the rest.  window bounds how long a vote waits in it.
+type pendingAck struct {
+	lazy   bool
+	window time.Duration
+	ack    ackMsg
+	valid  bool
+	timer  *time.Timer
+	armed  bool
+}
+
+// mergeAckLocked folds ack into p and returns the ACKs to send now (at most
+// two: a pending range that ack does not continue, and the merged one unless
+// hold is set and it is still below ackMergeBound).  While p holds an ACK its
+// window timer bounds the wait.
+func (b *Broadcaster) mergeAckLocked(p *pendingAck, ack ackMsg, hold bool) (flush [2]ackMsg, n int) {
+	if p.valid && p.ack.Epoch == ack.Epoch && p.ack.BaseSeq+uint64(len(p.ack.MsgIDs)) == ack.BaseSeq {
+		p.ack.MsgIDs = append(p.ack.MsgIDs, ack.MsgIDs...)
 	} else {
-		if out, ok := b.takeAckLocked(); ok {
+		if out, ok := p.take(); ok {
 			flush[n] = out
 			n++
 		}
-		b.ackPend = ack
-		b.ackPendValid = true
+		p.ack, p.valid = ack, true
 	}
-
-	if len(b.unordered) == 0 || len(b.ackPend.MsgIDs) >= ackMergeBound {
-		// Every payload held already has its order, so no follow-up ORDER is
-		// imminent and holding the ACK would stall delivery by the window for
-		// no merge gain.
-		if out, ok := b.takeAckLocked(); ok {
-			flush[n] = out
-			n++
-		}
-		return flush, n
+	if !hold || len(p.ack.MsgIDs) >= ackMergeBound {
+		flush[n], _ = p.take()
+		return flush, n + 1
 	}
-
-	if !b.ackArmed {
-		b.ackArmed = true
-		rearm(&b.ackTimer, ackWindow, b.flushAck)
+	if !p.armed {
+		p.armed = true
+		rearm(&p.timer, p.window, func() { b.flushAck(p) })
 	}
 	return flush, n
 }
 
-// takeAckLocked detaches the pending merged ACK and disarms its timer.
-func (b *Broadcaster) takeAckLocked() (ackMsg, bool) {
-	if !b.ackPendValid {
+// take detaches the pending ACK and disarms its timer.
+func (p *pendingAck) take() (ackMsg, bool) {
+	if !p.valid {
 		return ackMsg{}, false
 	}
-	ack := b.ackPend
-	b.ackPend = ackMsg{}
-	b.ackPendValid = false
-	if b.ackArmed {
-		b.ackTimer.Stop()
-		b.ackArmed = false
+	ack := p.ack
+	p.ack, p.valid = ackMsg{}, false
+	if p.armed {
+		p.timer.Stop()
+		p.armed = false
 	}
 	return ack, true
 }
 
-// flushAck sends the pending merged ACK when its window expires.
-func (b *Broadcaster) flushAck() {
+// flushAck sends p's pending ACK when its window expires.
+func (b *Broadcaster) flushAck(p *pendingAck) {
 	b.mu.Lock()
-	if b.closed || !b.ackArmed {
+	if b.closed || !p.armed {
 		b.mu.Unlock()
 		return
 	}
-	ack, have := b.takeAckLocked()
+	ack, have := p.take()
 	b.mu.Unlock()
 	if have {
-		b.sendAck(ack)
+		b.sendAck(ack, p.lazy)
 	}
 }
 

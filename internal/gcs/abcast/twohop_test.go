@@ -21,6 +21,7 @@ type tap struct {
 
 	mu   sync.Mutex
 	sent []transport.Message
+	at   []time.Time // when sent[i] was handed over
 	hold func(transport.Message) bool
 	held []transport.Message
 }
@@ -32,7 +33,7 @@ func (tp *tap) Send(to string, m transport.Message) error {
 	}
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
-	tp.sent = append(tp.sent, m)
+	tp.sent, tp.at = append(tp.sent, m), append(tp.at, time.Now())
 	if tp.hold != nil && tp.hold(m) {
 		tp.held = append(tp.held, m)
 		return nil
@@ -56,6 +57,22 @@ func (tp *tap) log() []transport.Message {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	return append([]transport.Message(nil), tp.sent...)
+}
+
+// sentFrame is one entry of a tap's log.
+type sentFrame struct {
+	transport.Message
+	at time.Time
+}
+
+func (tp *tap) frames() []sentFrame {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	out := make([]sentFrame, len(tp.sent))
+	for i, m := range tp.sent {
+		out[i] = sentFrame{m, tp.at[i]}
+	}
+	return out
 }
 
 func isAck(m transport.Message) bool { return m.Type == MsgAck }
@@ -123,17 +140,23 @@ func groupAddrs(n int) []string {
 	return addrs
 }
 
-// TestUnbatchedBroadcastCostsNSquaredMinusOneFrames pins the message bill of
-// one broadcast, whoever the delegate is: n-1 DATA, n-1 ORDER and (n-1)² ACKs
-// — the sequencer's ORDER is its vote, so it acknowledges nothing — and never
-// a frame to self.
-func TestUnbatchedBroadcastCostsNSquaredMinusOneFrames(t *testing.T) {
+// TestUrgentFramesOfAnUnbatchedBroadcast pins the message bill of one
+// broadcast, whoever the delegate is: n-1 DATA, n-1 ORDER and (n-1)² ACKs — the
+// sequencer's ORDER is its vote, so it acknowledges nothing — and never a
+// frame to self.  Of five, every member waits on every vote and all n²-1
+// frames leave at once.  Of three, only the sequencer does: 3(n-1) = 6 frames
+// leave at once and the two ACKs between the non-sequencers a delayCap later.
+func TestUrgentFramesOfAnUnbatchedBroadcast(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			// (No retransmission timer: on a slow machine it would add a frame.)
 			nodes, taps := makeTappedGroup(t, transport.NewMemNetwork(), groupAddrs(n), func(cfg *Config) { cfg.NackDelay = time.Minute }, nil)
 			for _, delegate := range nodes { // nodes[0] is the sequencer
 				before, _ := sentByType(taps)
+				marks := make([]int, n)
+				for i, tp := range taps {
+					marks[i] = len(tp.log())
+				}
 				if _, err := delegate.bc.Broadcast([]byte("x")); err != nil {
 					t.Fatal(err)
 				}
@@ -145,6 +168,35 @@ func TestUnbatchedBroadcastCostsNSquaredMinusOneFrames(t *testing.T) {
 				time.Sleep(20 * time.Millisecond) // a surplus frame would follow at once
 				if got, _ := sentByType(taps); got != want {
 					t.Fatalf("delegate %s: the broadcast cost %d frames, want n²-1 = %d", delegate.addr, got-before, n*n-1)
+				}
+				if n != 3 {
+					continue
+				}
+				// The ORDER reaches a member before the member arms the window
+				// of its lazy ACK, so the gap below is a floor no scheduling
+				// can undercut; the prompt frames have no such ceiling.
+				ordered := make(map[string]time.Time) // by recipient
+				var lazy []sentFrame
+				prompt := 0
+				for i, tp := range taps {
+					for _, f := range tp.frames()[marks[i]:] {
+						switch {
+						case f.Type == MsgOrder:
+							ordered[f.To] = f.at
+						case f.Type == MsgAck && f.To != nodes[0].addr:
+							lazy = append(lazy, f)
+							continue
+						}
+						prompt++
+					}
+				}
+				if prompt != 6 || len(lazy) != 2 {
+					t.Fatalf("delegate %s: %d prompt frames and %d ACKs between non-sequencers, want 6 and 2", delegate.addr, prompt, len(lazy))
+				}
+				for _, f := range lazy {
+					if gap := f.at.Sub(ordered[f.From]); gap < delayCap {
+						t.Fatalf("delegate %s: the ACK %s→%s left %v after the ORDER it answers, want at least delayCap", delegate.addr, f.From, f.To, gap)
+					}
 				}
 			}
 			_, byType := sentByType(taps)
@@ -158,8 +210,14 @@ func TestUnbatchedBroadcastCostsNSquaredMinusOneFrames(t *testing.T) {
 			if total, _ := sentByType(taps); counted != uint64(total) {
 				t.Fatalf("Stats.MsgsSent sums to %d, the transport saw %d", counted, total)
 			}
-			if got := nodes[0].bc.Stats().AckSends; got != 0 {
-				t.Fatalf("the sequencer sent %d ACKs", got)
+			emissions := uint64(n) // one per ORDER, and of three a lazy one beside it
+			if n == 3 {
+				emissions = 2 * 3
+			}
+			for i, nd := range nodes {
+				if got := nd.bc.Stats().AckSends; i == 0 && got != 0 || i > 0 && got != emissions {
+					t.Fatalf("%s emitted %d ACKs, want none from the sequencer and %d from everybody else", nd.addr, got, emissions)
+				}
 			}
 		})
 	}
@@ -301,52 +359,77 @@ func TestOrderFromNonSequencerIsIgnored(t *testing.T) {
 // neither the ORDER nor the delegate's ACK, and then the sequencer crashes.
 // Whichever survivor sequences next, the gather finds the assignment in the
 // delegate's window, and the third member delivers the same id at the same
-// sequence number.
+// sequence number.  In the lazy variants a prefix has been delivered everywhere
+// and the survivors have not heard of each other's votes for it either: a vote
+// is a stored order, which the gather reads from the windows, whoever has been
+// told of it by then — and the votes of the dead epoch may still arrive after
+// the takeover.
 func TestUniformAgreementAcrossTakeover(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		delegate int // index into the member list; the other survivor is the third member
+		prefix   int // broadcasts delivered everywhere beforehand, their lazy ACKs pending
 	}{
-		{"delegate sequences next", 1},
-		{"third member sequences next", 2},
+		{"delegate sequences next", 1, 0},
+		{"third member sequences next", 2, 0},
+		{"delegate sequences next, lazy votes pending", 1, 5},
+		{"third member sequences next, lazy votes pending", 2, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := transport.NewMemNetwork()
 			addrs := groupAddrs(3)
-			nodes, taps := makeTappedGroup(t, net, addrs, nil, nil)
+			// Between the survivors no vote of the sequencer's epoch gets through
+			// until the takeover is over.
+			nodes, taps := makeTappedGroup(t, net, addrs, nil, func(m transport.Message) bool {
+				var a ackMsg
+				return isAck(m) && m.To != "s1" && decodeAck(m.Payload, &a) == nil && a.Epoch == 0
+			})
 			delegate, third := nodes[tc.delegate], nodes[3-tc.delegate]
+			for i := 0; i < tc.prefix; i++ {
+				if _, err := nodes[i%3].bc.Broadcast([]byte("prefix")); err != nil {
+					t.Fatal(err)
+				}
+				for _, nd := range nodes {
+					collect(t, nd, 1, 2*time.Second)
+				}
+			}
+			first := uint64(tc.prefix + 1)
 			net.BlockLink("s1", third.addr) // the sequencer's ORDER never reaches the third member
-			dtap := taps[tc.delegate]
-			dtap.mu.Lock()
-			dtap.hold = func(m transport.Message) bool { return m.Type == MsgAck && m.To == third.addr }
-			dtap.mu.Unlock()
 
 			id, err := delegate.bc.Broadcast([]byte("uniform"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := collect(t, delegate, 1, 2*time.Second)[0]; d.Seq != 1 || d.MsgID != id {
+			if d := collect(t, delegate, 1, 2*time.Second)[0]; d.Seq != first || d.MsgID != id {
 				t.Fatalf("delegate delivered %+v", d)
 			}
 			expectNoDelivery(t, third, 20*time.Millisecond, "it has no ORDER")
 
 			net.Crash("s1")
-			dtap.mu.Lock()
-			dtap.hold, dtap.held = nil, nil // the old ACK is lost for good
-			dtap.mu.Unlock()
 			delegate.bc.Suspect("s1")
 			third.bc.Suspect("s1")
 
-			if d := collect(t, third, 1, 5*time.Second)[0]; d.Seq != 1 || d.MsgID != id {
-				t.Fatalf("third member delivered %+v, the delegate had delivered %s at seq 1", d, id)
+			if d := collect(t, third, 1, 5*time.Second)[0]; d.Seq != first || d.MsgID != id {
+				t.Fatalf("third member delivered %+v, the delegate had delivered %s at seq %d", d, id, first)
+			}
+			// The dead epoch's votes — the prefix's, and the delegate's for the
+			// order the third member never saw — arrive now, or never.
+			for _, tp := range taps {
+				if tc.prefix > 0 {
+					tp.release()
+				} else {
+					tp.mu.Lock()
+					tp.hold, tp.held = nil, nil
+					tp.mu.Unlock()
+				}
 			}
 			// Numbering resumes above the adopted assignment at both survivors.
 			if _, err := third.bc.Broadcast([]byte("next")); err != nil {
 				t.Fatal(err)
 			}
 			for _, nd := range []*node{delegate, third} {
-				if d := collect(t, nd, 1, 5*time.Second)[0]; d.Seq != 2 || string(d.Payload) != "next" {
-					t.Fatalf("%s delivered %+v after the takeover, want \"next\" at seq 2", nd.addr, d)
+				if d := collect(t, nd, 1, 5*time.Second)[0]; d.Seq != first+1 || string(d.Payload) != "next" {
+					t.Fatalf("%s delivered %+v after the takeover, want \"next\" at seq %d", nd.addr, d, first+1)
 				}
 			}
 		})

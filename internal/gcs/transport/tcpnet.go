@@ -67,8 +67,10 @@ type TCPConfig struct {
 	// complete within it declares the connection dead (default 3s).
 	WriteTimeout time.Duration
 	// ReadIdleTimeout closes an inbound connection that has been silent for
-	// this long (default 5 minutes; clusters running a failure detector
-	// heartbeat far more often).  Negative disables the idle deadline.
+	// 0.75 to 1 times this long — the deadline moves at most once per quarter
+	// of it, not with every frame (default 5 minutes; clusters running a
+	// failure detector heartbeat far more often).  Negative disables the idle
+	// deadline.
 	ReadIdleTimeout time.Duration
 	// ReconnectMin/ReconnectMax bound the exponential redial backoff
 	// (defaults 20ms and 1s); actual sleeps are jittered ±50%.
@@ -225,13 +227,18 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 
 	r := bufio.NewReaderSize(conn, 64<<10)
 	var scratch []byte
+	var m Message       // the previous frame
+	var armed time.Time // when the idle deadline was last moved
 	for {
-		if ep.cfg.ReadIdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(ep.cfg.ReadIdleTimeout))
+		if idle := ep.cfg.ReadIdleTimeout; idle > 0 {
+			// Not per frame: a deadline at most a quarter stale is as good.
+			if now := time.Now(); now.Sub(armed) >= idle/4 {
+				conn.SetReadDeadline(now.Add(idle))
+				armed = now
+			}
 		}
-		var m Message
 		var err error
-		m, scratch, err = readFrame(r, scratch)
+		m, scratch, err = readFrame(r, scratch, m)
 		if err != nil {
 			if errors.Is(err, errFrameTooLarge) || errors.Is(err, errBadFrame) {
 				ep.cfg.logf("transport %s: closing connection from %s: %v", ep.addr, conn.RemoteAddr(), err)

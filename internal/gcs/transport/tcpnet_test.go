@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -274,16 +275,85 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 	}
 	r := bufio.NewReader(bytes.NewReader(buf))
 	var scratch []byte
+	var got Message
 	for i, want := range msgs {
-		var got Message
 		var err error
-		got, scratch, err = readFrame(r, scratch)
+		got, scratch, err = readFrame(r, scratch, got)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if got.Type != want.Type || got.From != want.From || got.To != want.To || string(got.Payload) != string(want.Payload) {
 			t.Fatalf("frame %d round-trip mismatch", i)
 		}
+	}
+}
+
+// TestTCPReadFrameSharesRepeatedStrings: behind a frame with the same Type,
+// From and To, a frame costs one allocation, its payload.
+func TestTCPReadFrameSharesRepeatedStrings(t *testing.T) {
+	frame := appendFrame(nil, Message{Type: "ab.order", From: "127.0.0.1:7001", To: "127.0.0.1:7002", Payload: []byte("p")})
+	src := bytes.NewReader(frame)
+	r := bufio.NewReader(src)
+	var scratch []byte
+	var m Message
+	read := func() {
+		src.Reset(frame)
+		r.Reset(src)
+		var err error
+		if m, scratch, err = readFrame(r, scratch, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs > 1 {
+		t.Fatalf("a repeated frame costs %v allocations, want 1", allocs)
+	}
+	if m.Type != "ab.order" || m.From != "127.0.0.1:7001" || m.To != "127.0.0.1:7002" || string(m.Payload) != "p" {
+		t.Fatalf("decoded %+v", m)
+	}
+}
+
+// TestTCPIdleConnectionIsClosed: the idle deadline is moved once per quarter
+// of ReadIdleTimeout, not per frame, so a connection that falls silent is
+// closed 0.75 to 1 times the timeout after its last frame — and never while
+// frames keep coming, however long.
+func TestTCPIdleConnectionIsClosed(t *testing.T) {
+	const idle = 400 * time.Millisecond
+	ep, err := ListenTCPConfig("127.0.0.1:0", TCPConfig{ReadIdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	conn, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := readHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	frame := appendFrame(nil, Message{Type: "t", From: "x", To: ep.Addr()})
+	var last time.Time
+	for start := time.Now(); time.Since(start) < 2*idle; time.Sleep(idle / 16) {
+		last = time.Now()
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatalf("the connection broke %v into a steady stream: %v", time.Since(start), err)
+		}
+		select {
+		case <-ep.Recv():
+		case <-time.After(idle / 2):
+			t.Fatal("a frame of the steady stream did not arrive")
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * idle))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read on the silent connection: %v, want EOF from the endpoint closing it", err)
+	}
+	if silent := time.Since(last); silent < idle*3/4-idle/16 || silent > 3*idle {
+		t.Fatalf("closed %v after the last frame, want between 0.75 and 1 times %v", silent, idle)
 	}
 }
 

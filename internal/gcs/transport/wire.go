@@ -101,8 +101,10 @@ func uvarintLen(v uint64) int {
 }
 
 // readFrame reads one frame from r into a fresh Message.  The payload is
-// copied out of the read buffer, so the message may outlive the next read.
-func readFrame(r *bufio.Reader, scratch []byte) (Message, []byte, error) {
+// copied out of the read buffer, so the message may outlive the next read; a
+// string field equal to the one in prev, the connection's previous frame,
+// shares it — From and To never change on a connection and Type seldom does.
+func readFrame(r *bufio.Reader, scratch []byte, prev Message) (Message, []byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return Message{}, scratch, err
@@ -119,24 +121,27 @@ func readFrame(r *bufio.Reader, scratch []byte) (Message, []byte, error) {
 	}
 	var m Message
 	pos := 0
-	next := func() (string, bool) {
+	next := func(prev string) (string, bool) {
 		l, n := binary.Uvarint(body[pos:])
 		if n <= 0 || l > uint64(len(body)-pos-n) {
 			return "", false
 		}
 		pos += n
-		s := string(body[pos : pos+int(l)])
+		s := body[pos : pos+int(l)]
 		pos += int(l)
-		return s, true
+		if string(s) == prev { // (compares in place)
+			return prev, true
+		}
+		return string(s), true
 	}
 	var ok bool
-	if m.Type, ok = next(); !ok {
+	if m.Type, ok = next(prev.Type); !ok {
 		return Message{}, scratch, errBadFrame
 	}
-	if m.From, ok = next(); !ok {
+	if m.From, ok = next(prev.From); !ok {
 		return Message{}, scratch, errBadFrame
 	}
-	if m.To, ok = next(); !ok {
+	if m.To, ok = next(prev.To); !ok {
 		return Message{}, scratch, errBadFrame
 	}
 	plen, n := binary.Uvarint(body[pos:])

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"net"
 	"sync"
 	"time"
@@ -11,8 +12,9 @@ import (
 
 // This file is the client-facing half of the server: the accept loop and the
 // per-connection protocol handlers for gsdb.Dial clients.  One connection
-// multiplexes concurrent requests by correlation ID; each request runs in its
-// own goroutine so a slow very-safe commit never blocks a local read.
+// multiplexes concurrent requests by correlation ID; each request runs on a
+// goroutine of its own — a parked worker of the connection when one is free, a
+// new one otherwise — so a slow very-safe commit never blocks a local read.
 
 const clientHandshakeTimeout = 5 * time.Second
 
@@ -22,7 +24,7 @@ func (s *Server) acceptLoop() {
 		conn, err := s.clientLn.Accept()
 		if err != nil {
 			select {
-			case <-s.stop:
+			case <-s.ctx.Done():
 				return
 			default:
 			}
@@ -71,12 +73,30 @@ func (s *Server) serveClient(conn net.Conn) {
 		}
 	}
 
+	// A worker that has answered parks on work and takes the next frame with
+	// the stack it has already grown; the channel is unbuffered, so a frame is
+	// handed over only to a worker that is waiting and never queues behind a
+	// request in progress.  Workers end when the connection does.
+	work := make(chan netproto.Frame)
+	defer close(work)
+	worker := func(f netproto.Frame) {
+		defer s.wg.Done()
+		s.handleFrame(f, reply)
+		for f := range work {
+			s.handleFrame(f, reply)
+		}
+	}
 	for {
 		f, err := netproto.ReadFrame(br)
 		if err != nil {
 			return // client went away (or shutdown closed the conn)
 		}
-		go s.handleFrame(f, reply)
+		select {
+		case work <- f:
+		default:
+			s.wg.Add(1)
+			go worker(f)
+		}
 	}
 }
 
@@ -88,7 +108,7 @@ func (s *Server) handleFrame(f netproto.Frame, reply func(netproto.Frame)) {
 			reply(netproto.Frame{CorrID: f.CorrID, Type: netproto.MsgError, Payload: netproto.AppendError(nil, err)})
 			return
 		}
-		ctx, cancel := s.ctxForRequest()
+		ctx, cancel := context.WithTimeout(s.ctx, s.cfg.ExecTimeout)
 		res, err := s.replica.Execute(ctx, req)
 		cancel()
 		if err != nil {

@@ -110,8 +110,11 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	stop chan struct{}
-	wg   sync.WaitGroup // client handlers + accept loop + resync loop
+	// ctx is the server's lifetime and the parent of every request's context:
+	// Close cancels it, which stops the loops and fails the Executes in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup // client handlers and their workers + accept loop + resync loop
 }
 
 // Start builds and runs a server process: it opens (replaying) the WAL,
@@ -139,8 +142,8 @@ func Start(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		conns: make(map[net.Conn]struct{}),
-		stop:  make(chan struct{}),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	s.node = transport.NewTCPNode(transport.TCPConfig{Logf: cfg.Logf})
 	if _, err := s.node.Listen(cfg.ID); err != nil {
@@ -306,7 +309,7 @@ func (s *Server) resyncLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 			now := s.replica.LastAppliedSeq()
@@ -330,12 +333,12 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 
-	close(s.stop)
+	s.cancel()
 	if s.clientLn != nil {
 		s.clientLn.Close()
 	}
 	// Drain: client handlers exit on their own (their reads fail once the
-	// peer closes, their Executes are bounded by ExecTimeout) — but nudge
+	// peer closes, their Executes were cancelled just above) — but nudge
 	// them by closing the connections, then wait.
 	s.mu.Lock()
 	for c := range s.conns {
@@ -389,18 +392,4 @@ func bumpIncarnation(path string) (uint64, error) {
 		return 0, fmt.Errorf("server: install incarnation file: %w", err)
 	}
 	return n, nil
-}
-
-// ctxForRequest derives the per-request context: bounded by ExecTimeout and
-// cancelled by server shutdown.
-func (s *Server) ctxForRequest() (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.ExecTimeout)
-	go func() {
-		select {
-		case <-s.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
 }

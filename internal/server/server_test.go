@@ -42,13 +42,17 @@ func freePorts(t *testing.T, n int) []string {
 // sockets and file WALs) and returns them plus their peer addresses.
 func startCluster(t *testing.T, n int, level core.SafetyLevel) ([]*Server, []string) {
 	t.Helper()
-	peers := freePorts(t, n)
+	// One reservation for both kinds of listener: a client address picked
+	// with port 0 at start-up can be handed the peer port a later server has
+	// reserved and released.
+	ports := freePorts(t, 2*n)
+	peers, clients := ports[:n], ports[n:]
 	servers := make([]*Server, n)
 	for i := range servers {
 		srv, err := Start(Config{
 			ID:                peers[i],
 			Members:           peers,
-			ClientAddr:        "127.0.0.1:0",
+			ClientAddr:        clients[i],
 			WALDir:            filepath.Join(t.TempDir(), fmt.Sprintf("r%d", i)),
 			Level:             level,
 			Items:             64,
@@ -128,13 +132,14 @@ func converged(servers []*Server) bool {
 // Server value) and assert it catches back up via WAL replay + snapshot pull,
 // and that the survivors' views exclude and re-admit it.
 func TestServerRestartRejoins(t *testing.T) {
-	peers := freePorts(t, 3)
+	ports := freePorts(t, 6) // as in startCluster
+	peers, clients := ports[:3], ports[3:]
 	walDirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	mk := func(i int) *Server {
 		srv, err := Start(Config{
 			ID:                peers[i],
 			Members:           peers,
-			ClientAddr:        "127.0.0.1:0",
+			ClientAddr:        clients[i],
 			WALDir:            walDirs[i],
 			Level:             core.GroupSafe,
 			Items:             64,
@@ -214,13 +219,14 @@ func waitView(t *testing.T, s *Server, ok func(members []string) bool, d time.Du
 // value is actually present.  (Convergence checks cannot catch the bug: all
 // replicas skip the install equally.)
 func TestRestartedDelegateWritesAreNotSilentlyLost(t *testing.T) {
-	peers := freePorts(t, 3)
+	ports := freePorts(t, 6) // as in startCluster
+	peers, clients := ports[:3], ports[3:]
 	walDirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	mk := func(i int) *Server {
 		srv, err := Start(Config{
 			ID:                peers[i],
 			Members:           peers,
-			ClientAddr:        "127.0.0.1:0",
+			ClientAddr:        clients[i],
 			WALDir:            walDirs[i],
 			Level:             core.GroupSafe,
 			Items:             64,
