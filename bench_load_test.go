@@ -1,18 +1,12 @@
 package groupsafe
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"groupsafe/internal/core"
-	"groupsafe/internal/partition"
-	"groupsafe/internal/tuning"
-	"groupsafe/internal/workload"
 )
 
 // This file holds the shared load harness of the macro benchmarks: one
@@ -20,8 +14,8 @@ import (
 // waiting for its own completion — throughput adapts to latency) or open-loop
 // (Poisson arrivals at a fixed offered rate — latency absorbs the backlog,
 // the honest model of independent clients who do not coordinate their
-// submissions).  Both the abcast latency/throughput sweep (bench_test.go) and
-// the partition scaling sweep below drive their operations through it.
+// submissions).  The abcast latency/throughput sweep (bench_test.go) drives
+// its operations through it.
 
 // loadMode selects how the harness offers load.  Exactly one field is set:
 // producers > 0 runs that many closed-loop clients; arrival > 0 dispatches
@@ -149,75 +143,4 @@ func reportLatencyDistribution(b *testing.B, all []time.Duration) {
 	}
 	b.ReportMetric(pct(0.50), "p50-µs")
 	b.ReportMetric(pct(0.99), "p99-µs")
-}
-
-// benchmarkPartitionScaling measures ordered-update throughput against the
-// partition count on a disjoint-keyspace update workload: every client writes
-// single items from its own private slice of the keyspace, so there are no
-// certification conflicts and no cross-partition transactions — exactly the
-// workload whose throughput a partitioned deployment must multiply, because
-// each partition orders its updates through its own sequencer instead of one
-// global total order.
-//
-// The ordering site is given an emulated per-payload service cost
-// (tuning.Sequencer.OrderDelay), the same way the simulated disks are given
-// a force cost (DiskSyncDelay): without it the in-memory sequencer is so
-// cheap that a single total order never saturates on a small host and the
-// sweep would measure only scheduler overhead.  With it, each partition's
-// ordering throughput is capped at 1/OrderDelay and the sweep measures what
-// the paper's argument is about — splitting one serial total order into P
-// independent ones.
-func benchmarkPartitionScaling(b *testing.B, parts int) {
-	const items = 8192
-	var pipe tuning.Pipeline
-	pipe.OrderDelay = 150 * time.Microsecond
-	cluster, err := partition.New(core.ClusterConfig{
-		Replicas:      3,
-		Items:         items,
-		Level:         core.GroupSafe,
-		Technique:     core.TechCertification,
-		Partitions:    parts,
-		DiskSyncDelay: 100 * time.Microsecond,
-		Pipeline:      pipe,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cluster.Close()
-
-	const producers = 32
-	slice := items / producers
-	var seqs [producers]int64
-	op := func(g int) error {
-		i := int(atomic.AddInt64(&seqs[g], 1))
-		item := g*slice + i%slice
-		_, err := cluster.Execute(context.Background(), g%cluster.Size(), core.Request{
-			Ops: []workload.Op{{Item: item, Write: true, Value: int64(i)}},
-		})
-		return err
-	}
-
-	b.ResetTimer()
-	lats := closedLoop(producers).run(b, op)
-	elapsed := b.Elapsed()
-	b.StopTimer()
-	reportLatencyDistribution(b, lats)
-	if s := elapsed.Seconds(); s > 0 {
-		b.ReportMetric(float64(b.N)/s, "tps")
-	}
-}
-
-// BenchmarkPartitionScaling is the partitioned-keyspace acceptance sweep:
-// partitions ∈ {1, 2, 4} under the same update-heavy disjoint workload.  The
-// claim under test: ordered-update throughput at 4 partitions is at least 2×
-// the 1-partition baseline, because the single sequencer bottleneck is split
-// into 4 independent total orders.  CI publishes the output as part of the
-// bench artifact; compare the tps column.
-func BenchmarkPartitionScaling(b *testing.B) {
-	for _, parts := range []int{1, 2, 4} {
-		parts := parts
-		b.Run("partitions-"+itoa(parts), func(b *testing.B) {
-			benchmarkPartitionScaling(b, parts)
-		})
-	}
 }

@@ -29,7 +29,6 @@ import (
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/simrep"
 	"groupsafe/internal/storage"
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/wal"
 	"groupsafe/internal/workload"
 )
@@ -504,7 +503,7 @@ func benchmarkBatchedReplication(b *testing.B, level core.SafetyLevel, applyWork
 		Items:         8192,
 		Level:         level,
 		DiskSyncDelay: 100 * time.Microsecond,
-		Pipeline:      tuning.Pipeline{ApplyWorkers: applyWorkers},
+		ApplyWorkers:  applyWorkers,
 	})
 	if err != nil {
 		b.Fatal(err)

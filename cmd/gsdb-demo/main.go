@@ -35,7 +35,6 @@ func main() {
 	netLatency := flag.Duration("net-latency", 70*time.Microsecond, "emulated one-way network latency")
 	crash := flag.Bool("crash", true, "crash and recover one replica mid-run")
 	seed := flag.Int64("seed", 1, "workload seed")
-	rotateEvery := flag.Int("rotate-sequencer-every", 0, "rotate the sequencer role after this many assignments (0: fixed sequencer)")
 	applyWorkers := flag.Int("apply-workers", 1, "concurrent write-set installs per replica (<=1: serial apply)")
 	mixSafety := flag.String("mix-safety", "", "per-transaction safety override applied to every 10th transaction (e.g. very-safe)")
 	compare := flag.Bool("compare-techniques", false, "run the same workload over all three replication techniques and print the comparison")
@@ -60,7 +59,7 @@ func main() {
 			QueryKeys:      *queryKeys,
 			DiskSyncDelay:  *diskSync,
 			NetworkLatency: *netLatency,
-			Pipeline:       demoPipeline(*applyWorkers, *rotateEvery),
+			ApplyWorkers:   *applyWorkers,
 			Seed:           *seed,
 		})
 		if err != nil {
@@ -106,9 +105,6 @@ func main() {
 		gsdb.WithExecTimeout(15 * time.Second),
 		gsdb.WithSeed(*seed),
 		gsdb.WithApplyWorkers(*applyWorkers),
-	}
-	if *rotateEvery > 0 {
-		openOpts = append(openOpts, gsdb.WithRotatingSequencer(*rotateEvery))
 	}
 	if *partitions > 1 {
 		openOpts = append(openOpts, gsdb.WithPartitions(*partitions))
@@ -197,11 +193,4 @@ func main() {
 	if consistentErr != nil && level == gsdb.Safety1Lazy {
 		fmt.Printf("  (lazy replication gives no consistency guarantee under concurrent conflicting updates: %v)\n", consistentErr)
 	}
-}
-
-// demoPipeline assembles the comparison-run tuning knobs from the flags.
-func demoPipeline(applyWorkers, rotateEvery int) gsdb.Pipeline {
-	p := gsdb.Pipeline{ApplyWorkers: applyWorkers}
-	p.RotateEvery = rotateEvery
-	return p
 }

@@ -47,7 +47,6 @@ func main() {
 		fdInterval   = flag.Duration("fd-interval", 50*time.Millisecond, "failure detector heartbeat interval")
 		fdTimeout    = flag.Duration("fd-timeout", 0, "silence after which a peer is suspected (default 4x fd-interval)")
 		resync       = flag.Duration("resync-interval", time.Second, "stall interval after which peer state is re-pulled")
-		rotateEvery  = flag.Int("rotate-sequencer-every", 0, "rotate the sequencer role after this many assignments (0: fixed sequencer)")
 		partitions   = flag.Int("partitions", 1, "keyspace partitions; a server process hosts one replica of ONE partition's group, so this must stay 1 (see docs/OPERATIONS.md)")
 	)
 	flag.VisitAll(envDefault)
@@ -89,18 +88,17 @@ func main() {
 	}
 
 	srv, err := server.Start(server.Config{
-		ID:                   self,
-		Members:              peerList,
-		ClientAddr:           *clientListen,
-		WALDir:               *walDir,
-		Technique:            technique,
-		Level:                level,
-		Items:                *items,
-		ExecTimeout:          *execTimeout,
-		HeartbeatInterval:    *fdInterval,
-		SuspectTimeout:       *fdTimeout,
-		ResyncInterval:       *resync,
-		RotateSequencerEvery: *rotateEvery,
+		ID:                self,
+		Members:           peerList,
+		ClientAddr:        *clientListen,
+		WALDir:            *walDir,
+		Technique:         technique,
+		Level:             level,
+		Items:             *items,
+		ExecTimeout:       *execTimeout,
+		HeartbeatInterval: *fdInterval,
+		SuspectTimeout:    *fdTimeout,
+		ResyncInterval:    *resync,
 	})
 	if err != nil {
 		fatalf("start: %v", err)

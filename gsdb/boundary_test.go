@@ -35,7 +35,6 @@ func TestImportBoundary(t *testing.T) {
 			"groupsafe/internal/core",
 			"groupsafe/internal/partition",
 			"groupsafe/internal/workload",
-			"groupsafe/internal/tuning",
 			"groupsafe/internal/gcs/fd",
 			"groupsafe/internal/netproto",
 		},

@@ -116,14 +116,6 @@ func WithSeed(seed int64) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Seed = seed }
 }
 
-// WithRotatingSequencer rotates the ordering role to the next replica after
-// every sequence assignments (a planned, gather-free epoch handoff), so the
-// sequencer's CPU and fan-in load is spread across the group instead of
-// pinned to one member.
-func WithRotatingSequencer(every int) Option {
-	return func(cfg *core.ClusterConfig) { cfg.RotateEvery = every }
-}
-
 // WithApplyWorkers sets the number of concurrent write-set installs per
 // replica (<= 1 keeps the apply stage serial).
 func WithApplyWorkers(n int) Option {

@@ -7,18 +7,17 @@ import "groupsafe/internal/server"
 // field semantics are identical.
 func toInternal(cfg Config) server.Config {
 	return server.Config{
-		ID:                   cfg.ID,
-		Members:              cfg.Members,
-		ClientAddr:           cfg.ClientAddr,
-		WALDir:               cfg.WALDir,
-		Technique:            cfg.Technique,
-		Level:                cfg.Level,
-		Items:                cfg.Items,
-		ExecTimeout:          cfg.ExecTimeout,
-		HeartbeatInterval:    cfg.HeartbeatInterval,
-		SuspectTimeout:       cfg.SuspectTimeout,
-		ResyncInterval:       cfg.ResyncInterval,
-		RotateSequencerEvery: cfg.RotateSequencerEvery,
-		Logf:                 cfg.Logf,
+		ID:                cfg.ID,
+		Members:           cfg.Members,
+		ClientAddr:        cfg.ClientAddr,
+		WALDir:            cfg.WALDir,
+		Technique:         cfg.Technique,
+		Level:             cfg.Level,
+		Items:             cfg.Items,
+		ExecTimeout:       cfg.ExecTimeout,
+		HeartbeatInterval: cfg.HeartbeatInterval,
+		SuspectTimeout:    cfg.SuspectTimeout,
+		ResyncInterval:    cfg.ResyncInterval,
+		Logf:              cfg.Logf,
 	}
 }

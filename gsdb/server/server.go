@@ -53,9 +53,6 @@ type Config struct {
 	// ResyncInterval is how often a stalled replica re-pulls peer state to
 	// close delivery gaps after a restart (default 1s).
 	ResyncInterval time.Duration
-	// RotateSequencerEvery rotates the ordering role after that many
-	// assignments (see gsdb.WithRotatingSequencer).
-	RotateSequencerEvery int
 	// Logf receives operational log lines (default stderr).
 	Logf func(format string, args ...interface{})
 }

@@ -2,7 +2,6 @@ package gsdb
 
 import (
 	"groupsafe/internal/core"
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -34,11 +33,6 @@ type (
 	// expires first: it names the first replica pair and item that
 	// disagreed and wraps the context error.
 	DivergenceError = core.DivergenceError
-	// Pipeline carries the shared tuning knobs (RotateEvery, OrderDelay,
-	// ApplyWorkers) used by the experiments subpackage; clusters opened
-	// with Open configure them via WithRotatingSequencer and
-	// WithApplyWorkers.
-	Pipeline = tuning.Pipeline
 	// Workload generates the paper's Table 4 transaction mix.
 	Workload = workload.Generator
 	// WorkloadConfig parameterises a Workload.

@@ -9,7 +9,6 @@ import (
 	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/storage"
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -61,9 +60,8 @@ type ClusterConfig struct {
 	// When set, NetworkLatency/NetworkJitter/Seed are ignored here (the owner
 	// of the base network configures them) and Cluster.Network returns nil.
 	Network transport.Network
-	// Pipeline carries the shared tuning knobs (RotateEvery, OrderDelay,
-	// ApplyWorkers) applied to every replica; see the tuning package.
-	tuning.Pipeline
+	// ApplyWorkers is every replica's ReplicaConfig.ApplyWorkers.
+	ApplyWorkers int
 }
 
 func (c *ClusterConfig) applyDefaults() {
@@ -122,7 +120,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			StartDetector:        cfg.StartDetectors,
 			Detector:             cfg.Detector,
 			MaxPinAge:            cfg.MaxPinAge,
-			Pipeline:             cfg.Pipeline,
+			ApplyWorkers:         cfg.ApplyWorkers,
 		})
 		if err != nil {
 			c.Close()

@@ -41,7 +41,6 @@ func (r *Replica) startGroupCommunication() error {
 		ab, err = abcast.New(abcast.Config{
 			Self:        r.cfg.ID,
 			Members:     r.cfg.Members,
-			Sequencer:   r.cfg.Sequencer,
 			Incarnation: r.cfg.IncarnationBase + uint64(r.incarnation),
 			// Advertised freshness rides the existing ACK/ORDER traffic:
 			// every broadcast-layer message stamps the sender's applied

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -85,10 +84,10 @@ func runParallelApplyWorkload(t *testing.T, workers int) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 	cluster, err := NewCluster(ClusterConfig{
-		Replicas: 3,
-		Items:    96, // small database: plenty of intra-batch conflicts
-		Level:    GroupSafe,
-		Pipeline: tuning.Pipeline{ApplyWorkers: workers},
+		Replicas:     3,
+		Items:        96, // small database: plenty of intra-batch conflicts
+		Level:        GroupSafe,
+		ApplyWorkers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +150,10 @@ func TestParallelApplyConcurrentRecovery(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
 	cluster, err := NewCluster(ClusterConfig{
-		Replicas: 3,
-		Items:    128,
-		Level:    GroupSafe,
-		Pipeline: tuning.Pipeline{ApplyWorkers: 4},
+		Replicas:     3,
+		Items:        128,
+		Level:        GroupSafe,
+		ApplyWorkers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

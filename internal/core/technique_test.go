@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -322,12 +321,12 @@ func TestTechniquesDeterministicAcrossApplyWorkers(t *testing.T) {
 					level = Safety1Lazy
 				}
 				c, err := NewCluster(ClusterConfig{
-					Replicas:    3,
-					Items:       96,
-					Level:       level,
-					Technique:   tech,
-					ExecTimeout: 10 * time.Second,
-					Pipeline:    tuning.Pipeline{ApplyWorkers: workers},
+					Replicas:     3,
+					Items:        96,
+					Level:        level,
+					Technique:    tech,
+					ExecTimeout:  10 * time.Second,
+					ApplyWorkers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/stats"
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/workload"
 )
 
@@ -42,8 +41,8 @@ type TechniqueComparisonConfig struct {
 	DiskSyncDelay time.Duration
 	// NetworkLatency emulates the one-way LAN latency (default 70µs).
 	NetworkLatency time.Duration
-	// Pipeline carries the shared tuning knobs applied to every cluster.
-	tuning.Pipeline
+	// ApplyWorkers is every cluster's core.ClusterConfig.ApplyWorkers.
+	ApplyWorkers int
 	// Seed seeds the workload and the network (default 1).
 	Seed int64
 }
@@ -157,7 +156,7 @@ func runOneTechnique(cfg TechniqueComparisonConfig, tech core.TechniqueID) (Tech
 		NetworkLatency: cfg.NetworkLatency,
 		ExecTimeout:    30 * time.Second,
 		Seed:           cfg.Seed,
-		Pipeline:       cfg.Pipeline,
+		ApplyWorkers:   cfg.ApplyWorkers,
 	})
 	if err != nil {
 		return TechniqueResult{}, err

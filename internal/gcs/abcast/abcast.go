@@ -36,7 +36,8 @@
 //  4. When the sequencer is suspected, the next member (round-robin by epoch)
 //     takes over: it gathers the known orders and pending payloads from a
 //     majority, adopts the highest-epoch order for every sequence number,
-//     re-announces them under its own epoch and continues numbering.
+//     re-announces them under its own epoch and continues numbering.  The
+//     role moves in no other way: every epoch change is a takeover.
 //
 // There is one lane, and every wire message carries a *range* of protocol
 // steps (sender.go, sequencer.go, member.go):
@@ -68,17 +69,6 @@
 // and ACK carries its sender's delivery cursor, and records below the lowest
 // cursor of the non-suspected members are dropped.
 //
-// One opt-in mode remains (tuning.Sequencer.RotateEvery): planned sequencer
-// rotation.  After a quota of assignments the sequencer bumps the epoch and
-// sends a HANDOFF carrying its nextSeq — a gather-free handover (the outgoing
-// sequencer is alive, unlike a crash takeover).  Per-link FIFO guarantees the
-// new sequencer has seen every ORDER the old one sent before the HANDOFF
-// arrives, so sweeping its own unordered payloads into a fresh ORDER cannot
-// reuse a sequence number.  Because a planned handoff does not advance the
-// order-epoch floor (minOrderEpoch), in-flight ORDERs from earlier rotation
-// epochs stay acceptable; the delivery loop suppresses the rare duplicate
-// assignment a chained rotation can produce (see tryDeliver).
-//
 // The resulting primitive satisfies Validity, Uniform Agreement, Uniform
 // Integrity and Uniform Total Order (Sect. 2.3 of the paper) as long as a
 // majority of the members stay up — and, as Sect. 3 of the paper shows, that
@@ -100,7 +90,6 @@ import (
 
 	"groupsafe/internal/gcs"
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/tuning"
 )
 
 // Message type identifiers on the wire.
@@ -111,7 +100,6 @@ const (
 	MsgNack     = "ab.nack"
 	MsgNewEpoch = "ab.newepoch"
 	MsgState    = "ab.state"
-	MsgHandoff  = "ab.handoff"
 )
 
 // The lane's fixed parameters.  They were knobs while the fixed-delay and
@@ -150,9 +138,6 @@ type Config struct {
 	// Members is the static list of group members (must include Self; at
 	// most 64 — acknowledgements are counted in a bitmask).
 	Members []string
-	// Sequencer carries the two remaining ordering knobs (RotateEvery,
-	// OrderDelay); see the tuning package.
-	tuning.Sequencer
 	// NackDelay is the retransmission period (default 3ms — comfortably
 	// above a LAN message but far below any client timeout): a member whose
 	// delivery cursor sits on an order-without-data stall that long asks the
@@ -190,10 +175,6 @@ type Stats struct {
 	// DataBatches counts DATA messages sent by this member;
 	// Broadcast/DataBatches is the achieved mean batch size.
 	DataBatches uint64
-	// Rotations counts planned sequencer handoffs this member observed
-	// (initiated or adopted) — epoch changes that did NOT go through the
-	// suspicion/gather takeover, which EpochJumps keeps counting.
-	Rotations uint64
 	// AckSends counts ACK messages this member emitted, once each whether the
 	// ACK goes to one member or to all the others: in a group of three a vote
 	// is emitted twice, at once to the sequencer and merged over delayCap to
@@ -227,8 +208,10 @@ type dataMsg struct {
 // listed message ids: sequence BaseSeq+i carries MsgIDs[i].  MinEpoch is the
 // sequencer's order-epoch floor: receivers must reject ORDERs from epochs
 // below it (they predate a crash takeover whose gather majority promised to
-// forget them) but keep accepting epochs in [MinEpoch, current] — the window
-// planned rotations live in.
+// forget them) but keep accepting epochs in [MinEpoch, current]: an epoch a
+// member reached by suspicion alone voids nothing.  Every epoch change is a
+// takeover, so a sender always sets MinEpoch = Epoch; the field stays because
+// dropping it is a wire change.
 type orderMsg struct {
 	Epoch    uint64
 	MinEpoch uint64
@@ -256,17 +239,6 @@ type newEpochMsg struct {
 	Epoch uint64
 }
 
-// handoffMsg is the planned-rotation handover: the outgoing (live) sequencer
-// of epoch-1 grants the Epoch sequencer its numbering state.  NextSeq is the
-// first unassigned sequence number; MinEpoch carries the order-epoch floor
-// forward unchanged (rotation, unlike crash takeover, must keep old-epoch
-// ORDERs acceptable — they may still be in flight to some members).
-type handoffMsg struct {
-	Epoch    uint64
-	NextSeq  uint64
-	MinEpoch uint64
-}
-
 // Broadcaster implements uniform atomic broadcast for one group member.
 type Broadcaster struct {
 	cfg    Config
@@ -277,7 +249,6 @@ type Broadcaster struct {
 	mu            sync.Mutex
 	epoch         uint64
 	minOrderEpoch uint64 // ORDERs below this epoch are void (crash-takeover floor)
-	epochAssigned int    // assignments since this member became sequencer (rotation quota)
 	nextSeq       uint64 // next sequence number this sequencer will assign
 	nextDeliver   uint64 // next sequence number to deliver (1-based)
 	localCounter  uint64
@@ -315,9 +286,9 @@ type Broadcaster struct {
 	retryMark uint64 // own counters <= this were already sent at the previous check
 
 	// Sequencer state (sequencer.go).  orderMu (taken before mu) is held from
-	// the assignment of a range until its ORDER — and HANDOFF — is on every
-	// link.  Payloads arriving meanwhile, or behind a backlog, queue in orderQ
-	// and a dedicated goroutine assigns them, overlapping with decoding.
+	// the assignment of a range until its ORDER is on every link.  Payloads
+	// arriving meanwhile, or behind a backlog, queue in orderQ and a dedicated
+	// goroutine assigns them, overlapping with decoding.
 	orderMu   sync.Mutex
 	orderQ    []dataEntry
 	orderKick chan struct{} // cap 1, nudges orderLoop
@@ -524,8 +495,12 @@ func (b *Broadcaster) sendAck(a ackMsg, lazy bool) {
 }
 
 // sendOrder fans an ORDER out to the other members, stamping the sender's
-// watermarks.
+// watermarks; an assignment that found every payload already ordered (a
+// retransmission) is empty and sends nothing.
 func (b *Broadcaster) sendOrder(o orderMsg) {
+	if len(o.MsgIDs) == 0 {
+		return
+	}
 	o.AppliedSeq, o.Cursor = b.advertisedSeq(), b.cursor.Load()
 	b.sendAll(transport.Message{Type: MsgOrder, Payload: encodeOrder(o)})
 }
@@ -594,11 +569,6 @@ func (b *Broadcaster) onMessage(m transport.Message) {
 		if decode(m.Payload, &st) == nil {
 			b.handleState(st, m.From)
 		}
-	case MsgHandoff:
-		var h handoffMsg
-		if decodeHandoff(m.Payload, &h) == nil {
-			b.handleHandoff(h)
-		}
 	}
 }
 
@@ -620,12 +590,13 @@ func (b *Broadcaster) tryDeliver() {
 		if r == nil || !r.ordered {
 			break
 		}
-		// Chained planned rotations can assign one message id at two
-		// sequence numbers (an earlier rotation epoch's ORDER still in flight
-		// while a later successor sweeps the payload afresh).  The lowest one
-		// emits — the cursor reaches it first — and the later ones advance
-		// the cursor silently, once stable like any other: every member has
-		// passed the lower number by then, so all resolve the duplicate alike.
+		// Uniform Integrity: a message id is emitted at most once, whatever
+		// the sequencers announced.  Should two of them have assigned one id
+		// at two sequence numbers (an earlier epoch's ORDER stored here while
+		// a takeover swept the payload afresh), the lowest one emits — the
+		// cursor reaches it first — and the later ones advance the cursor
+		// silently, once stable like any other: every member has passed the
+		// lower number by then, so all resolve the duplicate alike.
 		first, indexed := b.idx[r.id]
 		dup := indexed && first < seq || !indexed && b.staleLocked(r.id)
 		if !dup && !b.claimPayloadLocked(r) {

@@ -77,6 +77,35 @@ func TestBroadcastDeliversEverywhere(t *testing.T) {
 	}
 }
 
+// TestRetiredHandoffFrameIsIgnored: a peer still running the build that had
+// planned sequencer rotation, started with that flag, sends "ab.handoff"
+// frames (epoch, next sequence number, order-epoch floor as uvarints).  A
+// member that receives one keeps its epoch and its sequencer and goes on
+// ordering and delivering: the role moves by takeover only.
+func TestRetiredHandoffFrameIsIgnored(t *testing.T) {
+	net := transport.NewMemNetwork()
+	nodes := makeGroup(t, net, []string{"s1", "s2", "s3"})
+
+	handoff := transport.Message{Type: "ab.handoff", Payload: []byte{1, 100, 0}} // to epoch 1, next sequence 100, floor 0
+	for _, to := range []string{"s2", "s3"} {
+		if err := nodes[0].router.Send(to, handoff); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Links are FIFO: whoever delivers this broadcast has handled the frame.
+	if _, err := nodes[0].bc.Broadcast([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if ds := collect(t, n, 1, 2*time.Second); string(ds[0].Payload) != "next" || ds[0].Seq != 1 {
+			t.Fatalf("%s delivered %+v, want the broadcast at seq 1", n.addr, ds[0])
+		}
+		if e, s := n.bc.Epoch(), n.bc.Sequencer(); e != 0 || s != "s1" {
+			t.Fatalf("%s is at epoch %d following %s after a HANDOFF frame, want epoch 0 and s1", n.addr, e, s)
+		}
+	}
+}
+
 func TestTotalOrderAcrossSenders(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3", "s4", "s5"}

@@ -158,20 +158,6 @@ func decodeOrder(data []byte, o *orderMsg) error {
 	return r.err()
 }
 
-// encodeHandoff encodes the planned-rotation HANDOFF message.
-func encodeHandoff(h handoffMsg) []byte {
-	buf := make([]byte, 0, uvarintLen(h.Epoch)+uvarintLen(h.NextSeq)+uvarintLen(h.MinEpoch))
-	buf = binary.AppendUvarint(buf, h.Epoch)
-	buf = binary.AppendUvarint(buf, h.NextSeq)
-	return binary.AppendUvarint(buf, h.MinEpoch)
-}
-
-func decodeHandoff(data []byte, h *handoffMsg) error {
-	r := wireReader{data: data}
-	h.Epoch, h.NextSeq, h.MinEpoch = r.uvarint(), r.uvarint(), r.uvarint()
-	return r.err()
-}
-
 func encodeAck(a ackMsg) []byte {
 	size := seqRangeLen(a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor)
 	return appendSeqRange(make([]byte, 0, size), a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor)

@@ -63,20 +63,6 @@ func TestSeqRangeCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHandoffCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 100; trial++ {
-		in := handoffMsg{Epoch: rng.Uint64(), NextSeq: rng.Uint64(), MinEpoch: rng.Uint64()}
-		var out handoffMsg
-		if err := decodeHandoff(encodeHandoff(in), &out); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if out != in {
-			t.Fatalf("trial %d: %+v != %+v", trial, out, in)
-		}
-	}
-}
-
 func TestCodecRejectsTruncation(t *testing.T) {
 	data := encodeData(dataMsg{Entries: []dataEntry{{MsgID: "a/1/2", Payload: []byte("hello")}}})
 	var d dataMsg
@@ -90,13 +76,6 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	for cut := 0; cut < len(order); cut++ {
 		if err := decodeOrder(order[:cut], &o); err == nil {
 			t.Fatalf("truncated ORDER at %d decoded", cut)
-		}
-	}
-	handoff := encodeHandoff(handoffMsg{Epoch: 300, NextSeq: 1 << 40, MinEpoch: 299})
-	var h handoffMsg
-	for cut := 0; cut < len(handoff); cut++ {
-		if err := decodeHandoff(handoff[:cut], &h); err == nil {
-			t.Fatalf("truncated HANDOFF at %d decoded", cut)
 		}
 	}
 }

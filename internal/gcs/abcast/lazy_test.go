@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/tuning"
 )
 
 // Urgent and lazy votes.  In a group of three a non-sequencer holds a majority
@@ -260,87 +259,5 @@ func TestCloseSendsThePendingLazyAck(t *testing.T) {
 			t.Fatalf("Close sent the pending ACKs to %v, want the urgent one to s1 and then the lazy one to s3", to)
 		}
 		return
-	}
-}
-
-// TestLazyVotesUnderRotation: with the role moving every four assignments and
-// callers beside the router thread, every vote still reaches the sequencer of
-// the epoch its order was assigned in — which by then may have handed over and
-// waits for it all the same — and every member, each a handed-over sequencer
-// many times, delivers everything in one order.
-func TestLazyVotesUnderRotation(t *testing.T) {
-	const callers, each = 8, 25
-	addrs := groupAddrs(3)
-	nodes, taps := makeTappedGroup(t, transport.NewMemNetwork(), addrs, func(cfg *Config) {
-		cfg.Sequencer = tuning.Sequencer{RotateEvery: 4}
-	}, nil)
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				if _, err := nodes[c%3].bc.Broadcast([]byte{byte(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-				time.Sleep(50 * time.Microsecond) // keep broadcasting while the role comes round again
-			}
-		}()
-	}
-	wg.Wait()
-	assertUniformTotalOrder(t, nodes, callers*each)
-
-	type vote struct {
-		from, id   string
-		epoch, seq uint64
-	}
-	// scan lists the votes that have not reached both the sequencer of their
-	// epoch and the third member, and counts the epochs votes were cast in.
-	scan := func() (missing []string, epochs int) {
-		urgent, lazy, seen := make(map[vote]bool), make(map[vote]bool), make(map[uint64]bool)
-		for _, tp := range taps {
-			for _, m := range tp.log() {
-				if !isAck(m) {
-					continue
-				}
-				a := ackOf(t, m)
-				sequencer := addrs[int(a.Epoch)%3]
-				if m.From == sequencer {
-					t.Fatalf("%s acknowledged an order of epoch %d, its own", m.From, a.Epoch)
-				}
-				seen[a.Epoch] = true
-				for i, id := range a.MsgIDs {
-					v := vote{m.From, id, a.Epoch, a.BaseSeq + uint64(i)}
-					if m.To == sequencer {
-						urgent[v] = true
-					} else {
-						lazy[v] = true
-					}
-				}
-			}
-		}
-		for v := range lazy {
-			if !urgent[v] {
-				missing = append(missing, fmt.Sprintf("(only lazily) %+v", v))
-			}
-		}
-		for v := range urgent {
-			if !lazy[v] {
-				missing = append(missing, fmt.Sprintf("(never lazily) %+v", v))
-			}
-		}
-		sort.Strings(missing)
-		return missing, len(seen)
-	}
-	missing, epochs := scan()
-	for deadline := time.Now().Add(2 * time.Second); len(missing) > 0 && time.Now().Before(deadline); missing, epochs = scan() {
-		time.Sleep(delayCap) // the last lazy ACKs are a window behind
-	}
-	if len(missing) > 0 {
-		t.Fatalf("%d votes did not reach both the sequencer of their epoch and the third member, e.g. %s", len(missing), missing[0])
-	}
-	if epochs < 3 {
-		t.Fatalf("votes were cast in %d epochs, want the role to have moved", epochs)
 	}
 }

@@ -9,9 +9,11 @@ func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 		return
 	}
 	if o.Epoch < b.minOrderEpoch {
-		// Void: a crash takeover's gather majority has promised to forget
-		// this sequencer's assignments.  Epochs in [minOrderEpoch, epoch)
-		// stay acceptable — they are live planned-rotation history.
+		// Void: a takeover's gather majority has promised to forget this
+		// sequencer's assignments.  Epochs in [minOrderEpoch, epoch) stay
+		// acceptable: a member that merely suspects the sequencer has raised
+		// its epoch but promised nothing, and must keep following a sequencer
+		// everyone else still follows.
 		b.mu.Unlock()
 		return
 	}
@@ -27,7 +29,6 @@ func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 		// A newer sequencer is active; follow it.
 		b.epoch = o.Epoch
 		b.gathering = false
-		b.epochAssigned = 0
 	}
 	b.noteCursorLocked(from, o.Cursor)
 	if o.BaseSeq+uint64(len(o.MsgIDs)) <= b.win.base {

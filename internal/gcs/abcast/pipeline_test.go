@@ -8,14 +8,7 @@ import (
 
 	"groupsafe/internal/gcs"
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/tuning"
 )
-
-// makeSeqGroup is makeGroup with the sequencer-role knobs set.
-func makeSeqGroup(t *testing.T, net *transport.MemNetwork, addrs []string, seq tuning.Sequencer) []*node {
-	t.Helper()
-	return makeGroupCfg(t, net, addrs, func(cfg *Config) { cfg.Sequencer = seq })
-}
 
 // assertUniformTotalOrder drains total deliveries from every node and checks
 // the uniform atomic broadcast contract: gap-free sequence numbers and the
@@ -195,104 +188,12 @@ func TestCrashMinorityOrderEscaped(t *testing.T) {
 	}
 }
 
-// TestRotatingSequencerTotalOrder runs concurrent senders with sequencer
-// rotation enabled and checks that planned handoffs preserve the uniform
-// total order: identical gap-free sequences everywhere, rotations observed,
-// and no crash-takeover epochs consumed (rotation must not masquerade as
-// failover).
-func TestRotatingSequencerTotalOrder(t *testing.T) {
-	net := transport.NewMemNetwork()
-	addrs := []string{"s1", "s2", "s3", "s4", "s5"}
-	nodes := makeSeqGroup(t, net, addrs, tuning.Sequencer{RotateEvery: 4})
-	const perSender = 20
-	broadcastConcurrently(t, nodes, perSender)
-	assertUniformTotalOrder(t, nodes, perSender*len(nodes))
-
-	var rotations uint64
-	for _, n := range nodes {
-		s := n.bc.Stats()
-		rotations += s.Rotations
-		if s.EpochJumps != 0 {
-			t.Fatalf("%s counted %d crash-takeover epoch jumps during planned rotation", n.addr, s.EpochJumps)
-		}
-	}
-	if rotations == 0 {
-		t.Fatal("no rotations observed with RotateEvery = 4 and 100 broadcasts")
-	}
-}
-
-// TestRotationHandoffThenCrash interleaves the two epoch-change paths: a
-// planned rotation hands the sequencer role over, then the new sequencer
-// crashes and the survivors run a gather takeover.  Numbering must continue
-// gap-free across both transitions.
-func TestRotationHandoffThenCrash(t *testing.T) {
-	net := transport.NewMemNetwork()
-	addrs := []string{"s1", "s2", "s3"}
-	nodes := makeSeqGroup(t, net, addrs, tuning.Sequencer{RotateEvery: 2})
-
-	for i := 0; i < 2; i++ {
-		if _, err := nodes[0].bc.Broadcast([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range nodes {
-		collect(t, n, 2, 5*time.Second)
-	}
-	// The quota (2) is filled: the rotation handoff is in flight.  Wait for
-	// every member to adopt the new epoch.
-	waitFor(t, 2*time.Second, func() bool {
-		for _, n := range nodes {
-			if n.bc.Epoch() == 0 {
-				return false
-			}
-		}
-		return true
-	})
-
-	// Crash whoever holds the sequencer role now.
-	seqr := nodes[0].bc.Sequencer()
-	var crashedIdx int
-	for i, a := range addrs {
-		if a == seqr {
-			crashedIdx = i
-		}
-	}
-	net.Crash(seqr)
-	for i, n := range nodes {
-		if i == crashedIdx {
-			continue
-		}
-		n.bc.Suspect(seqr)
-	}
-
-	var sender *node
-	for i, n := range nodes {
-		if i != crashedIdx {
-			sender = n
-			break
-		}
-	}
-	if _, err := sender.bc.Broadcast([]byte("after-both")); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range nodes {
-		if i == crashedIdx {
-			continue
-		}
-		ds := collect(t, n, 1, 5*time.Second)
-		if string(ds[0].Payload) != "after-both" || ds[0].Seq != 3 {
-			t.Fatalf("%s delivered %+v, want seq 3 (gap-free across rotation + crash)", n.addr, ds[0])
-		}
-	}
-}
-
-// TestChainedRotationDuplicateSuppressed white-boxes the one anomaly planned
-// rotation introduces: an ORDER from an earlier rotation epoch can still be
-// in flight when a later sequencer sweeps the same (apparently unordered)
-// payload into a fresh assignment, giving one message id two sequence
-// numbers.  The delivery path must emit the lowest one and silently skip the
-// other — on every member identically.
-func TestChainedRotationDuplicateSuppressed(t *testing.T) {
+// TestDuplicateAssignmentSuppressed white-boxes Uniform Integrity at the
+// delivery path: should the sequencers of two epochs each have assigned one
+// message id — a later one sweeping a payload whose earlier ORDER it had not
+// seen — the id holds two sequence numbers.  The delivery path must emit the
+// lowest one and silently skip the other — on every member identically.
+func TestDuplicateAssignmentSuppressed(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3"}
 	router := gcs.NewRouter(net.Endpoint("s3"))
@@ -316,9 +217,9 @@ func TestChainedRotationDuplicateSuppressed(t *testing.T) {
 		t.Fatal("first assignment never delivered")
 	}
 
-	// The epoch-1 rotation successor swept the same payload into seq 2 (its
-	// handoff arrived before the epoch-0 ORDER above).  The duplicate reaches
-	// stability: the cursor must pass it without a second emission.
+	// The epoch-1 sequencer swept the same payload into seq 2 (it had not
+	// seen the epoch-0 ORDER above).  The duplicate reaches stability: the
+	// cursor must pass it without a second emission.
 	b.handleOrder(orderMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s2")
 	b.handleAck(ackMsg{Epoch: 1, BaseSeq: 2, MsgIDs: []string{"s2/0/1"}}, "s1")
 
@@ -370,25 +271,5 @@ func TestCrashTakeoverVoidsOlderOrders(t *testing.T) {
 	b.mu.Unlock()
 	if adopted != nil {
 		t.Fatal("an epoch-0 ORDER was adopted after the epoch-1 crash takeover voided it")
-	}
-}
-
-// TestOrderDelayTotalOrder pins the emulated ordering service cost: with a
-// per-payload OrderDelay the broadcaster still satisfies the uniform total
-// order contract, and the sequencer actually pays the cost (the run takes at
-// least payloads × OrderDelay of wall clock).  Zero OrderDelay stays the
-// default everywhere else in the suite, so the knob cannot silently distort
-// other timings.
-func TestOrderDelayTotalOrder(t *testing.T) {
-	const perSender = 6
-	addrs := []string{"a", "b", "c"}
-	net := transport.NewMemNetwork()
-	delay := 2 * time.Millisecond
-	nodes := makeSeqGroup(t, net, addrs, tuning.Sequencer{OrderDelay: delay})
-	start := time.Now()
-	broadcastConcurrently(t, nodes, perSender)
-	assertUniformTotalOrder(t, nodes, len(addrs)*perSender)
-	if min := time.Duration(len(addrs)*perSender) * delay; time.Since(start) < min {
-		t.Fatalf("run finished in %v, below the %v floor the ordering cost imposes — OrderDelay was not paid", time.Since(start), min)
 	}
 }

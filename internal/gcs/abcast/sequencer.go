@@ -1,11 +1,6 @@
 package abcast
 
-import (
-	"sort"
-	"time"
-
-	"groupsafe/internal/gcs/transport"
-)
+import "sort"
 
 func (b *Broadcaster) handleData(d dataMsg) {
 	b.mu.Lock()
@@ -44,23 +39,10 @@ func (b *Broadcaster) sequenceLocked(entries []dataEntry) {
 	}
 	// Cut-through: with no backlog and the lane idle, the queue hand-off is a
 	// scheduler hop that would be pure added latency.
-	order, handoff, rotate := b.assignLocked(entries)
+	order := b.assignLocked(entries)
 	b.mu.Unlock()
-	b.announce(order, handoff, rotate)
+	b.sendOrder(order)
 	b.orderMu.Unlock()
-}
-
-// announce sends what assignLocked produced: the ORDER before the HANDOFF, so
-// per-link FIFO guarantees every member — the successor above all — sees this
-// epoch's final assignments before the handover.  The caller holds orderMu
-// since before the assignment, so no later range overtakes this one.
-func (b *Broadcaster) announce(order orderMsg, handoff handoffMsg, rotate bool) {
-	if len(order.MsgIDs) > 0 {
-		b.sendOrder(order)
-	}
-	if rotate {
-		b.sendAll(transport.Message{Type: MsgHandoff, Payload: encodeHandoff(handoff)})
-	}
 }
 
 // assignSeqLocked gives id the next sequence number and records the order in
@@ -80,38 +62,14 @@ func (b *Broadcaster) assignSeqLocked(order *orderMsg, id string) {
 }
 
 // assignLocked gives one contiguous sequence range to every not-yet-ordered
-// payload (a single ORDER covers the whole slice) and, when the rotation
-// quota fills, bumps the epoch and prepares the gather-free HANDOFF for the
-// next sequencer.
-func (b *Broadcaster) assignLocked(entries []dataEntry) (order orderMsg, handoff handoffMsg, rotate bool) {
+// payload: a single ORDER covers the whole slice.
+func (b *Broadcaster) assignLocked(entries []dataEntry) (order orderMsg) {
 	for _, e := range entries {
 		if _, held := b.unordered[e.MsgID]; held {
 			b.assignSeqLocked(&order, e.MsgID)
 		}
 	}
-	if b.cfg.OrderDelay > 0 && len(order.MsgIDs) > 0 {
-		// Emulated ordering service cost, per assigned payload.  Slept under
-		// mu on purpose: the ordering site is one serial resource, and while
-		// it is busy the member's whole protocol engine is busy — exactly the
-		// sequencer bottleneck the knob exists to model (cf. DiskSyncDelay,
-		// which likewise serialises the forces of one simulated disk).
-		time.Sleep(b.cfg.OrderDelay * time.Duration(len(order.MsgIDs)))
-	}
-	b.epochAssigned += len(order.MsgIDs)
-	if b.cfg.RotateEvery > 0 && b.epochAssigned >= b.cfg.RotateEvery && !b.gathering {
-		// Advance to the next epoch whose sequencer is alive (as far as the
-		// local suspicions know).  If the rotation would land back on us —
-		// every other member suspected — stay put and just reset the quota.
-		e := b.nextLiveEpochLocked()
-		b.epochAssigned = 0
-		if b.sequencerFor(e) != b.cfg.Self {
-			b.epoch = e
-			b.stats.Rotations++
-			handoff = handoffMsg{Epoch: e, NextSeq: b.nextSeq, MinEpoch: b.minOrderEpoch}
-			rotate = true
-		}
-	}
-	return order, handoff, rotate
+	return order
 }
 
 // nextLiveEpochLocked returns the first epoch after the current one whose
@@ -125,8 +83,7 @@ func (b *Broadcaster) nextLiveEpochLocked() uint64 {
 }
 
 // sweepUnorderedLocked orders every payload this member holds that no ORDER
-// has named, in id order, as one fresh range: what a sequencer does on taking
-// the role over (planned or not).
+// has named, in id order, as one fresh range: the last step of a takeover.
 func (b *Broadcaster) sweepUnorderedLocked() orderMsg {
 	ids := make([]string, 0, len(b.unordered))
 	for id := range b.unordered {
@@ -166,57 +123,13 @@ func (b *Broadcaster) drainOrderQ() bool {
 	b.orderQ = nil
 	if b.closed || len(entries) == 0 || b.gathering || b.sequencerFor(b.epoch) != b.cfg.Self {
 		// Lost the sequencer role between enqueue and drain: the queue is
-		// dropped.  The payloads stay unordered everywhere, and whoever
-		// ordering fell to picks them up — a crash takeover sweeps them from
-		// the gather set, a planned successor sweeps its own at handoff or
-		// orders them at receipt.
+		// dropped.  The payloads stay unordered everywhere, and the takeover
+		// that moved the role sweeps them from its gather set.
 		b.mu.Unlock()
 		return false
 	}
-	order, handoff, rotate := b.assignLocked(entries)
+	order := b.assignLocked(entries)
 	b.mu.Unlock()
-	b.announce(order, handoff, rotate)
+	b.sendOrder(order)
 	return true
-}
-
-// handleHandoff installs a planned sequencer rotation.  The successor adopts
-// the handed-over numbering and immediately orders any payloads it holds
-// that the outgoing sequencer never assigned: link FIFO guarantees it has
-// already processed every ORDER the outgoing sequencer sent, so anything
-// still unordered here was unordered, full stop — except for assignments by
-// sequencers of *earlier* rotation epochs whose ORDERs are still in flight
-// on other links.  Those can produce a duplicate assignment of the same
-// message id at two sequence numbers; tryDeliver suppresses the second
-// emission, identically at every member.
-func (b *Broadcaster) handleHandoff(h handoffMsg) {
-	b.orderMu.Lock() // the sweep below is a range like any other
-	b.mu.Lock()
-	if b.closed || h.Epoch < b.epoch {
-		b.mu.Unlock()
-		b.orderMu.Unlock()
-		return
-	}
-	if h.Epoch > b.epoch {
-		b.epoch = h.Epoch
-		b.gathering = false
-		b.epochAssigned = 0
-		b.stats.Rotations++
-	}
-	if h.MinEpoch > b.minOrderEpoch {
-		b.minOrderEpoch = h.MinEpoch
-	}
-	var fresh orderMsg
-	if b.sequencerFor(b.epoch) == b.cfg.Self && !b.gathering {
-		if h.NextSeq > b.nextSeq {
-			b.nextSeq = h.NextSeq
-		}
-		fresh = b.sweepUnorderedLocked()
-		b.epochAssigned += len(fresh.MsgIDs)
-	}
-	b.mu.Unlock()
-	if len(fresh.MsgIDs) > 0 {
-		b.sendOrder(fresh)
-	}
-	b.orderMu.Unlock()
-	b.tryDeliver()
 }

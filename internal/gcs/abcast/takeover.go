@@ -45,7 +45,6 @@ func (b *Broadcaster) Suspect(peer string) {
 	e := b.nextLiveEpochLocked()
 	b.stats.EpochJumps++
 	b.epoch = e
-	b.epochAssigned = 0
 	iAmNewSequencer := b.sequencerFor(e) == b.cfg.Self
 	if iAmNewSequencer {
 		// Crash takeover voids every older-epoch ORDER still in flight: the
@@ -55,7 +54,8 @@ func (b *Broadcaster) Suspect(peer string) {
 		// so our promise starts here; every other member makes it when it
 		// answers NEWEPOCH — not when it merely suspects, or one member's
 		// false suspicion would make it deaf to a sequencer everyone else
-		// still follows.  Planned rotations do NOT move this floor.
+		// still follows.  The floor moves only with a takeover: here, on
+		// answering NEWEPOCH, and on the new sequencer's ORDERs, which carry it.
 		b.minOrderEpoch = e
 		b.gathering = true
 		b.gatherEpoch = e
@@ -108,7 +108,6 @@ func (b *Broadcaster) handleNewEpoch(ne newEpochMsg, from string) {
 	if ne.Epoch > b.minOrderEpoch {
 		b.minOrderEpoch = ne.Epoch
 	}
-	b.epochAssigned = 0
 	b.gathering = false
 	reply := b.snapshotStateLocked(ne.Epoch)
 	b.mu.Unlock()
@@ -192,9 +191,7 @@ func (b *Broadcaster) finishGather() {
 	for _, o := range reannounce {
 		b.sendOrder(o)
 	}
-	if len(fresh.MsgIDs) > 0 {
-		b.sendOrder(fresh)
-	}
+	b.sendOrder(fresh)
 	b.orderMu.Unlock()
 	b.tryDeliver()
 }

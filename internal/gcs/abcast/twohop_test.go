@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/tuning"
 )
 
 // tap is a counting, filtering endpoint wrapper: it records every message its
@@ -224,13 +223,12 @@ func TestUrgentFramesOfAnUnbatchedBroadcast(t *testing.T) {
 }
 
 // TestNoProtocolMessageIsAddressedToSelf drives every message type through the
-// taps — a NACK round, planned rotation, a crash takeover — and relies on the
-// check makeTappedGroup installs.
+// taps — a NACK round, a crash takeover — and relies on the check
+// makeTappedGroup installs.
 func TestNoProtocolMessageIsAddressedToSelf(t *testing.T) {
 	net := transport.NewMemNetwork()
 	nodes, taps := makeTappedGroup(t, net, groupAddrs(3), func(cfg *Config) {
 		cfg.NackDelay = 2 * time.Millisecond
-		cfg.Sequencer = tuning.Sequencer{RotateEvery: 3}
 	}, nil)
 
 	net.BlockLink("s2", "s3") // s3 gets the ORDER without the DATA: NACK
@@ -239,16 +237,6 @@ func TestNoProtocolMessageIsAddressedToSelf(t *testing.T) {
 		collect(t, nd, 1, 5*time.Second)
 	}
 	net.UnblockLink("s2", "s3")
-	for i := 0; i < 6; i++ { // two quotas: HANDOFFs
-		nodes[i%3].bc.Broadcast([]byte{byte(i)})
-	}
-	for _, nd := range nodes {
-		collect(t, nd, 6, 5*time.Second)
-	}
-	waitFor(t, 2*time.Second, func() bool { // the last HANDOFF has landed everywhere
-		e := nodes[0].bc.Epoch()
-		return e > 0 && nodes[1].bc.Epoch() == e && nodes[2].bc.Epoch() == e
-	})
 	seqr := nodes[0].bc.Sequencer()
 	net.Crash(seqr) // NEWEPOCH, STATE
 	var live []*node
@@ -266,7 +254,7 @@ func TestNoProtocolMessageIsAddressedToSelf(t *testing.T) {
 	}
 
 	_, byType := sentByType(taps)
-	for _, typ := range []string{MsgData, MsgOrder, MsgAck, MsgNack, MsgNewEpoch, MsgState, MsgHandoff} {
+	for _, typ := range []string{MsgData, MsgOrder, MsgAck, MsgNack, MsgNewEpoch, MsgState} {
 		if byType[typ] == 0 {
 			t.Errorf("the scenario never sent a %s", typ)
 		}
@@ -436,17 +424,14 @@ func TestUniformAgreementAcrossTakeover(t *testing.T) {
 	}
 }
 
-// TestRotationAnnouncementsStayInSequenceOrder has many goroutines broadcast
-// at the sequencer — so the assignment path is entered beside the router
-// thread — under planned rotation.  Assigning a range and announcing it must
-// be one serial step: on every link each member's ORDERs carry strictly
-// increasing base sequences, and a HANDOFF follows the last ORDER of the epoch
-// it ends (the successor relies on exactly that).
-func TestRotationAnnouncementsStayInSequenceOrder(t *testing.T) {
+// TestAnnouncementsStayInSequenceOrder has many goroutines broadcast at the
+// sequencer — so the assignment path is entered beside the router thread —
+// while every ORDER dawdles on its way to the transport.  Assigning a range
+// and announcing it must be one serial step: on every link the ORDERs carry
+// strictly increasing base sequences.
+func TestAnnouncementsStayInSequenceOrder(t *testing.T) {
 	const callers, each = 8, 25
-	nodes, taps := makeTappedGroup(t, transport.NewMemNetwork(), groupAddrs(3), func(cfg *Config) {
-		cfg.Sequencer = tuning.Sequencer{RotateEvery: 4}
-	}, nil)
+	nodes, taps := makeTappedGroup(t, transport.NewMemNetwork(), groupAddrs(3), nil, nil)
 	for _, tp := range taps {
 		tp.stall = MsgOrder
 	}
@@ -460,50 +445,29 @@ func TestRotationAnnouncementsStayInSequenceOrder(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				time.Sleep(50 * time.Microsecond) // keep broadcasting while the role comes round again
 			}
 		}()
 	}
 	wg.Wait()
 	assertUniformTotalOrder(t, nodes, callers*each)
 
-	type link struct {
-		lastBase uint64 // base sequence of the latest ORDER
-		floor    uint64 // epoch of the latest HANDOFF: older epochs are finished
-	}
-	var rotations int
 	for _, tp := range taps {
-		links := make(map[string]*link)
+		lastBase := make(map[string]uint64) // per link: base sequence of the latest ORDER
 		for _, m := range tp.log() {
-			l := links[m.To]
-			if l == nil {
-				l = &link{}
-				links[m.To] = l
+			if m.Type != MsgOrder {
+				continue
 			}
-			switch m.Type {
-			case MsgOrder:
-				var o orderMsg
-				if err := decodeOrder(m.Payload, &o); err != nil {
-					t.Fatal(err)
-				}
-				if o.BaseSeq <= l.lastBase {
-					t.Fatalf("link %s→%s: ORDER for base %d sent after the one for base %d", m.From, m.To, o.BaseSeq, l.lastBase)
-				}
-				if o.Epoch < l.floor {
-					t.Fatalf("link %s→%s: ORDER of epoch %d sent after the HANDOFF to epoch %d", m.From, m.To, o.Epoch, l.floor)
-				}
-				l.lastBase = o.BaseSeq
-			case MsgHandoff:
-				var h handoffMsg
-				if err := decodeHandoff(m.Payload, &h); err != nil {
-					t.Fatal(err)
-				}
-				l.floor = h.Epoch
-				rotations++
+			var o orderMsg
+			if err := decodeOrder(m.Payload, &o); err != nil {
+				t.Fatal(err)
 			}
+			if o.BaseSeq <= lastBase[m.To] {
+				t.Fatalf("link %s→%s: ORDER for base %d sent after the one for base %d", m.From, m.To, o.BaseSeq, lastBase[m.To])
+			}
+			if o.MinEpoch != o.Epoch {
+				t.Fatalf("link %s→%s: ORDER of epoch %d carries floor %d; a sequencer's floor is its epoch", m.From, m.To, o.Epoch, o.MinEpoch)
+			}
+			lastBase[m.To] = o.BaseSeq
 		}
-	}
-	if rotations == 0 {
-		t.Fatal("no HANDOFF was sent with RotateEvery = 4 and 200 broadcasts")
 	}
 }

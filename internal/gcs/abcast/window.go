@@ -177,7 +177,7 @@ func (b *Broadcaster) placeLocked(seq uint64, r *record, id string, epoch uint64
 }
 
 // orderLocked marks the record of seq as ordered: it enters the id index (the
-// lowest sequence number wins when chained rotations assigned an id twice)
+// lowest sequence number wins should two sequencers have assigned an id)
 // and claims the payload if the DATA arrived first.  votes are the members
 // this proves to hold (seq, id): this one, and the sequencer of an ORDER.
 func (b *Broadcaster) orderLocked(seq uint64, r *record, votes uint64) {

@@ -22,7 +22,6 @@ import (
 	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/gcs/membership"
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/tuning"
 	"groupsafe/internal/wal"
 )
 
@@ -64,10 +63,6 @@ type Config struct {
 	// ResyncInterval is how often a stalled replica re-pulls a peer snapshot
 	// to close gaps left by messages sent while it was down (default 1s).
 	ResyncInterval time.Duration
-	// RotateSequencerEvery and ApplyWorkers are the pipeline tuning knobs
-	// (see internal/tuning).
-	RotateSequencerEvery int
-	ApplyWorkers         int
 	// Logf receives operational log lines (default os.Stderr via fmt).
 	Logf func(format string, args ...interface{})
 }
@@ -175,10 +170,6 @@ func Start(cfg Config) (*Server, error) {
 		StartDetector:   true,
 		Detector:        fd.Config{Interval: cfg.HeartbeatInterval, Timeout: cfg.SuspectTimeout},
 		OnDetectorEvent: s.onDetectorEvent,
-		Pipeline: tuning.Pipeline{
-			Sequencer:    tuning.Sequencer{RotateEvery: cfg.RotateSequencerEvery},
-			ApplyWorkers: cfg.ApplyWorkers,
-		},
 	})
 	if err != nil {
 		s.teardown()

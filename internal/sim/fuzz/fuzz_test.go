@@ -92,35 +92,30 @@ func TestFuzzPinned(t *testing.T) {
 	cases := []struct {
 		technique, level, profile string
 		seed                      int64
-		rotateEvery               int
 		partitions                int
 	}{
-		{"certification", "group-safe", "mixed", 11, 0, 0},
-		{"certification", "2-safe", "storm", 12, 0, 0},
-		{"certification", "very-safe", "partition", 13, 0, 0},
-		{"active", "group-safe", "mixed", 14, 0, 0},
-		{"lazy-primary", "", "mixed", 15, 0, 0},
-		// Planned sequencer rotation under active replication.  Same
-		// invariant suite — the ordering optimisation must be invisible to
-		// safety.
-		{"active", "group-safe", "storm", 17, 6, 0},
+		{"certification", "group-safe", "mixed", 11, 0},
+		{"certification", "2-safe", "storm", 12, 0},
+		{"certification", "very-safe", "partition", 13, 0},
+		{"active", "group-safe", "mixed", 14, 0},
+		{"lazy-primary", "", "mixed", 15, 0},
+		// Active replication under the crash storm: sequencer takeovers with
+		// every replica executing every delivered transaction.
+		{"active", "group-safe", "storm", 17, 0},
 		// The partitioned keyspace: cross-partition 2PC under the full fault
 		// mix (crashes hit every co-located partition replica at once), at a
 		// group-safe level where the coordinator's decide record can die with
 		// its holders, and at 2-safe where atomicity has no excuse.
-		{"certification", "group-safe", "sharded", 18, 0, 2},
-		{"certification", "2-safe", "sharded", 19, 0, 3},
+		{"certification", "group-safe", "sharded", 18, 2},
+		{"certification", "2-safe", "sharded", 19, 3},
 		// The read scale-out sweep: floored queries dominate while crashes
 		// and recoveries move the session routing between replicas — the
 		// session-routing invariant (tokens never travel backwards) bites.
-		{"certification", "group-safe", "readheavy", 20, 0, 0},
+		{"certification", "group-safe", "readheavy", 20, 0},
 	}
 	for _, c := range cases {
 		c := c
 		name := c.technique + "-" + c.level + "-" + c.profile
-		if c.rotateEvery > 0 {
-			name += "-rotating"
-		}
 		if c.partitions > 0 {
 			name += fmt.Sprintf("-p%d", c.partitions)
 		}
@@ -128,7 +123,6 @@ func TestFuzzPinned(t *testing.T) {
 			t.Parallel()
 			cfg := sweepConfig(c.seed)
 			cfg.Technique, cfg.Level, cfg.Profile = c.technique, c.level, c.profile
-			cfg.RotateEvery = c.rotateEvery
 			cfg.Partitions = c.partitions
 			sc, err := Generate(cfg)
 			if err != nil {
@@ -139,47 +133,24 @@ func TestFuzzPinned(t *testing.T) {
 	}
 }
 
-// TestTraceHotPathHeaderRoundTrip pins the trace codec for the rotation
-// header line: it is emitted only when non-default (so committed corpus
-// traces keep their exact bytes) and survives a marshal/parse/marshal cycle.
-// An "adaptive" line, which traces recorded before the broadcast lanes were
-// merged may carry, parses and is dropped.
-func TestTraceHotPathHeaderRoundTrip(t *testing.T) {
-	cfg := sweepConfig(31)
-	cfg.RotateEvery = 5
-	sc, err := Generate(cfg)
+// TestTraceRetiredHeadersIgnored: traces recorded while the broadcast lane
+// had a fixed mode ("adaptive") or the sequencer a planned rotation
+// ("rotate-every") still replay — either line parses to the scenario the
+// trace describes without it, and Marshal emits neither.
+func TestTraceRetiredHeadersIgnored(t *testing.T) {
+	sc, err := Generate(sweepConfig(31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := sc.Marshal()
-	if !bytes.Contains(data, []byte("rotate-every 5\n")) {
-		t.Fatalf("hot-path header line missing from trace:\n%s", data[:200])
-	}
-	parsed, err := ParseScenario(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.Cfg.RotateEvery != 5 {
-		t.Fatalf("parsed config lost the hot-path knob: %+v", parsed.Cfg)
-	}
-	if !bytes.Equal(parsed.Marshal(), data) {
-		t.Fatal("marshal/parse/marshal is not byte-stable with hot-path headers")
-	}
-	old, err := ParseScenario(bytes.Replace(data, []byte("rotate-every 5\n"), []byte("adaptive true\nrotate-every 5\n"), 1))
-	if err != nil {
-		t.Fatalf("a trace with the retired adaptive header line no longer parses: %v", err)
-	}
-	if !bytes.Equal(old.Marshal(), data) {
-		t.Fatal("the retired adaptive header line changed the parsed scenario")
-	}
-
-	// Default knobs must not add header lines (corpus byte-stability).
-	plain, err := Generate(sweepConfig(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(plain.Marshal(), []byte("adaptive")) || bytes.Contains(plain.Marshal(), []byte("rotate-every")) {
-		t.Fatal("default config leaked hot-path header lines into the trace")
+	for _, retired := range []string{"adaptive true\n", "rotate-every 5\n"} {
+		old, err := ParseScenario(bytes.Replace(data, []byte("generated "), []byte(retired+"generated "), 1))
+		if err != nil {
+			t.Fatalf("a trace with the retired header line %q no longer parses: %v", retired, err)
+		}
+		if !bytes.Equal(old.Marshal(), data) {
+			t.Fatalf("the retired header line %q changed the parsed scenario", retired)
+		}
 	}
 }
 

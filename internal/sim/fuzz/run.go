@@ -11,7 +11,6 @@ import (
 	"groupsafe/internal/partition"
 	"groupsafe/internal/sim"
 	"groupsafe/internal/storage"
-	"groupsafe/internal/tuning"
 )
 
 // The runner executes a scenario against a real cluster.  The schedule is
@@ -211,7 +210,6 @@ func Run(s *Scenario) (*RunRecord, error) {
 		Partitions:    cfg.Partitions,
 		ExecTimeout:   cfg.TxnTimeout,
 		RecordApplied: true,
-		Pipeline:      tuning.Pipeline{Sequencer: tuning.Sequencer{RotateEvery: cfg.RotateEvery}},
 		Seed:          sim.DeriveSeed(cfg.Seed, streamNetwork),
 	})
 	if err != nil {

@@ -52,9 +52,6 @@ type Config struct {
 	// changing the trace... except that it is part of the marshalled header,
 	// so corpus entries replay with the timeout they were found under.
 	TxnTimeout time.Duration
-	// RotateEvery enables planned sequencer rotation after that many
-	// assignments (0: fixed sequencer).  Marshalled only when non-zero.
-	RotateEvery int
 	// Partitions splits the keyspace into that many hash partitions routed
 	// through internal/partition (0 or 1: unpartitioned, today's exact code
 	// path).  More than one partition requires the certification technique
@@ -544,9 +541,6 @@ func (s *Scenario) Marshal() []byte {
 	fmt.Fprintf(&b, "profile %s\n", s.Cfg.Profile)
 	fmt.Fprintf(&b, "txn-timeout %s\n", s.Cfg.TxnTimeout)
 	// Emitted only when non-default: older traces stay byte-identical.
-	if s.Cfg.RotateEvery != 0 {
-		fmt.Fprintf(&b, "rotate-every %d\n", s.Cfg.RotateEvery)
-	}
 	if s.Cfg.Partitions > 1 {
 		fmt.Fprintf(&b, "partitions %d\n", s.Cfg.Partitions)
 	}
@@ -634,12 +628,10 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			s.Cfg.Profile = val
 		case "txn-timeout":
 			s.Cfg.TxnTimeout, err = time.ParseDuration(val)
-		case "adaptive":
-			// Traces recorded while the broadcast lane still had a fixed
-			// mode carry this line; there is one lane now.
-			_, err = strconv.ParseBool(val)
-		case "rotate-every":
-			s.Cfg.RotateEvery, err = strconv.Atoi(val)
+		case "adaptive", "rotate-every":
+			// Traces recorded while the broadcast lane had a fixed mode, or
+			// the sequencer a planned rotation, carry these lines; there is
+			// one lane and one sequencer policy now.
 		case "partitions":
 			s.Cfg.Partitions, err = strconv.Atoi(val)
 		case "generated":
