@@ -164,46 +164,30 @@ func (c *RemoteClient) noteAdvert(idx int, seq uint64) {
 	}
 }
 
-// routeSlot picks the rotation start for one transaction.  With a freshness
-// floor: the least-loaded endpoint whose last advertised applied sequence
-// satisfies the floor, falling back to the most-advanced advertisement when
-// none does.  Without a floor: the least-loaded endpoint.  Round-robin
-// breaks ties.  Advertisements lag reality (they come from previous results
-// and Info calls), so the floor is only a routing hint — the serving replica
+// routeSlot picks the rotation start for one transaction: the shared policy
+// (route) over the endpoints that are not suspended, with an endpoint's lag
+// the distance of its last advertised applied sequence below the call's
+// freshness floor and its load the requests in flight to it.
+// Advertisements lag reality (they come from previous results and Info
+// calls), so the floor is only a routing hint — the serving replica
 // re-checks it, and a wrong guess costs one rotation, never correctness.
 func (c *RemoteClient) routeSlot(o *txnOptions) int {
-	n := len(c.addrs)
-	start := int(c.rr.Add(1)-1) % n
 	floor := o.freshness
 	for _, f := range o.freshnessVec {
 		if f > floor {
 			floor = f
 		}
 	}
-	best, freshest := -1, start
-	var bestLoad int64
-	var freshestSeq uint64
-	haveLive := false
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if c.endpointSuspended(c.addrs[i]) {
-			continue
-		}
-		seq := c.advert[i].Load()
-		if !haveLive || seq > freshestSeq {
-			freshest, freshestSeq, haveLive = i, seq, true
-		}
-		if seq < floor {
-			continue
-		}
-		if load := c.load[i].Load(); best < 0 || load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	return freshest
+	n := len(c.addrs)
+	return route(n, int(c.rr.Add(1)-1)%n,
+		func(i int) bool { return c.endpointSuspended(c.addrs[i]) },
+		func(i int) uint64 {
+			if seq := c.advert[i].Load(); seq < floor {
+				return floor - seq
+			}
+			return 0
+		},
+		func(i int) int64 { return c.load[i].Load() })
 }
 
 // pickAddr selects the delegate for one rotation slot, skipping forward past

@@ -86,7 +86,6 @@ package gsdb
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"groupsafe/internal/partition"
@@ -179,46 +178,21 @@ func (c *Client) track(i int) func() {
 	return func() { c.inflight[i].Add(-1) }
 }
 
-// pickDelegate routes one call: the pinned delegate when Via was given;
-// otherwise the least-loaded live replica whose applied sequences already
-// satisfy the call's freshness floor, so a floored session read lands on a
-// replica that can answer without blocking whenever one exists.  When no
-// live replica satisfies the floor, the least-lagging live replica is picked
-// and its read path parks on the freshness gate until the floor is applied —
-// waiting is the fallback, not the routing default.  Ties rotate round-robin
-// so equally idle replicas share the query load.
+// pickDelegate routes one call: the pinned delegate when Via was given,
+// otherwise the shared policy (route) over the live replicas, with each
+// replica's lag taken from its applied sequences (floorLag) and its load from
+// the in-flight counters — so a floored session read lands on a replica that
+// can answer without blocking whenever one exists, and otherwise parks on the
+// least-lagging replica's freshness gate.
 func (c *Client) pickDelegate(o *txnOptions) int {
 	if o.delegate >= 0 {
 		return o.delegate
 	}
 	n := c.cluster.Size()
-	start := int(c.rr.Add(1)-1) % n
-	best := -1
-	var bestLoad int64
-	closest, closestLag := start, uint64(math.MaxUint64)
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if c.cluster.ReplicaCrashed(i) {
-			continue
-		}
-		lag := c.floorLag(i, o)
-		if lag < closestLag {
-			closest, closestLag = i, lag
-		}
-		if lag > 0 {
-			continue
-		}
-		if load := c.inflight[i].Load(); best < 0 || load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	// No qualifying replica (or none live): the least-lagging live replica,
-	// or the raw round-robin slot when everything is down, so the caller
-	// still gets a meaningful ErrCrashed.
-	return closest
+	return route(n, int(c.rr.Add(1)-1)%n,
+		c.cluster.ReplicaCrashed,
+		func(i int) uint64 { return c.floorLag(i, o) },
+		func(i int) int64 { return c.inflight[i].Load() })
 }
 
 // floorLag returns how far replica i's applied sequences fall short of the

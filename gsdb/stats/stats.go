@@ -1,5 +1,5 @@
 // Package stats is the public measurement toolkit of the gsdb API: response
-// time samples with percentiles and confidence intervals, as used by the
+// time samples with exact percentiles, as used by the
 // examples and command-line tools.  It re-exports the module's internal
 // statistics package, which stays an implementation detail.
 package stats
@@ -7,8 +7,8 @@ package stats
 import istats "groupsafe/internal/stats"
 
 // Sample accumulates scalar observations (typically response times in
-// milliseconds via AddDuration) and reports mean, min/max, percentiles and a
-// 95% confidence interval.
+// milliseconds via AddDuration) and reports mean, max, standard deviation and
+// exact percentiles.
 type Sample = istats.Sample
 
 // NewSample returns an empty sample.

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/storage"
-	"groupsafe/internal/workload"
 )
 
 // ClusterConfig configures an in-process replicated database cluster (one
@@ -198,13 +196,6 @@ func (c *Cluster) Crash(i int) {
 	}
 }
 
-// CrashAll crashes every replica (the total-failure scenario of Fig. 5).
-func (c *Cluster) CrashAll() {
-	for _, r := range c.replicas {
-		r.Crash()
-	}
-}
-
 // Recover restarts replica i.  For the dynamic crash no-recovery model a
 // state transfer is performed from a live replica, if any is available (the
 // paper's checkpoint-based recovery); with end-to-end atomic broadcast the
@@ -389,67 +380,4 @@ func (c *Cluster) Close() {
 	for _, r := range c.replicas {
 		_ = r.Close()
 	}
-}
-
-// Client is a convenience wrapper that submits transactions to a fixed
-// delegate replica and measures response times.
-type Client struct {
-	cluster  *Cluster
-	delegate int
-
-	mu        sync.Mutex
-	responses []time.Duration
-	commits   int
-	aborts    int
-}
-
-// NewClient creates a client bound to the given delegate replica index.
-func NewClient(cluster *Cluster, delegate int) *Client {
-	return &Client{cluster: cluster, delegate: delegate}
-}
-
-// Run executes one request and records its response time.
-func (cl *Client) Run(ctx context.Context, req Request) (Result, error) {
-	start := time.Now()
-	res, err := cl.cluster.Execute(ctx, cl.delegate, req)
-	elapsed := time.Since(start)
-	if err != nil {
-		return res, err
-	}
-	cl.mu.Lock()
-	cl.responses = append(cl.responses, elapsed)
-	if res.Committed() {
-		cl.commits++
-	} else {
-		cl.aborts++
-	}
-	cl.mu.Unlock()
-	return res, nil
-}
-
-// RunWorkload executes n transactions drawn from the generator.
-func (cl *Client) RunWorkload(ctx context.Context, gen *workload.Generator, n int) error {
-	for i := 0; i < n; i++ {
-		txn := gen.Next(0, cl.delegate)
-		if _, err := cl.Run(ctx, RequestFromWorkload(txn)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ResponseTimes returns the recorded response times.
-func (cl *Client) ResponseTimes() []time.Duration {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	out := make([]time.Duration, len(cl.responses))
-	copy(out, cl.responses)
-	return out
-}
-
-// Counts returns the number of committed and aborted transactions observed.
-func (cl *Client) Counts() (commits, aborts int) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.commits, cl.aborts
 }

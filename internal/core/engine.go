@@ -117,6 +117,15 @@ type stagedTxn struct {
 	reads    map[int]int64 // delegate read results (active technique only)
 }
 
+// waiterKey names what a submitter waits for.  A cross-partition prepare and
+// the decide that resolves it travel under the same gid, so the id alone does
+// not say which delivery answers which caller: vote marks the waiter of a
+// prepare's vote (stagedTxn.vote), its absence the waiter of a final outcome.
+type waiterKey struct {
+	txnID uint64
+	vote  bool
+}
+
 // txnOutcome is what the apply goroutine hands back to a waiting Execute
 // call: the certified outcome, the local commit-record LSN, the delivery
 // sequence (the transaction's own position in the total order, reported to
@@ -278,7 +287,9 @@ func (r *Replica) withDefaultTimeout(ctx context.Context) (context.Context, cont
 
 // submitAndWait registers the transaction's notification channel, broadcasts
 // the payload through the group communication stack, and blocks until the
-// apply goroutine reports the outcome — plus, when the transaction's level is
+// apply goroutine reports the outcome of the delivery key names (a 2PC
+// prepare is answered by its vote and never by a decide's outcome, nor the
+// other way round) — plus, when the transaction's level is
 // very-safe, until every server (available or not) has acknowledged it.  It
 // is the shared submit path of every broadcast-based technique.
 //
@@ -288,14 +299,15 @@ func (r *Replica) withDefaultTimeout(ctx context.Context) (context.Context, cont
 // to garbage-collect it.  A delivery racing the deregistration is harmless —
 // externalize sends non-blocking into the buffered channel and treats a
 // missing entry as "no local waiter".
-func (r *Replica) submitAndWait(ctx context.Context, txnID uint64, payload []byte, level SafetyLevel, crashCh chan struct{}) (txnOutcome, error) {
+func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []byte, level SafetyLevel, crashCh chan struct{}) (txnOutcome, error) {
 	ctx, cancel := r.withDefaultTimeout(ctx)
 	defer cancel()
 
+	txnID := key.txnID
 	outcomeCh := make(chan txnOutcome, 1)
 	var veryDone chan struct{}
 	r.mu.Lock()
-	r.pending[txnID] = outcomeCh
+	r.pending[key] = outcomeCh
 	if level == VerySafe {
 		veryDone = make(chan struct{})
 		r.veryDone[txnID] = veryDone
@@ -304,7 +316,7 @@ func (r *Replica) submitAndWait(ctx context.Context, txnID uint64, payload []byt
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
-		delete(r.pending, txnID)
+		delete(r.pending, key)
 		delete(r.veryDone, txnID)
 		delete(r.veryAcks, txnID)
 		r.mu.Unlock()
@@ -362,7 +374,7 @@ func (r *Replica) externalize(staged []stagedTxn) {
 				Seq: a.item.seq, TxnID: a.txnID, Outcome: a.outcome, Level: a.level, Vote: a.vote,
 			})
 		}
-		if ch, ok := r.pending[a.txnID]; ok {
+		if ch, ok := r.pending[waiterKey{txnID: a.txnID, vote: a.vote}]; ok {
 			notifyCh[i] = ch
 		}
 	}

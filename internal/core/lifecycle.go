@@ -226,7 +226,7 @@ func (r *Replica) Recover(snapshot *StateSnapshot) (int, error) {
 	r.cfg.Network.Recover(r.cfg.ID)
 
 	r.mu.Lock()
-	r.pending = make(map[uint64]chan txnOutcome)
+	r.pending = make(map[waiterKey]chan txnOutcome)
 	r.veryAcks = make(map[uint64]map[string]bool)
 	r.veryDone = make(map[uint64]chan struct{})
 	r.crashed = false
@@ -300,10 +300,11 @@ func (r *Replica) MergeSnapshot(s StateSnapshot) int {
 	// The snapshot can contain this replica's own in-flight transactions (a
 	// peer applied them while this one was behind).  SkipTo steps over their
 	// deliveries, so the apply loop will never answer their waiters; the
-	// donor applied them, so they committed.
+	// donor applied them, so they committed.  That is a final outcome: a
+	// waiter for a prepare vote under the same id is not answered by it.
 	if len(r.pending) > 0 {
 		for _, id := range s.AppliedTxns {
-			if ch, ok := r.pending[id]; ok {
+			if ch, ok := r.pending[waiterKey{txnID: id}]; ok {
 				select {
 				case ch <- txnOutcome{outcome: OutcomeCommitted, seq: s.LastAppliedSeq}:
 				default:

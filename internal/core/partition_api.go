@@ -104,7 +104,7 @@ func (r *Replica) SubmitCertified(ctx context.Context, gid uint64, level SafetyL
 	r.stats.Executed++
 	r.mu.Unlock()
 	payload := encodeTxnPayload(gid, r.cfg.ID, level, readVers, writes)
-	out, err := r.submitAndWait(ctx, gid, payload, level, crashCh)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid}, payload, level, crashCh)
 	if err != nil {
 		return OutcomePending, 0, 0, err
 	}
@@ -125,7 +125,7 @@ func (r *Replica) SubmitPrepare(ctx context.Context, gid uint64, level SafetyLev
 	r.stats.Executed++
 	r.mu.Unlock()
 	payload := encode2PCPayload(phasePrepare, gid, r.cfg.ID, level, coord, readVers, writes)
-	out, err := r.submitAndWait(ctx, gid, payload, level, crashCh)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid, vote: true}, payload, level, crashCh)
 	if err != nil {
 		return OutcomePending, 0, err
 	}
@@ -150,7 +150,7 @@ func (r *Replica) SubmitDecide(ctx context.Context, gid uint64, level SafetyLeve
 		phase = phaseDecideCommit
 	}
 	payload := encode2PCPayload(phase, gid, r.cfg.ID, level, 0, nil, writes)
-	out, err := r.submitAndWait(ctx, gid, payload, level, crashCh)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid}, payload, level, crashCh)
 	if err != nil {
 		return OutcomePending, 0, 0, err
 	}

@@ -214,7 +214,7 @@ type Replica struct {
 	ab          *abcast.Broadcaster
 	e2eb        *e2e.Broadcaster
 	detector    *fd.Detector
-	pending     map[uint64]chan txnOutcome
+	pending     map[waiterKey]chan txnOutcome
 	veryAcks    map[uint64]map[string]bool
 	veryDone    map[uint64]chan struct{}
 	crashed     bool
@@ -261,7 +261,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		cfg:         cfg,
 		index:       index,
 		tech:        tech,
-		pending:     make(map[uint64]chan txnOutcome),
+		pending:     make(map[waiterKey]chan txnOutcome),
 		veryAcks:    make(map[uint64]map[string]bool),
 		veryDone:    make(map[uint64]chan struct{}),
 		crashCh:     make(chan struct{}),

@@ -59,7 +59,7 @@ func (activeTechnique) execute(ctx context.Context, r *Replica, req Request, cra
 	}
 
 	payload := encodeOpsPayload(req.ID, r.cfg.ID, level, req.Ops)
-	out, err := r.submitAndWait(ctx, req.ID, payload, level, crashCh)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level, crashCh)
 	if err != nil {
 		return Result{}, err
 	}

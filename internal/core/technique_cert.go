@@ -119,7 +119,7 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 	}
 
 	payload := encodeTxnPayload(req.ID, r.cfg.ID, level, readVers, writes)
-	out, err := r.submitAndWait(ctx, req.ID, payload, level, crashCh)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level, crashCh)
 	if err != nil {
 		return Result{}, err
 	}

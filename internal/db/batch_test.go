@@ -19,10 +19,10 @@ func (c *countingLog) Sync() error {
 	return c.Log.Sync()
 }
 
-// TestBatchApplyForcesOnce installs a batch of certified write sets through
-// the deferred-sync path and checks that the whole batch becomes durable with
-// a single group-committed force, instead of one per transaction as
-// ApplyWriteSet would issue under SyncOnCommit.
+// TestBatchApplyForcesOnce stages and installs a batch of certified write
+// sets the way the replica apply loop does and checks that the whole batch
+// becomes durable with a single group-committed force, instead of one per
+// transaction as ApplyWriteSet would issue under SyncOnCommit.
 func TestBatchApplyForcesOnce(t *testing.T) {
 	log := &countingLog{Log: wal.NewMemLog()}
 	d, err := Open(Config{Items: 64, Policy: SyncOnCommit, Log: log})
@@ -34,9 +34,13 @@ func TestBatchApplyForcesOnce(t *testing.T) {
 	const batch = 8
 	var last wal.LSN
 	for i := 1; i <= batch; i++ {
-		applied, lsn, err := d.ApplyWriteSetDeferred(uint64(i), storage.WriteSet{i: int64(100 + i)})
+		writes := []storage.Write{{Item: i, Value: int64(100 + i)}}
+		applied, lsn, err := d.StageWrites(uint64(i), writes)
 		if err != nil || !applied {
-			t.Fatalf("deferred apply %d = (%v, %v)", i, applied, err)
+			t.Fatalf("stage %d = (%v, %v)", i, applied, err)
+		}
+		if err := d.InstallWrites(writes); err != nil {
+			t.Fatal(err)
 		}
 		if lsn <= last {
 			t.Fatalf("LSNs must advance: txn %d got %d after %d", i, lsn, last)
@@ -44,7 +48,7 @@ func TestBatchApplyForcesOnce(t *testing.T) {
 		last = lsn
 	}
 	if got := atomic.LoadInt32(&log.syncs); got != 0 {
-		t.Fatalf("deferred applies issued %d forces, want 0", got)
+		t.Fatalf("staging issued %d forces, want 0", got)
 	}
 	if err := d.ForceTo(last); err != nil {
 		t.Fatal(err)
@@ -73,8 +77,12 @@ func TestBatchApplyDurableAfterCrash(t *testing.T) {
 	const batch = 4
 	var last wal.LSN
 	for i := 1; i <= batch; i++ {
-		_, lsn, err := d.ApplyWriteSetDeferred(uint64(i), storage.WriteSet{i: int64(10 * i)})
+		writes := []storage.Write{{Item: i, Value: int64(10 * i)}}
+		_, lsn, err := d.StageWrites(uint64(i), writes)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.InstallWrites(writes); err != nil {
 			t.Fatal(err)
 		}
 		last = lsn

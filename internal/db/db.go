@@ -79,13 +79,13 @@ type Stats struct {
 
 // DB is a single-node transactional database over integer items.
 type DB struct {
-	store *storage.Store
-	locks *lock.Manager
-	log   wal.Log
-	gc    *wal.GroupCommitter
+	store  *storage.Store
+	locks  *lock.Manager
+	log    wal.Log
+	gc     *wal.GroupCommitter
+	policy SyncPolicy // fixed at Open
 
 	mu      sync.Mutex
-	policy  SyncPolicy
 	applied map[uint64]bool
 	nextID  uint64
 	closed  bool
@@ -201,21 +201,8 @@ func (d *DB) Store() *storage.Store { return d.store }
 // Log exposes the underlying write-ahead log.
 func (d *DB) Log() wal.Log { return d.log }
 
-// Policy returns the current sync policy.
-func (d *DB) Policy() SyncPolicy {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.policy
-}
-
-// SetPolicy changes the durability policy (the paper notes that an
-// implementation can switch between group-safe and group-1-safe at runtime;
-// this is the corresponding knob).
-func (d *DB) SetPolicy(p SyncPolicy) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.policy = p
-}
+// Policy returns the sync policy the database was opened with.
+func (d *DB) Policy() SyncPolicy { return d.policy }
 
 // Stats returns a snapshot of the database counters.
 func (d *DB) Stats() Stats {
@@ -280,10 +267,9 @@ func (d *DB) Begin(id uint64) (*Txn, error) {
 		return nil, fmt.Errorf("%w: txn %d", ErrAlreadyApplied, id)
 	}
 	return &Txn{
-		db:       d,
-		id:       id,
-		writes:   make(storage.WriteSet),
-		readVers: make(map[int]uint64),
+		db:     d,
+		id:     id,
+		writes: make(storage.WriteSet),
 	}, nil
 }
 
@@ -293,9 +279,55 @@ func (d *DB) Begin(id uint64) (*Txn, error) {
 // replayed end-to-end atomic broadcast message).  Under SyncOnCommit the
 // commit record is forced before the writes become visible in the store.
 func (d *DB) ApplyWriteSet(txnID uint64, ws storage.WriteSet) (bool, error) {
-	sync := d.Policy() == SyncOnCommit
-	applied, _, err := d.applyWriteSet(txnID, ws, sync)
-	return applied, err
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return false, ErrClosed
+	}
+	if d.applied[txnID] {
+		d.stats.SkippedDup++
+		d.mu.Unlock()
+		return false, nil
+	}
+	d.mu.Unlock()
+
+	// Lock the written items (sorted to avoid deadlocks between appliers).
+	items := make([]int, 0, len(ws))
+	for it := range ws {
+		items = append(items, it)
+	}
+	sort.Ints(items)
+	for _, it := range items {
+		if err := d.locks.Acquire(txnID, it, lock.Exclusive); err != nil {
+			d.locks.ReleaseAll(txnID)
+			return false, fmt.Errorf("db: apply writeset of txn %d: %w", txnID, err)
+		}
+	}
+	defer d.locks.ReleaseAll(txnID)
+
+	for _, it := range items {
+		if _, err := d.log.Append(wal.Record{Kind: wal.KindUpdate, TxnID: txnID, Item: int64(it), Value: ws[it]}); err != nil {
+			return false, fmt.Errorf("db: log update: %w", err)
+		}
+	}
+	lsn, err := d.log.Append(wal.Record{Kind: wal.KindCommit, TxnID: txnID})
+	if err != nil {
+		return false, fmt.Errorf("db: log commit: %w", err)
+	}
+	if d.policy == SyncOnCommit {
+		if err := d.gc.WaitDurable(lsn); err != nil {
+			return false, fmt.Errorf("db: force log: %w", err)
+		}
+	}
+	if err := d.store.ApplyWriteSet(ws); err != nil {
+		return false, fmt.Errorf("db: install writeset: %w", err)
+	}
+	d.mu.Lock()
+	d.applied[txnID] = true
+	d.stats.AppliedRemote++
+	d.stats.Commits++
+	d.mu.Unlock()
+	return true, nil
 }
 
 // AbortWaiting externally aborts txnID's lock acquisition: any Acquire
@@ -312,78 +344,9 @@ func (d *DB) ForgetTxn(txnID uint64) { d.locks.Forget(txnID) }
 
 // ForceTo blocks until every log record with an LSN <= lsn is durable,
 // sharing forces with concurrent callers through the group committer.  The
-// batched replica apply loop uses it to force a whole batch of deferred
-// write-set installations with a single Sync.
+// batched replica apply loop uses it to force a whole batch of staged
+// transactions (StageWrites) with a single Sync.
 func (d *DB) ForceTo(lsn wal.LSN) error { return d.gc.WaitDurable(lsn) }
-
-// ApplyWriteSetDeferred is ApplyWriteSet without the commit force: the
-// write set is logged and installed, but durability is the caller's business
-// (typically one ForceTo covering a whole batch of transactions).  It returns
-// the LSN of the commit record so the caller knows how far to force.  Unlike
-// ApplyWriteSet, the writes are visible in the store before they are durable
-// — required so later transactions of the same batch certify against them;
-// the caller must not externalise outcomes before its batch force.
-func (d *DB) ApplyWriteSetDeferred(txnID uint64, ws storage.WriteSet) (bool, wal.LSN, error) {
-	return d.applyWriteSet(txnID, ws, false)
-}
-
-// applyWriteSet logs and installs one write set, forcing the commit record
-// before the store install when forceBeforeInstall is set.
-func (d *DB) applyWriteSet(txnID uint64, ws storage.WriteSet, forceBeforeInstall bool) (bool, wal.LSN, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return false, 0, ErrClosed
-	}
-	if d.applied[txnID] {
-		d.stats.SkippedDup++
-		d.mu.Unlock()
-		return false, 0, nil
-	}
-	d.mu.Unlock()
-
-	// Lock the written items (sorted to avoid deadlocks between appliers).
-	items := make([]int, 0, len(ws))
-	for it := range ws {
-		items = append(items, it)
-	}
-	sort.Ints(items)
-	for _, it := range items {
-		if err := d.locks.Acquire(txnID, it, lock.Exclusive); err != nil {
-			d.locks.ReleaseAll(txnID)
-			return false, 0, fmt.Errorf("db: apply writeset of txn %d: %w", txnID, err)
-		}
-	}
-	defer d.locks.ReleaseAll(txnID)
-
-	var lastLSN wal.LSN
-	for _, it := range items {
-		lsn, err := d.log.Append(wal.Record{Kind: wal.KindUpdate, TxnID: txnID, Item: int64(it), Value: ws[it]})
-		if err != nil {
-			return false, 0, fmt.Errorf("db: log update: %w", err)
-		}
-		lastLSN = lsn
-	}
-	lsn, err := d.log.Append(wal.Record{Kind: wal.KindCommit, TxnID: txnID})
-	if err != nil {
-		return false, 0, fmt.Errorf("db: log commit: %w", err)
-	}
-	lastLSN = lsn
-	if forceBeforeInstall {
-		if err := d.gc.WaitDurable(lastLSN); err != nil {
-			return false, 0, fmt.Errorf("db: force log: %w", err)
-		}
-	}
-	if err := d.store.ApplyWriteSet(ws); err != nil {
-		return false, 0, fmt.Errorf("db: install writeset: %w", err)
-	}
-	d.mu.Lock()
-	d.applied[txnID] = true
-	d.stats.AppliedRemote++
-	d.stats.Commits++
-	d.mu.Unlock()
-	return true, lastLSN, nil
-}
 
 // StageWrites is the serial half of the parallel apply pipeline: it performs
 // the exactly-once check, appends the update and commit records of a
@@ -473,7 +436,6 @@ type Txn struct {
 	db        *DB
 	id        uint64
 	writes    storage.WriteSet
-	readVers  map[int]uint64
 	commitLSN wal.LSN
 	done      bool
 }
@@ -499,14 +461,8 @@ func (t *Txn) Read(item int) (int64, error) {
 	if err := t.db.locks.Acquire(t.id, item, lock.Shared); err != nil {
 		return 0, err
 	}
-	v, ver, err := t.db.store.Read(item)
-	if err != nil {
-		return 0, err
-	}
-	if _, seen := t.readVers[item]; !seen {
-		t.readVers[item] = ver
-	}
-	return v, nil
+	v, _, err := t.db.store.Read(item)
+	return v, err
 }
 
 // Write buffers a new value for item, acquiring an exclusive lock.
@@ -522,16 +478,6 @@ func (t *Txn) Write(item int, value int64) error {
 	}
 	t.writes[item] = value
 	return nil
-}
-
-// ReadVersions returns the versions observed by the transaction's reads,
-// used by the replication layer to build the certification read set.
-func (t *Txn) ReadVersions() map[int]uint64 {
-	out := make(map[int]uint64, len(t.readVers))
-	for k, v := range t.readVers {
-		out[k] = v
-	}
-	return out
 }
 
 // WriteSet returns a copy of the transaction's buffered writes.

@@ -91,29 +91,18 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	}
 }
 
-func TestReadVersionsAndWriteSet(t *testing.T) {
+func TestWriteSetIsACopy(t *testing.T) {
 	d := openTestDB(t, SyncOnCommit)
-	seed, _ := d.Begin(0)
-	seed.Write(1, 10)
-	seed.Commit()
-
 	txn, _ := d.Begin(0)
-	txn.Read(1)
-	txn.Read(2)
 	txn.Write(3, 30)
-	rv := txn.ReadVersions()
-	if rv[1] != 1 || rv[2] != 0 {
-		t.Fatalf("read versions = %v", rv)
-	}
 	ws := txn.WriteSet()
 	if len(ws) != 1 || ws[3] != 30 {
 		t.Fatalf("write set = %v", ws)
 	}
-	// Mutating the returned copies must not affect the transaction.
-	rv[1] = 99
+	// Mutating the returned copy must not affect the transaction.
 	ws[3] = 99
-	if txn.ReadVersions()[1] != 1 || txn.WriteSet()[3] != 30 {
-		t.Fatal("accessors returned aliased maps")
+	if txn.WriteSet()[3] != 30 {
+		t.Fatal("accessor returned an aliased map")
 	}
 	txn.Abort()
 }
@@ -382,17 +371,6 @@ func TestClosedDatabase(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestSetPolicy(t *testing.T) {
-	d := openTestDB(t, SyncOnCommit)
-	if d.Policy() != SyncOnCommit {
-		t.Fatal("initial policy wrong")
-	}
-	d.SetPolicy(AsyncCommit)
-	if d.Policy() != AsyncCommit {
-		t.Fatal("SetPolicy did not stick")
 	}
 }
 

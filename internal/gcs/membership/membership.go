@@ -1,8 +1,9 @@
 // Package membership implements the group membership abstraction of the
 // dynamic crash no-recovery model (Sect. 2.3 of the paper): the history of
 // the group is a sequence of views v0, v1, ...; a new view is installed when
-// a process is suspected (leave) or (re)joins, and a joining process receives
-// a state transfer checkpoint from a current member.
+// a process is suspected (leave) or (re)joins.  State transfer to a joining
+// process is not this package's business: internal/server pulls a snapshot
+// from a peer.
 //
 // The view manager is deliberately local-deterministic: every replica feeds
 // it the same ordered stream of membership events (in the replicated database
@@ -36,40 +37,15 @@ func (v View) Contains(addr string) bool {
 // Size returns the number of members.
 func (v View) Size() int { return len(v.Members) }
 
-// Quorum returns the majority size of the view.
-func (v View) Quorum() int { return len(v.Members)/2 + 1 }
-
 // String implements fmt.Stringer.
 func (v View) String() string {
 	return fmt.Sprintf("view(%d, %v)", v.ID, v.Members)
 }
 
-// Event is a view change notification.
-type Event struct {
-	Old View
-	New View
-	// Joined and Left list the membership delta.
-	Joined []string
-	Left   []string
-}
-
-// StateProvider produces a checkpoint for state transfer to a joining member
-// (typically backed by db.SnapshotState).
-type StateProvider func() []byte
-
-// StateInstaller installs a received checkpoint at a joining member.
-type StateInstaller func([]byte) error
-
 // Manager tracks the current view of one process.
 type Manager struct {
-	self string
-
-	mu        sync.Mutex
-	view      View
-	listeners []func(Event)
-	provider  StateProvider
-	installer StateInstaller
-	history   []View
+	mu   sync.Mutex
+	view View
 }
 
 // New creates a manager whose initial view v0 contains the given members.
@@ -89,13 +65,8 @@ func New(self string, members []string) (*Manager, error) {
 	}
 	sorted := append([]string{}, members...)
 	sort.Strings(sorted)
-	m := &Manager{self: self, view: View{ID: 0, Members: sorted}}
-	m.history = append(m.history, m.view)
-	return m, nil
+	return &Manager{view: View{ID: 0, Members: sorted}}, nil
 }
-
-// Self returns this process's address.
-func (m *Manager) Self() string { return m.self }
 
 // View returns the current view.
 func (m *Manager) View() View {
@@ -104,129 +75,45 @@ func (m *Manager) View() View {
 	return m.copyView(m.view)
 }
 
-// History returns every installed view, oldest first.
-func (m *Manager) History() []View {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]View, len(m.history))
-	for i, v := range m.history {
-		out[i] = m.copyView(v)
-	}
-	return out
-}
-
 func (m *Manager) copyView(v View) View {
 	members := make([]string, len(v.Members))
 	copy(members, v.Members)
 	return View{ID: v.ID, Members: members}
 }
 
-// OnViewChange registers a callback invoked after every view installation.
-func (m *Manager) OnViewChange(fn func(Event)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.listeners = append(m.listeners, fn)
-}
-
-// SetStateProvider registers the checkpoint source used when another process
-// joins.
-func (m *Manager) SetStateProvider(p StateProvider) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.provider = p
-}
-
-// SetStateInstaller registers the checkpoint sink used when this process
-// joins an existing group.
-func (m *Manager) SetStateInstaller(i StateInstaller) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.installer = i
-}
-
 // Leave installs a new view without the given member (a crash suspicion).  It
 // is a no-op if the member is not in the current view.
 func (m *Manager) Leave(addr string) (View, bool) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !m.view.Contains(addr) {
-		v := m.copyView(m.view)
-		m.mu.Unlock()
-		return v, false
+		return m.copyView(m.view), false
 	}
-	old := m.copyView(m.view)
 	members := make([]string, 0, len(m.view.Members)-1)
 	for _, member := range m.view.Members {
 		if member != addr {
 			members = append(members, member)
 		}
 	}
-	ev := m.installLocked(members, nil, []string{addr}, old)
-	m.mu.Unlock()
-	m.notify(ev)
-	return ev.New, true
+	return m.installLocked(members), true
 }
 
-// Join installs a new view containing addr.  When this manager belongs to an
-// existing member and a state provider is registered, the returned checkpoint
-// is what should be shipped to the joining process; the joining process
-// passes it to Install on its own manager.
-func (m *Manager) Join(addr string) (View, []byte, error) {
+// Join installs a new view containing addr and returns it; a member already
+// in the view is a no-op.  Only the view moves here: a rejoining process
+// catches up by pulling a snapshot from a peer (internal/server).
+func (m *Manager) Join(addr string) View {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.view.Contains(addr) {
-		v := m.copyView(m.view)
-		m.mu.Unlock()
-		return v, nil, nil
+		return m.copyView(m.view)
 	}
-	old := m.copyView(m.view)
 	members := append([]string{}, m.view.Members...)
 	members = append(members, addr)
 	sort.Strings(members)
-	ev := m.installLocked(members, []string{addr}, nil, old)
-	provider := m.provider
-	m.mu.Unlock()
-	m.notify(ev)
-
-	var checkpoint []byte
-	if provider != nil && addr != m.self {
-		checkpoint = provider()
-	}
-	return ev.New, checkpoint, nil
+	return m.installLocked(members)
 }
 
-// Install applies a state-transfer checkpoint received while joining.
-func (m *Manager) Install(checkpoint []byte) error {
-	m.mu.Lock()
-	installer := m.installer
-	m.mu.Unlock()
-	if installer == nil {
-		return fmt.Errorf("membership: no state installer registered")
-	}
-	if checkpoint == nil {
-		return nil
-	}
-	return installer(checkpoint)
-}
-
-func (m *Manager) installLocked(members, joined, left []string, old View) Event {
+func (m *Manager) installLocked(members []string) View {
 	m.view = View{ID: m.view.ID + 1, Members: members}
-	m.history = append(m.history, m.copyView(m.view))
-	return Event{Old: old, New: m.copyView(m.view), Joined: joined, Left: left}
-}
-
-func (m *Manager) notify(ev Event) {
-	m.mu.Lock()
-	listeners := append([]func(Event){}, m.listeners...)
-	m.mu.Unlock()
-	for _, fn := range listeners {
-		fn(ev)
-	}
-}
-
-// CanTolerateCrash reports whether the current view can lose one more member
-// and still hold a quorum of the initial group size n (the group-safety
-// condition: the group "does not fail" while a majority survives).
-func (m *Manager) CanTolerateCrash(initialSize int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.view.Size()-1 >= initialSize/2+1
+	return m.copyView(m.view)
 }

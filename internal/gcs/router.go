@@ -24,8 +24,7 @@ type Router struct {
 	ep transport.Endpoint
 
 	// table is the immutable routing snapshot the dispatch loop reads without
-	// a lock, once per inbound message; Handle and HandleFallback swap in a
-	// new one under mu.
+	// a lock, once per inbound message; Handle swaps in a new one under mu.
 	table   atomic.Pointer[routes]
 	mu      sync.Mutex
 	stopped chan struct{}
@@ -33,11 +32,9 @@ type Router struct {
 	started bool
 }
 
-// routes is one routing snapshot; it is never modified once published.
-type routes struct {
-	handlers map[string]Handler
-	fallback Handler
-}
+// routes is one routing snapshot, handlers by message-type prefix; it is
+// never modified once published.
+type routes map[string]Handler
 
 // NewRouter creates a router over the endpoint.  Handle registrations must
 // happen before Start (or are picked up dynamically, both are safe).
@@ -47,7 +44,7 @@ func NewRouter(ep transport.Endpoint) *Router {
 		stopped: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	r.table.Store(&routes{handlers: map[string]Handler{}})
+	r.table.Store(&routes{})
 	return r
 }
 
@@ -59,17 +56,9 @@ func (r *Router) Endpoint() transport.Endpoint { return r.ep }
 func (r *Router) Handle(prefix string, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.table.Load()
-	next := &routes{handlers: maps.Clone(old.handlers), fallback: old.fallback}
-	next.handlers[prefix] = h
-	r.table.Store(next)
-}
-
-// HandleFallback registers a handler for messages that match no prefix.
-func (r *Router) HandleFallback(h Handler) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.table.Store(&routes{handlers: r.table.Load().handlers, fallback: h})
+	next := maps.Clone(*r.table.Load())
+	next[prefix] = h
+	r.table.Store(&next)
 }
 
 // Send transmits a message through the underlying endpoint.
@@ -105,17 +94,13 @@ func (r *Router) loop() {
 }
 
 func (r *Router) dispatch(m transport.Message) {
-	table := r.table.Load()
 	var best Handler
 	bestLen := -1
-	for prefix, h := range table.handlers {
+	for prefix, h := range *r.table.Load() {
 		if strings.HasPrefix(m.Type, prefix) && len(prefix) > bestLen {
 			best = h
 			bestLen = len(prefix)
 		}
-	}
-	if best == nil {
-		best = table.fallback
 	}
 	if best != nil {
 		best(m)

@@ -238,9 +238,7 @@ func (s *Server) onDetectorEvent(ev fd.Event) {
 		}
 		return
 	}
-	if v, _, err := s.views.Join(ev.Peer); err == nil && v.Contains(ev.Peer) {
-		s.cfg.Logf("server %s: peer %s alive -> %s", s.cfg.ID, ev.Peer, v)
-	}
+	s.cfg.Logf("server %s: peer %s alive -> %s", s.cfg.ID, ev.Peer, s.views.Join(ev.Peer))
 }
 
 // onPull answers a peer's state transfer request with our snapshot.

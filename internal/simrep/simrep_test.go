@@ -386,3 +386,29 @@ func TestPartitionedValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestReadHeavyThroughputScalesWithServers is the read scale-out claim in
+// the one form that does not depend on the host's cores: queries run on one
+// server's CPU and disks and nothing else, so at a 95 % read mix and an
+// offered load above every point's capacity, doubling the servers must lift
+// the completion rate per simulated second well clear of flat.
+func TestReadHeavyThroughputScalesWithServers(t *testing.T) {
+	saturated := func(servers int) float64 {
+		cfg := DefaultConfig()
+		cfg.Duration = 5 * time.Second
+		cfg.Servers = servers
+		cfg.ClientsPerServer = 8
+		cfg.ReadFraction = 0.95
+		cfg.MinOps, cfg.MaxOps = 2, 4
+		cfg.QueryMinOps, cfg.QueryMaxOps = 2, 4
+		res, err := Run(cfg, core.GroupSafe, 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ThroughputTPS
+	}
+	three, six := saturated(3), saturated(6)
+	if three <= 0 || six < 1.5*three {
+		t.Fatalf("saturated 95%%-read throughput: %.0f tps at 3 servers, %.0f at 6, want at least 1.5x", three, six)
+	}
+}

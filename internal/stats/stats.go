@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the benchmark
-// harness and the performance simulator: response-time collectors,
-// percentiles, histograms and throughput counters.
+// harness and the performance simulator: response-time collectors with
+// exact percentiles, and a per-class breakdown of them.
 //
 // Sample stores every observation so percentiles are exact rather than
 // approximated — the data sets here (one simulated run, one benchmark
@@ -46,15 +46,6 @@ func (s *Sample) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(len(s.values))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[0]
 }
 
 // Max returns the largest observation, or 0 for an empty sample.
@@ -108,16 +99,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Sample) Median() float64 { return s.Percentile(50) }
 
-// ConfidenceInterval95 returns the half-width of the 95% confidence interval
-// of the mean (normal approximation).
-func (s *Sample) ConfidenceInterval95() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev() / math.Sqrt(float64(n))
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.values)
@@ -129,129 +110,6 @@ func (s *Sample) ensureSorted() {
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f",
 		s.N(), s.Mean(), s.Median(), s.Percentile(95), s.Max())
-}
-
-// Counter is a simple named event counter.
-type Counter struct {
-	counts map[string]uint64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]uint64)} }
-
-// Inc increments the named counter by one.
-func (c *Counter) Inc(name string) { c.counts[name]++ }
-
-// Add increments the named counter by n.
-func (c *Counter) Add(name string, n uint64) { c.counts[name] += n }
-
-// Get returns the value of the named counter.
-func (c *Counter) Get(name string) uint64 { return c.counts[name] }
-
-// Names returns the counter names in sorted order.
-func (c *Counter) Names() []string {
-	names := make([]string, 0, len(c.counts))
-	for n := range c.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Ratio returns counter a divided by the sum of a and b (0 when both are 0).
-func (c *Counter) Ratio(a, b string) float64 {
-	x, y := c.Get(a), c.Get(b)
-	if x+y == 0 {
-		return 0
-	}
-	return float64(x) / float64(x+y)
-}
-
-// Histogram is a fixed-bucket histogram over durations, used to visualise
-// response-time distributions in the CLI tools.
-type Histogram struct {
-	bucketWidth time.Duration
-	buckets     []uint64
-	overflow    uint64
-	count       uint64
-}
-
-// NewHistogram builds a histogram with n buckets of the given width.
-func NewHistogram(bucketWidth time.Duration, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if bucketWidth <= 0 {
-		bucketWidth = time.Millisecond
-	}
-	return &Histogram{bucketWidth: bucketWidth, buckets: make([]uint64, n)}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	h.count++
-	idx := int(d / h.bucketWidth)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[idx]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// Overflow returns the number of observations beyond the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// NumBuckets returns the number of (non-overflow) buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// BucketWidth returns the width of each bucket.
-func (h *Histogram) BucketWidth() time.Duration { return h.bucketWidth }
-
-// Throughput measures completed operations per second of (virtual or real)
-// time.
-type Throughput struct {
-	completed uint64
-	start     time.Duration
-	end       time.Duration
-}
-
-// NewThroughput returns a throughput meter starting at the given time offset.
-func NewThroughput(start time.Duration) *Throughput {
-	return &Throughput{start: start, end: start}
-}
-
-// Record notes one completion at time now.
-func (t *Throughput) Record(now time.Duration) {
-	t.completed++
-	if now > t.end {
-		t.end = now
-	}
-}
-
-// Completed returns the number of recorded completions.
-func (t *Throughput) Completed() uint64 { return t.completed }
-
-// PerSecond returns the completion rate.
-func (t *Throughput) PerSecond() float64 {
-	window := t.end - t.start
-	if window <= 0 {
-		return 0
-	}
-	return float64(t.completed) / window.Seconds()
 }
 
 // Breakdown groups observations by transaction class (typically "query" vs

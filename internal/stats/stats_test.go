@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,7 +9,7 @@ import (
 
 func TestSampleBasics(t *testing.T) {
 	s := NewSample()
-	if s.Mean() != 0 || s.Median() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.Mean() != 0 || s.Median() != 0 || s.Max() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 	for _, v := range []float64{1, 2, 3, 4, 5} {
@@ -25,8 +24,8 @@ func TestSampleBasics(t *testing.T) {
 	if s.Median() != 3 {
 		t.Fatalf("Median = %v", s.Median())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Max() != 5 {
+		t.Fatalf("Max = %v", s.Max())
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Fatalf("P0 = %v", got)
@@ -54,24 +53,6 @@ func TestSampleAddDuration(t *testing.T) {
 	}
 }
 
-func TestSampleConfidenceInterval(t *testing.T) {
-	s := NewSample()
-	if s.ConfidenceInterval95() != 0 {
-		t.Fatal("CI of empty sample must be 0")
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		s.Add(rng.NormFloat64()*10 + 100)
-	}
-	ci := s.ConfidenceInterval95()
-	if ci <= 0 || ci > 2 {
-		t.Fatalf("CI = %v, expected a small positive half-width", ci)
-	}
-	if math.Abs(s.Mean()-100) > 3*ci+1 {
-		t.Fatalf("mean %v too far from 100", s.Mean())
-	}
-}
-
 func TestPercentileProperties(t *testing.T) {
 	// Property: percentiles are monotone in p and bounded by min/max.
 	f := func(raw []float64, a, b uint8) bool {
@@ -91,80 +72,10 @@ func TestPercentileProperties(t *testing.T) {
 			p1, p2 = p2, p1
 		}
 		v1, v2 := s.Percentile(p1), s.Percentile(p2)
-		return v1 <= v2+1e-9 && v1 >= s.Min()-1e-9 && v2 <= s.Max()+1e-9
+		return v1 <= v2+1e-9 && v1 >= s.Percentile(0)-1e-9 && v2 <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("commit")
-	c.Inc("commit")
-	c.Add("abort", 3)
-	if c.Get("commit") != 2 || c.Get("abort") != 3 {
-		t.Fatalf("counts = %d/%d", c.Get("commit"), c.Get("abort"))
-	}
-	if c.Get("missing") != 0 {
-		t.Fatal("missing counter should be 0")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "abort" || names[1] != "commit" {
-		t.Fatalf("names = %v", names)
-	}
-	if r := c.Ratio("abort", "commit"); math.Abs(r-0.6) > 1e-9 {
-		t.Fatalf("ratio = %v", r)
-	}
-	if NewCounter().Ratio("a", "b") != 0 {
-		t.Fatal("ratio of empty counters should be 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10*time.Millisecond, 5)
-	h.Observe(0)
-	h.Observe(9 * time.Millisecond)
-	h.Observe(10 * time.Millisecond)
-	h.Observe(49 * time.Millisecond)
-	h.Observe(500 * time.Millisecond)
-	if h.Count() != 5 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Bucket(0) != 2 || h.Bucket(1) != 1 || h.Bucket(4) != 1 {
-		t.Fatalf("buckets = %v %v %v", h.Bucket(0), h.Bucket(1), h.Bucket(4))
-	}
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow = %d", h.Overflow())
-	}
-	if h.Bucket(-1) != 0 || h.Bucket(99) != 0 {
-		t.Fatal("out-of-range buckets should read 0")
-	}
-	if h.NumBuckets() != 5 || h.BucketWidth() != 10*time.Millisecond {
-		t.Fatal("histogram shape accessors wrong")
-	}
-}
-
-func TestHistogramDefaults(t *testing.T) {
-	h := NewHistogram(0, 0)
-	if h.NumBuckets() != 1 || h.BucketWidth() != time.Millisecond {
-		t.Fatalf("defaults not applied: %d buckets, width %v", h.NumBuckets(), h.BucketWidth())
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	tp := NewThroughput(time.Second)
-	if tp.PerSecond() != 0 {
-		t.Fatal("empty throughput should be 0")
-	}
-	for i := 1; i <= 10; i++ {
-		tp.Record(time.Second + time.Duration(i)*100*time.Millisecond)
-	}
-	if tp.Completed() != 10 {
-		t.Fatalf("completed = %d", tp.Completed())
-	}
-	if got := tp.PerSecond(); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("rate = %v, want 10/s", got)
 	}
 }
 
