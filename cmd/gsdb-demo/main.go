@@ -35,7 +35,6 @@ func main() {
 	netLatency := flag.Duration("net-latency", 70*time.Microsecond, "emulated one-way network latency")
 	crash := flag.Bool("crash", true, "crash and recover one replica mid-run")
 	seed := flag.Int64("seed", 1, "workload seed")
-	applyWorkers := flag.Int("apply-workers", 1, "concurrent write-set installs per replica (<=1: serial apply)")
 	mixSafety := flag.String("mix-safety", "", "per-transaction safety override applied to every 10th transaction (e.g. very-safe)")
 	compare := flag.Bool("compare-techniques", false, "run the same workload over all three replication techniques and print the comparison")
 	readFraction := flag.Float64("read-fraction", 0, "fraction of transactions that are pure read-only queries (0: Table 4 mix)")
@@ -59,7 +58,6 @@ func main() {
 			QueryKeys:      *queryKeys,
 			DiskSyncDelay:  *diskSync,
 			NetworkLatency: *netLatency,
-			ApplyWorkers:   *applyWorkers,
 			Seed:           *seed,
 		})
 		if err != nil {
@@ -104,7 +102,6 @@ func main() {
 		gsdb.WithNetworkLatency(*netLatency),
 		gsdb.WithExecTimeout(15 * time.Second),
 		gsdb.WithSeed(*seed),
-		gsdb.WithApplyWorkers(*applyWorkers),
 	}
 	if *partitions > 1 {
 		openOpts = append(openOpts, gsdb.WithPartitions(*partitions))

@@ -116,12 +116,6 @@ func WithSeed(seed int64) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Seed = seed }
 }
 
-// WithApplyWorkers sets the number of concurrent write-set installs per
-// replica (<= 1 keeps the apply stage serial).
-func WithApplyWorkers(n int) Option {
-	return func(cfg *core.ClusterConfig) { cfg.ApplyWorkers = n }
-}
-
 // TxnOption configures a single Execute or Submit call.
 type TxnOption func(*txnOptions)
 

@@ -1,5 +1,7 @@
-// Package apply implements the deterministic parallel apply scheduler of the
-// replica pipeline.
+// Package apply implements a deterministic conflict-graph parallel apply
+// scheduler.  It is not on the replica path — internal/core installs each
+// batch serially in delivery order — and is kept only for bench/'s
+// apply.sched_ns_per_txn probe, until a benchmark PR retires that probe.
 //
 // The replication protocols totally order transactions with atomic
 // broadcast, but total *order* does not require total *serial execution*:
@@ -66,25 +68,12 @@ func New(workers int) *Scheduler {
 	}
 }
 
-// Workers returns the configured worker-pool bound.
-func (s *Scheduler) Workers() int { return s.workers }
-
-// EffectiveWorkers returns the worker-pool bound clamped to GOMAXPROCS — the
-// parallelism Run will actually use, which callers should also use for any
-// sibling fan-out (e.g. parallel payload decoding) so single-core machines
-// never pay goroutine overhead for no gain.
-func (s *Scheduler) EffectiveWorkers() int {
-	if p := runtime.GOMAXPROCS(0); s.workers > p {
-		return p
-	}
-	return s.workers
-}
-
 // Run installs the tasks of one batch, where tasks[i] is the write set of the
 // i-th committed transaction in delivery order (each duplicate-free), by
 // invoking install for every task index exactly once.  Disjoint tasks may be
-// installed concurrently by up to Workers goroutines; tasks sharing an item
-// are invoked in index order, never concurrently.  Run returns after every
+// installed concurrently by as many goroutines as the worker bound (clamped
+// to GOMAXPROCS); tasks sharing an item are invoked in index order, never
+// concurrently.  Run returns after every
 // install returned, with the first install error (the remaining tasks are
 // still installed so the batch's bookkeeping stays uniform).
 func (s *Scheduler) Run(tasks [][]storage.Write, install func(i int) error) error {
@@ -94,8 +83,8 @@ func (s *Scheduler) Run(tasks [][]storage.Write, install func(i int) error) erro
 	}
 	// More workers than schedulable threads is pure overhead: on a
 	// single-core runner the pool degrades to the serial loop, so a high
-	// ApplyWorkers setting never regresses small machines.
-	effWorkers := s.EffectiveWorkers()
+	// worker bound never regresses small machines.
+	effWorkers := min(s.workers, runtime.GOMAXPROCS(0))
 	if effWorkers <= 1 || n == 1 {
 		var first error
 		for i := 0; i < n; i++ {

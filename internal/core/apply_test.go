@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -74,20 +73,14 @@ func TestTxnPayloadDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// runParallelApplyWorkload drives a cluster at one ApplyWorkers setting with
-// a conflicting concurrent workload and returns the per-replica committed
-// counts after the cluster converged.
-func runParallelApplyWorkload(t *testing.T, workers int) {
-	t.Helper()
-	// The scheduler clamps its pool to GOMAXPROCS; raise it so the parallel
-	// install path really runs concurrently even on single-core runners.
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
+// TestApplyOneCopyEquivalence runs a conflicting concurrent workload: all
+// replicas must converge to identical store bytes.  Under -race it doubles
+// as the data race check of the batch force overlapping the installs.
+func TestApplyOneCopyEquivalence(t *testing.T) {
 	cluster, err := NewCluster(ClusterConfig{
-		Replicas:     3,
-		Items:        96, // small database: plenty of intra-batch conflicts
-		Level:        GroupSafe,
-		ApplyWorkers: workers,
+		Replicas: 3,
+		Items:    96, // small database: plenty of intra-batch conflicts
+		Level:    GroupSafe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,38 +115,21 @@ func runParallelApplyWorkload(t *testing.T, workers int) {
 
 	// One-copy equivalence: every replica certified and installed the same
 	// totally-ordered prefix, so after the queues drain the three stores
-	// must be byte-identical (values AND versions) — with parallel install,
-	// any scheduling nondeterminism would break this.
+	// must be byte-identical (values AND versions).
 	if !waitConsistent(cluster, 5*time.Second) {
-		t.Fatalf("workers=%d: replicas did not converge to identical state", workers)
+		t.Fatal("replicas did not converge to identical state")
 	}
 }
 
-// TestParallelApplyOneCopyEquivalence runs a conflicting workload at worker
-// counts 1, 4 and 16: all replicas must converge to identical store bytes at
-// every setting.  Under -race this doubles as the concurrent-install data
-// race check.
-func TestParallelApplyOneCopyEquivalence(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
-		workers := workers
-		t.Run(itoa(workers), func(t *testing.T) {
-			runParallelApplyWorkload(t, workers)
-		})
-	}
-}
-
-// TestParallelApplyConcurrentRecovery crashes and recovers a replica while
-// concurrent clients keep the parallel apply pipeline busy on the survivors
-// — the race-detector test for concurrent install + recovery (state
-// transfer, store restore, scheduler teardown/rebuild).
-func TestParallelApplyConcurrentRecovery(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
+// TestApplyConcurrentRecovery crashes and recovers a replica while
+// concurrent clients keep the apply pipeline busy on the survivors — the
+// race-detector test for concurrent install + recovery (state transfer,
+// store restore, apply-loop teardown/rebuild).
+func TestApplyConcurrentRecovery(t *testing.T) {
 	cluster, err := NewCluster(ClusterConfig{
-		Replicas:     3,
-		Items:        128,
-		Level:        GroupSafe,
-		ApplyWorkers: 4,
+		Replicas: 3,
+		Items:    128,
+		Level:    GroupSafe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,16 +186,4 @@ func TestParallelApplyConcurrentRecovery(t *testing.T) {
 	if !waitConsistent(cluster, 5*time.Second) {
 		t.Fatal("recovered replica did not converge to the settled state")
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var digits []byte
-	for v > 0 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-		v /= 10
-	}
-	return string(digits)
 }

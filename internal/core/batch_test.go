@@ -192,7 +192,7 @@ func BenchmarkSmallBatchAfterBulkLoad(b *testing.B) {
 			}
 			defer c.Close()
 			r := c.Replica(0)
-			st := newApplyState(1)
+			st := newApplyState()
 			nextID := uint64(1) << 40 // clear of the ids the cluster hands out
 			apply := func(writes map[int]int64) {
 				nextID++

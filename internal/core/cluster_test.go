@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"groupsafe/internal/storage"
 	"groupsafe/internal/workload"
 )
 
@@ -393,5 +394,42 @@ func TestMergeSnapshotResolvesOwnInFlightTransaction(t *testing.T) {
 	}
 	if v, _ := c.Value(1, 3); v != 33 {
 		t.Fatalf("delegate's item 3 = %d after the merge", v)
+	}
+}
+
+// TestRecoverKeepsLocallyNewerItems: state transfer never regresses a
+// recovering replica below its own durable prefix.  The donor's snapshot
+// predates updates the recovering replica forced to its own log (group-1-safe
+// forces every commit at every replica); after Recover those items keep their
+// newer copies, and an item the snapshot holds newer is taken.
+func TestRecoverKeepsLocallyNewerItems(t *testing.T) {
+	c := newTestCluster(t, Group1Safe, 3)
+	ctx := context.Background()
+	write := func(base int64) {
+		for i := 0; i < 4; i++ {
+			if res, err := c.Execute(ctx, 0, writeReq(0, i, base+int64(i))); err != nil || !res.Committed() {
+				t.Fatalf("write item %d: %+v, %v", i, res, err)
+			}
+		}
+		if !waitConsistent(c, 5*time.Second) {
+			t.Fatal("replicas did not converge")
+		}
+	}
+	write(10)
+	stale := c.Replica(1).Snapshot()
+	stale.Items[7] = storage.Item{Value: 77, Version: 1}
+	write(20)
+
+	want := c.Replica(0).DB().SnapshotState()
+	want[7] = stale.Items[7]
+	c.Crash(0)
+	if _, err := c.Replica(0).Recover(&stale); err != nil {
+		t.Fatal(err)
+	}
+	got := c.Replica(0).DB().SnapshotState()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("item %d = %+v after recovery, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -58,8 +58,6 @@ type ClusterConfig struct {
 	// When set, NetworkLatency/NetworkJitter/Seed are ignored here (the owner
 	// of the base network configures them) and Cluster.Network returns nil.
 	Network transport.Network
-	// ApplyWorkers is every replica's ReplicaConfig.ApplyWorkers.
-	ApplyWorkers int
 }
 
 func (c *ClusterConfig) applyDefaults() {
@@ -118,7 +116,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			StartDetector:        cfg.StartDetectors,
 			Detector:             cfg.Detector,
 			MaxPinAge:            cfg.MaxPinAge,
-			ApplyWorkers:         cfg.ApplyWorkers,
 		})
 		if err != nil {
 			c.Close()

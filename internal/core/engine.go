@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"groupsafe/internal/apply"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/storage"
 	"groupsafe/internal/wal"
@@ -71,20 +70,17 @@ func drainUpTo[T any](ch <-chan T, first T, max int) []T {
 }
 
 // applyState is the apply-pipeline state of ONE incarnation's apply
-// goroutine: the conflict-graph scheduler and the reusable batch arenas that
-// make the steady-state apply path allocation-free.  It is owned by that
-// goroutine alone — a recovered replica gets a fresh applyState, so a
-// straggling pre-crash apply loop can never share arenas with its successor.
-// The certification and active techniques use disjoint subsets of the
-// fields; both go through staged and the scheduler.
+// goroutine: the reusable batch arenas that make the steady-state apply path
+// allocation-free.  It is owned by that goroutine alone — a recovered replica
+// gets a fresh applyState, so a straggling pre-crash apply loop can never
+// share arenas with its successor.  The certification and active techniques
+// use disjoint subsets of the fields; both go through staged.
 type applyState struct {
-	sched  *apply.Scheduler
 	staged []stagedTxn // outcomes of the current batch, delivery order
 
 	// Certification-technique arenas (technique_cert.go).
 	batchRecs []txnRecord       // decode arena, one slot per batch position
-	batchOK   []bool            // per-slot decode success
-	tasks     [][]storage.Write // committed write sets handed to the scheduler
+	tasks     [][]storage.Write // committed write sets, installed in order
 	certBumps map[int]uint64    // per-item version bumps staged by this batch
 	readItems []int             // scratch for prepared-lock conflict checks
 
@@ -94,9 +90,8 @@ type applyState struct {
 	writeBuf  []storage.Write // sorted write set handed to stage+install
 }
 
-func newApplyState(workers int) *applyState {
+func newApplyState() *applyState {
 	return &applyState{
-		sched:     apply.New(workers),
 		certBumps: make(map[int]uint64),
 		writeVals: make(map[int]int64),
 	}

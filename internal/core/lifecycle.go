@@ -98,7 +98,7 @@ func (r *Replica) startGroupCommunication() error {
 	if det != nil {
 		det.Start()
 	}
-	st := newApplyState(r.cfg.ApplyWorkers)
+	st := newApplyState()
 	if e2eb != nil {
 		e2eb.Start()
 		go applyLoop(r, st, e2eb.Deliveries(), func(d e2e.Delivery) applyItem {

@@ -43,29 +43,9 @@ func (r *Replica) SnapshotReads(ctx context.Context, items []int, minFreshness u
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	ctx, cancel := r.withDefaultTimeout(ctx)
-	defer cancel()
-	if maxStaleness > 0 {
-		if !r.cfg.Level.UsesGroupCommunication() {
-			return nil, nil, 0, r.errNoFreshnessSequence()
-		}
-		if floor := r.stalenessFloor(maxStaleness); r.fresh.appliedSeq() < floor {
-			return nil, nil, 0, fmt.Errorf("%w: applied %d, need %d for %v",
-				ErrTooStale, r.fresh.appliedSeq(), floor, maxStaleness)
-		}
-	}
-	if minFreshness > 0 {
-		if !r.cfg.Level.UsesGroupCommunication() {
-			return nil, nil, 0, r.errNoFreshnessSequence()
-		}
-		if err := r.waitFreshness(ctx, minFreshness, crashCh); err != nil {
-			return nil, nil, 0, err
-		}
-	}
-	token = r.LastAppliedSeq()
-	rt, err := r.dbase.BeginRead()
+	rt, token, err := r.beginSnapshot(ctx, minFreshness, maxStaleness, crashCh)
 	if err != nil {
-		return nil, nil, 0, ErrCrashed
+		return nil, nil, 0, err
 	}
 	defer rt.Close()
 	values = make(map[int]int64, len(items))

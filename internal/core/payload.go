@@ -234,7 +234,7 @@ var payloadPool = sync.Pool{New: func() interface{} { return new(payloadScratch)
 
 // encodeTxnPayload encodes one update transaction for broadcast.  Reads and
 // writes are emitted sorted by item, so the apply side decodes directly into
-// the sorted-slice form the scheduler and the WAL staging path need.
+// the sorted-slice form the install and the WAL staging path need.
 func encodeTxnPayload(txnID uint64, delegate string, level SafetyLevel, readVers map[int]uint64, writes map[int]int64) []byte {
 	s := payloadPool.Get().(*payloadScratch)
 	buf := append(s.buf[:0], txnMagic)

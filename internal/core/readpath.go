@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"context"
+	"groupsafe/internal/db"
 )
 
 // This file is the replica's query fast path: read-only transactions execute
@@ -34,36 +35,9 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request, crashCh chan
 	if err != nil {
 		return Result{}, err
 	}
-	ctx, cancel := r.withDefaultTimeout(ctx)
-	defer cancel()
-
-	if req.MaxStaleness > 0 {
-		if !r.cfg.Level.UsesGroupCommunication() {
-			return Result{}, r.errNoFreshnessSequence()
-		}
-		// Bounded-staleness lease: answer only when the snapshot is provably
-		// within the bound; never wait — the client redirects on ErrTooStale.
-		if floor := r.stalenessFloor(req.MaxStaleness); r.fresh.appliedSeq() < floor {
-			return Result{}, fmt.Errorf("%w: applied %d, need %d for %v (max known %d, rate %.0f seq/s)",
-				ErrTooStale, r.fresh.appliedSeq(), floor, req.MaxStaleness, r.maxKnownSeq(), r.fresh.rate())
-		}
-	}
-	if req.MinFreshness > 0 {
-		if !r.cfg.Level.UsesGroupCommunication() {
-			return Result{}, r.errNoFreshnessSequence()
-		}
-		if err := r.waitFreshness(ctx, req.MinFreshness, crashCh); err != nil {
-			return Result{}, err
-		}
-	}
-
-	// The token is sampled BEFORE the snapshot: lastAppliedSeq only advances
-	// after a delivery's installs are visible, so the snapshot is guaranteed
-	// to contain every transaction the token claims.
-	token := r.LastAppliedSeq()
-	rt, err := r.dbase.BeginRead()
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, req.MaxStaleness, crashCh)
 	if err != nil {
-		return Result{}, ErrCrashed
+		return Result{}, err
 	}
 	defer rt.Close()
 
@@ -89,6 +63,40 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request, crashCh chan
 		Freshness:  token,
 		Stale:      r.tech.ID() == TechLazyPrimary && !r.IsPrimary(),
 	}, nil
+}
+
+// beginSnapshot is the prologue of every snapshot read — a query, the
+// router's per-partition reads, an update's optimistic read phase: the
+// bounded-staleness lease, the freshness floor, the freshness token, then
+// the MVCC snapshot.  The lease never waits (the client redirects on
+// ErrTooStale); the floor waits, bounded by the default ExecTimeout when
+// ctx has no deadline.  The token is sampled BEFORE the snapshot:
+// lastAppliedSeq only advances after a delivery's installs are visible, so
+// the snapshot is guaranteed to contain every transaction the token claims.
+func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxStaleness time.Duration, crashCh chan struct{}) (*db.ReadTxn, uint64, error) {
+	if (minFreshness > 0 || maxStaleness > 0) && !r.cfg.Level.UsesGroupCommunication() {
+		return nil, 0, r.errNoFreshnessSequence()
+	}
+	if maxStaleness > 0 {
+		if floor := r.stalenessFloor(maxStaleness); r.fresh.appliedSeq() < floor {
+			return nil, 0, fmt.Errorf("%w: applied %d, need %d for %v (max known %d, rate %.0f seq/s)",
+				ErrTooStale, r.fresh.appliedSeq(), floor, maxStaleness, r.maxKnownSeq(), r.fresh.rate())
+		}
+	}
+	if minFreshness > 0 {
+		ctx, cancel := r.withDefaultTimeout(ctx)
+		err := r.waitFreshness(ctx, minFreshness, crashCh)
+		cancel()
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	token := r.LastAppliedSeq()
+	rt, err := r.dbase.BeginRead()
+	if err != nil {
+		return nil, 0, ErrCrashed
+	}
+	return rt, token, nil
 }
 
 // errNoFreshnessSequence is the shared rejection for freshness floors on

@@ -123,14 +123,6 @@ type ReplicaConfig struct {
 	// ErrSnapshotTooOld (0: unlimited).  It caps the version history one slow
 	// analytic scan can retain under a write storm.
 	MaxPinAge uint64
-	// ApplyWorkers bounds how many certified write sets of one drained batch
-	// are installed concurrently.  Certification always stays serial in
-	// delivery order; with ApplyWorkers > 1 the committed write sets are
-	// partitioned by their item-conflict graph and independent write sets
-	// install in parallel, conflicting ones chained in delivery order —
-	// observationally identical to serial apply.  <= 1 keeps the serial
-	// apply loop.
-	ApplyWorkers int
 }
 
 // applyDefaults validates the configuration, resolves the technique and lets

@@ -72,12 +72,11 @@ func (activeTechnique) execute(ctx context.Context, r *Replica, req Request, cra
 
 // applyBatch executes one drained batch of totally-ordered transactions.
 // Execution is strictly serial in delivery order — that is the essence of
-// active replication (the state machine executes one command at a time), so
-// the conflict-graph scheduler is bypassed; ApplyWorkers only affects the
-// other techniques.  Durability batching is kept: each transaction's records
-// are staged without a force, its writes are installed immediately (later
-// transactions of the batch must read them), and one group-committed force
-// covers the whole batch before any outcome is externalised.
+// active replication (the state machine executes one command at a time).
+// Durability batching is kept: each transaction's records are staged without
+// a force, its writes are installed immediately (later transactions of the
+// batch must read them), and one group-committed force covers the whole
+// batch before any outcome is externalised.
 //
 // Crash semantics are identical to the certification pipeline: nothing is
 // externalised before the batch force, a crash mid-batch abandons the batch,

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"groupsafe/internal/storage"
 	"groupsafe/internal/wal"
@@ -57,28 +56,14 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 	}
 	// A freshness floor applies to the read phase regardless of whether the
 	// transaction turns out to write (Compute-bearing requests land here
-	// even when their hook emits nothing).  The default ExecTimeout must
-	// bound this wait too — submitAndWait installs it only later, and a
-	// floor the replica never reaches would otherwise hang a deadline-less
-	// caller forever.
-	if req.MinFreshness > 0 {
-		boundedCtx, cancel := r.withDefaultTimeout(ctx)
-		err := r.waitFreshness(boundedCtx, req.MinFreshness, crashCh)
-		cancel()
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	// The freshness token is sampled BEFORE the snapshot (see
-	// executeReadOnly): the snapshot then contains everything it claims.
-	token := r.LastAppliedSeq()
-	// The optimistic read phase runs on one MVCC snapshot: the read values
-	// form a consistent cut, and each recorded (item, version) pair comes
-	// from a single atomic versioned read — the certification read set can
-	// never pair a new value with an old version.
-	rt, err := r.dbase.BeginRead()
+	// even when their hook emits nothing); a staleness lease is a query's
+	// contract and does not.  The optimistic read phase runs on one MVCC
+	// snapshot: the read values form a consistent cut, and each recorded
+	// (item, version) pair comes from a single atomic versioned read — the
+	// certification read set can never pair a new value with an old version.
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, 0, crashCh)
 	if err != nil {
-		return Result{}, ErrCrashed
+		return Result{}, err
 	}
 	defer rt.Close()
 	readVals := make(map[int]int64)
@@ -127,25 +112,22 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 }
 
 // applyBatch runs the certification apply pipeline on one drained batch of
-// totally-ordered deliveries:
+// totally-ordered deliveries, every step in delivery order:
 //
-//  1. decode every payload (concurrently when ApplyWorkers > 1 — payloads are
-//     independent);
-//  2. certify and stage serially in strict delivery order: certification uses
-//     a version overlay (store versions plus the bumps staged earlier in this
-//     batch), the write sets and commit records are appended to the log in
-//     delivery order but not yet forced or installed;
+//  1. decode each payload into the reusable arena;
+//  2. certify and stage it: certification uses a version overlay (store
+//     versions plus the bumps staged earlier in this batch), the write sets
+//     and commit records are appended to the log but not yet forced or
+//     installed;
 //  3. one group-committed force covers every commit record of the batch and,
 //     at the end-to-end levels, its message records (the path's only force),
 //     overlapped with step 4 (neither depends on the other);
-//  4. the committed write sets are installed by the conflict-graph scheduler:
-//     disjoint write sets in parallel on the worker pool, conflicting ones
-//     chained in delivery order — byte-identical to a serial install;
+//  4. the committed write sets are installed;
 //  5. only then are delegates notified and end-to-end deliveries
 //     acknowledged (r.externalize).
 //
 // For a batch of B transactions the levels that force on commit pay one disk
-// force instead of B, and the installs use up to ApplyWorkers cores.
+// force instead of B.
 //
 // Crash semantics: a crash mid-batch (the Fig. 5 window) abandons the whole
 // batch — commit records already appended for earlier batch members sit in
@@ -162,39 +144,12 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 		return
 	}
 
-	// Phase 1: decode into the reusable arena, in parallel for large batches.
-	n := len(batch)
-	if cap(st.batchRecs) < n {
-		st.batchRecs = make([]txnRecord, n)
-		st.batchOK = make([]bool, n)
+	// Phases 1+2: decode into the reusable arena (installs read the decoded
+	// write sets after the loop), certify and stage.
+	if cap(st.batchRecs) < len(batch) {
+		st.batchRecs = make([]txnRecord, len(batch))
 	}
-	recs := st.batchRecs[:n]
-	oks := st.batchOK[:n]
-	decodeOne := func(i int) {
-		oks[i] = decodeTxnRecord(batch[i].payload, &recs[i]) == nil
-	}
-	if workers := st.sched.EffectiveWorkers(); workers > 1 && n >= 4 {
-		if workers > n {
-			workers = n
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < n; i += workers {
-					decodeOne(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for i := 0; i < n; i++ {
-			decodeOne(i)
-		}
-	}
-
-	// Phase 2: serial certification and staging in delivery order.
+	recs := st.batchRecs[:len(batch)]
 	staged := st.staged[:0]
 	tasks := st.tasks[:0]
 	numItems := r.dbase.Store().NumItems()
@@ -205,10 +160,10 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 			return
 		}
 
-		if !oks[i] {
+		rec := &recs[i]
+		if decodeTxnRecord(batch[i].payload, rec) != nil {
 			continue
 		}
-		rec := &recs[i]
 
 		// The crash window of Fig. 5: the group communication component has
 		// delivered the message, the database has not yet processed it.
@@ -326,8 +281,8 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 		}
 	}
 
-	// Phases 3+4: the batch force and the conflict-scheduled installs run
-	// concurrently; both must finish before any outcome is externalised.
+	// Phases 3+4: the batch force and the installs run concurrently; both
+	// must finish before any outcome is externalised.
 	// The force decision is per-batch (batchForce): ANY transaction at a
 	// force-on-commit level (the cluster's, or a per-transaction override
 	// riding the payload) or delivered end-to-end forces the whole batch.
@@ -342,9 +297,12 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 	// ever does, the batch is abandoned before anything is externalised and
 	// the WAL stays the source of truth — crash recovery reinstalls the
 	// logged commits.
-	installErr := st.sched.Run(tasks, func(t int) error {
-		return r.dbase.InstallWrites(tasks[t])
-	})
+	var installErr error
+	for _, writes := range tasks {
+		if err := r.dbase.InstallWrites(writes); err != nil && installErr == nil {
+			installErr = err
+		}
+	}
 	if <-forceErr != nil || installErr != nil {
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -304,42 +303,34 @@ func TestCertAndActiveReachSameStateOnConflictFreeWorkload(t *testing.T) {
 	}
 }
 
-// TestTechniquesDeterministicAcrossApplyWorkers runs every technique under
-// ApplyWorkers 1, 4 and 16 with a concurrent conflicting workload and
-// requires all replicas of each cluster to converge to identical state —
-// worker-pool size must never be observable in the committed data.
-func TestTechniquesDeterministicAcrossApplyWorkers(t *testing.T) {
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
+// TestTechniquesConvergeUnderConflicts runs every technique with a
+// concurrent conflicting workload and requires all replicas of each cluster
+// to converge to identical state.
+func TestTechniquesConvergeUnderConflicts(t *testing.T) {
 	for _, tech := range techniquesUnderTest(t) {
-		tech := tech
-		for _, workers := range []int{1, 4, 16} {
-			workers := workers
-			t.Run(fmt.Sprintf("%v/workers=%d", tech, workers), func(t *testing.T) {
-				level := GroupSafe
-				if tech == TechLazyPrimary {
-					level = Safety1Lazy
-				}
-				c, err := NewCluster(ClusterConfig{
-					Replicas:     3,
-					Items:        96,
-					Level:        level,
-					Technique:    tech,
-					ExecTimeout:  10 * time.Second,
-					ApplyWorkers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				commits, _ := runConcurrent(t, c, 0, 6, 25, 96)
-				if commits == 0 {
-					t.Fatal("no transaction committed")
-				}
-				if !waitConsistent(c, 5*time.Second) {
-					t.Fatalf("%v with %d workers: replicas diverged", tech, workers)
-				}
+		t.Run(tech.String(), func(t *testing.T) {
+			level := GroupSafe
+			if tech == TechLazyPrimary {
+				level = Safety1Lazy
+			}
+			c, err := NewCluster(ClusterConfig{
+				Replicas:    3,
+				Items:       96,
+				Level:       level,
+				Technique:   tech,
+				ExecTimeout: 10 * time.Second,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			commits, _ := runConcurrent(t, c, 0, 6, 25, 96)
+			if commits == 0 {
+				t.Fatal("no transaction committed")
+			}
+			if !waitConsistent(c, 5*time.Second) {
+				t.Fatalf("%v: replicas diverged", tech)
+			}
+		})
 	}
 }

@@ -41,8 +41,6 @@ type TechniqueComparisonConfig struct {
 	DiskSyncDelay time.Duration
 	// NetworkLatency emulates the one-way LAN latency (default 70µs).
 	NetworkLatency time.Duration
-	// ApplyWorkers is every cluster's core.ClusterConfig.ApplyWorkers.
-	ApplyWorkers int
 	// Seed seeds the workload and the network (default 1).
 	Seed int64
 }
@@ -156,7 +154,6 @@ func runOneTechnique(cfg TechniqueComparisonConfig, tech core.TechniqueID) (Tech
 		NetworkLatency: cfg.NetworkLatency,
 		ExecTimeout:    30 * time.Second,
 		Seed:           cfg.Seed,
-		ApplyWorkers:   cfg.ApplyWorkers,
 	})
 	if err != nil {
 		return TechniqueResult{}, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/workload"
@@ -22,20 +23,20 @@ import (
 //   - single-partition (all statically known items in one partition, no
 //     Compute hook): the request is forwarded whole to the owning partition,
 //     which executes it like any local transaction — one broadcast, no 2PC;
-//   - read-only multi-partition: snapshot reads fan out to every touched
-//     partition, each reporting its own freshness token (the vector);
-//   - cross-partition update: the router runs the read phase itself, invokes
-//     Compute, decomposes the write set, and drives the ordered two-phase
-//     commit — prepares through every participant's total order, the
-//     coordinator partition's decide record as the commit point, presumed
-//     abort everywhere else.
+//   - read-only multi-partition: the router's read phase fans snapshot reads
+//     out to every touched partition, each reporting its own freshness token
+//     (the vector);
+//   - cross-partition update: the same read phase, then Compute, the
+//     decomposed write set, and the ordered two-phase commit — prepares
+//     through every participant's total order, the coordinator partition's
+//     decide record as the commit point, presumed abort everywhere else.
 type routed struct {
 	level    core.SafetyLevel
 	reads    map[int][]int          // partition -> local read items (deduped)
 	writes   map[int]map[int]int64  // partition -> local write set
 	readVals map[int]int64          // global item -> value (router read phase)
 	readVers map[int]map[int]uint64 // partition -> local item -> version
-	tokens   map[int]uint64         // partition -> freshness token observed
+	tokens   []uint64               // partition -> freshness token observed
 }
 
 // Execute routes one client transaction; delegate is the preferred server
@@ -73,10 +74,7 @@ func (c *Cluster) Execute(ctx context.Context, delegate int, req core.Request) (
 			return c.forwardSingle(ctx, delegate, req, touched[0])
 		}
 	}
-	if !requestMayWrite(req) {
-		return c.executeReadOnlyFanout(ctx, delegate, req, touched)
-	}
-	return c.executeUpdate(ctx, delegate, req, touched)
+	return c.executeMulti(ctx, delegate, req)
 }
 
 // requestMayWrite mirrors core's classification: the request can update the
@@ -154,74 +152,13 @@ func (c *Cluster) forwardSingle(ctx context.Context, delegate int, req core.Requ
 	return res, nil
 }
 
-// executeReadOnlyFanout serves a multi-partition query: each touched
-// partition reads its items from one local MVCC snapshot (with the resolved
-// freshness floor) and reports its own token.  The per-partition reads are
-// individually consistent cuts; the transaction-wide guarantee is exactly the
-// freshness vector — there is no cross-partition snapshot.
-func (c *Cluster) executeReadOnlyFanout(ctx context.Context, delegate int, req core.Request, touched []int) (core.Result, error) {
-	level, err := c.resolveLevel(delegate, req.Safety)
-	if err != nil {
-		return core.Result{}, err
-	}
-	items := make(map[int][]int, len(touched))
-	for _, op := range req.Ops {
-		p := c.pmap.Owner(op.Item)
-		items[p] = appendUnique(items[p], c.pmap.Local(op.Item))
-	}
-
-	var mu sync.Mutex
-	readVals := make(map[int]int64, len(req.Ops))
-	vec := make([]uint64, len(c.parts))
-	var wg sync.WaitGroup
-	var firstErr error
-	for _, p := range touched {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			r := c.liveReplica(p, delegate)
-			if r == nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("partition %d: %w", p, core.ErrCrashed)
-				}
-				mu.Unlock()
-				return
-			}
-			vals, _, token, err := r.SnapshotReads(ctx, items[p], floorFor(&req, p), req.MaxStaleness, true)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for local, v := range vals {
-				readVals[c.pmap.Global(p, local)] = v
-			}
-			vec[p] = token
-		}(p)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return core.Result{}, firstErr
-	}
-	return core.Result{
-		TxnID:        req.ID,
-		Outcome:      core.OutcomeCommitted,
-		ReadValues:   readVals,
-		Delegate:     c.ReplicaID(delegate),
-		Level:        level,
-		Freshness:    maxVec(vec),
-		FreshnessVec: vec,
-	}, nil
-}
-
-// executeUpdate is the cross-partition update path: router-side read phase,
-// Compute, decomposition, and — when more than one partition participates —
-// the ordered two-phase commit.
-func (c *Cluster) executeUpdate(ctx context.Context, delegate int, req core.Request, touched []int) (core.Result, error) {
+// executeMulti is the multi-partition path: router-side read phase, Compute,
+// decomposition, and — when more than one partition participates — the
+// ordered two-phase commit.  A query (or a Compute that emitted no write) is
+// answered from the read phase's per-partition snapshots: each is an
+// individually consistent cut, and the transaction-wide guarantee is exactly
+// the freshness vector — there is no cross-partition snapshot.
+func (c *Cluster) executeMulti(ctx context.Context, delegate int, req core.Request) (core.Result, error) {
 	level, err := c.resolveLevel(delegate, req.Safety)
 	if err != nil {
 		return core.Result{}, err
@@ -232,14 +169,14 @@ func (c *Cluster) executeUpdate(ctx context.Context, delegate int, req core.Requ
 		writes:   make(map[int]map[int]int64),
 		readVals: make(map[int]int64),
 		readVers: make(map[int]map[int]uint64),
-		tokens:   make(map[int]uint64),
+		tokens:   make([]uint64, len(c.parts)),
 	}
 	c.classifyOps(rt, req.Ops)
 
 	// Round 1: snapshot-read every partition with read operations.  Each
 	// partition's (item, version) pairs come from one atomic snapshot; the
 	// versions are what its certification will validate at prepare time.
-	if err := c.readPhase(ctx, delegate, &req, rt); err != nil {
+	if err := c.readPhase(ctx, delegate, &req, rt, !requestMayWrite(req)); err != nil {
 		return core.Result{}, err
 	}
 
@@ -268,26 +205,22 @@ func (c *Cluster) executeUpdate(ctx context.Context, delegate int, req core.Requ
 			}
 		}
 		if len(rt.reads) > 0 {
-			if err := c.readPhase(ctx, delegate, &req, rt); err != nil {
+			if err := c.readPhase(ctx, delegate, &req, rt, false); err != nil {
 				return core.Result{}, err
 			}
 		}
 	}
 
-	// A Compute hook that emitted nothing: answer from the snapshots.
+	// Nothing to write: answer from the snapshots.
 	if len(rt.writes) == 0 {
-		vec := make([]uint64, len(c.parts))
-		for p, tok := range rt.tokens {
-			vec[p] = tok
-		}
 		return core.Result{
 			TxnID:        req.ID,
 			Outcome:      core.OutcomeCommitted,
 			ReadValues:   rt.readVals,
 			Delegate:     c.ReplicaID(delegate),
 			Level:        level,
-			Freshness:    maxVec(vec),
-			FreshnessVec: vec,
+			Freshness:    maxVec(rt.tokens),
+			FreshnessVec: rt.tokens,
 		}, nil
 	}
 
@@ -318,7 +251,14 @@ func (c *Cluster) classifyOps(rt *routed, ops []workload.Op) {
 
 // readPhase fans the pending rt.reads out to their partitions, merging values
 // (global keys), versions (local keys, first observation wins) and tokens.
-func (c *Cluster) readPhase(ctx context.Context, delegate int, req *core.Request, rt *routed) error {
+// A query's reads are what the client sees: they honour its staleness lease
+// and count as served queries.  The read phase of an update is invisible to
+// the client, so neither applies there.
+func (c *Cluster) readPhase(ctx context.Context, delegate int, req *core.Request, rt *routed, query bool) error {
+	var maxStaleness time.Duration
+	if query {
+		maxStaleness = req.MaxStaleness
+	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var firstErr error
@@ -335,9 +275,7 @@ func (c *Cluster) readPhase(ctx context.Context, delegate int, req *core.Request
 				mu.Unlock()
 				return
 			}
-			// The read phase of an update is invisible to the client, so a
-			// staleness lease (query semantics) never applies here.
-			vals, vers, token, err := r.SnapshotReads(ctx, items, floorFor(req, p), 0, false)
+			vals, vers, token, err := r.SnapshotReads(ctx, items, floorFor(req, p), maxStaleness, query)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -397,10 +335,7 @@ func (c *Cluster) commitSingle(ctx context.Context, delegate int, gid uint64, rt
 	if err != nil {
 		return core.Result{}, err
 	}
-	vec := make([]uint64, len(c.parts))
-	for q, tok := range rt.tokens {
-		vec[q] = tok
-	}
+	vec := rt.tokens
 	vec[p] = seq
 	return core.Result{
 		TxnID:           gid,
@@ -514,10 +449,7 @@ func (c *Cluster) commit2PC(ctx context.Context, delegate int, gid uint64, rt *r
 	if !committed && prepErr != nil {
 		return core.Result{}, prepErr
 	}
-	vec := make([]uint64, len(c.parts))
-	for q, tok := range rt.tokens {
-		vec[q] = tok
-	}
+	vec := rt.tokens
 	for p, seq := range prepSeq {
 		if seq > vec[p] {
 			vec[p] = seq

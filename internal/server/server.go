@@ -255,9 +255,9 @@ func (s *Server) onPull(m transport.Message) {
 
 // onSnap merges a received snapshot.  The replica is live (it may be
 // applying deliveries right now), so this must use the concurrent-safe
-// per-item newest-version merge — MergeSnapshot — not InstallSnapshot, whose
-// read-merge-restore would revert any install racing with it.  Stale or
-// duplicate snapshots are no-ops.
+// per-item newest-version merge — MergeSnapshot — not the restore Recover
+// installs a snapshot with, which would revert any install racing with it.
+// Stale or duplicate snapshots are no-ops.
 func (s *Server) onSnap(m transport.Message) {
 	snap, err := decodeSnapshot(m.Payload)
 	if err != nil {
