@@ -21,7 +21,9 @@ import (
 //     queue over one persistent connection, so the per-link FIFO contract of
 //     MemNetwork (which the replication protocols rely on) holds across
 //     reconnects: a broken connection is re-dialled with exponential backoff
-//     plus jitter while queued messages wait in order;
+//     plus jitter while queued messages wait in order, and the backoff ends
+//     early when the peer connects to us — the first frame of an inbound
+//     connection names its sender, proof that it is up again;
 //   - writes carry a deadline, so a silently dead connection (power loss,
 //     partition — no RST) is detected promptly instead of blocking the link;
 //   - sending to an unreachable peer is not an error until the queue fills;
@@ -73,7 +75,9 @@ type TCPConfig struct {
 	// deadline.
 	ReadIdleTimeout time.Duration
 	// ReconnectMin/ReconnectMax bound the exponential redial backoff
-	// (defaults 20ms and 1s); actual sleeps are jittered ±50%.
+	// (defaults 20ms and 1s); actual sleeps are jittered ±50%.  A sleep is
+	// cut short, and the backoff reset to ReconnectMin, when the peer opens
+	// a connection to us.
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
 	// SendQueue is the per-peer outbound queue capacity (default 4096).
@@ -229,7 +233,7 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 	var scratch []byte
 	var m Message       // the previous frame
 	var armed time.Time // when the idle deadline was last moved
-	for {
+	for first := true; ; first = false {
 		if idle := ep.cfg.ReadIdleTimeout; idle > 0 {
 			// Not per frame: a deadline at most a quarter stale is as good.
 			if now := time.Now(); now.Sub(armed) >= idle/4 {
@@ -247,6 +251,15 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		}
 		if ep.closed.Load() {
 			return
+		}
+		if first {
+			// The sender is up: a link to it backing off may redial now.
+			if p := (*ep.peers.Load())[m.From]; p != nil {
+				select {
+				case p.wake <- struct{}{}:
+				default:
+				}
+			}
 		}
 		select {
 		case ep.inbox <- m:
@@ -319,6 +332,7 @@ func (ep *TCPEndpoint) addPeer(to string) *tcpPeer {
 		ep:    ep,
 		addr:  to,
 		queue: make(chan Message, ep.cfg.SendQueue),
+		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -360,6 +374,7 @@ type tcpPeer struct {
 	ep    *TCPEndpoint
 	addr  string
 	queue chan Message
+	wake  chan struct{} // the peer connected to us: cut the backoff short
 	stop  chan struct{}
 	done  chan struct{}
 }
@@ -422,10 +437,17 @@ func (p *tcpPeer) loop() {
 }
 
 // dial establishes a handshaken connection, retrying with jittered
-// exponential backoff until it succeeds or the endpoint stops.  Returns nil
-// only when stopped.
+// exponential backoff until it succeeds or the endpoint stops.  A new
+// inbound connection from the peer ends a backoff early.  Returns nil only
+// when stopped.
 func (p *tcpPeer) dial(backoff *time.Duration) net.Conn {
 	cfg := &p.ep.cfg
+	// A wake from before this first attempt is stale: the attempt is newer
+	// evidence.
+	select {
+	case <-p.wake:
+	default:
+	}
 	for {
 		conn, err := net.DialTimeout("tcp", p.addr, cfg.DialTimeout)
 		if err == nil {
@@ -457,6 +479,8 @@ func (p *tcpPeer) dial(backoff *time.Duration) net.Conn {
 		case <-p.stop:
 			return nil
 		case <-time.After(sleep):
+		case <-p.wake:
+			*backoff = cfg.ReconnectMin
 		}
 	}
 }

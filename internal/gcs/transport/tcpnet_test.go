@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -150,6 +151,124 @@ func TestTCPFIFOAcrossPeerRestart(t *testing.T) {
 	}
 	if last != 3*phase-1 {
 		t.Fatalf("last delivered sequence = %d, want %d (post-heal tail lost)", last, 3*phase-1)
+	}
+}
+
+// dialLog returns a TCPConfig with a 10 s redial backoff whose Logf counts
+// failed dials, and the counter.
+func dialLog() (TCPConfig, *atomic.Int64) {
+	var fails atomic.Int64
+	return TCPConfig{
+		ReconnectMin: 10 * time.Second,
+		ReconnectMax: 10 * time.Second,
+		Logf: func(format string, args ...interface{}) {
+			if strings.Contains(format, ": dial ") {
+				fails.Add(1)
+			}
+		},
+	}, &fails
+}
+
+// waitFor polls cond for up to d.
+func waitFor(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTCPRedialWhenPeerConnects: a link backing off from a peer that was not
+// listening redials as soon as that peer connects to us, instead of sleeping
+// out a backoff of 5 to 15 seconds, and still delivers its queued message
+// exactly once.
+func TestTCPRedialWhenPeerConnects(t *testing.T) {
+	cfg, fails := dialLog()
+	a, err := ListenTCPConfig("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	if err := a.Send(addr, seqMsg(7)); err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(5*time.Second, func() bool { return fails.Load() > 0 }) {
+		t.Fatal("the dial to an address nobody listens on never failed")
+	}
+
+	b, err := ListenTCP(addr)
+	if err != nil {
+		t.Fatalf("listen on %s: %v", addr, err)
+	}
+	defer b.Close()
+	if err := b.Send(a.Addr(), seqMsg(1)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if got := collectSeqs(b, 1, time.Second); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("received %v within 1s of the peer connecting, want [7]: the link slept out its backoff", got)
+	}
+	t.Logf("queued message delivered %v after the peer connected", time.Since(start))
+	if extra := collectSeqs(b, 1, 200*time.Millisecond); len(extra) != 0 {
+		t.Fatalf("received %v more: the queued message was delivered twice", extra)
+	}
+}
+
+// TestTCPStaleWakeKeepsBackoff: a wake that arrives while the link is
+// connected is stale once the link breaks, and must not cut the next backoff
+// short — against a peer that is really down the dial rate stays the
+// backoff's.
+func TestTCPStaleWakeKeepsBackoff(t *testing.T) {
+	cfg, fails := dialLog()
+	a, err := ListenTCPConfig("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := b.Addr()
+
+	// The link is up, then the peer connects to us: a wake for a link that
+	// is not backing off.
+	if err := a.Send(addr, seqMsg(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := collectSeqs(b, 1, 5*time.Second); len(got) != 1 {
+		t.Fatal("the link never came up")
+	}
+	if err := b.Send(a.Addr(), seqMsg(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := collectSeqs(a, 1, 5*time.Second); len(got) != 1 {
+		t.Fatal("the peer's connection never came up")
+	}
+
+	// The peer dies; keep sending until the link has noticed and its first
+	// redial has failed.
+	b.Close()
+	broke := waitFor(5*time.Second, func() bool {
+		if err := a.Send(addr, seqMsg(2)); err != nil && !errors.Is(err, ErrSendQueueFull) {
+			t.Fatalf("send while peer down: %v", err)
+		}
+		return fails.Load() > 0
+	})
+	if !broke {
+		t.Fatal("the link never redialled the dead peer")
+	}
+	time.Sleep(300 * time.Millisecond)
+	if n := fails.Load(); n != 1 {
+		t.Fatalf("%d failed dials within 300ms of the first, want 1: a stale wake cut the backoff short", n)
 	}
 }
 

@@ -127,15 +127,16 @@ func converged(servers []*Server) bool {
 	return true
 }
 
-// TestServerRestartRejoins: stop one server, keep committing on the
-// survivors, restart it in a fresh process-equivalent (same WAL dir, fresh
-// Server value) and assert it catches back up via WAL replay + snapshot pull,
-// and that the survivors' views exclude and re-admit it.
-func TestServerRestartRejoins(t *testing.T) {
+// restartableCluster boots three group-safe servers that can be closed and
+// restarted in place: mk(i) starts server i on its own peer address, client
+// address and WAL directory, and commit runs a one-write transaction
+// delegated to servers[delegate].  Whatever servers holds at the end is
+// closed.
+func restartableCluster(t *testing.T) (servers []*Server, mk func(i int) *Server, commit func(delegate, item int, value int64)) {
 	ports := freePorts(t, 6) // as in startCluster
 	peers, clients := ports[:3], ports[3:]
 	walDirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	mk := func(i int) *Server {
+	mk = func(i int) *Server {
 		srv, err := Start(Config{
 			ID:                peers[i],
 			Members:           peers,
@@ -154,17 +155,16 @@ func TestServerRestartRejoins(t *testing.T) {
 		}
 		return srv
 	}
-	servers := []*Server{mk(0), mk(1), mk(2)}
-	defer func() {
+	servers = []*Server{mk(0), mk(1), mk(2)}
+	t.Cleanup(func() {
 		for _, s := range servers {
 			s.Close()
 		}
-	}()
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	commit := func(delegate int, item int, value int64) {
+	t.Cleanup(cancel)
+	commit = func(delegate int, item int, value int64) {
 		t.Helper()
 		res, err := servers[delegate].Replica().Execute(ctx, core.Request{Ops: []workload.Op{
 			{Item: item, Write: true, Value: value},
@@ -176,6 +176,15 @@ func TestServerRestartRejoins(t *testing.T) {
 			t.Fatalf("commit at %d aborted", delegate)
 		}
 	}
+	return servers, mk, commit
+}
+
+// TestServerRestartRejoins: stop one server, keep committing on the
+// survivors, restart it in a fresh process-equivalent (same WAL dir, fresh
+// Server value) and assert it catches back up via WAL replay + snapshot pull,
+// and that the survivors' views exclude and re-admit it.
+func TestServerRestartRejoins(t *testing.T) {
+	servers, mk, commit := restartableCluster(t)
 
 	commit(0, 1, 10)
 	commit(1, 2, 20)
@@ -194,6 +203,36 @@ func TestServerRestartRejoins(t *testing.T) {
 		"survivor never re-admitted the restarted peer")
 	commit(2, 4, 40)
 
+	waitConverged(t, servers, 10*time.Second)
+}
+
+// TestServerRejoinIsPrompt: after an outage long enough for the survivors'
+// redial backoff to reach its one-second cap, a restarted server is back in
+// every view, and commits what it delegates, within 250ms — its peers redial
+// as soon as it connects to them instead of sleeping out their backoff.
+func TestServerRejoinIsPrompt(t *testing.T) {
+	const bound = 250 * time.Millisecond
+	servers, mk, commit := restartableCluster(t)
+	commit(0, 1, 10)
+	commit(1, 2, 20)
+
+	servers[2].Close()
+	waitView(t, servers[0], func(members []string) bool { return len(members) == 2 }, 5*time.Second,
+		"survivor never excluded the dead peer")
+	time.Sleep(3 * time.Second)
+
+	servers[2] = mk(2)
+	restarted := time.Now()
+	commit(2, 3, 30)
+	took := time.Since(restarted)
+	t.Logf("the restarted server's first commit took %v", took)
+	if took > bound {
+		t.Fatalf("first commit after the restart: %v, want at most %v", took, bound)
+	}
+	for _, s := range servers {
+		waitView(t, s, func(members []string) bool { return len(members) == 3 }, bound-time.Since(restarted),
+			fmt.Sprintf("%s did not show all three members within %v of the restart", s.PeerAddr(), bound))
+	}
 	waitConverged(t, servers, 10*time.Second)
 }
 
@@ -219,54 +258,11 @@ func waitView(t *testing.T, s *Server, ok func(members []string) bool, d time.Du
 // value is actually present.  (Convergence checks cannot catch the bug: all
 // replicas skip the install equally.)
 func TestRestartedDelegateWritesAreNotSilentlyLost(t *testing.T) {
-	ports := freePorts(t, 6) // as in startCluster
-	peers, clients := ports[:3], ports[3:]
-	walDirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	mk := func(i int) *Server {
-		srv, err := Start(Config{
-			ID:                peers[i],
-			Members:           peers,
-			ClientAddr:        clients[i],
-			WALDir:            walDirs[i],
-			Level:             core.GroupSafe,
-			Items:             64,
-			ExecTimeout:       5 * time.Second,
-			HeartbeatInterval: 20 * time.Millisecond,
-			SuspectTimeout:    120 * time.Millisecond,
-			ResyncInterval:    150 * time.Millisecond,
-			Logf:              t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("start server %d: %v", i, err)
-		}
-		return srv
-	}
-	servers := []*Server{mk(0), mk(1), mk(2)}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	commit := func(item int, value int64) {
-		t.Helper()
-		res, err := servers[2].Replica().Execute(ctx, core.Request{Ops: []workload.Op{
-			{Item: item, Write: true, Value: value},
-		}})
-		if err != nil {
-			t.Fatalf("commit at restartee: %v", err)
-		}
-		if !res.Committed() {
-			t.Fatalf("commit at restartee aborted")
-		}
-	}
+	servers, mk, commit := restartableCluster(t)
 
 	// First life: the restartee delegates three transactions, burning ids.
 	for i := 0; i < 3; i++ {
-		commit(i, int64(100+i))
+		commit(2, i, int64(100+i))
 	}
 
 	servers[2].Close()
@@ -279,7 +275,7 @@ func TestRestartedDelegateWritesAreNotSilentlyLost(t *testing.T) {
 	waitView(t, servers[0], func(members []string) bool { return len(members) == 3 }, 5*time.Second,
 		"survivor never re-admitted the restarted peer")
 	for i := 0; i < 3; i++ {
-		commit(10+i, int64(200+i))
+		commit(2, 10+i, int64(200+i))
 	}
 
 	waitConverged(t, servers, 10*time.Second)
