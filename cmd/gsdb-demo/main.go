@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"groupsafe/gsdb"
-	"groupsafe/gsdb/experiments"
 	"groupsafe/gsdb/stats"
+	"groupsafe/internal/experiments"
 )
 
 func main() {

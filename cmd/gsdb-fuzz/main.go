@@ -23,7 +23,7 @@ import (
 	"strings"
 	"time"
 
-	"groupsafe/gsdb/fuzz"
+	"groupsafe/internal/sim/fuzz"
 )
 
 func main() {

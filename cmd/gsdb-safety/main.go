@@ -17,7 +17,7 @@ import (
 	"os"
 	"time"
 
-	"groupsafe/gsdb/experiments"
+	"groupsafe/internal/experiments"
 )
 
 func main() {

@@ -19,8 +19,9 @@ import (
 	"strings"
 	"time"
 
-	"groupsafe/gsdb"
-	"groupsafe/gsdb/sim"
+	"groupsafe/internal/core"
+	"groupsafe/internal/experiments"
+	"groupsafe/internal/simrep"
 )
 
 func main() {
@@ -40,7 +41,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "random seed")
 	batch := flag.Int("batch", 1, "most transactions one simulated dissemination round carries (1: the paper's unbatched flow)")
 	applyWorkers := flag.Int("apply-workers", 0, "concurrent write-set installs per server (0: one per disk)")
-	partitions := flag.Int("partitions", 1, "hash partitions of the keyspace, each with its own total order (certification technique only; 1: single global order)")
 	readFraction := flag.Float64("read-fraction", 0, "fraction of transactions that are pure read-only queries (0: Table 4 mix)")
 	queryKeys := flag.Int("query-keys", 0, "keys read per query transaction (0: transaction-length bounds)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -63,16 +63,15 @@ func run() int {
 		}()
 	}
 
-	cfg := sim.DefaultConfig()
+	cfg := simrep.DefaultConfig()
 	cfg.Duration = *duration
 	cfg.Seed = *seed
 	cfg.BatchSize = *batch
 	cfg.ApplyWorkers = *applyWorkers
-	cfg.Partitions = *partitions
 	cfg.ReadFraction = *readFraction
 	cfg.QueryMinOps = *queryKeys
 	cfg.QueryMaxOps = *queryKeys
-	technique, err := gsdb.ParseTechnique(*techniqueFlag)
+	technique, err := core.ParseTechnique(*techniqueFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -96,7 +95,7 @@ func run() int {
 	}
 }
 
-func printTable4(cfg sim.Config) {
+func printTable4(cfg simrep.Config) {
 	fmt.Println("Simulator parameters (Table 4 of the paper):")
 	fmt.Printf("  Number of items in the database      %d\n", cfg.Items)
 	fmt.Printf("  Number of servers                    %d\n", cfg.Servers)
@@ -113,8 +112,8 @@ func printTable4(cfg sim.Config) {
 	fmt.Printf("  Simulated duration per data point    %v\n", cfg.Duration)
 }
 
-func runFig9(cfg sim.Config, loadsFlag, levelsFlag string) int {
-	loads := sim.Figure9Loads()
+func runFig9(cfg simrep.Config, loadsFlag, levelsFlag string) int {
+	loads := simrep.Figure9Loads()
 	if loadsFlag != "" {
 		loads = nil
 		for _, tok := range strings.Split(loadsFlag, ",") {
@@ -129,10 +128,10 @@ func runFig9(cfg sim.Config, loadsFlag, levelsFlag string) int {
 	// nil lets RunFigure9 pick the default level set for the configured
 	// technique (the Fig. 9 trio for certification, the canonical level for
 	// active / lazy-primary).
-	var levels []gsdb.SafetyLevel
+	var levels []core.SafetyLevel
 	if levelsFlag != "" {
 		for _, tok := range strings.Split(levelsFlag, ",") {
-			level, err := gsdb.ParseLevel(strings.TrimSpace(tok))
+			level, err := core.ParseLevel(strings.TrimSpace(tok))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 2
@@ -142,16 +141,16 @@ func runFig9(cfg sim.Config, loadsFlag, levelsFlag string) int {
 	}
 
 	fmt.Printf("Figure 9 reproduction: response time vs load (%d servers, Table 4 workload, %s technique)\n\n", cfg.Servers, cfg.Technique)
-	results, err := sim.RunFigure9(cfg, levels, loads)
+	results, err := simrep.RunFigure9(cfg, levels, loads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Println(sim.FormatFigure9(results))
+	fmt.Println(simrep.FormatFigure9(results))
 	// The group-safe-vs-lazy crossover only exists in the certification
 	// technique's multi-level sweep.
-	if cfg.Technique == gsdb.TechCertification {
-		if cross := sim.CrossoverLoad(results, gsdb.GroupSafe, gsdb.Safety1Lazy); cross > 0 {
+	if cfg.Technique == core.TechCertification {
+		if cross := simrep.CrossoverLoad(results, core.GroupSafe, core.Safety1Lazy); cross > 0 {
 			fmt.Printf("group-safe overtakes lazy replication at %.0f tps (paper: ~38 tps)\n", cross)
 		} else {
 			fmt.Println("group-safe stayed faster than lazy replication over the whole sweep")
@@ -163,7 +162,7 @@ func runFig9(cfg sim.Config, loadsFlag, levelsFlag string) int {
 func runScaling() {
 	fmt.Println("Section 7: probability of an ACID violation vs number of servers")
 	fmt.Printf("%-10s  %-22s  %-22s\n", "servers", "lazy (grows with n)", "group-safe (shrinks)")
-	for _, p := range coreScalingPoints() {
+	for _, p := range experiments.RunSection7Scaling(experiments.ScalingConfig{}) {
 		fmt.Printf("%-10d  %-22.4f  %-22.4f\n", p.Servers, p.LazyViolationProb, p.GroupSafeViolateProb)
 	}
 }

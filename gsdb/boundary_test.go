@@ -10,24 +10,22 @@ import (
 	"testing"
 )
 
-// TestImportBoundary enforces the public-API layering: nothing under cmd/ or
-// examples/ may import groupsafe/internal/... (they must go through gsdb),
-// and the gsdb packages themselves — the deliberate bridge — may only import
-// the specific internal packages they wrap, so new internals cannot leak
-// into the public surface by accident.
+// TestImportBoundary enforces the public-API layering: examples/ may import
+// only groupsafe/gsdb and its subpackages (they show what code outside the
+// module can do), while the repository's own tools under cmd/ may import any
+// package they drive.  The gsdb packages themselves — the deliberate bridge —
+// may only import the specific internal packages they wrap, so new internals
+// cannot leak into the public surface by accident.
 func TestImportBoundary(t *testing.T) {
 	root := repoRoot(t)
 
-	// Consumers: no internal imports at all.
-	for _, dir := range []string{"cmd", "examples"} {
-		walkGoFiles(t, filepath.Join(root, dir), func(file string, imports []string) {
-			for _, imp := range imports {
-				if strings.HasPrefix(imp, "groupsafe/internal/") {
-					t.Errorf("%s imports %s: cmd/ and examples/ must use the public gsdb API", rel(root, file), imp)
-				}
+	walkGoFiles(t, filepath.Join(root, "examples"), func(file string, imports []string) {
+		for _, imp := range imports {
+			if strings.HasPrefix(imp, "groupsafe/") && imp != "groupsafe/gsdb" && !strings.HasPrefix(imp, "groupsafe/gsdb/") {
+				t.Errorf("%s imports %s: examples/ must use the public gsdb API", rel(root, file), imp)
 			}
-		})
-	}
+		}
+	})
 
 	// The bridge: per-package whitelist of wrapped internals.
 	allowed := map[string][]string{
@@ -35,14 +33,11 @@ func TestImportBoundary(t *testing.T) {
 			"groupsafe/internal/core",
 			"groupsafe/internal/partition",
 			"groupsafe/internal/workload",
-			"groupsafe/internal/gcs/fd",
 			"groupsafe/internal/netproto",
 		},
 		"gsdb/server":      {"groupsafe/internal/server"},
 		"gsdb/stats":       {"groupsafe/internal/stats"},
 		"gsdb/experiments": {"groupsafe/internal/experiments"},
-		"gsdb/sim":         {"groupsafe/internal/simrep"},
-		"gsdb/fuzz":        {"groupsafe/internal/sim/fuzz"},
 	}
 	for pkgDir, whitelist := range allowed {
 		walkGoFiles(t, filepath.Join(root, pkgDir), func(file string, imports []string) {

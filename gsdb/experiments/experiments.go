@@ -1,43 +1,15 @@
-// Package experiments exposes the runnable reproductions of the paper's
-// tables, figures and claims on the real replication stack: the Fig. 5/7
-// lost-transaction schedules, the Table 1-3 safety classifications, the
-// Fig. 2 vs Fig. 8 response-time breakdown, the Sect. 6 disk-vs-broadcast
-// comparison, the Sect. 7 scaling model, and the cross-technique comparison.
-// It is the public face of the module's internal experiments package.
+// Package experiments exposes the paper's Fig. 5 and Fig. 7 crash schedules
+// on the real replication stack: the same total failure loses an
+// acknowledged transaction under classical atomic broadcast and keeps it
+// under end-to-end atomic broadcast.  It is the public face of the module's
+// internal experiments package for the failover example.
 package experiments
 
-import (
-	"time"
+import iexp "groupsafe/internal/experiments"
 
-	iexp "groupsafe/internal/experiments"
-)
-
-// Result and configuration types (aliases of the internal runners' own, so
-// values pass through unchanged).
-type (
-	// FailureScenarioResult describes the outcome of a Fig. 5 / Fig. 7
-	// style crash schedule.
-	FailureScenarioResult = iexp.FailureScenarioResult
-	// Table1Row is one row of the paper's Table 1 classification.
-	Table1Row = iexp.Table1Row
-	// Table2Row is the operational verification of Table 2.
-	Table2Row = iexp.Table2Row
-	// Table3Row compares group-safe and group-1-safe loss conditions.
-	Table3Row = iexp.Table3Row
-	// TraceResult is the Fig. 2 vs Fig. 8 response-time breakdown.
-	TraceResult = iexp.TraceResult
-	// DiskVsBroadcastResult quantifies the Sect. 6 disk-vs-broadcast claim.
-	DiskVsBroadcastResult = iexp.DiskVsBroadcastResult
-	// ScalingPoint is one point of the Sect. 7 scaling comparison.
-	ScalingPoint = iexp.ScalingPoint
-	// ScalingConfig parameterises the Sect. 7 model.
-	ScalingConfig = iexp.ScalingConfig
-	// TechniqueComparisonConfig parameterises the real-stack replication
-	// technique comparison.
-	TechniqueComparisonConfig = iexp.TechniqueComparisonConfig
-	// TechniqueResult is one technique's measured behaviour.
-	TechniqueResult = iexp.TechniqueResult
-)
+// FailureScenarioResult describes the outcome of a Fig. 5 / Fig. 7 style
+// crash schedule.
+type FailureScenarioResult = iexp.FailureScenarioResult
 
 // RunFigure5 reproduces Fig. 5: classical atomic broadcast loses an
 // acknowledged transaction after a total failure in which only the
@@ -48,43 +20,3 @@ func RunFigure5() (FailureScenarioResult, error) { return iexp.RunFigure5() }
 // broadcast (2-safe) replays the logged message and the transaction
 // survives.
 func RunFigure7() (FailureScenarioResult, error) { return iexp.RunFigure7() }
-
-// RunTable1 produces the Table 1 classification for a group of n servers.
-func RunTable1(n int) []Table1Row { return iexp.RunTable1(n) }
-
-// RunTable2 runs the crash-tolerance experiments for every safety level on a
-// cluster of n replicas (n >= 3).
-func RunTable2(n int) ([]Table2Row, error) { return iexp.RunTable2(n) }
-
-// RunTable3 runs the three loss conditions of Table 3 for group-safe and
-// group-1-safe.
-func RunTable3() ([]Table3Row, error) { return iexp.RunTable3() }
-
-// RunFig2VsFig8Trace measures the single-transaction response time of the
-// group-1-safe (Fig. 2) and group-safe (Fig. 8) protocol variants.
-func RunFig2VsFig8Trace(diskSync, netLatency time.Duration, txns int) (TraceResult, error) {
-	return iexp.RunFig2VsFig8Trace(diskSync, netLatency, txns)
-}
-
-// RunDiskVsBroadcast measures a forced log write against a full uniform
-// atomic broadcast round over an n-member group (Sect. 6).
-func RunDiskVsBroadcast(diskSync, netLatency time.Duration, n int) (DiskVsBroadcastResult, error) {
-	return iexp.RunDiskVsBroadcast(diskSync, netLatency, n)
-}
-
-// RunSection7Scaling evaluates the Sect. 7 argument: lazy replication's
-// violation probability grows with the number of servers, group-safety's
-// shrinks.
-func RunSection7Scaling(cfg ScalingConfig) []ScalingPoint { return iexp.RunSection7Scaling(cfg) }
-
-// RunTechniqueComparison drives the same seeded workload through a real
-// cluster per replication technique and reports response time, abort rate
-// and messages per transaction for each.
-func RunTechniqueComparison(cfg TechniqueComparisonConfig) ([]TechniqueResult, error) {
-	return iexp.RunTechniqueComparison(cfg)
-}
-
-// FormatTechniqueComparison renders the comparison as a table.
-func FormatTechniqueComparison(results []TechniqueResult) string {
-	return iexp.FormatTechniqueComparison(results)
-}

@@ -70,8 +70,9 @@
 //
 // # Stability policy
 //
-// The gsdb package (and its subpackages experiments, sim and stats) is the
-// module's public API:
+// The gsdb package and its subpackages — experiments (the Fig. 5/7 crash
+// schedules the failover example runs), stats and server — are the module's
+// public API:
 //
 //   - identifiers exported by gsdb are append-only: they may gain new
 //     functions, options and struct fields, but existing signatures, option
@@ -79,8 +80,9 @@
 //   - the CI pipeline diffs `go doc -all ./gsdb` against the committed
 //     gsdb/api.txt, so every surface change is explicit in review;
 //   - packages under internal/ carry no compatibility promise at all — no
-//     code outside this module can import them, and no code inside cmd/ or
-//     examples/ does either (enforced by a test).
+//     code outside this module can import them, and neither do the examples
+//     (enforced by a test); the repository's own commands under cmd/
+//     import the internal packages they drive.
 package gsdb
 
 import (
@@ -271,9 +273,9 @@ func (c *Client) Crash(i int) { c.cluster.Crash(i) }
 // replayed messages.
 func (c *Client) Recover(i int) (int, error) { return c.cluster.Recover(i) }
 
-// Suspect tells replica observer to treat replica suspect as crashed (the
-// manual stand-in for a failure detector; see WithFailureDetectors for the
-// automatic one).
+// Suspect tells replica observer to treat replica suspect as crashed (an
+// in-process cluster runs no failure detector, so crashed peers are reported
+// this way).
 func (c *Client) Suspect(observer, suspect int) {
 	c.cluster.Suspect(observer, suspect)
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"groupsafe/internal/core"
-	"groupsafe/internal/gcs/fd"
 )
 
 // Option configures Open.
@@ -56,33 +55,11 @@ func WithNetworkLatency(d time.Duration) Option {
 	return func(cfg *core.ClusterConfig) { cfg.NetworkLatency = d }
 }
 
-// WithNetworkJitter adds random jitter on top of the network latency.
-func WithNetworkJitter(d time.Duration) Option {
-	return func(cfg *core.ClusterConfig) { cfg.NetworkJitter = d }
-}
-
 // WithExecTimeout sets the DEFAULT bound on Execute calls, used only when
 // the caller's context carries no deadline of its own (default 10s).  A
 // context deadline always wins.
 func WithExecTimeout(d time.Duration) Option {
 	return func(cfg *core.ClusterConfig) { cfg.ExecTimeout = d }
-}
-
-// WithLazyPropagationDelay postpones the asynchronous write-set propagation
-// of the lazy modes, widening the crash window the failure-injection
-// experiments measure.
-func WithLazyPropagationDelay(d time.Duration) Option {
-	return func(cfg *core.ClusterConfig) { cfg.LazyPropagationDelay = d }
-}
-
-// WithFailureDetectors runs a heartbeat failure detector on every replica,
-// wired to the atomic broadcast's suspect mechanism (without it, crashed
-// peers must be reported manually via Client.Suspect).
-func WithFailureDetectors() Option {
-	return func(cfg *core.ClusterConfig) {
-		cfg.StartDetectors = true
-		cfg.Detector = fd.Config{}
-	}
 }
 
 // WithPartitions splits the keyspace into n hash partitions (default 1),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/storage"
 )
@@ -26,9 +25,8 @@ type ClusterConfig struct {
 	Technique TechniqueID
 	// DiskSyncDelay emulates the cost of forcing a log to disk.
 	DiskSyncDelay time.Duration
-	// NetworkLatency and NetworkJitter emulate the LAN.
+	// NetworkLatency emulates the LAN.
 	NetworkLatency time.Duration
-	NetworkJitter  time.Duration
 	// ExecTimeout bounds Execute calls.
 	ExecTimeout time.Duration
 	// LazyPropagationDelay postpones lazy write-set propagation (failure
@@ -37,10 +35,6 @@ type ClusterConfig struct {
 	// RecordApplied turns on the per-replica applied-transaction log (see
 	// ReplicaConfig.RecordApplied and Replica.AppliedLog).
 	RecordApplied bool
-	// StartDetectors runs heartbeat failure detectors on every replica.
-	StartDetectors bool
-	// Detector tunes the failure detectors.
-	Detector fd.Config
 	// Seed seeds the network randomness.
 	Seed int64
 	// Partitions is the number of keyspace partitions.  The core cluster
@@ -55,7 +49,7 @@ type ClusterConfig struct {
 	// Network, when non-nil, attaches the replicas to the given transport
 	// instead of building a private in-memory network.  The partition layer
 	// uses it to share one simulated wire across per-partition clusters.
-	// When set, NetworkLatency/NetworkJitter/Seed are ignored here (the owner
+	// When set, NetworkLatency and Seed are ignored here (the owner
 	// of the base network configures them) and Cluster.Network returns nil.
 	Network transport.Network
 }
@@ -89,9 +83,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if cfg.NetworkLatency > 0 {
 			netOpts = append(netOpts, transport.WithLatency(cfg.NetworkLatency))
 		}
-		if cfg.NetworkJitter > 0 {
-			netOpts = append(netOpts, transport.WithJitter(cfg.NetworkJitter))
-		}
 		memnet = transport.NewMemNetwork(netOpts...)
 		network = memnet
 	}
@@ -113,8 +104,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			ExecTimeout:          cfg.ExecTimeout,
 			LazyPropagationDelay: cfg.LazyPropagationDelay,
 			RecordApplied:        cfg.RecordApplied,
-			StartDetector:        cfg.StartDetectors,
-			Detector:             cfg.Detector,
 			MaxPinAge:            cfg.MaxPinAge,
 		})
 		if err != nil {

@@ -60,7 +60,8 @@ func (r *Replica) startGroupCommunication() error {
 				return err
 			}
 		}
-		if r.cfg.StartDetector {
+		if onEvent := r.cfg.OnDetectorEvent; onEvent != nil {
+			// The detector runs exactly when someone listens to it.
 			detCfg := r.cfg.Detector
 			// Heartbeats double as freshness adverts (the membership path
 			// for the server build, where ACK traffic pauses under an idle
@@ -69,16 +70,13 @@ func (r *Replica) startGroupCommunication() error {
 			detCfg.OnAnnotation = r.notePeerApplied
 			det = fd.New(r.cfg.ID, r.cfg.Members, router, detCfg)
 			router.Handle(fd.MsgHeartbeat, det.OnMessage)
-			onEvent := r.cfg.OnDetectorEvent
 			det.OnEvent(func(ev fd.Event) {
 				if ev.Suspected {
 					ab.Suspect(ev.Peer)
 				} else {
 					ab.Unsuspect(ev.Peer)
 				}
-				if onEvent != nil {
-					onEvent(ev)
-				}
+				onEvent(ev)
 			})
 		}
 	}

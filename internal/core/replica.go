@@ -109,15 +109,14 @@ type ReplicaConfig struct {
 	// the simulated crash of the replica (unlike volatile state) and may
 	// contain duplicate sequence numbers after an end-to-end replay.
 	RecordApplied bool
-	// StartDetector runs a heartbeat failure detector wired to the atomic
-	// broadcast's Suspect mechanism.
-	StartDetector bool
-	// Detector tunes the failure detector when StartDetector is set.
-	Detector fd.Config
-	// OnDetectorEvent, when set with StartDetector, additionally receives
-	// every failure detector transition (after the broadcaster has been
-	// informed).  The server layer uses it to drive membership view changes.
+	// OnDetectorEvent, when set, runs a heartbeat failure detector (tuned by
+	// Detector) wired to the atomic broadcast's Suspect mechanism, and
+	// receives every detector transition after the broadcaster has been
+	// informed.  The server layer uses it to drive membership view changes.
+	// Without it, crashed peers are reported through Suspect.
 	OnDetectorEvent func(fd.Event)
+	// Detector tunes the failure detector OnDetectorEvent starts.
+	Detector fd.Config
 	// MaxPinAge bounds how many apply sequences a read-only MVCC snapshot may
 	// trail the visible watermark before it is evicted and its reads return
 	// ErrSnapshotTooOld (0: unlimited).  It caps the version history one slow

@@ -71,11 +71,6 @@ func WithLatency(d time.Duration) MemOption {
 	return func(n *MemNetwork) { n.latency.Store(int64(d)) }
 }
 
-// WithJitter adds a uniform random component in [0, d] to the latency.
-func WithJitter(d time.Duration) MemOption {
-	return func(n *MemNetwork) { n.jitter.Store(int64(d)) }
-}
-
 // WithLoss sets the probability that any message is silently dropped.
 func WithLoss(p float64) MemOption {
 	return func(n *MemNetwork) { n.loss.Store(math.Float64bits(p)) }
@@ -212,7 +207,8 @@ func (n *MemNetwork) Heal() {
 // across the change.
 func (n *MemNetwork) SetLatency(d time.Duration) { n.latency.Store(int64(d)) }
 
-// SetJitter changes the uniform random latency component at runtime.
+// SetJitter sets the uniform random component in [0, d] added to the
+// latency; it may be changed at runtime.
 func (n *MemNetwork) SetJitter(d time.Duration) { n.jitter.Store(int64(d)) }
 
 // SetLoss changes the message-loss probability at runtime.

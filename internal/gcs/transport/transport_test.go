@@ -95,7 +95,8 @@ func TestMemNetworkLoss(t *testing.T) {
 }
 
 func TestMemNetworkLatency(t *testing.T) {
-	n := NewMemNetwork(WithLatency(30*time.Millisecond), WithJitter(5*time.Millisecond))
+	n := NewMemNetwork(WithLatency(30 * time.Millisecond))
+	n.SetJitter(5 * time.Millisecond)
 	a := n.Endpoint("a")
 	b := n.Endpoint("b")
 	start := time.Now()
@@ -117,7 +118,8 @@ func TestMemNetworkLatency(t *testing.T) {
 // a zero jitter draw takes a zero total delay, which must still queue behind
 // earlier draws of the same channel rather than delivering synchronously.
 func TestMemNetworkChannelFIFO(t *testing.T) {
-	n := NewMemNetwork(WithJitter(2*time.Millisecond), WithSeed(42))
+	n := NewMemNetwork(WithSeed(42))
+	n.SetJitter(2 * time.Millisecond)
 	a := n.Endpoint("a")
 	b := n.Endpoint("b")
 	const msgs = 200

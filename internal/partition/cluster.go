@@ -78,9 +78,6 @@ func New(cfg core.ClusterConfig) (*Cluster, error) {
 	if cfg.NetworkLatency > 0 {
 		netOpts = append(netOpts, transport.WithLatency(cfg.NetworkLatency))
 	}
-	if cfg.NetworkJitter > 0 {
-		netOpts = append(netOpts, transport.WithJitter(cfg.NetworkJitter))
-	}
 	base := transport.NewMemNetwork(netOpts...)
 	mux := transport.NewMux(base)
 

@@ -167,7 +167,6 @@ func Start(cfg Config) (*Server, error) {
 		DBLog:           s.dbLog,
 		IncarnationBase: incarnation << 20,
 		ExecTimeout:     cfg.ExecTimeout,
-		StartDetector:   true,
 		Detector:        fd.Config{Interval: cfg.HeartbeatInterval, Timeout: cfg.SuspectTimeout},
 		OnDetectorEvent: s.onDetectorEvent,
 	})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -133,23 +134,19 @@ func TestFuzzPinned(t *testing.T) {
 	}
 }
 
-// TestTraceRetiredHeadersIgnored: traces recorded while the broadcast lane
-// had a fixed mode ("adaptive") or the sequencer a planned rotation
-// ("rotate-every") still replay — either line parses to the scenario the
-// trace describes without it, and Marshal emits neither.
-func TestTraceRetiredHeadersIgnored(t *testing.T) {
+// TestTraceUnknownHeaderRejected: a header line the codec does not know —
+// including the retired "adaptive" and "rotate-every" lines — fails the
+// parse with an error that names the line, rather than being skipped.
+func TestTraceUnknownHeaderRejected(t *testing.T) {
 	sc, err := Generate(sweepConfig(31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := sc.Marshal()
-	for _, retired := range []string{"adaptive true\n", "rotate-every 5\n"} {
-		old, err := ParseScenario(bytes.Replace(data, []byte("generated "), []byte(retired+"generated "), 1))
-		if err != nil {
-			t.Fatalf("a trace with the retired header line %q no longer parses: %v", retired, err)
-		}
-		if !bytes.Equal(old.Marshal(), data) {
-			t.Fatalf("the retired header line %q changed the parsed scenario", retired)
+	for _, unknown := range []string{"adaptive true", "rotate-every 5", "frobnicate 1"} {
+		_, err := ParseScenario(bytes.Replace(data, []byte("generated "), []byte(unknown+"\ngenerated "), 1))
+		if err == nil || !strings.Contains(err.Error(), unknown) {
+			t.Fatalf("header line %q: got error %v, want one naming the line", unknown, err)
 		}
 	}
 }

@@ -628,10 +628,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 			s.Cfg.Profile = val
 		case "txn-timeout":
 			s.Cfg.TxnTimeout, err = time.ParseDuration(val)
-		case "adaptive", "rotate-every":
-			// Traces recorded while the broadcast lane had a fixed mode, or
-			// the sequencer a planned rotation, carry these lines; there is
-			// one lane and one sequencer policy now.
 		case "partitions":
 			s.Cfg.Partitions, err = strconv.Atoi(val)
 		case "generated":

@@ -65,15 +65,6 @@ type Config struct {
 	// ApplyWorkers bounds how many write sets a server installs concurrently
 	// (0: one install slot per disk).
 	ApplyWorkers int
-	// Partitions hash-partitions the keyspace over that many independent
-	// total orders (mirroring internal/partition): item i belongs to
-	// partition i%Partitions, every server runs one in-order apply stage per
-	// partition (sharing its CPUs, disks and install slots), and an update
-	// whose write set spans several partitions pays an ordered two-phase
-	// commit — per-partition certification votes plus a coordinator decide
-	// broadcast on the response path.  0 or 1 keeps the single global order.
-	// Only the certification technique is modelled partitioned.
-	Partitions int
 	// Duration is the simulated time during which transactions are generated.
 	Duration time.Duration
 	// WarmupFraction of Duration is discarded from the statistics.
@@ -138,12 +129,6 @@ func (c Config) Validate() error {
 	}
 	if c.ApplyWorkers < 0 {
 		return fmt.Errorf("simrep: apply workers must be non-negative")
-	}
-	if c.Partitions < 0 {
-		return fmt.Errorf("simrep: partitions must be non-negative")
-	}
-	if c.Partitions > 1 && c.Technique != core.TechCertification {
-		return fmt.Errorf("simrep: partitioned operation is modelled for the certification technique only, got %v", c.Technique)
 	}
 	return nil
 }

@@ -44,29 +44,19 @@ type simTxn struct {
 	start       time.Duration
 	notify      *sim.Mailbox[bool]
 	remaining   int // servers still installing (very-safe)
-	// Partitioned operation: parts lists the write partitions this update
-	// touches (always a single entry when Partitions <= 1), and partsLeft[i]
-	// counts how many of them server i has yet to see delivered — the last
-	// sub-delivery at a server is the point where the decision is complete
-	// there and the install runs.
-	parts     []int
-	partsLeft []int
 }
 
 // server models one replica server: two CPUs, two disks, a client admission
 // limit, the batched atomic-broadcast sender stage, and the in-order apply
-// stages fed by the atomic broadcast — one per keyspace partition, all
-// sharing the server's CPUs, disks and install slots (partitioned servers
-// are co-located replicas of every partition, exactly like the process
-// model of internal/partition).
+// stage fed by the atomic broadcast.
 type server struct {
-	idx         int
-	cpu         *sim.Resource
-	disk        *sim.Resource
-	clients     *sim.Resource
-	bcastQueue  *sim.Mailbox[*simTxn]
-	applyQueues []*sim.Mailbox[*simTxn]
-	applySlots  *sim.Resource
+	idx        int
+	cpu        *sim.Resource
+	disk       *sim.Resource
+	clients    *sim.Resource
+	bcastQueue *sim.Mailbox[*simTxn]
+	applyQueue *sim.Mailbox[*simTxn]
+	applySlots *sim.Resource
 }
 
 type simulation struct {
@@ -82,8 +72,7 @@ type simulation struct {
 
 	batchSize int
 
-	parts     int // keyspace partitions (>= 1), each its own total order
-	nextSeqs  []uint64
+	nextSeq   uint64
 	warmupEnd time.Duration
 	genEnd    time.Duration
 
@@ -127,11 +116,6 @@ func newSimulation(cfg Config, level core.SafetyLevel, loadTPS float64) *simulat
 	if applyWorkers <= 0 {
 		applyWorkers = cfg.DisksPerServer
 	}
-	s.parts = cfg.Partitions
-	if s.parts < 1 {
-		s.parts = 1
-	}
-	s.nextSeqs = make([]uint64, s.parts)
 	for i := 0; i < cfg.Servers; i++ {
 		srv := &server{
 			idx:        i,
@@ -139,11 +123,8 @@ func newSimulation(cfg Config, level core.SafetyLevel, loadTPS float64) *simulat
 			disk:       sim.NewResource(eng, fmt.Sprintf("disk-%d", i), cfg.DisksPerServer),
 			clients:    sim.NewResource(eng, fmt.Sprintf("clients-%d", i), cfg.ClientsPerServer),
 			bcastQueue: sim.NewMailbox[*simTxn](eng, fmt.Sprintf("bcast-%d", i)),
+			applyQueue: sim.NewMailbox[*simTxn](eng, fmt.Sprintf("apply-%d", i)),
 			applySlots: sim.NewResource(eng, fmt.Sprintf("applyslots-%d", i), applyWorkers),
-		}
-		for q := 0; q < s.parts; q++ {
-			srv.applyQueues = append(srv.applyQueues,
-				sim.NewMailbox[*simTxn](eng, fmt.Sprintf("apply-%d-%d", i, q)))
 		}
 		s.servers = append(s.servers, srv)
 	}
@@ -154,12 +135,9 @@ func (s *simulation) run() {
 	if s.level.UsesGroupCommunication() {
 		for _, srv := range s.servers {
 			srv := srv
-			for q := 0; q < s.parts; q++ {
-				q := q
-				s.eng.Spawn(fmt.Sprintf("dispatcher-%d-%d", srv.idx, q), 0, func(p *sim.Process) {
-					s.dispatcher(p, srv, q)
-				})
-			}
+			s.eng.Spawn(fmt.Sprintf("dispatcher-%d", srv.idx), 0, func(p *sim.Process) {
+				s.dispatcher(p, srv)
+			})
 			if s.batchSize > 1 {
 				s.eng.Spawn(fmt.Sprintf("batcher-%d", srv.idx), 0, func(p *sim.Process) {
 					s.batcher(p, srv)
@@ -354,54 +332,17 @@ func (s *simulation) runActive(p *sim.Process, t *simTxn, srv *server) bool {
 // hands it to every server's apply stage.  Certification is deterministic, so
 // its outcome is computed once (every server reaches the same verdict);
 // active replication has no certification step and commits everything.
-//
-// With a partitioned keyspace the write set decomposes into one sub-
-// transaction per touched partition, each taking a position in its own
-// partition's total order; the deterministic outcome stands in for the
-// unanimous per-partition votes of the ordered 2PC (any failed vote aborts
-// the whole transaction everywhere).
 func (s *simulation) orderAndEnqueue(t *simTxn) {
-	t.parts = s.writePartitions(t)
-	t.partsLeft = make([]int, s.cfg.Servers)
-	for i := range t.partsLeft {
-		t.partsLeft[i] = len(t.parts)
-	}
-	s.nextSeqs[t.parts[0]]++
-	t.seq = s.nextSeqs[t.parts[0]]
+	s.nextSeq++
+	t.seq = s.nextSeq
 	if s.cfg.Technique == core.TechActive {
 		t.committed = true
 	} else {
 		t.committed = s.certify(t)
 	}
 	for _, target := range s.servers {
-		for _, q := range t.parts {
-			target.applyQueues[q].Put(t)
-		}
+		target.applyQueue.Put(t)
 	}
-}
-
-// writePartitions lists the partitions owning the transaction's write set,
-// coordinator (lowest id) first — the single partition 0 when the keyspace
-// is unpartitioned.
-func (s *simulation) writePartitions(t *simTxn) []int {
-	if s.parts <= 1 {
-		return []int{0}
-	}
-	seen := make(map[int]bool, 2)
-	var parts []int
-	for _, op := range t.writeOps {
-		q := op.Item % s.parts
-		if !seen[q] {
-			seen[q] = true
-			parts = append(parts, q)
-		}
-	}
-	for i := 1; i < len(parts); i++ {
-		for j := i; j > 0 && parts[j] < parts[j-1]; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
-	return parts
 }
 
 // batcher is the delegate's batched atomic-broadcast sender stage, clocked
@@ -448,17 +389,12 @@ func (s *simulation) certify(t *simTxn) bool {
 	return true
 }
 
-// dispatcher is the per-server per-partition apply stage: it takes delivered
-// transactions in the partition's total order, certifies them (CPU), signals
-// the group-safe response, and hands the disk work to an installer bounded by
-// the number of disks.  A cross-partition transaction is processed once per
-// touched partition (each sub-transaction pays its own certification in its
-// own order); the LAST sub-delivery at a server completes the decision there
-// — at the delegate it additionally pays the coordinator's decide broadcast
-// on the response path — and triggers the single install of the write set.
-func (s *simulation) dispatcher(p *sim.Process, srv *server, part int) {
+// dispatcher is the per-server apply stage: it takes delivered transactions
+// in total order, certifies them (CPU), signals the group-safe response, and
+// hands the disk work to an installer bounded by the number of disks.
+func (s *simulation) dispatcher(p *sim.Process, srv *server) {
 	for {
-		t := srv.applyQueues[part].Get(p)
+		t := srv.applyQueue.Get(p)
 		srv.applySlots.Acquire(p)
 
 		if s.cfg.Technique == core.TechActive {
@@ -476,27 +412,7 @@ func (s *simulation) dispatcher(p *sim.Process, srv *server, part int) {
 		}
 
 		srv.cpu.Use(p, s.cfg.CertifyCPU)
-		t.partsLeft[srv.idx]--
-		if t.partsLeft[srv.idx] > 0 {
-			// A sub-transaction of a cross-partition update: this partition's
-			// vote is certified and its order position fixed, but the decision
-			// is incomplete at this server until the remaining partitions
-			// deliver their sub-transactions.
-			srv.applySlots.Release()
-			continue
-		}
-		isDelegate := srv.idx == t.delegateIdx
-		if isDelegate && len(t.parts) > 1 {
-			// The ordered 2PC decide: the coordinator broadcasts the decision
-			// record through its partition's order — a dissemination round
-			// plus an ordering round on the shared LAN, paid on the response
-			// path (the client cannot be answered before the commit point).
-			peers := time.Duration(s.cfg.Servers - 1)
-			srv.cpu.Use(p, peers*s.cfg.CPUPerNetworkOp)
-			s.network.Use(p, peers*s.cfg.NetworkDelay)
-			s.network.Use(p, peers*s.cfg.NetworkDelay)
-		}
-		if isDelegate {
+		if srv.idx == t.delegateIdx {
 			switch s.level {
 			case core.GroupSafe:
 				// Fig. 8: reply as soon as the decision is known.

@@ -329,64 +329,6 @@ func TestSimulatedActiveCostsMoreThanCertification(t *testing.T) {
 	}
 }
 
-// TestPartitionedSimulation exercises the partitioned-keyspace model: the
-// partitioned run must complete with sane statistics, stay deterministic, and
-// agree byte-for-byte with the single-order model when Partitions is 0 or 1
-// (both mean "one global total order", so nothing may change).
-func TestPartitionedSimulation(t *testing.T) {
-	cfg := shortConfig()
-	cfg.Partitions = 4
-	res, err := Run(cfg, core.GroupSafe, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed < 200 || res.Committed+res.Aborted != res.Completed {
-		t.Fatalf("partitioned accounting broken: %+v", res)
-	}
-	if res.ThroughputTPS < 15 || res.ThroughputTPS > 25 {
-		t.Fatalf("partitioned throughput %v too far from offered load 20", res.ThroughputTPS)
-	}
-	again, err := Run(cfg, core.GroupSafe, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != again.Completed || res.ResponseMeanMs != again.ResponseMeanMs || res.Aborted != again.Aborted {
-		t.Fatalf("partitioned run not deterministic:\n%+v\n%+v", res, again)
-	}
-
-	zero, one := shortConfig(), shortConfig()
-	zero.Partitions, one.Partitions = 0, 1
-	a, err := Run(zero, core.GroupSafe, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(one, core.GroupSafe, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("Partitions=0 and Partitions=1 must be the identical single-order model:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestPartitionedValidation pins the configuration surface: negative counts
-// are rejected, and only the certification technique is modelled partitioned.
-func TestPartitionedValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Partitions = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative partitions should be rejected")
-	}
-	for _, tech := range []core.TechniqueID{core.TechActive, core.TechLazyPrimary} {
-		cfg := DefaultConfig()
-		cfg.Partitions = 2
-		cfg.Technique = tech
-		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "certification") {
-			t.Errorf("%v with partitions should be rejected naming certification, got %v", tech, err)
-		}
-	}
-}
-
 // TestReadHeavyThroughputScalesWithServers is the read scale-out claim in
 // the one form that does not depend on the host's cores: queries run on one
 // server's CPU and disks and nothing else, so at a 95 % read mix and an
