@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/hex"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ func TestTxnPayloadRoundTrip(t *testing.T) {
 		}
 		id := uint64(rng.Int63())
 		level := AllLevels()[rng.Intn(len(AllLevels()))]
-		payload := encodeTxnPayload(id, "s1", level, readVers, writes)
+		payload := encodeTxnPayload(phaseNone, id, "s1", level, 0, readVers, writes)
 
 		if err := decodeTxnRecord(payload, &rec); err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
@@ -59,7 +60,7 @@ func TestTxnPayloadRoundTrip(t *testing.T) {
 // TestTxnPayloadDecodeRejectsGarbage checks that truncated or corrupt
 // payloads fail to decode instead of producing a bogus record.
 func TestTxnPayloadDecodeRejectsGarbage(t *testing.T) {
-	payload := encodeTxnPayload(42, "s1", Group1Safe, map[int]uint64{1: 2}, map[int]int64{3: 4})
+	payload := encodeTxnPayload(phaseNone, 42, "s1", Group1Safe, 0, map[int]uint64{1: 2}, map[int]int64{3: 4})
 	var rec txnRecord
 	for cut := 0; cut < len(payload); cut++ {
 		if err := decodeTxnRecord(payload[:cut], &rec); err == nil {
@@ -70,6 +71,52 @@ func TestTxnPayloadDecodeRejectsGarbage(t *testing.T) {
 	bad[0] = 0x00
 	if err := decodeTxnRecord(bad, &rec); err == nil {
 		t.Fatal("bad magic byte decoded successfully")
+	}
+}
+
+// goldenPayload is one broadcast payload pinned byte for byte: every replica
+// of a group must decode what any other one encodes.
+type goldenPayload struct {
+	name, want string // want is the encoding in hex
+	encode     func() []byte
+}
+
+// goldenPayloads covers every layout: one-shot, prepare, both decides and
+// active replication's operation list.
+func goldenPayloads() []goldenPayload {
+	reads := map[int]uint64{9: 3, 2: 1, 300: 70000}
+	writes := map[int]int64{4: -5, 1: 12, 1000: 1 << 40}
+	ops := []workload.Op{{Item: 5}, {Item: 7, Write: true, Value: -9}, {Item: 5, Write: true, Value: 1 << 33}}
+	return []goldenPayload{
+		{"txn", "a78780808080808001027332040302010903ac02f0a2040301180409e807808080808040",
+			func() []byte { return encodeTxnPayload(phaseNone, 0x2_0000_0000_0007, "s2", Safety2, 0, reads, writes) }},
+		{"prepare", "a901838080808080806802733102020302010903ac02f0a2040301180409e807808080808040",
+			func() []byte {
+				return encodeTxnPayload(phasePrepare, 0xD0_0000_0000_0003, "s1", GroupSafe, 2, reads, writes)
+			}},
+		{"decide-commit", "a90283808080808080680273310200000301180409e807808080808040",
+			func() []byte {
+				return encodeTxnPayload(phaseDecideCommit, 0xD0_0000_0000_0003, "s1", GroupSafe, 0, nil, writes)
+			}},
+		{"decide-abort", "a903838080808080806802733105000000",
+			func() []byte {
+				return encodeTxnPayload(phaseDecideAbort, 0xD0_0000_0000_0003, "s1", VerySafe, 0, nil, nil)
+			}},
+		{"ops", "a8818080808080c0010273330303000501071101058080808040",
+			func() []byte { return encodeOpsPayload(0x3_0000_0000_0001, "s3", Group1Safe, ops) }},
+	}
+}
+
+func TestPayloadGoldenBytes(t *testing.T) {
+	cases := goldenPayloads()
+	for _, tc := range cases {
+		if got := hex.EncodeToString(tc.encode()); got != tc.want {
+			t.Errorf("%s payload = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	var rec txnRecord
+	if err := decodeTxnRecord(cases[1].encode(), &rec); err != nil || rec.Phase != phasePrepare || rec.Coord != 2 || rec.Delegate != "s1" || len(rec.Reads) != 3 || len(rec.Writes) != 3 {
+		t.Fatalf("prepare decodes to %+v, %v", rec, err)
 	}
 }
 

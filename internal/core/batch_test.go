@@ -196,12 +196,9 @@ func BenchmarkSmallBatchAfterBulkLoad(b *testing.B) {
 			nextID := uint64(1) << 40 // clear of the ids the cluster hands out
 			apply := func(writes map[int]int64) {
 				nextID++
-				batch := []applyItem{{seq: nextID, payload: encodeTxnPayload(nextID, r.cfg.ID, GroupSafe, nil, writes)}}
+				batch := []applyItem{{seq: nextID, payload: encodeTxnPayload(phaseNone, nextID, r.cfg.ID, GroupSafe, 0, nil, writes)}}
 				r.applyMu.Lock()
-				r.mu.Lock()
-				stop := r.applierStop
-				r.mu.Unlock()
-				certTechnique{}.applyBatch(r, st, stop, batch)
+				certTechnique{}.applyBatch(r, st, batch)
 				r.applyMu.Unlock()
 			}
 			if bulk > 0 {

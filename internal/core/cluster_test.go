@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -423,13 +424,117 @@ func TestRecoverKeepsLocallyNewerItems(t *testing.T) {
 	want := c.Replica(0).DB().SnapshotState()
 	want[7] = stale.Items[7]
 	c.Crash(0)
-	if _, err := c.Replica(0).Recover(&stale); err != nil {
+	if _, err := c.restart(0, &stale); err != nil {
 		t.Fatal(err)
 	}
 	got := c.Replica(0).DB().SnapshotState()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("item %d = %+v after recovery, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRecoverStartsANewReplica: a recovered replica is a new replica, as a
+// restarted server process is.  The crashed value stays crashed, a new one
+// takes the slot, its transaction ids lie above every id the crashed life
+// issued, and the harness-side applied log carries the crashed life's
+// records over.
+func TestRecoverStartsANewReplica(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Replicas: 3, Items: 64, Level: GroupSafe, RecordApplied: true, ExecTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	old := c.Replica(1)
+	var oldIDs []uint64
+	for i := 0; i < 3; i++ {
+		res, err := c.Execute(ctx, 1, writeReq(0, i, int64(10+i)))
+		if err != nil || !res.Committed() {
+			t.Fatalf("txn %d: %+v, %v", i, res, err)
+		}
+		oldIDs = append(oldIDs, res.TxnID)
+	}
+	oldLog := old.AppliedLog()
+	if len(oldLog) < len(oldIDs) {
+		t.Fatalf("the delegate recorded %d applied transactions, want at least %d", len(oldLog), len(oldIDs))
+	}
+	// The state transfer donor must hold every ordered sequence: the
+	// sequencer never re-sends an ORDER the crashed life missed.
+	if !waitConsistent(c, 5*time.Second) {
+		t.Fatal("replicas did not converge before the crash")
+	}
+
+	c.Crash(1)
+	if _, err := c.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Execute(ctx, writeReq(0, 5, 5)); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("the crashed life executed a transaction after the recovery: %v", err)
+	}
+	if c.Replica(1) == old {
+		t.Fatal("Recover rewound the crashed replica instead of starting a new one")
+	}
+	res, err := c.Execute(ctx, 1, writeReq(0, 6, 6))
+	if err != nil || !res.Committed() {
+		t.Fatalf("post-recovery txn: %+v, %v", res, err)
+	}
+	for _, id := range oldIDs {
+		if res.TxnID <= id {
+			t.Fatalf("the new life's first txn id %#x is not above the crashed life's %#x", res.TxnID, id)
+		}
+	}
+	if log := c.Replica(1).AppliedLog(); len(log) < len(oldLog) || !reflect.DeepEqual(log[:len(oldLog)], oldLog) {
+		t.Fatalf("the recovered replica's applied log does not start with the crashed life's %d records: %v", len(oldLog), log)
+	}
+}
+
+// TestRecoverAfterMoreThan2To20IDs: a life that issued more than 2^20
+// transaction ids still hands its successor ids above all of them.  Were the
+// successor's counter to restart one 2^20 block up, its first id would be one
+// the crashed life committed, and every replica would skip the new write at
+// install as a re-delivery of the old one.
+func TestRecoverAfterMoreThan2To20IDs(t *testing.T) {
+	c := newTestCluster(t, GroupSafe, 3)
+	ctx := context.Background()
+	old := c.Replica(1)
+	old.mu.Lock()
+	old.nextTxn = 1 << 20
+	old.mu.Unlock()
+	before, err := c.Execute(ctx, 1, writeReq(0, 3, 30))
+	if err != nil || !before.Committed() {
+		t.Fatalf("pre-crash txn: %+v, %v", before, err)
+	}
+	if !waitConsistent(c, 5*time.Second) {
+		t.Fatal("replicas did not converge before the crash")
+	}
+
+	c.Crash(1)
+	if _, err := c.Recover(1); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.Execute(ctx, 1, writeReq(0, 4, 40))
+	if err != nil || !after.Committed() {
+		t.Fatalf("post-recovery txn: %+v, %v", after, err)
+	}
+	if after.TxnID <= before.TxnID {
+		t.Fatalf("the new life's txn id %#x is not above the crashed life's %#x", after.TxnID, before.TxnID)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < 3; i++ {
+		for {
+			v, err := c.Value(i, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == 40 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d: item 4 = %d, want the new life's write 40", i, v)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/storage"
+	"groupsafe/internal/wal"
 )
 
 // ClusterConfig configures an in-process replicated database cluster (one
@@ -68,9 +70,11 @@ func (c *ClusterConfig) applyDefaults() {
 
 // Cluster is a set of replicas sharing one in-memory network.
 type Cluster struct {
-	cfg      ClusterConfig
-	network  *transport.MemNetwork
-	replicas []*Replica
+	cfg     ClusterConfig
+	network *transport.MemNetwork
+	// replicas holds each server's current life: Recover swaps a new
+	// Replica into the slot while Execute may be loading it.
+	replicas []atomic.Pointer[Replica]
 }
 
 // NewCluster builds and starts a cluster.
@@ -91,7 +95,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := range members {
 		members[i] = fmt.Sprintf("s%d", i+1)
 	}
-	c := &Cluster{cfg: cfg, network: memnet}
+	c := &Cluster{cfg: cfg, network: memnet, replicas: make([]atomic.Pointer[Replica], len(members))}
 	for i, id := range members {
 		r, err := NewReplica(ReplicaConfig{
 			ID:                   id,
@@ -110,12 +114,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			c.Close()
 			return nil, fmt.Errorf("core: start replica %d: %w", i, err)
 		}
-		c.replicas = append(c.replicas, r)
+		c.replicas[i].Store(r)
 	}
 	// Reflect the technique's level canonicalisation (e.g. active promoting
 	// the zero level to group-safe) so Cluster.Level agrees with what the
 	// replicas actually run.
-	c.cfg.Level = c.replicas[0].Level()
+	c.cfg.Level = c.Replica(0).Level()
 	return c, nil
 }
 
@@ -139,13 +143,15 @@ func (c *Cluster) Replica(i int) *Replica {
 	if i < 0 || i >= len(c.replicas) {
 		return nil
 	}
-	return c.replicas[i]
+	return c.replicas[i].Load()
 }
 
 // Replicas returns all replicas.
 func (c *Cluster) Replicas() []*Replica {
 	out := make([]*Replica, len(c.replicas))
-	copy(out, c.replicas)
+	for i := range out {
+		out[i] = c.replicas[i].Load()
+	}
 	return out
 }
 
@@ -167,7 +173,7 @@ func (c *Cluster) Execute(ctx context.Context, i int, req Request) (Result, erro
 
 // ReplicaByID returns the replica with the given network address, or nil.
 func (c *Cluster) ReplicaByID(id string) *Replica {
-	for _, r := range c.replicas {
+	for _, r := range c.Replicas() {
 		if r.cfg.ID == id {
 			return r
 		}
@@ -182,22 +188,55 @@ func (c *Cluster) Crash(i int) {
 	}
 }
 
-// Recover restarts replica i.  For the dynamic crash no-recovery model a
-// state transfer is performed from a live replica, if any is available (the
-// paper's checkpoint-based recovery); with end-to-end atomic broadcast the
-// replica additionally replays its logged-but-unacknowledged messages.
-// It returns the number of replayed messages.
+// Recover restarts crashed replica i the way a server process restarts: a
+// recovered process is a new process (the dynamic crash no-recovery model),
+// so a new Replica in the next incarnation takes the slot.  It starts from
+// the durable prefix of the crashed life's log, installs a state transfer
+// from the most advanced live replica, if any is available (the paper's
+// checkpoint-based recovery), and, with end-to-end atomic broadcast, replays
+// its logged-but-unacknowledged messages.  It returns the number of replayed
+// messages.
 func (c *Cluster) Recover(i int) (int, error) {
-	r := c.Replica(i)
-	if r == nil {
+	old := c.Replica(i)
+	if old == nil {
 		return 0, fmt.Errorf("%w: index %d", ErrNotFound, i)
+	}
+	if !old.Crashed() {
+		return 0, fmt.Errorf("core: replica %s is not crashed", old.ID())
 	}
 	var snapshot *StateSnapshot
 	if donor := c.liveDonor(i); donor != nil {
 		s := donor.Snapshot()
 		snapshot = &s
 	}
-	return r.Recover(snapshot)
+	return c.restart(i, snapshot)
+}
+
+// restart replaces crashed replica i by its next life: the old one is closed
+// (after its crash teardown), its log drops the unforced tail, and a new
+// Replica over that log, with the next IncarnationBase, gets snapshot (when
+// non-nil) before it takes the slot and replays its logged messages.  The
+// next base is the first multiple of 2^20 above every transaction id the
+// crashed life issued, so a life that used more than 2^20 ids cannot hand
+// its successor an id the group already applied.
+func (c *Cluster) restart(i int, snapshot *StateSnapshot) (int, error) {
+	old := c.Replica(i)
+	_ = old.Close()
+	old.cfg.DBLog.(*wal.MemLog).Crash()
+	old.cfg.Network.Recover(old.cfg.ID)
+	cfg := old.cfg
+	old.mu.Lock()
+	cfg.IncarnationBase = (old.nextTxn>>20 + 1) << 20
+	old.mu.Unlock()
+	r, err := newReplica(cfg, old)
+	if err != nil {
+		return 0, fmt.Errorf("core: restart replica %s: %w", cfg.ID, err)
+	}
+	if snapshot != nil {
+		r.installSnapshot(*snapshot)
+	}
+	c.replicas[i].Store(r)
+	return r.ReplayLoggedMessages()
 }
 
 // liveDonor returns the non-crashed replica (other than the one at index i)
@@ -213,7 +252,7 @@ func (c *Cluster) Recover(i int) (int, error) {
 func (c *Cluster) liveDonor(i int) *Replica {
 	var donor *Replica
 	var donorWrites uint64
-	for j, r := range c.replicas {
+	for j, r := range c.Replicas() {
 		if j == i || r.Crashed() {
 			continue
 		}
@@ -230,7 +269,7 @@ func (c *Cluster) liveDonor(i int) *Replica {
 // LiveCount returns the number of non-crashed replicas.
 func (c *Cluster) LiveCount() int {
 	n := 0
-	for _, r := range c.replicas {
+	for _, r := range c.Replicas() {
 		if !r.Crashed() {
 			n++
 		}
@@ -310,7 +349,7 @@ func (c *Cluster) consistentNow() bool {
 func (c *Cluster) firstDivergence() *DivergenceError {
 	var reference *Replica
 	var refItems []storage.Item
-	for _, r := range c.replicas {
+	for _, r := range c.Replicas() {
 		if r.Crashed() {
 			continue
 		}
@@ -348,7 +387,7 @@ func (c *Cluster) Consistent() bool { return c.consistentNow() }
 // TotalStats aggregates the replica counters.
 func (c *Cluster) TotalStats() ReplicaStats {
 	var total ReplicaStats
-	for _, r := range c.replicas {
+	for _, r := range c.Replicas() {
 		s := r.Stats()
 		total.Executed += s.Executed
 		total.Committed += s.Committed
@@ -363,7 +402,9 @@ func (c *Cluster) TotalStats() ReplicaStats {
 
 // Close shuts every replica down.
 func (c *Cluster) Close() {
-	for _, r := range c.replicas {
-		_ = r.Close()
+	for _, r := range c.Replicas() {
+		if r != nil { // a replica NewCluster failed to start
+			_ = r.Close()
+		}
 	}
 }

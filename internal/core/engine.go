@@ -69,12 +69,13 @@ func drainUpTo[T any](ch <-chan T, first T, max int) []T {
 	return batch
 }
 
-// applyState is the apply-pipeline state of ONE incarnation's apply
-// goroutine: the reusable batch arenas that make the steady-state apply path
-// allocation-free.  It is owned by that goroutine alone — a recovered replica
-// gets a fresh applyState, so a straggling pre-crash apply loop can never
-// share arenas with its successor.  The certification and active techniques
-// use disjoint subsets of the fields; both go through staged.
+// applyState is the apply-pipeline state of a replica's apply goroutine: the
+// reusable batch arenas that make the steady-state apply path
+// allocation-free.  It is owned by that goroutine alone — a recovered
+// replica is a new Replica with a fresh applyState, so a straggling
+// pre-crash apply loop can never share arenas with its successor.  The
+// certification and active techniques use disjoint subsets of the fields;
+// both go through staged.
 type applyState struct {
 	staged []stagedTxn // outcomes of the current batch, delivery order
 
@@ -133,7 +134,7 @@ type txnOutcome struct {
 	reads   map[int]int64
 }
 
-// applyLoop consumes one incarnation's ordered deliveries — the classical
+// applyLoop consumes the replica's ordered deliveries — the classical
 // atomic broadcast's, or the end-to-end broadcast's, whose items carry the
 // ack that signals successful delivery (Sect. 4.2) — draining every delivery
 // already queued so the whole batch is applied with a single log force and
@@ -141,20 +142,20 @@ type txnOutcome struct {
 // crash mid-batch has externalised nothing and recovery replays the
 // unacknowledged messages the log holds (apply is idempotent).
 //
-// When the stop signal races a pending delivery, the queued suffix is
-// deliberately DISCARDED, never applied (one-by-one or otherwise): stop is
-// only ever closed by a crash-model teardown (Crash/Close mark the replica
-// crashed first), and a crashed process losing its delivered-but-unprocessed
-// messages is exactly the paper's Fig. 5 window — classical levels recover
-// them by state transfer, end-to-end levels replay the ones whose records
-// were forced; the rest were never answered.  Applying them here would
+// When the crash signal races a pending delivery, the queued suffix is
+// deliberately DISCARDED, never applied (one-by-one or otherwise): crashCh
+// closes when Crash or Close ends the replica's life, and a crashed process
+// losing its delivered-but-unprocessed messages is exactly the paper's
+// Fig. 5 window — classical levels recover them by state transfer,
+// end-to-end levels replay the ones whose records were forced; the rest
+// were never answered.  Applying them here would
 // externalise work a crashed process cannot have done.  A batch already
 // inside applyBatch when the race happens is likewise abandoned at the next
-// applierCurrent gate.
-func applyLoop[D any](r *Replica, st *applyState, deliveries <-chan D, item func(D) applyItem, stop chan struct{}) {
+// Crashed check.
+func applyLoop[D any](r *Replica, st *applyState, deliveries <-chan D, item func(D) applyItem) {
 	for {
 		select {
-		case <-stop:
+		case <-r.crashCh:
 			return
 		case d := <-deliveries:
 			ds := drainUpTo(deliveries, d, maxApplyBatch)
@@ -163,41 +164,28 @@ func applyLoop[D any](r *Replica, st *applyState, deliveries <-chan D, item func
 				batch[i] = item(dd)
 			}
 			r.applyMu.Lock()
-			r.tech.applyBatch(r, st, stop, batch)
+			r.tech.applyBatch(r, st, batch)
 			r.applyMu.Unlock()
 		}
 	}
 }
 
-// applierCurrent reports whether the apply loop identified by stop still
-// belongs to the live incarnation: the replica is not crashed and no newer
-// incarnation has been started.  A straggling pre-crash loop (e.g. one whose
-// deliver hook crashed the replica mid-batch) fails this gate and abandons
-// its work instead of racing the recovered incarnation.
-func (r *Replica) applierCurrent(stop chan struct{}) bool {
+// deliveryGate is the per-delivery crash check inside a batch (a crashed
+// replica abandons its batch); it also snapshots the test deliver hook under
+// the same lock.
+func (r *Replica) deliveryGate() (hook func(txnID uint64), live bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !r.crashed && r.applierStop == stop
-}
-
-// deliveryGate is the per-delivery variant of applierCurrent used inside a
-// batch: it additionally snapshots the test deliver hook under the same lock.
-func (r *Replica) deliveryGate(stop chan struct{}) (hook func(txnID uint64), current bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deliverHook, !r.crashed && r.applierStop == stop
+	return r.deliverHook, !r.Crashed()
 }
 
 func (r *Replica) broadcast(payload []byte) error {
-	r.mu.Lock()
-	e2eb, ab := r.e2eb, r.ab
-	r.mu.Unlock()
-	if e2eb != nil {
-		_, err := e2eb.Broadcast(payload)
+	if r.e2eb != nil {
+		_, err := r.e2eb.Broadcast(payload)
 		return err
 	}
-	if ab != nil {
-		_, err := ab.Broadcast(payload)
+	if r.ab != nil {
+		_, err := r.ab.Broadcast(payload)
 		return err
 	}
 	return fmt.Errorf("core: technique %v at level %v does not use group communication", r.tech.ID(), r.cfg.Level)
@@ -294,7 +282,7 @@ func (r *Replica) withDefaultTimeout(ctx context.Context) (context.Context, cont
 // to garbage-collect it.  A delivery racing the deregistration is harmless —
 // externalize sends non-blocking into the buffered channel and treats a
 // missing entry as "no local waiter".
-func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []byte, level SafetyLevel, crashCh chan struct{}) (txnOutcome, error) {
+func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []byte, level SafetyLevel) (txnOutcome, error) {
 	ctx, cancel := r.withDefaultTimeout(ctx)
 	defer cancel()
 
@@ -329,7 +317,7 @@ func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []by
 	var out txnOutcome
 	select {
 	case out = <-outcomeCh:
-	case <-crashCh:
+	case <-r.crashCh:
 		return txnOutcome{}, ErrCrashed
 	case <-ctx.Done():
 		return txnOutcome{}, ctxWaitError(ctx, txnID, "waiting for the outcome")
@@ -340,7 +328,7 @@ func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []by
 	if level == VerySafe && out.outcome == OutcomeCommitted {
 		select {
 		case <-veryDone:
-		case <-crashCh:
+		case <-r.crashCh:
 			return txnOutcome{}, ErrCrashed
 		case <-ctx.Done():
 			return txnOutcome{}, ctxWaitError(ctx, txnID, "waiting for very-safe acks")
@@ -354,12 +342,9 @@ func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []by
 // observed for a transaction that is not durable according to the safety
 // level.  Bookkeeping for the whole batch happens under a single lock
 // acquisition, then delegates are notified, very-safe acknowledgements are
-// recorded or sent, and end-to-end deliveries are acknowledged.  The router
-// is snapshotted under the same lock: incarnation swaps publish a new router
-// under mu, so an unlocked read would race a concurrent Recover.
+// recorded or sent, and end-to-end deliveries are acknowledged.
 func (r *Replica) externalize(staged []stagedTxn) {
 	r.mu.Lock()
-	router := r.router
 	notifyCh := make([]chan txnOutcome, len(staged))
 	for i, a := range staged {
 		r.stats.Delivered++
@@ -395,7 +380,7 @@ func (r *Replica) externalize(staged []stagedTxn) {
 			// that the transaction is logged locally (and, batched, durably
 			// forced — the batch force ran before externalize).
 			ackBytes := encodePayload(ackPayload{TxnID: a.txnID, Replica: r.cfg.ID})
-			if router.Send(a.delegate, transport.Message{Type: msgAck, Payload: ackBytes}) == nil {
+			if r.router.Send(a.delegate, transport.Message{Type: msgAck, Payload: ackBytes}) == nil {
 				r.mu.Lock()
 				r.stats.AcksSent++
 				r.mu.Unlock()

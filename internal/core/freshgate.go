@@ -75,7 +75,7 @@ func (g *freshGate) advance(seq uint64) {
 // blocking; otherwise the returned channel is closed by the advance() that
 // first satisfies the floor.  A waiter abandoned by its caller (context
 // expiry, crash) stays in the heap until some advance satisfies it — closing
-// a channel nobody reads is free, and reset() clears the heap on recovery.
+// a channel nobody reads is free, and a crashed replica's gate dies with it.
 func (g *freshGate) subscribe(floor uint64) (chan struct{}, bool) {
 	if g.applied.Load() >= floor {
 		return nil, true
@@ -91,21 +91,6 @@ func (g *freshGate) subscribe(floor uint64) (chan struct{}, bool) {
 	g.pushLocked(freshWaiter{floor: floor, ch: ch})
 	g.mu.Unlock()
 	return ch, false
-}
-
-// reset zeroes the applied sequence (crash/recovery: the new incarnation
-// re-applies from its durable prefix) and wakes every parked waiter so none
-// sleeps on a watermark that no longer exists; woken waiters re-check and
-// either re-subscribe or exit via their crash channel.
-func (g *freshGate) reset() {
-	g.applied.Store(0)
-	g.mu.Lock()
-	for _, w := range g.heap {
-		close(w.ch)
-		g.wakes++
-	}
-	g.heap = g.heap[:0]
-	g.mu.Unlock()
 }
 
 // wakeCount returns the cumulative number of waiter wakeups (observability

@@ -78,30 +78,6 @@ func TestFreshGateAdvanceIsMonotonic(t *testing.T) {
 	}
 }
 
-// TestFreshGateResetWakesEveryWaiter: crash/recovery zeroes the watermark and
-// releases every parked waiter so none sleeps on a dead incarnation.
-func TestFreshGateResetWakesEveryWaiter(t *testing.T) {
-	var g freshGate
-	g.advance(4)
-	var chs []chan struct{}
-	for f := 5; f <= 8; f++ {
-		ch, _ := g.subscribe(uint64(f))
-		chs = append(chs, ch)
-	}
-	g.reset()
-	if got := g.appliedSeq(); got != 0 {
-		t.Fatalf("watermark %d after reset, want 0", got)
-	}
-	for i, ch := range chs {
-		if !drained(ch) {
-			t.Fatalf("waiter %d still parked after reset", i)
-		}
-	}
-	if parked := g.waiting(); parked != 0 {
-		t.Fatalf("%d waiters parked after reset, want 0", parked)
-	}
-}
-
 // TestFreshGateOneWakeupPerWaiterEver is the thundering-herd contract: with N
 // parked sessions and N single-sequence deliveries, the total wakeup count is
 // exactly N — each waiter is woken once, ever, by the first delivery that

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"groupsafe/internal/db"
 	"groupsafe/internal/gcs"
 	"groupsafe/internal/gcs/abcast"
@@ -11,51 +9,40 @@ import (
 	"groupsafe/internal/storage"
 )
 
-// This file is the replica's incarnation lifecycle: building and tearing
-// down the group communication stack, the crash model (Crash loses volatile
-// state, a recovered process is a new process), checkpoint-based state
-// transfer and end-to-end message replay.  It is technique-independent: the
-// technique only decides whether a broadcaster and apply loop exist at all
+// This file is the replica's lifecycle: building and tearing down the group
+// communication stack, the crash model (Crash loses volatile state, a
+// recovered process is a new process), checkpoint-based state transfer and
+// end-to-end message replay.  It is technique-independent: the technique only
+// decides whether a broadcaster and apply loop exist at all
 // (Technique.usesGroupComm) and what the apply loop does with deliveries.
 
-// startGroupCommunication builds (or rebuilds, after recovery) the router,
-// the broadcaster and the applier for the current incarnation.  Callers
-// serialise it against stopGroupCommunication with lifeMu (NewReplica runs
-// before any concurrency exists).
+// startGroupCommunication builds the router, the broadcaster and the applier
+// of the replica's one life.  NewReplica runs it before the replica is
+// shared, and the fields it sets never change afterwards.
 func (r *Replica) startGroupCommunication() error {
-	ep := r.cfg.Network.Endpoint(r.cfg.ID)
-	router := gcs.NewRouter(ep)
-	router.Handle(msgLazy, r.onLazy)
-	router.Handle(msgAck, r.onVerySafeAck)
-
-	r.incarnation++
-	stop := make(chan struct{})
-	var (
-		ab   *abcast.Broadcaster
-		e2eb *e2e.Broadcaster
-		det  *fd.Detector
-	)
-
+	r.router = gcs.NewRouter(r.cfg.Network.Endpoint(r.cfg.ID))
+	r.router.Handle(msgLazy, r.onLazy)
+	r.router.Handle(msgAck, r.onVerySafeAck)
 	if r.tech.usesGroupComm(r.cfg.Level) {
 		var err error
-		ab, err = abcast.New(abcast.Config{
+		r.ab, err = abcast.New(abcast.Config{
 			Self:        r.cfg.ID,
 			Members:     r.cfg.Members,
-			Incarnation: r.cfg.IncarnationBase + uint64(r.incarnation),
+			Incarnation: r.cfg.IncarnationBase + 1,
 			// Advertised freshness rides the existing ACK/ORDER traffic:
 			// every broadcast-layer message stamps the sender's applied
 			// watermark, and received stamps feed the peer-advert cache
 			// backing freshness-aware routing and staleness leases.
 			AdvertiseSeq: r.LastAppliedSeq,
 			OnPeerAdvert: r.notePeerApplied,
-		}, router)
+		}, r.router)
 		if err != nil {
 			return err
 		}
 		if r.cfg.Level.RequiresEndToEnd() {
 			// Messages go into the database's log unforced: the apply loop's
 			// one force per batch (batchForce) covers them with the commits.
-			e2eb, err = e2e.Wrap(ab, e2e.Config{Log: r.cfg.DBLog, ConsumerForces: true})
+			r.e2eb, err = e2e.Wrap(r.ab, e2e.Config{Log: r.cfg.DBLog, ConsumerForces: true})
 			if err != nil {
 				return err
 			}
@@ -68,95 +55,78 @@ func (r *Replica) startGroupCommunication() error {
 			// or partitioned workload).
 			detCfg.Annotate = r.LastAppliedSeq
 			detCfg.OnAnnotation = r.notePeerApplied
-			det = fd.New(r.cfg.ID, r.cfg.Members, router, detCfg)
-			router.Handle(fd.MsgHeartbeat, det.OnMessage)
-			det.OnEvent(func(ev fd.Event) {
+			r.detector = fd.New(r.cfg.ID, r.cfg.Members, r.router, detCfg)
+			r.router.Handle(fd.MsgHeartbeat, r.detector.OnMessage)
+			r.detector.OnEvent(func(ev fd.Event) {
 				if ev.Suspected {
-					ab.Suspect(ev.Peer)
+					r.ab.Suspect(ev.Peer)
 				} else {
-					ab.Unsuspect(ev.Peer)
+					r.ab.Unsuspect(ev.Peer)
 				}
 				onEvent(ev)
 			})
 		}
 	}
 
-	// Publish the new incarnation's stack under mu: concurrent readers
-	// (broadcast, Suspect, BroadcastStats, the apply gate) see either the
-	// old stack or the new one, never a half-built mix.
-	r.mu.Lock()
-	r.router = router
-	r.ab = ab
-	r.e2eb = e2eb
-	r.detector = det
-	r.applierStop = stop
-	r.mu.Unlock()
-
-	router.Start()
-	if det != nil {
-		det.Start()
+	r.router.Start()
+	if r.detector != nil {
+		r.detector.Start()
 	}
 	st := newApplyState()
-	if e2eb != nil {
+	if e2eb := r.e2eb; e2eb != nil {
 		e2eb.Start()
 		go applyLoop(r, st, e2eb.Deliveries(), func(d e2e.Delivery) applyItem {
 			return applyItem{seq: d.Seq, payload: d.Payload, lsn: d.LSN, ack: func() { _ = e2eb.Ack(d.Seq) }}
-		}, stop)
-	} else if ab != nil {
-		go applyLoop(r, st, ab.Deliveries(), func(d abcast.Delivery) applyItem {
+		})
+	} else if r.ab != nil {
+		go applyLoop(r, st, r.ab.Deliveries(), func(d abcast.Delivery) applyItem {
 			return applyItem{seq: d.Seq, payload: d.Payload}
-		}, stop)
+		})
 	}
 	return nil
 }
 
-// stopGroupCommunication tears down the current incarnation's group
-// communication stack (used by Crash and Close, under lifeMu).
-func (r *Replica) stopGroupCommunication() {
+// end ends the replica's life and reports whether this call did: it marks
+// the replica crashed, which stops the apply loop, and the caller that gets
+// true then tears the stack down with stopGroupCommunication.
+func (r *Replica) end() bool {
 	r.mu.Lock()
-	stop := r.applierStop
-	r.applierStop = nil
-	det := r.detector
-	r.detector = nil
-	e2eb, ab, router := r.e2eb, r.ab, r.router
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.Crashed() {
+		return false
+	}
+	close(r.crashCh)
+	// The propagation queue is volatile state: acknowledged-but-unshipped
+	// lazy write sets die with the process (the 1-safe loss window).
+	r.lazyQueue = nil
+	return true
+}
 
-	if stop != nil {
-		close(stop)
+// stopGroupCommunication tears down the group communication stack, once per
+// life (by whichever of Crash and Close ended it), and closes stopped.
+func (r *Replica) stopGroupCommunication() {
+	if r.detector != nil {
+		r.detector.Stop()
 	}
-	if det != nil {
-		det.Stop()
+	if r.e2eb != nil {
+		r.e2eb.Close()
 	}
-	if e2eb != nil {
-		e2eb.Close()
+	if r.ab != nil {
+		r.ab.Close()
 	}
-	if ab != nil {
-		ab.Close()
-	}
-	if router != nil {
-		router.Stop()
-	}
+	r.router.Stop()
+	close(r.stopped)
 }
 
 // Crash simulates a full server crash: the replica stops processing, its
 // network endpoint goes silent, and every piece of volatile state (database
 // buffers, unsynced logs, the group communication component's in-memory
-// state) is lost.
+// state) is lost.  The replica stays crashed; Cluster.Recover starts a new
+// one in its place.
 func (r *Replica) Crash() {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
+	if !r.end() {
 		return
 	}
-	r.crashed = true
-	close(r.crashCh)
-	// The propagation queue is volatile state: acknowledged-but-unshipped
-	// lazy write sets die with the process (the 1-safe loss window).
-	r.lazyQueue = nil
-	r.mu.Unlock()
-
-	r.lifeMu.Lock()
-	defer r.lifeMu.Unlock()
 	r.cfg.Network.Crash(r.cfg.ID)
 	r.stopGroupCommunication()
 }
@@ -195,56 +165,6 @@ func (r *Replica) Snapshot() StateSnapshot {
 	}
 }
 
-// Recover restarts a crashed replica.  If snapshot is non-nil it is installed
-// first (checkpoint-based state transfer of the dynamic crash no-recovery
-// model); with end-to-end atomic broadcast, logged-but-unacknowledged
-// messages are then replayed (log-based recovery).  It returns the number of
-// replayed messages.
-func (r *Replica) Recover(snapshot *StateSnapshot) (int, error) {
-	r.mu.Lock()
-	if !r.crashed {
-		r.mu.Unlock()
-		return 0, fmt.Errorf("core: replica %s is not crashed", r.cfg.ID)
-	}
-	r.mu.Unlock()
-
-	// Serialise against a Crash/Close teardown still in flight (e.g. one
-	// triggered from inside the old incarnation's deliver hook).
-	r.lifeMu.Lock()
-	defer r.lifeMu.Unlock()
-
-	// Volatile state is lost: the log drops its unsynced tail, database and
-	// message records alike, and the database rebuilds from the durable
-	// prefix.  (In-memory logs only: a file-backed log's process dies for
-	// real and a fresh Replica reopens it.)
-	if err := r.dbase.CrashAndRecover(); err != nil {
-		return 0, fmt.Errorf("core: database recovery: %w", err)
-	}
-
-	r.cfg.Network.Recover(r.cfg.ID)
-
-	r.mu.Lock()
-	r.pending = make(map[waiterKey]chan txnOutcome)
-	r.veryAcks = make(map[uint64]map[string]bool)
-	r.veryDone = make(map[uint64]chan struct{})
-	r.crashed = false
-	r.crashCh = make(chan struct{})
-	r.mu.Unlock()
-	// The new incarnation re-applies from its durable prefix: zero the
-	// freshness gate and wake any straggling floored waiters of the old life.
-	r.fresh.reset()
-
-	if err := r.startGroupCommunication(); err != nil {
-		return 0, err
-	}
-
-	if snapshot != nil {
-		r.installSnapshot(*snapshot)
-	}
-
-	return r.ReplayLoggedMessages()
-}
-
 func (r *Replica) installSnapshot(s StateSnapshot) {
 	// State transfer must never regress the recovering replica below what its
 	// own durable log already rebuilt.  The donor is only the most advanced
@@ -273,11 +193,8 @@ func (r *Replica) installSnapshot(s StateSnapshot) {
 	r.dbase.RestoreState(items, s.AppliedTxns)
 	_ = r.dbase.InstallPrepared(s.Prepared, s.AbortedGIDs)
 	r.advanceAppliedSeq(s.LastAppliedSeq)
-	r.mu.Lock()
-	ab := r.ab
-	r.mu.Unlock()
-	if ab != nil {
-		ab.SkipTo(s.LastAppliedSeq + 1)
+	if r.ab != nil {
+		r.ab.SkipTo(s.LastAppliedSeq + 1)
 	}
 }
 
@@ -294,7 +211,6 @@ func (r *Replica) MergeSnapshot(s StateSnapshot) int {
 	_ = r.dbase.InstallPrepared(s.Prepared, s.AbortedGIDs)
 	r.advanceAppliedSeq(s.LastAppliedSeq)
 	r.mu.Lock()
-	ab := r.ab
 	// The snapshot can contain this replica's own in-flight transactions (a
 	// peer applied them while this one was behind).  SkipTo steps over their
 	// deliveries, so the apply loop will never answer their waiters; the
@@ -311,8 +227,8 @@ func (r *Replica) MergeSnapshot(s StateSnapshot) int {
 		}
 	}
 	r.mu.Unlock()
-	if ab != nil {
-		ab.SkipTo(s.LastAppliedSeq + 1)
+	if r.ab != nil {
+		r.ab.SkipTo(s.LastAppliedSeq + 1)
 	}
 	return merged
 }
@@ -320,39 +236,28 @@ func (r *Replica) MergeSnapshot(s StateSnapshot) int {
 // Router exposes the replica's message router so embedding layers (the
 // server process) can register additional message types — state transfer
 // requests, for example — on the same transport endpoint and incarnation the
-// replication stack uses.  The router changes on recovery; callers must
-// re-fetch it after Recover.
-func (r *Replica) Router() *gcs.Router {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.router
-}
+// replication stack uses.
+func (r *Replica) Router() *gcs.Router { return r.router }
 
 // ReplayLoggedMessages re-delivers every logged-but-unacknowledged end-to-end
 // broadcast message to the apply loop, returning the number replayed.  A
-// restarting server process calls it once after constructing the replica over
-// its surviving file-backed log; clusters without the end-to-end
-// layer replay nothing.
+// restarted server (a gsdb-server process, or Cluster.Recover) calls it once
+// after constructing the replica over its surviving log; replicas without the
+// end-to-end layer replay nothing.
 func (r *Replica) ReplayLoggedMessages() (int, error) {
-	r.mu.Lock()
-	e2eb := r.e2eb
-	r.mu.Unlock()
-	if e2eb == nil {
+	if r.e2eb == nil {
 		return 0, nil
 	}
-	return e2eb.Recover()
+	return r.e2eb.Recover()
 }
 
-// Close shuts the replica down.
+// Close shuts the replica down.  After a Crash it waits for the crash's
+// teardown, so the caller may reuse the replica's log and address.
 func (r *Replica) Close() error {
-	r.mu.Lock()
-	if !r.crashed {
-		r.crashed = true
-		close(r.crashCh)
+	if r.end() {
+		r.stopGroupCommunication()
+	} else {
+		<-r.stopped
 	}
-	r.mu.Unlock()
-	r.lifeMu.Lock()
-	r.stopGroupCommunication()
-	r.lifeMu.Unlock()
 	return r.dbase.Close()
 }

@@ -147,7 +147,6 @@ func TestCrashBetweenMessageAppendAndBatchForce(t *testing.T) {
 						t.Fatal("the surviving replicas never committed the transaction")
 					}
 				}
-				victim.SetDeliverHook(nil)
 				replayed, err := c.Recover(1)
 				if err != nil || replayed != wantMessages {
 					t.Fatalf("Recover replayed %d messages (%v), want %d", replayed, err, wantMessages)
@@ -170,7 +169,7 @@ func TestCrashBetweenMessageAppendAndBatchForce(t *testing.T) {
 							t.Fatal("the replayed message was never acknowledged")
 						}
 					}
-					if _, ver, _ := victim.DB().ReadVersioned(7); ver != 1 {
+					if _, ver, _ := c.Replica(1).DB().ReadVersioned(7); ver != 1 {
 						t.Fatalf("item 7 is at version %d after the replay, want 1 (applied exactly once)", ver)
 					}
 				}

@@ -12,17 +12,6 @@ import (
 // method runs on ONE partition's replica; the router composes them across
 // partitions.  Single-partition deployments never call anything here.
 
-// submitGate is the crash-check prologue shared by the router-facing submit
-// methods (Execute's prologue, minus request validation).
-func (r *Replica) submitGate() (chan struct{}, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.crashed {
-		return nil, ErrCrashed
-	}
-	return r.crashCh, nil
-}
-
 // ResolveLevel resolves the externalisation safety level for a per-request
 // override against this replica's technique and machinery (see
 // effectiveLevel); nil means the cluster's configured level.
@@ -39,11 +28,10 @@ func (r *Replica) ResolveLevel(override *SafetyLevel) (SafetyLevel, error) {
 // accounted as a served query (the read-only fan-out path) or as the
 // invisible read phase of an update transaction.
 func (r *Replica) SnapshotReads(ctx context.Context, items []int, minFreshness uint64, maxStaleness time.Duration, countQuery bool) (values map[int]int64, versions map[int]uint64, token uint64, err error) {
-	crashCh, err := r.submitGate()
-	if err != nil {
-		return nil, nil, 0, err
+	if r.Crashed() {
+		return nil, nil, 0, ErrCrashed
 	}
-	rt, token, err := r.beginSnapshot(ctx, minFreshness, maxStaleness, crashCh)
+	rt, token, err := r.beginSnapshot(ctx, minFreshness, maxStaleness)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -76,15 +64,14 @@ func (r *Replica) SnapshotReads(ctx context.Context, items []int, minFreshness u
 // transaction: the payload is the normal certification payload, so the
 // partition treats it exactly like a locally delegated update.
 func (r *Replica) SubmitCertified(ctx context.Context, gid uint64, level SafetyLevel, readVers map[int]uint64, writes map[int]int64) (Outcome, uint64, uint64, error) {
-	crashCh, err := r.submitGate()
-	if err != nil {
-		return OutcomePending, 0, 0, err
+	if r.Crashed() {
+		return OutcomePending, 0, 0, ErrCrashed
 	}
 	r.mu.Lock()
 	r.stats.Executed++
 	r.mu.Unlock()
-	payload := encodeTxnPayload(gid, r.cfg.ID, level, readVers, writes)
-	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid}, payload, level, crashCh)
+	payload := encodeTxnPayload(phaseNone, gid, r.cfg.ID, level, 0, readVers, writes)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid}, payload, level)
 	if err != nil {
 		return OutcomePending, 0, 0, err
 	}
@@ -97,15 +84,14 @@ func (r *Replica) SubmitCertified(ctx context.Context, gid uint64, level SafetyL
 // OutcomeAborted means the certification failed (vote no).  coord names the
 // coordinator partition whose decide record will resolve the transaction.
 func (r *Replica) SubmitPrepare(ctx context.Context, gid uint64, level SafetyLevel, coord int, readVers map[int]uint64, writes map[int]int64) (Outcome, uint64, error) {
-	crashCh, err := r.submitGate()
-	if err != nil {
-		return OutcomePending, 0, err
+	if r.Crashed() {
+		return OutcomePending, 0, ErrCrashed
 	}
 	r.mu.Lock()
 	r.stats.Executed++
 	r.mu.Unlock()
-	payload := encode2PCPayload(phasePrepare, gid, r.cfg.ID, level, coord, readVers, writes)
-	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid, vote: true}, payload, level, crashCh)
+	payload := encodeTxnPayload(phasePrepare, gid, r.cfg.ID, level, coord, readVers, writes)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid, vote: true}, payload, level)
 	if err != nil {
 		return OutcomePending, 0, err
 	}
@@ -121,16 +107,15 @@ func (r *Replica) SubmitPrepare(ctx context.Context, gid uint64, level SafetyLev
 // carries this partition's share of the write set so a participant replica
 // without a local prepare still installs it.
 func (r *Replica) SubmitDecide(ctx context.Context, gid uint64, level SafetyLevel, commit bool, writes map[int]int64) (Outcome, uint64, uint64, error) {
-	crashCh, err := r.submitGate()
-	if err != nil {
-		return OutcomePending, 0, 0, err
+	if r.Crashed() {
+		return OutcomePending, 0, 0, ErrCrashed
 	}
 	phase := byte(phaseDecideAbort)
 	if commit {
 		phase = phaseDecideCommit
 	}
-	payload := encode2PCPayload(phase, gid, r.cfg.ID, level, 0, nil, writes)
-	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid}, payload, level, crashCh)
+	payload := encodeTxnPayload(phase, gid, r.cfg.ID, level, 0, nil, writes)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: gid}, payload, level)
 	if err != nil {
 		return OutcomePending, 0, 0, err
 	}

@@ -145,20 +145,14 @@ type readVer struct {
 	Ver  uint64
 }
 
-// txnRecord is the decoded form of the message broadcast to the group for
-// one update transaction: the versions observed by the delegate's reads (for
-// certification), the write set to install, and the safety level the
-// transaction must be externalised at (per-transaction overrides ride in the
-// payload so every replica forces and acknowledges consistently).  Reads and
-// Writes are sorted by item; the slices are reused across deliveries by the
-// apply loop's decode arena, so they must not be retained past the batch
-// that decoded them.
-type txnRecord struct {
+// txnHeader is the header every broadcast transaction payload starts with:
+// the transaction, its delegate, and the safety level it must be
+// externalised at (per-transaction overrides ride in the payload so every
+// replica forces and acknowledges consistently).
+type txnHeader struct {
 	TxnID    uint64
 	Delegate string
 	Level    SafetyLevel
-	Reads    []readVer
-	Writes   []storage.Write
 	// Phase distinguishes a cross-partition two-phase-commit message from a
 	// normal one-shot transaction (phaseNone).  Prepares carry the full read
 	// and write sets for certification and staging; decides carry the write
@@ -166,6 +160,17 @@ type txnRecord struct {
 	Phase byte
 	// Coord is the coordinator partition id (prepare messages only).
 	Coord int
+}
+
+// txnRecord is the decoded form of the message broadcast to the group for
+// one update transaction: the versions observed by the delegate's reads (for
+// certification) and the write set to install.  Reads and Writes are sorted
+// by item; the slices are reused across deliveries by the apply loop's decode
+// arena, so they must not be retained past the batch that decoded them.
+type txnRecord struct {
+	txnHeader
+	Reads  []readVer
+	Writes []storage.Write
 }
 
 // Two-phase-commit message phases (txnRecord.Phase).
@@ -220,8 +225,18 @@ func writeSetOf(writes map[int]int64) storage.WriteSet {
 // (the wire slice itself) instead of gob's encoder, type descriptors and map
 // churn.
 
-// txnMagic versions the binary transaction payload format.
-const txnMagic = 0xA7
+// Payload magics: each versions one binary payload layout.  All three share
+// the header (appendHeader); twoPCMagic is the txnMagic layout with a phase
+// byte after the magic and a coordinator partition id after the level, and a
+// separate magic keeps the single-partition payload byte-identical to before
+// partitioning existed.
+const (
+	txnMagic   = 0xA7
+	opsMagic   = 0xA8
+	twoPCMagic = 0xA9
+)
+
+var errBadTxnPayload = errors.New("core: malformed transaction payload")
 
 // payloadScratch is the pooled encode scratch: a sort buffer for the map keys
 // and an append buffer for the varint stream.
@@ -232,98 +247,68 @@ type payloadScratch struct {
 
 var payloadPool = sync.Pool{New: func() interface{} { return new(payloadScratch) }}
 
-// encodeTxnPayload encodes one update transaction for broadcast.  Reads and
-// writes are emitted sorted by item, so the apply side decodes directly into
-// the sorted-slice form the install and the WAL staging path need.
-func encodeTxnPayload(txnID uint64, delegate string, level SafetyLevel, readVers map[int]uint64, writes map[int]int64) []byte {
-	s := payloadPool.Get().(*payloadScratch)
-	buf := append(s.buf[:0], txnMagic)
-	buf = binary.AppendUvarint(buf, txnID)
-	buf = binary.AppendUvarint(buf, uint64(len(delegate)))
-	buf = append(buf, delegate...)
-	buf = binary.AppendUvarint(buf, uint64(level))
+// finish copies the encoded payload out of the scratch, the one allocation
+// of an encode, and returns the scratch to the pool.
+func (s *payloadScratch) finish(buf []byte) []byte {
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	s.buf = buf
+	payloadPool.Put(s)
+	return out
+}
 
-	items := s.items[:0]
-	for it := range readVers {
-		items = append(items, it)
+// appendHeader appends the header readHeader parses.
+func appendHeader(buf []byte, magic byte, h txnHeader) []byte {
+	buf = append(buf, magic)
+	if magic == twoPCMagic {
+		buf = append(buf, h.Phase)
 	}
-	sort.Ints(items)
+	buf = binary.AppendUvarint(buf, h.TxnID)
+	buf = binary.AppendUvarint(buf, uint64(len(h.Delegate)))
+	buf = append(buf, h.Delegate...)
+	buf = binary.AppendUvarint(buf, uint64(h.Level))
+	if magic == twoPCMagic {
+		buf = binary.AppendUvarint(buf, uint64(h.Coord))
+	}
+	return buf
+}
+
+// sortedKeys appends the keys of m to keys, sorted.
+func sortedKeys[V any](keys []int, m map[int]V) []int {
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// encodeTxnPayload encodes one update transaction for broadcast: a one-shot
+// transaction (phaseNone, the txnMagic layout) or one cross-partition prepare
+// or decide (the twoPCMagic layout; only a prepare's coord is used).  Reads
+// and writes are emitted sorted by item, so the apply side decodes directly
+// into the sorted-slice form the install and the WAL staging path need.
+func encodeTxnPayload(phase byte, txnID uint64, delegate string, level SafetyLevel, coord int, readVers map[int]uint64, writes map[int]int64) []byte {
+	s := payloadPool.Get().(*payloadScratch)
+	magic := byte(txnMagic)
+	if phase != phaseNone {
+		magic = twoPCMagic
+	}
+	buf := appendHeader(s.buf[:0], magic, txnHeader{TxnID: txnID, Delegate: delegate, Level: level, Phase: phase, Coord: coord})
+	items := sortedKeys(s.items[:0], readVers)
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
 	for _, it := range items {
 		buf = binary.AppendUvarint(buf, uint64(it))
 		buf = binary.AppendUvarint(buf, readVers[it])
 	}
-
-	items = items[:0]
-	for it := range writes {
-		items = append(items, it)
-	}
-	sort.Ints(items)
+	items = sortedKeys(items[:0], writes)
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
 	for _, it := range items {
 		buf = binary.AppendUvarint(buf, uint64(it))
 		buf = binary.AppendVarint(buf, writes[it])
 	}
-
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	s.buf = buf
 	s.items = items
-	payloadPool.Put(s)
-	return out
+	return s.finish(buf)
 }
-
-// twoPCMagic versions the binary cross-partition (two-phase-commit) payload:
-// the txnMagic layout with a phase byte and a coordinator partition id after
-// the level.  A separate magic keeps the single-partition fast path's payload
-// byte-identical to before partitioning existed.
-const twoPCMagic = 0xA9
-
-// encode2PCPayload encodes one cross-partition sub-transaction message
-// (prepare or decide) for broadcast through a partition's total order.
-func encode2PCPayload(phase byte, gid uint64, delegate string, level SafetyLevel, coord int, readVers map[int]uint64, writes map[int]int64) []byte {
-	s := payloadPool.Get().(*payloadScratch)
-	buf := append(s.buf[:0], twoPCMagic, phase)
-	buf = binary.AppendUvarint(buf, gid)
-	buf = binary.AppendUvarint(buf, uint64(len(delegate)))
-	buf = append(buf, delegate...)
-	buf = binary.AppendUvarint(buf, uint64(level))
-	buf = binary.AppendUvarint(buf, uint64(coord))
-
-	items := s.items[:0]
-	for it := range readVers {
-		items = append(items, it)
-	}
-	sort.Ints(items)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(it))
-		buf = binary.AppendUvarint(buf, readVers[it])
-	}
-
-	items = items[:0]
-	for it := range writes {
-		items = append(items, it)
-	}
-	sort.Ints(items)
-	buf = binary.AppendUvarint(buf, uint64(len(items)))
-	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(it))
-		buf = binary.AppendVarint(buf, writes[it])
-	}
-
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	s.buf = buf
-	s.items = items
-	payloadPool.Put(s)
-	return out
-}
-
-// --- binary operation-list payload codec (active replication hot path) ---
-
-// opsMagic versions the binary operation-list payload of active replication.
-const opsMagic = 0xA8
 
 // opsRecord is the decoded form of the message broadcast by active
 // replication: the full deterministic operation list, executed by every
@@ -331,22 +316,15 @@ const opsMagic = 0xA8
 // loop's decode arena, so it must not be retained past the delivery that
 // decoded it.
 type opsRecord struct {
-	TxnID    uint64
-	Delegate string
-	Level    SafetyLevel
-	Ops      []workload.Op
+	txnHeader
+	Ops []workload.Op
 }
 
 // encodeOpsPayload encodes one update transaction's operation list for
-// active replication, using the same pooled-scratch varint style as
-// encodeTxnPayload: one allocation per encode.
+// active replication: one allocation per encode, like encodeTxnPayload.
 func encodeOpsPayload(txnID uint64, delegate string, level SafetyLevel, ops []workload.Op) []byte {
 	s := payloadPool.Get().(*payloadScratch)
-	buf := append(s.buf[:0], opsMagic)
-	buf = binary.AppendUvarint(buf, txnID)
-	buf = binary.AppendUvarint(buf, uint64(len(delegate)))
-	buf = append(buf, delegate...)
-	buf = binary.AppendUvarint(buf, uint64(level))
+	buf := appendHeader(s.buf[:0], opsMagic, txnHeader{TxnID: txnID, Delegate: delegate, Level: level})
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	for _, op := range ops {
 		flag := byte(0)
@@ -359,156 +337,123 @@ func encodeOpsPayload(txnID uint64, delegate string, level SafetyLevel, ops []wo
 			buf = binary.AppendVarint(buf, op.Value)
 		}
 	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	s.buf = buf
-	payloadPool.Put(s)
-	return out
+	return s.finish(buf)
+}
+
+// payloadReader walks the varint stream of a binary payload.  The first
+// malformed field clears ok for good and empties data, so a decoder checks
+// ok once, at the end.
+type payloadReader struct {
+	data []byte
+	ok   bool
+}
+
+func (p *payloadReader) fail() { p.data, p.ok = nil, false }
+
+func (p *payloadReader) uvarint() uint64 {
+	v, n := binary.Uvarint(p.data)
+	if n <= 0 {
+		p.fail()
+		return 0
+	}
+	p.data = p.data[n:]
+	return v
+}
+
+func (p *payloadReader) varint() int64 {
+	v, n := binary.Varint(p.data)
+	if n <= 0 {
+		p.fail()
+		return 0
+	}
+	p.data = p.data[n:]
+	return v
+}
+
+func (p *payloadReader) flag() byte {
+	if len(p.data) == 0 {
+		p.fail()
+		return 0
+	}
+	b := p.data[0]
+	p.data = p.data[1:]
+	return b
+}
+
+// count reads a length, which cannot exceed the bytes left: every counted
+// element takes at least one.
+func (p *payloadReader) count() int {
+	n := p.uvarint()
+	if n > uint64(len(p.data)) {
+		p.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// readHeader parses the header appendHeader wrote into h and returns the
+// payload's magic (zero for an empty payload) and a reader positioned at the
+// body.
+func readHeader(data []byte, h *txnHeader) (byte, payloadReader) {
+	if len(data) == 0 {
+		return 0, payloadReader{}
+	}
+	magic, p := data[0], payloadReader{data: data[1:], ok: true}
+	h.Phase, h.Coord = phaseNone, 0
+	if magic == twoPCMagic {
+		if h.Phase = p.flag(); h.Phase == phaseNone || h.Phase > phaseDecideAbort {
+			p.fail()
+		}
+	}
+	h.TxnID = p.uvarint()
+	n := p.count()
+	h.Delegate = string(p.data[:n])
+	p.data = p.data[n:]
+	h.Level = SafetyLevel(p.uvarint())
+	if magic == twoPCMagic {
+		h.Coord = int(p.uvarint())
+	}
+	return magic, p
+}
+
+// decodeTxnRecord decodes a binary transaction payload (txnMagic or
+// twoPCMagic) into rec, reusing rec's slices (the apply loop's decode arena).
+func decodeTxnRecord(data []byte, rec *txnRecord) error {
+	magic, p := readHeader(data, &rec.txnHeader)
+	if magic != txnMagic && magic != twoPCMagic {
+		return errBadTxnPayload
+	}
+	rec.Reads = rec.Reads[:0]
+	for n := p.count(); n > 0; n-- {
+		rec.Reads = append(rec.Reads, readVer{Item: int(p.uvarint()), Ver: p.uvarint()})
+	}
+	rec.Writes = rec.Writes[:0]
+	for n := p.count(); n > 0; n-- {
+		rec.Writes = append(rec.Writes, storage.Write{Item: int(p.uvarint()), Value: p.varint()})
+	}
+	if !p.ok {
+		return errBadTxnPayload
+	}
+	return nil
 }
 
 // decodeOpsRecord decodes a binary operation-list payload into rec, reusing
 // rec's Ops slice (the apply loop's decode arena).
 func decodeOpsRecord(data []byte, rec *opsRecord) error {
-	if len(data) == 0 || data[0] != opsMagic {
-		return errBadTxnPayload
-	}
-	pos := 1
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	id, ok := next()
-	if !ok {
-		return errBadTxnPayload
-	}
-	rec.TxnID = id
-	dlen, ok := next()
-	if !ok || dlen > uint64(len(data)-pos) {
-		return errBadTxnPayload
-	}
-	rec.Delegate = string(data[pos : pos+int(dlen)])
-	pos += int(dlen)
-	lvl, ok := next()
-	if !ok {
-		return errBadTxnPayload
-	}
-	rec.Level = SafetyLevel(lvl)
-
-	nOps, ok := next()
-	if !ok || nOps > uint64(len(data)-pos) {
+	magic, p := readHeader(data, &rec.txnHeader)
+	if magic != opsMagic {
 		return errBadTxnPayload
 	}
 	rec.Ops = rec.Ops[:0]
-	for i := uint64(0); i < nOps; i++ {
-		if pos >= len(data) {
-			return errBadTxnPayload
-		}
-		write := data[pos] == 1
-		pos++
-		item, ok := next()
-		if !ok {
-			return errBadTxnPayload
-		}
-		op := workload.Op{Item: int(item), Write: write}
-		if write {
-			v, n := binary.Varint(data[pos:])
-			if n <= 0 {
-				return errBadTxnPayload
-			}
-			pos += n
-			op.Value = v
+	for n := p.count(); n > 0; n-- {
+		op := workload.Op{Write: p.flag() == 1, Item: int(p.uvarint())}
+		if op.Write {
+			op.Value = p.varint()
 		}
 		rec.Ops = append(rec.Ops, op)
 	}
-	return nil
-}
-
-var errBadTxnPayload = errors.New("core: malformed transaction payload")
-
-// decodeTxnRecord decodes a binary transaction payload (txnMagic or
-// twoPCMagic) into rec, reusing rec's slices (the apply loop's decode arena).
-func decodeTxnRecord(data []byte, rec *txnRecord) error {
-	if len(data) == 0 || (data[0] != txnMagic && data[0] != twoPCMagic) {
+	if !p.ok {
 		return errBadTxnPayload
-	}
-	twoPC := data[0] == twoPCMagic
-	pos := 1
-	rec.Phase = phaseNone
-	rec.Coord = 0
-	if twoPC {
-		if len(data) < 2 || data[1] == phaseNone || data[1] > phaseDecideAbort {
-			return errBadTxnPayload
-		}
-		rec.Phase = data[1]
-		pos = 2
-	}
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	id, ok := next()
-	if !ok {
-		return errBadTxnPayload
-	}
-	rec.TxnID = id
-	dlen, ok := next()
-	if !ok || dlen > uint64(len(data)-pos) {
-		return errBadTxnPayload
-	}
-	rec.Delegate = string(data[pos : pos+int(dlen)])
-	pos += int(dlen)
-	lvl, ok := next()
-	if !ok {
-		return errBadTxnPayload
-	}
-	rec.Level = SafetyLevel(lvl)
-	if twoPC {
-		coord, ok := next()
-		if !ok {
-			return errBadTxnPayload
-		}
-		rec.Coord = int(coord)
-	}
-
-	nReads, ok := next()
-	if !ok || nReads > uint64(len(data)-pos) {
-		return errBadTxnPayload
-	}
-	rec.Reads = rec.Reads[:0]
-	for i := uint64(0); i < nReads; i++ {
-		item, ok1 := next()
-		ver, ok2 := next()
-		if !ok1 || !ok2 {
-			return errBadTxnPayload
-		}
-		rec.Reads = append(rec.Reads, readVer{Item: int(item), Ver: ver})
-	}
-
-	nWrites, ok := next()
-	if !ok || nWrites > uint64(len(data)-pos) {
-		return errBadTxnPayload
-	}
-	rec.Writes = rec.Writes[:0]
-	for i := uint64(0); i < nWrites; i++ {
-		item, ok1 := next()
-		val, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			ok1 = false
-		} else {
-			pos += n
-		}
-		if !ok1 {
-			return errBadTxnPayload
-		}
-		rec.Writes = append(rec.Writes, storage.Write{Item: int(item), Value: val})
 	}
 	return nil
 }

@@ -30,12 +30,12 @@ var ErrReadOnlyWrites = errors.New("core: read-only transaction contains write o
 
 // executeReadOnly serves one query at this replica from an MVCC snapshot.
 // The caller has already verified the request cannot write.
-func (r *Replica) executeReadOnly(ctx context.Context, req Request, crashCh chan struct{}) (Result, error) {
+func (r *Replica) executeReadOnly(ctx context.Context, req Request) (Result, error) {
 	level, err := r.effectiveLevel(req)
 	if err != nil {
 		return Result{}, err
 	}
-	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, req.MaxStaleness, crashCh)
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, req.MaxStaleness)
 	if err != nil {
 		return Result{}, err
 	}
@@ -73,7 +73,7 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request, crashCh chan
 // ctx has no deadline.  The token is sampled BEFORE the snapshot:
 // lastAppliedSeq only advances after a delivery's installs are visible, so
 // the snapshot is guaranteed to contain every transaction the token claims.
-func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxStaleness time.Duration, crashCh chan struct{}) (*db.ReadTxn, uint64, error) {
+func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxStaleness time.Duration) (*db.ReadTxn, uint64, error) {
 	if (minFreshness > 0 || maxStaleness > 0) && !r.cfg.Level.UsesGroupCommunication() {
 		return nil, 0, r.errNoFreshnessSequence()
 	}
@@ -85,7 +85,7 @@ func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxSta
 	}
 	if minFreshness > 0 {
 		ctx, cancel := r.withDefaultTimeout(ctx)
-		err := r.waitFreshness(ctx, minFreshness, crashCh)
+		err := r.waitFreshness(ctx, minFreshness)
 		cancel()
 		if err != nil {
 			return nil, 0, err
@@ -109,21 +109,18 @@ func (r *Replica) errNoFreshnessSequence() error {
 // or until ctx/crash ends the wait.  The wait parks on the freshness gate's
 // ordered min-heap: the delivery that first satisfies the floor closes this
 // waiter's channel and nobody else's (no thundering herd — see freshgate.go).
-// A reset (crash recovery) also closes the channel; the loop then re-checks
-// and either re-subscribes or exits through crashCh.
-func (r *Replica) waitFreshness(ctx context.Context, min uint64, crashCh chan struct{}) error {
-	for {
-		ch, ok := r.fresh.subscribe(min)
-		if ok {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-crashCh:
-			return ErrCrashed
-		case <-ctx.Done():
-			return ctxWaitError(ctx, 0, fmt.Sprintf("waiting for freshness %d (applied %d)", min, r.fresh.appliedSeq()))
-		}
+func (r *Replica) waitFreshness(ctx context.Context, min uint64) error {
+	ch, ok := r.fresh.subscribe(min)
+	if ok {
+		return nil
+	}
+	select {
+	case <-ch:
+		return nil
+	case <-r.crashCh:
+		return ErrCrashed
+	case <-ctx.Done():
+		return ctxWaitError(ctx, 0, fmt.Sprintf("waiting for freshness %d (applied %d)", min, r.fresh.appliedSeq()))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,18 +81,20 @@ type ReplicaConfig struct {
 	// in-memory log with DiskSyncDelay (the simulated-cluster default); server
 	// processes pass a wal.FileLog so state survives a real process kill.
 	DBLog wal.Log
-	// IncarnationBase offsets the abcast incarnation numbers AND the
-	// transaction-id counter of this process.  The in-process crash model
-	// bumps incarnations within one Replica value; a restarted OS process
-	// constructs a brand-new Replica whose counters restart at 1, so a
-	// server persists a monotone base across restarts — otherwise the
-	// sequencer would silently ignore the reborn replica's messages as
-	// duplicates of its previous life, and (worse) a reborn delegate would
-	// reuse transaction ids from its previous life, which every replica's
-	// applied set already contains: the reissued transaction would certify,
-	// acknowledge, and then be skipped at install everywhere as a presumed
-	// re-delivery — silent loss of an acknowledged transaction.  The base
-	// leaves 2^20 ids per incarnation before the next life's range begins.
+	// IncarnationBase offsets the abcast incarnation number (IncarnationBase
+	// + 1) AND the transaction-id counter of this life of the server.  A
+	// Replica lives one life: a restarted server, a gsdb-server process or an
+	// in-process Cluster.Recover alike, is a new Replica whose counters
+	// restart at the base, so every restart passes a base above every id
+	// the previous life issued (life k gets (k-1)<<20 while no life uses
+	// more than 2^20 ids) — otherwise the sequencer would silently ignore the
+	// reborn replica's messages as duplicates of its previous life, and
+	// (worse) a reborn delegate would reuse transaction ids from its previous
+	// life, which every replica's applied set already contains: the reissued
+	// transaction would certify, acknowledge, and then be skipped at install
+	// everywhere as a presumed re-delivery — silent loss of an acknowledged
+	// transaction.  gsdb-server's base, incarnation<<20, leaves 2^20 ids
+	// per life; Cluster.Recover reads the crashed life's counter instead.
 	IncarnationBase uint64
 	// DiskSyncDelay emulates the latency of forcing a log to disk.
 	DiskSyncDelay time.Duration
@@ -105,9 +108,10 @@ type ReplicaConfig struct {
 	// RecordApplied keeps an in-memory log of every transaction this replica
 	// externalises, in apply order (see AppliedLog).  Off by default; the
 	// scenario fuzzer turns it on to reconstruct the committed history for
-	// its invariant checks.  The log is a harness-side observer: it survives
-	// the simulated crash of the replica (unlike volatile state) and may
-	// contain duplicate sequence numbers after an end-to-end replay.
+	// its invariant checks.  The log is a harness-side observer:
+	// Cluster.Recover carries it into the replica's next life (unlike
+	// volatile state), so it may contain duplicate sequence numbers after an
+	// end-to-end replay.
 	RecordApplied bool
 	// OnDetectorEvent, when set, runs a heartbeat failure detector (tuned by
 	// Detector) wired to the atomic broadcast's Suspect mechanism, and
@@ -178,16 +182,13 @@ type ReplicaStats struct {
 
 // Replica is one server of the replicated database: a local database
 // component plus a group communication component, combined by the pluggable
-// replication technique.
+// replication technique.  A Replica lives one life: once crashed it stays
+// crashed, and a recovery starts a new Replica over the same log (the
+// paper's dynamic crash no-recovery model, Sect. 2.3).
 type Replica struct {
 	cfg   ReplicaConfig
 	index int
 	tech  Technique
-
-	// lifeMu serialises incarnation transitions (the teardown of Crash/Close
-	// and the rebuild of Recover): a crash triggered from inside the apply
-	// loop's deliver hook must not interleave with a concurrent Recover.
-	lifeMu sync.Mutex
 
 	// applyMu is the apply barrier: held for the duration of every delivered
 	// batch (and every lazy write-set install), and by Snapshot.  A state
@@ -199,19 +200,22 @@ type Replica struct {
 	// captures between batches.
 	applyMu sync.Mutex
 
+	// The database and the group communication stack are built once, before
+	// the replica is shared, and never replaced: they are read without mu.
+	dbase    *db.DB
+	router   *gcs.Router
+	ab       *abcast.Broadcaster
+	e2eb     *e2e.Broadcaster
+	detector *fd.Detector
+	// crashCh closes (under mu) when the life ends, by Crash or Close;
+	// stopped closes once the teardown that follows is complete.
+	crashCh chan struct{}
+	stopped chan struct{}
+
 	mu          sync.Mutex
-	dbase       *db.DB
-	router      *gcs.Router
-	ab          *abcast.Broadcaster
-	e2eb        *e2e.Broadcaster
-	detector    *fd.Detector
 	pending     map[waiterKey]chan txnOutcome
 	veryAcks    map[uint64]map[string]bool
 	veryDone    map[uint64]chan struct{}
-	crashed     bool
-	crashCh     chan struct{}
-	incarnation int
-	applierStop chan struct{}
 	nextTxn     uint64
 	deliverHook func(txnID uint64)
 	stats       ReplicaStats
@@ -233,7 +237,12 @@ type Replica struct {
 }
 
 // NewReplica creates and starts a replica.
-func NewReplica(cfg ReplicaConfig) (*Replica, error) {
+func NewReplica(cfg ReplicaConfig) (*Replica, error) { return newReplica(cfg, nil) }
+
+// newReplica creates and starts a replica.  prev, when set, is the crashed
+// previous life of the same server: its harness-side observers (Stats and
+// AppliedLog) carry over into the new life.
+func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 	tech, err := cfg.applyDefaults()
 	if err != nil {
 		return nil, err
@@ -256,11 +265,17 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		veryAcks:    make(map[uint64]map[string]bool),
 		veryDone:    make(map[uint64]chan struct{}),
 		crashCh:     make(chan struct{}),
+		stopped:     make(chan struct{}),
 		nextTxn:     cfg.IncarnationBase,
 		peerApplied: make(map[string]*atomic.Uint64, len(cfg.Members)),
 	}
 	for _, m := range cfg.Members {
 		r.peerApplied[m] = new(atomic.Uint64)
+	}
+	if prev != nil {
+		prev.mu.Lock()
+		r.stats, r.appliedLog = prev.stats, slices.Clone(prev.appliedLog)
+		prev.mu.Unlock()
 	}
 
 	policy := db.AsyncCommit
@@ -295,11 +310,14 @@ func (r *Replica) IsPrimary() bool { return r.index == 0 }
 // DB exposes the local database component (used by consistency checks).
 func (r *Replica) DB() *db.DB { return r.dbase }
 
-// Crashed reports whether the replica is currently crashed.
+// Crashed reports whether the replica is crashed (or closed).
 func (r *Replica) Crashed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.crashed
+	select {
+	case <-r.crashCh:
+		return true
+	default:
+		return false
+	}
 }
 
 // Stats returns a snapshot of the replica counters.
@@ -314,13 +332,10 @@ func (r *Replica) Stats() ReplicaStats {
 // benchmarks use it to measure the per-transaction message count of the
 // batched pipeline.
 func (r *Replica) BroadcastStats() abcast.Stats {
-	r.mu.Lock()
-	ab := r.ab
-	r.mu.Unlock()
-	if ab == nil {
+	if r.ab == nil {
 		return abcast.Stats{}
 	}
-	return ab.Stats()
+	return r.ab.Stats()
 }
 
 // LastAppliedSeq returns the highest atomic broadcast sequence number applied
@@ -393,29 +408,23 @@ func (r *Replica) SetDeliverHook(fn func(txnID uint64)) {
 // Suspect informs the replica's broadcaster that a peer is believed crashed
 // (used by scenario drivers when no failure detector is running).
 func (r *Replica) Suspect(peer string) {
-	r.mu.Lock()
-	ab := r.ab
-	r.mu.Unlock()
-	if ab != nil {
-		ab.Suspect(peer)
+	if r.ab != nil {
+		r.ab.Suspect(peer)
 	}
 }
 
 // Unsuspect reverses a Suspect: the peer is believed alive again (used by
 // scenario drivers when a crashed replica recovers).
 func (r *Replica) Unsuspect(peer string) {
-	r.mu.Lock()
-	ab := r.ab
-	r.mu.Unlock()
-	if ab != nil {
-		ab.Unsuspect(peer)
+	if r.ab != nil {
+		r.ab.Unsuspect(peer)
 	}
 }
 
 // nextTxnID assigns a globally unique transaction identifier: the replica
 // index occupies the high bits, a local counter the low bits.  The counter
 // starts at IncarnationBase, not zero: transaction ids must be unique across
-// process restarts too, because every replica's applied-transaction set
+// restarts too, because every replica's applied-transaction set
 // treats a familiar id as an idempotent re-delivery and silently skips the
 // install — a reborn delegate reusing an id from its previous life would get
 // its transaction certified and acknowledged but never applied anywhere.
@@ -446,14 +455,9 @@ func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 	if req.ReadOnly && requestMayWrite(req) {
 		return Result{}, fmt.Errorf("%w: txn %d", ErrReadOnlyWrites, req.ID)
 	}
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
+	if r.Crashed() {
 		return Result{}, ErrCrashed
 	}
-	crashCh := r.crashCh
-	r.mu.Unlock()
-
 	if req.ID == 0 {
 		req.ID = r.nextTxnID()
 	}
@@ -462,9 +466,9 @@ func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 	r.mu.Unlock()
 
 	if !requestMayWrite(req) {
-		return r.executeReadOnly(ctx, req, crashCh)
+		return r.executeReadOnly(ctx, req)
 	}
-	return r.tech.execute(ctx, r, req, crashCh)
+	return r.tech.execute(ctx, r, req)
 }
 
 // WaitDurable blocks until the replica's local database log is durable up to

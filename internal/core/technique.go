@@ -90,15 +90,14 @@ type Technique interface {
 
 	// execute runs one client transaction with r as the delegate and
 	// returns when the notification condition of the transaction's
-	// effective safety level holds, or when ctx is done.  crashCh is the
-	// delegate's crash channel snapshot taken at submission.
-	execute(ctx context.Context, r *Replica, req Request, crashCh chan struct{}) (Result, error)
+	// effective safety level holds, or when ctx is done.
+	execute(ctx context.Context, r *Replica, req Request) (Result, error)
 
 	// applyBatch processes one drained batch of totally-ordered deliveries
 	// on the apply goroutine: decode, commit/abort decision, WAL staging,
 	// store install and the single batch force, then externalisation via
 	// r.externalize.  Only called when usesGroupComm is true.
-	applyBatch(r *Replica, st *applyState, stop chan struct{}, batch []applyItem)
+	applyBatch(r *Replica, st *applyState, batch []applyItem)
 }
 
 // CanonicalLevel validates a safety level against a technique and returns

@@ -46,7 +46,7 @@ func (activeTechnique) checkLevel(level SafetyLevel) (SafetyLevel, error) {
 	}
 }
 
-func (activeTechnique) execute(ctx context.Context, r *Replica, req Request, crashCh chan struct{}) (Result, error) {
+func (activeTechnique) execute(ctx context.Context, r *Replica, req Request) (Result, error) {
 	// Pure queries never reach the technique — the engine serves them from a
 	// local MVCC snapshot with no broadcast (executeReadOnly, the standard
 	// active-replication read optimisation; Fig. 2/8 of the paper).
@@ -59,7 +59,7 @@ func (activeTechnique) execute(ctx context.Context, r *Replica, req Request, cra
 	}
 
 	payload := encodeOpsPayload(req.ID, r.cfg.ID, level, req.Ops)
-	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level, crashCh)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level)
 	if err != nil {
 		return Result{}, err
 	}
@@ -83,8 +83,8 @@ func (activeTechnique) execute(ctx context.Context, r *Replica, req Request, cra
 // end-to-end levels replay the unacknowledged suffix (StageWrites's
 // exactly-once check makes the replay idempotent), classical levels recover
 // by state transfer.
-func (activeTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, batch []applyItem) {
-	if !r.applierCurrent(stop) {
+func (activeTechnique) applyBatch(r *Replica, st *applyState, batch []applyItem) {
+	if r.Crashed() {
 		return
 	}
 	staged := st.staged[:0]
@@ -92,8 +92,8 @@ func (activeTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}
 	var force batchForce
 
 	for i := range batch {
-		hook, current := r.deliveryGate(stop)
-		if !current {
+		hook, live := r.deliveryGate()
+		if !live {
 			return
 		}
 		rec := &st.opsRec
@@ -104,7 +104,7 @@ func (activeTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}
 		// The crash window of Fig. 5: delivered, not yet processed.
 		if hook != nil {
 			hook(rec.TxnID)
-			if !r.applierCurrent(stop) {
+			if r.Crashed() {
 				return
 			}
 		}

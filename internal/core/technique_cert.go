@@ -33,12 +33,12 @@ func (certTechnique) checkLevel(level SafetyLevel) (SafetyLevel, error) {
 	return level, nil // every safety level is meaningful for certification
 }
 
-func (certTechnique) execute(ctx context.Context, r *Replica, req Request, crashCh chan struct{}) (Result, error) {
+func (certTechnique) execute(ctx context.Context, r *Replica, req Request) (Result, error) {
 	switch r.cfg.Level {
 	case Safety0, Safety1Lazy:
 		return r.executeLocal(ctx, req)
 	default:
-		return certExecuteReplicated(ctx, r, req, crashCh)
+		return certExecuteReplicated(ctx, r, req)
 	}
 }
 
@@ -49,7 +49,7 @@ func (certTechnique) execute(ctx context.Context, r *Replica, req Request, crash
 // the engine serves them from an MVCC snapshot without any broadcast
 // (executeReadOnly); a request routed here has writes (or a Compute hook that
 // may emit some), and only its read phase runs on a snapshot.
-func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh chan struct{}) (Result, error) {
+func certExecuteReplicated(ctx context.Context, r *Replica, req Request) (Result, error) {
 	level, err := r.effectiveLevel(req)
 	if err != nil {
 		return Result{}, err
@@ -61,7 +61,7 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 	// snapshot: the read values form a consistent cut, and each recorded
 	// (item, version) pair comes from a single atomic versioned read — the
 	// certification read set can never pair a new value with an old version.
-	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, 0, crashCh)
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -103,8 +103,8 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 		return Result{TxnID: req.ID, Outcome: OutcomeCommitted, ReadValues: readVals, Delegate: r.cfg.ID, Level: level, Freshness: token}, nil
 	}
 
-	payload := encodeTxnPayload(req.ID, r.cfg.ID, level, readVers, writes)
-	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level, crashCh)
+	payload := encodeTxnPayload(phaseNone, req.ID, r.cfg.ID, level, 0, readVers, writes)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level)
 	if err != nil {
 		return Result{}, err
 	}
@@ -139,8 +139,8 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request, crashCh
 // messages the log holds (one lost with the tail was answered to nobody, as
 // if the crash had come just before its delivery), and classical levels
 // recover missed messages by state transfer, as for a single lost delivery.
-func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, batch []applyItem) {
-	if !r.applierCurrent(stop) {
+func (certTechnique) applyBatch(r *Replica, st *applyState, batch []applyItem) {
+	if r.Crashed() {
 		return
 	}
 
@@ -155,8 +155,8 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 	numItems := r.dbase.Store().NumItems()
 	var force batchForce
 	for i := range batch {
-		hook, current := r.deliveryGate(stop)
-		if !current {
+		hook, live := r.deliveryGate()
+		if !live {
 			return
 		}
 
@@ -169,7 +169,7 @@ func (certTechnique) applyBatch(r *Replica, st *applyState, stop chan struct{}, 
 		// delivered the message, the database has not yet processed it.
 		if hook != nil {
 			hook(rec.TxnID)
-			if !r.applierCurrent(stop) {
+			if r.Crashed() {
 				return
 			}
 		}

@@ -50,7 +50,7 @@ func (lazyPrimaryTechnique) checkLevel(level SafetyLevel) (SafetyLevel, error) {
 	return Safety1Lazy, nil
 }
 
-func (t lazyPrimaryTechnique) execute(ctx context.Context, r *Replica, req Request, _ chan struct{}) (Result, error) {
+func (t lazyPrimaryTechnique) execute(ctx context.Context, r *Replica, req Request) (Result, error) {
 	if !r.IsPrimary() && requestMayWrite(req) {
 		return Result{}, fmt.Errorf("%w (primary is %s)", ErrNotPrimary, r.cfg.Members[0])
 	}
@@ -59,7 +59,7 @@ func (t lazyPrimaryTechnique) execute(ctx context.Context, r *Replica, req Reque
 
 // applyBatch is never reached: the technique does not use group
 // communication, so no apply loop is started.
-func (lazyPrimaryTechnique) applyBatch(*Replica, *applyState, chan struct{}, []applyItem) {}
+func (lazyPrimaryTechnique) applyBatch(*Replica, *applyState, []applyItem) {}
 
 // executeLocal implements purely local execution with asynchronous write-set
 // propagation: the 0-safe and lazy (1-safe) baselines of the certification
@@ -224,14 +224,13 @@ func (r *Replica) enqueueLazy(payload []byte) *lazyItem {
 func (r *Replica) drainLazy() {
 	for {
 		r.mu.Lock()
-		if r.crashed || len(r.lazyQueue) == 0 {
+		if r.Crashed() || len(r.lazyQueue) == 0 {
 			r.lazyDraining = false
 			r.mu.Unlock()
 			return
 		}
 		it := r.lazyQueue[0]
 		r.lazyQueue = r.lazyQueue[1:]
-		router := r.router
 		r.mu.Unlock()
 
 		// Wait until the local commit outcome is known (ready is always
@@ -243,22 +242,16 @@ func (r *Replica) drainLazy() {
 		if wait := time.Until(it.due); wait > 0 {
 			time.Sleep(wait)
 		}
-		// Re-check the incarnation after the waits: the popped item is
-		// volatile pre-crash state, and a crash+recover completed while we
-		// slept swaps the router — shipping then would leak state across
-		// the crash.  Comparing the router identity is the incarnation
-		// check (startGroupCommunication publishes a fresh router under mu).
-		r.mu.Lock()
-		stale := r.crashed || r.router != router
-		r.mu.Unlock()
-		if stale || router == nil {
+		// Re-check after the waits: the popped item is volatile state, and
+		// shipping it after a crash would leak it past the crash.
+		if r.Crashed() {
 			continue
 		}
 		for _, m := range r.cfg.Members {
 			if m == r.cfg.ID {
 				continue
 			}
-			_ = router.Send(m, transport.Message{Type: msgLazy, Payload: it.payload})
+			_ = r.router.Send(m, transport.Message{Type: msgLazy, Payload: it.payload})
 		}
 	}
 }
@@ -269,12 +262,9 @@ func (r *Replica) drainLazy() {
 // replication; under primary-copy a single site orders all updates, so the
 // secondaries converge to the primary's state.
 func (r *Replica) onLazy(m transport.Message) {
-	r.mu.Lock()
-	if r.crashed {
-		r.mu.Unlock()
+	if r.Crashed() {
 		return
 	}
-	r.mu.Unlock()
 	var p lazyPayload
 	if err := decodePayload(m.Payload, &p); err != nil {
 		return

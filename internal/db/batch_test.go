@@ -90,7 +90,8 @@ func TestBatchApplyDurableAfterCrash(t *testing.T) {
 	if err := d.ForceTo(last); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CrashAndRecover(); err != nil {
+	d, err = crashAndReopen(d)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= batch; i++ {

@@ -1,36 +1,6 @@
 package db
 
-import (
-	"fmt"
-
-	"groupsafe/internal/lock"
-	"groupsafe/internal/storage"
-	"groupsafe/internal/wal"
-)
-
-// CrashAndRecover simulates a server crash followed by a restart of the
-// database component: everything that was not forced to stable storage is
-// lost, and the committed state is rebuilt from the durable prefix of the
-// write-ahead log.  It only works for databases backed by an in-memory log
-// (the failure-injection experiments of Figs. 5 and 7); file-backed databases
-// are crash-tested by closing and reopening them.
-func (d *DB) CrashAndRecover() error {
-	mem, ok := d.log.(*wal.MemLog)
-	if !ok {
-		return fmt.Errorf("db: CrashAndRecover requires an in-memory log, have %T", d.log)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	mem.Crash()
-	d.store.Reset()
-	d.locks = lock.NewManager()
-	d.gc = wal.NewGroupCommitter(mem)
-	d.applied = make(map[uint64]bool)
-	d.nextID = 1
-	d.closed = false
-	d.closedFlag.Store(false)
-	return d.recoverLocked()
-}
+import "groupsafe/internal/storage"
 
 // CommittedWriteCount returns the total number of version bumps across all
 // items, a cheap fingerprint used by tests to compare replica states.

@@ -172,7 +172,8 @@ func TestCrashLosesUnsyncedCommits(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CrashAndRecover(); err != nil {
+	d, err := crashAndReopen(d)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := d.ReadVersioned(3); v != 0 {
@@ -193,7 +194,8 @@ func TestCrashKeepsSyncedCommits(t *testing.T) {
 	txn2.Write(4, 44)
 	txn2.Commit()
 
-	if err := d.CrashAndRecover(); err != nil {
+	d, err := crashAndReopen(d)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := d.ReadVersioned(3); v != 33 {
@@ -219,27 +221,12 @@ func TestAsyncCommitFlushMakesDurable(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CrashAndRecover(); err != nil {
+	d, err := crashAndReopen(d)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _, _ := d.ReadVersioned(9); v != 90 {
 		t.Fatal("flushed commit lost by crash")
-	}
-}
-
-func TestCrashAndRecoverRequiresMemLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "db.wal")
-	fl, err := wal.OpenFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(Config{Items: 10, Policy: SyncOnCommit, Log: fl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.CrashAndRecover(); err == nil {
-		t.Fatal("CrashAndRecover should refuse file-backed logs")
 	}
 }
 
@@ -395,7 +382,8 @@ func TestQuickRecoveryPreservesCommitted(t *testing.T) {
 			}
 			want[item] = op.Value
 		}
-		if err := d.CrashAndRecover(); err != nil {
+		d, err = crashAndReopen(d)
+		if err != nil {
 			return false
 		}
 		for item, value := range want {
@@ -409,6 +397,16 @@ func TestQuickRecoveryPreservesCommitted(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// crashAndReopen crashes d's in-memory log, which loses everything not
+// forced, and opens a new database over what survived, as a restarting
+// server does.
+func crashAndReopen(d *DB) (*DB, error) {
+	_ = d.Close()
+	mem := d.log.(*wal.MemLog)
+	mem.Crash()
+	return Open(Config{Items: d.store.NumItems(), Policy: d.policy, Log: mem})
 }
 
 // versionOf reads the committed certification version of an item through the

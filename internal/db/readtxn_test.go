@@ -177,7 +177,8 @@ func TestReadTxnGCKeepsLiveSnapshotAcrossCrashRecover(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CrashAndRecover(); err != nil {
+	d, err = crashAndReopen(d)
+	if err != nil {
 		t.Fatal(err)
 	}
 

@@ -129,10 +129,9 @@ func runDeliveryCrashSchedule(level core.SafetyLevel) (FailureScenarioResult, er
 	cluster.Crash(0)
 
 	// S2 and S3 recover; the delegate stays down, so no state transfer source
-	// containing t exists.  The crash hooks are removed first: the recovered
-	// incarnation processes (replayed) deliveries normally.
+	// containing t exists.  Their crash hooks die with the crashed lives: the
+	// recovered replicas process (replayed) deliveries normally.
 	for i := 1; i < cluster.Size(); i++ {
-		cluster.Replica(i).SetDeliverHook(nil)
 		replayed, err := cluster.Recover(i)
 		if err != nil {
 			return result, fmt.Errorf("recover replica %d: %w", i, err)

@@ -205,18 +205,15 @@ type dataMsg struct {
 }
 
 // orderMsg assigns the contiguous range [BaseSeq, BaseSeq+len(MsgIDs)) to the
-// listed message ids: sequence BaseSeq+i carries MsgIDs[i].  MinEpoch is the
-// sequencer's order-epoch floor: receivers must reject ORDERs from epochs
-// below it (they predate a crash takeover whose gather majority promised to
-// forget them) but keep accepting epochs in [MinEpoch, current]: an epoch a
-// member reached by suspicion alone voids nothing.  Every epoch change is a
-// takeover, so a sender always sets MinEpoch = Epoch; the field stays because
-// dropping it is a wire change.
+// listed message ids: sequence BaseSeq+i carries MsgIDs[i].  Its Epoch is
+// also the order-epoch floor it teaches: receivers then reject ORDERs from
+// lower epochs (they predate the crash takeover whose gather majority
+// promised to forget them), while an epoch a member reached by suspicion
+// alone voids nothing.
 type orderMsg struct {
-	Epoch    uint64
-	MinEpoch uint64
-	BaseSeq  uint64
-	MsgIDs   []string
+	Epoch   uint64
+	BaseSeq uint64
+	MsgIDs  []string
 	// AppliedSeq advertises the sender's applied-sequence watermark (see
 	// Config.AdvertiseSeq); 0 when the sender has no watermark to share.
 	AppliedSeq uint64

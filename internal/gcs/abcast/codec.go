@@ -142,18 +142,13 @@ func (r *wireReader) seqRange() (epoch, baseSeq uint64, ids []string, appliedSeq
 	return epoch, baseSeq, ids, r.uvarint(), r.uvarint()
 }
 
-// encodeOrder prepends the order-epoch floor (MinEpoch) to the shared
-// seq-range shape: ORDER carries the floor so every receiver learns how far
-// back in-flight assignments remain valid; ACK does not need it.
 func encodeOrder(o orderMsg) []byte {
-	size := uvarintLen(o.MinEpoch) + seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
-	buf := binary.AppendUvarint(make([]byte, 0, size), o.MinEpoch)
-	return appendSeqRange(buf, o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
+	size := seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
+	return appendSeqRange(make([]byte, 0, size), o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
 }
 
 func decodeOrder(data []byte, o *orderMsg) error {
 	r := wireReader{data: data}
-	o.MinEpoch = r.uvarint()
 	o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor = r.seqRange()
 	return r.err()
 }

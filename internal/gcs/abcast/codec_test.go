@@ -47,12 +47,12 @@ func TestSeqRangeCodecRoundTrip(t *testing.T) {
 			rng.Read(b)
 			ids[i] = string(b)
 		}
-		in := orderMsg{Epoch: rng.Uint64(), MinEpoch: rng.Uint64(), BaseSeq: rng.Uint64(), MsgIDs: ids, AppliedSeq: rng.Uint64()}
+		in := orderMsg{Epoch: rng.Uint64(), BaseSeq: rng.Uint64(), MsgIDs: ids, AppliedSeq: rng.Uint64()}
 		var out orderMsg
 		if err := decodeOrder(encodeOrder(in), &out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if out.Epoch != in.Epoch || out.MinEpoch != in.MinEpoch || out.BaseSeq != in.BaseSeq || out.AppliedSeq != in.AppliedSeq || len(out.MsgIDs) != len(in.MsgIDs) {
+		if out.Epoch != in.Epoch || out.BaseSeq != in.BaseSeq || out.AppliedSeq != in.AppliedSeq || len(out.MsgIDs) != len(in.MsgIDs) {
 			t.Fatalf("trial %d: header mismatch: %+v vs %+v", trial, out, in)
 		}
 		for i := range ids {
@@ -71,7 +71,7 @@ func TestCodecRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncated DATA at %d decoded", cut)
 		}
 	}
-	order := encodeOrder(orderMsg{Epoch: 3, MinEpoch: 2, BaseSeq: 9, MsgIDs: []string{"a/1/2", "b/1/1"}})
+	order := encodeOrder(orderMsg{Epoch: 3, BaseSeq: 9, MsgIDs: []string{"a/1/2", "b/1/1"}})
 	var o orderMsg
 	for cut := 0; cut < len(order); cut++ {
 		if err := decodeOrder(order[:cut], &o); err == nil {

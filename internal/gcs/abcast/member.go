@@ -17,14 +17,9 @@ func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 		b.mu.Unlock()
 		return
 	}
-	if o.MinEpoch > b.minOrderEpoch {
-		b.minOrderEpoch = o.MinEpoch
-		if o.MinEpoch > o.Epoch {
-			// Malformed (floor above the sender's own epoch); drop.
-			b.mu.Unlock()
-			return
-		}
-	}
+	// Every epoch change is a takeover, so the floor rises to any accepted
+	// ORDER's epoch: its sequencer's gather majority has promised as much.
+	b.minOrderEpoch = o.Epoch
 	if o.Epoch > b.epoch {
 		// A newer sequencer is active; follow it.
 		b.epoch = o.Epoch

@@ -51,7 +51,7 @@ func (b *Broadcaster) sequenceLocked(entries []dataEntry) {
 // payload (a retransmission) is never assigned twice.
 func (b *Broadcaster) assignSeqLocked(order *orderMsg, id string) {
 	if len(order.MsgIDs) == 0 {
-		*order = orderMsg{Epoch: b.epoch, MinEpoch: b.minOrderEpoch, BaseSeq: b.nextSeq}
+		*order = orderMsg{Epoch: b.epoch, BaseSeq: b.nextSeq}
 	}
 	order.MsgIDs = append(order.MsgIDs, id)
 	if r := b.win.slot(b.nextSeq); r != nil && b.placeLocked(b.nextSeq, r, id, b.epoch) {

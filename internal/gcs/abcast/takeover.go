@@ -55,7 +55,7 @@ func (b *Broadcaster) Suspect(peer string) {
 		// answers NEWEPOCH — not when it merely suspects, or one member's
 		// false suspicion would make it deaf to a sequencer everyone else
 		// still follows.  The floor moves only with a takeover: here, on
-		// answering NEWEPOCH, and on the new sequencer's ORDERs, which carry it.
+		// answering NEWEPOCH, and on accepting the new sequencer's ORDERs.
 		b.minOrderEpoch = e
 		b.gathering = true
 		b.gatherEpoch = e
@@ -184,7 +184,7 @@ func (b *Broadcaster) finishGather() {
 			reannounce[n-1].MsgIDs = append(reannounce[n-1].MsgIDs, s.MsgID)
 			continue
 		}
-		reannounce = append(reannounce, orderMsg{Epoch: b.epoch, MinEpoch: b.minOrderEpoch, BaseSeq: seq, MsgIDs: []string{s.MsgID}})
+		reannounce = append(reannounce, orderMsg{Epoch: b.epoch, BaseSeq: seq, MsgIDs: []string{s.MsgID}})
 	}
 	fresh := b.sweepUnorderedLocked()
 	b.mu.Unlock()

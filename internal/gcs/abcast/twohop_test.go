@@ -464,9 +464,6 @@ func TestAnnouncementsStayInSequenceOrder(t *testing.T) {
 			if o.BaseSeq <= lastBase[m.To] {
 				t.Fatalf("link %s→%s: ORDER for base %d sent after the one for base %d", m.From, m.To, o.BaseSeq, lastBase[m.To])
 			}
-			if o.MinEpoch != o.Epoch {
-				t.Fatalf("link %s→%s: ORDER of epoch %d carries floor %d; a sequencer's floor is its epoch", m.From, m.To, o.Epoch, o.MinEpoch)
-			}
 			lastBase[m.To] = o.BaseSeq
 		}
 	}

@@ -1,7 +1,7 @@
 // Package gcs contains the group communication component: message routing,
-// failure detection (subpackage fd), group membership (subpackage
-// membership), classical atomic broadcast (subpackage abcast) and the
-// end-to-end atomic broadcast introduced by the paper (subpackage e2e).
+// failure detection (subpackage fd), classical atomic broadcast (subpackage
+// abcast) and the end-to-end atomic broadcast introduced by the paper
+// (subpackage e2e).
 package gcs
 
 import (
@@ -18,7 +18,7 @@ type Handler func(transport.Message)
 
 // Router demultiplexes the inbound message stream of an endpoint to protocol
 // handlers registered by message-type prefix.  Several protocols (failure
-// detector, atomic broadcast, membership, replication control traffic) share
+// detector, atomic broadcast, state transfer, replication control traffic) share
 // one endpoint per node.
 type Router struct {
 	ep transport.Endpoint

@@ -29,7 +29,9 @@ const (
 	// must not form a group, not only when the frame layout does.  2: the
 	// atomic broadcast counts an ORDER as its sequencer's vote and the
 	// sequencer sends no ACK; a version-1 member would wait for that ACK.
-	tcpVersion = 2
+	// 3: an ORDER no longer carries its sequencer's epoch floor apart from
+	// its epoch; a version-2 member would misread every ORDER.
+	tcpVersion = 3
 
 	// maxFrameSize bounds one frame; a peer announcing more is treated as
 	// corrupt and disconnected (fail fast instead of allocating unbounded).

@@ -128,7 +128,7 @@ func (s *Server) handleFrame(f netproto.Frame, reply func(netproto.Frame)) {
 
 // info assembles the server status report.
 func (s *Server) info() netproto.ServerInfo {
-	view := s.views.View()
+	view := s.View()
 	items := s.replica.StoreItems()
 	out := netproto.ServerInfo{
 		ID:             s.cfg.ID,

@@ -1,9 +1,10 @@
 // Package server runs one replica of the replicated database as a standalone
 // OS process: the in-process replica engine of internal/core attached to real
 // TCP sockets (internal/gcs/transport.TCPNode), file-backed write-ahead logs
-// that survive kill -9, a heartbeat failure detector driving group membership
-// views, pull-based state transfer for rejoining replicas, and a client
-// listener speaking the internal/netproto protocol to gsdb.Dial clients.
+// that survive kill -9, a heartbeat failure detector whose suspicions make
+// the membership views, pull-based state transfer for rejoining replicas, and
+// a client listener speaking the internal/netproto protocol to gsdb.Dial
+// clients.
 package server
 
 import (
@@ -13,6 +14,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,7 +22,6 @@ import (
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/gcs/fd"
-	"groupsafe/internal/gcs/membership"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/wal"
 )
@@ -96,10 +97,15 @@ type Server struct {
 	cfg     Config
 	node    *transport.TCPNode
 	replica *core.Replica
-	views   *membership.Manager
 	dbLog   *wal.FileLog
 
 	clientLn net.Listener
+
+	// viewID counts the view changes; suspected holds the peers the failure
+	// detector currently suspects (see View).
+	viewMu    sync.Mutex
+	viewID    uint64
+	suspected map[string]bool
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -135,8 +141,9 @@ func Start(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:   cfg,
-		conns: make(map[net.Conn]struct{}),
+		cfg:       cfg,
+		conns:     make(map[net.Conn]struct{}),
+		suspected: make(map[string]bool),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 
@@ -149,12 +156,6 @@ func Start(cfg Config) (*Server, error) {
 	if err != nil {
 		s.node.Close()
 		return nil, fmt.Errorf("server: open WAL: %w", err)
-	}
-
-	s.views, err = membership.New(cfg.ID, cfg.Members)
-	if err != nil {
-		s.teardown()
-		return nil, err
 	}
 
 	s.replica, err = core.NewReplica(core.ReplicaConfig{
@@ -221,23 +222,48 @@ func (s *Server) ClientAddr() string {
 // PeerAddr returns this replica's peer address.
 func (s *Server) PeerAddr() string { return s.cfg.ID }
 
-// View returns the current membership view.
-func (s *Server) View() membership.View { return s.views.View() }
+// View is a membership view of the group as this server sees it.
+type View struct {
+	// ID counts the view changes this server has seen.
+	ID uint64
+	// Members lists the members not suspected, self included, sorted.
+	Members []string
+}
+
+// View returns the current membership view.  Views are local: they come from
+// this server's failure detector, not from the total order, so two servers
+// may number the same view differently.
+func (s *Server) View() View {
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	v := View{ID: s.viewID}
+	for _, m := range s.cfg.Members {
+		if !s.suspected[m] {
+			v.Members = append(v.Members, m)
+		}
+	}
+	sort.Strings(v.Members)
+	return v
+}
 
 // Replica exposes the underlying replica engine (tests).
 func (s *Server) Replica() *core.Replica { return s.replica }
 
-// onDetectorEvent converts failure detector transitions into membership view
-// changes: a suspected peer leaves the view, a heartbeat from it re-admits
-// it.  The broadcaster was already informed by the replica's own wiring.
+// onDetectorEvent turns failure detector transitions into view changes: a
+// suspected peer leaves the view, a heartbeat from it re-admits it, and each
+// change gets the next view ID.  The broadcaster was already informed by the
+// replica's own wiring.
 func (s *Server) onDetectorEvent(ev fd.Event) {
-	if ev.Suspected {
-		if v, changed := s.views.Leave(ev.Peer); changed {
-			s.cfg.Logf("server %s: suspect %s -> installed %s", s.cfg.ID, ev.Peer, v)
-		}
-		return
+	s.viewMu.Lock()
+	changed := s.suspected[ev.Peer] != ev.Suspected
+	if changed {
+		s.suspected[ev.Peer] = ev.Suspected
+		s.viewID++
 	}
-	s.cfg.Logf("server %s: peer %s alive -> %s", s.cfg.ID, ev.Peer, s.views.Join(ev.Peer))
+	s.viewMu.Unlock()
+	if changed {
+		s.cfg.Logf("server %s: %s suspected=%v -> view %+v", s.cfg.ID, ev.Peer, ev.Suspected, s.View())
+	}
 }
 
 // onPull answers a peer's state transfer request with our snapshot.

@@ -9,9 +9,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"groupsafe/internal/core"
+	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/gcs/transport"
 	"groupsafe/internal/wal"
 	"groupsafe/internal/workload"
@@ -234,6 +236,76 @@ func TestServerRejoinIsPrompt(t *testing.T) {
 			fmt.Sprintf("%s did not show all three members within %v of the restart", s.PeerAddr(), bound))
 	}
 	waitConverged(t, servers, 10*time.Second)
+}
+
+// TestOnDetectorEventNumbersViews: a server's view starts as every member,
+// sorted, at ID 0.  Each change its failure detector reports — a peer
+// suspected, a suspected peer heard from again — gets the next ID; a report
+// that changes nothing keeps it.
+func TestOnDetectorEventNumbersViews(t *testing.T) {
+	all, without3 := []string{"s1", "s2", "s3"}, []string{"s1", "s2"}
+	type step struct {
+		peer      string
+		suspected bool
+		id        uint64
+		members   []string
+	}
+	newServer := func() *Server {
+		return &Server{cfg: Config{ID: "s1", Members: []string{"s3", "s1", "s2"}, Logf: t.Logf}, suspected: make(map[string]bool)}
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step
+	}{
+		{"initial", nil},
+		{"leave", []step{{"s3", true, 1, without3}, {"s3", true, 1, without3}}},
+		{"join", []step{{"s3", true, 1, without3}, {"s3", false, 2, all}, {"s3", false, 2, all}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer()
+			steps := append([]step{{id: 0, members: all}}, tc.steps...)
+			for i, st := range steps {
+				if i > 0 {
+					s.onDetectorEvent(fd.Event{Peer: st.peer, Suspected: st.suspected})
+				}
+				if v := s.View(); v.ID != st.id || !reflect.DeepEqual(v.Members, st.members) {
+					t.Fatalf("step %d: view %+v, want ID %d and members %v", i, v, st.id, st.members)
+				}
+			}
+		})
+	}
+	// Property: across any report sequence the ID counts exactly the changes,
+	// and the view never lists a member twice.
+	t.Run("monotonic", func(t *testing.T) {
+		f := func(reports []struct {
+			Peer      uint8
+			Suspected bool
+		}) bool {
+			s, changes := newServer(), uint64(0)
+			for _, r := range reports {
+				peer := fmt.Sprintf("s%d", 2+r.Peer%2)
+				if s.suspected[peer] != r.Suspected {
+					changes++
+				}
+				s.onDetectorEvent(fd.Event{Peer: peer, Suspected: r.Suspected})
+				v := s.View()
+				seen := make(map[string]bool)
+				for _, m := range v.Members {
+					if seen[m] {
+						return false
+					}
+					seen[m] = true
+				}
+				if v.ID != changes || !seen["s1"] {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func waitView(t *testing.T, s *Server, ok func(members []string) bool, d time.Duration, msg string) {

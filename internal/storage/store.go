@@ -670,18 +670,6 @@ func (s *Store) MergeNewer(snapshot []Item) int {
 	return merged
 }
 
-// Reset sets every item back to value 0, version 0 and drops all version
-// history.
-func (s *Store) Reset() {
-	seq := s.beginInstall()
-	s.lockAll()
-	for i := range s.items {
-		s.items[i].versions = nil
-	}
-	s.unlockAll()
-	s.endInstall(seq)
-}
-
 // Equal reports whether two stores hold identical newest values and versions.
 // It is used by the consistency checks of the integration tests (one-copy
 // equivalence across replicas).

@@ -96,10 +96,6 @@ func TestSnapshotRestoreEqual(t *testing.T) {
 	if v, _, _ := a.Read(5); v != 50 {
 		t.Fatal("mutating a snapshot affected the store")
 	}
-	a.Reset()
-	if v, ver, _ := a.Read(5); v != 0 || ver != 0 {
-		t.Fatal("Reset did not clear the store")
-	}
 	c := NewStore(5)
 	if a.Equal(c) {
 		t.Fatal("stores of different sizes reported equal")

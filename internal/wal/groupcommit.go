@@ -64,13 +64,3 @@ func (g *GroupCommitter) SyncedLSN() LSN {
 	defer g.mu.Unlock()
 	return g.syncedLSN
 }
-
-// Reset clears the committer state after a simulated crash and recovery of
-// the underlying log.
-func (g *GroupCommitter) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.syncedLSN = 0
-	g.err = nil
-	g.syncing = false
-}

@@ -344,10 +344,6 @@ func TestGroupCommitterAlreadyDurable(t *testing.T) {
 	if l.Syncs() != before {
 		t.Fatal("WaitDurable on already-durable LSN should not sync again")
 	}
-	g.Reset()
-	if g.SyncedLSN() != 0 {
-		t.Fatal("Reset should clear synced LSN")
-	}
 }
 
 func TestGroupCommitterError(t *testing.T) {
