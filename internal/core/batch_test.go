@@ -66,13 +66,13 @@ func TestClusterBatchedConvergence(t *testing.T) {
 	if !waitConsistent(c, 5*time.Second) {
 		t.Fatal("replicas did not converge under batched delivery")
 	}
-	// Batching must actually have happened: the delegate sent fewer DATA
-	// messages than broadcasts.
+	// Batching must actually have happened: the delegate submitted fewer
+	// batches than broadcasts.
 	st := c.Replica(0).BroadcastStats()
 	if st.DataBatches >= st.Broadcast {
-		t.Fatalf("no coalescing observed: %d broadcasts in %d DATA messages", st.Broadcast, st.DataBatches)
+		t.Fatalf("no coalescing observed: %d broadcasts in %d batches", st.Broadcast, st.DataBatches)
 	}
-	t.Logf("delegate: %d broadcasts in %d DATA batches (mean batch %.1f)",
+	t.Logf("delegate: %d broadcasts in %d batches (mean batch %.1f)",
 		st.Broadcast, st.DataBatches, float64(st.Broadcast)/float64(st.DataBatches))
 }
 

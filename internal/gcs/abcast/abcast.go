@@ -6,10 +6,13 @@
 // uniformity:
 //
 //  1. A-broadcast(m): the sender assigns m a unique message id, files the
-//     payload locally and sends a DATA message to the other members.
+//     payload locally and sends a DATA message to the sequencer whose ORDERs
+//     it follows — none when that is itself.
 //  2. The current sequencer assigns consecutive sequence numbers — to its own
 //     payloads like to remote DATA — stores each assignment in its window and
-//     sends an ORDER message to the other members.
+//     sends an ORDER message to the other members.  The ORDER carries the
+//     payloads it numbers, so a member gets each payload and its order in one
+//     frame.
 //  3. A vote for a (sequence, message id) pair says its member has stored that
 //     assignment.  A member casts its own the moment it stores an ORDER and
 //     tells the other members with an ACK.  The ORDER is the sequencer's vote
@@ -22,13 +25,14 @@
 //     sequencer's vote: it stored the assignment before announcing it and
 //     stops assigning in the critical section in which it answers a NEWEPOCH,
 //     so every STATE it can still send contains it.  No step a member takes
-//     for itself touches the transport: an unbatched broadcast costs n²−1
-//     messages, and in a group of three delivery is two hops from it.  The
-//     ACK leaves at once for the members whose delivery can be waiting on the
-//     vote: the sequencer of the order's epoch, which holds only its own, and
-//     everybody when the ORDER and a member's own vote are no majority.  In a
-//     group of three they are one, so only the sequencer is told at once —
-//     3(n−1) = 6 prompt messages — and the third member up to delayCap later.
+//     for itself touches the transport: an unbatched broadcast costs n(n−1)
+//     messages, one more when its sender is not the sequencer, and in a group
+//     of three delivery is two hops from it.  The ACK leaves at once for the
+//     members whose delivery can be waiting on the vote: the sequencer of the
+//     order's epoch, which holds only its own, and everybody when the ORDER
+//     and a member's own vote are no majority.  In a group of three they are
+//     one, so only the sequencer is told at once — 5 prompt messages, 4 when
+//     the sender is the sequencer — and the third member up to delayCap later.
 //     A vote nobody waits on may be late because delivery counts assignments
 //     known to be *stored* and a takeover's gather reads the windows they are
 //     stored in, not who has been told: the late ACK is needed only for the
@@ -142,8 +146,8 @@ type Config struct {
 	// above a LAN message but far below any client timeout): a member whose
 	// delivery cursor sits on an order-without-data stall that long asks the
 	// group for the payload, and a sender whose own payload is still
-	// unordered that long re-sends it to the sequencer.  Both retry at the
-	// same cadence while the condition lasts.
+	// unordered that long re-sends it to every other member.  Both retry at
+	// the same cadence while the condition lasts.
 	NackDelay time.Duration
 	// Incarnation namespaces this member's message ids.  In the dynamic
 	// crash no-recovery model a recovered process is a new process: if it
@@ -172,7 +176,8 @@ type Stats struct {
 	// (the denominator of the batching win: fewer sends per broadcast); a
 	// fan-out counts the members it goes to, nothing is addressed to self.
 	MsgsSent uint64
-	// DataBatches counts DATA messages sent by this member;
+	// DataBatches counts the batches this member submitted, whether they left
+	// as a DATA message or, at the sequencer, inside its ORDER;
 	// Broadcast/DataBatches is the achieved mean batch size.
 	DataBatches uint64
 	// AckSends counts ACK messages this member emitted, once each whether the
@@ -185,8 +190,8 @@ type Stats struct {
 	// order-without-data stall outlived the bounded NackDelay wait.
 	NacksSent uint64
 	// Retransmits counts payloads this member re-sent: in answer to another
-	// member's NACK, or to the sequencer because its own payload was still
-	// unordered after NackDelay.
+	// member's NACK, or to every other member because its own payload was
+	// still unordered after NackDelay.
 	Retransmits uint64
 }
 
@@ -205,21 +210,31 @@ type dataMsg struct {
 }
 
 // orderMsg assigns the contiguous range [BaseSeq, BaseSeq+len(MsgIDs)) to the
-// listed message ids: sequence BaseSeq+i carries MsgIDs[i].  Its Epoch is
+// listed message ids: sequence BaseSeq+i carries MsgIDs[i], and Payloads[i] is
+// its payload, nil when the sequencer does not hold it.  Its Epoch is
 // also the order-epoch floor it teaches: receivers then reject ORDERs from
 // lower epochs (they predate the crash takeover whose gather majority
 // promised to forget them), while an epoch a member reached by suspicion
 // alone voids nothing.
 type orderMsg struct {
-	Epoch   uint64
-	BaseSeq uint64
-	MsgIDs  []string
+	Epoch    uint64
+	BaseSeq  uint64
+	MsgIDs   []string
+	Payloads [][]byte
 	// AppliedSeq advertises the sender's applied-sequence watermark (see
 	// Config.AdvertiseSeq); 0 when the sender has no watermark to share.
 	AppliedSeq uint64
 	// Cursor is the sender's delivery cursor: it has delivered every
 	// sequence number below it.  Receivers prune their window with it.
 	Cursor uint64
+}
+
+// payload returns the payload the ORDER carries for MsgIDs[i], nil if none.
+func (o *orderMsg) payload(i int) []byte {
+	if i < len(o.Payloads) {
+		return o.Payloads[i]
+	}
+	return nil
 }
 
 // ackMsg acknowledges a whole order range at once.
@@ -305,7 +320,7 @@ type Broadcaster struct {
 	ackSends    atomic.Uint64
 	cursor      atomic.Uint64 // mirror of nextDeliver
 
-	// deliverMu serialises tryDeliver: the router thread, broadcasting
+	// deliverMu serialises tryDeliver: the receiving threads, broadcasting
 	// callers, the ordering goroutine and the timers all deliver, and the
 	// channel must receive the total order in order.
 	deliverMu  sync.Mutex
@@ -422,11 +437,19 @@ func (b *Broadcaster) Stats() Stats {
 // not closed (consumers select with their own shutdown signal).
 func (b *Broadcaster) Close() {
 	b.mu.Lock()
+	for !b.closed && len(b.sendBuf) > 0 {
+		batch := b.takeBatchLocked()
+		b.inFlight += len(batch)
+		b.submitLocked(batch)
+		b.mu.Lock()
+	}
+	b.mu.Unlock()
+	b.drainOrderQ() // a sequencer's queued assignments leave too
+	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	batch := b.takeBatchLocked()
 	ack, haveAck := b.ackPend.take()
 	lazy, haveLazy := b.ackLazy.take()
 	b.closed = true
@@ -435,9 +458,6 @@ func (b *Broadcaster) Close() {
 	}
 	b.mu.Unlock()
 	close(b.orderStop)
-	if len(batch) > 0 {
-		b.sendData(batch)
-	}
 	if haveAck {
 		b.sendAck(ack, false)
 	}
@@ -465,10 +485,11 @@ func (b *Broadcaster) sendAll(m transport.Message) {
 	}
 }
 
-// sendData fans one DATA batch out to the other members.
-func (b *Broadcaster) sendData(batch []dataEntry) {
-	b.dataBatches.Add(1)
-	b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})})
+// sendData sends one DATA batch of this member's own payloads to the
+// sequencer it follows.
+func (b *Broadcaster) sendData(sequencer string, batch []dataEntry) {
+	b.msgsSent.Add(1)
+	_ = b.router.Send(sequencer, transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: batch})}) // a lost DATA is re-sent by checkStalls
 }
 
 // sendAck sends an ACK, counting it for the coalescing stats and stamping the
@@ -493,7 +514,8 @@ func (b *Broadcaster) sendAck(a ackMsg, lazy bool) {
 
 // sendOrder fans an ORDER out to the other members, stamping the sender's
 // watermarks; an assignment that found every payload already ordered (a
-// retransmission) is empty and sends nothing.
+// retransmission) is empty and sends nothing.  It is the one place the
+// payloads a sequencer numbers leave it, its own included.
 func (b *Broadcaster) sendOrder(o orderMsg) {
 	if len(o.MsgIDs) == 0 {
 		return

@@ -7,13 +7,13 @@ import (
 
 // Binary wire codec for the hot-path protocol messages (DATA, ORDER, ACK).
 //
-// Every broadcast crosses the wire three times per member (dissemination,
-// ordering, acknowledgement), so these three message types dominate the send
-// path.  They are encoded with a compact varint format into a single
-// exact-size allocation — replacing gob, whose per-message encoder, type
-// descriptors and reflection used to dominate the allocation profile.  The
-// cold takeover messages (NEWEPOCH, STATE) keep the gob encoding: they are
-// exchanged a handful of times per sequencer failure.
+// Every broadcast crosses the wire as DATA to the sequencer, as an ORDER that
+// carries the payload to every member, and as their ACKs, so these three
+// message types dominate the send path.  They are encoded with a compact
+// varint format into a single exact-size allocation — replacing gob, whose
+// per-message encoder, type descriptors and reflection used to dominate the
+// allocation profile.  The cold takeover messages (NEWEPOCH, STATE) keep the
+// gob encoding: they are exchanged a handful of times per sequencer failure.
 //
 // Decoding aliases payload bytes into the wire buffer instead of copying:
 // wire buffers are never mutated after receipt (the in-memory transport hands
@@ -142,14 +142,49 @@ func (r *wireReader) seqRange() (epoch, baseSeq uint64, ids []string, appliedSeq
 	return epoch, baseSeq, ids, r.uvarint(), r.uvarint()
 }
 
+// An ORDER is the shared shape followed by one entry per message id: its
+// payload as 1 and the bytes, or 0 when the sequencer does not hold it (an
+// empty payload is present, not absent).
+const (
+	payloadAbsent  = 0
+	payloadPresent = 1
+)
+
 func encodeOrder(o orderMsg) []byte {
-	size := seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
-	return appendSeqRange(make([]byte, 0, size), o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
+	size := seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor) + len(o.MsgIDs)
+	for i := range o.MsgIDs {
+		if p := o.payload(i); p != nil {
+			size += uvarintLen(uint64(len(p))) + len(p)
+		}
+	}
+	buf := appendSeqRange(make([]byte, 0, size), o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
+	for i := range o.MsgIDs {
+		p := o.payload(i)
+		if p == nil {
+			buf = append(buf, payloadAbsent)
+			continue
+		}
+		buf = append(buf, payloadPresent)
+		buf = binary.AppendUvarint(buf, uint64(len(p)))
+		buf = append(buf, p...)
+	}
+	return buf
 }
 
+// decodeOrder decodes an ORDER, aliasing its payloads into data.
 func decodeOrder(data []byte, o *orderMsg) error {
 	r := wireReader{data: data}
 	o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor = r.seqRange()
+	o.Payloads = make([][]byte, len(o.MsgIDs))
+	for i := range o.Payloads {
+		switch r.uvarint() {
+		case payloadAbsent:
+		case payloadPresent:
+			o.Payloads[i] = r.bytes()
+		default:
+			r.bad = true
+		}
+	}
 	return r.err()
 }
 

@@ -47,17 +47,28 @@ func TestSeqRangeCodecRoundTrip(t *testing.T) {
 			rng.Read(b)
 			ids[i] = string(b)
 		}
-		in := orderMsg{Epoch: rng.Uint64(), BaseSeq: rng.Uint64(), MsgIDs: ids, AppliedSeq: rng.Uint64()}
+		// Payloads: absent, empty or random.
+		payloads := make([][]byte, len(ids))
+		for i := range payloads {
+			if k := rng.Intn(3); k > 0 {
+				payloads[i] = make([]byte, (k-1)*rng.Intn(64))
+				rng.Read(payloads[i])
+			}
+		}
+		in := orderMsg{Epoch: rng.Uint64(), BaseSeq: rng.Uint64(), MsgIDs: ids, Payloads: payloads, AppliedSeq: rng.Uint64()}
 		var out orderMsg
 		if err := decodeOrder(encodeOrder(in), &out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if out.Epoch != in.Epoch || out.BaseSeq != in.BaseSeq || out.AppliedSeq != in.AppliedSeq || len(out.MsgIDs) != len(in.MsgIDs) {
+		if out.Epoch != in.Epoch || out.BaseSeq != in.BaseSeq || out.AppliedSeq != in.AppliedSeq || len(out.MsgIDs) != len(in.MsgIDs) || len(out.Payloads) != len(ids) {
 			t.Fatalf("trial %d: header mismatch: %+v vs %+v", trial, out, in)
 		}
 		for i := range ids {
 			if out.MsgIDs[i] != ids[i] {
 				t.Fatalf("trial %d: id %d mismatch", trial, i)
+			}
+			if (out.Payloads[i] == nil) != (payloads[i] == nil) || !bytes.Equal(out.Payloads[i], payloads[i]) {
+				t.Fatalf("trial %d: payload %d is %v, want %v", trial, i, out.Payloads[i], payloads[i])
 			}
 		}
 	}
@@ -71,12 +82,21 @@ func TestCodecRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncated DATA at %d decoded", cut)
 		}
 	}
-	order := encodeOrder(orderMsg{Epoch: 3, BaseSeq: 9, MsgIDs: []string{"a/1/2", "b/1/1"}})
+	// Present, empty and absent payloads: the absent one is a byte of its own.
+	order := encodeOrder(orderMsg{Epoch: 3, BaseSeq: 9, MsgIDs: []string{"a/1/2", "b/1/1", "c/1/1"}, Payloads: [][]byte{[]byte("hi"), {}, nil}})
 	var o orderMsg
 	for cut := 0; cut < len(order); cut++ {
 		if err := decodeOrder(order[:cut], &o); err == nil {
 			t.Fatalf("truncated ORDER at %d decoded", cut)
 		}
+	}
+	if err := decodeOrder(order, &o); err != nil || string(o.Payloads[0]) != "hi" || o.Payloads[1] == nil || len(o.Payloads[1]) != 0 || o.Payloads[2] != nil {
+		t.Fatalf("ORDER decoded to %q (%v), want present, empty and absent payloads", o.Payloads, err)
+	}
+	bad := append([]byte(nil), order...)
+	bad[len(bad)-1] = 2 // neither absent nor present
+	if err := decodeOrder(bad, &o); err == nil {
+		t.Fatal("an ORDER with an unknown payload marker decoded")
 	}
 }
 
@@ -85,9 +105,9 @@ func TestCodecRejectsTruncation(t *testing.T) {
 // versus the gob encoder's dozens.
 func BenchmarkWireEncode(b *testing.B) {
 	entries := randEntries(rand.New(rand.NewSource(3)), 8)
-	order := orderMsg{Epoch: 1, BaseSeq: 100, MsgIDs: make([]string, 8)}
+	order := orderMsg{Epoch: 1, BaseSeq: 100, MsgIDs: make([]string, 8), Payloads: make([][]byte, 8)}
 	for i := range order.MsgIDs {
-		order.MsgIDs[i] = entries[i].MsgID
+		order.MsgIDs[i], order.Payloads[i] = entries[i].MsgID, entries[i].Payload
 	}
 	b.Run("data-8", func(b *testing.B) {
 		b.ReportAllocs()

@@ -78,8 +78,9 @@ func TestUrgentRecipientIsTheSequencerOfTheOrdersEpoch(t *testing.T) {
 	}
 }
 
-// TestLazyAcksAmortiseOverTheirWindow: k broadcasts, one at a time, cost 6k
-// prompt frames in a group of three, and each non-sequencer tells the other of
+// TestLazyAcksAmortiseOverTheirWindow: k broadcasts from a non-sequencer, one
+// at a time, cost 5k prompt frames in a group of three — a DATA, two ORDERs,
+// two ACKs to the sequencer — and each non-sequencer tells the other of
 // its votes once per lapsed delayCap — in ACKs that together name every
 // sequence number exactly once.
 func TestLazyAcksAmortiseOverTheirWindow(t *testing.T) {
@@ -132,8 +133,8 @@ func TestLazyAcksAmortiseOverTheirWindow(t *testing.T) {
 		}
 		lazy += acks
 	}
-	if prompt := total - lazy; prompt != 6*k || byType[MsgData] != 2*k || byType[MsgOrder] != 2*k {
-		t.Fatalf("%d broadcasts cost %d prompt frames (%v), want %d", k, prompt, byType, 6*k)
+	if prompt := total - lazy; prompt != 5*k || byType[MsgData] != k || byType[MsgOrder] != 2*k {
+		t.Fatalf("%d broadcasts cost %d prompt frames (%v), want %d", k, prompt, byType, 5*k)
 	}
 	t.Logf("%d broadcasts: %d prompt frames, %d lazy ACKs over %d windows", k, total-lazy, lazy, windows)
 }

@@ -35,11 +35,18 @@ func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 	}
 	// Storing the assignment is this member's vote — cast after the floor
 	// check above, so before any promise — and the ORDER is the sequencer's.
+	// A payload it carries is filed like DATA: with its order, or unordered
+	// when the assignment does not hold here.
 	votes := b.selfBit() | 1<<uint(b.member[from])
 	for i, id := range o.MsgIDs {
-		seq := o.BaseSeq + uint64(i)
+		seq, payload := o.BaseSeq+uint64(i), o.payload(i)
 		if r := b.win.slot(seq); r != nil && b.placeLocked(seq, r, id, o.Epoch) {
 			b.orderLocked(seq, r, votes)
+			if r.payload == nil {
+				r.payload = payload
+			}
+		} else if payload != nil {
+			b.storePayloadLocked(id, payload)
 		}
 	}
 	// One ACK carries the vote for the whole range, and contiguous same-epoch

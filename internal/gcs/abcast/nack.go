@@ -5,12 +5,17 @@ import "groupsafe/internal/gcs/transport"
 // Retransmission.  The positive-ack flow never re-sends a payload and the
 // transports are at-most-once, so two in-epoch stalls need a timer:
 //
-//   - order-without-data: an assigned ORDER whose DATA never arrived here.  The
-//     cursor sits on the sequence number and every later delivery queues
-//     behind it.  The member asks the group for the payload by id (NACK); any
-//     member still holding it re-sends the DATA entry point-to-point.
-//   - data-without-order: this member's own DATA never reached the sequencer,
-//     so nobody will ever order it.  The sender re-sends it to the sequencer.
+//   - order-without-data: an ORDER that reached this member without the
+//     payload it names — the sequencer did not hold it when it announced the
+//     order (a takeover re-announcing what it adopted), or a frame carrying
+//     it was lost.  The cursor sits on the sequence number and every later
+//     delivery queues behind it.  The member asks the group for the payload
+//     by id (NACK); any member still holding it re-sends the DATA entry
+//     point-to-point.
+//   - data-without-order: this member's own DATA never reached a sequencer
+//     that orders it — it was lost, or went to a sequencer a takeover has
+//     replaced — so nobody will ever order it.  The sender re-sends it to
+//     every other member, whichever of them sequences now.
 //
 // One periodic check, running only while either condition exists, acts on a
 // condition that has lasted a full NackDelay — usually the payload or the
@@ -37,8 +42,9 @@ func (b *Broadcaster) armCheckLocked(stall uint64) {
 	rearm(&b.nackTimer, b.cfg.NackDelay, b.checkStalls)
 }
 
-// checkStalls NACKs a cursor stall and re-sends own unordered payloads that
-// were already there at the previous check, and re-arms while either exists.
+// checkStalls NACKs a cursor stall and re-sends to every other member the own
+// unordered payloads that were already there at the previous check, and
+// re-arms while either exists.
 func (b *Broadcaster) checkStalls() {
 	b.mu.Lock()
 	if b.closed || !b.nackArmed {
@@ -60,14 +66,14 @@ func (b *Broadcaster) checkStalls() {
 
 	var resend []dataEntry
 	own := false
-	sequencer := b.sequencerFor(b.epoch)
+	sequencing := b.sequencerFor(b.epoch) == b.cfg.Self
 	for id, p := range b.unordered {
 		prefix, n, ok := splitID(id)
 		if !ok || prefix != b.idPrefix {
 			continue
 		}
 		own = true
-		if n <= b.retryMark && sequencer != b.cfg.Self { // (a sequencer orders its own as it files them)
+		if n <= b.retryMark && !sequencing { // (a sequencer orders its own as it files them)
 			resend = append(resend, dataEntry{MsgID: id, Payload: p})
 		}
 	}
@@ -85,8 +91,7 @@ func (b *Broadcaster) checkStalls() {
 		b.sendAll(transport.Message{Type: MsgNack, Payload: encode(nack)})
 	}
 	if len(resend) > 0 {
-		b.msgsSent.Add(1)
-		_ = b.router.Send(sequencer, transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: resend})}) // retried next period
+		b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: resend})}) // retried next period
 	}
 }
 

@@ -117,8 +117,9 @@ func TestAckCoalescingReducesAckSends(t *testing.T) {
 // TestCrashBeforeOrderEscapes drives the mid-pipeline failover
 // window: the sequencer receives a DATA batch but crashes before any of its
 // ORDER messages reach another member (all its outbound links are cut).  The
-// payload must still be delivered exactly once by the survivors — they hold
-// it unordered, and the takeover sequencer orders it fresh.
+// payload must still be delivered exactly once by the survivors — its sender
+// holds it unordered and re-sends it, and the takeover sequencer orders it
+// fresh.
 func TestCrashBeforeOrderEscapes(t *testing.T) {
 	net := transport.NewMemNetwork()
 	addrs := []string{"s1", "s2", "s3", "s4", "s5"}

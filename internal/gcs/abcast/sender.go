@@ -59,17 +59,24 @@ func (b *Broadcaster) Broadcast(payload []byte) (string, error) {
 
 // submitLocked hands a batch of this member's own payloads to the group; it
 // is called with mu held and releases it.  The payloads are filed locally, in
-// the caller's critical section, and the other members get one DATA message;
-// at the sequencer the batch then takes the same assignment path as remote
-// DATA, so its DATA is on every link before an ORDER can name it.
+// the caller's critical section, and the sequencer this member follows gets
+// one DATA message — the sequencer of the epoch floor, not of the epoch: a
+// suspicion alone raises the epoch but changes whose ORDERs are accepted only
+// with a takeover.  At the sequencer the batch takes the same assignment path
+// as remote DATA and leaves in the ORDER; should the DATA reach a member that
+// does not order it, checkStalls re-sends it to everybody.
 func (b *Broadcaster) submitLocked(batch []dataEntry) {
+	b.dataBatches.Add(1)
 	if !b.closed {
 		for _, e := range batch {
 			b.storePayloadLocked(e.MsgID, e.Payload)
 		}
 	}
+	sequencer := b.sequencerFor(b.minOrderEpoch)
 	b.mu.Unlock()
-	b.sendData(batch) // also after Close: every id Broadcast returned reaches the network
+	if sequencer != b.cfg.Self {
+		b.sendData(sequencer, batch)
+	}
 	b.mu.Lock()
 	b.sequenceLocked(batch)
 	b.tryDeliver() // a single-member group is its own majority

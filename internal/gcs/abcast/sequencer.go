@@ -47,13 +47,14 @@ func (b *Broadcaster) sequenceLocked(entries []dataEntry) {
 
 // assignSeqLocked gives id the next sequence number and records the order in
 // this sequencer's own window at once — that is the sequencer's vote, which
-// the ORDER then carries to the other members — so a duplicate copy of the
-// payload (a retransmission) is never assigned twice.
-func (b *Broadcaster) assignSeqLocked(order *orderMsg, id string) {
+// the ORDER then carries to the other members with the payload — so a
+// duplicate copy of the payload (a retransmission) is never assigned twice.
+func (b *Broadcaster) assignSeqLocked(order *orderMsg, id string, payload []byte) {
 	if len(order.MsgIDs) == 0 {
 		*order = orderMsg{Epoch: b.epoch, BaseSeq: b.nextSeq}
 	}
 	order.MsgIDs = append(order.MsgIDs, id)
+	order.Payloads = append(order.Payloads, payload)
 	if r := b.win.slot(b.nextSeq); r != nil && b.placeLocked(b.nextSeq, r, id, b.epoch) {
 		b.orderLocked(b.nextSeq, r, b.selfBit())
 	}
@@ -65,8 +66,8 @@ func (b *Broadcaster) assignSeqLocked(order *orderMsg, id string) {
 // payload: a single ORDER covers the whole slice.
 func (b *Broadcaster) assignLocked(entries []dataEntry) (order orderMsg) {
 	for _, e := range entries {
-		if _, held := b.unordered[e.MsgID]; held {
-			b.assignSeqLocked(&order, e.MsgID)
+		if payload, held := b.unordered[e.MsgID]; held {
+			b.assignSeqLocked(&order, e.MsgID, payload)
 		}
 	}
 	return order
@@ -92,14 +93,14 @@ func (b *Broadcaster) sweepUnorderedLocked() orderMsg {
 	sort.Strings(ids)
 	var fresh orderMsg
 	for _, id := range ids {
-		b.assignSeqLocked(&fresh, id)
+		b.assignSeqLocked(&fresh, id, b.unordered[id])
 	}
 	return fresh
 }
 
 // orderLoop is the sequencer's assignment stage behind a backlog: it drains
 // queued DATA batches, assigns their ORDER ranges and sends them, while the
-// router thread keeps decoding inbound messages.
+// receiving threads keep decoding inbound messages.
 func (b *Broadcaster) orderLoop() {
 	for {
 		select {
@@ -123,8 +124,8 @@ func (b *Broadcaster) drainOrderQ() bool {
 	b.orderQ = nil
 	if b.closed || len(entries) == 0 || b.gathering || b.sequencerFor(b.epoch) != b.cfg.Self {
 		// Lost the sequencer role between enqueue and drain: the queue is
-		// dropped.  The payloads stay unordered everywhere, and the takeover
-		// that moved the role sweeps them from its gather set.
+		// dropped.  The payloads stay with their senders, who hand them to
+		// the next sequencer in their STATE or re-send them after NackDelay.
 		b.mu.Unlock()
 		return false
 	}

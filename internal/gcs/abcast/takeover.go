@@ -177,14 +177,17 @@ func (b *Broadcaster) finishGather() {
 	var reannounce []orderMsg
 	for _, seq := range seqs {
 		s := adopted[seq]
+		var payload []byte
 		if r := b.win.slot(seq); r != nil && b.placeLocked(seq, r, s.MsgID, b.epoch) {
 			b.orderLocked(seq, r, b.selfBit())
+			payload = r.payload
 		}
 		if n := len(reannounce); n > 0 && reannounce[n-1].BaseSeq+uint64(len(reannounce[n-1].MsgIDs)) == seq {
 			reannounce[n-1].MsgIDs = append(reannounce[n-1].MsgIDs, s.MsgID)
+			reannounce[n-1].Payloads = append(reannounce[n-1].Payloads, payload)
 			continue
 		}
-		reannounce = append(reannounce, orderMsg{Epoch: b.epoch, BaseSeq: seq, MsgIDs: []string{s.MsgID}})
+		reannounce = append(reannounce, orderMsg{Epoch: b.epoch, BaseSeq: seq, MsgIDs: []string{s.MsgID}, Payloads: [][]byte{payload}})
 	}
 	fresh := b.sweepUnorderedLocked()
 	b.mu.Unlock()

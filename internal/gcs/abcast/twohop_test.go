@@ -11,8 +11,9 @@ import (
 )
 
 // tap is a counting, filtering endpoint wrapper: it records every message its
-// member hands to the transport, in transport order, and holds back the ones
-// its filter selects until they are released (never, for a drop).
+// member hands to the transport, in transport order, rewrites what its edit
+// selects and holds back the ones its filter selects until they are released
+// (never, for a drop).
 type tap struct {
 	transport.Endpoint
 
@@ -23,6 +24,7 @@ type tap struct {
 	at   []time.Time // when sent[i] was handed over
 	hold func(transport.Message) bool
 	held []transport.Message
+	edit func(*transport.Message)
 }
 
 func (tp *tap) Send(to string, m transport.Message) error {
@@ -32,6 +34,9 @@ func (tp *tap) Send(to string, m transport.Message) error {
 	}
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
+	if tp.edit != nil {
+		tp.edit(&m)
+	}
 	tp.sent, tp.at = append(tp.sent, m), append(tp.at, time.Now())
 	if tp.hold != nil && tp.hold(m) {
 		tp.held = append(tp.held, m)
@@ -75,6 +80,25 @@ func (tp *tap) frames() []sentFrame {
 }
 
 func isAck(m transport.Message) bool { return m.Type == MsgAck }
+
+// setEdit installs (nil: removes) the tap's rewrite of outgoing messages.
+func (tp *tap) setEdit(edit func(*transport.Message)) {
+	tp.mu.Lock()
+	tp.edit = edit
+	tp.mu.Unlock()
+}
+
+// stripPayloadsTo is a tap edit: the ORDERs it sees for member to lose their
+// payloads, so that member gets orders without their data.
+func stripPayloadsTo(to string) func(*transport.Message) {
+	return func(m *transport.Message) {
+		var o orderMsg
+		if m.Type == MsgOrder && m.To == to && decodeOrder(m.Payload, &o) == nil {
+			o.Payloads = nil
+			m.Payload = encodeOrder(o)
+		}
+	}
+}
 
 // makeTappedGroup is makeGroupCfg behind taps holding what hold selects.
 // Whatever the test does, no member may ever address itself: a member's own
@@ -140,11 +164,13 @@ func groupAddrs(n int) []string {
 }
 
 // TestUrgentFramesOfAnUnbatchedBroadcast pins the message bill of one
-// broadcast, whoever the delegate is: n-1 DATA, n-1 ORDER and (n-1)² ACKs — the
-// sequencer's ORDER is its vote, so it acknowledges nothing — and never a
-// frame to self.  Of five, every member waits on every vote and all n²-1
-// frames leave at once.  Of three, only the sequencer does: 3(n-1) = 6 frames
-// leave at once and the two ACKs between the non-sequencers a delayCap later.
+// broadcast, whoever the delegate is: one DATA to the sequencer unless the
+// delegate is the sequencer, n-1 ORDERs that carry the payload, and (n-1)²
+// ACKs — the sequencer's ORDER is its vote, so it acknowledges nothing — and
+// never a frame to self.  Of five, every member waits on every vote and every
+// frame leaves at once.  Of three, only the sequencer does: 5 frames leave at
+// once, 4 when the delegate is the sequencer, and the two ACKs between the
+// non-sequencers a delayCap later.
 func TestUrgentFramesOfAnUnbatchedBroadcast(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -162,11 +188,36 @@ func TestUrgentFramesOfAnUnbatchedBroadcast(t *testing.T) {
 				for _, nd := range nodes {
 					collect(t, nd, 1, 2*time.Second)
 				}
-				want := before + n*n - 1
+				bill := n * (n - 1)
+				if delegate != nodes[0] {
+					bill++ // the DATA
+				}
+				want := before + bill
 				waitFor(t, 2*time.Second, func() bool { got, _ := sentByType(taps); return got >= want })
 				time.Sleep(20 * time.Millisecond) // a surplus frame would follow at once
 				if got, _ := sentByType(taps); got != want {
-					t.Fatalf("delegate %s: the broadcast cost %d frames, want n²-1 = %d", delegate.addr, got-before, n*n-1)
+					t.Fatalf("delegate %s: the broadcast cost %d frames, want %d", delegate.addr, got-before, bill)
+				}
+				ordered := make(map[string]time.Time) // by recipient
+				var lazy []sentFrame
+				prompt := 0
+				for i, tp := range taps {
+					for _, f := range tp.frames()[marks[i]:] {
+						switch {
+						case f.Type == MsgData && (f.From != delegate.addr || f.To != nodes[0].addr):
+							t.Fatalf("delegate %s: DATA %s→%s, want it only from the delegate to the sequencer", delegate.addr, f.From, f.To)
+						case f.Type == MsgOrder:
+							var o orderMsg
+							if err := decodeOrder(f.Payload, &o); err != nil || len(o.Payloads) != 1 || string(o.Payloads[0]) != "x" {
+								t.Fatalf("delegate %s: the ORDER to %s carries %q (%v), want the payload", delegate.addr, f.To, o.Payloads, err)
+							}
+							ordered[f.To] = f.at
+						case n == 3 && f.Type == MsgAck && f.To != nodes[0].addr:
+							lazy = append(lazy, f)
+							continue
+						}
+						prompt++
+					}
 				}
 				if n != 3 {
 					continue
@@ -174,23 +225,8 @@ func TestUrgentFramesOfAnUnbatchedBroadcast(t *testing.T) {
 				// The ORDER reaches a member before the member arms the window
 				// of its lazy ACK, so the gap below is a floor no scheduling
 				// can undercut; the prompt frames have no such ceiling.
-				ordered := make(map[string]time.Time) // by recipient
-				var lazy []sentFrame
-				prompt := 0
-				for i, tp := range taps {
-					for _, f := range tp.frames()[marks[i]:] {
-						switch {
-						case f.Type == MsgOrder:
-							ordered[f.To] = f.at
-						case f.Type == MsgAck && f.To != nodes[0].addr:
-							lazy = append(lazy, f)
-							continue
-						}
-						prompt++
-					}
-				}
-				if prompt != 6 || len(lazy) != 2 {
-					t.Fatalf("delegate %s: %d prompt frames and %d ACKs between non-sequencers, want 6 and 2", delegate.addr, prompt, len(lazy))
+				if want := bill - 2; prompt != want || len(lazy) != 2 {
+					t.Fatalf("delegate %s: %d prompt frames and %d ACKs between non-sequencers, want %d and 2", delegate.addr, prompt, len(lazy), want)
 				}
 				for _, f := range lazy {
 					if gap := f.at.Sub(ordered[f.From]); gap < delayCap {
@@ -199,8 +235,8 @@ func TestUrgentFramesOfAnUnbatchedBroadcast(t *testing.T) {
 				}
 			}
 			_, byType := sentByType(taps)
-			if byType[MsgData] != n*(n-1) || byType[MsgOrder] != n*(n-1) || byType[MsgAck] != n*(n-1)*(n-1) {
-				t.Fatalf("%d broadcasts sent %v, want %d DATA, %d ORDER, %d ACK", n, byType, n*(n-1), n*(n-1), n*(n-1)*(n-1))
+			if byType[MsgData] != n-1 || byType[MsgOrder] != n*(n-1) || byType[MsgAck] != n*(n-1)*(n-1) {
+				t.Fatalf("%d broadcasts sent %v, want %d DATA, %d ORDER, %d ACK", n, byType, n-1, n*(n-1), n*(n-1)*(n-1))
 			}
 			var counted uint64
 			for _, nd := range nodes {
@@ -231,12 +267,12 @@ func TestNoProtocolMessageIsAddressedToSelf(t *testing.T) {
 		cfg.NackDelay = 2 * time.Millisecond
 	}, nil)
 
-	net.BlockLink("s2", "s3") // s3 gets the ORDER without the DATA: NACK
+	taps[0].setEdit(stripPayloadsTo("s3")) // s3 gets the ORDER without the payload: NACK
 	nodes[1].bc.Broadcast([]byte("nacked"))
 	for _, nd := range nodes {
 		collect(t, nd, 1, 5*time.Second)
 	}
-	net.UnblockLink("s2", "s3")
+	taps[0].setEdit(nil)
 	seqr := nodes[0].bc.Sequencer()
 	net.Crash(seqr) // NEWEPOCH, STATE
 	var live []*node

@@ -17,14 +17,20 @@ import (
 type Handler func(transport.Message)
 
 // Router demultiplexes the inbound message stream of an endpoint to protocol
-// handlers registered by message-type prefix.  Several protocols (failure
-// detector, atomic broadcast, state transfer, replication control traffic) share
-// one endpoint per node.
+// handlers registered by message type or namespace.  Several protocols
+// (failure detector, atomic broadcast, state transfer, replication control
+// traffic) share one endpoint per node.
+//
+// Over an endpoint that can run handlers itself (TCP) the router has no
+// goroutine: each connection's read loop dispatches what it reads, so
+// handlers run concurrently for different peers and in order for each.  Over
+// one that queues (the in-memory network, a Mux instance) one loop dispatches
+// everything in arrival order.
 type Router struct {
 	ep transport.Endpoint
 
-	// table is the immutable routing snapshot the dispatch loop reads without
-	// a lock, once per inbound message; Handle swaps in a new one under mu.
+	// table is the immutable routing snapshot dispatch reads without a lock,
+	// once per inbound message; Handle swaps in a new one under mu.
 	table   atomic.Pointer[routes]
 	mu      sync.Mutex
 	stopped chan struct{}
@@ -32,8 +38,15 @@ type Router struct {
 	started bool
 }
 
-// routes is one routing snapshot, handlers by message-type prefix; it is
-// never modified once published.
+// handlerEndpoint is an endpoint that calls a handler on the goroutine that
+// read the message, and returns from SetHandler once the previous handler's
+// calls have (transport.TCPEndpoint).
+type handlerEndpoint interface {
+	SetHandler(h func(transport.Message))
+}
+
+// routes is one routing snapshot, handlers by message type or namespace; it
+// is never modified once published.
 type routes map[string]Handler
 
 // NewRouter creates a router over the endpoint.  Handle registrations must
@@ -51,13 +64,15 @@ func NewRouter(ep transport.Endpoint) *Router {
 // Endpoint returns the underlying endpoint.
 func (r *Router) Endpoint() transport.Endpoint { return r.ep }
 
-// Handle registers a handler for all messages whose Type starts with prefix.
-// The longest matching prefix wins.
-func (r *Router) Handle(prefix string, h Handler) {
+// Handle registers a handler under key: a whole message type ("srv.pull") or
+// a namespace, which ends in '.' ("ab.").  A message goes to the handler of
+// its exact type if there is one, else to that of its namespace — its type up
+// to and including the first '.'.
+func (r *Router) Handle(key string, h Handler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	next := maps.Clone(*r.table.Load())
-	next[prefix] = h
+	next[key] = h
 	r.table.Store(&next)
 }
 
@@ -66,15 +81,24 @@ func (r *Router) Send(to string, m transport.Message) error {
 	return r.ep.Send(to, m)
 }
 
-// Start launches the dispatch loop.
+// Start begins dispatching: it hands dispatch to an endpoint that runs
+// handlers itself, and launches the dispatch loop otherwise.
 func (r *Router) Start() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.started {
-		r.mu.Unlock()
 		return
 	}
 	r.started = true
-	r.mu.Unlock()
+	select {
+	case <-r.stopped:
+		return
+	default:
+	}
+	if ep, ok := r.ep.(handlerEndpoint); ok {
+		ep.SetHandler(r.dispatch)
+		return
+	}
 	go r.loop()
 }
 
@@ -94,31 +118,37 @@ func (r *Router) loop() {
 }
 
 func (r *Router) dispatch(m transport.Message) {
-	var best Handler
-	bestLen := -1
-	for prefix, h := range *r.table.Load() {
-		if strings.HasPrefix(m.Type, prefix) && len(prefix) > bestLen {
-			best = h
-			bestLen = len(prefix)
+	table := *r.table.Load()
+	h, ok := table[m.Type]
+	if !ok {
+		if i := strings.IndexByte(m.Type, '.'); i >= 0 {
+			h = table[m.Type[:i+1]]
 		}
 	}
-	if best != nil {
-		best(m)
+	if h != nil {
+		h(m)
 	}
 }
 
-// Stop terminates the dispatch loop.  It does not close the endpoint.
+// Stop ends dispatching and returns once every handler call in flight has
+// returned.  It does not close the endpoint.
 func (r *Router) Stop() {
 	r.mu.Lock()
 	started := r.started
-	r.mu.Unlock()
 	select {
 	case <-r.stopped:
+		r.mu.Unlock()
 		return
 	default:
 		close(r.stopped)
 	}
-	if started {
-		<-r.done
+	r.mu.Unlock()
+	if !started {
+		return
 	}
+	if ep, ok := r.ep.(handlerEndpoint); ok {
+		ep.SetHandler(nil)
+		return
+	}
+	<-r.done
 }

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,25 +50,84 @@ func TestRouterDispatchByPrefix(t *testing.T) {
 	t.Fatalf("dispatch counts = %v", got)
 }
 
-func TestRouterLongestPrefixWins(t *testing.T) {
+// TestRouterExactTypeThenNamespace: a message goes to the handler of its exact
+// type, else to that of its namespace — the type up to its first '.' — and
+// never to a longer prefix that is neither.
+func TestRouterExactTypeThenNamespace(t *testing.T) {
 	net := transport.NewMemNetwork()
 	a := net.Endpoint("a")
 	b := net.Endpoint("b")
 	r := NewRouter(b)
 	hits := make(chan string, 4)
-	r.Handle("x.", func(m transport.Message) { hits <- "short" })
-	r.Handle("x.long.", func(m transport.Message) { hits <- "long" })
+	r.Handle("x.", func(m transport.Message) { hits <- "namespace " + m.Type })
+	r.Handle("x.long", func(m transport.Message) { hits <- "exact " + m.Type })
+	r.Handle("x.long.", func(m transport.Message) { hits <- "prefix " + m.Type })
 	r.Start()
 	defer r.Stop()
 
-	a.Send("b", transport.Message{Type: "x.long.msg"})
-	select {
-	case h := <-hits:
-		if h != "long" {
-			t.Fatalf("dispatched to %q, want longest prefix", h)
+	for _, tc := range []struct{ typ, want string }{
+		{"x.long", "exact x.long"},
+		{"x.long.msg", "namespace x.long.msg"},
+		{"x.other", "namespace x.other"},
+	} {
+		a.Send("b", transport.Message{Type: tc.typ})
+		select {
+		case h := <-hits:
+			if h != tc.want {
+				t.Fatalf("dispatched as %q, want %q", h, tc.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%q not dispatched", tc.typ)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("message not dispatched")
+	}
+}
+
+// TestRouterStopWaitsForTCPHandlers: over TCP the read loops run the handlers,
+// and Stop returns only once the call in flight has.
+func TestRouterStopWaitsForTCPHandlers(t *testing.T) {
+	a, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	r := NewRouter(b)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	releaseHandler := func() { releaseOnce.Do(func() { close(release) }) }
+	defer releaseHandler() // (runs before the endpoints close, which waits for the handler)
+	var finished atomic.Bool
+	r.Handle("slow", func(transport.Message) {
+		close(entered)
+		<-release
+		finished.Store(true)
+	})
+	r.Start()
+	if err := a.Send(b.Addr(), transport.Message{Type: "slow"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler was not called")
+	}
+	stopped := make(chan bool)
+	go func() {
+		r.Stop()
+		stopped <- finished.Load()
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while the handler was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	releaseHandler()
+	if !<-stopped {
+		t.Fatal("Stop returned before the handler did")
 	}
 }
 

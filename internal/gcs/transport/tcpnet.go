@@ -29,9 +29,17 @@ import (
 //   - sending to an unreachable peer is not an error until the queue fills;
 //     then Send surfaces a typed, retryable *PeerError wrapping
 //     ErrSendQueueFull rather than silently dropping the message;
-//   - the inbox is bounded with an explicit drop policy (count and discard,
-//     like an overloaded receiver on a lossy LAN) and inbound reads carry an
-//     idle deadline so leaked connections do not accumulate.
+//   - with a handler set (SetHandler, as gcs.Router does), each inbound
+//     connection's read loop calls it for every frame, so a message reaches
+//     its protocol handler without a hand-off: handlers run concurrently for
+//     different peers and in order for each, and a slow one backpressures its
+//     sender through TCP until that sender's queue fails with
+//     ErrSendQueueFull;
+//   - with none, frames queue in a bounded inbox for Recv with an explicit
+//     drop policy (count and discard, like an overloaded receiver on a lossy
+//     LAN);
+//   - inbound reads carry an idle deadline so leaked connections do not
+//     accumulate.
 //
 // Like MemNetwork, delivery is at-most-once: messages in flight on a
 // connection that breaks — the sender writes whatever is queued as one burst
@@ -42,6 +50,12 @@ type TCPEndpoint struct {
 	addr     string
 	listener net.Listener
 	inbox    chan Message
+
+	// handler, when set, receives every inbound frame on its read loop;
+	// SetHandler takes handlerMu for writing, so it returns only once the
+	// calls of the previous handler have.
+	handlerMu sync.RWMutex
+	handler   func(Message)
 
 	// peers is a copy-on-write snapshot and closed an atomic, so the two
 	// per-message paths — Send's peer lookup and readLoop's closed check —
@@ -84,7 +98,8 @@ type TCPConfig struct {
 	// When a peer is down, up to SendQueue messages wait in FIFO order;
 	// beyond that Send fails fast with ErrSendQueueFull.
 	SendQueue int
-	// Inbox is the inbound delivery channel capacity (default 4096).
+	// Inbox is the capacity of the channel Recv returns (default 4096); an
+	// endpoint with a handler queues nothing.
 	Inbox int
 	// Logf, when set, receives diagnostic messages (reconnects, handshake
 	// failures, dropped frames).  Nil silences them.
@@ -151,7 +166,7 @@ type TCPStats struct {
 	// frames that failed mid-write on a breaking connection.
 	Dropped uint64
 	// InboxDropped counts inbound frames discarded because the inbox was
-	// full (receiver overload).
+	// full (receiver overload; only without a handler).
 	InboxDropped uint64
 	// Reconnects counts outbound connections re-established after a failure.
 	Reconnects uint64
@@ -261,15 +276,31 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 				}
 			}
 		}
-		select {
-		case ep.inbox <- m:
-		default:
-			// Bounded inbox, explicit drop policy: an overloaded receiver
-			// sheds load like a lossy network; protocols already tolerate
-			// loss (retransmission/majority logic above the transport).
-			ep.inboxDropped.Add(1)
+		ep.handlerMu.RLock()
+		if h := ep.handler; h != nil {
+			h(m)
+		} else {
+			select {
+			case ep.inbox <- m:
+			default:
+				// Bounded inbox, explicit drop policy: an overloaded receiver
+				// sheds load like a lossy network; protocols already tolerate
+				// loss (retransmission/majority logic above the transport).
+				ep.inboxDropped.Add(1)
+			}
 		}
+		ep.handlerMu.RUnlock()
 	}
+}
+
+// SetHandler makes the read loops call h for every inbound frame instead of
+// queueing it for Recv: in order for each peer, concurrently across peers.
+// nil goes back to Recv.  SetHandler returns once every call of the previous
+// handler has, so a handler must not call it.
+func (ep *TCPEndpoint) SetHandler(h func(Message)) {
+	ep.handlerMu.Lock()
+	ep.handler = h
+	ep.handlerMu.Unlock()
 }
 
 // Addr implements Endpoint.

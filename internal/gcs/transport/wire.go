@@ -30,8 +30,11 @@ const (
 	// atomic broadcast counts an ORDER as its sequencer's vote and the
 	// sequencer sends no ACK; a version-1 member would wait for that ACK.
 	// 3: an ORDER no longer carries its sequencer's epoch floor apart from
-	// its epoch; a version-2 member would misread every ORDER.
-	tcpVersion = 3
+	// its epoch; a version-2 member would misread every ORDER.  4: an ORDER
+	// carries the payloads it numbers and DATA goes to the sequencer alone; a
+	// version-3 member would misread every ORDER, and a version-3 sequencer
+	// would announce payloads the other members never get.
+	tcpVersion = 4
 
 	// maxFrameSize bounds one frame; a peer announcing more is treated as
 	// corrupt and disconnected (fail fast instead of allocating unbounded).

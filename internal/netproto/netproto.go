@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Handshake constants.  Bump Version when the frame or payload encodings
@@ -76,16 +77,20 @@ type Frame struct {
 }
 
 // AppendFrame appends the encoded frame to buf and returns the extended
-// slice.
+// slice.  The frame's size is known before anything is written, so buf grows
+// at most once.
 func AppendFrame(buf []byte, f Frame) []byte {
-	body := binary.AppendUvarint(nil, f.CorrID)
-	body = append(body, f.Type)
-	body = append(body, f.Payload...)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	var corr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(corr[:], f.CorrID)
+	body := n + 1 + len(f.Payload)
+	buf = slices.Grow(buf, binary.MaxVarintLen64+body)
+	buf = binary.AppendUvarint(buf, uint64(body))
+	buf = append(buf, corr[:n]...)
+	buf = append(buf, f.Type)
+	return append(buf, f.Payload...)
 }
 
-// WriteFrame encodes and writes one frame.
+// WriteFrame encodes and writes one frame from one buffer.
 func WriteFrame(w io.Writer, f Frame) error {
 	_, err := w.Write(AppendFrame(nil, f))
 	return err

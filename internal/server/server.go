@@ -157,6 +157,10 @@ func Start(cfg Config) (*Server, error) {
 		s.node.Close()
 		return nil, fmt.Errorf("server: open WAL: %w", err)
 	}
+	if err := syncDir(cfg.WALDir); err != nil { // db.wal may be new
+		s.teardown()
+		return nil, fmt.Errorf("server: sync WAL dir: %w", err)
+	}
 
 	s.replica, err = core.NewReplica(core.ReplicaConfig{
 		ID:              cfg.ID,
@@ -381,6 +385,9 @@ func (s *Server) teardown() {
 // incarnation counter.  Every process start gets a fresh abcast incarnation
 // namespace; without it the sequencer would treat the restarted replica's
 // messages as duplicates of its previous life and silently discard them.
+// Durably means the file and the directory entry are forced before the new
+// incarnation is used: after a power loss an earlier one must not come back
+// and with it message ids already used.
 func bumpIncarnation(path string) (uint64, error) {
 	var n uint64
 	if b, err := os.ReadFile(path); err == nil {
@@ -394,16 +401,41 @@ func bumpIncarnation(path string) (uint64, error) {
 	}
 	n++
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(n, 10)), 0o644); err != nil {
+	if err := writeSynced(tmp, []byte(strconv.FormatUint(n, 10))); err != nil {
 		return 0, fmt.Errorf("server: write incarnation file: %w", err)
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return 0, fmt.Errorf("server: install incarnation file: %w", err)
 	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return 0, fmt.Errorf("server: install incarnation file: %w", err)
+	}
 	return n, nil
+}
+
+// writeSynced writes data to the file at path and forces it to disk.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir forces dir's entries to disk: a file created or renamed in it
+// survives a power loss only after this.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

@@ -468,3 +468,25 @@ func TestStartRefusesLegacyMessageLog(t *testing.T) {
 		t.Fatalf("the refused start touched the WAL directory: %v", err)
 	}
 }
+
+// TestIncarnationIncrementsAndReportsWriteFailures: every start gets the next
+// incarnation, and a counter that cannot be written durably fails the start
+// instead of reusing an incarnation.
+func TestIncarnationIncrementsAndReportsWriteFailures(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "incarnation")
+	for want := uint64(1); want <= 3; want++ {
+		if got, err := bumpIncarnation(path); err != nil || got != want {
+			t.Fatalf("start %d: incarnation %d (%v), want %d", want, got, err, want)
+		}
+	}
+	// The temporary file cannot be created where a directory stands.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bumpIncarnation(path); err == nil {
+		t.Fatal("a failed write of the incarnation file was not reported")
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "3" {
+		t.Fatalf("the incarnation file reads %q (%v) after the failed start, want 3", b, err)
+	}
+}
