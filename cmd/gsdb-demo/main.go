@@ -8,9 +8,8 @@
 // Usage:
 //
 //	gsdb-demo -level group-safe -replicas 3 -txns 200 -disk-sync 2ms
-//	gsdb-demo -technique active -txns 200
+//	gsdb-demo -technique lazy-primary -txns 200
 //	gsdb-demo -mix-safety very-safe -txns 200   # every 10th txn overridden
-//	gsdb-demo -compare-techniques
 package main
 
 import (
@@ -22,12 +21,11 @@ import (
 
 	"groupsafe/gsdb"
 	"groupsafe/gsdb/stats"
-	"groupsafe/internal/experiments"
 )
 
 func main() {
 	levelFlag := flag.String("level", "group-safe", "safety level: 0-safe | 1-safe-lazy | group-safe | group-1-safe | 2-safe | very-safe")
-	techniqueFlag := flag.String("technique", "certification", "replication technique: certification | active | lazy-primary")
+	techniqueFlag := flag.String("technique", "certification", "replication technique: certification | lazy-primary")
 	replicas := flag.Int("replicas", 3, "number of replica servers")
 	partitions := flag.Int("partitions", 1, "hash partitions of the keyspace, each its own replica group and total order (1: single global order)")
 	txns := flag.Int("txns", 200, "number of transactions to run")
@@ -36,37 +34,11 @@ func main() {
 	crash := flag.Bool("crash", true, "crash and recover one replica mid-run")
 	seed := flag.Int64("seed", 1, "workload seed")
 	mixSafety := flag.String("mix-safety", "", "per-transaction safety override applied to every 10th transaction (e.g. very-safe)")
-	compare := flag.Bool("compare-techniques", false, "run the same workload over all three replication techniques and print the comparison")
 	readFraction := flag.Float64("read-fraction", 0, "fraction of transactions that are pure read-only queries (0: Table 4 mix)")
 	queryKeys := flag.Int("query-keys", 0, "keys read per query transaction (0: transaction-length bounds)")
 	flag.Parse()
 
 	ctx := context.Background()
-
-	if *compare {
-		const compareClients = 4
-		perClient := *txns / compareClients
-		if perClient < 1 {
-			perClient = 1
-		}
-		results, err := experiments.RunTechniqueComparison(experiments.TechniqueComparisonConfig{
-			Replicas:       *replicas,
-			Items:          10000,
-			Clients:        compareClients,
-			TxnsPerClient:  perClient,
-			ReadFraction:   *readFraction,
-			QueryKeys:      *queryKeys,
-			DiskSyncDelay:  *diskSync,
-			NetworkLatency: *netLatency,
-			Seed:           *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.FormatTechniqueComparison(results))
-		return
-	}
 
 	level, err := gsdb.ParseLevel(*levelFlag)
 	if err != nil {

@@ -6,7 +6,7 @@
 //
 //	gsdb-fuzz -seeds 50                          # sweep seeds 1..50
 //	gsdb-fuzz -start 1000 -seeds 200 -out /tmp   # nightly slice, artifacts in /tmp
-//	gsdb-fuzz -seed 42 -technique active         # one pinned run
+//	gsdb-fuzz -seed 42 -technique lazy-primary   # one pinned run
 //	gsdb-fuzz -replay failure.trace              # re-run a recorded trace
 //	gsdb-fuzz -seed 7 -emit corpus/seed-7.trace  # write the trace, no run
 //
@@ -35,7 +35,7 @@ func run() int {
 		seed       = flag.Int64("seed", 0, "run exactly this seed (0: sweep -start..-start+-seeds-1)")
 		start      = flag.Int64("start", 1, "first seed of a sweep")
 		seeds      = flag.Int64("seeds", 25, "number of seeds in a sweep")
-		technique  = flag.String("technique", "", "pin the replication technique (certification, active, lazy-primary)")
+		technique  = flag.String("technique", "", "pin the replication technique (certification, lazy-primary)")
 		level      = flag.String("level", "", "pin the safety level (0-safe, lazy, group-safe, group-1-safe, 2-safe, very-safe)")
 		profile    = flag.String("profile", "", "adversary profile: "+strings.Join(fuzz.Profiles(), ", "))
 		replicas   = flag.Int("replicas", 0, "pin the cluster size (0: derived from the seed)")

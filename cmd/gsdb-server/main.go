@@ -41,7 +41,7 @@ func main() {
 		peers        = flag.String("peers", "", "comma-separated peer addresses of ALL replicas, identical on every replica")
 		walDir       = flag.String("wal-dir", "", "directory for this replica's write-ahead logs and incarnation counter")
 		levelFlag    = flag.String("level", "group-safe", "safety level: 0-safe | 1-safe-lazy | group-safe | group-1-safe | 2-safe | very-safe")
-		techFlag     = flag.String("technique", "certification", "replication technique: certification | active | lazy-primary")
+		techFlag     = flag.String("technique", "certification", "replication technique: certification | lazy-primary")
 		items        = flag.Int("items", 1024, "database size (identical on every replica)")
 		execTimeout  = flag.Duration("exec-timeout", 10*time.Second, "per-transaction execution timeout")
 		fdInterval   = flag.Duration("fd-interval", 50*time.Millisecond, "failure detector heartbeat interval")

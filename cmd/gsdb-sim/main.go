@@ -5,7 +5,7 @@
 // Usage:
 //
 //	gsdb-sim -experiment fig9    [-duration 60s] [-loads 20,24,...,40]
-//	gsdb-sim -technique active|lazy-primary|certification
+//	gsdb-sim -technique lazy-primary|certification
 //	gsdb-sim -experiment scaling
 //	gsdb-sim -print-config
 package main
@@ -33,7 +33,7 @@ func main() {
 // os.Exit would skip it and leave a truncated profile).
 func run() int {
 	experiment := flag.String("experiment", "fig9", "experiment to run: fig9 | scaling")
-	techniqueFlag := flag.String("technique", "certification", "replication technique to simulate: certification | active | lazy-primary")
+	techniqueFlag := flag.String("technique", "certification", "replication technique to simulate: certification | lazy-primary")
 	duration := flag.Duration("duration", 60*time.Second, "simulated duration per data point")
 	loadsFlag := flag.String("loads", "", "comma-separated load points in tps (default 20..40)")
 	levelsFlag := flag.String("levels", "", "comma-separated levels: group-safe,1-safe-lazy,group-1-safe,2-safe,very-safe,0-safe")
@@ -126,8 +126,8 @@ func runFig9(cfg simrep.Config, loadsFlag, levelsFlag string) int {
 		}
 	}
 	// nil lets RunFigure9 pick the default level set for the configured
-	// technique (the Fig. 9 trio for certification, the canonical level for
-	// active / lazy-primary).
+	// technique (the Fig. 9 trio for certification, 1-safe-lazy for
+	// lazy-primary).
 	var levels []core.SafetyLevel
 	if levelsFlag != "" {
 		for _, tok := range strings.Split(levelsFlag, ",") {

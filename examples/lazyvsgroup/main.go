@@ -1,8 +1,8 @@
-// Lazy vs group-safe, by technique: runs the same workload under the three
-// pluggable replication techniques — lazy primary-copy (1-safe), the
-// certification-based database state machine (group-safe), and active
-// replication — with a realistic (emulated) disk-force latency, and compares
-// client-visible response times, abort rates, guarantees and convergence.
+// Lazy vs group-safe, by technique: runs the same workload under both
+// replication techniques — the certification-based database state machine
+// (group-safe) and lazy primary-copy (1-safe) — with a realistic (emulated)
+// disk-force latency, and compares client-visible response times, abort
+// rates, guarantees and convergence.
 // This is the qualitative content of Fig. 9 and Sect. 7 on the real stack
 // rather than the simulator, driven through the public gsdb API.
 //
@@ -27,11 +27,10 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("lazy primary-copy (1-safe) pays the disk force on the response path AND can")
-	fmt.Println("lose acknowledged transactions when the primary crashes.  The group-safe")
-	fmt.Println("techniques move the force off the response path — an atomic broadcast is")
-	fmt.Println("cheaper than a disk force (Sect. 6) — while guaranteeing delivery at every")
-	fmt.Println("available server (Table 1, Fig. 9); active replication additionally never")
-	fmt.Println("aborts, paying with execution of every transaction on every replica.")
+	fmt.Println("lose acknowledged transactions when the primary crashes.  Group-safe")
+	fmt.Println("certification moves the force off the response path — an atomic broadcast")
+	fmt.Println("is cheaper than a disk force (Sect. 6) — while guaranteeing delivery at")
+	fmt.Println("every available server (Table 1, Fig. 9).")
 }
 
 func runTechnique(tech gsdb.TechniqueID) {

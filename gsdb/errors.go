@@ -37,10 +37,9 @@ var (
 	// ErrSafetyUnavailable is returned when a WithSafety override asks for
 	// a level this cluster's technique or machinery cannot provide.
 	ErrSafetyUnavailable = core.ErrSafetyUnavailable
-	// ErrComputeNotReplicable is returned by active replication for
-	// requests carrying a Compute hook (closures cannot be broadcast), and
-	// by RemoteClient.Execute for any Compute hook (closures cannot cross
-	// the network).
+	// ErrComputeNotReplicable is returned by RemoteClient.Execute for any
+	// request carrying a Compute hook: closures cannot cross the network.
+	// An in-process Client runs Compute hooks and never returns it.
 	ErrComputeNotReplicable = core.ErrComputeNotReplicable
 	// ErrReadOnlyWrites is returned when a request declared ReadOnly
 	// carries a write operation (or a Compute hook, which could emit one).

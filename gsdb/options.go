@@ -38,8 +38,7 @@ func WithSafetyLevel(l SafetyLevel) Option {
 
 // WithTechnique selects the replication technique (default
 // TechCertification).  The technique may canonicalise the safety level:
-// active replication promotes the zero level to group-safe, lazy
-// primary-copy pins to 1-safe-lazy.
+// lazy primary-copy pins to 1-safe-lazy.
 func WithTechnique(t TechniqueID) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Technique = t }
 }
@@ -172,10 +171,10 @@ func ReadOnly() TxnOption {
 	return func(o *txnOptions) { o.readOnly = true }
 }
 
-// WithFreshness sets a freshness floor for a read-only transaction on the
-// totally-ordered techniques (certification, active): the serving replica
-// waits until it has applied at least the given broadcast sequence before
-// taking its snapshot.  Feeding back the largest Result.Freshness seen so far
+// WithFreshness sets a freshness floor for a read-only transaction at the
+// totally-ordered levels of certification (group-safe and up): the serving
+// replica waits until it has applied at least the given broadcast sequence
+// before taking its snapshot.  Feeding back the largest Result.Freshness seen so far
 // gives monotonic session reads — including "read your own writes" across
 // replicas, since a committed update's Result.Freshness is its own position
 // in the total order.  On clusters without a comparable sequence (lazy

@@ -66,15 +66,12 @@ const (
 	VerySafe = core.VerySafe
 )
 
-// The replication techniques (all run behind the same client API).
+// The replication techniques (both run behind the same client API).
 const (
 	// TechCertification is the certification-based database state machine —
 	// the paper's own protocol: optimistic delegate execution, one atomic
 	// broadcast, deterministic first-updater-wins certification everywhere.
 	TechCertification = core.TechCertification
-	// TechActive is active replication: the full operation list is
-	// broadcast and every replica executes it in total order; no aborts.
-	TechActive = core.TechActive
 	// TechLazyPrimary is lazy primary-copy (1-safe): updates run at the
 	// primary only, write sets ship asynchronously after the response.
 	TechLazyPrimary = core.TechLazyPrimary
@@ -102,8 +99,8 @@ func AllTechniques() []TechniqueID { return core.AllTechniques() }
 func ParseTechnique(s string) (TechniqueID, error) { return core.ParseTechnique(s) }
 
 // CanonicalLevel validates a safety level against a technique and returns
-// the level the technique actually runs (e.g. active replication promotes
-// the zero level to group-safe; lazy primary-copy pins to 1-safe-lazy).
+// the level the technique actually runs (certification runs every level
+// unchanged; lazy primary-copy pins to 1-safe-lazy).
 func CanonicalLevel(tech TechniqueID, level SafetyLevel) (SafetyLevel, error) {
 	return core.CanonicalLevel(tech, level)
 }

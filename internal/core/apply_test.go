@@ -81,12 +81,10 @@ type goldenPayload struct {
 	encode     func() []byte
 }
 
-// goldenPayloads covers every layout: one-shot, prepare, both decides and
-// active replication's operation list.
+// goldenPayloads covers every layout: one-shot, prepare and both decides.
 func goldenPayloads() []goldenPayload {
 	reads := map[int]uint64{9: 3, 2: 1, 300: 70000}
 	writes := map[int]int64{4: -5, 1: 12, 1000: 1 << 40}
-	ops := []workload.Op{{Item: 5}, {Item: 7, Write: true, Value: -9}, {Item: 5, Write: true, Value: 1 << 33}}
 	return []goldenPayload{
 		{"txn", "a78780808080808001027332040302010903ac02f0a2040301180409e807808080808040",
 			func() []byte { return encodeTxnPayload(phaseNone, 0x2_0000_0000_0007, "s2", Safety2, 0, reads, writes) }},
@@ -102,8 +100,6 @@ func goldenPayloads() []goldenPayload {
 			func() []byte {
 				return encodeTxnPayload(phaseDecideAbort, 0xD0_0000_0000_0003, "s1", VerySafe, 0, nil, nil)
 			}},
-		{"ops", "a8818080808080c0010273330303000501071101058080808040",
-			func() []byte { return encodeOpsPayload(0x3_0000_0000_0001, "s3", Group1Safe, ops) }},
 	}
 }
 

@@ -44,7 +44,9 @@ func runConcurrent(t *testing.T, c *Cluster, delegate, clients, txns, items int)
 
 // TestClusterBatchedConvergence runs concurrent clients against a batched
 // group-safe cluster and checks that every replica converges to identical
-// state — batching must not reorder or drop write sets.
+// state — batching must not reorder or drop write sets.  Whether payloads
+// coalesce depends on the scheduler here; abcast's
+// TestBusySenderCoalescesBehindItsInFlightBatch forces it.
 func TestClusterBatchedConvergence(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Replicas: 3,
@@ -66,14 +68,6 @@ func TestClusterBatchedConvergence(t *testing.T) {
 	if !waitConsistent(c, 5*time.Second) {
 		t.Fatal("replicas did not converge under batched delivery")
 	}
-	// Batching must actually have happened: the delegate submitted fewer
-	// batches than broadcasts.
-	st := c.Replica(0).BroadcastStats()
-	if st.DataBatches >= st.Broadcast {
-		t.Fatalf("no coalescing observed: %d broadcasts in %d batches", st.Broadcast, st.DataBatches)
-	}
-	t.Logf("delegate: %d broadcasts in %d batches (mean batch %.1f)",
-		st.Broadcast, st.DataBatches, float64(st.Broadcast)/float64(st.DataBatches))
 }
 
 // TestClusterBatched2Safe exercises the end-to-end (2-safe) pipeline under
@@ -198,7 +192,7 @@ func BenchmarkSmallBatchAfterBulkLoad(b *testing.B) {
 				nextID++
 				batch := []applyItem{{seq: nextID, payload: encodeTxnPayload(phaseNone, nextID, r.cfg.ID, GroupSafe, 0, nil, writes)}}
 				r.applyMu.Lock()
-				certTechnique{}.applyBatch(r, st, batch)
+				r.applyBatch(st, batch)
 				r.applyMu.Unlock()
 			}
 			if bulk > 0 {

@@ -116,9 +116,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.replicas[i].Store(r)
 	}
-	// Reflect the technique's level canonicalisation (e.g. active promoting
-	// the zero level to group-safe) so Cluster.Level agrees with what the
-	// replicas actually run.
+	// Reflect the technique's level canonicalisation (lazy primary-copy
+	// pinning the zero level to 1-safe-lazy) so Cluster.Level agrees with
+	// what the replicas actually run.
 	c.cfg.Level = c.Replica(0).Level()
 	return c, nil
 }

@@ -1,13 +1,11 @@
-// Package core implements the replicated database layer of the paper as a
-// technique-independent engine plus a pluggable replication Technique
-// (Sects. 2, 4 and 5; the companion comparison papers for the alternative
-// techniques).
+// Package core implements the replicated database layer of the paper
+// (Sects. 2, 4 and 5): one Replica per server, combining a local database
+// component with a group communication component.
 //
-// The engine owns the client session (Execute), the group communication
+// A replica owns the client session (Execute), the group communication
 // stack and its lifecycle (crash, state transfer, recovery), the ordered
-// delivery drain loops, durability forcing and client notification.  The
-// Technique decides what is broadcast, how a delivered message commits, and
-// where the client is notified.  Three techniques ship:
+// delivery drain loop, durability forcing and client notification.  Two
+// replication techniques ship:
 //
 //   - certification (TechCertification): the paper's own protocol — the
 //     database state machine.  Update transactions execute optimistically at
@@ -16,9 +14,6 @@
 //     (first-updater-wins).  SafetyLevel parameterises the client response
 //     point: 0-safe, 1-safe (lazy), group-safe, group-1-safe, 2-safe,
 //     very-safe.
-//   - active (TechActive): active replication — the full deterministic
-//     operation list is broadcast and executed by every replica in total
-//     order.  No certification, zero aborts, higher CPU.
 //   - lazy-primary (TechLazyPrimary): lazy primary-copy, the 1-safe
 //     baseline — updates execute only at the primary, which replies after
 //     its forced local commit and ships write sets asynchronously (FIFO in

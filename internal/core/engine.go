@@ -11,12 +11,12 @@ import (
 	"groupsafe/internal/workload"
 )
 
-// This file is the technique-independent half of the replica: the ordered
+// This file is the replica's replicated-update plumbing: the ordered
 // delivery drain loops, the submit/notify plumbing between a delegate's
 // Execute call and the apply goroutine, and the externalisation step that
-// reports outcomes to clients and issues end-to-end acknowledgements.  The
-// technique-specific half (what is broadcast, how a delivery commits) lives
-// behind the Technique interface (technique.go).
+// reports outcomes to clients and issues end-to-end acknowledgements.  What
+// is broadcast and how a delivery commits is certification's
+// (technique_cert.go).
 
 // applyItem is one totally-ordered delivery handed to the batched apply loop.
 // For end-to-end deliveries ack is non-nil and signals successful delivery,
@@ -73,29 +73,17 @@ func drainUpTo[T any](ch <-chan T, first T, max int) []T {
 // reusable batch arenas that make the steady-state apply path
 // allocation-free.  It is owned by that goroutine alone — a recovered
 // replica is a new Replica with a fresh applyState, so a straggling
-// pre-crash apply loop can never share arenas with its successor.  The
-// certification and active techniques use disjoint subsets of the fields;
-// both go through staged.
+// pre-crash apply loop can never share arenas with its successor.
 type applyState struct {
-	staged []stagedTxn // outcomes of the current batch, delivery order
-
-	// Certification-technique arenas (technique_cert.go).
+	staged    []stagedTxn       // outcomes of the current batch, delivery order
 	batchRecs []txnRecord       // decode arena, one slot per batch position
 	tasks     [][]storage.Write // committed write sets, installed in order
 	certBumps map[int]uint64    // per-item version bumps staged by this batch
 	readItems []int             // scratch for prepared-lock conflict checks
-
-	// Active-technique arenas (technique_active.go).
-	opsRec    opsRecord       // decode arena (one delivery at a time, serial)
-	writeVals map[int]int64   // last-write-wins write buffer of one execution
-	writeBuf  []storage.Write // sorted write set handed to stage+install
 }
 
 func newApplyState() *applyState {
-	return &applyState{
-		certBumps: make(map[int]uint64),
-		writeVals: make(map[int]int64),
-	}
+	return &applyState{certBumps: make(map[int]uint64)}
 }
 
 // stagedTxn is one processed delivery of the current batch, ready to be
@@ -110,7 +98,6 @@ type stagedTxn struct {
 	outcome  Outcome
 	vote     bool // a 2PC prepare vote, not a final transaction outcome
 	lsn      wal.LSN
-	reads    map[int]int64 // delegate read results (active technique only)
 }
 
 // waiterKey names what a submitter waits for.  A cross-partition prepare and
@@ -125,13 +112,11 @@ type waiterKey struct {
 // txnOutcome is what the apply goroutine hands back to a waiting Execute
 // call: the certified outcome, the local commit-record LSN, the delivery
 // sequence (the transaction's own position in the total order, reported to
-// clients as the Result.Freshness token), and, for techniques that execute
-// reads at delivery time (active replication), the values read.
+// clients as the Result.Freshness token).
 type txnOutcome struct {
 	outcome Outcome
 	lsn     wal.LSN
 	seq     uint64
-	reads   map[int]int64
 }
 
 // applyLoop consumes the replica's ordered deliveries — the classical
@@ -164,7 +149,7 @@ func applyLoop[D any](r *Replica, st *applyState, deliveries <-chan D, item func
 				batch[i] = item(dd)
 			}
 			r.applyMu.Lock()
-			r.tech.applyBatch(r, st, batch)
+			r.applyBatch(st, batch)
 			r.applyMu.Unlock()
 		}
 	}
@@ -188,7 +173,7 @@ func (r *Replica) broadcast(payload []byte) error {
 		_, err := r.ab.Broadcast(payload)
 		return err
 	}
-	return fmt.Errorf("core: technique %v at level %v does not use group communication", r.tech.ID(), r.cfg.Level)
+	return fmt.Errorf("core: technique %v at level %v does not use group communication", r.cfg.Technique, r.cfg.Level)
 }
 
 func (r *Replica) countOutcome(o Outcome) {
@@ -204,9 +189,8 @@ func (r *Replica) countOutcome(o Outcome) {
 // effectiveLevel resolves the safety level one transaction is externalised
 // at: the cluster's configured level, or the request's per-transaction
 // override.  An override is first canonicalised against the technique's
-// floor (CanonicalLevel: active promotes the zero level to group-safe, lazy
-// primary-copy pins to 1-safe-lazy), then checked against the machinery this
-// cluster was actually built with:
+// floor (CanonicalLevel: lazy primary-copy pins to 1-safe-lazy), then
+// checked against the machinery this cluster was actually built with:
 //
 //   - on a group-communication cluster every transaction rides the broadcast,
 //     so levels weaker than group-safe are canonicalised up to it;
@@ -229,7 +213,7 @@ func (r *Replica) effectiveLevel(req Request) (SafetyLevel, error) {
 	if req.Safety == nil {
 		return base, nil
 	}
-	lvl, err := CanonicalLevel(r.tech.ID(), *req.Safety)
+	lvl, err := CanonicalLevel(r.cfg.Technique, *req.Safety)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrSafetyUnavailable, err)
 	}
@@ -274,7 +258,7 @@ func (r *Replica) withDefaultTimeout(ctx context.Context) (context.Context, cont
 // prepare is answered by its vote and never by a decide's outcome, nor the
 // other way round) — plus, when the transaction's level is
 // very-safe, until every server (available or not) has acknowledged it.  It
-// is the shared submit path of every broadcast-based technique.
+// is the shared submit path of one-shot and cross-partition transactions.
 //
 // The waiter is deregistered on EVERY exit path (the deferred cleanup),
 // including context cancellation and deadline expiry: a cancelled Execute
@@ -337,12 +321,12 @@ func (r *Replica) submitAndWait(ctx context.Context, key waiterKey, payload []by
 	return out, nil
 }
 
-// externalize is the final phase of every technique's applyBatch: it runs
-// strictly after the batch force and every install, so nothing here can be
-// observed for a transaction that is not durable according to the safety
-// level.  Bookkeeping for the whole batch happens under a single lock
-// acquisition, then delegates are notified, very-safe acknowledgements are
-// recorded or sent, and end-to-end deliveries are acknowledged.
+// externalize is the final phase of applyBatch: it runs strictly after the
+// batch force and every install, so nothing here can be observed for a
+// transaction that is not durable according to the safety level.
+// Bookkeeping for the whole batch happens under a single lock acquisition,
+// then delegates are notified, very-safe acknowledgements are recorded or
+// sent, and end-to-end deliveries are acknowledged.
 func (r *Replica) externalize(staged []stagedTxn) {
 	r.mu.Lock()
 	notifyCh := make([]chan txnOutcome, len(staged))
@@ -367,7 +351,7 @@ func (r *Replica) externalize(staged []stagedTxn) {
 	for i, a := range staged {
 		if ch := notifyCh[i]; ch != nil {
 			select {
-			case ch <- txnOutcome{outcome: a.outcome, lsn: a.lsn, seq: a.item.seq, reads: a.reads}:
+			case ch <- txnOutcome{outcome: a.outcome, lsn: a.lsn, seq: a.item.seq}:
 			default:
 			}
 			r.countOutcome(a.outcome)

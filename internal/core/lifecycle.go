@@ -12,9 +12,9 @@ import (
 // This file is the replica's lifecycle: building and tearing down the group
 // communication stack, the crash model (Crash loses volatile state, a
 // recovered process is a new process), checkpoint-based state transfer and
-// end-to-end message replay.  It is technique-independent: the technique only
-// decides whether a broadcaster and apply loop exist at all
-// (Technique.usesGroupComm) and what the apply loop does with deliveries.
+// end-to-end message replay.  A broadcaster and apply loop exist exactly
+// when the safety level uses group communication (never under lazy
+// primary-copy, which CanonicalLevel pins to 1-safe-lazy).
 
 // startGroupCommunication builds the router, the broadcaster and the applier
 // of the replica's one life.  NewReplica runs it before the replica is
@@ -23,7 +23,7 @@ func (r *Replica) startGroupCommunication() error {
 	r.router = gcs.NewRouter(r.cfg.Network.Endpoint(r.cfg.ID))
 	r.router.Handle(msgLazy, r.onLazy)
 	r.router.Handle(msgAck, r.onVerySafeAck)
-	if r.tech.usesGroupComm(r.cfg.Level) {
+	if r.cfg.Level.UsesGroupCommunication() {
 		var err error
 		r.ab, err = abcast.New(abcast.Config{
 			Self:        r.cfg.ID,

@@ -11,12 +11,10 @@ import (
 )
 
 // endToEndCases are the configurations that run the end-to-end broadcast:
-// both broadcast-based techniques at both levels that require it.
+// certification at both levels that require it.
 func endToEndCases() (cases []ClusterConfig) {
-	for _, tech := range []TechniqueID{TechCertification, TechActive} {
-		for _, level := range []SafetyLevel{Safety2, VerySafe} {
-			cases = append(cases, ClusterConfig{Replicas: 3, Items: 64, Technique: tech, Level: level, ExecTimeout: 5 * time.Second})
-		}
+	for _, level := range []SafetyLevel{Safety2, VerySafe} {
+		cases = append(cases, ClusterConfig{Replicas: 3, Items: 64, Technique: TechCertification, Level: level, ExecTimeout: 5 * time.Second})
 	}
 	return cases
 }

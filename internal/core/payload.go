@@ -225,14 +225,13 @@ func writeSetOf(writes map[int]int64) storage.WriteSet {
 // (the wire slice itself) instead of gob's encoder, type descriptors and map
 // churn.
 
-// Payload magics: each versions one binary payload layout.  All three share
-// the header (appendHeader); twoPCMagic is the txnMagic layout with a phase
-// byte after the magic and a coordinator partition id after the level, and a
+// Payload magics: each versions one binary payload layout.  Both share the
+// header (appendHeader); twoPCMagic is the txnMagic layout with a phase byte
+// after the magic and a coordinator partition id after the level, and a
 // separate magic keeps the single-partition payload byte-identical to before
 // partitioning existed.
 const (
 	txnMagic   = 0xA7
-	opsMagic   = 0xA8
 	twoPCMagic = 0xA9
 )
 
@@ -307,36 +306,6 @@ func encodeTxnPayload(phase byte, txnID uint64, delegate string, level SafetyLev
 		buf = binary.AppendVarint(buf, writes[it])
 	}
 	s.items = items
-	return s.finish(buf)
-}
-
-// opsRecord is the decoded form of the message broadcast by active
-// replication: the full deterministic operation list, executed by every
-// replica in delivery order.  Ops is reused across deliveries by the apply
-// loop's decode arena, so it must not be retained past the delivery that
-// decoded it.
-type opsRecord struct {
-	txnHeader
-	Ops []workload.Op
-}
-
-// encodeOpsPayload encodes one update transaction's operation list for
-// active replication: one allocation per encode, like encodeTxnPayload.
-func encodeOpsPayload(txnID uint64, delegate string, level SafetyLevel, ops []workload.Op) []byte {
-	s := payloadPool.Get().(*payloadScratch)
-	buf := appendHeader(s.buf[:0], opsMagic, txnHeader{TxnID: txnID, Delegate: delegate, Level: level})
-	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	for _, op := range ops {
-		flag := byte(0)
-		if op.Write {
-			flag = 1
-		}
-		buf = append(buf, flag)
-		buf = binary.AppendUvarint(buf, uint64(op.Item))
-		if op.Write {
-			buf = binary.AppendVarint(buf, op.Value)
-		}
-	}
 	return s.finish(buf)
 }
 
@@ -430,27 +399,6 @@ func decodeTxnRecord(data []byte, rec *txnRecord) error {
 	rec.Writes = rec.Writes[:0]
 	for n := p.count(); n > 0; n-- {
 		rec.Writes = append(rec.Writes, storage.Write{Item: int(p.uvarint()), Value: p.varint()})
-	}
-	if !p.ok {
-		return errBadTxnPayload
-	}
-	return nil
-}
-
-// decodeOpsRecord decodes a binary operation-list payload into rec, reusing
-// rec's Ops slice (the apply loop's decode arena).
-func decodeOpsRecord(data []byte, rec *opsRecord) error {
-	magic, p := readHeader(data, &rec.txnHeader)
-	if magic != opsMagic {
-		return errBadTxnPayload
-	}
-	rec.Ops = rec.Ops[:0]
-	for n := p.count(); n > 0; n-- {
-		op := workload.Op{Write: p.flag() == 1, Item: int(p.uvarint())}
-		if op.Write {
-			op.Value = p.varint()
-		}
-		rec.Ops = append(rec.Ops, op)
 	}
 	if !p.ok {
 		return errBadTxnPayload

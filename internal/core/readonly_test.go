@@ -45,73 +45,71 @@ func settleBroadcast(t *testing.T, c *Cluster) abcast.Stats {
 }
 
 // TestReadOnlyTxnsGenerateZeroBroadcastMessages is the acceptance-criterion
-// message-count proof: read-only transactions on the certification and active
-// techniques produce zero DATA/ORDER/ACK traffic — not a single protocol
-// message or point-to-point send happens on their behalf.
+// message-count proof: read-only transactions on the certification technique
+// produce zero DATA/ORDER/ACK traffic — not a single protocol message or
+// point-to-point send happens on their behalf.
 func TestReadOnlyTxnsGenerateZeroBroadcastMessages(t *testing.T) {
-	for _, tech := range []TechniqueID{TechCertification, TechActive} {
-		t.Run(tech.String(), func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{
-				Replicas:    3,
-				Items:       256,
-				Level:       GroupSafe,
-				Technique:   tech,
-				ExecTimeout: 5 * time.Second,
+	t.Run(TechCertification.String(), func(t *testing.T) {
+		c, err := NewCluster(ClusterConfig{
+			Replicas:    3,
+			Items:       256,
+			Level:       GroupSafe,
+			Technique:   TechCertification,
+			ExecTimeout: 5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		// Warm the cluster with real update traffic so the wire counters
+		// are demonstrably live.
+		for i := 0; i < 10; i++ {
+			if _, err := c.Execute(context.Background(), i%3, writeReq(0, i, int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !waitConsistent(c, 2*time.Second) {
+			t.Fatal("replicas did not converge")
+		}
+		before := settleBroadcast(t, c)
+		beforeNet, _ := c.Network().Stats()
+		if before.MsgsSent == 0 {
+			t.Fatal("update warm-up sent no protocol messages; the counter is dead")
+		}
+
+		// A storm of queries across every replica.
+		for i := 0; i < 60; i++ {
+			res, err := c.Execute(context.Background(), i%3, Request{
+				ReadOnly: true,
+				Ops:      []workload.Op{{Item: i % 10}, {Item: (i + 1) % 10}},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
+			if !res.Committed() {
+				t.Fatalf("query %d not committed: %+v", i, res)
+			}
+			if res.Freshness == 0 {
+				t.Fatalf("query %d carries no freshness token", i)
+			}
+			if res.Stale {
+				t.Fatalf("query %d flagged stale on a totally-ordered technique", i)
+			}
+		}
 
-			// Warm the cluster with real update traffic so the wire counters
-			// are demonstrably live.
-			for i := 0; i < 10; i++ {
-				if _, err := c.Execute(context.Background(), i%3, writeReq(0, i, int64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !waitConsistent(c, 2*time.Second) {
-				t.Fatal("replicas did not converge")
-			}
-			before := settleBroadcast(t, c)
-			beforeNet, _ := c.Network().Stats()
-			if before.MsgsSent == 0 {
-				t.Fatal("update warm-up sent no protocol messages; the counter is dead")
-			}
-
-			// A storm of queries across every replica.
-			for i := 0; i < 60; i++ {
-				res, err := c.Execute(context.Background(), i%3, Request{
-					ReadOnly: true,
-					Ops:      []workload.Op{{Item: i % 10}, {Item: (i + 1) % 10}},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Committed() {
-					t.Fatalf("query %d not committed: %+v", i, res)
-				}
-				if res.Freshness == 0 {
-					t.Fatalf("query %d carries no freshness token", i)
-				}
-				if res.Stale {
-					t.Fatalf("query %d flagged stale on a totally-ordered technique", i)
-				}
-			}
-
-			after := broadcastTotals(c)
-			afterNet, _ := c.Network().Stats()
-			if after != before {
-				t.Fatalf("read-only transactions generated broadcast traffic:\n before %+v\n after  %+v", before, after)
-			}
-			if afterNet != beforeNet {
-				t.Fatalf("read-only transactions sent %d point-to-point messages", afterNet-beforeNet)
-			}
-			if q := c.TotalStats().Queries; q != 60 {
-				t.Fatalf("Queries counter = %d, want 60", q)
-			}
-		})
-	}
+		after := broadcastTotals(c)
+		afterNet, _ := c.Network().Stats()
+		if after != before {
+			t.Fatalf("read-only transactions generated broadcast traffic:\n before %+v\n after  %+v", before, after)
+		}
+		if afterNet != beforeNet {
+			t.Fatalf("read-only transactions sent %d point-to-point messages", afterNet-beforeNet)
+		}
+		if q := c.TotalStats().Queries; q != 60 {
+			t.Fatalf("Queries counter = %d, want 60", q)
+		}
+	})
 }
 
 // TestReadYourWritesAcrossReplicas exercises the monotonic-session-read

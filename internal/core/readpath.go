@@ -17,10 +17,10 @@ import (
 // throughput scales with the number of replicas while update throughput stays
 // bounded by the total order.
 //
-// Staleness is handled per technique: under certification and active
-// replication every replica applies the same total order, so a read carries a
-// freshness token (the last applied broadcast sequence) that clients feed
-// back via Request.MinFreshness for monotonic session reads.  Under lazy
+// Staleness is handled per technique: under certification every replica
+// applies the same total order, so a read carries a freshness token (the
+// last applied broadcast sequence) that clients feed back via
+// Request.MinFreshness for monotonic session reads.  Under lazy
 // primary-copy only the primary is authoritative; secondaries serve reads
 // flagged Stale.
 
@@ -61,7 +61,7 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request) (Result, err
 		Delegate:   r.cfg.ID,
 		Level:      level,
 		Freshness:  token,
-		Stale:      r.tech.ID() == TechLazyPrimary && !r.IsPrimary(),
+		Stale:      r.cfg.Technique == TechLazyPrimary && !r.IsPrimary(),
 	}, nil
 }
 
@@ -102,7 +102,7 @@ func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxSta
 // errNoFreshnessSequence is the shared rejection for freshness floors on
 // paths without a totally-ordered, cross-replica-comparable sequence.
 func (r *Replica) errNoFreshnessSequence() error {
-	return fmt.Errorf("%w: freshness floors need a totally-ordered technique; %v at %v has no comparable sequence", ErrSafetyUnavailable, r.tech.ID(), r.cfg.Level)
+	return fmt.Errorf("%w: freshness floors need a totally-ordered technique; %v at %v has no comparable sequence", ErrSafetyUnavailable, r.cfg.Technique, r.cfg.Level)
 }
 
 // waitFreshness blocks until the replica has applied broadcast sequence min,

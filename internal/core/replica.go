@@ -33,10 +33,12 @@ var (
 	// ErrNotPrimary is returned by the lazy primary-copy technique when an
 	// update transaction is submitted to a non-primary replica.
 	ErrNotPrimary = errors.New("core: lazy primary-copy: update transactions must execute at the primary")
-	// ErrComputeNotReplicable is returned by active replication for requests
-	// with a Compute hook: a Go closure cannot be broadcast, and active
-	// replication replays the full operation list at every replica.
-	ErrComputeNotReplicable = errors.New("core: active replication cannot ship Compute closures; use static operation lists")
+	// ErrComputeNotReplicable reports a request with a Compute hook that has
+	// to cross a process boundary: a Go closure cannot be serialised.  A
+	// replica runs Compute hooks at the delegate and never returns it; the
+	// network client (gsdb.Dial) rejects such requests with it, and the wire
+	// protocol carries it to keep the errors.Is identity.
+	ErrComputeNotReplicable = errors.New("core: Compute closures cannot be shipped; use static operation lists")
 	// ErrSafetyUnavailable is returned when a per-transaction safety override
 	// (Request.Safety) asks for a level the cluster's technique or machinery
 	// cannot provide — e.g. 2-safe on a cluster built without the end-to-end
@@ -67,10 +69,9 @@ type ReplicaConfig struct {
 	// Level is the safety criterion enforced when answering clients.
 	Level SafetyLevel
 	// Technique selects the replication technique (certification-based
-	// database state machine, active replication, or lazy primary-copy).
-	// The technique may constrain or canonicalise Level: active replication
-	// needs a group-communication level (the zero level is promoted to
-	// group-safe), lazy primary-copy is inherently 1-safe.
+	// database state machine or lazy primary-copy).  The technique may
+	// constrain or canonicalise Level: lazy primary-copy is inherently
+	// 1-safe.
 	Technique TechniqueID
 	// Network attaches the replica to its peers: the shared in-memory
 	// network in simulated clusters, a transport.TCPNode in one-process-per-
@@ -128,17 +129,17 @@ type ReplicaConfig struct {
 	MaxPinAge uint64
 }
 
-// applyDefaults validates the configuration, resolves the technique and lets
-// it canonicalise the safety level.
-func (c *ReplicaConfig) applyDefaults() (Technique, error) {
+// applyDefaults validates the configuration and canonicalises the safety
+// level against the technique.
+func (c *ReplicaConfig) applyDefaults() error {
 	if c.ID == "" {
-		return nil, fmt.Errorf("core: replica ID is required")
+		return fmt.Errorf("core: replica ID is required")
 	}
 	if len(c.Members) == 0 {
-		return nil, fmt.Errorf("core: member list is required")
+		return fmt.Errorf("core: member list is required")
 	}
 	if c.Network == nil {
-		return nil, fmt.Errorf("core: network is required")
+		return fmt.Errorf("core: network is required")
 	}
 	if c.Items <= 0 {
 		c.Items = 1024
@@ -149,16 +150,12 @@ func (c *ReplicaConfig) applyDefaults() (Technique, error) {
 	if c.DBLog == nil {
 		c.DBLog = wal.NewMemLogWithDelay(c.DiskSyncDelay)
 	}
-	tech, err := techniqueFor(c.Technique)
+	level, err := CanonicalLevel(c.Technique, c.Level)
 	if err != nil {
-		return nil, err
-	}
-	level, err := tech.checkLevel(c.Level)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	c.Level = level
-	return tech, nil
+	return nil
 }
 
 // ReplicaStats are cumulative counters of one replica.
@@ -181,14 +178,13 @@ type ReplicaStats struct {
 }
 
 // Replica is one server of the replicated database: a local database
-// component plus a group communication component, combined by the pluggable
+// component plus a group communication component, combined by the
 // replication technique.  A Replica lives one life: once crashed it stays
 // crashed, and a recovery starts a new Replica over the same log (the
 // paper's dynamic crash no-recovery model, Sect. 2.3).
 type Replica struct {
 	cfg   ReplicaConfig
 	index int
-	tech  Technique
 
 	// applyMu is the apply barrier: held for the duration of every delivered
 	// batch (and every lazy write-set install), and by Snapshot.  A state
@@ -243,8 +239,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) { return newReplica(cfg, ni
 // previous life of the same server: its harness-side observers (Stats and
 // AppliedLog) carry over into the new life.
 func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
-	tech, err := cfg.applyDefaults()
-	if err != nil {
+	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	index := -1
@@ -260,7 +255,6 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 	r := &Replica{
 		cfg:         cfg,
 		index:       index,
-		tech:        tech,
 		pending:     make(map[waiterKey]chan txnOutcome),
 		veryAcks:    make(map[uint64]map[string]bool),
 		veryDone:    make(map[uint64]chan struct{}),
@@ -301,7 +295,7 @@ func (r *Replica) ID() string { return r.cfg.ID }
 func (r *Replica) Level() SafetyLevel { return r.cfg.Level }
 
 // Technique returns the replication technique the replica runs.
-func (r *Replica) Technique() TechniqueID { return r.tech.ID() }
+func (r *Replica) Technique() TechniqueID { return r.cfg.Technique }
 
 // IsPrimary reports whether this replica is the primary (the first member).
 // Only the lazy primary-copy technique distinguishes the primary.
@@ -444,10 +438,14 @@ func (r *Replica) nextTxnID() uint64 {
 // commit group-wide — only the notification is abandoned.  A context without
 // a deadline gets the configured ExecTimeout as a default.
 //
-// Requests that cannot write (no write ops, no Compute hook) never reach the
-// replication technique at all: they execute on a local MVCC snapshot with no
-// group communication (executeReadOnly).  A request declared ReadOnly that
-// nevertheless carries a write fails with ErrReadOnlyWrites.
+// Requests that cannot write (no write ops, no Compute hook) execute on a
+// local MVCC snapshot with no group communication (executeReadOnly).  A
+// request declared ReadOnly that nevertheless carries a write fails with
+// ErrReadOnlyWrites.  Under lazy primary-copy a request that may write fails
+// with ErrNotPrimary at any replica but the primary.  The rest take the
+// certification path: broadcast and certified at the group-communication
+// levels (executeReplicated), local with lazy propagation below them
+// (executeLocal).
 func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, ctxWaitError(ctx, req.ID, "before submission")
@@ -465,10 +463,16 @@ func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 	r.stats.Executed++
 	r.mu.Unlock()
 
-	if !requestMayWrite(req) {
+	switch {
+	case !requestMayWrite(req):
 		return r.executeReadOnly(ctx, req)
+	case r.cfg.Technique == TechLazyPrimary && !r.IsPrimary():
+		return Result{}, fmt.Errorf("%w (primary is %s)", ErrNotPrimary, r.cfg.Members[0])
+	case r.cfg.Level.UsesGroupCommunication():
+		return r.executeReplicated(ctx, req)
+	default:
+		return r.executeLocal(ctx, req)
 	}
-	return r.tech.execute(ctx, r, req)
 }
 
 // WaitDurable blocks until the replica's local database log is durable up to

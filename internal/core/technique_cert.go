@@ -9,7 +9,7 @@ import (
 	"groupsafe/internal/workload"
 )
 
-// certTechnique is the certification-based database state machine — the
+// This file is the certification-based database state machine — the
 // paper's own replication protocol (Sects. 2, 4, 5).  Update transactions
 // execute optimistically at their delegate under no locks, the read versions
 // and the write set are atomically broadcast, and every replica runs the
@@ -17,39 +17,18 @@ import (
 // order.  Conflicting concurrent transactions abort; disjoint ones commit
 // with one broadcast and zero remote execution.
 //
-// At the Safety0 and Safety1Lazy levels the technique degrades to the
+// At the Safety0 and Safety1Lazy levels the protocol degrades to the
 // paper's baselines: purely local execution with asynchronous (lazy)
 // write-set propagation — see executeLocal in technique_lazy.go.
-type certTechnique struct{}
 
-// ID implements Technique.
-func (certTechnique) ID() TechniqueID { return TechCertification }
-
-func (certTechnique) usesGroupComm(level SafetyLevel) bool {
-	return level.UsesGroupCommunication()
-}
-
-func (certTechnique) checkLevel(level SafetyLevel) (SafetyLevel, error) {
-	return level, nil // every safety level is meaningful for certification
-}
-
-func (certTechnique) execute(ctx context.Context, r *Replica, req Request) (Result, error) {
-	switch r.cfg.Level {
-	case Safety0, Safety1Lazy:
-		return r.executeLocal(ctx, req)
-	default:
-		return certExecuteReplicated(ctx, r, req)
-	}
-}
-
-// certExecuteReplicated implements the group-communication based levels
+// executeReplicated implements the group-communication based levels
 // (group-safe, group-1-safe, 2-safe, very-safe): optimistic execution at the
 // delegate, atomic broadcast of the read versions and write set, deterministic
 // certification at every replica.  Pure queries never reach this function —
 // the engine serves them from an MVCC snapshot without any broadcast
 // (executeReadOnly); a request routed here has writes (or a Compute hook that
 // may emit some), and only its read phase runs on a snapshot.
-func certExecuteReplicated(ctx context.Context, r *Replica, req Request) (Result, error) {
+func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, error) {
 	level, err := r.effectiveLevel(req)
 	if err != nil {
 		return Result{}, err
@@ -139,7 +118,7 @@ func certExecuteReplicated(ctx context.Context, r *Replica, req Request) (Result
 // messages the log holds (one lost with the tail was answered to nobody, as
 // if the crash had come just before its delivery), and classical levels
 // recover missed messages by state transfer, as for a single lost delivery.
-func (certTechnique) applyBatch(r *Replica, st *applyState, batch []applyItem) {
+func (r *Replica) applyBatch(st *applyState, batch []applyItem) {
 	if r.Crashed() {
 		return
 	}

@@ -10,19 +10,19 @@ import (
 	"groupsafe/internal/workload"
 )
 
-// lazyPrimaryTechnique is lazy primary-copy replication, the classical
-// 1-safe scheme the paper argues against (Sect. 3, Table 1): update
-// transactions execute only at the primary (the first member of the group),
-// which runs them under strict 2PL, forces its log, answers the client, and
-// only then ships the write set to the secondaries — asynchronously, off the
-// response path.  Because a single site orders all updates there are no
-// multi-master conflicts (unlike the Safety1Lazy update-everywhere
-// baseline), but a primary crash after the acknowledgement and before the
-// propagation loses the transaction: the 1-safe window group-safety closes.
-//
-// Read-only transactions may execute at any replica, against possibly-stale
-// committed state.
-type lazyPrimaryTechnique struct{}
+// This file is purely local execution with asynchronous write-set
+// propagation: the whole of lazy primary-copy replication, the classical
+// 1-safe scheme the paper argues against (Sect. 3, Table 1), and the 0-safe
+// and lazy (1-safe) baselines of the certification technique.  Under lazy
+// primary-copy, update transactions execute only at the primary (the first
+// member of the group), which runs them under strict 2PL, forces its log,
+// answers the client, and only then ships the write set to the
+// secondaries — asynchronously, off the response path.  Because a single
+// site orders all updates there are no multi-master conflicts (unlike the
+// Safety1Lazy update-everywhere baseline), but a primary crash after the
+// acknowledgement and before the propagation loses the transaction: the
+// 1-safe window group-safety closes.  Read-only transactions may execute at
+// any replica, against possibly-stale committed state.
 
 // lazyItem is one queued asynchronous write-set propagation.  ready is
 // closed once the local commit outcome is known; skip is set (before the
@@ -34,40 +34,14 @@ type lazyItem struct {
 	skip    bool
 }
 
-// ID implements Technique.
-func (lazyPrimaryTechnique) ID() TechniqueID { return TechLazyPrimary }
-
-func (lazyPrimaryTechnique) usesGroupComm(SafetyLevel) bool { return false }
-
-func (lazyPrimaryTechnique) checkLevel(level SafetyLevel) (SafetyLevel, error) {
-	if level.UsesGroupCommunication() {
-		return 0, fmt.Errorf("core: lazy primary-copy does not use group communication; safety level %v is incompatible (the technique is 1-safe)", level)
-	}
-	// The technique is inherently 1-safe: the primary forces its commit
-	// record before answering the client.  The 0-safe zero value is
-	// canonicalised rather than kept, so Result.Level reports the guarantee
-	// actually provided.
-	return Safety1Lazy, nil
-}
-
-func (t lazyPrimaryTechnique) execute(ctx context.Context, r *Replica, req Request) (Result, error) {
-	if !r.IsPrimary() && requestMayWrite(req) {
-		return Result{}, fmt.Errorf("%w (primary is %s)", ErrNotPrimary, r.cfg.Members[0])
-	}
-	return r.executeLocal(ctx, req)
-}
-
-// applyBatch is never reached: the technique does not use group
-// communication, so no apply loop is started.
-func (lazyPrimaryTechnique) applyBatch(*Replica, *applyState, []applyItem) {}
-
-// executeLocal implements purely local execution with asynchronous write-set
-// propagation: the 0-safe and lazy (1-safe) baselines of the certification
-// technique, and the whole of lazy primary-copy.  The transaction runs
-// entirely at this replica under strict 2PL; the write set is pushed to the
-// other replicas asynchronously, after the client response.  The local path
-// has a single response point, so a per-request safety override must resolve
-// to the cluster's own level (effectiveLevel rejects anything else).
+// executeLocal runs one transaction on the local path: the 0-safe and lazy
+// (1-safe) baselines of the certification technique, and the whole of lazy
+// primary-copy (Execute refuses writes at a secondary first).  The
+// transaction runs entirely at this replica under strict 2PL; the write set
+// is pushed to the other replicas asynchronously, after the client
+// response.  The local path has a single response point, so a per-request
+// safety override must resolve to the cluster's own level (effectiveLevel
+// rejects anything else).
 //
 // The caller's context (or the ExecTimeout default) bounds the whole local
 // execution, 2PL lock waits included: a watcher goroutine externally aborts

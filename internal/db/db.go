@@ -226,9 +226,8 @@ func (d *DB) Applied(txnID uint64) bool {
 // ReadVersioned returns the newest committed value and version of an item as
 // one atomic observation (both fields come from the same version-chain entry,
 // so the pair can never mix a new value with an old version).  No locks are
-// acquired; it is the optimistic read primitive of the certification
-// protocol's delegate phase and of active replication's delivery-time
-// execution.  For a multi-item consistent cut use Snapshot or BeginRead.
+// acquired; it is the version probe of certification at delivery.  For a
+// multi-item consistent cut use Snapshot or BeginRead.
 func (d *DB) ReadVersioned(item int) (int64, uint64, error) {
 	return d.store.Read(item)
 }

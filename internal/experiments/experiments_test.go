@@ -210,77 +210,3 @@ func TestScalingConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 }
-
-func TestTechniqueComparisonRunsAllThreeTechniques(t *testing.T) {
-	results, err := RunTechniqueComparison(TechniqueComparisonConfig{
-		Replicas:      3,
-		Items:         512,
-		Clients:       3,
-		TxnsPerClient: 15,
-		DiskSyncDelay: 200 * time.Microsecond,
-		Seed:          7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(core.AllTechniques()) {
-		t.Fatalf("got %d results, want %d", len(results), len(core.AllTechniques()))
-	}
-	byTech := map[core.TechniqueID]TechniqueResult{}
-	for _, r := range results {
-		byTech[r.Technique] = r
-		if r.Committed == 0 {
-			t.Fatalf("%v committed nothing: %+v", r.Technique, r)
-		}
-		if !r.Consistent {
-			t.Fatalf("%v replicas diverged: %+v", r.Technique, r)
-		}
-		if r.ResponseMeanMs <= 0 || r.MsgsPerTxn <= 0 {
-			t.Fatalf("%v metrics not populated: %+v", r.Technique, r)
-		}
-	}
-	if byTech[core.TechActive].Aborted != 0 {
-		t.Fatalf("active replication must not abort: %+v", byTech[core.TechActive])
-	}
-	if byTech[core.TechLazyPrimary].Level != core.Safety1Lazy {
-		t.Fatalf("lazy primary-copy level = %v", byTech[core.TechLazyPrimary].Level)
-	}
-	// Lazy primary-copy sends one point-to-point message per secondary per
-	// update transaction; the broadcast techniques pay the 3-round uniform
-	// atomic broadcast and must cost more on the wire.
-	if byTech[core.TechLazyPrimary].MsgsPerTxn >= byTech[core.TechCertification].MsgsPerTxn {
-		t.Fatalf("lazy primary-copy should be cheapest on the wire: lazy=%.1f cert=%.1f",
-			byTech[core.TechLazyPrimary].MsgsPerTxn, byTech[core.TechCertification].MsgsPerTxn)
-	}
-	t.Log("\n" + FormatTechniqueComparison(results))
-}
-
-func TestTechniqueComparisonReadMixSplitsClasses(t *testing.T) {
-	results, err := RunTechniqueComparison(TechniqueComparisonConfig{
-		Replicas:      3,
-		Items:         1024,
-		Clients:       2,
-		TxnsPerClient: 30,
-		ReadFraction:  0.7,
-		QueryKeys:     3,
-		DiskSyncDelay: 100 * time.Microsecond,
-		Seed:          3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Queries == 0 || r.Updates == 0 {
-			t.Fatalf("%v: class counts query=%d update=%d, want both classes", r.Technique, r.Queries, r.Updates)
-		}
-		if r.QueryBroadcasts != 0 {
-			t.Fatalf("%v: %d broadcasts attributed to read-only transactions, want 0", r.Technique, r.QueryBroadcasts)
-		}
-		if r.QueryMeanMs <= 0 || r.UpdateMeanMs <= 0 {
-			t.Fatalf("%v: per-class response times missing: %+v", r.Technique, r)
-		}
-		if r.Technique != core.TechLazyPrimary && r.MsgsPerUpdate <= 0 {
-			t.Fatalf("%v: msgs-per-update = %v, want > 0", r.Technique, r.MsgsPerUpdate)
-		}
-	}
-}

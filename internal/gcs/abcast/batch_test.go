@@ -225,3 +225,80 @@ func (b *Broadcaster) gatheringNow() bool {
 	defer b.mu.Unlock()
 	return b.gathering
 }
+
+// TestBusySenderCoalescesBehindItsInFlightBatch forces co-travellers instead
+// of hoping the scheduler makes some: the sequencer's ORDER for a sender's
+// in-flight payload is held back (the router never runs; the test injects
+// the ORDER when it chooses), so the k broadcasts that follow must wait
+// behind it in the send buffer and leave together, in one DATA, when its
+// delivery drains the pipe.  A sender that sent each of them at once would
+// submit k+1 batches.
+func TestBusySenderCoalescesBehindItsInFlightBatch(t *testing.T) {
+	const k = 8
+	for attempt := 1; ; attempt++ {
+		net := transport.NewMemNetwork()
+		tp := &tap{Endpoint: net.Endpoint("s2")}
+		b, err := New(Config{Self: "s2", Members: []string{"s1", "s2", "s3"}, NackDelay: time.Hour}, gcs.NewRouter(tp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := b.Broadcast([]byte("in flight"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The sender is busy: its arrivals have come about delayCap/2 apart,
+		// so the backstop of the batch that opens next is the full delayCap.
+		b.mu.Lock()
+		b.lastSendAt, b.sendGapEWMA = time.Now(), delayCap/2
+		b.mu.Unlock()
+		start := time.Now()
+		ids := make([]string, k)
+		for i := range ids {
+			if ids[i], err = b.Broadcast([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queued := b.Stats().DataBatches
+		elapsed := time.Since(start) // bounds when queued was read
+		// The sequencer's ORDER is its vote; with ours it is a majority of 3.
+		b.handleOrder(orderMsg{Epoch: 0, BaseSeq: 1, MsgIDs: []string{first}}, "s1")
+		batches := b.Stats().DataBatches
+		b.Close()
+		if elapsed >= delayCap {
+			// The backstop may have split the burst: this trial proves nothing.
+			if attempt == 5 {
+				t.Fatalf("%d broadcasts never fit in one %v backstop window (last took %v)", k, delayCap, elapsed)
+			}
+			continue
+		}
+
+		if queued != 1 {
+			t.Fatalf("%d DATA batches left while the first was in flight, want 1: a busy sender must buffer", queued)
+		}
+		if batches != 2 {
+			t.Fatalf("%d DATA batches in all, want 2: the %d co-travellers must leave together", batches, k)
+		}
+		// The backstop may have flushed the batch just before the ORDER did:
+		// then its DATA leaves from the timer's goroutine, a moment later.
+		var datas []dataMsg
+		waitFor(t, 2*time.Second, func() bool {
+			datas = datas[:0]
+			for _, m := range tp.log() {
+				var d dataMsg
+				if m.Type == MsgData && decodeData(m.Payload, &d) == nil {
+					datas = append(datas, d)
+				}
+			}
+			return len(datas) >= 2
+		})
+		if len(datas) != 2 || len(datas[1].Entries) != k {
+			t.Fatalf("DATA frames sent: %+v, want the lone first payload, then all %d co-travellers in one", datas, k)
+		}
+		for i, e := range datas[1].Entries {
+			if e.MsgID != ids[i] {
+				t.Fatalf("co-traveller %d is %s, want %s (sender FIFO)", i, e.MsgID, ids[i])
+			}
+		}
+		return
+	}
+}

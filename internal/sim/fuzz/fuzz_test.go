@@ -98,11 +98,10 @@ func TestFuzzPinned(t *testing.T) {
 		{"certification", "group-safe", "mixed", 11, 0},
 		{"certification", "2-safe", "storm", 12, 0},
 		{"certification", "very-safe", "partition", 13, 0},
-		{"active", "group-safe", "mixed", 14, 0},
 		{"lazy-primary", "", "mixed", 15, 0},
-		// Active replication under the crash storm: sequencer takeovers with
-		// every replica executing every delivered transaction.
-		{"active", "group-safe", "storm", 17, 0},
+		// Group-safe under the crash storm: sequencer takeovers with nothing
+		// forced on the response path.
+		{"certification", "group-safe", "storm", 17, 0},
 		// The partitioned keyspace: cross-partition 2PC under the full fault
 		// mix (crashes hit every co-located partition replica at once), at a
 		// group-safe level where the coordinator's decide record can die with
@@ -135,7 +134,8 @@ func TestFuzzPinned(t *testing.T) {
 }
 
 // TestTraceUnknownHeaderRejected: a header line the codec does not know —
-// including the retired "adaptive" and "rotate-every" lines — fails the
+// including the retired "adaptive" and "rotate-every" lines — or one that
+// names an unknown technique — including the retired "active" — fails the
 // parse with an error that names the line, rather than being skipped.
 func TestTraceUnknownHeaderRejected(t *testing.T) {
 	sc, err := Generate(sweepConfig(31))
@@ -143,7 +143,7 @@ func TestTraceUnknownHeaderRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := sc.Marshal()
-	for _, unknown := range []string{"adaptive true", "rotate-every 5", "frobnicate 1"} {
+	for _, unknown := range []string{"adaptive true", "rotate-every 5", "frobnicate 1", "technique active", "technique nosuch"} {
 		_, err := ParseScenario(bytes.Replace(data, []byte("generated "), []byte(unknown+"\ngenerated "), 1))
 		if err == nil || !strings.Contains(err.Error(), unknown) {
 			t.Fatalf("header line %q: got error %v, want one naming the line", unknown, err)

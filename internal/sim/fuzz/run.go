@@ -38,8 +38,8 @@ type TxnRec struct {
 	// none; partitioned runs use vector floors instead of the scalar).
 	FloorVec []uint64
 	// Writes is the transaction's effective write set (last write per item
-	// wins, matching both the certification write set and active replication's
-	// in-order execution).  Empty for queries and read-only updates.
+	// wins, matching the certification write set).  Empty for queries and
+	// read-only updates.
 	Writes map[int]int64
 	// Acked is true when Execute returned a Result (the client was answered).
 	Acked bool

@@ -51,9 +51,8 @@ type Config struct {
 	CertifyCPU time.Duration
 	// Technique selects the replication technique the servers model:
 	// certification-based (the default; the group-communication levels run
-	// the Fig. 2/8 certification flow), active replication (every server
-	// executes the full transaction in delivery order, zero aborts), or
-	// lazy primary-copy (all update transactions execute at server 0).
+	// the Fig. 2/8 certification flow) or lazy primary-copy (all update
+	// transactions execute at server 0).
 	Technique core.TechniqueID
 	// BatchSize is the most transactions one simulated dissemination round
 	// carries.  1 (the default) is the paper's flow: every broadcast pays its

@@ -23,19 +23,14 @@ func Figure9Loads() []float64 {
 }
 
 // RunFigure9 runs the full response-time-versus-load sweep for the given
-// levels and loads (defaults to the paper's setting when nil).  When the
-// configured technique constrains the safety level (active replication,
-// lazy primary-copy), the default level list collapses to the technique's
-// canonical level.
+// levels and loads (defaults to the paper's setting when nil).  Under lazy
+// primary-copy, which is pinned to 1-safe-lazy, the default level list
+// collapses to that level.
 func RunFigure9(cfg Config, levels []core.SafetyLevel, loads []float64) ([]Result, error) {
 	if levels == nil {
-		switch cfg.Technique {
-		case core.TechActive:
-			levels = []core.SafetyLevel{core.GroupSafe}
-		case core.TechLazyPrimary:
+		levels = Figure9Levels()
+		if cfg.Technique == core.TechLazyPrimary {
 			levels = []core.SafetyLevel{core.Safety1Lazy}
-		default:
-			levels = Figure9Levels()
 		}
 	}
 	if loads == nil {

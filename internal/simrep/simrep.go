@@ -12,9 +12,8 @@ import (
 
 // Run simulates one replication technique at one offered load and returns its
 // measured behaviour.  The safety level is canonicalised against the
-// technique exactly like core.ReplicaConfig: active replication promotes the
-// zero level to group-safe and rejects the lazy level; lazy primary-copy is
-// inherently 1-safe.
+// technique exactly like core.ReplicaConfig: lazy primary-copy is inherently
+// 1-safe.
 func Run(cfg Config, level core.SafetyLevel, loadTPS float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -200,8 +199,6 @@ func (s *simulation) runTxn(p *sim.Process, t *simTxn) {
 
 	var committed bool
 	switch {
-	case s.cfg.Technique == core.TechActive:
-		committed = s.runActive(p, t, srv)
 	case s.level == core.Safety0 || s.level == core.Safety1Lazy:
 		committed = s.runLocal(p, t, srv)
 	default:
@@ -306,40 +303,13 @@ func (s *simulation) runReplicated(p *sim.Process, t *simTxn, srv *server) bool 
 	return t.notify.Get(p)
 }
 
-// runActive is the active-replication flow: the delegate broadcasts the
-// whole operation list without any local execution phase, and every server
-// executes the transaction in delivery order (the dispatcher's active
-// branch).  There is no certification and no aborts.
-func (s *simulation) runActive(p *sim.Process, t *simTxn, srv *server) bool {
-	// Read-only transactions execute at the delegate only.
-	if len(t.writeOps) == 0 {
-		s.executeOps(p, srv, t.ops)
-		return true
-	}
-	if s.batchSize > 1 {
-		srv.bcastQueue.Put(t)
-		return t.notify.Get(p)
-	}
-	peers := time.Duration(s.cfg.Servers - 1)
-	srv.cpu.Use(p, peers*s.cfg.CPUPerNetworkOp)
-	s.network.Use(p, peers*s.cfg.NetworkDelay)
-	s.network.Use(p, peers*s.cfg.NetworkDelay)
-	s.orderAndEnqueue(t)
-	return t.notify.Get(p)
-}
-
 // orderAndEnqueue fixes the delivery position of a broadcast transaction and
 // hands it to every server's apply stage.  Certification is deterministic, so
-// its outcome is computed once (every server reaches the same verdict);
-// active replication has no certification step and commits everything.
+// its outcome is computed once (every server reaches the same verdict).
 func (s *simulation) orderAndEnqueue(t *simTxn) {
 	s.nextSeq++
 	t.seq = s.nextSeq
-	if s.cfg.Technique == core.TechActive {
-		t.committed = true
-	} else {
-		t.committed = s.certify(t)
-	}
+	t.committed = s.certify(t)
 	for _, target := range s.servers {
 		target.applyQueue.Put(t)
 	}
@@ -396,20 +366,6 @@ func (s *simulation) dispatcher(p *sim.Process, srv *server) {
 	for {
 		t := srv.applyQueue.Get(p)
 		srv.applySlots.Acquire(p)
-
-		if s.cfg.Technique == core.TechActive {
-			// Active replication: the decision is known at delivery (no
-			// vote, no certification), so group-safe replies immediately;
-			// the server then executes the whole transaction.
-			if srv.idx == t.delegateIdx && s.level == core.GroupSafe {
-				t.notify.Put(true)
-			}
-			txn, target := t, srv
-			s.eng.Spawn(fmt.Sprintf("exec-%d-%d", t.id, srv.idx), 0, func(ip *sim.Process) {
-				s.executeActive(ip, target, txn)
-			})
-			continue
-		}
 
 		srv.cpu.Use(p, s.cfg.CertifyCPU)
 		if srv.idx == t.delegateIdx {
@@ -468,39 +424,6 @@ func (s *simulation) installReplicated(p *sim.Process, srv *server, t *simTxn) {
 	if s.level == core.VerySafe {
 		if !isDelegate {
 			// Acknowledgement message back to the delegate.
-			s.network.Use(p, s.cfg.NetworkDelay)
-		}
-		t.remaining--
-		if t.remaining == 0 {
-			t.notify.Put(true)
-		}
-	}
-}
-
-// executeActive performs one delivered transaction's full execution at one
-// server under active replication: every server pays the CPU and disk of all
-// operations (the technique's higher processing cost), then the
-// level-specific response forces and completion events fire exactly as in
-// installReplicated.
-func (s *simulation) executeActive(p *sim.Process, srv *server, t *simTxn) {
-	isDelegate := srv.idx == t.delegateIdx
-	if s.level.RequiresEndToEnd() {
-		srv.disk.Use(p, s.diskAccess())
-	}
-	s.executeOps(p, srv, t.ops)
-	if isDelegate && (s.level == core.Group1Safe || s.level == core.Safety2) {
-		srv.disk.Use(p, s.diskAccess())
-	}
-	if s.level == core.VerySafe {
-		srv.disk.Use(p, s.diskAccess())
-	}
-	srv.applySlots.Release()
-
-	if isDelegate && (s.level == core.Group1Safe || s.level == core.Safety2) {
-		t.notify.Put(true)
-	}
-	if s.level == core.VerySafe {
-		if !isDelegate {
 			s.network.Use(p, s.cfg.NetworkDelay)
 		}
 		t.remaining--

@@ -267,29 +267,6 @@ func TestFigure9Axes(t *testing.T) {
 	}
 }
 
-func TestSimulatedActiveReplicationNeverAborts(t *testing.T) {
-	cfg := shortConfig()
-	cfg.Technique = core.TechActive
-	// The zero level is promoted to group-safe, mirroring core.
-	res, err := Run(cfg, core.Safety0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != core.GroupSafe || res.Technique != core.TechActive {
-		t.Fatalf("result identity = %+v", res)
-	}
-	if res.Completed == 0 {
-		t.Fatal("no transactions completed")
-	}
-	if res.Aborted != 0 {
-		t.Fatalf("active replication aborted %d transactions", res.Aborted)
-	}
-	// Incompatible combination is rejected.
-	if _, err := Run(cfg, core.Safety1Lazy, 20); err == nil {
-		t.Fatal("active + 1-safe-lazy should be rejected")
-	}
-}
-
 func TestSimulatedLazyPrimaryRunsUpdatesAtPrimary(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Technique = core.TechLazyPrimary
@@ -305,27 +282,6 @@ func TestSimulatedLazyPrimaryRunsUpdatesAtPrimary(t *testing.T) {
 	}
 	if _, err := Run(cfg, core.GroupSafe, 20); err == nil {
 		t.Fatal("lazy-primary + group-safe should be rejected")
-	}
-}
-
-// TestSimulatedActiveCostsMoreThanCertification pins the qualitative claim
-// of the comparison papers: with the Table 4 long transactions, executing
-// every operation at every server (active) is slower than shipping write
-// sets (certification) at the same load.
-func TestSimulatedActiveCostsMoreThanCertification(t *testing.T) {
-	cfg := shortConfig()
-	cert, err := Run(cfg, core.GroupSafe, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Technique = core.TechActive
-	active, err := Run(cfg, core.GroupSafe, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if active.ResponseMeanMs <= cert.ResponseMeanMs {
-		t.Fatalf("active (%.1f ms) should be slower than certification (%.1f ms) on Table 4 transactions",
-			active.ResponseMeanMs, cert.ResponseMeanMs)
 	}
 }
 
