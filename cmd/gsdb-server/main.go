@@ -15,7 +15,7 @@
 // The process exits 0 on SIGINT/SIGTERM after a graceful shutdown: the client
 // listener drains, in-flight transactions finish, and the write-ahead logs
 // are forced.  A kill -9 is also safe — committed state is rebuilt from the
-// WAL on restart and the replica re-joins the group with a fresh incarnation.
+// WAL on restart, and the replica re-joins the group as a new life.
 //
 // See docs/OPERATIONS.md for topology, tuning and failure-handling guidance.
 package main
@@ -39,7 +39,7 @@ func main() {
 		listen       = flag.String("listen", "", "peer listen address (host:port for replica-to-replica traffic; synonym of -id)")
 		clientListen = flag.String("client-listen", "", "client listen address (host:port for gsdb.Dial clients)")
 		peers        = flag.String("peers", "", "comma-separated peer addresses of ALL replicas, identical on every replica")
-		walDir       = flag.String("wal-dir", "", "directory for this replica's write-ahead logs and incarnation counter")
+		walDir       = flag.String("wal-dir", "", "directory for this replica's write-ahead log (db.wal)")
 		levelFlag    = flag.String("level", "group-safe", "safety level: 0-safe | 1-safe-lazy | group-safe | group-1-safe | 2-safe | very-safe")
 		techFlag     = flag.String("technique", "certification", "replication technique: certification | lazy-primary")
 		items        = flag.Int("items", 1024, "database size (identical on every replica)")
@@ -49,7 +49,11 @@ func main() {
 		resync       = flag.Duration("resync-interval", time.Second, "stall interval after which peer state is re-pulled")
 		partitions   = flag.Int("partitions", 1, "keyspace partitions; a server process hosts one replica of ONE partition's group, so this must stay 1 (see docs/OPERATIONS.md)")
 	)
-	flag.VisitAll(envDefault)
+	flag.VisitAll(func(f *flag.Flag) {
+		if err := envDefault(f); err != nil {
+			fatalf("%v", err)
+		}
+	})
 	flag.Parse()
 
 	peerList := splitPeers(*peers)
@@ -114,13 +118,16 @@ func main() {
 }
 
 // envDefault seeds a flag's default from GSDB_<NAME> when the variable is
-// set, so containerised deployments can configure without argv.
-func envDefault(f *flag.Flag) {
+// set (a value the flag cannot parse is an error), so containers need no argv.
+func envDefault(f *flag.Flag) error {
 	key := "GSDB_" + strings.ToUpper(strings.ReplaceAll(f.Name, "-", "_"))
 	if v, ok := os.LookupEnv(key); ok {
+		if err := f.Value.Set(v); err != nil {
+			return fmt.Errorf("%s=%q: %v", key, v, err)
+		}
 		f.DefValue = v
-		f.Value.Set(v)
 	}
+	return nil
 }
 
 func splitPeers(s string) []string {

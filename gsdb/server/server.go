@@ -35,8 +35,8 @@ type Config struct {
 	// ClientAddr is where gsdb.Dial clients connect (host:port; port 0 picks
 	// a free port, see Server.ClientAddr).
 	ClientAddr string
-	// WALDir holds this replica's durable state (its write-ahead log and
-	// incarnation counter).  Each replica needs its own directory.
+	// WALDir holds this replica's durable state, its write-ahead log.
+	// Each replica needs its own directory.
 	WALDir string
 	// Technique selects the replication technique (default certification).
 	Technique gsdb.TechniqueID

@@ -214,23 +214,17 @@ func (c *Cluster) Recover(i int) (int, error) {
 
 // restart replaces crashed replica i by its next life: the old one is closed
 // (after its crash teardown), its log drops the unforced tail, and a new
-// Replica over that log, with the next IncarnationBase, gets snapshot (when
-// non-nil) before it takes the slot and replays its logged messages.  The
-// next base is the first multiple of 2^20 above every transaction id the
-// crashed life issued, so a life that used more than 2^20 ids cannot hand
-// its successor an id the group already applied.
+// Replica over that log gets snapshot (when non-nil) before it takes the
+// slot and replays its logged messages.  The log's id mark names the new
+// life, as it does a restarted gsdb-server.
 func (c *Cluster) restart(i int, snapshot *StateSnapshot) (int, error) {
 	old := c.Replica(i)
 	_ = old.Close()
 	old.cfg.DBLog.(*wal.MemLog).Crash()
 	old.cfg.Network.Recover(old.cfg.ID)
-	cfg := old.cfg
-	old.mu.Lock()
-	cfg.IncarnationBase = (old.nextTxn>>20 + 1) << 20
-	old.mu.Unlock()
-	r, err := newReplica(cfg, old)
+	r, err := newReplica(old.cfg, old)
 	if err != nil {
-		return 0, fmt.Errorf("core: restart replica %s: %w", cfg.ID, err)
+		return 0, fmt.Errorf("core: restart replica %s: %w", old.cfg.ID, err)
 	}
 	if snapshot != nil {
 		r.installSnapshot(*snapshot)

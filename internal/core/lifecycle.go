@@ -17,9 +17,9 @@ import (
 // primary-copy, which CanonicalLevel pins to 1-safe-lazy).
 
 // startGroupCommunication builds the router, the broadcaster and the applier
-// of the replica's one life.  NewReplica runs it before the replica is
-// shared, and the fields it sets never change afterwards.
-func (r *Replica) startGroupCommunication() error {
+// of the replica's one life, incarnation.  NewReplica runs it before the
+// replica is shared, and the fields it sets never change afterwards.
+func (r *Replica) startGroupCommunication(incarnation uint64) error {
 	r.router = gcs.NewRouter(r.cfg.Network.Endpoint(r.cfg.ID))
 	r.router.Handle(msgLazy, r.onLazy)
 	r.router.Handle(msgAck, r.onVerySafeAck)
@@ -28,7 +28,7 @@ func (r *Replica) startGroupCommunication() error {
 		r.ab, err = abcast.New(abcast.Config{
 			Self:        r.cfg.ID,
 			Members:     r.cfg.Members,
-			Incarnation: r.cfg.IncarnationBase + 1,
+			Incarnation: incarnation,
 			// Advertised freshness rides the existing ACK/ORDER traffic:
 			// every broadcast-layer message stamps the sender's applied
 			// watermark, and received stamps feed the peer-advert cache

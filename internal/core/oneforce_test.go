@@ -42,7 +42,8 @@ func durableKinds(t *testing.T, l *wal.MemLog, txnID uint64) map[wal.Kind]int {
 // to the database's, every applied batch forces it exactly once, and when a
 // transaction is externalised its message and commit records are durable.
 // Transactions run one at a time and are awaited everywhere, so each is a
-// batch of its own at every replica.
+// batch of its own at every replica.  Forces are counted from the end of
+// NewCluster, after each replica's start-of-life id mark force.
 func TestEndToEndLevelsForceOncePerBatch(t *testing.T) {
 	for _, cfg := range endToEndCases() {
 		t.Run(fmt.Sprintf("%v/%v", cfg.Technique, cfg.Level), func(t *testing.T) {
@@ -51,6 +52,10 @@ func TestEndToEndLevelsForceOncePerBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			startSyncs := make([]uint64, c.Size())
+			for i := range startSyncs {
+				startSyncs[i] = replicaLog(c, i).Syncs()
+			}
 			const txns = 5
 			for n := uint64(1); n <= txns; n++ {
 				res, err := c.Execute(context.Background(), int(n)%c.Size(), writeReq(0, int(n), int64(n)))
@@ -66,7 +71,7 @@ func TestEndToEndLevelsForceOncePerBatch(t *testing.T) {
 						time.Sleep(time.Millisecond)
 					}
 					log := replicaLog(c, i)
-					if got := log.Syncs(); got != n {
+					if got := log.Syncs() - startSyncs[i]; got != n {
 						t.Fatalf("replica %d forced its log %d times for %d single-transaction batches", i, got, n)
 					}
 					if k := durableKinds(t, log, res.Freshness); k[wal.KindMessage] != 1 {
@@ -101,9 +106,11 @@ func TestCrashBetweenMessageAppendAndBatchForce(t *testing.T) {
 				defer c.Close()
 				// The delegate is not the sequencer (the first member), so the
 				// other two keep ordering and delivering without a takeover.
+				// Counted from after the start-of-life id mark force.
 				victim, log := c.Replica(1), replicaLog(c, 1)
+				startSyncs, startLen := log.Syncs(), log.Len()
 				victim.SetDeliverHook(func(uint64) {
-					if log.Len() == 0 {
+					if log.Len() == startLen {
 						t.Error("the deliver hook ran before the message was logged")
 					}
 					if forced {
@@ -111,7 +118,11 @@ func TestCrashBetweenMessageAppendAndBatchForce(t *testing.T) {
 					}
 					victim.Crash()
 				})
-				req := writeReq(victim.nextTxnID(), 7, 77)
+				id, err := victim.nextTxnID()
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := writeReq(id, 7, 77)
 				if res, err := victim.Execute(context.Background(), req); !errors.Is(err, ErrCrashed) {
 					t.Fatalf("the delegate crashed before its batch force, yet Execute returned %+v, %v", res, err)
 				}
@@ -122,7 +133,7 @@ func TestCrashBetweenMessageAppendAndBatchForce(t *testing.T) {
 				if forced {
 					wantSyncs, wantMessages = 1, 1
 				}
-				if got := log.Syncs(); got != wantSyncs {
+				if got := log.Syncs() - startSyncs; got != wantSyncs {
 					t.Fatalf("the log was forced %d times, want %d", got, wantSyncs)
 				}
 				// The message is the cluster's first: sequence number 1.

@@ -82,21 +82,6 @@ type ReplicaConfig struct {
 	// in-memory log with DiskSyncDelay (the simulated-cluster default); server
 	// processes pass a wal.FileLog so state survives a real process kill.
 	DBLog wal.Log
-	// IncarnationBase offsets the abcast incarnation number (IncarnationBase
-	// + 1) AND the transaction-id counter of this life of the server.  A
-	// Replica lives one life: a restarted server, a gsdb-server process or an
-	// in-process Cluster.Recover alike, is a new Replica whose counters
-	// restart at the base, so every restart passes a base above every id
-	// the previous life issued (life k gets (k-1)<<20 while no life uses
-	// more than 2^20 ids) — otherwise the sequencer would silently ignore the
-	// reborn replica's messages as duplicates of its previous life, and
-	// (worse) a reborn delegate would reuse transaction ids from its previous
-	// life, which every replica's applied set already contains: the reissued
-	// transaction would certify, acknowledge, and then be skipped at install
-	// everywhere as a presumed re-delivery — silent loss of an acknowledged
-	// transaction.  gsdb-server's base, incarnation<<20, leaves 2^20 ids
-	// per life; Cluster.Recover reads the crashed life's counter instead.
-	IncarnationBase uint64
 	// DiskSyncDelay emulates the latency of forcing a log to disk.
 	DiskSyncDelay time.Duration
 	// ExecTimeout bounds how long Execute waits for an outcome (default 10s).
@@ -208,11 +193,14 @@ type Replica struct {
 	crashCh chan struct{}
 	stopped chan struct{}
 
-	mu          sync.Mutex
-	pending     map[waiterKey]chan txnOutcome
-	veryAcks    map[uint64]map[string]bool
-	veryDone    map[uint64]chan struct{}
-	nextTxn     uint64
+	mu       sync.Mutex
+	pending  map[waiterKey]chan txnOutcome
+	veryAcks map[uint64]map[string]bool
+	veryDone map[uint64]chan struct{}
+	nextTxn  uint64
+	// idMark is the durable bound on nextTxn; idForcing is open during a force.
+	idMark      uint64
+	idForcing   chan struct{}
 	deliverHook func(txnID uint64)
 	stats       ReplicaStats
 	appliedLog  []AppliedRecord
@@ -260,7 +248,6 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 		veryDone:    make(map[uint64]chan struct{}),
 		crashCh:     make(chan struct{}),
 		stopped:     make(chan struct{}),
-		nextTxn:     cfg.IncarnationBase,
 		peerApplied: make(map[string]*atomic.Uint64, len(cfg.Members)),
 	}
 	for _, m := range cfg.Members {
@@ -282,7 +269,18 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 	}
 	r.dbase = dbase
 
-	if err := r.startGroupCommunication(); err != nil {
+	// The largest id mark in the log, M, bounds every counter and abcast
+	// incarnation an earlier life used.  This life is incarnation M+1, and
+	// its counter goes on from M once its own first mark is durable.
+	m := dbase.IDMark()
+	r.mu.Lock()
+	r.nextTxn, r.idMark = m, m
+	err = r.extendIDMarkLocked()
+	r.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("core: force id mark: %w", err)
+	}
+	if err := r.startGroupCommunication(m + 1); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -354,18 +352,6 @@ func (r *Replica) notePeerApplied(peer string, seq uint64) {
 	}
 }
 
-// PeerAppliedSeq returns the last applied sequence advertised by a peer (zero
-// when none was heard yet); for the local replica it returns the live value.
-func (r *Replica) PeerAppliedSeq(peer string) uint64 {
-	if peer == r.cfg.ID {
-		return r.fresh.appliedSeq()
-	}
-	if c, ok := r.peerApplied[peer]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
 // maxKnownSeq returns the highest applied sequence known anywhere in the
 // group: the local watermark or the freshest peer advert.
 func (r *Replica) maxKnownSeq() uint64 {
@@ -380,15 +366,6 @@ func (r *Replica) maxKnownSeq() uint64 {
 	}
 	return m
 }
-
-// DeliveryRate returns the replica's estimated apply rate in broadcast
-// sequences per second (an EWMA sampled per externalised batch; zero before
-// the first sample).  It is the estimate backing bounded-staleness leases.
-func (r *Replica) DeliveryRate() float64 { return r.fresh.rate() }
-
-// FreshnessWakeups returns the cumulative number of freshness-waiter wakeups
-// (observability for the O(1)-wakeups-per-delivery property).
-func (r *Replica) FreshnessWakeups() uint64 { return r.fresh.wakeCount() }
 
 // SetDeliverHook installs a test hook invoked after a message is delivered by
 // the group communication component but before the database processes it —
@@ -415,18 +392,56 @@ func (r *Replica) Unsuspect(peer string) {
 	}
 }
 
-// nextTxnID assigns a globally unique transaction identifier: the replica
-// index occupies the high bits, a local counter the low bits.  The counter
-// starts at IncarnationBase, not zero: transaction ids must be unique across
-// restarts too, because every replica's applied-transaction set
-// treats a familiar id as an idempotent re-delivery and silently skips the
-// install — a reborn delegate reusing an id from its previous life would get
-// its transaction certified and acknowledged but never applied anywhere.
-func (r *Replica) nextTxnID() uint64 {
+// idBlock is how far each id mark reaches past the last: one force per block.
+const idBlock = 1 << 16
+
+// nextTxnID assigns a transaction id: the replica index in the high bits, a
+// counter in the low bits.  Ids must be unique across lives too: every
+// replica skips a familiar id at install as a re-delivery, so a reused id
+// loses an acknowledged write.  No counter above the durable id mark is
+// issued (a failed force fails the draw that needs it), and the next life
+// counts on from the largest mark.
+func (r *Replica) nextTxnID() (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for r.nextTxn >= r.idMark {
+		if err := r.extendIDMarkLocked(); err != nil {
+			return 0, err
+		}
+	}
 	r.nextTxn++
-	return uint64(r.index+1)<<40 | r.nextTxn
+	id := uint64(r.index+1)<<40 | r.nextTxn
+	if r.idForcing == nil && r.idMark-r.nextTxn < idBlock/2 {
+		// Half the block is used: force the next mark ahead of need.
+		_ = r.extendIDMarkLocked()
+	}
+	return id, nil
+}
+
+// extendIDMarkLocked appends the id mark one block past the counter and
+// forces it, releasing r.mu for the force; if a force is in flight already,
+// it waits for that one instead.  It is called, and returns, with r.mu held.
+func (r *Replica) extendIDMarkLocked() error {
+	if wait := r.idForcing; wait != nil {
+		r.mu.Unlock()
+		<-wait
+		r.mu.Lock()
+		return nil
+	}
+	r.idForcing = make(chan struct{})
+	next := max(r.idMark, r.nextTxn) + idBlock
+	r.mu.Unlock()
+	lsn, err := r.dbase.Log().Append(wal.Record{Kind: wal.KindIDMark, TxnID: next})
+	if err == nil {
+		err = r.dbase.ForceTo(lsn)
+	}
+	r.mu.Lock()
+	if err == nil {
+		r.idMark = next
+	}
+	close(r.idForcing)
+	r.idForcing = nil
+	return err
 }
 
 // Execute runs one client transaction with this replica as the delegate and
@@ -457,7 +472,10 @@ func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 		return Result{}, ErrCrashed
 	}
 	if req.ID == 0 {
-		req.ID = r.nextTxnID()
+		var err error
+		if req.ID, err = r.nextTxnID(); err != nil {
+			return Result{}, fmt.Errorf("core: reserve a transaction id: %w", err)
+		}
 	}
 	r.mu.Lock()
 	r.stats.Executed++

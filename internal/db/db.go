@@ -88,6 +88,7 @@ type DB struct {
 	mu      sync.Mutex
 	applied map[uint64]bool
 	nextID  uint64
+	idMark  uint64
 	closed  bool
 	stats   Stats
 
@@ -167,6 +168,8 @@ func (d *DB) recoverLocked() error {
 				}
 				d.decidedAbort[r.TxnID] = true
 			}
+		case wal.KindIDMark:
+			d.idMark = max(d.idMark, r.TxnID)
 		case wal.KindPrepare:
 			coord, readItems, err := decodePrepareData(r.Data)
 			if err != nil {
@@ -193,6 +196,9 @@ func (d *DB) recoverLocked() error {
 	}
 	return nil
 }
+
+// IDMark returns the largest wal.KindIDMark in the log at Open (0: none).
+func (d *DB) IDMark() uint64 { return d.idMark }
 
 // Store exposes the underlying versioned store (used by the replication layer
 // for certification and by tests for consistency checks).

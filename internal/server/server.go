@@ -44,8 +44,8 @@ type Config struct {
 	Members []string
 	// ClientAddr is the address the client listener binds (host:port).
 	ClientAddr string
-	// WALDir holds the durable state: the replica's log (database and
-	// broadcast message records) and the incarnation counter.  Created if missing.
+	// WALDir holds the durable state: the replica's one log, db.wal
+	// (database, broadcast message and id mark records).  Created if missing.
 	WALDir string
 	// Technique and Level select the replication technique and the safety
 	// criterion, as in core.ReplicaConfig.
@@ -118,10 +118,10 @@ type Server struct {
 	wg     sync.WaitGroup // client handlers and their workers + accept loop + resync loop
 }
 
-// Start builds and runs a server process: it opens (replaying) the WAL,
-// binds the peer and client listeners, starts the replica engine with a fresh
-// incarnation, replays logged end-to-end messages, pulls a state snapshot
-// from its peers and begins serving.
+// Start builds and runs a server process: it opens the WAL, binds the peer
+// and client listeners, starts the replica engine over the WAL (a new life,
+// named by the log's id mark), replays logged end-to-end messages, pulls a
+// state snapshot from its peers and begins serving.
 func Start(cfg Config) (*Server, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -135,11 +135,6 @@ func Start(cfg Config) (*Server, error) {
 	if info, err := os.Stat(legacy); err == nil && info.Size() > 0 {
 		return nil, fmt.Errorf("server: %s is the separate message log of an earlier version and cannot be imported (messages are now logged in db.wal): start this replica on an empty WAL directory so it rejoins by state transfer, or remove the file to give up the messages in it", legacy)
 	}
-	incarnation, err := bumpIncarnation(filepath.Join(cfg.WALDir, "incarnation"))
-	if err != nil {
-		return nil, err
-	}
-
 	s := &Server{
 		cfg:       cfg,
 		conns:     make(map[net.Conn]struct{}),
@@ -152,12 +147,17 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: peer listener: %w", err)
 	}
 
+	var err error
 	s.dbLog, err = wal.OpenFileLog(filepath.Join(cfg.WALDir, "db.wal"))
 	if err != nil {
 		s.node.Close()
 		return nil, fmt.Errorf("server: open WAL: %w", err)
 	}
-	if err := syncDir(cfg.WALDir); err != nil { // db.wal may be new
+	if err := migrateIncarnation(cfg.WALDir, s.dbLog); err != nil {
+		s.teardown()
+		return nil, fmt.Errorf("server: migrate incarnation file: %w", err)
+	}
+	if err := syncDir(cfg.WALDir); err != nil { // db.wal may be new, incarnation gone
 		s.teardown()
 		return nil, fmt.Errorf("server: sync WAL dir: %w", err)
 	}
@@ -170,7 +170,6 @@ func Start(cfg Config) (*Server, error) {
 		Technique:       cfg.Technique,
 		Network:         s.node,
 		DBLog:           s.dbLog,
-		IncarnationBase: incarnation << 20,
 		ExecTimeout:     cfg.ExecTimeout,
 		Detector:        fd.Config{Interval: cfg.HeartbeatInterval, Timeout: cfg.SuspectTimeout},
 		OnDetectorEvent: s.onDetectorEvent,
@@ -209,8 +208,8 @@ func Start(cfg Config) (*Server, error) {
 	go s.acceptLoop()
 	go s.resyncLoop()
 
-	s.cfg.Logf("server %s: serving clients on %s (incarnation %d, technique %s, level %s)",
-		cfg.ID, s.ClientAddr(), incarnation, cfg.Technique, cfg.Level)
+	s.cfg.Logf("server %s: serving clients on %s (technique %s, level %s)",
+		cfg.ID, s.ClientAddr(), cfg.Technique, cfg.Level)
 	return s, nil
 }
 
@@ -381,52 +380,29 @@ func (s *Server) teardown() {
 	}
 }
 
-// bumpIncarnation reads, increments and durably rewrites the process
-// incarnation counter.  Every process start gets a fresh abcast incarnation
-// namespace; without it the sequencer would treat the restarted replica's
-// messages as duplicates of its previous life and silently discard them.
-// Durably means the file and the directory entry are forced before the new
-// incarnation is used: after a power loss an earlier one must not come back
-// and with it message ids already used.
-func bumpIncarnation(path string) (uint64, error) {
-	var n uint64
-	if b, err := os.ReadFile(path); err == nil {
-		v, perr := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 32)
-		if perr != nil {
-			return 0, fmt.Errorf("server: corrupt incarnation file %s: %q", path, b)
-		}
-		n = v
-	} else if !os.IsNotExist(err) {
-		return 0, fmt.Errorf("server: read incarnation file: %w", err)
-	}
-	n++
-	tmp := path + ".tmp"
-	if err := writeSynced(tmp, []byte(strconv.FormatUint(n, 10))); err != nil {
-		return 0, fmt.Errorf("server: write incarnation file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, fmt.Errorf("server: install incarnation file: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return 0, fmt.Errorf("server: install incarnation file: %w", err)
-	}
-	return n, nil
-}
-
-// writeSynced writes data to the file at path and forces it to disk.
-func writeSynced(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+// migrateIncarnation turns an earlier version's incarnation file, k, into an
+// id mark in the log: its lives j <= k used the abcast incarnation j<<20+1
+// and ids from j<<20 up, so the mark (k+1)<<20 puts later lives above them.
+// The file goes once the mark is durable; the caller syncs the directory.
+func migrateIncarnation(dir string, log wal.Log) error {
+	path := filepath.Join(dir, "incarnation")
+	b, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
+	k, err := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 32)
+	if err != nil {
+		return fmt.Errorf("corrupt incarnation file %s: %q", path, b)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if _, err := log.Append(wal.Record{Kind: wal.KindIDMark, TxnID: (k + 1) << 20}); err != nil {
+		return err
 	}
-	return err
+	if err := log.Sync(); err != nil {
+		return err
+	}
+	return os.Remove(path)
 }
 
 // syncDir forces dir's entries to disk: a file created or renamed in it

@@ -323,16 +323,41 @@ func waitView(t *testing.T, s *Server, ok func(members []string) bool, d time.Du
 // reuse transaction ids from its previous life.  Every replica's applied set
 // still contains the first life's ids, so a reissued id certifies and
 // acknowledges normally but is skipped at install everywhere as a presumed
-// re-delivery — the acknowledged write silently vanishes.  The persisted
-// incarnation counter namespaces the id counter (core.ReplicaConfig.
-// IncarnationBase) to rule this out; this test delegates transactions at the
-// same server before and after a restart and asserts every acknowledged
-// value is actually present.  (Convergence checks cannot catch the bug: all
-// replicas skip the install equally.)
+// re-delivery — the acknowledged write silently vanishes.  The id mark in
+// the server's log names each life (core.Replica.nextTxnID) to rule this
+// out; this test delegates transactions at the same server before and after
+// a restart and asserts every acknowledged value is actually present.
+// (Convergence checks cannot catch the bug: all replicas skip the install
+// equally.)
 func TestRestartedDelegateWritesAreNotSilentlyLost(t *testing.T) {
+	restartedDelegateKeepsWrites(t, 0)
+}
+
+// TestRestartAfterMoreThan2To20IDs: a first life that drew 2^20 ids through
+// queries before it wrote still hands its next life ids above all of them.
+// An earlier version reserved 2^20 ids per life, and this restart lost the
+// second life's writes.
+func TestRestartAfterMoreThan2To20IDs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("2^20 queries take about 8s under the race detector")
+	}
+	restartedDelegateKeepsWrites(t, 1<<20)
+}
+
+// restartedDelegateKeepsWrites runs queries at server 2, then three writes
+// delegated to it, restarts it, and asserts that the three writes its next
+// life delegates are installed everywhere.
+func restartedDelegateKeepsWrites(t *testing.T, queries int) {
 	servers, mk, commit := restartableCluster(t)
 
-	// First life: the restartee delegates three transactions, burning ids.
+	// First life: the restartee serves the queries and delegates three
+	// transactions, burning ids.
+	ctx := context.Background()
+	for i := 0; i < queries; i++ {
+		if _, err := servers[2].Replica().Execute(ctx, core.Request{Ops: []workload.Op{{Item: i % 8}}}); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
 	for i := 0; i < 3; i++ {
 		commit(2, i, int64(100+i))
 	}
@@ -395,7 +420,7 @@ func TestTwoSafeServerKeepsOneLog(t *testing.T) {
 				for _, e := range entries {
 					names = append(names, e.Name())
 				}
-				if want := []string{"db.wal", "incarnation"}; !reflect.DeepEqual(names, want) {
+				if want := []string{"db.wal"}; !reflect.DeepEqual(names, want) {
 					t.Fatalf("server %d: WAL directory holds %v, want %v", i, names, want)
 				}
 				log, err := wal.OpenFileLog(filepath.Join(s.cfg.WALDir, "db.wal"))
@@ -469,24 +494,37 @@ func TestStartRefusesLegacyMessageLog(t *testing.T) {
 	}
 }
 
-// TestIncarnationIncrementsAndReportsWriteFailures: every start gets the next
-// incarnation, and a counter that cannot be written durably fails the start
-// instead of reusing an incarnation.
-func TestIncarnationIncrementsAndReportsWriteFailures(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "incarnation")
-	for want := uint64(1); want <= 3; want++ {
-		if got, err := bumpIncarnation(path); err != nil || got != want {
-			t.Fatalf("start %d: incarnation %d (%v), want %d", want, got, err, want)
-		}
-	}
-	// The temporary file cannot be created where a directory stands.
-	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+// TestStartMigratesIncarnationFile: a WAL directory written by a version
+// that kept an incarnation file, k = 3, starts a life whose ids lie above
+// every id of that version's lives (those of life k start at k<<20), and
+// keeps only db.wal; the next start counts on from there.
+func TestStartMigratesIncarnationFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "incarnation"), []byte("3"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bumpIncarnation(path); err == nil {
-		t.Fatal("a failed write of the incarnation file was not reported")
+	addr := freePorts(t, 1)[0]
+	query := func() uint64 {
+		t.Helper()
+		srv, err := Start(Config{ID: addr, Members: []string{addr}, ClientAddr: "127.0.0.1:0", WALDir: dir, Level: core.GroupSafe, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		res, err := srv.Replica().Execute(context.Background(), core.Request{Ops: []workload.Op{{Item: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.TxnID & (1<<40 - 1)
 	}
-	if b, err := os.ReadFile(path); err != nil || string(b) != "3" {
-		t.Fatalf("the incarnation file reads %q (%v) after the failed start, want 3", b, err)
+	first := query()
+	if first <= 4<<20 {
+		t.Fatalf("the first id counter after the migration is %#x, want above %#x", first, 4<<20)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "db.wal" {
+		t.Fatalf("the WAL directory holds %v (%v), want db.wal alone", entries, err)
+	}
+	if second := query(); second <= first {
+		t.Fatalf("the next life's id counter %#x is not above the migrated life's %#x", second, first)
 	}
 }

@@ -22,8 +22,7 @@ type MemLog struct {
 	closed    bool
 	syncDelay time.Duration
 
-	syncs   uint64
-	appends uint64
+	syncs uint64
 }
 
 // memSegment is the number of records per segment.
@@ -62,7 +61,6 @@ func (l *MemLog) Append(r Record) (LSN, error) {
 	last := len(l.segs) - 1
 	l.segs[last] = append(l.segs[last], r)
 	l.n++
-	l.appends++
 	return r.LSN, nil
 }
 

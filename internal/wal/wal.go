@@ -37,8 +37,9 @@ const (
 	// Group-communication component records (end-to-end atomic broadcast).
 	KindMessage
 	KindAck
-	// KindCheckpoint marks a state snapshot boundary.
-	KindCheckpoint
+	// KindIDMark bounds a replica's transaction-id counter: TxnID holds the
+	// highest it may issue.  (Number 7 was a checkpoint kind never written.)
+	KindIDMark
 	// KindPrepare marks a cross-partition transaction as prepared (voted yes
 	// in the ordered two-phase commit): its staged KindUpdate records are
 	// in-doubt until a later KindCommit or KindAbort decides them.  Data
@@ -63,8 +64,8 @@ func (k Kind) String() string {
 		return "message"
 	case KindAck:
 		return "ack"
-	case KindCheckpoint:
-		return "checkpoint"
+	case KindIDMark:
+		return "id-mark"
 	case KindPrepare:
 		return "prepare"
 	default:

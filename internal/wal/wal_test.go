@@ -14,7 +14,11 @@ func TestKindString(t *testing.T) {
 	kinds := map[Kind]string{
 		KindBegin: "begin", KindUpdate: "update", KindCommit: "commit",
 		KindAbort: "abort", KindMessage: "message", KindAck: "ack",
-		KindCheckpoint: "checkpoint", Kind(200): "kind(200)",
+		KindIDMark: "id-mark", Kind(200): "kind(200)",
+	}
+	// Kinds are persisted by number.
+	if KindIDMark != 7 || KindPrepare != 8 {
+		t.Fatalf("KindIDMark = %d, KindPrepare = %d, want 7 and 8", KindIDMark, KindPrepare)
 	}
 	for k, want := range kinds {
 		if k.String() != want {
