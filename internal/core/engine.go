@@ -363,10 +363,15 @@ func (r *Replica) externalize(staged []stagedTxn) {
 			// per-request override): every replica confirms to the delegate
 			// that the transaction is logged locally (and, batched, durably
 			// forced — the batch force ran before externalize).
+			// Counted before the send: the delegate may release the response
+			// before Send returns, and the count must not trail it.
 			ackBytes := encodePayload(ackPayload{TxnID: a.txnID, Replica: r.cfg.ID})
-			if r.router.Send(a.delegate, transport.Message{Type: msgAck, Payload: ackBytes}) == nil {
+			r.mu.Lock()
+			r.stats.AcksSent++
+			r.mu.Unlock()
+			if r.router.Send(a.delegate, transport.Message{Type: msgAck, Payload: ackBytes}) != nil {
 				r.mu.Lock()
-				r.stats.AcksSent++
+				r.stats.AcksSent--
 				r.mu.Unlock()
 			}
 		}

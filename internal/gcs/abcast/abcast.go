@@ -270,7 +270,7 @@ type Broadcaster struct {
 	idx       map[string]uint64     // ordered ids in the window → their lowest sequence number
 	unordered map[string][]byte     // payloads whose ORDER has not arrived
 	pruned    map[string]*senderLog // per sender incarnation: counters that left the window
-	cursors   []uint64              // by member index: latest advertised delivery cursor
+	cursors   []atomic.Uint64       // by member index: latest advertised delivery cursor
 	suspected []bool                // by member index
 
 	gathering   bool
@@ -359,7 +359,7 @@ func New(cfg Config, router *gcs.Router) (*Broadcaster, error) {
 		idx:         make(map[string]uint64),
 		unordered:   make(map[string][]byte),
 		pruned:      make(map[string]*senderLog),
-		cursors:     make([]uint64, len(cfg.Members)),
+		cursors:     make([]atomic.Uint64, len(cfg.Members)),
 		suspected:   make([]bool, len(cfg.Members)),
 		orderKick:   make(chan struct{}, 1),
 		orderStop:   make(chan struct{}),
@@ -542,13 +542,14 @@ func (b *Broadcaster) noteAdvert(from string, seq uint64) {
 	b.cfg.OnPeerAdvert(from, seq)
 }
 
-// noteCursorLocked records a peer's advertised delivery cursor, the input of
-// the window's stability watermark.  Latest wins, not highest: links are
-// FIFO, and a recovered incarnation legitimately restarts below its
-// predecessor's cursor.
-func (b *Broadcaster) noteCursorLocked(from string, cursor uint64) {
+// noteCursor records a peer's advertised delivery cursor, the input of the
+// window's stability watermark.  Latest wins, not highest: links are FIFO,
+// and a recovered incarnation legitimately restarts below its predecessor's
+// cursor.  It needs no lock, so an ACK's cursor counts from the moment it
+// arrives, not once its handler wins mu from the ORDERs of another link.
+func (b *Broadcaster) noteCursor(from string, cursor uint64) {
 	if i, ok := b.member[from]; ok {
-		b.cursors[i] = cursor
+		b.cursors[i].Store(cursor)
 	}
 }
 

@@ -25,7 +25,7 @@ func (b *Broadcaster) handleOrder(o orderMsg, from string) {
 		b.epoch = o.Epoch
 		b.gathering = false
 	}
-	b.noteCursorLocked(from, o.Cursor)
+	b.noteCursor(from, o.Cursor)
 	if o.BaseSeq+uint64(len(o.MsgIDs)) <= b.win.base {
 		// Wholly below the window: delivered everywhere, nothing to store or
 		// to acknowledge.
@@ -141,12 +141,20 @@ func (b *Broadcaster) flushAck(p *pendingAck) {
 }
 
 func (b *Broadcaster) handleAck(a ackMsg, from string) {
+	b.noteCursor(from, a.Cursor)
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return
 	}
-	b.noteCursorLocked(from, a.Cursor)
+	if b.majority() <= 2 && b.sequencerFor(a.Epoch) != b.cfg.Self {
+		// A lazy ACK (see sendAck): here the ORDER and this member's own vote
+		// are a majority, so the ACK counts only for its cursor.  Its votes
+		// would place records ahead of the ORDERs on the window's top.
+		b.pruneLocked()
+		b.mu.Unlock()
+		return
+	}
 	if i, ok := b.member[from]; ok {
 		bit := uint64(1) << uint(i)
 		for k, id := range a.MsgIDs {

@@ -268,11 +268,19 @@ func TestNoProtocolMessageIsAddressedToSelf(t *testing.T) {
 	}, nil)
 
 	taps[0].setEdit(stripPayloadsTo("s3")) // s3 gets the ORDER without the payload: NACK
+	taps[1].setEdit(func(m *transport.Message) {
+		// Nor does s2's re-send of its own payload, should its ORDER be a
+		// NackDelay late, reach s3: the NACK is the one repair.
+		if m.Type == MsgData && m.To == "s3" {
+			m.Payload = encodeData(dataMsg{})
+		}
+	})
 	nodes[1].bc.Broadcast([]byte("nacked"))
 	for _, nd := range nodes {
 		collect(t, nd, 1, 5*time.Second)
 	}
 	taps[0].setEdit(nil)
+	taps[1].setEdit(nil)
 	seqr := nodes[0].bc.Sequencer()
 	net.Crash(seqr) // NEWEPOCH, STATE
 	var live []*node

@@ -226,8 +226,8 @@ func (b *Broadcaster) storePayloadLocked(id string, payload []byte) {
 func (b *Broadcaster) pruneLocked() {
 	w := &b.win
 	low := b.nextDeliver
-	for i, c := range b.cursors {
-		if i != b.self && !b.suspected[i] && c < low {
+	for i := range b.cursors {
+		if c := b.cursors[i].Load(); i != b.self && !b.suspected[i] && c < low {
 			low = c
 		}
 	}

@@ -3,6 +3,7 @@ package abcast
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,7 +302,7 @@ func TestSenderLogTracksOutOfOrderPrunes(t *testing.T) {
 
 // TestWindowGrowsAndShrinks drives the ring past its initial size and back.
 func TestWindowGrowsAndShrinks(t *testing.T) {
-	b := &Broadcaster{win: newWindow(), idx: make(map[string]uint64), pruned: make(map[string]*senderLog), cursors: []uint64{0}, suspected: []bool{false}}
+	b := &Broadcaster{win: newWindow(), idx: make(map[string]uint64), pruned: make(map[string]*senderLog), cursors: make([]atomic.Uint64, 1), suspected: []bool{false}}
 	const span = 10 * minRing
 	for seq := uint64(1); seq <= span; seq++ {
 		b.win.slot(seq).voters = seq

@@ -21,28 +21,17 @@ type Handler func(transport.Message)
 // (failure detector, atomic broadcast, state transfer, replication control
 // traffic) share one endpoint per node.
 //
-// Over an endpoint that can run handlers itself (TCP) the router has no
-// goroutine: each connection's read loop dispatches what it reads, so
-// handlers run concurrently for different peers and in order for each.  Over
-// one that queues (the in-memory network, a Mux instance) one loop dispatches
-// everything in arrival order.
+// The router has no goroutine: it is the endpoint's handler, so on every
+// network the goroutine of the link a message arrived on dispatches it, and
+// handlers run concurrently for different peers and in order for each.
 type Router struct {
 	ep transport.Endpoint
 
 	// table is the immutable routing snapshot dispatch reads without a lock,
 	// once per inbound message; Handle swaps in a new one under mu.
-	table   atomic.Pointer[routes]
-	mu      sync.Mutex
-	stopped chan struct{}
-	done    chan struct{}
-	started bool
-}
-
-// handlerEndpoint is an endpoint that calls a handler on the goroutine that
-// read the message, and returns from SetHandler once the previous handler's
-// calls have (transport.TCPEndpoint).
-type handlerEndpoint interface {
-	SetHandler(h func(transport.Message))
+	table            atomic.Pointer[routes]
+	mu               sync.Mutex
+	started, stopped bool
 }
 
 // routes is one routing snapshot, handlers by message type or namespace; it
@@ -52,11 +41,7 @@ type routes map[string]Handler
 // NewRouter creates a router over the endpoint.  Handle registrations must
 // happen before Start (or are picked up dynamically, both are safe).
 func NewRouter(ep transport.Endpoint) *Router {
-	r := &Router{
-		ep:      ep,
-		stopped: make(chan struct{}),
-		done:    make(chan struct{}),
-	}
+	r := &Router{ep: ep}
 	r.table.Store(&routes{})
 	return r
 }
@@ -81,40 +66,15 @@ func (r *Router) Send(to string, m transport.Message) error {
 	return r.ep.Send(to, m)
 }
 
-// Start begins dispatching: it hands dispatch to an endpoint that runs
-// handlers itself, and launches the dispatch loop otherwise.
+// Start begins dispatching: the router becomes the endpoint's handler.
 func (r *Router) Start() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.started {
+	if r.started || r.stopped {
 		return
 	}
 	r.started = true
-	select {
-	case <-r.stopped:
-		return
-	default:
-	}
-	if ep, ok := r.ep.(handlerEndpoint); ok {
-		ep.SetHandler(r.dispatch)
-		return
-	}
-	go r.loop()
-}
-
-func (r *Router) loop() {
-	defer close(r.done)
-	for {
-		select {
-		case <-r.stopped:
-			return
-		case m, ok := <-r.ep.Recv():
-			if !ok {
-				return
-			}
-			r.dispatch(m)
-		}
-	}
+	r.ep.SetHandler(r.dispatch)
 }
 
 func (r *Router) dispatch(m transport.Message) {
@@ -134,21 +94,10 @@ func (r *Router) dispatch(m transport.Message) {
 // returned.  It does not close the endpoint.
 func (r *Router) Stop() {
 	r.mu.Lock()
-	started := r.started
-	select {
-	case <-r.stopped:
-		r.mu.Unlock()
-		return
-	default:
-		close(r.stopped)
-	}
+	started := r.started && !r.stopped
+	r.stopped = true
 	r.mu.Unlock()
-	if !started {
-		return
+	if started {
+		r.ep.SetHandler(nil)
 	}
-	if ep, ok := r.ep.(handlerEndpoint); ok {
-		ep.SetHandler(nil)
-		return
-	}
-	<-r.done
 }

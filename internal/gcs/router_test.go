@@ -180,3 +180,40 @@ func TestRouterUnhandledMessageIgnored(t *testing.T) {
 	a.Send("b", transport.Message{Type: "whatever"})
 	time.Sleep(20 * time.Millisecond)
 }
+
+// TestRouterHandlersRunConcurrentlyAcrossMemLinks is the in-memory network's
+// counterpart of the TCP transport's test: a handler call for one peer that
+// waits for a message from another does not wait forever, because each
+// link's goroutine runs the router's handler beside the others.
+func TestRouterHandlersRunConcurrentlyAcrossMemLinks(t *testing.T) {
+	net := transport.NewMemNetwork()
+	slow, fast := net.Endpoint("slow"), net.Endpoint("fast")
+	r := NewRouter(net.Endpoint("b"))
+	slowIn, fastIn, slowOut := make(chan struct{}), make(chan struct{}), make(chan bool, 1)
+	r.Handle("t", func(m transport.Message) {
+		switch m.From {
+		case "slow":
+			close(slowIn)
+			select {
+			case <-fastIn:
+				slowOut <- true
+			case <-time.After(2 * time.Second):
+				slowOut <- false
+			}
+		case "fast":
+			close(fastIn)
+		}
+	})
+	r.Start()
+	defer r.Stop()
+	if err := slow.Send("b", transport.Message{Type: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	<-slowIn
+	if err := fast.Send("b", transport.Message{Type: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if !<-slowOut {
+		t.Fatal("the handler call for the second link waited for the one for the first")
+	}
+}

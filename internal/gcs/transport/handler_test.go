@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -125,5 +126,97 @@ func TestTCPRecvWithoutHandler(t *testing.T) {
 	}
 	if len(handled) != 0 {
 		t.Fatal("the cleared handler was called")
+	}
+}
+
+// TestMemNetworkHandlerKeepsLinkFIFOUnderJitter: with a handler set, each
+// link's goroutine waits out every frame's drawn delay and calls the handler
+// in send order, although jitter gives later frames shorter delays — while
+// nothing is queued for Recv.
+func TestMemNetworkHandlerKeepsLinkFIFOUnderJitter(t *testing.T) {
+	n := NewMemNetwork(WithSeed(42))
+	n.SetJitter(2 * time.Millisecond)
+	b := n.Endpoint("b")
+	senders := []Endpoint{n.Endpoint("a1"), n.Endpoint("a2")}
+	const msgs = 200
+	var mu sync.Mutex
+	got := make(map[string][]int)
+	all := make(chan struct{})
+	b.SetHandler(func(m Message) {
+		mu.Lock()
+		defer mu.Unlock()
+		got[m.From] = append(got[m.From], int(m.Payload[0])|int(m.Payload[1])<<8)
+		if len(got["a1"])+len(got["a2"]) == 2*msgs {
+			close(all)
+		}
+	})
+	defer b.SetHandler(nil)
+	for i := 0; i < msgs; i++ {
+		for _, a := range senders {
+			if err := a.Send("b", seqMsg(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatal("not every message reached the handler")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, a := range senders {
+		for i, s := range got[a.Addr()] {
+			if s != i {
+				t.Fatalf("from %s: call %d carried sequence %d, the link reordered", a.Addr(), i, s)
+			}
+		}
+	}
+	if n := len(b.Recv()); n != 0 {
+		t.Fatalf("%d messages were queued for Recv with a handler set", n)
+	}
+}
+
+// TestMemNetworkFullLinkDropsAtTheSender: a link whose handler does not
+// return holds memQueueSize frames; the next Send fails with ErrSendQueueFull
+// and counts the frame as dropped, as a TCP peer's full queue does.
+func TestMemNetworkFullLinkDropsAtTheSender(t *testing.T) {
+	n := NewMemNetwork()
+	a, b := n.Endpoint("a"), n.Endpoint("b")
+	release := make(chan struct{})
+	b.SetHandler(func(Message) { <-release })
+	defer b.SetHandler(nil)
+	defer close(release)
+	for i := 0; i < memQueueSize; i++ {
+		if err := a.Send("b", seqMsg(i)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	err := a.Send("b", seqMsg(memQueueSize))
+	var pe *PeerError
+	if !errors.As(err, &pe) || pe.Peer != "b" || !errors.Is(err, ErrSendQueueFull) {
+		t.Fatalf("send to a full link: %v, want a *PeerError for b wrapping ErrSendQueueFull", err)
+	}
+	if _, dropped := n.Stats(); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
+	}
+}
+
+// TestMemNetworkDelayedFrameDiesWithTheLife: a frame still waiting out its
+// latency when its destination crashes is never delivered, not even to the
+// life that follows Recover.
+func TestMemNetworkDelayedFrameDiesWithTheLife(t *testing.T) {
+	n := NewMemNetwork(WithLatency(30 * time.Millisecond))
+	a, b := n.Endpoint("a"), n.Endpoint("b")
+	if err := a.Send("b", Message{Type: "old life"}); err != nil {
+		t.Fatal(err)
+	}
+	n.Crash("b")
+	n.Recover("b")
+	if m, ok := recvWithTimeout(t, b, 100*time.Millisecond); ok {
+		t.Fatalf("the recovered endpoint received %+v, sent to its previous life", m)
+	}
+	if _, dropped := n.Stats(); dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", dropped)
 	}
 }

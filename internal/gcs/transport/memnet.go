@@ -8,12 +8,21 @@ import (
 	"time"
 )
 
-// MemNetwork is an in-memory network connecting endpoints by address.  It
-// supports failure injection: per-message latency, message loss, network
-// partitions, one-way link blocking, and endpoint crashes (a crashed endpoint
-// loses every message sent to it and cannot send).  Latency, jitter and loss
-// can be changed at runtime — the scenario fuzzer flips them mid-run — without
-// ever violating the FIFO-per-channel delivery contract.
+// MemNetwork is an in-memory network connecting endpoints by address, with
+// the TCP transport's delivery model: each directed (from, to) link is a
+// bounded FIFO queue drained by one goroutine, which waits out each frame's
+// drawn latency and then calls the destination's handler (SetHandler).  So
+// handlers run concurrently across links and in send order on each, and a
+// full link queue drops at the sender, whose Send returns a *PeerError
+// wrapping ErrSendQueueFull.  A destination without a handler gets the frame
+// in its Recv inbox instead, dropping it when the inbox is full.
+//
+// It supports failure injection: per-message latency and jitter, message
+// loss, network partitions, one-way link blocking, and endpoint crashes (a
+// crashed endpoint cannot send, and loses every frame sent to it while it is
+// down or queued for it when it crashed).  Latency, jitter and loss can be
+// changed at runtime — the scenario fuzzer flips them mid-run — and the link
+// queues keep every link FIFO across the change.
 type MemNetwork struct {
 	// mu guards the endpoint table, the partition map and the blocked-link
 	// set.  The hot send path only takes it in read mode, and only when a
@@ -36,25 +45,8 @@ type MemNetwork struct {
 	partitioned atomic.Bool
 	// blocked holds one-way blocked links (finer-grained than a partition:
 	// from→to drops while to→from still flows).
-	blocked    map[chainKey]bool
+	blocked    map[linkKey]bool
 	anyBlocked atomic.Bool
-
-	// chains serialises delayed deliveries per (from, to) channel: each entry
-	// is the completion marker of the channel's most recently scheduled
-	// delivery, and the next delivery waits on it before touching the inbox.
-	// Without this, two AfterFunc timers with near-equal deadlines race for
-	// the destination mutex and can reorder a sender's messages — real LANs
-	// (and the TCP transport) are FIFO per channel, and the lazy-propagation
-	// protocol relies on that.  Jitter varies WHEN a channel's messages
-	// arrive, not their relative order; cross-channel interleaving stays
-	// unordered either way.
-	chainMu sync.Mutex
-	chains  map[chainKey]chan struct{}
-	// chained latches true once any delivery has gone through the chain.
-	// From then on every send chains, even with the delay knobs back at
-	// zero: a fresh synchronous delivery must not overtake an async one
-	// still sitting in a timer for the same channel.
-	chained atomic.Bool
 
 	// Hot counters: every Send touches these, so they are atomics rather
 	// than fields under the network mutex.
@@ -65,8 +57,7 @@ type MemNetwork struct {
 // MemOption configures a MemNetwork.
 type MemOption func(*MemNetwork)
 
-// WithLatency sets the one-way message latency (default 0: synchronous,
-// order-preserving delivery).
+// WithLatency sets the one-way message latency (default 0).
 func WithLatency(d time.Duration) MemOption {
 	return func(n *MemNetwork) { n.latency.Store(int64(d)) }
 }
@@ -86,9 +77,8 @@ func NewMemNetwork(opts ...MemOption) *MemNetwork {
 	n := &MemNetwork{
 		endpoints: make(map[string]*memEndpoint),
 		partition: make(map[string]int),
-		blocked:   make(map[chainKey]bool),
+		blocked:   make(map[linkKey]bool),
 		rng:       rand.New(rand.NewSource(1)),
-		chains:    make(map[chainKey]chan struct{}),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -96,23 +86,38 @@ func NewMemNetwork(opts ...MemOption) *MemNetwork {
 	return n
 }
 
-// chainKey identifies one directed sender→receiver channel.
-type chainKey struct {
+// linkKey identifies one directed sender→receiver link.
+type linkKey struct {
 	from, to string
 }
 
+// memQueueSize bounds each link queue and each Recv inbox, as TCPConfig's
+// defaults bound TCP's.
+const memQueueSize = 4096
+
 // memEndpoint is an endpoint attached to a MemNetwork.
 type memEndpoint struct {
-	net  *MemNetwork
-	addr string
+	net   *MemNetwork
+	addr  string
+	inbox chan Message
 
-	mu      sync.Mutex
-	inbox   chan Message
-	crashed bool
-	closed  bool
+	// life counts the endpoint's crashes and recoveries: even while it is
+	// up, odd while it is crashed or closed.  A frame carries its
+	// destination's life at Send and is delivered only in that life.
+	life atomic.Uint64
+
+	// handler, when set, receives every frame; deliver holds handlerMu for
+	// reading around each call, so SetHandler returns only once the calls of
+	// the previous handler have.
+	handlerMu sync.RWMutex
+	handler   func(Message)
+
+	// mu serialises the life transitions with the inbox's fill and drain,
+	// and guards closed and the outbound links.
+	mu     sync.Mutex
+	closed bool
+	links  map[string]*memLink
 }
-
-const memInboxSize = 4096
 
 // Endpoint attaches (or re-attaches) an endpoint with the given address.  If
 // an endpoint with this address already exists it is returned.
@@ -122,28 +127,33 @@ func (n *MemNetwork) Endpoint(addr string) Endpoint {
 	if ep, ok := n.endpoints[addr]; ok {
 		return ep
 	}
-	ep := &memEndpoint{net: n, addr: addr, inbox: make(chan Message, memInboxSize)}
+	ep := &memEndpoint{net: n, addr: addr, inbox: make(chan Message, memQueueSize), links: make(map[string]*memLink)}
 	n.endpoints[addr] = ep
 	return ep
 }
 
+func (n *MemNetwork) lookup(addr string) *memEndpoint {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.endpoints[addr]
+}
+
 // Crash simulates the crash of the node at addr: its endpoint stops receiving
-// and sending, and messages already queued for it are discarded.
+// and sending, and the frames queued for it — on its links or in its inbox —
+// are never delivered, not even after Recover.
 func (n *MemNetwork) Crash(addr string) {
-	n.mu.Lock()
-	ep, ok := n.endpoints[addr]
-	n.mu.Unlock()
-	if !ok {
+	if ep := n.lookup(addr); ep != nil {
+		ep.mu.Lock()
+		ep.crashLocked()
+		ep.mu.Unlock()
+	}
+}
+
+func (ep *memEndpoint) crashLocked() {
+	if ep.life.Load()%2 == 1 {
 		return
 	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.crashed {
-		return
-	}
-	ep.crashed = true
-	// Drain anything already queued: a crashed process loses its volatile
-	// state, including undelivered messages.
+	ep.life.Add(1)
 	for {
 		select {
 		case <-ep.inbox:
@@ -153,31 +163,24 @@ func (n *MemNetwork) Crash(addr string) {
 	}
 }
 
-// Recover reverses a Crash: the endpoint starts with an empty inbox, like a
+// Recover reverses a Crash: the endpoint starts with nothing queued, like a
 // process that rebooted.
 func (n *MemNetwork) Recover(addr string) {
-	n.mu.Lock()
-	ep, ok := n.endpoints[addr]
-	n.mu.Unlock()
-	if !ok {
+	ep := n.lookup(addr)
+	if ep == nil {
 		return
 	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	ep.crashed = false
+	if !ep.closed && ep.life.Load()%2 == 1 {
+		ep.life.Add(1)
+	}
 }
 
 // Crashed reports whether the endpoint at addr is currently crashed.
 func (n *MemNetwork) Crashed(addr string) bool {
-	n.mu.Lock()
-	ep, ok := n.endpoints[addr]
-	n.mu.Unlock()
-	if !ok {
-		return false
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.crashed
+	ep := n.lookup(addr)
+	return ep != nil && ep.life.Load()%2 == 1
 }
 
 // Partition splits the network: each group of addresses can only talk within
@@ -203,8 +206,8 @@ func (n *MemNetwork) Heal() {
 }
 
 // SetLatency changes the one-way message latency at runtime.  In-flight
-// messages keep the delay they drew; the FIFO-per-channel contract holds
-// across the change.
+// messages keep the delay they drew; the FIFO-per-link contract holds across
+// the change.
 func (n *MemNetwork) SetLatency(d time.Duration) { n.latency.Store(int64(d)) }
 
 // SetJitter sets the uniform random component in [0, d] added to the
@@ -219,7 +222,7 @@ func (n *MemNetwork) SetLoss(p float64) { n.loss.Store(math.Float64bits(p)) }
 func (n *MemNetwork) BlockLink(from, to string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked[chainKey{from: from, to: to}] = true
+	n.blocked[linkKey{from: from, to: to}] = true
 	n.anyBlocked.Store(true)
 }
 
@@ -227,7 +230,7 @@ func (n *MemNetwork) BlockLink(from, to string) {
 func (n *MemNetwork) UnblockLink(from, to string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.blocked, chainKey{from: from, to: to})
+	delete(n.blocked, linkKey{from: from, to: to})
 	n.anyBlocked.Store(len(n.blocked) > 0)
 }
 
@@ -235,13 +238,14 @@ func (n *MemNetwork) UnblockLink(from, to string) {
 func (n *MemNetwork) UnblockAllLinks() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.blocked = make(map[chainKey]bool)
+	n.blocked = make(map[linkKey]bool)
 	n.anyBlocked.Store(false)
 }
 
 // Stats returns the number of messages sent and dropped (loss, partitions,
-// blocked links and crashed destinations all count as drops).  The counters
-// are atomics, so a concurrent Stats never stalls senders.
+// blocked links, crashed destinations, full link queues and full inboxes all
+// count as drops).  The counters are atomics, so a concurrent Stats never
+// stalls senders.
 func (n *MemNetwork) Stats() (sent, dropped uint64) {
 	return n.sent.Load(), n.dropped.Load()
 }
@@ -249,7 +253,7 @@ func (n *MemNetwork) Stats() (sent, dropped uint64) {
 func (n *MemNetwork) reachable(from, to string) bool {
 	if n.anyBlocked.Load() {
 		n.mu.RLock()
-		b := n.blocked[chainKey{from: from, to: to}]
+		b := n.blocked[linkKey{from: from, to: to}]
 		n.mu.RUnlock()
 		if b {
 			return false
@@ -269,35 +273,36 @@ func (ep *memEndpoint) Addr() string { return ep.addr }
 // Recv implements Endpoint.
 func (ep *memEndpoint) Recv() <-chan Message { return ep.inbox }
 
-// Close implements Endpoint.
+// SetHandler implements Endpoint: every link into the endpoint calls h for
+// its frames, in order for each link and concurrently across links.  nil
+// goes back to Recv.  SetHandler returns once every call of the previous
+// handler has, so a handler must not call it.
+func (ep *memEndpoint) SetHandler(h func(Message)) {
+	ep.handlerMu.Lock()
+	ep.handler = h
+	ep.handlerMu.Unlock()
+}
+
+// Close implements Endpoint: the endpoint crashes for good.
 func (ep *memEndpoint) Close() error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.closed {
-		return nil
-	}
 	ep.closed = true
-	ep.crashed = true
+	ep.crashLocked()
 	return nil
 }
 
 // Send implements Endpoint.
 func (ep *memEndpoint) Send(to string, m Message) error {
-	ep.mu.Lock()
-	if ep.closed || ep.crashed {
-		ep.mu.Unlock()
+	if ep.life.Load()%2 == 1 {
 		return ErrClosed
 	}
-	ep.mu.Unlock()
-
 	m.From = ep.addr
 	m.To = to
 
 	n := ep.net
 	n.sent.Add(1)
-	n.mu.RLock()
-	dst, ok := n.endpoints[to]
-	n.mu.RUnlock()
+	dst := n.lookup(to)
 	delay := time.Duration(n.latency.Load())
 	jitter := time.Duration(n.jitter.Load())
 	lossProb := math.Float64frombits(n.loss.Load())
@@ -310,57 +315,107 @@ func (ep *memEndpoint) Send(to string, m Message) error {
 		}
 		n.rngMu.Unlock()
 	}
-	if !ok || loss {
+	if dst == nil || loss || !n.reachable(ep.addr, to) {
 		n.dropped.Add(1)
 		return nil
 	}
-
-	if !n.reachable(ep.addr, to) {
+	f := memFrame{m: m, life: dst.life.Load()}
+	if f.life%2 == 1 {
 		n.dropped.Add(1)
 		return nil
 	}
+	if delay > 0 {
+		f.due = time.Now().Add(delay)
+	}
+	ep.mu.Lock()
+	l := ep.links[to]
+	if l == nil {
+		l = &memLink{to: dst}
+		ep.links[to] = l
+	}
+	ep.mu.Unlock()
+	if !l.push(f) {
+		n.dropped.Add(1)
+		return &PeerError{Peer: to, Err: ErrSendQueueFull}
+	}
+	return nil
+}
 
-	deliver := func() {
-		dst.mu.Lock()
-		defer dst.mu.Unlock()
-		if dst.crashed || dst.closed {
-			n.dropped.Add(1)
+// memFrame is one message on a link.
+type memFrame struct {
+	m    Message
+	due  time.Time // when its drawn delay ends; zero without one
+	life uint64    // the destination's life at Send
+}
+
+// memLink is one directed link: a bounded FIFO queue drained by one
+// goroutine, which runs while the link holds frames.
+type memLink struct {
+	to *memEndpoint
+
+	mu    sync.Mutex
+	queue []memFrame
+	held  int // frames the drain goroutine took and has not finished
+}
+
+// push queues f, starting the drain goroutine if there is none (nothing is
+// queued or held), and reports false when the link is full.
+func (l *memLink) push(f memFrame) bool {
+	l.mu.Lock()
+	if len(l.queue)+l.held >= memQueueSize {
+		l.mu.Unlock()
+		return false
+	}
+	idle := len(l.queue) == 0 && l.held == 0
+	l.queue = append(l.queue, f)
+	l.mu.Unlock()
+	if idle {
+		go l.drain()
+	}
+	return true
+}
+
+// drain delivers the queue in order, a batch at a time, and ends when it is
+// empty.
+func (l *memLink) drain() {
+	var batch []memFrame
+	for {
+		l.mu.Lock()
+		clear(batch)
+		batch, l.queue = l.queue, batch[:0]
+		l.held = len(batch)
+		l.mu.Unlock()
+		if len(batch) == 0 {
 			return
 		}
-		select {
-		case dst.inbox <- m:
-		default:
-			// Inbox overflow models an overloaded receiver dropping traffic.
-			n.dropped.Add(1)
+		for _, f := range batch {
+			if !f.due.IsZero() {
+				time.Sleep(time.Until(f.due))
+			}
+			l.to.deliver(f)
 		}
 	}
-	if delay <= 0 && jitter <= 0 && !n.chained.Load() {
-		// Synchronous delivery in the caller's goroutine is trivially FIFO
-		// per channel.  The branch keys on the current knobs, not just the
-		// drawn delay: on a jitter-only network a zero draw must still go
-		// through the chain below, or it would overtake an earlier message
-		// of the same channel that drew a longer delay.  And once ANY
-		// delivery has chained (n.chained), every later send chains too —
-		// a sender's zero-delay message issued right after SetLatency(0)
-		// must queue behind its own still-delayed traffic.
-		deliver()
-		return nil
+}
+
+// deliver hands f to the handler, or to the inbox when there is none, unless
+// the endpoint crashed since f was sent.
+func (ep *memEndpoint) deliver(f memFrame) {
+	ep.handlerMu.RLock()
+	defer ep.handlerMu.RUnlock()
+	if h := ep.handler; h != nil && ep.life.Load() == f.life {
+		h(f.m)
+		return
 	}
-	// Chain this delivery behind the channel's previous one: timers firing
-	// out of order must not reorder a sender's messages to one destination.
-	n.chained.Store(true)
-	key := chainKey{from: ep.addr, to: to}
-	n.chainMu.Lock()
-	prev := n.chains[key]
-	done := make(chan struct{})
-	n.chains[key] = done
-	n.chainMu.Unlock()
-	time.AfterFunc(delay, func() {
-		defer close(done)
-		if prev != nil {
-			<-prev
-		}
-		deliver()
-	})
-	return nil
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.life.Load() != f.life {
+		ep.net.dropped.Add(1)
+		return
+	}
+	select {
+	case ep.inbox <- f.m:
+	default:
+		// Inbox overflow models an overloaded receiver dropping traffic.
+		ep.net.dropped.Add(1)
+	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Mux multiplexes several independent virtual networks ("instances") onto one
@@ -15,18 +16,15 @@ import (
 // The partitioned cluster uses one instance per keyspace partition: every
 // partition runs its own abcast/router stack over the same simulated wire.
 // Messages are namespaced on the wire by prefixing Message.Type with
-// "<instance>!"; the receiving side's pump strips the prefix and routes to
-// the matching instance's endpoint, so protocol handlers never see the
-// namespace.
+// "<instance>!"; the base endpoint's handler strips the prefix and calls the
+// matching instance endpoint's handler on the same goroutine, so protocol
+// handlers never see the namespace and run as the base network runs them.
 type Mux struct {
 	base Network
 
-	mu     sync.Mutex
-	insts  map[string]*muxNet
-	eps    map[string]Endpoint // base endpoints, one per address
-	pumped map[string]bool     // addresses with a running pump goroutine
-	stop   chan struct{}
-	closed bool
+	mu    sync.Mutex
+	insts map[string]*muxNet
+	eps   map[string]Endpoint // base endpoints, one per address
 }
 
 // muxSep separates the instance namespace from the payload message type on
@@ -36,11 +34,9 @@ const muxSep = "!"
 // NewMux wraps base so independent protocol stacks can share it.
 func NewMux(base Network) *Mux {
 	return &Mux{
-		base:   base,
-		insts:  make(map[string]*muxNet),
-		eps:    make(map[string]Endpoint),
-		pumped: make(map[string]bool),
-		stop:   make(chan struct{}),
+		base:  base,
+		insts: make(map[string]*muxNet),
+		eps:   make(map[string]Endpoint),
 	}
 }
 
@@ -57,49 +53,18 @@ func (x *Mux) Instance(ns string) Network {
 	return inst
 }
 
-// Close stops the per-address pump goroutines.  Virtual endpoints become
-// inert; the base network is left untouched.
-func (x *Mux) Close() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.closed {
-		return
-	}
-	x.closed = true
-	close(x.stop)
-}
-
-// baseEndpoint returns (attaching if needed) the base endpoint for addr and
-// ensures its pump goroutine is running.  One pump per address serves every
-// instance: it reads the base endpoint's inbound channel and routes each
-// message to the owning instance by namespace prefix.
+// baseEndpoint returns the base endpoint for addr, attaching it on first use
+// with route as its handler: one base endpoint serves every instance.
 func (x *Mux) baseEndpoint(addr string) Endpoint {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	ep, ok := x.eps[addr]
 	if !ok {
 		ep = x.base.Endpoint(addr)
+		ep.SetHandler(x.route)
 		x.eps[addr] = ep
 	}
-	if !x.pumped[addr] && !x.closed {
-		x.pumped[addr] = true
-		go x.pump(ep)
-	}
 	return ep
-}
-
-func (x *Mux) pump(ep Endpoint) {
-	for {
-		select {
-		case m, ok := <-ep.Recv():
-			if !ok {
-				return
-			}
-			x.route(m)
-		case <-x.stop:
-			return
-		}
-	}
 }
 
 // route delivers one inbound base message to the matching instance endpoint.
@@ -144,104 +109,84 @@ func (n *muxNet) Endpoint(addr string) Endpoint {
 	if ep, ok := n.eps[addr]; ok {
 		return ep
 	}
-	ep := &muxEndpoint{
-		net:   n,
-		addr:  addr,
-		base:  n.mux.baseEndpoint(addr),
-		inbox: make(chan Message, memInboxSize),
-	}
+	ep := &muxEndpoint{net: n, addr: addr, base: n.mux.baseEndpoint(addr)}
 	n.eps[addr] = ep
 	return ep
 }
 
 // Crash implements Network.  A crash is a whole-server event: it silences the
-// base endpoint (so every instance at addr stops sending and receiving) and
-// drops this instance's queued inbound messages.  The partition layer crashes
-// every instance of a server together, so each instance drains its own inbox.
+// base endpoint, so every instance at addr stops sending and receiving, and
+// the base network discards what was queued for it.
 func (n *muxNet) Crash(addr string) {
 	n.mux.base.Crash(addr)
-	n.mu.Lock()
-	ep, ok := n.eps[addr]
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.crashed = true
-	for {
-		select {
-		case <-ep.inbox:
-		default:
-			return
-		}
-	}
+	n.setCrashed(addr, true)
 }
 
 // Recover implements Network.
 func (n *muxNet) Recover(addr string) {
 	n.mux.base.Recover(addr)
-	n.mu.Lock()
-	ep, ok := n.eps[addr]
-	n.mu.Unlock()
-	if !ok {
-		return
-	}
-	ep.mu.Lock()
-	ep.crashed = false
-	ep.mu.Unlock()
+	n.setCrashed(addr, false)
 }
 
-// muxEndpoint is one instance's attachment at one address.
+func (n *muxNet) setCrashed(addr string, crashed bool) {
+	n.mu.Lock()
+	ep := n.eps[addr]
+	n.mu.Unlock()
+	if ep != nil {
+		ep.crashed.Store(crashed)
+	}
+}
+
+// muxEndpoint is one instance's attachment at one address.  It has no inbox:
+// what arrives for it goes to its handler, or nowhere.
 type muxEndpoint struct {
 	net  *muxNet
 	addr string
 	base Endpoint
 
-	mu      sync.Mutex
-	inbox   chan Message
-	crashed bool
-	closed  bool
+	crashed, closed atomic.Bool
+
+	// handlerMu is held for reading around each handler call, as on
+	// memEndpoint.
+	handlerMu sync.RWMutex
+	handler   func(Message)
 }
 
 // Addr implements Endpoint.
 func (ep *muxEndpoint) Addr() string { return ep.addr }
 
-// Recv implements Endpoint.
-func (ep *muxEndpoint) Recv() <-chan Message { return ep.inbox }
+// Recv implements Endpoint: nothing is ever queued for it.
+func (ep *muxEndpoint) Recv() <-chan Message { return nil }
+
+// SetHandler implements Endpoint.  Without a handler, inbound messages are
+// dropped.
+func (ep *muxEndpoint) SetHandler(h func(Message)) {
+	ep.handlerMu.Lock()
+	ep.handler = h
+	ep.handlerMu.Unlock()
+}
 
 // Close implements Endpoint.
 func (ep *muxEndpoint) Close() error {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.closed = true
-	ep.crashed = true
+	ep.closed.Store(true)
 	return nil
 }
 
 // Send implements Endpoint: the message rides the base network with its type
 // prefixed by the instance namespace.
 func (ep *muxEndpoint) Send(to string, m Message) error {
-	ep.mu.Lock()
-	if ep.closed || ep.crashed {
-		ep.mu.Unlock()
+	if ep.closed.Load() || ep.crashed.Load() {
 		return ErrClosed
 	}
-	ep.mu.Unlock()
 	m.Type = ep.net.ns + muxSep + m.Type
 	return ep.base.Send(to, m)
 }
 
-// deliver places an inbound (already de-namespaced) message in the
-// endpoint's inbox, dropping on overflow like the base network.
+// deliver calls the handler with an inbound (already de-namespaced) message.
 func (ep *muxEndpoint) deliver(m Message) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.crashed || ep.closed {
-		return
-	}
-	select {
-	case ep.inbox <- m:
-	default:
+	ep.handlerMu.RLock()
+	defer ep.handlerMu.RUnlock()
+	if h := ep.handler; h != nil && !ep.closed.Load() && !ep.crashed.Load() {
+		h(m)
 	}
 }

@@ -5,10 +5,18 @@ import (
 	"time"
 )
 
-func recvOne(t *testing.T, ep Endpoint) Message {
+// handled sets a handler on ep that forwards what it is called with to the
+// returned channel.
+func handled(ep Endpoint) <-chan Message {
+	ch := make(chan Message, 16)
+	ep.SetHandler(func(m Message) { ch <- m })
+	return ch
+}
+
+func recvOne(t *testing.T, ch <-chan Message) Message {
 	t.Helper()
 	select {
-	case m := <-ep.Recv():
+	case m := <-ch:
 		return m
 	case <-time.After(2 * time.Second):
 		t.Fatal("timed out waiting for message")
@@ -19,22 +27,22 @@ func recvOne(t *testing.T, ep Endpoint) Message {
 func TestMuxIsolatesInstances(t *testing.T) {
 	base := NewMemNetwork()
 	mux := NewMux(base)
-	defer mux.Close()
 
 	a := mux.Instance("p0")
 	b := mux.Instance("p1")
 	a1, a2 := a.Endpoint("s1"), a.Endpoint("s2")
 	b2 := b.Endpoint("s2")
+	a2in, b2in := handled(a2), handled(b2)
 
 	if err := a1.Send("s2", Message{Type: "ab.data", Payload: []byte("x")}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	m := recvOne(t, a2)
+	m := recvOne(t, a2in)
 	if m.Type != "ab.data" || m.From != "s1" || m.To != "s2" || string(m.Payload) != "x" {
 		t.Fatalf("instance p0 got %+v", m)
 	}
 	select {
-	case m := <-b2.Recv():
+	case m := <-b2in:
 		t.Fatalf("instance p1 leaked message %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -42,7 +50,6 @@ func TestMuxIsolatesInstances(t *testing.T) {
 
 func TestMuxEndpointStable(t *testing.T) {
 	mux := NewMux(NewMemNetwork())
-	defer mux.Close()
 	inst := mux.Instance("p0")
 	if inst.Endpoint("s1") != inst.Endpoint("s1") {
 		t.Fatal("Endpoint not stable across re-attachment")
@@ -55,12 +62,12 @@ func TestMuxEndpointStable(t *testing.T) {
 func TestMuxCrashIsWholeServer(t *testing.T) {
 	base := NewMemNetwork()
 	mux := NewMux(base)
-	defer mux.Close()
 
 	a := mux.Instance("p0")
 	b := mux.Instance("p1")
 	a1, a2 := a.Endpoint("s1"), a.Endpoint("s2")
 	b1, b2 := b.Endpoint("s1"), b.Endpoint("s2")
+	a2in, b1in, b2in := handled(a2), handled(b1), handled(b2)
 
 	// Crash s2 through one instance: both instances' traffic to s2 dies, and
 	// s2 cannot send on either instance.
@@ -73,9 +80,9 @@ func TestMuxCrashIsWholeServer(t *testing.T) {
 		t.Fatalf("send to crashed: %v", err)
 	}
 	select {
-	case m := <-a2.Recv():
+	case m := <-a2in:
 		t.Fatalf("crashed endpoint received %+v", m)
-	case m := <-b2.Recv():
+	case m := <-b2in:
 		t.Fatalf("crashed endpoint received %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -89,13 +96,13 @@ func TestMuxCrashIsWholeServer(t *testing.T) {
 	if err := a1.Send("s2", Message{Type: "after"}); err != nil {
 		t.Fatalf("send after recover: %v", err)
 	}
-	if m := recvOne(t, a2); m.Type != "after" {
+	if m := recvOne(t, a2in); m.Type != "after" {
 		t.Fatalf("got %+v", m)
 	}
 	if err := b2.Send("s1", Message{Type: "back"}); err != nil {
 		t.Fatalf("send after recover: %v", err)
 	}
-	if m := recvOne(t, b1); m.Type != "back" {
+	if m := recvOne(t, b1in); m.Type != "back" {
 		t.Fatalf("got %+v", m)
 	}
 }
@@ -103,16 +110,16 @@ func TestMuxCrashIsWholeServer(t *testing.T) {
 func TestMuxBaseFaultInjectionApplies(t *testing.T) {
 	base := NewMemNetwork()
 	mux := NewMux(base)
-	defer mux.Close()
 	inst := mux.Instance("p0")
 	e1, e2 := inst.Endpoint("s1"), inst.Endpoint("s2")
+	e2in := handled(e2)
 
 	base.BlockLink("s1", "s2")
 	if err := e1.Send("s2", Message{Type: "t"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	select {
-	case m := <-e2.Recv():
+	case m := <-e2in:
 		t.Fatalf("blocked link delivered %+v", m)
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -120,7 +127,7 @@ func TestMuxBaseFaultInjectionApplies(t *testing.T) {
 	if err := e1.Send("s2", Message{Type: "t2"}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if m := recvOne(t, e2); m.Type != "t2" {
+	if m := recvOne(t, e2in); m.Type != "t2" {
 		t.Fatalf("got %+v", m)
 	}
 }

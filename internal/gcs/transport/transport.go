@@ -24,9 +24,15 @@ type Endpoint interface {
 	// best-effort: a dropped, partitioned or crashed destination is not an
 	// error (the failure detector and protocol time-outs handle it).
 	Send(to string, m Message) error
-	// Recv returns the channel of inbound messages.  The channel is closed
-	// when the endpoint is closed or crashes.
+	// Recv returns the channel of inbound messages that arrive while no
+	// handler is set.
 	Recv() <-chan Message
+	// SetHandler makes the endpoint call h for every inbound message instead
+	// of queueing it for Recv: on the goroutine of the link it arrived on, so
+	// in order for each sender and concurrently across senders.  nil goes
+	// back to Recv.  SetHandler returns once every call of the previous
+	// handler has, so a handler must not call it.
+	SetHandler(h func(Message))
 	// Close detaches the endpoint from the network.
 	Close() error
 }

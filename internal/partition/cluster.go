@@ -30,7 +30,6 @@ type Cluster struct {
 	pmap  Map
 	parts []*core.Cluster
 	base  *transport.MemNetwork // nil when P == 1
-	mux   *transport.Mux        // nil when P == 1
 	gids  atomic.Uint64
 	// execTimeout mirrors the config's Execute bound; it also bounds the
 	// router's orphaned-decide grace window (see decideContext).
@@ -81,7 +80,7 @@ func New(cfg core.ClusterConfig) (*Cluster, error) {
 	base := transport.NewMemNetwork(netOpts...)
 	mux := transport.NewMux(base)
 
-	c := &Cluster{pmap: NewMap(items, p), base: base, mux: mux, execTimeout: et}
+	c := &Cluster{pmap: NewMap(items, p), base: base, execTimeout: et}
 	for i := 0; i < p; i++ {
 		sub := cfg
 		sub.Partitions = 1
@@ -284,13 +283,10 @@ func (c *Cluster) TotalStats() core.ReplicaStats {
 	return total
 }
 
-// Close shuts every partition down and stops the shared-wire mux.
+// Close shuts every partition down.
 func (c *Cluster) Close() {
 	for _, part := range c.parts {
 		part.Close()
-	}
-	if c.mux != nil {
-		c.mux.Close()
 	}
 }
 
