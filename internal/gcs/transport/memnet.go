@@ -3,6 +3,7 @@ package transport
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -371,6 +372,11 @@ func (l *memLink) push(f memFrame) bool {
 	l.mu.Unlock()
 	if idle {
 		go l.drain()
+		// A new goroutine waits in its creator's run-next slot until the
+		// creator blocks, and a handler that sends as it runs may not block
+		// for milliseconds: yield, so this link does not fall behind the
+		// others into the same endpoint.
+		runtime.Gosched()
 	}
 	return true
 }
