@@ -98,10 +98,10 @@ func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, e
 //     versions plus the bumps staged earlier in this batch), the write sets
 //     and commit records are appended to the log but not yet forced or
 //     installed;
-//  3. one group-committed force covers every commit record of the batch and,
-//     at the end-to-end levels, its message records (the path's only force),
-//     overlapped with step 4 (neither depends on the other);
-//  4. the committed write sets are installed;
+//  3. the committed write sets are installed;
+//  4. one group-committed force covers every commit record of the batch and,
+//     at the end-to-end levels, its message records (the path's only force);
+//     a batch with nothing to force skips it;
 //  5. only then are delegates notified and end-to-end deliveries
 //     acknowledged (r.externalize).
 //
@@ -260,29 +260,22 @@ func (r *Replica) applyBatch(st *applyState, batch []applyItem) {
 		}
 	}
 
-	// Phases 3+4: the batch force and the installs run concurrently; both
-	// must finish before any outcome is externalised.
-	// The force decision is per-batch (batchForce): ANY transaction at a
-	// force-on-commit level (the cluster's, or a per-transaction override
-	// riding the payload) or delivered end-to-end forces the whole batch.
-	forceErr := make(chan error, 1)
-	if force.need {
-		go func() { forceErr <- r.dbase.ForceTo(force.lsn) }()
-	} else {
-		forceErr <- nil
-	}
-	// InstallWrites cannot fail for staged write sets (ranges are validated
-	// by writesInRange before staging and the store size is fixed); if it
-	// ever does, the batch is abandoned before anything is externalised and
-	// the WAL stays the source of truth — crash recovery reinstalls the
-	// logged commits.
-	var installErr error
+	// Phase 3.  InstallWrites cannot fail for staged write sets (ranges are
+	// validated by writesInRange before staging and the store size is
+	// fixed); if it ever does, the batch is abandoned before anything is
+	// externalised and the WAL stays the source of truth — crash recovery
+	// reinstalls the logged commits.
 	for _, writes := range tasks {
-		if err := r.dbase.InstallWrites(writes); err != nil && installErr == nil {
-			installErr = err
+		if r.dbase.InstallWrites(writes) != nil {
+			return
 		}
 	}
-	if <-forceErr != nil || installErr != nil {
+
+	// Phase 4.  The force decision is per-batch (batchForce): ANY transaction
+	// at a force-on-commit level (the cluster's, or a per-transaction
+	// override riding the payload) or delivered end-to-end forces the whole
+	// batch.  Both phases finish before any outcome is externalised.
+	if force.need && r.dbase.ForceTo(force.lsn) != nil {
 		return
 	}
 

@@ -67,6 +67,17 @@ type chain struct {
 // numStripes is the number of lock stripes (power of two).
 const numStripes = 64
 
+// pinBlock is one cache line of reader slots, each holding a live snapshot's
+// sequence + 1 (0: free), claimed and freed by CAS.  When every slot is taken
+// another block is linked, so live snapshots are unbounded.
+type pinBlock struct {
+	slots [8]atomic.Uint64
+	next  atomic.Pointer[pinBlock]
+}
+
+// acquireHook (nil outside tests) runs before an acquire publishes its slot.
+var acquireHook func()
+
 // Store is a concurrency-safe, multi-version, in-memory item store.
 type Store struct {
 	stripes [numStripes]sync.RWMutex
@@ -85,13 +96,10 @@ type Store struct {
 	// happen under seqMu, reads are lock-free.
 	visible atomic.Uint64
 
-	// snapMu guards the live-snapshot registry (seq -> refcount).
-	snapMu sync.Mutex
-	snaps  map[uint64]int
-	// pins caches the sorted live snapshot sequences ([]uint64) for the
-	// lock-free garbage-collection check on the install hot path; it is
-	// rebuilt under snapMu whenever the registry changes.
-	pins atomic.Value
+	// pins is the first block of reader slots: every live snapshot publishes
+	// its sequence in one slot, and the pruner scans them (see
+	// AcquireSnapVal and pruneChainLocked).  No reader takes a lock.
+	pins pinBlock
 
 	// maxPinAge bounds how many sequences a pinned snapshot may trail the
 	// visible watermark (0: unlimited).  When an install advances visible past
@@ -116,7 +124,6 @@ func NewStore(n int) *Store {
 	return &Store{
 		items: make([]chain, n),
 		done:  make(map[uint64]struct{}),
-		snaps: make(map[uint64]int),
 	}
 }
 
@@ -173,36 +180,29 @@ func (s *Store) endInstall(seq uint64) {
 		vis++
 	}
 	s.visible.Store(vis)
-	if age := s.maxPinAge.Load(); age != 0 && vis > age {
-		if floor := vis - age; floor > s.pinFloor.Load() {
-			if pins, _ := s.pins.Load().([]uint64); len(pins) > 0 && pins[0] < floor {
-				s.evictPins(floor)
-			}
-		}
+	if age := s.maxPinAge.Load(); age != 0 && vis > age && vis-age > s.pinFloor.Load() {
+		s.evictPins(vis - age)
 	}
 	s.seqMu.Unlock()
 }
 
-// evictPins removes every pin older than floor from the registry (seqMu held;
-// the seqMu→snapMu order matches AcquireSnapVal).  The floor is published
-// BEFORE the shrunken pin list: a pruner that observes the smaller list can
-// only free versions whose snapshots already fail the floor check, so an
-// evicted Snap can never read a half-pruned chain as valid data.
+// evictPins clears, by CAS, every reader slot pinned below floor (seqMu
+// held), counting each.  The floor is published BEFORE the first clear: a
+// pruner that misses a cleared pin can only free versions whose snapshots
+// already fail the floor check, so an evicted Snap never reads a half-pruned
+// chain as valid data.  A snapshot ending below the floor wrote its slot
+// before this install moved visible, so the scan sees it.
 func (s *Store) evictPins(floor uint64) {
-	s.snapMu.Lock()
-	s.pinFloor.Store(floor)
-	old, _ := s.pins.Load().([]uint64)
-	kept := make([]uint64, 0, len(old))
-	for _, p := range old {
-		if p >= floor {
-			kept = append(kept, p)
-			continue
+	for b := &s.pins; b != nil; b = b.next.Load() {
+		for i := range b.slots {
+			if v := b.slots[i].Load(); v != 0 && v <= floor {
+				s.pinFloor.Store(floor)
+				if b.slots[i].CompareAndSwap(v, 0) {
+					s.evictions.Add(1)
+				}
+			}
 		}
-		s.evictions.Add(uint64(s.snaps[p]))
-		delete(s.snaps, p)
 	}
-	s.pins.Store(kept)
-	s.snapMu.Unlock()
 }
 
 // SetMaxPinAge bounds how many apply sequences a live snapshot may trail the
@@ -225,47 +225,39 @@ func (s *Store) EvictedSnaps() uint64 { return s.evictions.Load() }
 // apply sequence at or below it is fully installed.
 func (s *Store) VisibleSeq() uint64 { return s.visible.Load() }
 
-// addPinLocked registers one snapshot sequence (snapMu held) and republishes
-// the sorted pin list only when the sequence set actually changed.  Acquire
-// sequences are monotonic (each is the visible watermark at acquire time), so
-// a new sequence always appends at the tail — no sort needed.
-func (s *Store) addPinLocked(seq uint64) {
-	s.snaps[seq]++
-	if s.snaps[seq] > 1 {
-		return // set unchanged, another snapshot already pins this sequence
+// claimPin publishes seq in a free reader slot and returns the slot, linking
+// a new block when every slot is taken.
+func (s *Store) claimPin(seq uint64) *atomic.Uint64 {
+	b := &s.pins
+	for {
+		for i := range b.slots {
+			if b.slots[i].Load() == 0 && b.slots[i].CompareAndSwap(0, seq+1) {
+				return &b.slots[i]
+			}
+		}
+		next := b.next.Load()
+		if next == nil {
+			nb := new(pinBlock)
+			nb.slots[0].Store(seq + 1)
+			if b.next.CompareAndSwap(nil, nb) {
+				return &nb.slots[0]
+			}
+			next = b.next.Load()
+		}
+		b = next
 	}
-	old, _ := s.pins.Load().([]uint64)
-	pins := make([]uint64, len(old), len(old)+1)
-	copy(pins, old)
-	pins = append(pins, seq)
-	// Defensive: keep sortedness even if a smaller sequence ever appears.
-	for i := len(pins) - 1; i > 0 && pins[i] < pins[i-1]; i-- {
-		pins[i], pins[i-1] = pins[i-1], pins[i]
-	}
-	s.pins.Store(pins)
 }
 
-// dropPinLocked deregisters one snapshot sequence (snapMu held).  A sequence
-// already evicted by the pin-age cap is absent from the registry; releasing
-// such a snapshot is a no-op.
-func (s *Store) dropPinLocked(seq uint64) {
-	n, ok := s.snaps[seq]
-	if !ok {
-		return
-	}
-	if n > 1 {
-		s.snaps[seq] = n - 1
-		return
-	}
-	delete(s.snaps, seq)
-	old, _ := s.pins.Load().([]uint64)
-	pins := make([]uint64, 0, len(old))
-	for _, p := range old {
-		if p != seq {
-			pins = append(pins, p)
+// pinnedIn reports whether a reader slot pins a sequence in [lo, hi).
+func (s *Store) pinnedIn(lo, hi uint64) bool {
+	for b := &s.pins; b != nil; b = b.next.Load() {
+		for i := range b.slots {
+			if v := b.slots[i].Load(); v > lo && v <= hi {
+				return true
+			}
 		}
 	}
-	s.pins.Store(pins)
+	return false
 }
 
 // --- reads ---
@@ -371,10 +363,12 @@ func (s *Store) appendLocked(i int, value int64, seq uint64) {
 //   - the newest version with seq <= p for some live snapshot sequence p.
 //
 // Safety of the lock-free reads: visible is monotonic and is loaded BEFORE
-// the pin list.  A snapshot missing from the loaded pin list must have
-// registered after the list was published, which happened after our visible
-// load — so its sequence is >= our visible bound and its version lies in the
-// kept suffix.  A stale (larger) pin list only keeps more.
+// the reader slots are scanned.  An acquire publishes its slot and then loads
+// visible again, keeping the sequence only if visible has not moved.  If the
+// scan missed a live snapshot's slot (or saw an older value in it), the scan
+// came before the slot was written, so our visible load came before the
+// acquire's final visible load: our bound is at most the snapshot's sequence
+// and its version lies in the kept suffix.  A stale slot only keeps more.
 func (s *Store) pruneChainLocked(c *chain) {
 	vs := c.versions
 	if len(vs) <= 1 {
@@ -393,16 +387,11 @@ func (s *Store) pruneChainLocked(c *chain) {
 	if kbase <= 0 {
 		return
 	}
-	pins, _ := s.pins.Load().([]uint64)
-	// Merge walk: version k (< kbase) survives iff some pin p makes it the
-	// newest version <= p, i.e. vs[k].seq <= p < vs[k+1].seq.
+	// Version k (< kbase) survives iff some pin p makes it the newest
+	// version <= p, i.e. vs[k].seq <= p < vs[k+1].seq.
 	w := 0
-	pi := 0
 	for k := 0; k < kbase; k++ {
-		for pi < len(pins) && pins[pi] < vs[k].seq {
-			pi++
-		}
-		if pi < len(pins) && pins[pi] < vs[k+1].seq {
+		if s.pinnedIn(vs[k].seq, vs[k+1].seq) {
 			vs[w] = vs[k]
 			w++
 		}
@@ -527,13 +516,12 @@ func (s *Store) writeOne(i int, v int64, seq uint64) {
 type Snap struct {
 	s        *Store
 	seq      uint64
+	slot     *atomic.Uint64
 	released bool
 }
 
-// AcquireSnap registers and returns a snapshot at the current visible
-// sequence.  The sequence read and the registry insertion happen atomically
-// under seqMu: an install that advances visible past the snapshot's sequence
-// must either run before the read or observe the registered pin.
+// AcquireSnap pins and returns a snapshot at the current visible sequence
+// (see AcquireSnapVal).
 func (s *Store) AcquireSnap() *Snap {
 	snap := s.AcquireSnapVal()
 	return &snap
@@ -541,15 +529,27 @@ func (s *Store) AcquireSnap() *Snap {
 
 // AcquireSnapVal is AcquireSnap returning the handle by value, for callers
 // that embed it (the database's read-transaction hot path allocates once for
-// the transaction instead of twice).
+// the transaction instead of twice).  It takes no lock: it loads visible,
+// claims a reader slot, then loads visible again.  If visible moved, a
+// pruner may have scanned the slots before the claim with a bound above the
+// pinned sequence, so the pin moves to the new value (a fresh slot if the
+// move fails because the slot was cleared) and is checked again.
 func (s *Store) AcquireSnapVal() Snap {
-	s.seqMu.Lock()
 	seq := s.visible.Load()
-	s.snapMu.Lock()
-	s.addPinLocked(seq)
-	s.snapMu.Unlock()
-	s.seqMu.Unlock()
-	return Snap{s: s, seq: seq}
+	if acquireHook != nil {
+		acquireHook()
+	}
+	slot := s.claimPin(seq)
+	for {
+		now := s.visible.Load()
+		if now == seq {
+			return Snap{s: s, seq: seq, slot: slot}
+		}
+		if !slot.CompareAndSwap(seq+1, now+1) {
+			slot = s.claimPin(now)
+		}
+		seq = now
+	}
 }
 
 // Seq returns the snapshot's apply sequence.
@@ -569,28 +569,28 @@ func (p *Snap) Read(i int) (int64, uint64, error) {
 	return v, ver, err
 }
 
-// Release deregisters the snapshot, allowing GC to prune the versions only it
-// could see.  Release is idempotent; like the reads, it must not be called
-// concurrently with other methods of the same Snap.
+// Release frees the snapshot's slot (by CAS: once evicted, the slot may hold
+// a newer reader's pin, which ends at or above the floor), allowing GC to
+// prune the versions only it could see.  Release is idempotent; like the
+// reads, it must not be called concurrently with other methods of the Snap.
 func (p *Snap) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
-	s := p.s
-	s.snapMu.Lock()
-	s.dropPinLocked(p.seq)
-	s.snapMu.Unlock()
+	p.slot.CompareAndSwap(p.seq+1, 0)
 }
 
-// LiveSnaps returns the number of live (unreleased) snapshots.
+// LiveSnaps returns the number of live (unreleased, not evicted) snapshots.
 func (s *Store) LiveSnaps() int {
-	s.snapMu.Lock()
 	n := 0
-	for _, c := range s.snaps {
-		n += c
+	for b := &s.pins; b != nil; b = b.next.Load() {
+		for i := range b.slots {
+			if b.slots[i].Load() != 0 {
+				n++
+			}
+		}
 	}
-	s.snapMu.Unlock()
 	return n
 }
 
