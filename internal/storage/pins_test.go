@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// pinnedIn's free-block check reads a block's slots by index: this fails to
+// compile if the block size changes without it.
+var _ = [1]struct{}{}[len(pinBlock{}.slots)-8]
+
 // TestAcquireRechecksVisibleAfterPublishing is the acquire/prune
 // interleaving: between the acquire's visible load and its slot publication,
 // installs advance visible and prune the chain with no pin to honour.  The
