@@ -8,7 +8,7 @@
 // Usage:
 //
 //	gsdb-demo -level group-safe -replicas 3 -txns 200 -disk-sync 2ms
-//	gsdb-demo -technique lazy-primary -txns 200
+//	gsdb-demo -level 1-safe-lazy -txns 200        # the lazy 1-safe baseline
 //	gsdb-demo -mix-safety very-safe -txns 200   # every 10th txn overridden
 package main
 
@@ -25,7 +25,6 @@ import (
 
 func main() {
 	levelFlag := flag.String("level", "group-safe", "safety level: 0-safe | 1-safe-lazy | group-safe | group-1-safe | 2-safe | very-safe")
-	techniqueFlag := flag.String("technique", "certification", "replication technique: certification | lazy-primary")
 	replicas := flag.Int("replicas", 3, "number of replica servers")
 	partitions := flag.Int("partitions", 1, "hash partitions of the keyspace, each its own replica group and total order (1: single global order)")
 	txns := flag.Int("txns", 200, "number of transactions to run")
@@ -45,16 +44,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	technique, err := gsdb.ParseTechnique(*techniqueFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// The lazy primary-copy technique is inherently 1-safe: accept the
-	// default -level rather than rejecting the flag combination.
-	if technique == gsdb.TechLazyPrimary && level.UsesGroupCommunication() {
-		level = gsdb.Safety1Lazy
-	}
 	var overrideLevel *gsdb.SafetyLevel
 	if *mixSafety != "" {
 		l, err := gsdb.ParseLevel(*mixSafety)
@@ -69,7 +58,6 @@ func main() {
 		gsdb.WithReplicas(*replicas),
 		gsdb.WithItems(10000),
 		gsdb.WithSafetyLevel(level),
-		gsdb.WithTechnique(technique),
 		gsdb.WithDiskSyncDelay(*diskSync),
 		gsdb.WithNetworkLatency(*netLatency),
 		gsdb.WithExecTimeout(15 * time.Second),
@@ -86,10 +74,10 @@ func main() {
 	defer client.Close()
 
 	if client.Partitions() > 1 {
-		fmt.Printf("started %d-replica cluster: technique %s, safety level %s, %d keyspace partitions\n",
-			*replicas, technique, client.Level(), client.Partitions())
+		fmt.Printf("started %d-replica cluster: safety level %s, %d keyspace partitions\n",
+			*replicas, client.Level(), client.Partitions())
 	} else {
-		fmt.Printf("started %d-replica cluster: technique %s, safety level %s\n", *replicas, technique, client.Level())
+		fmt.Printf("started %d-replica cluster: safety level %s\n", *replicas, client.Level())
 	}
 	wcfg := gsdb.DefaultWorkloadConfig()
 	wcfg.ReadFraction = *readFraction

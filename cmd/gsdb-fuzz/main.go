@@ -6,7 +6,7 @@
 //
 //	gsdb-fuzz -seeds 50                          # sweep seeds 1..50
 //	gsdb-fuzz -start 1000 -seeds 200 -out /tmp   # nightly slice, artifacts in /tmp
-//	gsdb-fuzz -seed 42 -technique lazy-primary   # one pinned run
+//	gsdb-fuzz -seed 42 -level 1-safe-lazy        # one pinned run
 //	gsdb-fuzz -replay failure.trace              # re-run a recorded trace
 //	gsdb-fuzz -seed 7 -emit corpus/seed-7.trace  # write the trace, no run
 //
@@ -35,8 +35,7 @@ func run() int {
 		seed       = flag.Int64("seed", 0, "run exactly this seed (0: sweep -start..-start+-seeds-1)")
 		start      = flag.Int64("start", 1, "first seed of a sweep")
 		seeds      = flag.Int64("seeds", 25, "number of seeds in a sweep")
-		technique  = flag.String("technique", "", "pin the replication technique (certification, lazy-primary)")
-		level      = flag.String("level", "", "pin the safety level (0-safe, lazy, group-safe, group-1-safe, 2-safe, very-safe)")
+		level      = flag.String("level", "", "pin the safety level (0-safe, 1-safe-lazy, group-safe, group-1-safe, 2-safe, very-safe)")
 		profile    = flag.String("profile", "", "adversary profile: "+strings.Join(fuzz.Profiles(), ", "))
 		replicas   = flag.Int("replicas", 0, "pin the cluster size (0: derived from the seed)")
 		steps      = flag.Int("steps", 0, "schedule length (0: default)")
@@ -60,7 +59,6 @@ func run() int {
 	mkConfig := func(s int64) fuzz.Config {
 		return fuzz.Config{
 			Seed:       s,
-			Technique:  *technique,
 			Level:      *level,
 			Profile:    *profile,
 			Replicas:   *replicas,
@@ -79,7 +77,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		fmt.Printf("wrote %s (%d steps, technique=%s level=%s)\n", *emit, len(sc.Steps), sc.Cfg.Technique, sc.Cfg.Level)
+		fmt.Printf("wrote %s (%d steps, level=%s)\n", *emit, len(sc.Steps), sc.Cfg.Level)
 		return 0
 	}
 
@@ -94,8 +92,8 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		fmt.Printf("seed %d: technique=%s level=%s replicas=%d profile=%s steps=%d\n",
-			s, sc.Cfg.Technique, sc.Cfg.Level, sc.Cfg.Replicas, sc.Cfg.Profile, len(sc.Steps))
+		fmt.Printf("seed %d: level=%s replicas=%d profile=%s steps=%d\n",
+			s, sc.Cfg.Level, sc.Cfg.Replicas, sc.Cfg.Profile, len(sc.Steps))
 		if code := check(sc, *out, *noShrink); code != 0 {
 			return code
 		}

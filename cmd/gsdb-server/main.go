@@ -10,7 +10,9 @@
 // address (host:port), and it must appear verbatim in every replica's -peers
 // list.  Set either one.  Every flag can also come from the environment
 // (GSDB_LISTEN, GSDB_PEERS, ... — the flag name upper-cased, dashes to
-// underscores); explicit flags win.
+// underscores); explicit flags win.  Every replica runs the certification
+// engine and -level is its only replication setting: a GSDB_TECHNIQUE other
+// than "certification" (a lazy-primary deployment's) is refused with exit 1.
 //
 // The process exits 0 on SIGINT/SIGTERM after a graceful shutdown: the client
 // listener drains, in-flight transactions finish, and the write-ahead logs
@@ -41,7 +43,6 @@ func main() {
 		peers        = flag.String("peers", "", "comma-separated peer addresses of ALL replicas, identical on every replica")
 		walDir       = flag.String("wal-dir", "", "directory for this replica's write-ahead log (db.wal)")
 		levelFlag    = flag.String("level", "group-safe", "safety level: 0-safe | 1-safe-lazy | group-safe | group-1-safe | 2-safe | very-safe")
-		techFlag     = flag.String("technique", "certification", "replication technique: certification | lazy-primary")
 		items        = flag.Int("items", 1024, "database size (identical on every replica)")
 		execTimeout  = flag.Duration("exec-timeout", 10*time.Second, "per-transaction execution timeout")
 		fdInterval   = flag.Duration("fd-interval", 50*time.Millisecond, "failure detector heartbeat interval")
@@ -49,6 +50,9 @@ func main() {
 		resync       = flag.Duration("resync-interval", time.Second, "stall interval after which peer state is re-pulled")
 		partitions   = flag.Int("partitions", 1, "keyspace partitions; a server process hosts one replica of ONE partition's group, so this must stay 1 (see docs/OPERATIONS.md)")
 	)
+	if err := techniqueEnvError(); err != nil {
+		fatalf("%v", err)
+	}
 	flag.VisitAll(func(f *flag.Flag) {
 		if err := envDefault(f); err != nil {
 			fatalf("%v", err)
@@ -77,10 +81,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	technique, err := gsdb.ParseTechnique(*techFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
 	if *partitions > 1 {
 		fatalf("-partitions=%d: a gsdb-server process hosts one replica of a single partition's group; "+
 			"deploy %d independent replica groups (one per partition, each with its own -peers list and "+
@@ -96,7 +96,6 @@ func main() {
 		Members:           peerList,
 		ClientAddr:        *clientListen,
 		WALDir:            *walDir,
-		Technique:         technique,
 		Level:             level,
 		Items:             *items,
 		ExecTimeout:       *execTimeout,
@@ -126,6 +125,17 @@ func envDefault(f *flag.Flag) error {
 			return fmt.Errorf("%s=%q: %v", key, v, err)
 		}
 		f.DefValue = v
+	}
+	return nil
+}
+
+// techniqueEnvError refuses a leftover GSDB_TECHNIQUE: every replica runs
+// the certification engine, so any other value names a deployment this
+// binary would otherwise silently serve at the wrong guarantee.
+func techniqueEnvError() error {
+	if v, ok := os.LookupEnv("GSDB_TECHNIQUE"); ok && v != "certification" {
+		return fmt.Errorf("GSDB_TECHNIQUE=%q: every replica runs the certification engine; "+
+			"select the lazy 1-safe baseline with GSDB_LEVEL=1-safe-lazy", v)
 	}
 	return nil
 }

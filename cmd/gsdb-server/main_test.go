@@ -37,3 +37,18 @@ func TestEnvDefault(t *testing.T) {
 		})
 	}
 }
+
+// TestTechniqueEnvRefused: a GSDB_TECHNIQUE other than "certification" is an
+// error naming the variable and its value; "certification" is accepted.
+func TestTechniqueEnvRefused(t *testing.T) {
+	for _, value := range []string{"lazy-primary", "active", ""} {
+		t.Setenv("GSDB_TECHNIQUE", value)
+		if err := techniqueEnvError(); err == nil || !strings.Contains(err.Error(), "GSDB_TECHNIQUE") || !strings.Contains(err.Error(), `"`+value+`"`) {
+			t.Fatalf("GSDB_TECHNIQUE=%q: %v, want an error naming the variable and the value", value, err)
+		}
+	}
+	t.Setenv("GSDB_TECHNIQUE", "certification")
+	if err := techniqueEnvError(); err != nil {
+		t.Fatalf("GSDB_TECHNIQUE=certification: %v", err)
+	}
+}

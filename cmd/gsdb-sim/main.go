@@ -5,7 +5,7 @@
 // Usage:
 //
 //	gsdb-sim -experiment fig9    [-duration 60s] [-loads 20,24,...,40]
-//	gsdb-sim -technique lazy-primary|certification
+//	gsdb-sim -experiment fig9 -levels 1-safe-lazy   # the lazy baseline only
 //	gsdb-sim -experiment scaling
 //	gsdb-sim -print-config
 package main
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -33,7 +34,6 @@ func main() {
 // os.Exit would skip it and leave a truncated profile).
 func run() int {
 	experiment := flag.String("experiment", "fig9", "experiment to run: fig9 | scaling")
-	techniqueFlag := flag.String("technique", "certification", "replication technique to simulate: certification | lazy-primary")
 	duration := flag.Duration("duration", 60*time.Second, "simulated duration per data point")
 	loadsFlag := flag.String("loads", "", "comma-separated load points in tps (default 20..40)")
 	levelsFlag := flag.String("levels", "", "comma-separated levels: group-safe,1-safe-lazy,group-1-safe,2-safe,very-safe,0-safe")
@@ -71,12 +71,6 @@ func run() int {
 	cfg.ReadFraction = *readFraction
 	cfg.QueryMinOps = *queryKeys
 	cfg.QueryMaxOps = *queryKeys
-	technique, err := core.ParseTechnique(*techniqueFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	cfg.Technique = technique
 
 	if *printConfig {
 		printTable4(cfg)
@@ -125,9 +119,7 @@ func runFig9(cfg simrep.Config, loadsFlag, levelsFlag string) int {
 			loads = append(loads, v)
 		}
 	}
-	// nil lets RunFigure9 pick the default level set for the configured
-	// technique (the Fig. 9 trio for certification, 1-safe-lazy for
-	// lazy-primary).
+	// nil lets RunFigure9 pick the Fig. 9 trio.
 	var levels []core.SafetyLevel
 	if levelsFlag != "" {
 		for _, tok := range strings.Split(levelsFlag, ",") {
@@ -140,16 +132,15 @@ func runFig9(cfg simrep.Config, loadsFlag, levelsFlag string) int {
 		}
 	}
 
-	fmt.Printf("Figure 9 reproduction: response time vs load (%d servers, Table 4 workload, %s technique)\n\n", cfg.Servers, cfg.Technique)
+	fmt.Printf("Figure 9 reproduction: response time vs load (%d servers, Table 4 workload, certification technique)\n\n", cfg.Servers)
 	results, err := simrep.RunFigure9(cfg, levels, loads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	fmt.Println(simrep.FormatFigure9(results))
-	// The group-safe-vs-lazy crossover only exists in the certification
-	// technique's multi-level sweep.
-	if cfg.Technique == core.TechCertification {
+	// The group-safe-vs-lazy crossover needs both curves in the sweep.
+	if levels == nil || slices.Contains(levels, core.GroupSafe) && slices.Contains(levels, core.Safety1Lazy) {
 		if cross := simrep.CrossoverLoad(results, core.GroupSafe, core.Safety1Lazy); cross > 0 {
 			fmt.Printf("group-safe overtakes lazy replication at %.0f tps (paper: ~38 tps)\n", cross)
 		} else {

@@ -227,9 +227,6 @@ func TestQueryMonotonicSessionReads(t *testing.T) {
 		if got := read.ReadValues[5]; got != int64(100+i) {
 			t.Fatalf("session read = %d, want %d", got, 100+i)
 		}
-		if read.Stale {
-			t.Fatal("query flagged stale on certification cluster")
-		}
 		if read.Freshness > session {
 			session = read.Freshness
 		}
@@ -248,9 +245,9 @@ func TestReadOnlyOptionRejectsWrites(t *testing.T) {
 	}
 }
 
-func TestLazyQueryStaleFlag(t *testing.T) {
+func TestLazyQueryRejectsFreshnessFloor(t *testing.T) {
 	ctx := context.Background()
-	client := openTest(t, gsdb.WithReplicas(3), gsdb.WithTechnique(gsdb.TechLazyPrimary), gsdb.WithSafetyLevel(gsdb.Safety1Lazy))
+	client := openTest(t, gsdb.WithReplicas(3), gsdb.WithSafetyLevel(gsdb.Safety1Lazy))
 	if _, err := client.Execute(ctx, write(2, 22), gsdb.Via(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,16 +256,15 @@ func TestLazyQueryStaleFlag(t *testing.T) {
 	if err := client.WaitConsistent(waitCtx); err != nil {
 		t.Fatal(err)
 	}
-	primary, err := client.Execute(ctx, gsdb.Query(2), gsdb.Via(0))
-	if err != nil || primary.Stale {
-		t.Fatalf("primary query: %+v, %v", primary, err)
+	// Any replica serves a plain query from its local state...
+	for i := 0; i < client.Size(); i++ {
+		res, err := client.Execute(ctx, gsdb.Query(2), gsdb.Via(i))
+		if err != nil || res.ReadValues[2] != 22 || res.Freshness != 0 {
+			t.Fatalf("query via replica %d: %+v, %v", i, res, err)
+		}
 	}
-	secondary, err := client.Execute(ctx, gsdb.Query(2), gsdb.Via(1))
-	if err != nil || !secondary.Stale {
-		t.Fatalf("secondary query not flagged stale: %+v, %v", secondary, err)
-	}
-	// Freshness floors have no meaning without a total order.
-	_, err = client.Execute(ctx, gsdb.Query(2), gsdb.Via(1), gsdb.WithFreshness(1))
+	// ...but freshness floors have no meaning without a total order.
+	_, err := client.Execute(ctx, gsdb.Query(2), gsdb.Via(1), gsdb.WithFreshness(1))
 	if !errors.Is(err, gsdb.ErrSafetyUnavailable) {
 		t.Fatalf("freshness on lazy cluster: %v", err)
 	}

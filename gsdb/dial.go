@@ -27,8 +27,8 @@ type ItemState = netproto.ItemState
 // compact binary protocol of internal/netproto over one multiplexed TCP
 // connection per replica (established lazily), picks delegates round-robin,
 // and degrades gracefully: a dead or crashed replica is skipped with jittered
-// backoff, an ErrNotPrimary rejection from a lazy primary-copy secondary
-// rotates to the next replica, and a request fails — it never hangs — once
+// backoff, an ErrTooStale rejection from a lagging replica rotates to the
+// next replica, and a request fails — it never hangs — once
 // its bounded retry budget or its context is exhausted.  An endpoint whose
 // dial or handshake fails repeatedly is suspended from the round-robin for an
 // exponentially growing window (100ms doubling to a 15s cap), so a dead
@@ -210,7 +210,7 @@ func (c *RemoteClient) pickAddr(slot int) string {
 // Execute runs one transaction against the cluster and blocks until its
 // safety level's notification condition holds at the serving replica, or
 // until the retry budget or ctx is exhausted.  Engine error sentinels
-// (ErrCrashed, ErrNotPrimary, ErrSafetyUnavailable, ...) keep their
+// (ErrCrashed, ErrTooStale, ErrSafetyUnavailable, ...) keep their
 // errors.Is identity across the wire.
 func (c *RemoteClient) Execute(ctx context.Context, req Request, opts ...TxnOption) (Result, error) {
 	if c.closed.Load() {
@@ -264,7 +264,7 @@ func (c *RemoteClient) Execute(ctx context.Context, req Request, opts ...TxnOpti
 		if !retryable(err, pinned >= 0) {
 			return Result{}, fmt.Errorf("gsdb: %w", lastErr)
 		}
-		// Transport failures and crashed/non-primary replicas: rotate (or,
+		// Transport failures, crashed and lagging replicas: rotate (or,
 		// pinned, re-try the same replica) after a jittered backoff.
 		sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
 		if backoff *= 2; backoff > remoteBackoffMax {
@@ -306,11 +306,10 @@ func retryable(err error, pinnedDelegate bool) bool {
 	if errors.As(err, &re) {
 		// The server answered: only "this replica cannot serve you right
 		// now" answers are worth retrying — a crashed replica may recover,
-		// a non-primary rejection means another replica is the primary
-		// (pointless to re-ask the same secondary), and a too-stale lease
-		// rejection means this replica lags while a fresher one may qualify
-		// (the redirect half of the bounded-staleness contract).
-		if errors.Is(err, ErrNotPrimary) || errors.Is(err, ErrTooStale) {
+		// and a too-stale lease rejection means this replica lags while a
+		// fresher one may qualify (the redirect half of the
+		// bounded-staleness contract).
+		if errors.Is(err, ErrTooStale) {
 			return !pinnedDelegate
 		}
 		return errors.Is(err, ErrCrashed)

@@ -29,13 +29,10 @@ var (
 	// ErrCrashed is returned when the delegate replica is (or crashes
 	// while) serving the transaction.
 	ErrCrashed = core.ErrCrashed
-	// ErrNotPrimary is returned by the lazy primary-copy technique when an
-	// update transaction is submitted directly to a secondary replica.
-	ErrNotPrimary = core.ErrNotPrimary
 	// ErrNotFound is returned for out-of-range replica indexes.
 	ErrNotFound = core.ErrNotFound
 	// ErrSafetyUnavailable is returned when a WithSafety override asks for
-	// a level this cluster's technique or machinery cannot provide.
+	// a level this cluster's machinery cannot provide.
 	ErrSafetyUnavailable = core.ErrSafetyUnavailable
 	// ErrComputeNotReplicable is returned by RemoteClient.Execute for any
 	// request carrying a Compute hook: closures cannot cross the network.

@@ -47,8 +47,8 @@
 // Each result carries a Freshness token (the replica's position in the total
 // order).  Passing the largest token seen back via WithFreshness yields
 // monotonic session reads, including reading your own committed writes from
-// any replica.  Under lazy primary-copy, queries served by a secondary are
-// flagged Result.Stale instead (no comparable sequence exists).
+// any replica.  The lazy levels (0-safe, 1-safe-lazy) have no comparable
+// sequence: their queries carry no token and a freshness floor is refused.
 //
 // # Response versus durability
 //
@@ -96,8 +96,7 @@ import (
 // Open builds and starts an in-process replicated database cluster (one
 // replica per simulated server, connected by an in-memory network with
 // failure injection) and returns a client for it.  The default cluster is
-// three replicas at the group-safe level running the certification-based
-// technique; see the With* options.
+// three replicas at the group-safe level; see the With* options.
 func Open(ctx context.Context, opts ...Option) (*Client, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gsdb: open: %w", err)
@@ -235,11 +234,8 @@ func (c *Client) Consistent() bool { return c.cluster.Consistent() }
 // Size returns the number of replicas.
 func (c *Client) Size() int { return c.cluster.Size() }
 
-// Level returns the cluster's configured (canonicalised) safety level.
+// Level returns the cluster's configured safety level.
 func (c *Client) Level() SafetyLevel { return c.cluster.Level() }
-
-// Technique returns the cluster's replication technique.
-func (c *Client) Technique() TechniqueID { return c.cluster.Technique() }
 
 // LiveCount returns the number of non-crashed replicas.
 func (c *Client) LiveCount() int { return c.cluster.LiveCount() }

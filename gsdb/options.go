@@ -36,13 +36,6 @@ func WithSafetyLevel(l SafetyLevel) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Level = l }
 }
 
-// WithTechnique selects the replication technique (default
-// TechCertification).  The technique may canonicalise the safety level:
-// lazy primary-copy pins to 1-safe-lazy.
-func WithTechnique(t TechniqueID) Option {
-	return func(cfg *core.ClusterConfig) { cfg.Technique = t }
-}
-
 // WithDiskSyncDelay emulates the latency of forcing a log to disk (the
 // paper's setting: 4-12ms, far above the 0.07ms network message).
 func WithDiskSyncDelay(d time.Duration) Option {
@@ -69,8 +62,8 @@ func WithExecTimeout(d time.Duration) Option {
 // decomposed by a router into per-partition sub-transactions committed with
 // an ordered two-phase commit, and results carry a per-partition freshness
 // vector (Result.FreshnessVec, WithFreshnessVec).  Partitioned operation
-// requires the certification technique and a group-communication safety
-// level.  n <= 1 selects the unpartitioned fast path.
+// requires a group-communication safety level.  n <= 1 selects the
+// unpartitioned fast path.
 func WithPartitions(n int) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Partitions = n }
 }
@@ -165,21 +158,19 @@ func Via(delegate int) TxnOption {
 // its Result carries a Freshness token (see WithFreshness).  Requests without
 // writes take the same fast path automatically; the declaration makes the
 // intent explicit and fails the call with ErrReadOnlyWrites if a write (or a
-// Compute hook, which could emit one) sneaks in.  Under lazy primary-copy a
-// query served by a secondary is flagged Result.Stale.
+// Compute hook, which could emit one) sneaks in.
 func ReadOnly() TxnOption {
 	return func(o *txnOptions) { o.readOnly = true }
 }
 
 // WithFreshness sets a freshness floor for a read-only transaction at the
-// totally-ordered levels of certification (group-safe and up): the serving
+// totally-ordered levels (group-safe and up): the serving
 // replica waits until it has applied at least the given broadcast sequence
 // before taking its snapshot.  Feeding back the largest Result.Freshness seen so far
 // gives monotonic session reads — including "read your own writes" across
 // replicas, since a committed update's Result.Freshness is its own position
-// in the total order.  On clusters without a comparable sequence (lazy
-// primary-copy, 0-safe, 1-safe-lazy) a non-zero floor fails with
-// ErrSafetyUnavailable.
+// in the total order.  On clusters without a comparable sequence (0-safe,
+// 1-safe-lazy) a non-zero floor fails with ErrSafetyUnavailable.
 func WithFreshness(token uint64) TxnOption {
 	return func(o *txnOptions) { o.freshness = token }
 }

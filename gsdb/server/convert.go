@@ -11,7 +11,6 @@ func toInternal(cfg Config) server.Config {
 		Members:           cfg.Members,
 		ClientAddr:        cfg.ClientAddr,
 		WALDir:            cfg.WALDir,
-		Technique:         cfg.Technique,
 		Level:             cfg.Level,
 		Items:             cfg.Items,
 		ExecTimeout:       cfg.ExecTimeout,

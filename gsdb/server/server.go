@@ -38,8 +38,6 @@ type Config struct {
 	// WALDir holds this replica's durable state, its write-ahead log.
 	// Each replica needs its own directory.
 	WALDir string
-	// Technique selects the replication technique (default certification).
-	Technique gsdb.TechniqueID
 	// Level is the safety criterion (default group-safe).
 	Level gsdb.SafetyLevel
 	// Items is the database size (default 1024).

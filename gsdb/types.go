@@ -24,8 +24,6 @@ type (
 	// SafetyLevel is the paper's safety criterion (Table 1): what is
 	// guaranteed about a transaction when the client is notified.
 	SafetyLevel = core.SafetyLevel
-	// TechniqueID selects the replication technique a cluster runs.
-	TechniqueID = core.TechniqueID
 	// Stats are cumulative per-replica counters (Client.TotalStats sums
 	// them across the cluster).
 	Stats = core.ReplicaStats
@@ -66,17 +64,6 @@ const (
 	VerySafe = core.VerySafe
 )
 
-// The replication techniques (both run behind the same client API).
-const (
-	// TechCertification is the certification-based database state machine —
-	// the paper's own protocol: optimistic delegate execution, one atomic
-	// broadcast, deterministic first-updater-wins certification everywhere.
-	TechCertification = core.TechCertification
-	// TechLazyPrimary is lazy primary-copy (1-safe): updates run at the
-	// primary only, write sets ship asynchronously after the response.
-	TechLazyPrimary = core.TechLazyPrimary
-)
-
 // Transaction outcomes.
 const (
 	OutcomePending   = core.OutcomePending
@@ -90,20 +77,6 @@ func AllLevels() []SafetyLevel { return core.AllLevels() }
 // ParseLevel resolves a safety level name (as printed by its String method,
 // e.g. "group-safe").
 func ParseLevel(s string) (SafetyLevel, error) { return core.ParseLevel(s) }
-
-// AllTechniques lists every replication technique.
-func AllTechniques() []TechniqueID { return core.AllTechniques() }
-
-// ParseTechnique resolves a technique name (as printed by its String method,
-// e.g. "certification").
-func ParseTechnique(s string) (TechniqueID, error) { return core.ParseTechnique(s) }
-
-// CanonicalLevel validates a safety level against a technique and returns
-// the level the technique actually runs (certification runs every level
-// unchanged; lazy primary-copy pins to 1-safe-lazy).
-func CanonicalLevel(tech TechniqueID, level SafetyLevel) (SafetyLevel, error) {
-	return core.CanonicalLevel(tech, level)
-}
 
 // NewWorkload builds a transaction generator for the given configuration and
 // seed; it is safe for concurrent use.

@@ -91,10 +91,10 @@ func TestExecuteCancelledAfterBroadcast(t *testing.T) {
 }
 
 // TestExecuteCancelledDuringLocalLockWait: the purely local execution paths
-// (0-safe, 1-safe lazy, lazy primary-copy) honour the context too — an
-// Execute blocked in a 2PL lock wait behind a conflicting transaction is
-// externally aborted and returns promptly with the deadline error, and the
-// cluster keeps working once the blocker finishes.
+// (0-safe, 1-safe lazy) honour the context too — an Execute blocked in a 2PL
+// lock wait behind a conflicting transaction is externally aborted and
+// returns promptly with the deadline error, and the cluster keeps working
+// once the blocker finishes.
 func TestExecuteCancelledDuringLocalLockWait(t *testing.T) {
 	c := newTestCluster(t, Safety1Lazy, 3)
 	r := c.Replica(0)
@@ -336,8 +336,8 @@ func TestPerTxnSafetyResolution(t *testing.T) {
 		t.Fatalf("very-safe upgrade on a 2-safe cluster: %+v, %v", res, err)
 	}
 
-	// Lazy primary-copy has a single response point: group levels error out.
-	lp, err := NewCluster(ClusterConfig{Replicas: 3, Items: 64, Technique: TechLazyPrimary, ExecTimeout: 5 * time.Second})
+	// A lazy cluster has a single response point: group levels error out.
+	lp, err := NewCluster(ClusterConfig{Replicas: 3, Items: 64, Level: Safety1Lazy, ExecTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,6 @@ type ClusterConfig struct {
 	Items int
 	// Level is the safety criterion of every replica.
 	Level SafetyLevel
-	// Technique is the replication technique every replica runs
-	// (certification-based by default; see TechniqueID).
-	Technique TechniqueID
 	// DiskSyncDelay emulates the cost of forcing a log to disk.
 	DiskSyncDelay time.Duration
 	// NetworkLatency emulates the LAN.
@@ -102,7 +99,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Members:              members,
 			Items:                cfg.Items,
 			Level:                cfg.Level,
-			Technique:            cfg.Technique,
 			Network:              network,
 			DiskSyncDelay:        cfg.DiskSyncDelay,
 			ExecTimeout:          cfg.ExecTimeout,
@@ -116,10 +112,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		c.replicas[i].Store(r)
 	}
-	// Reflect the technique's level canonicalisation (lazy primary-copy
-	// pinning the zero level to 1-safe-lazy) so Cluster.Level agrees with
-	// what the replicas actually run.
-	c.cfg.Level = c.Replica(0).Level()
 	return c, nil
 }
 
@@ -134,9 +126,6 @@ func (c *Cluster) Size() int { return len(c.replicas) }
 
 // Level returns the cluster's safety level.
 func (c *Cluster) Level() SafetyLevel { return c.cfg.Level }
-
-// Technique returns the cluster's replication technique.
-func (c *Cluster) Technique() TechniqueID { return c.cfg.Technique }
 
 // Replica returns the i-th replica (0-based).
 func (c *Cluster) Replica(i int) *Replica {
@@ -157,16 +146,11 @@ func (c *Cluster) Replicas() []*Replica {
 
 // Execute runs a request with replica i as the delegate; ctx bounds the call
 // (a context without a deadline gets the configured ExecTimeout as a
-// default).  Under the lazy primary-copy technique, update transactions are
-// transparently routed to the primary (replica 0) — the cluster plays the
-// role of the client-side driver that knows where the primary copy lives.
+// default).
 func (c *Cluster) Execute(ctx context.Context, i int, req Request) (Result, error) {
 	r := c.Replica(i)
 	if r == nil {
 		return Result{}, fmt.Errorf("%w: index %d", ErrNotFound, i)
-	}
-	if c.cfg.Technique == TechLazyPrimary && !r.IsPrimary() && requestMayWrite(req) {
-		r = c.Replica(0)
 	}
 	return r.Execute(ctx, req)
 }

@@ -4,20 +4,16 @@
 //
 // A replica owns the client session (Execute), the group communication
 // stack and its lifecycle (crash, state transfer, recovery), the ordered
-// delivery drain loop, durability forcing and client notification.  Two
-// replication techniques ship:
-//
-//   - certification (TechCertification): the paper's own protocol — the
-//     database state machine.  Update transactions execute optimistically at
-//     their delegate, are atomically broadcast with their read versions and
-//     write set, and every replica certifies them in delivery order
-//     (first-updater-wins).  SafetyLevel parameterises the client response
-//     point: 0-safe, 1-safe (lazy), group-safe, group-1-safe, 2-safe,
-//     very-safe.
-//   - lazy-primary (TechLazyPrimary): lazy primary-copy, the 1-safe
-//     baseline — updates execute only at the primary, which replies after
-//     its forced local commit and ships write sets asynchronously (FIFO in
-//     commit order) to the secondaries.
+// delivery drain loop, durability forcing and client notification.  Every
+// replica runs the paper's own protocol, the certification-based database
+// state machine: update transactions execute optimistically at their
+// delegate, are atomically broadcast with their read versions and write set,
+// and every replica certifies them in delivery order (first-updater-wins).
+// SafetyLevel is the only replication setting; it parameterises the client
+// response point: 0-safe, 1-safe (lazy), group-safe, group-1-safe, 2-safe,
+// very-safe.  The two lazy levels are the paper's 1-safe baselines: the
+// delegate commits locally and ships the write set asynchronously, with no
+// broadcast and no certification.
 //
 // A Cluster wires one Replica per server onto a shared in-memory network
 // with failure injection.  The replication pipeline is batched end to end:

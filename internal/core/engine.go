@@ -173,7 +173,7 @@ func (r *Replica) broadcast(payload []byte) error {
 		_, err := r.ab.Broadcast(payload)
 		return err
 	}
-	return fmt.Errorf("core: technique %v at level %v does not use group communication", r.cfg.Technique, r.cfg.Level)
+	return fmt.Errorf("core: level %v does not use group communication", r.cfg.Level)
 }
 
 func (r *Replica) countOutcome(o Outcome) {
@@ -188,9 +188,8 @@ func (r *Replica) countOutcome(o Outcome) {
 
 // effectiveLevel resolves the safety level one transaction is externalised
 // at: the cluster's configured level, or the request's per-transaction
-// override.  An override is first canonicalised against the technique's
-// floor (CanonicalLevel: lazy primary-copy pins to 1-safe-lazy), then
-// checked against the machinery this cluster was actually built with:
+// override.  An override is checked against the machinery this cluster was
+// actually built with:
 //
 //   - on a group-communication cluster every transaction rides the broadcast,
 //     so levels weaker than group-safe are canonicalised up to it;
@@ -213,10 +212,7 @@ func (r *Replica) effectiveLevel(req Request) (SafetyLevel, error) {
 	if req.Safety == nil {
 		return base, nil
 	}
-	lvl, err := CanonicalLevel(r.cfg.Technique, *req.Safety)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrSafetyUnavailable, err)
-	}
+	lvl := *req.Safety
 	if !base.UsesGroupCommunication() {
 		if lvl != base {
 			return 0, fmt.Errorf("%w: cluster runs %v without group communication; cannot honour per-transaction %v", ErrSafetyUnavailable, base, lvl)

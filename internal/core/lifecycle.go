@@ -13,8 +13,7 @@ import (
 // communication stack, the crash model (Crash loses volatile state, a
 // recovered process is a new process), checkpoint-based state transfer and
 // end-to-end message replay.  A broadcaster and apply loop exist exactly
-// when the safety level uses group communication (never under lazy
-// primary-copy, which CanonicalLevel pins to 1-safe-lazy).
+// when the safety level uses group communication.
 
 // startGroupCommunication builds the router, the broadcaster and the applier
 // of the replica's one life, incarnation.  NewReplica runs it before the

@@ -14,7 +14,7 @@ import (
 // certification at both levels that require it.
 func endToEndCases() (cases []ClusterConfig) {
 	for _, level := range []SafetyLevel{Safety2, VerySafe} {
-		cases = append(cases, ClusterConfig{Replicas: 3, Items: 64, Technique: TechCertification, Level: level, ExecTimeout: 5 * time.Second})
+		cases = append(cases, ClusterConfig{Replicas: 3, Items: 64, Level: level, ExecTimeout: 5 * time.Second})
 	}
 	return cases
 }
@@ -46,7 +46,7 @@ func durableKinds(t *testing.T, l *wal.MemLog, txnID uint64) map[wal.Kind]int {
 // NewCluster, after each replica's start-of-life id mark force.
 func TestEndToEndLevelsForceOncePerBatch(t *testing.T) {
 	for _, cfg := range endToEndCases() {
-		t.Run(fmt.Sprintf("%v/%v", cfg.Technique, cfg.Level), func(t *testing.T) {
+		t.Run(fmt.Sprintf("certification/%v", cfg.Level), func(t *testing.T) {
 			c, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -98,7 +98,7 @@ func TestEndToEndLevelsForceOncePerBatch(t *testing.T) {
 func TestCrashBetweenMessageAppendAndBatchForce(t *testing.T) {
 	for _, cfg := range endToEndCases() {
 		for _, forced := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/%v/forced=%v", cfg.Technique, cfg.Level, forced), func(t *testing.T) {
+			t.Run(fmt.Sprintf("certification/%v/forced=%v", cfg.Level, forced), func(t *testing.T) {
 				c, err := NewCluster(cfg)
 				if err != nil {
 					t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // partitions.  Single-partition deployments never call anything here.
 
 // ResolveLevel resolves the externalisation safety level for a per-request
-// override against this replica's technique and machinery (see
+// override against this replica's machinery (see
 // effectiveLevel); nil means the cluster's configured level.
 func (r *Replica) ResolveLevel(override *SafetyLevel) (SafetyLevel, error) {
 	return r.effectiveLevel(Request{Safety: override})

@@ -31,10 +31,10 @@ type Request struct {
 	// for this transaction alone: the requested level rides in the broadcast
 	// payload and every replica externalises the transaction at that level's
 	// force/ack/delivery point, so mixed-safety workloads share one cluster.
-	// Levels weaker than the technique's floor are canonicalised up (see
-	// CanonicalLevel); levels needing machinery the cluster was not built
-	// with (e.g. 2-safe on a classical-broadcast cluster) are rejected with
-	// ErrSafetyUnavailable.  Nil means "use the cluster's configured level".
+	// Levels needing machinery the cluster was not built with (e.g. 2-safe
+	// on a classical-broadcast cluster) are rejected with
+	// ErrSafetyUnavailable; see effectiveLevel.  Nil means "use the
+	// cluster's configured level".
 	Safety *SafetyLevel
 	// ReadOnly declares the transaction a query: it executes on a local MVCC
 	// snapshot of the delegate replica — no locks, no group communication, no
@@ -44,9 +44,10 @@ type Request struct {
 	// flag is unset; the flag exists to make the intent explicit and fail
 	// loudly when a write sneaks into a query.
 	ReadOnly bool
-	// MinFreshness, meaningful for read-only execution on the totally-ordered
-	// techniques, makes the serving replica wait until it has applied at
-	// least this broadcast sequence before taking its snapshot.  Passing the
+	// MinFreshness, meaningful for read-only execution at the totally-ordered
+	// (group-communication) levels, makes the serving replica wait until it
+	// has applied at least this broadcast sequence before taking its
+	// snapshot.  Passing the
 	// Freshness token of an earlier Result yields monotonic session reads
 	// ("read your writes" across replicas).  Zero imposes no floor.
 	MinFreshness uint64
@@ -58,8 +59,8 @@ type Request struct {
 	// partitioned cluster floors every touched partition instead.  Nil or a
 	// short vector imposes no floor on the missing entries.
 	MinFreshnessVec []uint64
-	// MaxStaleness, meaningful for read-only execution on the totally-ordered
-	// techniques, is a bounded-staleness lease: the serving replica answers
+	// MaxStaleness, meaningful for read-only execution at the totally-ordered
+	// levels, is a bounded-staleness lease: the serving replica answers
 	// immediately when it can prove its snapshot is at most this much
 	// wall-clock time behind the freshest advertised state (sequence lag
 	// divided by the estimated delivery rate), and rejects with ErrTooStale —
@@ -115,12 +116,8 @@ type Result struct {
 	// transaction, the last sequence the serving replica had applied when the
 	// snapshot was taken.  Feeding the largest Freshness seen back into
 	// Request.MinFreshness gives monotonic session reads across replicas.
-	// Zero on techniques/levels without group communication.
+	// Zero on levels without group communication.
 	Freshness uint64
-	// Stale marks a read-only result served from possibly-stale state with no
-	// freshness token to reason about it: a secondary replica of the lazy
-	// primary-copy technique (the paper's 1-safe query trade-off).
-	Stale bool
 	// CommitPartition is the partition whose replica write-ahead log holds
 	// CommitLSN on a partitioned cluster — the owning partition for a
 	// single-partition transaction, the coordinator partition for a
@@ -181,8 +178,8 @@ const (
 	phaseDecideAbort
 )
 
-// lazyPayload is the write set propagated asynchronously by the lazy (1-safe)
-// technique.
+// lazyPayload is the write set propagated asynchronously at the 0-safe and
+// lazy (1-safe) levels.
 type lazyPayload struct {
 	TxnID    uint64
 	Delegate string

@@ -17,12 +17,11 @@ import (
 // throughput scales with the number of replicas while update throughput stays
 // bounded by the total order.
 //
-// Staleness is handled per technique: under certification every replica
-// applies the same total order, so a read carries a freshness token (the
-// last applied broadcast sequence) that clients feed back via
-// Request.MinFreshness for monotonic session reads.  Under lazy
-// primary-copy only the primary is authoritative; secondaries serve reads
-// flagged Stale.
+// At the group-communication levels every replica applies the same total
+// order, so a read carries a freshness token (the last applied broadcast
+// sequence) that clients feed back via Request.MinFreshness for monotonic
+// session reads.  The lazy levels have no such sequence and reject a
+// freshness floor.
 
 // ErrReadOnlyWrites is returned when a request declared ReadOnly contains a
 // write operation or a Compute hook (which could emit one).
@@ -61,7 +60,6 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request) (Result, err
 		Delegate:   r.cfg.ID,
 		Level:      level,
 		Freshness:  token,
-		Stale:      r.cfg.Technique == TechLazyPrimary && !r.IsPrimary(),
 	}, nil
 }
 
@@ -102,7 +100,7 @@ func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxSta
 // errNoFreshnessSequence is the shared rejection for freshness floors on
 // paths without a totally-ordered, cross-replica-comparable sequence.
 func (r *Replica) errNoFreshnessSequence() error {
-	return fmt.Errorf("%w: freshness floors need a totally-ordered technique; %v at %v has no comparable sequence", ErrSafetyUnavailable, r.cfg.Technique, r.cfg.Level)
+	return fmt.Errorf("%w: freshness floors need a totally-ordered sequence; level %v has no comparable sequence", ErrSafetyUnavailable, r.cfg.Level)
 }
 
 // waitFreshness blocks until the replica has applied broadcast sequence min,

@@ -30,9 +30,6 @@ var (
 	ErrCrashed  = errors.New("core: replica is crashed")
 	ErrTimeout  = errors.New("core: timed out waiting for the transaction outcome")
 	ErrNotFound = errors.New("core: replica not found")
-	// ErrNotPrimary is returned by the lazy primary-copy technique when an
-	// update transaction is submitted to a non-primary replica.
-	ErrNotPrimary = errors.New("core: lazy primary-copy: update transactions must execute at the primary")
 	// ErrComputeNotReplicable reports a request with a Compute hook that has
 	// to cross a process boundary: a Go closure cannot be serialised.  A
 	// replica runs Compute hooks at the delegate and never returns it; the
@@ -40,8 +37,8 @@ var (
 	// protocol carries it to keep the errors.Is identity.
 	ErrComputeNotReplicable = errors.New("core: Compute closures cannot be shipped; use static operation lists")
 	// ErrSafetyUnavailable is returned when a per-transaction safety override
-	// (Request.Safety) asks for a level the cluster's technique or machinery
-	// cannot provide — e.g. 2-safe on a cluster built without the end-to-end
+	// (Request.Safety) asks for a level the cluster's machinery cannot
+	// provide — e.g. 2-safe on a cluster built without the end-to-end
 	// message log, or any group-communication level on a lazy cluster.
 	ErrSafetyUnavailable = errors.New("core: requested per-transaction safety level is unavailable on this cluster")
 	// ErrTooStale is returned by a read-only execution carrying a
@@ -68,11 +65,6 @@ type ReplicaConfig struct {
 	Items int
 	// Level is the safety criterion enforced when answering clients.
 	Level SafetyLevel
-	// Technique selects the replication technique (certification-based
-	// database state machine or lazy primary-copy).  The technique may
-	// constrain or canonicalise Level: lazy primary-copy is inherently
-	// 1-safe.
-	Technique TechniqueID
 	// Network attaches the replica to its peers: the shared in-memory
 	// network in simulated clusters, a transport.TCPNode in one-process-per-
 	// replica deployments.
@@ -87,7 +79,7 @@ type ReplicaConfig struct {
 	// ExecTimeout bounds how long Execute waits for an outcome (default 10s).
 	ExecTimeout time.Duration
 	// LazyPropagationDelay postpones the asynchronous write-set propagation
-	// of the 0-safe, lazy and lazy primary-copy modes, widening the window
+	// of the 0-safe and lazy (1-safe) levels, widening the window
 	// in which a delegate crash loses the transaction (used by the Table 2
 	// experiments).
 	LazyPropagationDelay time.Duration
@@ -114,8 +106,7 @@ type ReplicaConfig struct {
 	MaxPinAge uint64
 }
 
-// applyDefaults validates the configuration and canonicalises the safety
-// level against the technique.
+// applyDefaults validates the configuration and fills in defaults.
 func (c *ReplicaConfig) applyDefaults() error {
 	if c.ID == "" {
 		return fmt.Errorf("core: replica ID is required")
@@ -135,11 +126,6 @@ func (c *ReplicaConfig) applyDefaults() error {
 	if c.DBLog == nil {
 		c.DBLog = wal.NewMemLogWithDelay(c.DiskSyncDelay)
 	}
-	level, err := CanonicalLevel(c.Technique, c.Level)
-	if err != nil {
-		return err
-	}
-	c.Level = level
 	return nil
 }
 
@@ -164,7 +150,7 @@ type ReplicaStats struct {
 
 // Replica is one server of the replicated database: a local database
 // component plus a group communication component, combined by the
-// replication technique.  A Replica lives one life: once crashed it stays
+// certification protocol.  A Replica lives one life: once crashed it stays
 // crashed, and a recovery starts a new Replica over the same log (the
 // paper's dynamic crash no-recovery model, Sect. 2.3).
 type Replica struct {
@@ -289,15 +275,8 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 // ID returns the replica's address.
 func (r *Replica) ID() string { return r.cfg.ID }
 
-// Level returns the replica's (canonicalised) safety level.
+// Level returns the replica's safety level.
 func (r *Replica) Level() SafetyLevel { return r.cfg.Level }
-
-// Technique returns the replication technique the replica runs.
-func (r *Replica) Technique() TechniqueID { return r.cfg.Technique }
-
-// IsPrimary reports whether this replica is the primary (the first member).
-// Only the lazy primary-copy technique distinguishes the primary.
-func (r *Replica) IsPrimary() bool { return r.index == 0 }
 
 // DB exposes the local database component (used by consistency checks).
 func (r *Replica) DB() *db.DB { return r.dbase }
@@ -320,7 +299,7 @@ func (r *Replica) Stats() ReplicaStats {
 }
 
 // BroadcastStats returns the atomic broadcast counters of this replica (zero
-// when the technique/safety level does not use group communication).  The
+// when the safety level does not use group communication).  The
 // benchmarks use it to measure the per-transaction message count of the
 // batched pipeline.
 func (r *Replica) BroadcastStats() abcast.Stats {
@@ -456,11 +435,9 @@ func (r *Replica) extendIDMarkLocked() error {
 // Requests that cannot write (no write ops, no Compute hook) execute on a
 // local MVCC snapshot with no group communication (executeReadOnly).  A
 // request declared ReadOnly that nevertheless carries a write fails with
-// ErrReadOnlyWrites.  Under lazy primary-copy a request that may write fails
-// with ErrNotPrimary at any replica but the primary.  The rest take the
-// certification path: broadcast and certified at the group-communication
-// levels (executeReplicated), local with lazy propagation below them
-// (executeLocal).
+// ErrReadOnlyWrites.  The rest are broadcast and certified at the
+// group-communication levels (executeReplicated), and run locally with lazy
+// propagation below them (executeLocal).
 func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, ctxWaitError(ctx, req.ID, "before submission")
@@ -484,8 +461,6 @@ func (r *Replica) Execute(ctx context.Context, req Request) (Result, error) {
 	switch {
 	case !requestMayWrite(req):
 		return r.executeReadOnly(ctx, req)
-	case r.cfg.Technique == TechLazyPrimary && !r.IsPrimary():
-		return Result{}, fmt.Errorf("%w (primary is %s)", ErrNotPrimary, r.cfg.Members[0])
 	case r.cfg.Level.UsesGroupCommunication():
 		return r.executeReplicated(ctx, req)
 	default:

@@ -19,7 +19,6 @@ func TestBoundedStalenessLease(t *testing.T) {
 		Replicas:    3,
 		Items:       64,
 		Level:       GroupSafe,
-		Technique:   TechCertification,
 		ExecTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -76,15 +75,14 @@ func TestBoundedStalenessLease(t *testing.T) {
 	}
 }
 
-// TestStalenessLeaseNeedsComparableSequence: on a technique without a
-// totally-ordered cross-replica sequence (lazy primary-copy) the lease is
+// TestStalenessLeaseNeedsComparableSequence: at a level without a
+// totally-ordered cross-replica sequence (1-safe-lazy) the lease is
 // meaningless and rejected like a freshness floor.
 func TestStalenessLeaseNeedsComparableSequence(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Replicas:    3,
 		Items:       64,
 		Level:       Safety1Lazy,
-		Technique:   TechLazyPrimary,
 		ExecTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -106,7 +104,6 @@ func TestPeerAdvertsFlowOverOrderTraffic(t *testing.T) {
 		Replicas:    3,
 		Items:       64,
 		Level:       GroupSafe,
-		Technique:   TechCertification,
 		ExecTimeout: 5 * time.Second,
 	})
 	if err != nil {

@@ -11,18 +11,16 @@ import (
 )
 
 // This file is purely local execution with asynchronous write-set
-// propagation: the whole of lazy primary-copy replication, the classical
-// 1-safe scheme the paper argues against (Sect. 3, Table 1), and the 0-safe
-// and lazy (1-safe) baselines of the certification technique.  Under lazy
-// primary-copy, update transactions execute only at the primary (the first
-// member of the group), which runs them under strict 2PL, forces its log,
-// answers the client, and only then ships the write set to the
-// secondaries — asynchronously, off the response path.  Because a single
-// site orders all updates there are no multi-master conflicts (unlike the
-// Safety1Lazy update-everywhere baseline), but a primary crash after the
-// acknowledgement and before the propagation loses the transaction: the
-// 1-safe window group-safety closes.  Read-only transactions may execute at
-// any replica, against possibly-stale committed state.
+// propagation: the 0-safe and lazy (1-safe) levels, the classical lazy
+// replication the paper argues against (Sect. 3, Table 1, the lazy curve of
+// Fig. 9).  An update transaction runs at its delegate under strict 2PL; at
+// 1-safe-lazy the delegate forces its log before answering the client
+// (0-safe does not), and only then ships the write set to every other
+// replica — asynchronously, off the response path.  Every replica accepts
+// updates (update everywhere), so conflicting transactions at two delegates
+// can both commit and leave the replicas diverged, and a delegate crash
+// after the acknowledgement and before the propagation loses the
+// transaction: the 1-safe window group-safety closes.
 
 // lazyItem is one queued asynchronous write-set propagation.  ready is
 // closed once the local commit outcome is known; skip is set (before the
@@ -35,11 +33,9 @@ type lazyItem struct {
 }
 
 // executeLocal runs one transaction on the local path: the 0-safe and lazy
-// (1-safe) baselines of the certification technique, and the whole of lazy
-// primary-copy (Execute refuses writes at a secondary first).  The
-// transaction runs entirely at this replica under strict 2PL; the write set
-// is pushed to the other replicas asynchronously, after the client
-// response.  The local path has a single response point, so a per-request
+// (1-safe) baselines.  The transaction runs entirely at this replica under
+// strict 2PL; the write set is pushed to the other replicas asynchronously,
+// after the client response.  The local path has a single response point, so a per-request
 // safety override must resolve to the cluster's own level (effectiveLevel
 // rejects anything else).
 //
@@ -231,10 +227,8 @@ func (r *Replica) drainLazy() {
 }
 
 // onLazy applies a lazily-propagated write set: no certification, last
-// writer wins.  Under update-everywhere lazy replication (Safety1Lazy) this
-// is the source of the inconsistencies the paper attributes to lazy
-// replication; under primary-copy a single site orders all updates, so the
-// secondaries converge to the primary's state.
+// writer wins.  Under update-everywhere lazy replication this is the source
+// of the inconsistencies the paper attributes to lazy replication.
 func (r *Replica) onLazy(m transport.Message) {
 	if r.Crashed() {
 		return

@@ -67,12 +67,33 @@ func TestTCPGroupOpensNoConnectionToSelf(t *testing.T) {
 	}
 	deliverEverywhere(1)
 
-	for i, ep := range eps {
-		want := slices.Clone(addrs)
-		want = slices.Delete(want, i, i+1)
-		slices.Sort(want)
-		if got := ep.PeerAddrs(); !slices.Equal(got, want) {
-			t.Errorf("%s holds outbound links to %v, want exactly its two peers %v", addrs[i], got, want)
+	// A link opens on a member's first Send to that peer, and some frames
+	// (the ACKs merged between non-sequencers) leave after the deliveries
+	// awaited above: poll, within the same 10 s bound, until every member
+	// holds both peer links.  A link to its own address fails at once.
+	wants := make([][]string, n)
+	for i := range eps {
+		wants[i] = slices.Delete(slices.Clone(addrs), i, i+1)
+		slices.Sort(wants[i])
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		settled, late := true, time.Now().After(deadline)
+		for i, ep := range eps {
+			got := ep.PeerAddrs()
+			if slices.Contains(got, addrs[i]) {
+				t.Fatalf("%s holds an outbound link to itself: %v", addrs[i], got)
+			}
+			if !slices.Equal(got, wants[i]) {
+				settled = false
+				if late {
+					t.Errorf("%s holds outbound links to %v, want exactly its two peers %v", addrs[i], got, wants[i])
+				}
+			}
 		}
+		if settled || late {
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

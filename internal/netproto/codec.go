@@ -92,8 +92,6 @@ func DecodeRequest(data []byte) (core.Request, error) {
 
 // --- Result ---
 
-const resFlagStale = 1 << 0
-
 // AppendResult encodes a transaction outcome.
 func AppendResult(buf []byte, res core.Result) []byte {
 	buf = binary.AppendUvarint(buf, res.TxnID)
@@ -101,11 +99,6 @@ func AppendResult(buf []byte, res core.Result) []byte {
 	buf = binary.AppendUvarint(buf, uint64(res.Level))
 	buf = binary.AppendUvarint(buf, res.CommitLSN)
 	buf = binary.AppendUvarint(buf, res.Freshness)
-	var flags byte
-	if res.Stale {
-		flags |= resFlagStale
-	}
-	buf = append(buf, flags)
 	buf = appendString(buf, res.Delegate)
 	items := make([]int, 0, len(res.ReadValues))
 	for it := range res.ReadValues {
@@ -129,7 +122,6 @@ func DecodeResult(data []byte) (core.Result, error) {
 	res.Level = core.SafetyLevel(d.uvarint())
 	res.CommitLSN = d.uvarint()
 	res.Freshness = d.uvarint()
-	res.Stale = d.byte()&resFlagStale != 0
 	res.Delegate = d.string()
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(data)) {
@@ -159,7 +151,6 @@ type ItemState struct {
 // membership view, replication progress and the committed store fingerprint.
 type ServerInfo struct {
 	ID             string
-	Primary        bool
 	Crashed        bool
 	ViewID         uint64
 	ViewMembers    []string
@@ -171,14 +162,11 @@ type ServerInfo struct {
 // AppendInfo encodes a server status report.
 func AppendInfo(buf []byte, info ServerInfo) []byte {
 	buf = appendString(buf, info.ID)
-	var flags byte
-	if info.Primary {
-		flags |= 1
-	}
+	var crashed byte
 	if info.Crashed {
-		flags |= 2
+		crashed = 1
 	}
-	buf = append(buf, flags)
+	buf = append(buf, crashed)
 	buf = binary.AppendUvarint(buf, info.ViewID)
 	buf = binary.AppendUvarint(buf, uint64(len(info.ViewMembers)))
 	for _, m := range info.ViewMembers {
@@ -199,9 +187,7 @@ func DecodeInfo(data []byte) (ServerInfo, error) {
 	d := decoder{data: data}
 	var info ServerInfo
 	info.ID = d.string()
-	flags := d.byte()
-	info.Primary = flags&1 != 0
-	info.Crashed = flags&2 != 0
+	info.Crashed = d.byte() != 0
 	info.ViewID = d.uvarint()
 	n := d.uvarint()
 	if d.err == nil && n > uint64(len(data)) {
@@ -232,12 +218,13 @@ func DecodeInfo(data []byte) (ServerInfo, error) {
 
 // Error codes carried by MsgError frames.  Known codes map back to the
 // engine's sentinel errors on the client, so errors.Is works across the
-// network exactly as it does in-process.
+// network exactly as it does in-process.  Code 3 is unassigned: it named
+// the rejection of a replication mode that no longer exists, and it is not
+// reused, so an old code never decodes as a different error.
 const (
 	CodeGeneric           byte = 0
 	CodeCrashed           byte = 1
 	CodeTimeout           byte = 2
-	CodeNotPrimary        byte = 3
 	CodeSafetyUnavailable byte = 4
 	CodeComputeNotRepl    byte = 5
 	CodeReadOnlyWrites    byte = 6
@@ -249,7 +236,6 @@ const (
 var codeToSentinel = map[byte]error{
 	CodeCrashed:           core.ErrCrashed,
 	CodeTimeout:           core.ErrTimeout,
-	CodeNotPrimary:        core.ErrNotPrimary,
 	CodeSafetyUnavailable: core.ErrSafetyUnavailable,
 	CodeComputeNotRepl:    core.ErrComputeNotReplicable,
 	CodeReadOnlyWrites:    core.ErrReadOnlyWrites,
@@ -264,7 +250,6 @@ var sentinelToCode = []struct {
 }{
 	{core.ErrCrashed, CodeCrashed},
 	{core.ErrTimeout, CodeTimeout},
-	{core.ErrNotPrimary, CodeNotPrimary},
 	{core.ErrSafetyUnavailable, CodeSafetyUnavailable},
 	{core.ErrComputeNotReplicable, CodeComputeNotRepl},
 	{core.ErrReadOnlyWrites, CodeReadOnlyWrites},

@@ -46,7 +46,6 @@ func TestResultRoundTrip(t *testing.T) {
 		Level:      core.Safety2,
 		CommitLSN:  5,
 		Freshness:  31,
-		Stale:      true,
 	}
 	got, err := DecodeResult(AppendResult(nil, want))
 	if err != nil {
@@ -60,7 +59,7 @@ func TestResultRoundTrip(t *testing.T) {
 func TestInfoRoundTrip(t *testing.T) {
 	want := ServerInfo{
 		ID:             "r1",
-		Primary:        true,
+		Crashed:        true,
 		ViewID:         3,
 		ViewMembers:    []string{"r1", "r3"},
 		LastAppliedSeq: 88,
@@ -78,7 +77,7 @@ func TestInfoRoundTrip(t *testing.T) {
 
 func TestErrorCodesPreserveSentinels(t *testing.T) {
 	for _, sentinel := range []error{
-		core.ErrCrashed, core.ErrTimeout, core.ErrNotPrimary,
+		core.ErrCrashed, core.ErrTimeout,
 		core.ErrSafetyUnavailable, core.ErrComputeNotReplicable,
 		core.ErrReadOnlyWrites, core.ErrNotFound,
 		core.ErrTooStale, core.ErrSnapshotTooOld,

@@ -24,7 +24,7 @@ import (
 // change incompatibly.
 const (
 	Magic   = "GSCL"
-	Version = 1
+	Version = 2
 )
 
 // maxFrame bounds a frame body; larger frames indicate a corrupt or hostile

@@ -38,8 +38,8 @@ type Cluster struct {
 
 // New builds and starts a partitioned cluster from the core configuration
 // (cfg.Partitions selects the partition count; zero or one means
-// unpartitioned).  Partitioned operation requires the certification technique
-// and a group-communication safety level: the router's ordered two-phase
+// unpartitioned).  Partitioned operation requires a group-communication
+// safety level: the router's ordered two-phase
 // commit and the freshness vector both live in the partitions' total orders.
 func New(cfg core.ClusterConfig) (*Cluster, error) {
 	p := cfg.Partitions
@@ -58,9 +58,6 @@ func New(cfg core.ClusterConfig) (*Cluster, error) {
 		return &Cluster{pmap: NewMap(itemsOf(cfg), 1), parts: []*core.Cluster{single}, execTimeout: et}, nil
 	}
 
-	if cfg.Technique != core.TechCertification {
-		return nil, fmt.Errorf("partition: %d partitions require the certification technique (got %v)", p, cfg.Technique)
-	}
 	if !cfg.Level.UsesGroupCommunication() {
 		return nil, fmt.Errorf("partition: %d partitions require a group-communication safety level (got %v)", p, cfg.Level)
 	}
@@ -133,11 +130,8 @@ func (c *Cluster) BaseNetwork() *transport.MemNetwork {
 // hosts one replica of each partition).
 func (c *Cluster) Size() int { return c.parts[0].Size() }
 
-// Level returns the configured (canonicalised) safety level.
+// Level returns the configured safety level.
 func (c *Cluster) Level() core.SafetyLevel { return c.parts[0].Level() }
-
-// Technique returns the replication technique.
-func (c *Cluster) Technique() core.TechniqueID { return c.parts[0].Technique() }
 
 // LiveCount returns the number of non-crashed servers.
 func (c *Cluster) LiveCount() int { return c.parts[0].LiveCount() }

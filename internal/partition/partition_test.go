@@ -105,8 +105,8 @@ func TestRejectsPartitioningWithoutGroupCommunication(t *testing.T) {
 	if _, err := New(core.ClusterConfig{Replicas: 3, Items: 64, Level: core.Safety1Lazy, Partitions: 2}); err == nil {
 		t.Fatal("expected an error for a lazy partitioned cluster")
 	}
-	if _, err := New(core.ClusterConfig{Replicas: 3, Items: 64, Technique: core.TechLazyPrimary, Partitions: 2}); err == nil {
-		t.Fatal("expected an error for a lazy primary-copy partitioned cluster")
+	if _, err := New(core.ClusterConfig{Replicas: 3, Items: 64, Level: core.Safety0, Partitions: 2}); err == nil {
+		t.Fatal("expected an error for a 0-safe partitioned cluster")
 	}
 }
 

@@ -511,7 +511,7 @@ func (c *Cluster) decideContext(ctx context.Context) (context.Context, context.C
 }
 
 // resolveLevel resolves a per-request safety override against any live
-// replica (every partition runs the identical technique and level machinery).
+// replica (every partition runs the identical level machinery).
 func (c *Cluster) resolveLevel(delegate int, override *core.SafetyLevel) (core.SafetyLevel, error) {
 	for p := range c.parts {
 		if r := c.liveReplica(p, delegate); r != nil {

@@ -132,7 +132,6 @@ func (s *Server) info() netproto.ServerInfo {
 	items := s.replica.StoreItems()
 	out := netproto.ServerInfo{
 		ID:             s.cfg.ID,
-		Primary:        s.replica.IsPrimary(),
 		Crashed:        s.replica.Crashed(),
 		ViewID:         view.ID,
 		ViewMembers:    view.Members,

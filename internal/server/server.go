@@ -47,10 +47,8 @@ type Config struct {
 	// WALDir holds the durable state: the replica's one log, db.wal
 	// (database, broadcast message and id mark records).  Created if missing.
 	WALDir string
-	// Technique and Level select the replication technique and the safety
-	// criterion, as in core.ReplicaConfig.
-	Technique core.TechniqueID
-	Level     core.SafetyLevel
+	// Level is the safety criterion, as in core.ReplicaConfig.
+	Level core.SafetyLevel
 	// Items is the database size.
 	Items int
 	// ExecTimeout bounds one client transaction (default 10s).
@@ -167,7 +165,6 @@ func Start(cfg Config) (*Server, error) {
 		Members:         cfg.Members,
 		Items:           cfg.Items,
 		Level:           cfg.Level,
-		Technique:       cfg.Technique,
 		Network:         s.node,
 		DBLog:           s.dbLog,
 		ExecTimeout:     cfg.ExecTimeout,
@@ -208,8 +205,8 @@ func Start(cfg Config) (*Server, error) {
 	go s.acceptLoop()
 	go s.resyncLoop()
 
-	s.cfg.Logf("server %s: serving clients on %s (technique %s, level %s)",
-		cfg.ID, s.ClientAddr(), cfg.Technique, cfg.Level)
+	s.cfg.Logf("server %s: serving clients on %s (level %s)",
+		cfg.ID, s.ClientAddr(), cfg.Level)
 	return s, nil
 }
 

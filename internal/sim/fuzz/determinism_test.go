@@ -3,6 +3,8 @@ package fuzz
 import (
 	"bytes"
 	"testing"
+
+	"groupsafe/internal/core"
 )
 
 // TestScenarioDeterminism is the replayability contract: the same seed always
@@ -43,11 +45,11 @@ func TestScenarioProfiles(t *testing.T) {
 			t.Fatalf("profile %s: %d steps generated, want at least %d", profile, len(sc.Steps), sc.Cfg.Steps)
 		}
 	}
-	sc, err := Generate(Config{Seed: 7, Technique: "certification", Level: "2-safe", Replicas: 4})
+	sc, err := Generate(Config{Seed: 7, Level: "2-safe", Replicas: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Cfg.Technique != "certification" || sc.Cfg.Level != "2-safe" || sc.Cfg.Replicas != 4 {
+	if sc.Cfg.Level != "2-safe" || sc.Cfg.Replicas != 4 {
 		t.Fatalf("pinned fields changed during resolution: %+v", sc.Cfg)
 	}
 }
@@ -85,5 +87,25 @@ func TestShrinkerTeeth(t *testing.T) {
 	}
 	if len(res.Violations) == 0 {
 		t.Fatal("shrinker lost the violation record")
+	}
+}
+
+// TestPinnedLevelAlwaysWins: a pinned group-communication level survives
+// resolution on every seed and profile.  The one-in-four lazy draw applies
+// only to seeds whose level is not pinned, so a sweep pinned to a level
+// never meets a seed it cannot generate.
+func TestPinnedLevelAlwaysWins(t *testing.T) {
+	for _, level := range []core.SafetyLevel{core.GroupSafe, core.Group1Safe, core.Safety2, core.VerySafe} {
+		for _, profile := range Profiles() {
+			for seed := int64(1); seed <= 200; seed++ {
+				sc, err := Generate(Config{Seed: seed, Level: level.String(), Profile: profile})
+				if err != nil {
+					t.Fatalf("level %v, profile %s, seed %d: %v", level, profile, seed, err)
+				}
+				if sc.Cfg.Level != level.String() {
+					t.Fatalf("level %v, profile %s, seed %d: resolved to %s", level, profile, seed, sc.Cfg.Level)
+				}
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // replicated database engine (internal/core).
 //
 // A single 64-bit seed deterministically expands into a complete scenario:
-// the cluster shape (replica count, replication technique, safety level), a
+// the cluster shape (replica count, safety level), a
 // mixed read/write workload split over client sessions with per-session
 // freshness floors, and an adversary schedule of network partitions and
 // heals, message delay/loss within the transport's FIFO-per-channel
@@ -33,10 +33,9 @@
 //     session between replicas across crashes and recoveries (the
 //     "readheavy" profile — query-dominated, floors almost always on, under
 //     crash/recover churn — is built to hammer exactly this claim);
-//   - the Stale flag is set exactly on lazy secondary reads;
 //   - post-heal convergence: after the rescue phase every live replica holds
-//     identical state (WaitConsistent), for the lazy technique only when the
-//     scenario contained no message-destroying fault.
+//     identical state (WaitConsistent) at every group-communication level
+//     (the update-everywhere lazy levels may legally diverge).
 //
 // The "sharded" profile runs the same schedules against a PARTITIONED
 // keyspace (internal/partition: 2-4 hash partitions, each its own replica

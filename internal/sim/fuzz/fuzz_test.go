@@ -24,8 +24,8 @@ func sweepConfig(seed int64) Config {
 // the test with the seed.
 func checkRun(t *testing.T, sc *Scenario) {
 	t.Helper()
-	t.Logf("fuzz: seed=%d technique=%s level=%s replicas=%d profile=%s",
-		sc.Cfg.Seed, sc.Cfg.Technique, sc.Cfg.Level, sc.Cfg.Replicas, sc.Cfg.Profile)
+	t.Logf("fuzz: seed=%d level=%s replicas=%d profile=%s",
+		sc.Cfg.Seed, sc.Cfg.Level, sc.Cfg.Replicas, sc.Cfg.Profile)
 	rec, err := Run(sc)
 	if err != nil {
 		t.Fatalf("seed %d: run: %v", sc.Cfg.Seed, err)
@@ -83,46 +83,49 @@ func TestFuzzSweep(t *testing.T) {
 	}
 }
 
-// TestFuzzPinned pins one configuration per technique family so every
-// replication path is exercised on every test run regardless of what the
-// derived sweep drew.
+// TestFuzzPinned pins one configuration per replication path (the
+// broadcast levels, the lazy local path, the partitioned router) so every
+// path is exercised on every test run regardless of what the derived sweep
+// drew.  Every case runs the certification engine, which names the cases.
 func TestFuzzPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz sweep skipped in -short mode")
 	}
 	cases := []struct {
-		technique, level, profile string
-		seed                      int64
-		partitions                int
+		level, profile string
+		seed           int64
+		partitions     int
 	}{
-		{"certification", "group-safe", "mixed", 11, 0},
-		{"certification", "2-safe", "storm", 12, 0},
-		{"certification", "very-safe", "partition", 13, 0},
-		{"lazy-primary", "", "mixed", 15, 0},
+		{"group-safe", "mixed", 11, 0},
+		{"2-safe", "storm", 12, 0},
+		{"very-safe", "partition", 13, 0},
+		// The lazy 1-safe baseline: local commit, asynchronous
+		// propagation, loss excused only when the delegate crashed.
+		{"1-safe-lazy", "mixed", 15, 0},
 		// Group-safe under the crash storm: sequencer takeovers with nothing
 		// forced on the response path.
-		{"certification", "group-safe", "storm", 17, 0},
+		{"group-safe", "storm", 17, 0},
 		// The partitioned keyspace: cross-partition 2PC under the full fault
 		// mix (crashes hit every co-located partition replica at once), at a
 		// group-safe level where the coordinator's decide record can die with
 		// its holders, and at 2-safe where atomicity has no excuse.
-		{"certification", "group-safe", "sharded", 18, 2},
-		{"certification", "2-safe", "sharded", 19, 3},
+		{"group-safe", "sharded", 18, 2},
+		{"2-safe", "sharded", 19, 3},
 		// The read scale-out sweep: floored queries dominate while crashes
 		// and recoveries move the session routing between replicas — the
 		// session-routing invariant (tokens never travel backwards) bites.
-		{"certification", "group-safe", "readheavy", 20, 0},
+		{"group-safe", "readheavy", 20, 0},
 	}
 	for _, c := range cases {
 		c := c
-		name := c.technique + "-" + c.level + "-" + c.profile
+		name := "certification-" + c.level + "-" + c.profile
 		if c.partitions > 0 {
 			name += fmt.Sprintf("-p%d", c.partitions)
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := sweepConfig(c.seed)
-			cfg.Technique, cfg.Level, cfg.Profile = c.technique, c.level, c.profile
+			cfg.Level, cfg.Profile = c.level, c.profile
 			cfg.Partitions = c.partitions
 			sc, err := Generate(cfg)
 			if err != nil {
@@ -134,16 +137,19 @@ func TestFuzzPinned(t *testing.T) {
 }
 
 // TestTraceUnknownHeaderRejected: a header line the codec does not know —
-// including the retired "adaptive" and "rotate-every" lines — or one that
-// names an unknown technique — including the retired "active" — fails the
-// parse with an error that names the line, rather than being skipped.
+// including the retired "adaptive", "rotate-every" and "technique" lines,
+// whatever technique the last names — fails the parse with an error that
+// names the line, rather than being skipped.
 func TestTraceUnknownHeaderRejected(t *testing.T) {
 	sc, err := Generate(sweepConfig(31))
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := sc.Marshal()
-	for _, unknown := range []string{"adaptive true", "rotate-every 5", "frobnicate 1", "technique active", "technique nosuch"} {
+	for _, unknown := range []string{
+		"adaptive true", "rotate-every 5", "frobnicate 1",
+		"technique certification", "technique lazy-primary", "technique active", "technique nosuch",
+	} {
 		_, err := ParseScenario(bytes.Replace(data, []byte("generated "), []byte(unknown+"\ngenerated "), 1))
 		if err == nil || !strings.Contains(err.Error(), unknown) {
 			t.Fatalf("header line %q: got error %v, want one naming the line", unknown, err)
@@ -232,28 +238,6 @@ func TestSessionRoutingInvariant(t *testing.T) {
 	shared := &RunRecord{Partitions: 2, Sessions: [][]*TxnRec{{mkv(5, 0), mkv(3, 7)}}}
 	if out := check(shared); len(out) != 1 {
 		t.Fatalf("backwards partitioned read not flagged: %v", out)
-	}
-}
-
-// TestLazyCalmConvergence: on a fault-free schedule the lazy primary-copy
-// propagation must drain to identical replicas — the convergence invariant is
-// asserted, not just tolerated, on this path.
-func TestLazyCalmConvergence(t *testing.T) {
-	cfg := sweepConfig(21)
-	cfg.Technique, cfg.Profile = "lazy-primary", "calm"
-	sc, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := CheckAll(rec); len(v) > 0 {
-		t.Fatalf("invariant violations on calm lazy run:\n%s", ReportViolations(v))
-	}
-	if !rec.Converged {
-		t.Fatalf("calm lazy run did not converge: %v", rec.ConvergeErr)
 	}
 }
 

@@ -42,7 +42,6 @@ func CheckAll(rec *RunRecord) []Violation {
 	checkFreshnessVec(rec, &out)
 	checkSessionRouting(rec, &out)
 	checkTimeline(rec, &out)
-	checkStale(rec, &out)
 	checkConvergence(rec, &out)
 	return out
 }
@@ -67,8 +66,8 @@ func replicaIndex(id string) int {
 //   - group-safe and group-1-safe: loss is excused only when every replica
 //     that externalised the transaction crashed afterwards (the
 //     responded-but-not-durable window group-safety deliberately leaves open).
-//   - 0-safe, lazy (1-safe) and lazy primary-copy: loss is excused only when
-//     the delegate crashed after acknowledging.
+//   - 0-safe and lazy (1-safe): loss is excused only when the delegate
+//     crashed after acknowledging.
 //
 // "Lost" means: applied at no live replica after the rescue phase.
 func checkDurability(rec *RunRecord, out *[]Violation) {
@@ -93,7 +92,7 @@ func checkDurability(rec *RunRecord, out *[]Violation) {
 			violationf(out, "durability",
 				"txn %#x (session %d, level %v) lost although a replica that externalised it never crashed",
 				t.TxnID, t.Session, t.Level)
-		default: // Safety0, Safety1Lazy (certification-lazy and lazy primary-copy)
+		default: // Safety0, Safety1Lazy
 			if delegateCrashed {
 				continue // the 1-safe window: the delegate died before propagating
 			}
@@ -532,49 +531,19 @@ func checkTimeline(rec *RunRecord, out *[]Violation) {
 	}
 }
 
-// checkStale: the Stale flag is set exactly on lazy primary-copy reads served
-// by a secondary, and never anywhere else.  "Read" means the request carried
-// no writes: a nominal update whose operations all turned out to be reads
-// takes the same snapshot fast path as a declared query.
-func checkStale(rec *RunRecord, out *[]Violation) {
-	lazy := rec.Technique == core.TechLazyPrimary
-	for _, t := range allTxns(rec) {
-		if !t.Acked {
-			continue
-		}
-		want := lazy && !t.Update() && replicaIndex(t.DelegateID) != 0
-		if t.Stale != want {
-			violationf(out, "stale-flag",
-				"txn %#x (query=%t, served by %s, technique %v): Stale=%t, want %t",
-				t.TxnID, t.Query, t.DelegateID, rec.Technique, t.Stale, want)
-		}
-	}
-}
-
 // checkConvergence: after the rescue phase healed every fault and recovered
 // every replica, the group-communication configurations must reach identical
 // stores (delivery in one total order plus checkpoint state transfer leaves
-// no legitimate way to stay apart).  Lazy primary-copy has a single update
-// site and therefore also converges, but only for runs whose schedule
-// destroyed no message (a lost propagation diverges forever — exactly the
-// trade-off the paper charges 1-safety with).  The multi-master lazy
-// baselines (certification at 0-safe/1-safe-lazy) are never asserted:
-// conflicting commits at different delegates can legally diverge even on a
-// fault-free run.
+// no legitimate way to stay apart).  The lazy levels (0-safe, 1-safe-lazy)
+// are never asserted: they are update-everywhere, so conflicting commits at
+// different delegates can legally diverge even on a fault-free run.
 func checkConvergence(rec *RunRecord, out *[]Violation) {
-	groupComm := rec.Level.UsesGroupCommunication()
-	destructive := rec.Faults.Crash || rec.Faults.Partition || rec.Faults.Loss || rec.Faults.Block
-	switch {
-	case groupComm:
-		// always asserted
-	case rec.Technique == core.TechLazyPrimary && !destructive:
-		// single-master lazy on an undisturbed network must converge
-	default:
+	if !rec.Level.UsesGroupCommunication() {
 		return
 	}
 	if !rec.Converged {
 		violationf(out, "convergence",
-			"live replicas did not converge after the rescue phase (technique %v, level %v): %v",
-			rec.Technique, rec.Level, rec.ConvergeErr)
+			"live replicas did not converge after the rescue phase (level %v): %v",
+			rec.Level, rec.ConvergeErr)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // (core/mutation_simmutation.go): a 2-safe transaction is acknowledged while
 // its commit record is still volatile, so a total failure loses it — exactly
 // the failure 2-safety exists to rule out.  The fuzzer, pinned to
-// certification at 2-safe with the storm profile (whose tail is a drained
+// 2-safe with the storm profile (whose tail is a drained
 // total failure), must observe an invariant violation within a bounded seed
 // sweep.  If this test ever fails, the invariant suite has gone blind.
 func TestMutationSelfTest(t *testing.T) {
@@ -20,7 +20,6 @@ func TestMutationSelfTest(t *testing.T) {
 	for seed := int64(1); seed <= maxSeeds; seed++ {
 		sc, err := Generate(Config{
 			Seed:       seed,
-			Technique:  "certification",
 			Level:      "2-safe",
 			Profile:    "storm",
 			Steps:      28,

@@ -53,7 +53,6 @@ type TxnRec struct {
 	// FreshnessVec is the per-partition freshness vector of the result
 	// (partitioned runs only; global item keys in ReadValues).
 	FreshnessVec []uint64
-	Stale        bool
 	ReadValues   map[int]int64
 	// SubmitIdx and AckIdx are global event-counter stamps taken immediately
 	// before submission and after the response.
@@ -80,22 +79,10 @@ type CrashEvent struct {
 	TotalFailure bool
 }
 
-// FaultSummary says which destructive fault classes the schedule contained
-// (computed statically from the steps; the lazy convergence invariant only
-// applies to runs with none of them).
-type FaultSummary struct {
-	Crash     bool
-	Partition bool
-	Loss      bool
-	Block     bool
-}
-
 // RunRecord is everything the invariant suite needs about one finished run.
 type RunRecord struct {
-	Scenario  *Scenario
-	Level     core.SafetyLevel
-	Technique core.TechniqueID
-	Faults    FaultSummary
+	Scenario *Scenario
+	Level    core.SafetyLevel
 	// Partitions is the keyspace partition count (1: unpartitioned) and PMap
 	// the item→partition map the router used.
 	Partitions int
@@ -152,26 +139,6 @@ type RunRecord struct {
 	AppliedLogsByPart [][][]core.AppliedRecord
 }
 
-// faultSummary scans the schedule for destructive faults.
-func faultSummary(steps []Step) FaultSummary {
-	var f FaultSummary
-	for _, s := range steps {
-		switch s.Kind {
-		case StepCrash:
-			f.Crash = true
-		case StepPartition:
-			f.Partition = true
-		case StepLoss:
-			if s.Loss > 0 {
-				f.Loss = true
-			}
-		case StepBlock:
-			f.Block = true
-		}
-	}
-	return f
-}
-
 // runnerIDBase tags fuzzer-assigned transaction IDs.  Replicas assign
 // uint64(index+1)<<40 | n, so a base far above any replica index can never
 // collide while keeping the IDs of timed-out submissions known to the
@@ -193,10 +160,6 @@ func Run(s *Scenario) (*RunRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	tech, err := core.ParseTechnique(cfg.Technique)
-	if err != nil {
-		return nil, err
-	}
 	level, err := core.ParseLevel(cfg.Level)
 	if err != nil {
 		return nil, err
@@ -206,7 +169,6 @@ func Run(s *Scenario) (*RunRecord, error) {
 		Replicas:      cfg.Replicas,
 		Items:         cfg.Items,
 		Level:         level,
-		Technique:     tech,
 		Partitions:    cfg.Partitions,
 		ExecTimeout:   cfg.TxnTimeout,
 		RecordApplied: true,
@@ -220,8 +182,6 @@ func Run(s *Scenario) (*RunRecord, error) {
 	rec := &RunRecord{
 		Scenario:    s,
 		Level:       cluster.Level(),
-		Technique:   cluster.Technique(),
-		Faults:      faultSummary(s.Steps),
 		Partitions:  cluster.NumPartitions(),
 		PMap:        cluster.Map(),
 		Sessions:    make([][]*TxnRec, cfg.Sessions),
@@ -470,7 +430,6 @@ func (r *runner) sessionLoop(session int, q chan sessionCmd) {
 			t.DelegateID = res.Delegate
 			t.Freshness = res.Freshness
 			t.FreshnessVec = res.FreshnessVec
-			t.Stale = res.Stale
 			t.ReadValues = res.ReadValues
 			if res.Freshness > maxFresh {
 				maxFresh = res.Freshness
@@ -495,7 +454,7 @@ func (r *runner) sessionLoop(session int, q chan sessionCmd) {
 // rescue heals every fault, recovers every crashed replica (most durable
 // first, so the first recovery — the one with no live donor after a total
 // failure — starts from the longest durable log) and drives the cluster to
-// convergence.  For the group-communication techniques a replica stranded
+// convergence.  At the group-communication levels a replica stranded
 // behind a dropped message cannot catch up by waiting (the transport has no
 // retransmission), so non-convergence is repaired the way the paper's
 // checkpoint recovery does: crash and recover the stragglers, which pulls a
@@ -524,7 +483,7 @@ func (r *runner) rescue() {
 	}
 	r.resolveInDoubt()
 
-	groupComm := r.rec.Technique != core.TechLazyPrimary && r.rec.Level.UsesGroupCommunication()
+	groupComm := r.rec.Level.UsesGroupCommunication()
 	deadline := 1500 * time.Millisecond
 	for round := 0; ; round++ {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)

@@ -14,17 +14,15 @@ import (
 
 // Config parameterises one fuzz run.  Zero values are derived from the seed
 // (cluster shape) or defaulted (sizes, timeouts), so the common caller passes
-// nothing but a seed; pinning Technique/Level narrows a sweep onto one
-// configuration (the mutation self-test pins certification at 2-safe).
+// nothing but a seed; pinning Level narrows a sweep onto one safety level
+// (the mutation self-test pins 2-safe).
 type Config struct {
 	// Seed is the single 64-bit root of the run: cluster shape, workload and
 	// adversary schedule are all pure functions of it.
 	Seed int64
-	// Technique pins the replication technique by name ("certification",
-	// "lazy-primary"); empty derives it from the seed.
-	Technique string
 	// Level pins the safety level by name (core.ParseLevel); empty derives a
-	// level admissible for the technique from the seed.
+	// level admissible for the profile from the seed.  A pinned level always
+	// wins over the draw.
 	Level string
 	// Replicas is the cluster size (0: derived, 3–5).
 	Replicas int
@@ -38,14 +36,13 @@ type Config struct {
 	// Profile shapes the adversary mix: "mixed" (default), "storm"
 	// (crash-recover heavy, always ends in a total-failure storm),
 	// "partition" (split-brain heavy), "calm" (delay/sleep only — every
-	// message still arrives, which is what the lazy convergence invariant
-	// needs), "sharded" (the mixed fault mix over a PARTITIONED keyspace:
-	// Partitions derives to >1, pinning the certification technique and a
-	// group-communication level, so cross-partition 2PC runs under fire) or
-	// "readheavy" (query-dominated with session freshness floors under
-	// crash/recover churn — the read scale-out sweep; the technique and
-	// level draws are constrained to group-communication configurations so
-	// the floors, and the session-routing invariant, are meaningful).
+	// message still arrives), "sharded" (the mixed fault mix over a
+	// PARTITIONED keyspace: Partitions derives to >1 and the level draw is
+	// constrained to the group-communication levels, so cross-partition 2PC
+	// runs under fire) or "readheavy" (query-dominated with session freshness
+	// floors under crash/recover churn — the read scale-out sweep; the level
+	// draw is constrained to group-communication levels so the floors, and
+	// the session-routing invariant, are meaningful).
 	Profile string
 	// TxnTimeout bounds each transaction submission (0: 300ms).  Scenario
 	// generation does not depend on it, so tests may stretch it without
@@ -54,8 +51,8 @@ type Config struct {
 	TxnTimeout time.Duration
 	// Partitions splits the keyspace into that many hash partitions routed
 	// through internal/partition (0 or 1: unpartitioned, today's exact code
-	// path).  More than one partition requires the certification technique
-	// and a group-communication level; the "sharded" profile derives a count
+	// path).  More than one partition requires a group-communication level;
+	// the "sharded" profile derives a count
 	// from the seed.  Marshalled only when > 1, so pre-existing corpus
 	// traces keep their exact bytes.
 	Partitions int
@@ -101,38 +98,23 @@ func (c Config) resolve() (Config, error) {
 		c.Replicas = 3 + rng.Intn(3)
 	}
 	// The sharded profile is the partitioned-keyspace sweep: the partition
-	// count derives from its own stream, and the technique/level draws are
-	// constrained to what partitioned operation supports.
-	if c.Profile == "sharded" {
-		if c.Technique == "" {
-			c.Technique = core.TechCertification.String()
-		}
-		if c.Partitions == 0 {
-			rng := rand.New(rand.NewSource(sim.DeriveSeed(c.Seed, streamPartitions)))
-			c.Partitions = 2 + rng.Intn(2)
-		}
+	// count derives from its own stream, and the level draw is constrained
+	// to what partitioned operation supports.
+	if c.Profile == "sharded" && c.Partitions == 0 {
+		rng := rand.New(rand.NewSource(sim.DeriveSeed(c.Seed, streamPartitions)))
+		c.Partitions = 2 + rng.Intn(2)
 	}
 	if c.Partitions < 1 {
 		c.Partitions = 1
 	}
-	// The readheavy profile is the read scale-out sweep: floored queries are
-	// only meaningful on a totally-ordered cross-replica sequence, so it runs
-	// certification (the level draw below is constrained to match).
-	if c.Profile == "readheavy" && c.Technique == "" {
-		c.Technique = core.TechCertification.String()
-	}
-	if c.Technique == "" {
-		// One seed in four runs lazy primary-copy.  Keep the draw as it is:
-		// the seeds recorded in bug reports name their technique by it.
-		rng := rand.New(rand.NewSource(sim.DeriveSeed(c.Seed, streamTechnique)))
-		c.Technique = core.TechCertification.String()
+	// One unpinned seed in four outside the sharded and readheavy profiles
+	// runs the lazy 1-safe baseline.  The draw keeps its own stream, so the
+	// seeds recorded in bug reports keep their level.
+	if c.Level == "" && c.Partitions == 1 && c.Profile != "sharded" && c.Profile != "readheavy" {
+		rng := rand.New(rand.NewSource(sim.DeriveSeed(c.Seed, streamLazy)))
 		if rng.Intn(4) == 3 {
-			c.Technique = core.TechLazyPrimary.String()
+			c.Level = core.Safety1Lazy.String()
 		}
-	}
-	tech, err := core.ParseTechnique(c.Technique)
-	if err != nil {
-		return c, err
 	}
 	if c.Level == "" {
 		rng := rand.New(rand.NewSource(sim.DeriveSeed(c.Seed, streamLevel)))
@@ -144,15 +126,13 @@ func (c Config) resolve() (Config, error) {
 				core.Safety2, core.Safety2,
 				core.VerySafe,
 			}).String()
-		case c.Profile == "readheavy" && tech != core.TechLazyPrimary:
+		case c.Profile == "readheavy":
 			c.Level = pick(rng, []core.SafetyLevel{
 				core.GroupSafe, core.GroupSafe, core.GroupSafe,
 				core.Group1Safe,
 				core.Safety2,
 				core.VerySafe,
 			}).String()
-		case tech == core.TechLazyPrimary:
-			c.Level = core.Safety1Lazy.String()
 		default:
 			c.Level = pick(rng, []core.SafetyLevel{
 				core.GroupSafe, core.GroupSafe, core.GroupSafe,
@@ -167,17 +147,8 @@ func (c Config) resolve() (Config, error) {
 	if err != nil {
 		return c, err
 	}
-	if level, err = core.CanonicalLevel(tech, level); err != nil {
-		return c, err
-	}
-	c.Level = level.String()
-	if c.Partitions > 1 {
-		if tech != core.TechCertification {
-			return c, fmt.Errorf("fuzz: %d partitions require the certification technique (got %s)", c.Partitions, c.Technique)
-		}
-		if !level.UsesGroupCommunication() {
-			return c, fmt.Errorf("fuzz: %d partitions require a group-communication level (got %s)", c.Partitions, c.Level)
-		}
+	if c.Partitions > 1 && !level.UsesGroupCommunication() {
+		return c, fmt.Errorf("fuzz: %d partitions require a group-communication level (got %s)", c.Partitions, c.Level)
 	}
 	return c, nil
 }
@@ -185,10 +156,11 @@ func (c Config) resolve() (Config, error) {
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }
 
 // Random stream labels for sim.DeriveSeed: each consumer of the root seed
-// gets its own decorrelated child stream.
+// gets its own decorrelated child stream.  A label never changes, or every
+// recorded seed would derive a different scenario.
 const (
 	streamReplicas uint64 = iota + 1
-	streamTechnique
+	streamLazy
 	streamLevel
 	streamSteps
 	streamNetwork
@@ -520,7 +492,6 @@ func (s *Scenario) Marshal() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", traceMagic)
 	fmt.Fprintf(&b, "seed %d\n", s.Cfg.Seed)
-	fmt.Fprintf(&b, "technique %s\n", s.Cfg.Technique)
 	fmt.Fprintf(&b, "level %s\n", s.Cfg.Level)
 	fmt.Fprintf(&b, "replicas %d\n", s.Cfg.Replicas)
 	fmt.Fprintf(&b, "items %d\n", s.Cfg.Items)
@@ -600,11 +571,6 @@ func ParseScenario(data []byte) (*Scenario, error) {
 		switch key {
 		case "seed":
 			s.Cfg.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "technique":
-			s.Cfg.Technique = val
-			if _, err = core.ParseTechnique(val); err != nil {
-				err = fmt.Errorf("header line %q: %w", lines[i], err)
-			}
 		case "level":
 			s.Cfg.Level = val
 		case "replicas":

@@ -49,11 +49,6 @@ type Config struct {
 	CPUPerNetworkOp time.Duration
 	// CertifyCPU is the CPU cost of certifying one transaction.
 	CertifyCPU time.Duration
-	// Technique selects the replication technique the servers model:
-	// certification-based (the default; the group-communication levels run
-	// the Fig. 2/8 certification flow) or lazy primary-copy (all update
-	// transactions execute at server 0).
-	Technique core.TechniqueID
 	// BatchSize is the most transactions one simulated dissemination round
 	// carries.  1 (the default) is the paper's flow: every broadcast pays its
 	// own round.  Above 1 the delegate's sender is modelled delivery-clocked
@@ -132,10 +127,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result summarises one simulation run (one technique at one offered load).
+// Result summarises one simulation run (one safety level at one offered
+// load).
 type Result struct {
-	Level     core.SafetyLevel
-	Technique core.TechniqueID
+	Level core.SafetyLevel
 	// Seed is the configuration seed the run was driven by, carried into the
 	// result so a surprising row can be replayed deterministically.
 	Seed int64
@@ -170,10 +165,6 @@ type Result struct {
 
 // String renders one row of the Fig. 9 data set.
 func (r Result) String() string {
-	label := r.Level.String()
-	if r.Technique != core.TechCertification {
-		label = r.Technique.String()
-	}
 	return fmt.Sprintf("%-13s load=%5.1f tps  resp=%7.1f ms  p95=%7.1f ms  abort=%4.1f%%  thr=%5.1f tps  disk=%4.0f%%",
-		label, r.LoadTPS, r.ResponseMeanMs, r.ResponseP95Ms, 100*r.AbortRate, r.ThroughputTPS, 100*r.DiskUtilization)
+		r.Level, r.LoadTPS, r.ResponseMeanMs, r.ResponseP95Ms, 100*r.AbortRate, r.ThroughputTPS, 100*r.DiskUtilization)
 }

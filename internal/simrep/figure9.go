@@ -23,15 +23,10 @@ func Figure9Loads() []float64 {
 }
 
 // RunFigure9 runs the full response-time-versus-load sweep for the given
-// levels and loads (defaults to the paper's setting when nil).  Under lazy
-// primary-copy, which is pinned to 1-safe-lazy, the default level list
-// collapses to that level.
+// levels and loads (defaults to the paper's setting when nil).
 func RunFigure9(cfg Config, levels []core.SafetyLevel, loads []float64) ([]Result, error) {
 	if levels == nil {
 		levels = Figure9Levels()
-		if cfg.Technique == core.TechLazyPrimary {
-			levels = []core.SafetyLevel{core.Safety1Lazy}
-		}
 	}
 	if loads == nil {
 		loads = Figure9Loads()

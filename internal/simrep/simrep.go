@@ -10,20 +10,14 @@ import (
 	"groupsafe/internal/workload"
 )
 
-// Run simulates one replication technique at one offered load and returns its
-// measured behaviour.  The safety level is canonicalised against the
-// technique exactly like core.ReplicaConfig: lazy primary-copy is inherently
-// 1-safe.
+// Run simulates one safety level at one offered load and returns its
+// measured behaviour.
 func Run(cfg Config, level core.SafetyLevel, loadTPS float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	if loadTPS <= 0 {
 		return Result{}, fmt.Errorf("simrep: load must be positive, got %v", loadTPS)
-	}
-	level, err := core.CanonicalLevel(cfg.Technique, level)
-	if err != nil {
-		return Result{}, fmt.Errorf("simrep: %w", err)
 	}
 	s := newSimulation(cfg, level, loadTPS)
 	s.run()
@@ -161,11 +155,6 @@ func (s *simulation) generator(p *sim.Process) {
 		delegate := rr % s.cfg.Servers
 		rr++
 		t := s.newTxn(delegate)
-		// Lazy primary-copy: every update transaction executes at the
-		// primary (server 0); only read-only work stays at its delegate.
-		if s.cfg.Technique == core.TechLazyPrimary && len(t.writeOps) > 0 {
-			t.delegateIdx = 0
-		}
 		s.eng.Spawn(fmt.Sprintf("txn-%d", t.id), 0, func(p *sim.Process) {
 			s.runTxn(p, t)
 		})
@@ -478,7 +467,6 @@ func (s *simulation) record(now time.Duration, t *simTxn, committed bool) {
 func (s *simulation) result() Result {
 	r := Result{
 		Level:          s.level,
-		Technique:      s.cfg.Technique,
 		Seed:           s.cfg.Seed,
 		LoadTPS:        s.load,
 		Completed:      s.completed,

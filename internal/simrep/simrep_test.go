@@ -267,24 +267,6 @@ func TestFigure9Axes(t *testing.T) {
 	}
 }
 
-func TestSimulatedLazyPrimaryRunsUpdatesAtPrimary(t *testing.T) {
-	cfg := shortConfig()
-	cfg.Technique = core.TechLazyPrimary
-	res, err := Run(cfg, core.Safety0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Level != core.Safety1Lazy || res.Technique != core.TechLazyPrimary {
-		t.Fatalf("result identity = %+v", res)
-	}
-	if res.Completed == 0 || res.Committed == 0 {
-		t.Fatalf("no committed transactions: %+v", res)
-	}
-	if _, err := Run(cfg, core.GroupSafe, 20); err == nil {
-		t.Fatal("lazy-primary + group-safe should be rejected")
-	}
-}
-
 // TestReadHeavyThroughputScalesWithServers is the read scale-out claim in
 // the one form that does not depend on the host's cores: queries run on one
 // server's CPU and disks and nothing else, so at a 95 % read mix and an
