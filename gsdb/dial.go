@@ -27,8 +27,7 @@ type ItemState = netproto.ItemState
 // compact binary protocol of internal/netproto over one multiplexed TCP
 // connection per replica (established lazily), picks delegates round-robin,
 // and degrades gracefully: a dead or crashed replica is skipped with jittered
-// backoff, an ErrTooStale rejection from a lagging replica rotates to the
-// next replica, and a request fails — it never hangs — once
+// backoff, and a request fails — it never hangs — once
 // its bounded retry budget or its context is exhausted.  An endpoint whose
 // dial or handshake fails repeatedly is suspended from the round-robin for an
 // exponentially growing window (100ms doubling to a 15s cap), so a dead
@@ -210,7 +209,7 @@ func (c *RemoteClient) pickAddr(slot int) string {
 // Execute runs one transaction against the cluster and blocks until its
 // safety level's notification condition holds at the serving replica, or
 // until the retry budget or ctx is exhausted.  Engine error sentinels
-// (ErrCrashed, ErrTooStale, ErrSafetyUnavailable, ...) keep their
+// (ErrCrashed, ErrSafetyUnavailable, ...) keep their
 // errors.Is identity across the wire.
 func (c *RemoteClient) Execute(ctx context.Context, req Request, opts ...TxnOption) (Result, error) {
 	if c.closed.Load() {
@@ -261,11 +260,11 @@ func (c *RemoteClient) Execute(ctx context.Context, req Request, opts ...TxnOpti
 			return result, nil
 		}
 		lastErr = fmt.Errorf("server %s: %w", addr, err)
-		if !retryable(err, pinned >= 0) {
+		if !retryable(err) {
 			return Result{}, fmt.Errorf("gsdb: %w", lastErr)
 		}
-		// Transport failures, crashed and lagging replicas: rotate (or,
-		// pinned, re-try the same replica) after a jittered backoff.
+		// Transport failures and crashed replicas: rotate (or, pinned,
+		// re-try the same replica) after a jittered backoff.
 		sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
 		if backoff *= 2; backoff > remoteBackoffMax {
 			backoff = remoteBackoffMax
@@ -301,17 +300,11 @@ func (c *RemoteClient) Info(ctx context.Context, addr string) (ServerInfo, error
 
 // retryable reports whether a failed attempt should be retried elsewhere (or,
 // for a pinned delegate, retried at all).
-func retryable(err error, pinnedDelegate bool) bool {
+func retryable(err error) bool {
 	var re *netproto.RemoteError
 	if errors.As(err, &re) {
 		// The server answered: only "this replica cannot serve you right
-		// now" answers are worth retrying — a crashed replica may recover,
-		// and a too-stale lease rejection means this replica lags while a
-		// fresher one may qualify (the redirect half of the
-		// bounded-staleness contract).
-		if errors.Is(err, ErrTooStale) {
-			return !pinnedDelegate
-		}
+		// now" is worth retrying — a crashed replica may recover.
 		return errors.Is(err, ErrCrashed)
 	}
 	// No protocol answer: connection-level failure, worth another replica.

@@ -29,7 +29,8 @@ var (
 	// ErrCrashed is returned when the delegate replica is (or crashes
 	// while) serving the transaction.
 	ErrCrashed = core.ErrCrashed
-	// ErrNotFound is returned for out-of-range replica indexes.
+	// ErrNotFound is returned for out-of-range replica indexes and for an
+	// operation on an item outside the database.
 	ErrNotFound = core.ErrNotFound
 	// ErrSafetyUnavailable is returned when a WithSafety override asks for
 	// a level this cluster's machinery cannot provide.
@@ -41,14 +42,4 @@ var (
 	// ErrReadOnlyWrites is returned when a request declared ReadOnly
 	// carries a write operation (or a Compute hook, which could emit one).
 	ErrReadOnlyWrites = core.ErrReadOnlyWrites
-	// ErrTooStale is returned for a WithMaxStaleness query when the serving
-	// replica cannot prove its applied state is within the requested bound
-	// of the freshest advertised state.  The lease never waits: redirect to
-	// a fresher replica (RemoteClient retries elsewhere automatically) or
-	// relax the bound.
-	ErrTooStale = core.ErrTooStale
-	// ErrSnapshotTooOld is returned by a read when its pinned MVCC snapshot
-	// outlived the cluster's WithMaxPinAge cap and was evicted; restart the
-	// transaction on a fresh snapshot.
-	ErrSnapshotTooOld = core.ErrSnapshotTooOld
 )

@@ -68,18 +68,6 @@ func WithPartitions(n int) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Partitions = n }
 }
 
-// WithMaxPinAge caps how far (in applied broadcast sequences) a pinned MVCC
-// snapshot may lag behind the replica's visible watermark before it is
-// evicted.  Long-running queries normally pin their version chains for as
-// long as they run, so one slow reader under a write storm makes every hot
-// item's chain grow without bound; the cap trades that memory for a
-// late-read failure: a reader whose snapshot was evicted gets
-// ErrSnapshotTooOld on its next read and must restart on a fresh snapshot.
-// Zero (the default) means pins never expire.
-func WithMaxPinAge(seqs uint64) Option {
-	return func(cfg *core.ClusterConfig) { cfg.MaxPinAge = seqs }
-}
-
 // WithSeed seeds the cluster's network randomness (default 1).
 func WithSeed(seed int64) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Seed = seed }
@@ -94,7 +82,6 @@ type txnOptions struct {
 	readOnly     bool
 	freshness    uint64
 	freshnessVec []uint64
-	maxStaleness time.Duration
 }
 
 func newTxnOptions(opts []TxnOption) txnOptions {
@@ -120,9 +107,6 @@ func (o *txnOptions) apply(req *Request) {
 	if len(o.freshnessVec) > 0 {
 		req.MinFreshnessVec = o.freshnessVec
 	}
-	if o.maxStaleness > 0 {
-		req.MaxStaleness = o.maxStaleness
-	}
 }
 
 // WithSafety overrides the safety level of this one transaction: the
@@ -133,7 +117,8 @@ func (o *txnOptions) apply(req *Request) {
 // rides the broadcast, so the floor is GroupSafe); very-safe is honoured on
 // any group-communication cluster via explicit per-replica acknowledgements;
 // 2-safe needs a cluster opened at 2-safe or very-safe (the end-to-end
-// message log) and fails with ErrSafetyUnavailable otherwise.
+// message log) and fails with ErrSafetyUnavailable otherwise, as does a level
+// outside AllLevels.
 //
 // Very-safe liveness caveat: the wait ends only when EVERY member has
 // acknowledged, so it blocks while any replica is down (the paper's
@@ -189,20 +174,4 @@ func WithFreshnessVec(vec []uint64) TxnOption {
 		copy(v, vec)
 		o.freshnessVec = v
 	}
-}
-
-// WithMaxStaleness bounds how stale a read-only transaction's snapshot may
-// be in wall-clock terms: the serving replica answers only when it can prove
-// its applied state is within d of the freshest state advertised anywhere in
-// the cluster (it maps the duration to a sequence floor using its measured
-// delivery rate), and otherwise fails fast with ErrTooStale — it never
-// waits.  This is the bounded-staleness lease: unlike WithFreshness, which
-// names an exact sequence floor and blocks until reached, a staleness bound
-// is a promise about time, checked against the replica's own progress
-// estimate, and a lagging replica rejects immediately so the client can
-// redirect to a fresher one (RemoteClient does this automatically).  On
-// clusters without a comparable sequence a non-zero bound fails with
-// ErrSafetyUnavailable.
-func WithMaxStaleness(d time.Duration) TxnOption {
-	return func(o *txnOptions) { o.maxStaleness = d }
 }

@@ -256,11 +256,4 @@ func TestDialSessionReadYourWrites(t *testing.T) {
 		}
 		last = s.Token()
 	}
-
-	// A bounded-staleness query succeeds against a live cluster: the freshest
-	// server always satisfies its own lease, and a server that rejects with
-	// ErrTooStale makes the client redirect rather than fail.
-	if _, err := s.Execute(ctx, gsdb.Query(2), gsdb.WithMaxStaleness(time.Hour)); err != nil {
-		t.Fatalf("bounded-staleness query: %v", err)
-	}
 }

@@ -41,10 +41,6 @@ type ClusterConfig struct {
 	// the partition router layered on top (internal/partition, gsdb), which
 	// builds one core cluster per partition.  Zero or one means unpartitioned.
 	Partitions int
-	// MaxPinAge caps how far (in applied broadcast sequences) a pinned MVCC
-	// snapshot may lag the visible watermark before it is evicted and its
-	// reader fails with ErrSnapshotTooOld; 0 means pins never expire.
-	MaxPinAge uint64
 	// Network, when non-nil, attaches the replicas to the given transport
 	// instead of building a private in-memory network.  The partition layer
 	// uses it to share one simulated wire across per-partition clusters.
@@ -104,7 +100,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			ExecTimeout:          cfg.ExecTimeout,
 			LazyPropagationDelay: cfg.LazyPropagationDelay,
 			RecordApplied:        cfg.RecordApplied,
-			MaxPinAge:            cfg.MaxPinAge,
 		})
 		if err != nil {
 			c.Close()

@@ -191,6 +191,7 @@ func (r *Replica) countOutcome(o Outcome) {
 // override.  An override is checked against the machinery this cluster was
 // actually built with:
 //
+//   - a level outside AllLevels is never honoured;
 //   - on a group-communication cluster every transaction rides the broadcast,
 //     so levels weaker than group-safe are canonicalised up to it;
 //   - 2-safe needs the end-to-end message log, which only exists when the
@@ -213,6 +214,9 @@ func (r *Replica) effectiveLevel(req Request) (SafetyLevel, error) {
 		return base, nil
 	}
 	lvl := *req.Safety
+	if lvl < Safety0 || lvl > VerySafe {
+		return 0, fmt.Errorf("%w: unknown safety level %v", ErrSafetyUnavailable, lvl)
+	}
 	if !base.UsesGroupCommunication() {
 		if lvl != base {
 			return 0, fmt.Errorf("%w: cluster runs %v without group communication; cannot honour per-transaction %v", ErrSafetyUnavailable, base, lvl)
@@ -339,10 +343,6 @@ func (r *Replica) externalize(staged []stagedTxn) {
 		}
 	}
 	r.mu.Unlock()
-	// One delivery-rate sample per externalised batch (not per transaction)
-	// keeps time.Now off the apply hot path; the estimate backs the
-	// bounded-staleness lease check of the read path.
-	r.fresh.sampleRate(r.fresh.appliedSeq())
 
 	for i, a := range staged {
 		if ch := notifyCh[i]; ch != nil {

@@ -3,13 +3,11 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the freshness gate of the read scale-out layer: the replica's
-// applied-sequence watermark, the ordered wakeup structure for
-// freshness-floored sessions, and the delivery-rate estimate that converts a
-// wall-clock staleness bound into a sequence floor.
+// applied-sequence watermark and the ordered wakeup structure for
+// freshness-floored sessions.
 //
 // The gate replaces the old close-and-remake broadcast channel, which woke
 // EVERY floored waiter on every applied sequence (a thundering herd under
@@ -35,15 +33,6 @@ type freshGate struct {
 	mu    sync.Mutex
 	heap  []freshWaiter
 	wakes uint64
-
-	// Delivery-rate estimate: an EWMA of applied sequences per second,
-	// sampled once per externalised batch (not per transaction, to keep
-	// time.Now off the apply hot path).  rateMu guards the sample state;
-	// the estimate feeds the bounded-staleness lease check.
-	rateMu     sync.Mutex
-	rateEWMA   float64
-	lastSample time.Time
-	lastSeq    uint64
 }
 
 // appliedSeq returns the current applied sequence, lock-free.
@@ -144,47 +133,4 @@ func (g *freshGate) popLocked() {
 		g.heap[i], g.heap[min] = g.heap[min], g.heap[i]
 		i = min
 	}
-}
-
-// sampleRate feeds one externalised batch into the delivery-rate EWMA.  The
-// caller passes the batch's final applied sequence; samples closer together
-// than 100µs are folded into the next one to keep the instantaneous rate
-// numerically sane.
-func (g *freshGate) sampleRate(seq uint64) {
-	now := time.Now()
-	g.rateMu.Lock()
-	defer g.rateMu.Unlock()
-	if g.lastSample.IsZero() || seq < g.lastSeq {
-		g.lastSample, g.lastSeq = now, seq
-		return
-	}
-	dt := now.Sub(g.lastSample)
-	if dt < 100*time.Microsecond {
-		return
-	}
-	inst := float64(seq-g.lastSeq) / dt.Seconds()
-	if g.rateEWMA == 0 {
-		g.rateEWMA = inst
-	} else {
-		g.rateEWMA = 0.2*inst + 0.8*g.rateEWMA
-	}
-	g.lastSample, g.lastSeq = now, seq
-}
-
-// rate returns the estimated delivery rate in sequences per second, decayed
-// by the time since the last sample: a replica that stopped applying (stalled
-// or partitioned) must not keep claiming its historical catch-up speed, so
-// the estimate halves for every second of silence beyond the first.
-func (g *freshGate) rate() float64 {
-	g.rateMu.Lock()
-	ewma := g.rateEWMA
-	last := g.lastSample
-	g.rateMu.Unlock()
-	if ewma == 0 || last.IsZero() {
-		return 0
-	}
-	if idle := time.Since(last); idle > time.Second {
-		ewma /= idle.Seconds()
-	}
-	return ewma
 }

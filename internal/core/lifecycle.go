@@ -28,12 +28,6 @@ func (r *Replica) startGroupCommunication(incarnation uint64) error {
 			Self:        r.cfg.ID,
 			Members:     r.cfg.Members,
 			Incarnation: incarnation,
-			// Advertised freshness rides the existing ACK/ORDER traffic:
-			// every broadcast-layer message stamps the sender's applied
-			// watermark, and received stamps feed the peer-advert cache
-			// backing freshness-aware routing and staleness leases.
-			AdvertiseSeq: r.LastAppliedSeq,
-			OnPeerAdvert: r.notePeerApplied,
 		}, r.router)
 		if err != nil {
 			return err
@@ -48,13 +42,7 @@ func (r *Replica) startGroupCommunication(incarnation uint64) error {
 		}
 		if onEvent := r.cfg.OnDetectorEvent; onEvent != nil {
 			// The detector runs exactly when someone listens to it.
-			detCfg := r.cfg.Detector
-			// Heartbeats double as freshness adverts (the membership path
-			// for the server build, where ACK traffic pauses under an idle
-			// or partitioned workload).
-			detCfg.Annotate = r.LastAppliedSeq
-			detCfg.OnAnnotation = r.notePeerApplied
-			r.detector = fd.New(r.cfg.ID, r.cfg.Members, r.router, detCfg)
+			r.detector = fd.New(r.cfg.ID, r.cfg.Members, r.router, r.cfg.Detector)
 			r.router.Handle(fd.MsgHeartbeat, r.detector.OnMessage)
 			r.detector.OnEvent(func(ev fd.Event) {
 				if ev.Suspected {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
 // This file is the per-partition API consumed by the partition router
@@ -22,16 +21,17 @@ func (r *Replica) ResolveLevel(override *SafetyLevel) (SafetyLevel, error) {
 // SnapshotReads reads the given items from one MVCC snapshot of this replica,
 // returning the values, the observed versions (the certification read set of
 // the router-side read phase), and the freshness token sampled before the
-// snapshot.  minFreshness imposes the usual floor; maxStaleness imposes the
-// bounded-staleness lease (ErrTooStale when this partition replica cannot
-// prove it is within the bound).  countQuery selects whether the read is
-// accounted as a served query (the read-only fan-out path) or as the
-// invisible read phase of an update transaction.
-func (r *Replica) SnapshotReads(ctx context.Context, items []int, minFreshness uint64, maxStaleness time.Duration, countQuery bool) (values map[int]int64, versions map[int]uint64, token uint64, err error) {
+// snapshot.  minFreshness imposes the usual floor.  countQuery selects
+// whether the read is accounted as a served query (the read-only fan-out
+// path) or as the invisible read phase of an update transaction.  The
+// fourth argument is ignored: it carried a staleness bound that no longer
+// exists, and it stays until the benchmark's core.query_ns probe
+// (bench/probes.go) stops passing it.
+func (r *Replica) SnapshotReads(ctx context.Context, items []int, minFreshness, _ uint64, countQuery bool) (values map[int]int64, versions map[int]uint64, token uint64, err error) {
 	if r.Crashed() {
 		return nil, nil, 0, ErrCrashed
 	}
-	rt, token, err := r.beginSnapshot(ctx, minFreshness, maxStaleness)
+	rt, token, err := r.beginSnapshot(ctx, minFreshness)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"groupsafe/internal/storage"
 	"groupsafe/internal/workload"
@@ -59,14 +58,6 @@ type Request struct {
 	// partitioned cluster floors every touched partition instead.  Nil or a
 	// short vector imposes no floor on the missing entries.
 	MinFreshnessVec []uint64
-	// MaxStaleness, meaningful for read-only execution at the totally-ordered
-	// levels, is a bounded-staleness lease: the serving replica answers
-	// immediately when it can prove its snapshot is at most this much
-	// wall-clock time behind the freshest advertised state (sequence lag
-	// divided by the estimated delivery rate), and rejects with ErrTooStale —
-	// never waits — when it cannot, so the client redirects to a fresher
-	// replica.  Zero imposes no bound.
-	MaxStaleness time.Duration
 }
 
 // Outcome is the terminal state of a replicated transaction.

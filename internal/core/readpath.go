@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"groupsafe/internal/db"
 )
@@ -34,7 +33,7 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request) (Result, err
 	if err != nil {
 		return Result{}, err
 	}
-	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, req.MaxStaleness)
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness)
 	if err != nil {
 		return Result{}, err
 	}
@@ -65,23 +64,16 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request) (Result, err
 
 // beginSnapshot is the prologue of every snapshot read — a query, the
 // router's per-partition reads, an update's optimistic read phase: the
-// bounded-staleness lease, the freshness floor, the freshness token, then
-// the MVCC snapshot.  The lease never waits (the client redirects on
-// ErrTooStale); the floor waits, bounded by the default ExecTimeout when
-// ctx has no deadline.  The token is sampled BEFORE the snapshot:
-// lastAppliedSeq only advances after a delivery's installs are visible, so
-// the snapshot is guaranteed to contain every transaction the token claims.
-func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64, maxStaleness time.Duration) (*db.ReadTxn, uint64, error) {
-	if (minFreshness > 0 || maxStaleness > 0) && !r.cfg.Level.UsesGroupCommunication() {
-		return nil, 0, r.errNoFreshnessSequence()
-	}
-	if maxStaleness > 0 {
-		if floor := r.stalenessFloor(maxStaleness); r.fresh.appliedSeq() < floor {
-			return nil, 0, fmt.Errorf("%w: applied %d, need %d for %v (max known %d, rate %.0f seq/s)",
-				ErrTooStale, r.fresh.appliedSeq(), floor, maxStaleness, r.maxKnownSeq(), r.fresh.rate())
-		}
-	}
+// freshness floor, the freshness token, then the MVCC snapshot.  The floor
+// waits, bounded by the default ExecTimeout when ctx has no deadline.  The
+// token is sampled BEFORE the snapshot: lastAppliedSeq only advances after a
+// delivery's installs are visible, so the snapshot is guaranteed to contain
+// every transaction the token claims.
+func (r *Replica) beginSnapshot(ctx context.Context, minFreshness uint64) (*db.ReadTxn, uint64, error) {
 	if minFreshness > 0 {
+		if !r.cfg.Level.UsesGroupCommunication() {
+			return nil, 0, r.errNoFreshnessSequence()
+		}
 		ctx, cancel := r.withDefaultTimeout(ctx)
 		err := r.waitFreshness(ctx, minFreshness)
 		cancel()
@@ -126,17 +118,3 @@ func (r *Replica) waitFreshness(ctx context.Context, min uint64) error {
 // freshness waiters the new sequence satisfies.  Safe with or without r.mu
 // held (the gate has its own leaf lock).
 func (r *Replica) advanceAppliedSeq(seq uint64) { r.fresh.advance(seq) }
-
-// stalenessFloor maps a wall-clock staleness bound to a sequence floor: the
-// oldest applied sequence that is still provably within d of the freshest
-// advertised state, assuming deliveries continue at the estimated rate.  With
-// no rate estimate yet the floor degrades to "be as fresh as the freshest
-// known replica" — conservative, never wrong.
-func (r *Replica) stalenessFloor(d time.Duration) uint64 {
-	maxKnown := r.maxKnownSeq()
-	allowed := uint64(r.fresh.rate() * d.Seconds())
-	if allowed >= maxKnown {
-		return 0
-	}
-	return maxKnown - allowed
-}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"groupsafe/internal/db"
@@ -15,7 +14,6 @@ import (
 	"groupsafe/internal/gcs/e2e"
 	"groupsafe/internal/gcs/fd"
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/storage"
 	"groupsafe/internal/wal"
 )
 
@@ -41,18 +39,6 @@ var (
 	// provide — e.g. 2-safe on a cluster built without the end-to-end
 	// message log, or any group-communication level on a lazy cluster.
 	ErrSafetyUnavailable = errors.New("core: requested per-transaction safety level is unavailable on this cluster")
-	// ErrTooStale is returned by a read-only execution carrying a
-	// Request.MaxStaleness bound when the serving replica cannot prove its
-	// snapshot is within the bound: it lags the freshest advertised sequence
-	// by more than the bound's worth of deliveries at the estimated delivery
-	// rate.  The client should redirect the query to a fresher replica
-	// instead of waiting here.
-	ErrTooStale = errors.New("core: replica lags beyond the requested staleness bound")
-	// ErrSnapshotTooOld is returned by a read whose MVCC snapshot was evicted
-	// by the pin-age cap (ReplicaConfig.MaxPinAge): the snapshot trailed the
-	// apply watermark too far and its version history has been reclaimed.
-	// Retry on a fresh snapshot.
-	ErrSnapshotTooOld = storage.ErrSnapshotTooOld
 )
 
 // ReplicaConfig configures one replica server.
@@ -99,11 +85,6 @@ type ReplicaConfig struct {
 	OnDetectorEvent func(fd.Event)
 	// Detector tunes the failure detector OnDetectorEvent starts.
 	Detector fd.Config
-	// MaxPinAge bounds how many apply sequences a read-only MVCC snapshot may
-	// trail the visible watermark before it is evicted and its reads return
-	// ErrSnapshotTooOld (0: unlimited).  It caps the version history one slow
-	// analytic scan can retain under a write storm.
-	MaxPinAge uint64
 }
 
 // applyDefaults validates the configuration and fills in defaults.
@@ -191,14 +172,9 @@ type Replica struct {
 	stats       ReplicaStats
 	appliedLog  []AppliedRecord
 
-	// fresh is the freshness gate: the applied-sequence watermark, the
-	// ordered wakeup heap for floored sessions, and the delivery-rate
-	// estimate backing bounded-staleness leases (freshgate.go).
+	// fresh is the freshness gate: the applied-sequence watermark and the
+	// ordered wakeup heap for floored sessions (freshgate.go).
 	fresh freshGate
-	// peerApplied caches the applied sequence each peer last advertised
-	// (piggybacked on abcast ACK/ORDER traffic and on heartbeats).  The map
-	// is created once from Members and never mutated, so reads are lock-free.
-	peerApplied map[string]*atomic.Uint64
 
 	// Ordered asynchronous write-set propagation of the lazy modes
 	// (technique_lazy.go).
@@ -227,17 +203,13 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 		return nil, fmt.Errorf("core: replica %q not in member list %v", cfg.ID, cfg.Members)
 	}
 	r := &Replica{
-		cfg:         cfg,
-		index:       index,
-		pending:     make(map[waiterKey]chan txnOutcome),
-		veryAcks:    make(map[uint64]map[string]bool),
-		veryDone:    make(map[uint64]chan struct{}),
-		crashCh:     make(chan struct{}),
-		stopped:     make(chan struct{}),
-		peerApplied: make(map[string]*atomic.Uint64, len(cfg.Members)),
-	}
-	for _, m := range cfg.Members {
-		r.peerApplied[m] = new(atomic.Uint64)
+		cfg:      cfg,
+		index:    index,
+		pending:  make(map[waiterKey]chan txnOutcome),
+		veryAcks: make(map[uint64]map[string]bool),
+		veryDone: make(map[uint64]chan struct{}),
+		crashCh:  make(chan struct{}),
+		stopped:  make(chan struct{}),
 	}
 	if prev != nil {
 		prev.mu.Lock()
@@ -249,7 +221,7 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 	if cfg.Level.SyncOnCommit() {
 		policy = db.SyncOnCommit
 	}
-	dbase, err := db.Open(db.Config{Items: cfg.Items, Policy: policy, Log: cfg.DBLog, MaxPinAge: cfg.MaxPinAge})
+	dbase, err := db.Open(db.Config{Items: cfg.Items, Policy: policy, Log: cfg.DBLog})
 	if err != nil {
 		return nil, fmt.Errorf("core: open database: %w", err)
 	}
@@ -311,40 +283,8 @@ func (r *Replica) BroadcastStats() abcast.Stats {
 
 // LastAppliedSeq returns the highest atomic broadcast sequence number applied
 // to the database.  The read is lock-free: it runs on the query hot path (one
-// sample per read-only transaction) and inside the broadcast ACK path (the
-// advertised-freshness piggyback).
+// sample per read-only transaction).
 func (r *Replica) LastAppliedSeq() uint64 { return r.fresh.appliedSeq() }
-
-// notePeerApplied records the applied sequence a peer advertised (monotonic;
-// stale adverts are ignored).  It is invoked from the abcast ACK/ORDER
-// receive path and from heartbeat annotations, so it must stay lock-free.
-func (r *Replica) notePeerApplied(peer string, seq uint64) {
-	c, ok := r.peerApplied[peer]
-	if !ok {
-		return
-	}
-	for {
-		cur := c.Load()
-		if seq <= cur || c.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// maxKnownSeq returns the highest applied sequence known anywhere in the
-// group: the local watermark or the freshest peer advert.
-func (r *Replica) maxKnownSeq() uint64 {
-	m := r.fresh.appliedSeq()
-	for peer, c := range r.peerApplied {
-		if peer == r.cfg.ID {
-			continue
-		}
-		if v := c.Load(); v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // SetDeliverHook installs a test hook invoked after a message is delivered by
 // the group communication component but before the database processes it —

@@ -35,12 +35,12 @@ func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, e
 	}
 	// A freshness floor applies to the read phase regardless of whether the
 	// transaction turns out to write (Compute-bearing requests land here
-	// even when their hook emits nothing); a staleness lease is a query's
-	// contract and does not.  The optimistic read phase runs on one MVCC
-	// snapshot: the read values form a consistent cut, and each recorded
-	// (item, version) pair comes from a single atomic versioned read — the
-	// certification read set can never pair a new value with an old version.
-	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness, 0)
+	// even when their hook emits nothing).  The optimistic read phase runs on
+	// one MVCC snapshot: the read values form a consistent cut, and each
+	// recorded (item, version) pair comes from a single atomic versioned
+	// read — the certification read set can never pair a new value with an
+	// old version.
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness)
 	if err != nil {
 		return Result{}, err
 	}
@@ -50,6 +50,11 @@ func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, e
 	writes := make(map[int]int64)
 	run := func(ops []workload.Op) error {
 		for _, op := range ops {
+			// No replica installs a write outside the database, so a
+			// broadcast one would leave this delegate's waiter unanswered.
+			if op.Item < 0 || op.Item >= r.cfg.Items {
+				return fmt.Errorf("%w: item %d out of range", ErrNotFound, op.Item)
+			}
 			if op.Write {
 				writes[op.Item] = op.Value
 				continue
@@ -73,6 +78,9 @@ func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, e
 			return Result{}, err
 		}
 	}
+	// The read phase is over: holding the snapshot through the broadcast
+	// round trip would keep every version installed meanwhile unprunable.
+	rt.Close()
 
 	// A Compute hook may turn out not to write after all; answer it from the
 	// snapshot like any other query (Fig. 2/8: only transactions with writes

@@ -58,11 +58,6 @@ type Config struct {
 	Policy SyncPolicy
 	// Log is the stable-storage log.  When nil an in-memory log is created.
 	Log wal.Log
-	// MaxPinAge bounds how many apply sequences a read-only snapshot may
-	// trail the visible watermark before its pin is evicted and its reads
-	// return storage.ErrSnapshotTooOld (0: unlimited).  It caps the version
-	// history one slow analytic scan can retain under a write storm.
-	MaxPinAge uint64
 }
 
 // Stats are cumulative counters maintained by the database.
@@ -118,10 +113,8 @@ func Open(cfg Config) (*DB, error) {
 	if logStore == nil {
 		logStore = wal.NewMemLog()
 	}
-	store := storage.NewStore(cfg.Items)
-	store.SetMaxPinAge(cfg.MaxPinAge)
 	d := &DB{
-		store:   store,
+		store:   storage.NewStore(cfg.Items),
 		locks:   lock.NewManager(),
 		log:     logStore,
 		gc:      wal.NewGroupCommitter(logStore),

@@ -36,7 +36,7 @@
 //     A vote nobody waits on may be late because delivery counts assignments
 //     known to be *stored* and a takeover's gather reads the windows they are
 //     stored in, not who has been told: the late ACK is needed only for the
-//     watermarks it carries.
+//     cursor it carries.
 //  4. When the sequencer is suspected, the next member (round-robin by epoch)
 //     takes over: it gathers the known orders and pending payloads from a
 //     majority, adopts the highest-epoch order for every sequence number,
@@ -155,15 +155,6 @@ type Config struct {
 	// ids collide with its pre-crash broadcasts and the sequencer silently
 	// refuses to order the new payloads.
 	Incarnation uint64
-	// AdvertiseSeq, when set, is sampled on every outbound ORDER and ACK to
-	// piggyback the caller's applied-sequence watermark on traffic the
-	// protocol sends anyway.  It runs on the ordering hot path and must be
-	// cheap and lock-free (an atomic load).
-	AdvertiseSeq func() uint64
-	// OnPeerAdvert, when set, receives the applied-sequence watermark
-	// piggybacked on inbound ORDER/ACK traffic from other members.  Called
-	// from the receive path with no broadcaster locks held; must not block.
-	OnPeerAdvert func(peer string, seq uint64)
 }
 
 // Stats are cumulative counters of the broadcaster.
@@ -221,9 +212,6 @@ type orderMsg struct {
 	BaseSeq  uint64
 	MsgIDs   []string
 	Payloads [][]byte
-	// AppliedSeq advertises the sender's applied-sequence watermark (see
-	// Config.AdvertiseSeq); 0 when the sender has no watermark to share.
-	AppliedSeq uint64
 	// Cursor is the sender's delivery cursor: it has delivered every
 	// sequence number below it.  Receivers prune their window with it.
 	Cursor uint64
@@ -242,9 +230,8 @@ type ackMsg struct {
 	Epoch   uint64
 	BaseSeq uint64
 	MsgIDs  []string
-	// AppliedSeq and Cursor are the sender's watermarks, as in orderMsg.
-	AppliedSeq uint64
-	Cursor     uint64
+	// Cursor is the sender's delivery cursor, as in orderMsg.
+	Cursor uint64
 }
 
 type newEpochMsg struct {
@@ -493,14 +480,14 @@ func (b *Broadcaster) sendData(sequencer string, batch []dataEntry) {
 }
 
 // sendAck sends an ACK, counting it for the coalescing stats and stamping the
-// sender's watermarks, to the members its votes are urgent for or, lazy, to
+// sender's cursor, to the members its votes are urgent for or, lazy, to
 // the rest.  A vote is urgent for a member whose delivery can be waiting on
 // it: the sequencer of the order's epoch, which holds only its own vote, and
 // everybody when the member's own vote and the ORDER — the sequencer's — fall
 // short of a majority.  A member that already holds a majority needs the vote
-// only for the watermarks it carries, and those can be a delayCap late.
+// only for the cursor it carries, and that can be a delayCap late.
 func (b *Broadcaster) sendAck(a ackMsg, lazy bool) {
-	a.AppliedSeq, a.Cursor = b.advertisedSeq(), b.cursor.Load()
+	a.Cursor = b.cursor.Load()
 	b.ackSends.Add(1)
 	m := transport.Message{Type: MsgAck, Payload: encodeAck(a)}
 	sequencer, everybody := b.sequencerFor(a.Epoch), b.majority() > 2
@@ -513,33 +500,15 @@ func (b *Broadcaster) sendAck(a ackMsg, lazy bool) {
 }
 
 // sendOrder fans an ORDER out to the other members, stamping the sender's
-// watermarks; an assignment that found every payload already ordered (a
+// cursor; an assignment that found every payload already ordered (a
 // retransmission) is empty and sends nothing.  It is the one place the
 // payloads a sequencer numbers leave it, its own included.
 func (b *Broadcaster) sendOrder(o orderMsg) {
 	if len(o.MsgIDs) == 0 {
 		return
 	}
-	o.AppliedSeq, o.Cursor = b.advertisedSeq(), b.cursor.Load()
+	o.Cursor = b.cursor.Load()
 	b.sendAll(transport.Message{Type: MsgOrder, Payload: encodeOrder(o)})
-}
-
-// advertisedSeq samples the applied-seq advertisement hook (an atomic load
-// upstream, so safe from any goroutine, with or without b.mu held).
-func (b *Broadcaster) advertisedSeq() uint64 {
-	if b.cfg.AdvertiseSeq == nil {
-		return 0
-	}
-	return b.cfg.AdvertiseSeq()
-}
-
-// noteAdvert forwards a piggybacked applied-seq advertisement to the
-// configured hook.
-func (b *Broadcaster) noteAdvert(from string, seq uint64) {
-	if seq == 0 || b.cfg.OnPeerAdvert == nil {
-		return
-	}
-	b.cfg.OnPeerAdvert(from, seq)
 }
 
 // noteCursor records a peer's advertised delivery cursor, the input of the
@@ -565,13 +534,11 @@ func (b *Broadcaster) onMessage(m transport.Message) {
 	case MsgOrder:
 		var o orderMsg
 		if decodeOrder(m.Payload, &o) == nil {
-			b.noteAdvert(m.From, o.AppliedSeq)
 			b.handleOrder(o, m.From)
 		}
 	case MsgAck:
 		var a ackMsg
 		if decodeAck(m.Payload, &a) == nil {
-			b.noteAdvert(m.From, a.AppliedSeq)
 			b.handleAck(a, m.From)
 		}
 	case MsgNack:

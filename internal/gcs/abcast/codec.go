@@ -106,13 +106,11 @@ func decodeData(data []byte, d *dataMsg) error {
 
 // seqRangeLen is the encoded size of the shared shape of ORDER and ACK
 // messages: an epoch, a base sequence number, the message ids of the covered
-// range, and the sender's two watermarks — its applied sequence and its
-// delivery cursor.  The watermarks ride as trailing fields, so they cost two
-// uvarints on messages the protocol sends anyway: replicas learn how fresh
-// their peers are, and members learn what no peer needs any more, without any
-// extra message type.
-func seqRangeLen(epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64) int {
-	size := uvarintLen(epoch) + uvarintLen(baseSeq) + uvarintLen(uint64(len(ids))) + uvarintLen(appliedSeq) + uvarintLen(cursor)
+// range, and the sender's delivery cursor.  The cursor rides as a trailing
+// field, so it costs one uvarint on messages the protocol sends anyway:
+// members learn what no peer needs any more without any extra message type.
+func seqRangeLen(epoch, baseSeq uint64, ids []string, cursor uint64) int {
+	size := uvarintLen(epoch) + uvarintLen(baseSeq) + uvarintLen(uint64(len(ids))) + uvarintLen(cursor)
 	for _, id := range ids {
 		size += uvarintLen(uint64(len(id))) + len(id)
 	}
@@ -120,7 +118,7 @@ func seqRangeLen(epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64)
 }
 
 // appendSeqRange appends the shared ORDER/ACK shape to buf.
-func appendSeqRange(buf []byte, epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64) []byte {
+func appendSeqRange(buf []byte, epoch, baseSeq uint64, ids []string, cursor uint64) []byte {
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.AppendUvarint(buf, baseSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(ids)))
@@ -128,18 +126,17 @@ func appendSeqRange(buf []byte, epoch, baseSeq uint64, ids []string, appliedSeq,
 		buf = binary.AppendUvarint(buf, uint64(len(id)))
 		buf = append(buf, id...)
 	}
-	buf = binary.AppendUvarint(buf, appliedSeq)
 	return binary.AppendUvarint(buf, cursor)
 }
 
 // seqRange reads the shared ORDER/ACK shape.
-func (r *wireReader) seqRange() (epoch, baseSeq uint64, ids []string, appliedSeq, cursor uint64) {
+func (r *wireReader) seqRange() (epoch, baseSeq uint64, ids []string, cursor uint64) {
 	epoch, baseSeq = r.uvarint(), r.uvarint()
 	ids = make([]string, r.count())
 	for i := range ids {
 		ids[i] = string(r.bytes())
 	}
-	return epoch, baseSeq, ids, r.uvarint(), r.uvarint()
+	return epoch, baseSeq, ids, r.uvarint()
 }
 
 // An ORDER is the shared shape followed by one entry per message id: its
@@ -151,13 +148,13 @@ const (
 )
 
 func encodeOrder(o orderMsg) []byte {
-	size := seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor) + len(o.MsgIDs)
+	size := seqRangeLen(o.Epoch, o.BaseSeq, o.MsgIDs, o.Cursor) + len(o.MsgIDs)
 	for i := range o.MsgIDs {
 		if p := o.payload(i); p != nil {
 			size += uvarintLen(uint64(len(p))) + len(p)
 		}
 	}
-	buf := appendSeqRange(make([]byte, 0, size), o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor)
+	buf := appendSeqRange(make([]byte, 0, size), o.Epoch, o.BaseSeq, o.MsgIDs, o.Cursor)
 	for i := range o.MsgIDs {
 		p := o.payload(i)
 		if p == nil {
@@ -174,7 +171,7 @@ func encodeOrder(o orderMsg) []byte {
 // decodeOrder decodes an ORDER, aliasing its payloads into data.
 func decodeOrder(data []byte, o *orderMsg) error {
 	r := wireReader{data: data}
-	o.Epoch, o.BaseSeq, o.MsgIDs, o.AppliedSeq, o.Cursor = r.seqRange()
+	o.Epoch, o.BaseSeq, o.MsgIDs, o.Cursor = r.seqRange()
 	o.Payloads = make([][]byte, len(o.MsgIDs))
 	for i := range o.Payloads {
 		switch r.uvarint() {
@@ -189,12 +186,12 @@ func decodeOrder(data []byte, o *orderMsg) error {
 }
 
 func encodeAck(a ackMsg) []byte {
-	size := seqRangeLen(a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor)
-	return appendSeqRange(make([]byte, 0, size), a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor)
+	size := seqRangeLen(a.Epoch, a.BaseSeq, a.MsgIDs, a.Cursor)
+	return appendSeqRange(make([]byte, 0, size), a.Epoch, a.BaseSeq, a.MsgIDs, a.Cursor)
 }
 
 func decodeAck(data []byte, a *ackMsg) error {
 	r := wireReader{data: data}
-	a.Epoch, a.BaseSeq, a.MsgIDs, a.AppliedSeq, a.Cursor = r.seqRange()
+	a.Epoch, a.BaseSeq, a.MsgIDs, a.Cursor = r.seqRange()
 	return r.err()
 }

@@ -55,12 +55,12 @@ func TestSeqRangeCodecRoundTrip(t *testing.T) {
 				rng.Read(payloads[i])
 			}
 		}
-		in := orderMsg{Epoch: rng.Uint64(), BaseSeq: rng.Uint64(), MsgIDs: ids, Payloads: payloads, AppliedSeq: rng.Uint64()}
+		in := orderMsg{Epoch: rng.Uint64(), BaseSeq: rng.Uint64(), MsgIDs: ids, Payloads: payloads, Cursor: rng.Uint64()}
 		var out orderMsg
 		if err := decodeOrder(encodeOrder(in), &out); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if out.Epoch != in.Epoch || out.BaseSeq != in.BaseSeq || out.AppliedSeq != in.AppliedSeq || len(out.MsgIDs) != len(in.MsgIDs) || len(out.Payloads) != len(ids) {
+		if out.Epoch != in.Epoch || out.BaseSeq != in.BaseSeq || out.Cursor != in.Cursor || len(out.MsgIDs) != len(in.MsgIDs) || len(out.Payloads) != len(ids) {
 			t.Fatalf("trial %d: header mismatch: %+v vs %+v", trial, out, in)
 		}
 		for i := range ids {

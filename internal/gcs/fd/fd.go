@@ -6,7 +6,6 @@
 package fd
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -30,16 +29,6 @@ type Config struct {
 	Interval time.Duration
 	// Timeout after which a silent peer is suspected (default 4 × Interval).
 	Timeout time.Duration
-	// Annotate, when set, is sampled on every outbound heartbeat and its
-	// value piggybacked as the heartbeat payload.  Replicas use it to gossip
-	// their applied-sequence watermark even when the ordering traffic is
-	// quiet (an idle group sends no ORDER/ACK, but heartbeats never stop).
-	// Must be cheap and lock-free — it runs once per Interval.
-	Annotate func() uint64
-	// OnAnnotation, when set, receives the annotation carried by each
-	// inbound heartbeat.  Called without detector locks held; must not
-	// block.  Heartbeats without a payload (annotation 0) are not reported.
-	OnAnnotation func(peer string, value uint64)
 }
 
 func (c *Config) applyDefaults() {
@@ -145,14 +134,8 @@ func (d *Detector) loop() {
 }
 
 func (d *Detector) beat() {
-	var payload []byte
-	if d.cfg.Annotate != nil {
-		if v := d.cfg.Annotate(); v != 0 {
-			payload = binary.AppendUvarint(nil, v)
-		}
-	}
 	for _, p := range d.peers {
-		_ = d.sender.Send(p, transport.Message{Type: MsgHeartbeat, Payload: payload})
+		_ = d.sender.Send(p, transport.Message{Type: MsgHeartbeat})
 	}
 }
 
@@ -181,11 +164,6 @@ func (d *Detector) check() {
 func (d *Detector) OnMessage(m transport.Message) {
 	if m.Type != MsgHeartbeat {
 		return
-	}
-	if d.cfg.OnAnnotation != nil && len(m.Payload) > 0 {
-		if v, w := binary.Uvarint(m.Payload); w > 0 && v != 0 {
-			d.cfg.OnAnnotation(m.From, v)
-		}
 	}
 	now := d.now()
 	var events []Event

@@ -33,8 +33,10 @@ const (
 	// its epoch; a version-2 member would misread every ORDER.  4: an ORDER
 	// carries the payloads it numbers and DATA goes to the sequencer alone; a
 	// version-3 member would misread every ORDER, and a version-3 sequencer
-	// would announce payloads the other members never get.
-	tcpVersion = 4
+	// would announce payloads the other members never get.  5: ORDERs and
+	// ACKs no longer carry the sender's applied sequence; a version-4 member
+	// would misread every one.
+	tcpVersion = 5
 
 	// maxFrameSize bounds one frame; a peer announcing more is treated as
 	// corrupt and disconnected (fail fast instead of allocating unbounded).

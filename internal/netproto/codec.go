@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/workload"
@@ -15,10 +14,13 @@ var errTruncated = errors.New("netproto: truncated payload")
 
 // --- Request ---
 
+// Request flag bits.  Bit 2 carried a staleness bound that no longer
+// exists; it and every other unknown bit are rejected, never skipped, so a
+// field this build cannot parse is never read as the next one.
 const (
-	reqFlagReadOnly     = 1 << 0
-	reqFlagHasSafety    = 1 << 1
-	reqFlagHasStaleness = 1 << 2
+	reqFlagReadOnly  = 1 << 0
+	reqFlagHasSafety = 1 << 1
+	reqFlagsKnown    = reqFlagReadOnly | reqFlagHasSafety
 )
 
 // AppendRequest encodes a client transaction.  Compute hooks cannot cross the
@@ -33,15 +35,9 @@ func AppendRequest(buf []byte, req core.Request) []byte {
 	if req.Safety != nil {
 		flags |= reqFlagHasSafety
 	}
-	if req.MaxStaleness > 0 {
-		flags |= reqFlagHasStaleness
-	}
 	buf = binary.AppendUvarint(buf, flags)
 	if req.Safety != nil {
 		buf = binary.AppendUvarint(buf, uint64(*req.Safety))
-	}
-	if req.MaxStaleness > 0 {
-		buf = binary.AppendUvarint(buf, uint64(req.MaxStaleness))
 	}
 	buf = binary.AppendUvarint(buf, req.MinFreshness)
 	buf = binary.AppendUvarint(buf, uint64(len(req.Ops)))
@@ -65,13 +61,13 @@ func DecodeRequest(data []byte) (core.Request, error) {
 	var req core.Request
 	req.ID = d.uvarint()
 	flags := d.uvarint()
+	if flags&^reqFlagsKnown != 0 {
+		return core.Request{}, fmt.Errorf("netproto: unknown request flags %#x", flags&^reqFlagsKnown)
+	}
 	req.ReadOnly = flags&reqFlagReadOnly != 0
 	if flags&reqFlagHasSafety != 0 {
 		lvl := core.SafetyLevel(d.uvarint())
 		req.Safety = &lvl
-	}
-	if flags&reqFlagHasStaleness != 0 {
-		req.MaxStaleness = time.Duration(d.uvarint())
 	}
 	req.MinFreshness = d.uvarint()
 	n := d.uvarint()
@@ -218,9 +214,10 @@ func DecodeInfo(data []byte) (ServerInfo, error) {
 
 // Error codes carried by MsgError frames.  Known codes map back to the
 // engine's sentinel errors on the client, so errors.Is works across the
-// network exactly as it does in-process.  Code 3 is unassigned: it named
-// the rejection of a replication mode that no longer exists, and it is not
-// reused, so an old code never decodes as a different error.
+// network exactly as it does in-process.  Codes 3, 8 and 9 are unassigned:
+// they named the rejections of a replication mode, a staleness bound and a
+// snapshot age cap that no longer exist, and they are not reused, so an old
+// code never decodes as a different error.
 const (
 	CodeGeneric           byte = 0
 	CodeCrashed           byte = 1
@@ -229,8 +226,6 @@ const (
 	CodeComputeNotRepl    byte = 5
 	CodeReadOnlyWrites    byte = 6
 	CodeNotFound          byte = 7
-	CodeTooStale          byte = 8
-	CodeSnapshotTooOld    byte = 9
 )
 
 var codeToSentinel = map[byte]error{
@@ -240,8 +235,6 @@ var codeToSentinel = map[byte]error{
 	CodeComputeNotRepl:    core.ErrComputeNotReplicable,
 	CodeReadOnlyWrites:    core.ErrReadOnlyWrites,
 	CodeNotFound:          core.ErrNotFound,
-	CodeTooStale:          core.ErrTooStale,
-	CodeSnapshotTooOld:    core.ErrSnapshotTooOld,
 }
 
 var sentinelToCode = []struct {
@@ -254,8 +247,6 @@ var sentinelToCode = []struct {
 	{core.ErrComputeNotReplicable, CodeComputeNotRepl},
 	{core.ErrReadOnlyWrites, CodeReadOnlyWrites},
 	{core.ErrNotFound, CodeNotFound},
-	{core.ErrTooStale, CodeTooStale},
-	{core.ErrSnapshotTooOld, CodeSnapshotTooOld},
 }
 
 // CodeFor maps an engine error to its wire code (CodeGeneric if unknown).

@@ -3,11 +3,11 @@ package netproto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/workload"
@@ -18,8 +18,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	cases := []core.Request{
 		{},
 		{ID: 42, ReadOnly: true, MinFreshness: 7, Ops: []workload.Op{{Item: 1}, {Item: 2}}},
-		{ID: 43, ReadOnly: true, MaxStaleness: 250 * time.Millisecond, Ops: []workload.Op{{Item: 5}}},
-		{ID: 44, ReadOnly: true, MinFreshness: 3, MaxStaleness: time.Second, Ops: []workload.Op{{Item: 6}}},
+		{ID: 43, ReadOnly: true, Safety: &lvl, MinFreshness: 3, Ops: []workload.Op{{Item: 5}}},
 		{ID: 9, Safety: &lvl, Ops: []workload.Op{
 			{Item: 3, Write: true, Value: -5},
 			{Item: 0, Write: true, Value: 1 << 40},
@@ -33,6 +32,23 @@ func TestRequestRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: got %+v want %+v", i, got, want)
+		}
+	}
+}
+
+// TestDecodeRequestRejectsUnknownFlags: a flag bit this build does not know
+// may announce a field it cannot parse, so the request is refused rather
+// than misread.  Bit 2 is the retired staleness bound, whose duration would
+// otherwise be read as MinFreshness.
+func TestDecodeRequestRejectsUnknownFlags(t *testing.T) {
+	for _, flag := range []uint64{1 << 2, 1 << 3, 1 << 40} {
+		buf := binary.AppendUvarint(nil, 1)   // ID
+		buf = binary.AppendUvarint(buf, flag) // flags
+		buf = binary.AppendUvarint(buf, 5)    // the flag's field, or MinFreshness
+		buf = binary.AppendUvarint(buf, 0)    // MinFreshness, or the op count
+		buf = binary.AppendUvarint(buf, 0)    // op count, or trailing
+		if req, err := DecodeRequest(buf); err == nil {
+			t.Errorf("flag %#x decoded as %+v, want an error", flag, req)
 		}
 	}
 }
@@ -80,7 +96,6 @@ func TestErrorCodesPreserveSentinels(t *testing.T) {
 		core.ErrCrashed, core.ErrTimeout,
 		core.ErrSafetyUnavailable, core.ErrComputeNotReplicable,
 		core.ErrReadOnlyWrites, core.ErrNotFound,
-		core.ErrTooStale, core.ErrSnapshotTooOld,
 	} {
 		wrapped := fmt.Errorf("context: %w", sentinel)
 		back := DecodeError(AppendError(nil, wrapped))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/workload"
@@ -251,14 +250,9 @@ func (c *Cluster) classifyOps(rt *routed, ops []workload.Op) {
 
 // readPhase fans the pending rt.reads out to their partitions, merging values
 // (global keys), versions (local keys, first observation wins) and tokens.
-// A query's reads are what the client sees: they honour its staleness lease
-// and count as served queries.  The read phase of an update is invisible to
-// the client, so neither applies there.
+// A query's reads are what the client sees and count as served queries; the
+// read phase of an update is invisible to the client and does not.
 func (c *Cluster) readPhase(ctx context.Context, delegate int, req *core.Request, rt *routed, query bool) error {
-	var maxStaleness time.Duration
-	if query {
-		maxStaleness = req.MaxStaleness
-	}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var firstErr error
@@ -275,7 +269,7 @@ func (c *Cluster) readPhase(ctx context.Context, delegate int, req *core.Request
 				mu.Unlock()
 				return
 			}
-			vals, vers, token, err := r.SnapshotReads(ctx, items, floorFor(req, p), maxStaleness, query)
+			vals, vers, token, err := r.SnapshotReads(ctx, items, floorFor(req, p), 0, query)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {

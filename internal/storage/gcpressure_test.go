@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -142,116 +141,5 @@ func TestGCBoundedUnderConcurrentReaders(t *testing.T) {
 	s.GC()
 	if n := s.ChainLen(0); n != 1 {
 		t.Fatalf("chain holds %d versions after the storm, want 1", n)
-	}
-}
-
-// TestPinAgeCapEvictsSlowSnapshot: with a pin-age cap, a snapshot that trails
-// the visible watermark by more than the cap is evicted — its reads fail with
-// ErrSnapshotTooOld instead of silently retaining history — while a snapshot
-// within its budget keeps reading its own version.
-func TestPinAgeCapEvictsSlowSnapshot(t *testing.T) {
-	s := NewStore(2)
-	s.SetMaxPinAge(50)
-	if _, err := s.Write(0, 7); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.AcquireSnap() // pinned at sequence 1
-
-	// Exactly at the budget (visible - seq == cap) the pin is still honoured.
-	for i := 0; i < 50; i++ {
-		if _, err := s.Write(0, int64(100+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if v, _, err := snap.Read(0); err != nil || v != 7 {
-		t.Fatalf("snapshot within its age budget read %d, %v; want 7, nil", v, err)
-	}
-
-	// The next installs push the pin past the budget: evicted.
-	for i := 0; i < 2; i++ {
-		if _, err := s.Write(0, int64(200+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := snap.Read(0); !errors.Is(err, ErrSnapshotTooOld) {
-		t.Fatalf("evicted snapshot read returned %v, want ErrSnapshotTooOld", err)
-	}
-	if n := s.EvictedSnaps(); n != 1 {
-		t.Fatalf("EvictedSnaps = %d, want 1", n)
-	}
-	if n := s.LiveSnaps(); n != 0 {
-		t.Fatalf("LiveSnaps = %d after eviction, want 0", n)
-	}
-	if f := s.PinFloor(); f <= snap.Seq() {
-		t.Fatalf("PinFloor = %d, want > evicted seq %d", f, snap.Seq())
-	}
-
-	// Releasing an already-evicted snapshot is a harmless no-op, and a fresh
-	// snapshot acquired afterwards reads normally.
-	snap.Release()
-	fresh := s.AcquireSnap()
-	defer fresh.Release()
-	if v, _, err := fresh.Read(0); err != nil || v != 201 {
-		t.Fatalf("fresh snapshot read %d, %v; want 201, nil", v, err)
-	}
-}
-
-// TestPinAgeCapBoundsChainUnderAbandonedPin: an abandoned (never-released)
-// snapshot under a write storm retains history only until the cap evicts it;
-// from then on the chain prunes back to the visible suffix, so one runaway
-// analytic scan cannot hold memory proportional to the storm.
-func TestPinAgeCapBoundsChainUnderAbandonedPin(t *testing.T) {
-	s := NewStore(2)
-	s.SetMaxPinAge(64)
-	for i := 0; i < 10; i++ {
-		if _, err := s.Write(0, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := s.AcquireSnap() // abandoned: never released
-
-	for i := 0; i < 5000; i++ {
-		if _, err := s.Write(0, int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-		// Before eviction the pin legitimately keeps one old version (bound
-		// 3); after eviction the chain must shrink back to the visible
-		// suffix (bound 2).  The storm never exceeds the pre-eviction bound.
-		if n := s.ChainLen(0); n > 3 {
-			t.Fatalf("after %d storm writes the chain holds %d versions (bound 3)", i+1, n)
-		}
-	}
-	if n := s.EvictedSnaps(); n != 1 {
-		t.Fatalf("EvictedSnaps = %d, want 1", n)
-	}
-	if _, _, err := snap.Read(0); !errors.Is(err, ErrSnapshotTooOld) {
-		t.Fatalf("abandoned snapshot read returned %v, want ErrSnapshotTooOld", err)
-	}
-	if n := s.ChainLen(0); n > 2 {
-		t.Fatalf("chain holds %d versions after eviction (bound 2)", n)
-	}
-}
-
-// TestPinAgeCapSharedSequenceRefcount: several snapshots sharing one pinned
-// sequence are evicted together and each counts in EvictedSnaps.
-func TestPinAgeCapSharedSequenceRefcount(t *testing.T) {
-	s := NewStore(2)
-	s.SetMaxPinAge(8)
-	if _, err := s.Write(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	a, b := s.AcquireSnap(), s.AcquireSnap()
-	for i := 0; i < 20; i++ {
-		if _, err := s.Write(0, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, snap := range []*Snap{a, b} {
-		if _, _, err := snap.Read(0); !errors.Is(err, ErrSnapshotTooOld) {
-			t.Fatalf("shared-sequence snapshot read returned %v, want ErrSnapshotTooOld", err)
-		}
-	}
-	if n := s.EvictedSnaps(); n != 2 {
-		t.Fatalf("EvictedSnaps = %d, want 2", n)
 	}
 }

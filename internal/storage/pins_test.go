@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,29 +42,20 @@ func TestAcquireRechecksVisibleAfterPublishing(t *testing.T) {
 	}
 }
 
-// TestEvictedReleaseKeepsReusedSlot: snapshot A is evicted by the pin-age
-// cap and its slot is claimed by snapshot B.  A's late Release must not unpin
-// B: B's version survives a write storm and a GC sweep.
-func TestEvictedReleaseKeepsReusedSlot(t *testing.T) {
+// TestLateReleaseKeepsReusedPin: snapshot A is released and its slot is
+// claimed by snapshot B.  A second Release of A must not unpin B: B's
+// version survives a write storm and a GC sweep.
+func TestLateReleaseKeepsReusedPin(t *testing.T) {
 	s := NewStore(2)
-	s.SetMaxPinAge(4)
 	if _, err := s.Write(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	a := s.AcquireSnap()
-	for i := 0; i < 10; i++ {
-		if _, err := s.Write(0, int64(10+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := s.EvictedSnaps(); n != 1 {
-		t.Fatalf("EvictedSnaps = %d, want 1", n)
-	}
-	s.SetMaxPinAge(0) // B must outlive the storm below
+	a.Release()
 	b := s.AcquireSnap()
 	defer b.Release()
 	if a.slot != b.slot {
-		t.Fatal("B did not reuse the evicted snapshot's slot")
+		t.Fatal("B did not reuse the released snapshot's slot")
 	}
 	want, _, err := b.Read(0)
 	if err != nil {
@@ -79,7 +69,7 @@ func TestEvictedReleaseKeepsReusedSlot(t *testing.T) {
 	}
 	s.GC()
 	if got, _, err := b.Read(0); err != nil || got != want {
-		t.Fatalf("B read %d, %v after A's release and a storm; want %d", got, err, want)
+		t.Fatalf("B read %d, %v after A's second release and a storm; want %d", got, err, want)
 	}
 	if n := s.LiveSnaps(); n != 1 {
 		t.Fatalf("LiveSnaps = %d, want 1 (B)", n)
@@ -127,48 +117,40 @@ func TestPinsBeyondOneBlock(t *testing.T) {
 
 // TestConcurrentPinsReadTheirSequence races readers that acquire, read and
 // release against a writer whose every install stores its own sequence in
-// item 0, with and without the pin-age cap: a snapshot reads exactly its
-// sequence or, once evicted, ErrSnapshotTooOld.
+// item 0: a snapshot reads exactly its sequence.
 func TestConcurrentPinsReadTheirSequence(t *testing.T) {
-	for _, age := range []uint64{0, 3} {
-		s := NewStore(2)
-		s.SetMaxPinAge(age)
-		var stop atomic.Bool
-		var pinned atomic.Int64
-		var wg sync.WaitGroup
-		for r := 0; r < 4; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !stop.Load() {
-					snap := s.AcquireSnapVal()
-					for k := 0; k < 3; k++ {
-						v, _, err := snap.Read(0)
-						if errors.Is(err, ErrSnapshotTooOld) {
-							break
-						}
-						if err != nil || v != int64(snap.Seq()) {
-							t.Errorf("age %d: snapshot at seq %d read %d, %v", age, snap.Seq(), v, err)
-							stop.Store(true)
-						}
+	s := NewStore(2)
+	var stop atomic.Bool
+	var pinned atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				snap := s.AcquireSnapVal()
+				for k := 0; k < 3; k++ {
+					if v, _, err := snap.Read(0); err != nil || v != int64(snap.Seq()) {
+						t.Errorf("snapshot at seq %d read %d, %v", snap.Seq(), v, err)
+						stop.Store(true)
 					}
-					snap.Release()
-					pinned.Add(1)
 				}
-			}()
-		}
-		// The writer runs until the readers have pinned as often as it
-		// wrote, so the two overlap however the goroutines are scheduled.
-		for i := 0; (i < 3000 || pinned.Load() < 3000) && !stop.Load(); i++ {
-			if _, err := s.Write(0, int64(s.VisibleSeq()+1)); err != nil {
-				t.Fatal(err)
+				snap.Release()
+				pinned.Add(1)
 			}
+		}()
+	}
+	// The writer runs until the readers have pinned as often as it wrote, so
+	// the two overlap however the goroutines are scheduled.
+	for i := 0; (i < 3000 || pinned.Load() < 3000) && !stop.Load(); i++ {
+		if _, err := s.Write(0, int64(s.VisibleSeq()+1)); err != nil {
+			t.Fatal(err)
 		}
-		stop.Store(true)
-		wg.Wait()
-		if n := s.LiveSnaps(); n != 0 {
-			t.Fatalf("age %d: LiveSnaps = %d after every reader released, want 0", age, n)
-		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := s.LiveSnaps(); n != 0 {
+		t.Fatalf("LiveSnaps = %d after every reader released, want 0", n)
 	}
 }
 

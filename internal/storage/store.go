@@ -26,12 +26,6 @@ import (
 // ErrItemOutOfRange is returned when an item index does not exist.
 var ErrItemOutOfRange = fmt.Errorf("storage: item out of range")
 
-// ErrSnapshotTooOld is returned by Snap.Read after the snapshot's pin was
-// evicted by the pin-age cap: the snapshot fell further behind the visible
-// watermark than MaxPinAge sequences, its versions may have been pruned, and
-// the reader must retry on a fresh snapshot.
-var ErrSnapshotTooOld = fmt.Errorf("storage: snapshot too old")
-
 // Item is the newest committed value and version of a single database item
 // (the representation used by state-transfer checkpoints).
 type Item struct {
@@ -68,8 +62,8 @@ type chain struct {
 const numStripes = 64
 
 // pinBlock is one cache line of reader slots, each holding a live snapshot's
-// sequence + 1 (0: free), claimed and freed by CAS.  When every slot is taken
-// another block is linked, so live snapshots are unbounded.
+// sequence + 1 (0: free), claimed by CAS and freed by its owner.  When every
+// slot is taken another block is linked, so live snapshots are unbounded.
 type pinBlock struct {
 	slots [8]atomic.Uint64 // pinnedIn reads the eight by index
 	next  atomic.Pointer[pinBlock]
@@ -100,16 +94,6 @@ type Store struct {
 	// its sequence in one slot, and the pruner scans them (see
 	// AcquireSnapVal and pruneChainLocked).  No reader takes a lock.
 	pins pinBlock
-
-	// maxPinAge bounds how many sequences a pinned snapshot may trail the
-	// visible watermark (0: unlimited).  When an install advances visible past
-	// a pin's budget the pin is evicted — its reads fail with
-	// ErrSnapshotTooOld instead of retaining unbounded version history.
-	// pinFloor is the oldest snapshot sequence still honoured; evictions
-	// counts evicted pins.
-	maxPinAge atomic.Uint64
-	pinFloor  atomic.Uint64
-	evictions atomic.Uint64
 
 	// pruned counts versions removed by the garbage collector.
 	pruned atomic.Uint64
@@ -166,8 +150,7 @@ func (s *Store) beginInstall() uint64 {
 }
 
 // endInstall marks a reserved sequence fully installed and advances the
-// visible prefix over completed sequences, evicting pins that fell past
-// their age budget.
+// visible prefix over completed sequences.
 func (s *Store) endInstall(seq uint64) {
 	s.seqMu.Lock()
 	s.done[seq] = struct{}{}
@@ -180,46 +163,8 @@ func (s *Store) endInstall(seq uint64) {
 		vis++
 	}
 	s.visible.Store(vis)
-	if age := s.maxPinAge.Load(); age != 0 && vis > age && vis-age > s.pinFloor.Load() {
-		s.evictPins(vis - age)
-	}
 	s.seqMu.Unlock()
 }
-
-// evictPins clears, by CAS, every reader slot pinned below floor (seqMu
-// held), counting each.  The floor is published BEFORE the first clear: a
-// pruner that misses a cleared pin can only free versions whose snapshots
-// already fail the floor check, so an evicted Snap never reads a half-pruned
-// chain as valid data.  A snapshot ending below the floor wrote its slot
-// before this install moved visible, so the scan sees it.
-func (s *Store) evictPins(floor uint64) {
-	for b := &s.pins; b != nil; b = b.next.Load() {
-		for i := range b.slots {
-			if v := b.slots[i].Load(); v != 0 && v <= floor {
-				s.pinFloor.Store(floor)
-				if b.slots[i].CompareAndSwap(v, 0) {
-					s.evictions.Add(1)
-				}
-			}
-		}
-	}
-}
-
-// SetMaxPinAge bounds how many apply sequences a live snapshot may trail the
-// visible watermark before it is evicted (0 disables the cap).  The knob is
-// safe to change at runtime.
-func (s *Store) SetMaxPinAge(age uint64) { s.maxPinAge.Store(age) }
-
-// MaxPinAge returns the current pin-age cap (0: unlimited).
-func (s *Store) MaxPinAge() uint64 { return s.maxPinAge.Load() }
-
-// PinFloor returns the oldest snapshot sequence the store still honours;
-// snapshots below it have been evicted and read ErrSnapshotTooOld.
-func (s *Store) PinFloor() uint64 { return s.pinFloor.Load() }
-
-// EvictedSnaps returns the cumulative number of snapshots evicted by the
-// pin-age cap.
-func (s *Store) EvictedSnaps() uint64 { return s.evictions.Load() }
 
 // VisibleSeq returns the newest snapshot sequence: every transaction with an
 // apply sequence at or below it is fully installed.
@@ -530,8 +475,8 @@ func (s *Store) AcquireSnap() *Snap {
 // the transaction instead of twice).  It takes no lock: it loads visible,
 // claims a reader slot, then loads visible again.  If visible moved, a
 // pruner may have scanned the slots before the claim with a bound above the
-// pinned sequence, so the pin moves to the new value (a fresh slot if the
-// move fails because the slot was cleared) and is checked again.
+// pinned sequence, so the pin moves to the new value and is checked again.
+// Only Release frees a slot, so the move is a plain store.
 func (s *Store) AcquireSnapVal() Snap {
 	seq := s.visible.Load()
 	if acquireHook != nil {
@@ -543,9 +488,7 @@ func (s *Store) AcquireSnapVal() Snap {
 		if now == seq {
 			return Snap{s: s, seq: seq, slot: slot}
 		}
-		if !slot.CompareAndSwap(seq+1, now+1) {
-			slot = s.claimPin(now)
-		}
+		slot.Store(now + 1)
 		seq = now
 	}
 }
@@ -553,33 +496,21 @@ func (s *Store) AcquireSnapVal() Snap {
 // Seq returns the snapshot's apply sequence.
 func (p *Snap) Seq() uint64 { return p.seq }
 
-// Read returns the value and version of item i as of the snapshot, or
-// ErrSnapshotTooOld when the snapshot was evicted by the pin-age cap.  The
-// floor is checked AFTER the chain read: an eviction publishes the floor
-// before the pruner can drop this snapshot's versions, so a read that passes
-// the check is guaranteed to have seen an intact chain.
-func (p *Snap) Read(i int) (int64, uint64, error) {
-	v, ver, err := p.s.ReadAt(i, p.seq)
-	if err == nil && p.seq < p.s.pinFloor.Load() {
-		return 0, 0, fmt.Errorf("%w: snapshot seq %d evicted (floor %d, visible %d)",
-			ErrSnapshotTooOld, p.seq, p.s.pinFloor.Load(), p.s.visible.Load())
-	}
-	return v, ver, err
-}
+// Read returns the value and version of item i as of the snapshot.
+func (p *Snap) Read(i int) (int64, uint64, error) { return p.s.ReadAt(i, p.seq) }
 
-// Release frees the snapshot's slot (by CAS: once evicted, the slot may hold
-// a newer reader's pin, which ends at or above the floor), allowing GC to
-// prune the versions only it could see.  Release is idempotent; like the
-// reads, it must not be called concurrently with other methods of the Snap.
+// Release frees the snapshot's slot, allowing GC to prune the versions only
+// it could see.  Release is idempotent; like the reads, it must not be
+// called concurrently with other methods of the Snap.
 func (p *Snap) Release() {
 	if p.released {
 		return
 	}
 	p.released = true
-	p.slot.CompareAndSwap(p.seq+1, 0)
+	p.slot.Store(0)
 }
 
-// LiveSnaps returns the number of live (unreleased, not evicted) snapshots.
+// LiveSnaps returns the number of live (unreleased) snapshots.
 func (s *Store) LiveSnaps() int {
 	n := 0
 	for b := &s.pins; b != nil; b = b.next.Load() {
