@@ -20,8 +20,8 @@ var (
 	ErrClosed = errors.New("gsdb: client is closed")
 	// ErrAborted is returned by Commit.Durable (and useful for callers'
 	// own signalling) when the transaction did not commit — a certification
-	// conflict, or a local abort (deadlock victim) on the lazy paths:
-	// there is nothing to make durable.
+	// conflict, at the delegate alone on the lazy paths: there is nothing to
+	// make durable.
 	ErrAborted = errors.New("gsdb: transaction aborted")
 	// ErrTimeout marks an Execute that gave up waiting for its notification
 	// condition — a context deadline, or the default ExecTimeout.

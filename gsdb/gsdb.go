@@ -74,9 +74,12 @@
 // schedules the failover example runs), stats and server — are the module's
 // public API:
 //
-//   - identifiers exported by gsdb are append-only: they may gain new
-//     functions, options and struct fields, but existing signatures, option
-//     semantics and error identities (errors.Is) are kept compatible;
+//   - an identifier exported by gsdb keeps its signature, its option
+//     semantics and its error identity (errors.Is) for as long as it
+//     exists; new functions, options and struct fields may be added;
+//   - an exported identifier may be removed, but only in a change whose
+//     CHANGES.md entry names each removed identifier and which commits
+//     the matching gsdb/api.txt diff;
 //   - the CI pipeline diffs `go doc -all ./gsdb` against the committed
 //     gsdb/api.txt, so every surface change is explicit in review;
 //   - packages under internal/ carry no compatibility promise at all — no

@@ -90,43 +90,40 @@ func TestExecuteCancelledAfterBroadcast(t *testing.T) {
 	}
 }
 
-// TestExecuteCancelledDuringLocalLockWait: the purely local execution paths
-// (0-safe, 1-safe lazy) honour the context too — an Execute blocked in a 2PL
-// lock wait behind a conflicting transaction is externally aborted and
-// returns promptly with the deadline error, and the cluster keeps working
-// once the blocker finishes.
-func TestExecuteCancelledDuringLocalLockWait(t *testing.T) {
+// TestLazyExecuteBesideOpenTxnIsPrompt: the local execution path waits on
+// no other transaction — a lazy Execute writing an item an open local
+// transaction has read and written commits at once, and the open
+// transaction's own commit then fails validation instead.
+func TestLazyExecuteBesideOpenTxnIsPrompt(t *testing.T) {
 	c := newTestCluster(t, Safety1Lazy, 3)
 	r := c.Replica(0)
 
-	blocker, err := r.DB().Begin(1 << 40)
+	open, err := r.DB().Begin(1 << 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := blocker.Write(7, 1); err != nil {
+	if _, err := open.Read(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := open.Write(7, 1); err != nil {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, err = c.Execute(ctx, 0, writeReq(0, 7, 2))
-	if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked local execute: %v", err)
-	}
-	if e := time.Since(start); e > 2*time.Second {
-		t.Fatalf("cancelled local execute took %v", e)
-	}
-
-	if err := blocker.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Execute(context.Background(), 0, writeReq(0, 7, 3))
+	res, err := c.Execute(ctx, 0, writeReq(0, 7, 2))
 	if err != nil || !res.Committed() {
-		t.Fatalf("cluster did not make progress after the cancelled local txn: %+v, %v", res, err)
+		t.Fatalf("lazy execute beside an open txn: %+v, %v", res, err)
 	}
-	if v, _ := c.Value(0, 7); v != 3 {
-		t.Fatalf("item 7 = %d, want 3", v)
+	if e := time.Since(start); e > time.Second {
+		t.Fatalf("lazy execute beside an open txn took %v", e)
+	}
+	if err := open.Commit(); err == nil {
+		t.Fatal("the open txn committed over a write made after its read")
+	}
+	if v, _ := c.Value(0, 7); v != 2 {
+		t.Fatalf("item 7 = %d, want 2", v)
 	}
 }
 

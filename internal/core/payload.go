@@ -195,11 +195,12 @@ func decodePayload(data []byte, v interface{}) error {
 	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// writeSetOf converts a payload write map into a storage.WriteSet.
-func writeSetOf(writes map[int]int64) storage.WriteSet {
-	ws := make(storage.WriteSet, len(writes))
-	for k, v := range writes {
-		ws[k] = v
+// sortedWrites converts a write map into the sorted slice form that staging
+// and the install take.
+func sortedWrites(writes map[int]int64) []storage.Write {
+	ws := make([]storage.Write, 0, len(writes))
+	for _, it := range sortedKeys(make([]int, 0, len(writes)), writes) {
+		ws = append(ws, storage.Write{Item: it, Value: writes[it]})
 	}
 	return ws
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the replica's query fast path: read-only transactions execute
-// entirely at one replica on a local MVCC snapshot — no 2PL locks, no atomic
-// broadcast, no certification, no aborts (the paper's split between ordered
+// entirely at one replica on a local MVCC snapshot — no atomic broadcast, no
+// certification, no aborts (the paper's split between ordered
 // update transactions and local queries; Fig. 2/8 broadcast only transactions
 // with writes).  Every replica is therefore a query server, and query
 // throughput scales with the number of replicas while update throughput stays
@@ -43,7 +43,8 @@ func (r *Replica) executeReadOnly(ctx context.Context, req Request) (Result, err
 	for _, op := range req.Ops {
 		v, err := rt.Read(op.Item)
 		if err != nil {
-			return Result{}, fmt.Errorf("core: read item %d: %w", op.Item, err)
+			// Only an item outside the database fails a snapshot read.
+			return Result{}, fmt.Errorf("%w: read item %d: %w", ErrNotFound, op.Item, err)
 		}
 		readVals[op.Item] = v
 	}

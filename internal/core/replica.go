@@ -139,7 +139,8 @@ type Replica struct {
 	index int
 
 	// applyMu is the apply barrier: held for the duration of every delivered
-	// batch (and every lazy write-set install), and by Snapshot.  A state
+	// batch (and every lazy local commit and write-set install), and by
+	// Snapshot.  A state
 	// snapshot taken mid-batch would be poisoned — deferred staging marks a
 	// transaction applied before its writes reach the store, so a snapshot
 	// cut between the two ships an applied id without its writes, and the
@@ -217,11 +218,7 @@ func newReplica(cfg ReplicaConfig, prev *Replica) (*Replica, error) {
 		prev.mu.Unlock()
 	}
 
-	policy := db.AsyncCommit
-	if cfg.Level.SyncOnCommit() {
-		policy = db.SyncOnCommit
-	}
-	dbase, err := db.Open(db.Config{Items: cfg.Items, Policy: policy, Log: cfg.DBLog})
+	dbase, err := db.Open(db.Config{Items: cfg.Items, Log: cfg.DBLog})
 	if err != nil {
 		return nil, fmt.Errorf("core: open database: %w", err)
 	}

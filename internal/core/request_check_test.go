@@ -11,30 +11,35 @@ import (
 
 // TestOutOfRangeItemIsNotFound: no replica installs a write outside the
 // database, so the delegate must refuse it before the broadcast — a
-// broadcast one would leave its waiter unanswered until the deadline.  That
-// holds for a write the request names and for one a Compute hook emits.
+// broadcast one would leave its waiter unanswered until the deadline — and
+// before a local commit, where an abort would send a retrying client round
+// for ever.  That holds at every level, for a write the request names, for
+// one a Compute hook emits, and for a query's read.
 func TestOutOfRangeItemIsNotFound(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Replicas: 3, Items: 64, Level: GroupSafe, ExecTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	emit := func(map[int]int64) []workload.Op { return []workload.Op{{Item: 64, Write: true, Value: 1}} }
-	for name, req := range map[string]Request{
-		"write past the end": {Ops: []workload.Op{{Item: 64, Write: true, Value: 1}}},
-		"negative write":     {Ops: []workload.Op{{Item: 0}, {Item: -1, Write: true, Value: 1}}},
-		"emitted by Compute": {Ops: []workload.Op{{Item: 0}}, Compute: emit},
-	} {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		start := time.Now()
-		_, err := c.Execute(ctx, 0, req)
-		cancel()
-		if !errors.Is(err, ErrNotFound) {
-			t.Errorf("%s: err=%v after %v, want ErrNotFound", name, err, time.Since(start))
+	for _, level := range []SafetyLevel{GroupSafe, Safety0, Safety1Lazy} {
+		c, err := NewCluster(ClusterConfig{Replicas: 3, Items: 64, Level: level, ExecTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res, err := c.Execute(context.Background(), 0, writeReq(0, 63, 7)); err != nil || !res.Committed() {
-		t.Fatalf("in-range write after the rejections: %+v, %v", res, err)
+		for name, req := range map[string]Request{
+			"write past the end": {Ops: []workload.Op{{Item: 64, Write: true, Value: 1}}},
+			"negative write":     {Ops: []workload.Op{{Item: 0}, {Item: -1, Write: true, Value: 1}}},
+			"emitted by Compute": {Ops: []workload.Op{{Item: 0}}, Compute: emit},
+			"query past the end": {Ops: []workload.Op{{Item: 0}, {Item: 64}}, ReadOnly: true},
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			start := time.Now()
+			res, err := c.Execute(ctx, 0, req)
+			cancel()
+			if !errors.Is(err, ErrNotFound) {
+				t.Errorf("%v, %s: %+v, err=%v after %v, want ErrNotFound", level, name, res, err, time.Since(start))
+			}
+		}
+		if res, err := c.Execute(context.Background(), 0, writeReq(0, 63, 7)); err != nil || !res.Committed() {
+			t.Errorf("%v: in-range write after the rejections: %+v, %v", level, res, err)
+		}
+		c.Close()
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // order.  Conflicting concurrent transactions abort; disjoint ones commit
 // with one broadcast and zero remote execution.
 //
-// At the Safety0 and Safety1Lazy levels the protocol degrades to the
-// paper's baselines: purely local execution with asynchronous (lazy)
-// write-set propagation — see executeLocal in technique_lazy.go.
+// At the Safety0 and Safety1Lazy levels the same read phase runs, and the
+// delegate alone certifies and commits the transaction before propagating
+// its write set asynchronously (lazily) — see executeLocal in
+// technique_lazy.go.
 
 // executeReplicated implements the group-communication based levels
 // (group-safe, group-1-safe, 2-safe, very-safe): optimistic execution at the
@@ -33,25 +34,51 @@ func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	// A freshness floor applies to the read phase regardless of whether the
-	// transaction turns out to write (Compute-bearing requests land here
-	// even when their hook emits nothing).  The optimistic read phase runs on
-	// one MVCC snapshot: the read values form a consistent cut, and each
-	// recorded (item, version) pair comes from a single atomic versioned
-	// read — the certification read set can never pair a new value with an
-	// old version.
-	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness)
+	readVals, readVers, writes := make(map[int]int64), make(map[int]uint64), make(map[int]int64)
+	token, err := r.readPhase(ctx, req, readVals, readVers, writes)
 	if err != nil {
 		return Result{}, err
 	}
+
+	// A Compute hook may turn out not to write after all; answer it from the
+	// snapshot like any other query (Fig. 2/8: only transactions with writes
+	// are broadcast).
+	if len(writes) == 0 {
+		r.countOutcome(OutcomeCommitted)
+		return Result{TxnID: req.ID, Outcome: OutcomeCommitted, ReadValues: readVals, Delegate: r.cfg.ID, Level: level, Freshness: token}, nil
+	}
+
+	payload := encodeTxnPayload(phaseNone, req.ID, r.cfg.ID, level, 0, readVers, writes)
+	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{TxnID: req.ID, Outcome: out.outcome, ReadValues: readVals, Delegate: r.cfg.ID, Level: level, CommitLSN: uint64(out.lsn), Freshness: out.seq}, nil
+}
+
+// readPhase runs an update's optimistic read phase, the same at every level:
+// the request's reads and its Compute hook's, on one MVCC snapshot, into
+// readVals and readVers, and its writes buffered in writes (the caller makes
+// the maps, so those that do not outlive it stay off the heap).  A freshness
+// floor applies to the read phase regardless of whether the
+// transaction turns out to write (Compute-bearing requests land here even
+// when their hook emits nothing).  The read values form a consistent cut,
+// and each recorded (item, version) pair comes from a single atomic
+// versioned read — the certification read set can never pair a new value
+// with an old version.  The snapshot is released when the reads end: held
+// through a broadcast round trip, it would keep every version installed
+// meanwhile unprunable.
+func (r *Replica) readPhase(ctx context.Context, req Request, readVals map[int]int64, readVers map[int]uint64, writes map[int]int64) (uint64, error) {
+	rt, token, err := r.beginSnapshot(ctx, req.MinFreshness)
+	if err != nil {
+		return 0, err
+	}
 	defer rt.Close()
-	readVals := make(map[int]int64)
-	readVers := make(map[int]uint64)
-	writes := make(map[int]int64)
 	run := func(ops []workload.Op) error {
 		for _, op := range ops {
-			// No replica installs a write outside the database, so a
-			// broadcast one would leave this delegate's waiter unanswered.
+			// No replica installs a write outside the database: a
+			// broadcast one would leave this delegate's waiter unanswered,
+			// and a local commit could not install it.
 			if op.Item < 0 || op.Item >= r.cfg.Items {
 				return fmt.Errorf("%w: item %d out of range", ErrNotFound, op.Item)
 			}
@@ -71,31 +98,14 @@ func (r *Replica) executeReplicated(ctx context.Context, req Request) (Result, e
 		return nil
 	}
 	if err := run(req.Ops); err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	if req.Compute != nil {
 		if err := run(req.Compute(readVals)); err != nil {
-			return Result{}, err
+			return 0, err
 		}
 	}
-	// The read phase is over: holding the snapshot through the broadcast
-	// round trip would keep every version installed meanwhile unprunable.
-	rt.Close()
-
-	// A Compute hook may turn out not to write after all; answer it from the
-	// snapshot like any other query (Fig. 2/8: only transactions with writes
-	// are broadcast).
-	if len(writes) == 0 {
-		r.countOutcome(OutcomeCommitted)
-		return Result{TxnID: req.ID, Outcome: OutcomeCommitted, ReadValues: readVals, Delegate: r.cfg.ID, Level: level, Freshness: token}, nil
-	}
-
-	payload := encodeTxnPayload(phaseNone, req.ID, r.cfg.ID, level, 0, readVers, writes)
-	out, err := r.submitAndWait(ctx, waiterKey{txnID: req.ID}, payload, level)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{TxnID: req.ID, Outcome: out.outcome, ReadValues: readVals, Delegate: r.cfg.ID, Level: level, CommitLSN: uint64(out.lsn), Freshness: out.seq}, nil
+	return token, nil
 }
 
 // applyBatch runs the certification apply pipeline on one drained batch of

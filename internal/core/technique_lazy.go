@@ -3,24 +3,25 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"groupsafe/internal/db"
 	"groupsafe/internal/gcs/transport"
-	"groupsafe/internal/workload"
 )
 
 // This file is purely local execution with asynchronous write-set
 // propagation: the 0-safe and lazy (1-safe) levels, the classical lazy
 // replication the paper argues against (Sect. 3, Table 1, the lazy curve of
-// Fig. 9).  An update transaction runs at its delegate under strict 2PL; at
-// 1-safe-lazy the delegate forces its log before answering the client
-// (0-safe does not), and only then ships the write set to every other
-// replica — asynchronously, off the response path.  Every replica accepts
-// updates (update everywhere), so conflicting transactions at two delegates
-// can both commit and leave the replicas diverged, and a delegate crash
-// after the acknowledgement and before the propagation loses the
-// transaction: the 1-safe window group-safety closes.
+// Fig. 9).  An update transaction runs its read phase on an MVCC snapshot
+// like at every other level, and its delegate certifies it against its own
+// store alone (first-updater-wins) and commits it; at 1-safe-lazy the
+// delegate forces its log before answering the client (0-safe does not), and
+// only then ships the write set to every other replica — asynchronously, off
+// the response path.  Every replica accepts updates (update everywhere), so
+// conflicting transactions at two delegates can both commit and leave the
+// replicas diverged, and a delegate crash after the acknowledgement and
+// before the propagation loses the transaction: the 1-safe window
+// group-safety closes.
 
 // lazyItem is one queued asynchronous write-set propagation.  ready is
 // closed once the local commit outcome is known; skip is set (before the
@@ -33,134 +34,83 @@ type lazyItem struct {
 }
 
 // executeLocal runs one transaction on the local path: the 0-safe and lazy
-// (1-safe) baselines.  The transaction runs entirely at this replica under
-// strict 2PL; the write set is pushed to the other replicas asynchronously,
-// after the client response.  The local path has a single response point, so a per-request
-// safety override must resolve to the cluster's own level (effectiveLevel
-// rejects anything else).
-//
-// The caller's context (or the ExecTimeout default) bounds the whole local
-// execution, 2PL lock waits included: a watcher goroutine externally aborts
-// the transaction's lock acquisition when ctx expires, so an Execute stuck
-// behind a conflicting lock returns promptly with the context error.  The
-// watcher and the commit path arbitrate through one atomic gate — Abort
-// revokes every held lock, which must never happen once Commit has started
-// appending records, so whichever side wins the CAS excludes the other.
-// Once the commit sequence has begun, the disk force runs to completion
-// regardless of ctx.
+// (1-safe) baselines.  The read phase is the one of every level (readPhase);
+// the local commit is the certification step of applyBatch, run at this
+// replica alone under the apply barrier: validate the read versions, stage
+// and install the writes, enqueue the propagation.  The local path has a
+// single response point, so a per-request safety override must resolve to
+// the cluster's own level (effectiveLevel rejects anything else).  Nothing
+// here waits on another transaction; the force at 1-safe-lazy runs to
+// completion regardless of ctx.
 func (r *Replica) executeLocal(ctx context.Context, req Request) (Result, error) {
 	level, err := r.effectiveLevel(req)
 	if err != nil {
 		return Result{}, err
 	}
-	// No totally-ordered sequence exists on the local paths, so a freshness
-	// floor cannot be honoured (same rule as executeReadOnly).
-	if req.MinFreshness > 0 {
-		return Result{}, r.errNoFreshnessSequence()
+	readVals, readVers, writes := make(map[int]int64), make(map[int]uint64), make(map[int]int64)
+	if _, err := r.readPhase(ctx, req, readVals, readVers, writes); err != nil {
+		return Result{}, err
 	}
-	ctx, cancel := r.withDefaultTimeout(ctx)
-	defer cancel()
-	if err := ctx.Err(); err != nil {
-		return Result{}, ctxWaitError(ctx, req.ID, "before local execution")
+	res := Result{TxnID: req.ID, Outcome: OutcomeCommitted, ReadValues: readVals, Delegate: r.cfg.ID, Level: level}
+	if len(writes) == 0 {
+		r.countOutcome(OutcomeCommitted)
+		return res, nil
 	}
-	dbase := r.dbase
-	txn, err := dbase.Begin(req.ID)
-	if err != nil {
-		return Result{}, fmt.Errorf("core: begin: %w", err)
-	}
+	ws := sortedWrites(writes)
+	payload := encodePayload(lazyPayload{TxnID: req.ID, Delegate: r.cfg.ID, Writes: writes})
 
-	const (
-		gateRunning    int32 = 0
-		gateCommitting int32 = 1
-		gateCtxAborted int32 = 2
-	)
-	var gate atomic.Int32
-	watchDone := make(chan struct{})
-	watcherExit := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		defer close(watcherExit)
-		select {
-		case <-ctx.Done():
-			if gate.CompareAndSwap(gateRunning, gateCtxAborted) {
-				dbase.AbortWaiting(req.ID)
-			}
-		case <-watchDone:
-		}
-	}()
-	readVals := make(map[int]int64)
-	runOps := func(ops []workload.Op) error {
-		for _, op := range ops {
-			if op.Write {
-				if err := txn.Write(op.Item, op.Value); err != nil {
-					return err
-				}
-				continue
-			}
-			v, err := txn.Read(op.Item)
-			if err != nil {
-				return err
-			}
-			readVals[op.Item] = v
-		}
-		return nil
-	}
-	err = runOps(req.Ops)
-	if err == nil && req.Compute != nil {
-		err = runOps(req.Compute(readVals))
-	}
-	if err != nil {
-		_ = txn.Abort()
-		if !gate.CompareAndSwap(gateRunning, gateCommitting) {
-			// The watcher externally aborted us (the error is the lock
-			// manager's ErrAborted, or a genuine abort that raced the
-			// expiry): report the context error, not an abort outcome.
-			// Wait for the watcher first — ForgetTxn must run after its
-			// AbortWaiting, or the lock manager's aborted mark leaks.
-			<-watcherExit
-			dbase.ForgetTxn(req.ID)
-			return Result{}, ctxWaitError(ctx, req.ID, "during local execution")
-		}
+	// Enqueueing the propagation inside the barrier keeps conflicting write
+	// sets shipped in commit order, so the single drainer ships them in that
+	// order and the secondaries converge to the delegate's state (were they
+	// shipped by racing goroutines, a stale write set could overtake a newer
+	// one and, last writer winning, diverge for good).  Disjoint write sets
+	// commute.  The payload only becomes send-ready once the commit is
+	// durable at the level: the drainer must never ship a write set the
+	// delegate did not commit.
+	r.applyMu.Lock()
+	if r.readsOverwritten(readVers) {
+		r.applyMu.Unlock()
 		r.countOutcome(OutcomeAborted)
-		return Result{TxnID: req.ID, Outcome: OutcomeAborted, Delegate: r.cfg.ID, Level: level}, nil
+		res.Outcome = OutcomeAborted
+		return res, nil
 	}
-	ws := txn.WriteSet()
-
-	// Claim the gate before the commit sequence: from here on the watcher
-	// can no longer revoke the 2PL locks.
-	if !gate.CompareAndSwap(gateRunning, gateCommitting) {
-		_ = txn.Abort()
-		<-watcherExit // ForgetTxn strictly after the watcher's AbortWaiting
-		dbase.ForgetTxn(req.ID)
-		return Result{}, ctxWaitError(ctx, req.ID, "before local commit")
+	fresh, lsn, err := r.dbase.StageWrites(req.ID, ws)
+	if err == nil && !fresh {
+		err = fmt.Errorf("%w: txn %d", db.ErrAlreadyApplied, req.ID)
 	}
-
-	// Reserve the propagation slot BEFORE Commit releases the 2PL locks: a
-	// conflicting transaction is still blocked in its Write call at this
-	// point, so conflicting write sets enqueue in commit order and the
-	// single drainer ships them in that order — secondaries converge to the
-	// delegate's state instead of racing per-transaction goroutines
-	// (last-writer-wins on the wire would otherwise let a stale write set
-	// overtake a newer one and diverge permanently).  Disjoint write sets
-	// may enqueue in either order; they commute.  The payload only becomes
-	// send-ready once Commit has succeeded — the drainer must never ship a
-	// write set the delegate did not durably commit.
-	var it *lazyItem
-	if len(ws) > 0 {
-		it = r.enqueueLazy(encodePayload(lazyPayload{TxnID: req.ID, Delegate: r.cfg.ID, Writes: ws}))
+	if err == nil {
+		err = r.dbase.InstallWrites(ws)
 	}
-	if err := txn.Commit(); err != nil {
-		if it != nil {
-			it.skip = true
-			close(it.ready)
-		}
+	if err != nil {
+		r.applyMu.Unlock()
 		return Result{}, fmt.Errorf("core: commit: %w", err)
 	}
-	if it != nil {
-		close(it.ready)
+	it := r.enqueueLazy(payload)
+	r.applyMu.Unlock()
+
+	// Outside the barrier, so disjoint commits share forces.
+	if level.SyncOnCommit() {
+		if err := r.dbase.ForceTo(lsn); err != nil {
+			it.skip = true
+			close(it.ready)
+			return Result{}, fmt.Errorf("core: force commit: %w", err)
+		}
 	}
+	close(it.ready)
 	r.countOutcome(OutcomeCommitted)
-	return Result{TxnID: req.ID, Outcome: OutcomeCommitted, ReadValues: readVals, Delegate: r.cfg.ID, Level: level, CommitLSN: uint64(txn.CommitLSN())}, nil
+	res.CommitLSN = uint64(lsn)
+	return res, nil
+}
+
+// readsOverwritten applies certify's rule at this replica alone: a read is
+// stale once a commit has bumped the item's version past the one it saw.
+func (r *Replica) readsOverwritten(readVers map[int]uint64) bool {
+	for item, ver := range readVers {
+		if _, cur, _ := r.dbase.ReadVersioned(item); cur > ver {
+			return true
+		}
+	}
+	return false
 }
 
 // enqueueLazy appends a write-set payload to the replica's ordered
@@ -226,9 +176,10 @@ func (r *Replica) drainLazy() {
 	}
 }
 
-// onLazy applies a lazily-propagated write set: no certification, last
+// onLazy installs a lazily-propagated write set: no certification, last
 // writer wins.  Under update-everywhere lazy replication this is the source
-// of the inconsistencies the paper attributes to lazy replication.
+// of the inconsistencies the paper attributes to lazy replication.  Levels
+// that force on commit force the install before counting it.
 func (r *Replica) onLazy(m transport.Message) {
 	if r.Crashed() {
 		return
@@ -237,10 +188,20 @@ func (r *Replica) onLazy(m transport.Message) {
 	if err := decodePayload(m.Payload, &p); err != nil {
 		return
 	}
+	ws := sortedWrites(p.Writes)
+	if !writesInRange(ws, r.dbase.Store().NumItems()) {
+		return
+	}
 	r.applyMu.Lock()
-	_, err := r.dbase.ApplyWriteSet(p.TxnID, writeSetOf(p.Writes))
+	fresh, lsn, err := r.dbase.StageWrites(p.TxnID, ws)
+	if err == nil && fresh {
+		err = r.dbase.InstallWrites(ws)
+	}
 	r.applyMu.Unlock()
-	if err != nil {
+	if err != nil || !fresh {
+		return
+	}
+	if r.cfg.Level.SyncOnCommit() && r.dbase.ForceTo(lsn) != nil {
 		return
 	}
 	r.mu.Lock()

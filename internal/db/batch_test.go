@@ -22,7 +22,7 @@ func (c *countingLog) Sync() error {
 // TestBatchApplyForcesOnce stages and installs a batch of certified write
 // sets the way the replica apply loop does and checks that the whole batch
 // becomes durable with a single group-committed force, instead of one per
-// transaction as ApplyWriteSet would issue under SyncOnCommit.
+// transaction as Txn.Commit issues under SyncOnCommit.
 func TestBatchApplyForcesOnce(t *testing.T) {
 	log := &countingLog{Log: wal.NewMemLog()}
 	d, err := Open(Config{Items: 64, Policy: SyncOnCommit, Log: log})
@@ -105,9 +105,9 @@ func TestBatchApplyDurableAfterCrash(t *testing.T) {
 	}
 }
 
-// TestApplyWriteSetStillForcesPerTxn pins the unbatched contract: the plain
-// ApplyWriteSet forces on every call under SyncOnCommit.
-func TestApplyWriteSetStillForcesPerTxn(t *testing.T) {
+// TestTxnCommitForcesPerTxn pins the unbatched contract: Txn.Commit forces
+// on every call under SyncOnCommit.
+func TestTxnCommitForcesPerTxn(t *testing.T) {
 	log := &countingLog{Log: wal.NewMemLog()}
 	d, err := Open(Config{Items: 16, Policy: SyncOnCommit, Log: log})
 	if err != nil {
@@ -115,11 +115,18 @@ func TestApplyWriteSetStillForcesPerTxn(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 1; i <= 3; i++ {
-		if _, err := d.ApplyWriteSet(uint64(i), storage.WriteSet{i: 1}); err != nil {
+		txn, err := d.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Write(i, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := atomic.LoadInt32(&log.syncs); got != 3 {
-		t.Fatalf("ApplyWriteSet issued %d forces for 3 txns, want 3", got)
+		t.Fatalf("Txn.Commit issued %d forces for 3 txns, want 3", got)
 	}
 }

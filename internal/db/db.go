@@ -1,9 +1,12 @@
 // Package db implements the local database component of the paper's model
-// (Sect. 2.2): it stores a full copy of the database, executes local
-// transactions under strict two-phase locking, enforces durability through a
-// write-ahead log, recovers committed state after a crash, and provides the
-// "testable transactions" facility (a transaction is applied at most once even
-// if it is submitted multiple times) that the replication layer relies on.
+// (Sect. 2.2): it stores a full copy of the database, enforces durability
+// through a write-ahead log, recovers committed state after a crash, and
+// provides the "testable transactions" facility (a transaction is applied at
+// most once even if it is submitted multiple times) that the replication
+// layer relies on.  The replication layer stages and installs write sets it
+// has certified (StageWrites, InstallWrites) and reads MVCC snapshots
+// (BeginRead); Txn is a standalone optimistic transaction over the same
+// primitives.
 package db
 
 import (
@@ -13,21 +16,20 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"groupsafe/internal/lock"
 	"groupsafe/internal/storage"
 	"groupsafe/internal/wal"
 )
 
-// SyncPolicy controls when the write-ahead log is forced to stable storage.
+// SyncPolicy controls whether Txn.Commit forces the write-ahead log.  The
+// replication layer forces through ForceTo at its own response point and
+// does not consult it.
 type SyncPolicy int
 
 const (
-	// SyncOnCommit forces the log before a commit is acknowledged (the
-	// behaviour needed by 1-safe, group-1-safe and 2-safe replication).
+	// SyncOnCommit forces the log before Txn.Commit returns.
 	SyncOnCommit SyncPolicy = iota
-	// AsyncCommit lets commits be acknowledged before the log is forced; the
-	// log is forced lazily by Flush (the behaviour exploited by group-safe
-	// replication, which delegates durability to the group).
+	// AsyncCommit lets Txn.Commit return before the log is forced; Flush or
+	// ForceTo forces it later.
 	AsyncCommit
 )
 
@@ -54,7 +56,7 @@ var (
 type Config struct {
 	// Items is the database size (Table 4: 10'000 items).
 	Items int
-	// Policy selects the commit durability behaviour.
+	// Policy selects Txn.Commit's durability behaviour.
 	Policy SyncPolicy
 	// Log is the stable-storage log.  When nil an in-memory log is created.
 	Log wal.Log
@@ -64,7 +66,6 @@ type Config struct {
 type Stats struct {
 	Commits       uint64
 	Aborts        uint64
-	Deadlocks     uint64
 	AppliedRemote uint64
 	SkippedDup    uint64
 	// ReadTxns counts read-only snapshot transactions (BeginRead); they take
@@ -75,10 +76,12 @@ type Stats struct {
 // DB is a single-node transactional database over integer items.
 type DB struct {
 	store  *storage.Store
-	locks  *lock.Manager
 	log    wal.Log
 	gc     *wal.GroupCommitter
 	policy SyncPolicy // fixed at Open
+
+	// commitMu serialises Txn.Commit's validate-stage-install sequence.
+	commitMu sync.Mutex
 
 	mu      sync.Mutex
 	applied map[uint64]bool
@@ -115,7 +118,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	d := &DB{
 		store:   storage.NewStore(cfg.Items),
-		locks:   lock.NewManager(),
 		log:     logStore,
 		gc:      wal.NewGroupCommitter(logStore),
 		policy:  cfg.Policy,
@@ -200,21 +202,17 @@ func (d *DB) Store() *storage.Store { return d.store }
 // Log exposes the underlying write-ahead log.
 func (d *DB) Log() wal.Log { return d.log }
 
-// Policy returns the sync policy the database was opened with.
-func (d *DB) Policy() SyncPolicy { return d.policy }
-
 // Stats returns a snapshot of the database counters.
 func (d *DB) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	s := d.stats
-	s.Deadlocks = d.locks.Deadlocks()
 	s.ReadTxns = d.readTxns.Load()
 	return s
 }
 
 // Applied reports whether the transaction with the given id has already been
-// applied (committed locally or installed through ApplyWriteSet).  This is
+// applied (committed by a Txn or staged through StageWrites).  This is
 // the "testable transaction" interface of Sect. 2.2.
 func (d *DB) Applied(txnID uint64) bool {
 	d.mu.Lock()
@@ -267,78 +265,10 @@ func (d *DB) Begin(id uint64) (*Txn, error) {
 	return &Txn{
 		db:     d,
 		id:     id,
+		reads:  make(map[int]uint64),
 		writes: make(storage.WriteSet),
 	}, nil
 }
-
-// ApplyWriteSet installs the write set of a remotely-certified transaction
-// exactly once.  The first return value reports whether the write set was
-// applied (false when the transaction had already been applied, e.g. a
-// replayed end-to-end atomic broadcast message).  Under SyncOnCommit the
-// commit record is forced before the writes become visible in the store.
-func (d *DB) ApplyWriteSet(txnID uint64, ws storage.WriteSet) (bool, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return false, ErrClosed
-	}
-	if d.applied[txnID] {
-		d.stats.SkippedDup++
-		d.mu.Unlock()
-		return false, nil
-	}
-	d.mu.Unlock()
-
-	// Lock the written items (sorted to avoid deadlocks between appliers).
-	items := make([]int, 0, len(ws))
-	for it := range ws {
-		items = append(items, it)
-	}
-	sort.Ints(items)
-	for _, it := range items {
-		if err := d.locks.Acquire(txnID, it, lock.Exclusive); err != nil {
-			d.locks.ReleaseAll(txnID)
-			return false, fmt.Errorf("db: apply writeset of txn %d: %w", txnID, err)
-		}
-	}
-	defer d.locks.ReleaseAll(txnID)
-
-	for _, it := range items {
-		if _, err := d.log.Append(wal.Record{Kind: wal.KindUpdate, TxnID: txnID, Item: int64(it), Value: ws[it]}); err != nil {
-			return false, fmt.Errorf("db: log update: %w", err)
-		}
-	}
-	lsn, err := d.log.Append(wal.Record{Kind: wal.KindCommit, TxnID: txnID})
-	if err != nil {
-		return false, fmt.Errorf("db: log commit: %w", err)
-	}
-	if d.policy == SyncOnCommit {
-		if err := d.gc.WaitDurable(lsn); err != nil {
-			return false, fmt.Errorf("db: force log: %w", err)
-		}
-	}
-	if err := d.store.ApplyWriteSet(ws); err != nil {
-		return false, fmt.Errorf("db: install writeset: %w", err)
-	}
-	d.mu.Lock()
-	d.applied[txnID] = true
-	d.stats.AppliedRemote++
-	d.stats.Commits++
-	d.mu.Unlock()
-	return true, nil
-}
-
-// AbortWaiting externally aborts txnID's lock acquisition: any Acquire
-// blocked on its behalf returns lock.ErrAborted and every lock it holds is
-// released.  It is the cancellation hook for a caller whose context expired
-// while the transaction may be blocked in 2PL — never call it once the
-// transaction's Commit has started, and call ForgetTxn after the
-// transaction has fully terminated.
-func (d *DB) AbortWaiting(txnID uint64) { d.locks.Abort(txnID) }
-
-// ForgetTxn clears residual lock-manager bookkeeping for an externally
-// aborted transaction (see AbortWaiting).
-func (d *DB) ForgetTxn(txnID uint64) { d.locks.Forget(txnID) }
 
 // ForceTo blocks until every log record with an LSN <= lsn is durable,
 // sharing forces with concurrent callers through the group committer.  The
@@ -346,9 +276,9 @@ func (d *DB) ForgetTxn(txnID uint64) { d.locks.Forget(txnID) }
 // transactions (StageWrites) with a single Sync.
 func (d *DB) ForceTo(lsn wal.LSN) error { return d.gc.WaitDurable(lsn) }
 
-// StageWrites is the serial half of the parallel apply pipeline: it performs
-// the exactly-once check, appends the update and commit records of a
-// certified remote transaction to the log in delivery order, and marks the
+// StageWrites is the serial half of the apply pipeline: it performs the
+// exactly-once check, appends the update and commit records of a certified
+// transaction to the log in commit order, and marks the
 // transaction applied — without forcing the log and without installing the
 // writes into the store.  It returns false when the transaction had already
 // been applied (a replayed delivery), and otherwise the LSN of the commit
@@ -398,12 +328,12 @@ func (d *DB) StageWrites(txnID uint64, writes []storage.Write) (bool, wal.LSN, e
 	return true, lastLSN, nil
 }
 
-// InstallWrites is the parallel half of the apply pipeline: it makes a staged
-// write set visible in the store.  Unlike ApplyWriteSet it does not go
-// through the lock manager — the caller must guarantee that no conflicting
-// write set (one sharing an item) is installed concurrently; the apply
-// scheduler's conflict graph provides exactly that guarantee, and the store's
-// lock stripes serialise installs against concurrent readers.
+// InstallWrites is the second half of the apply pipeline: it makes a staged
+// write set visible in the store.  The caller must guarantee that no
+// conflicting write set (one sharing an item) is installed concurrently —
+// the replica installs under its apply barrier, Txn.Commit under commitMu —
+// and the store's lock stripes serialise installs against concurrent
+// readers.
 func (d *DB) InstallWrites(writes []storage.Write) error {
 	if err := d.store.ApplyWrites(writes); err != nil {
 		return fmt.Errorf("db: install writeset: %w", err)
@@ -429,10 +359,19 @@ func (d *DB) RecordAbort(txnID uint64) error {
 	return nil
 }
 
-// Txn is a locally executed transaction under strict two-phase locking.
+// errStaleRead fails a Txn.Commit whose read set a concurrent commit
+// overwrote.
+var errStaleRead = errors.New("db: an item the transaction read was overwritten by a concurrent commit")
+
+// Txn is a locally executed optimistic transaction: reads see the newest
+// committed state and record its version, writes are buffered, and Commit
+// validates the read versions before it stages and installs the writes
+// (first-updater-wins, the rule the replication layer certifies by).  It
+// takes no locks, so it never blocks or deadlocks; a conflict fails Commit.
 type Txn struct {
 	db        *DB
 	id        uint64
+	reads     map[int]uint64
 	writes    storage.WriteSet
 	commitLSN wal.LSN
 	done      bool
@@ -442,13 +381,14 @@ type Txn struct {
 func (t *Txn) ID() uint64 { return t.id }
 
 // CommitLSN returns the log position of the transaction's commit record, or
-// zero before Commit ran (or when the transaction wrote nothing and aborted).
-// Under AsyncCommit the record is not necessarily durable yet; ForceTo closes
-// the gap on demand.
+// zero before Commit ran (or when the transaction aborted).  Under
+// AsyncCommit the record is not necessarily durable yet; ForceTo closes the
+// gap on demand.
 func (t *Txn) CommitLSN() wal.LSN { return t.commitLSN }
 
 // Read returns the value of item as seen by the transaction (its own writes
-// first, then the committed state), acquiring a shared lock.
+// first, then the committed state), recording the version it read for
+// Commit's validation.
 func (t *Txn) Read(item int) (int64, error) {
 	if t.done {
 		return 0, ErrTxnDone
@@ -456,20 +396,20 @@ func (t *Txn) Read(item int) (int64, error) {
 	if v, ok := t.writes[item]; ok {
 		return v, nil
 	}
-	if err := t.db.locks.Acquire(t.id, item, lock.Shared); err != nil {
+	v, ver, err := t.db.store.Read(item)
+	if err != nil {
 		return 0, err
 	}
-	v, _, err := t.db.store.Read(item)
-	return v, err
+	if _, seen := t.reads[item]; !seen {
+		t.reads[item] = ver
+	}
+	return v, nil
 }
 
-// Write buffers a new value for item, acquiring an exclusive lock.
+// Write buffers a new value for item.
 func (t *Txn) Write(item int, value int64) error {
 	if t.done {
 		return ErrTxnDone
-	}
-	if err := t.db.locks.Acquire(t.id, item, lock.Exclusive); err != nil {
-		return err
 	}
 	if _, _, err := t.db.store.Read(item); err != nil {
 		return err
@@ -487,53 +427,54 @@ func (t *Txn) WriteSet() storage.WriteSet {
 	return out
 }
 
-// Commit makes the transaction durable according to the database sync policy
-// and installs its writes.
+// Commit validates the transaction's reads, logs and installs its writes,
+// and, under SyncOnCommit, waits until the commit record is durable.  It
+// fails when an item the transaction read has been overwritten since.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
 	t.done = true
-	defer t.db.locks.ReleaseAll(t.id)
-
-	var lastLSN wal.LSN
+	writes := make([]storage.Write, 0, len(t.writes))
 	for item, value := range t.writes {
-		lsn, err := t.db.log.Append(wal.Record{Kind: wal.KindUpdate, TxnID: t.id, Item: int64(item), Value: value})
-		if err != nil {
-			return fmt.Errorf("db: log update: %w", err)
+		writes = append(writes, storage.Write{Item: item, Value: value})
+	}
+	sort.Slice(writes, func(i, j int) bool { return writes[i].Item < writes[j].Item })
+
+	d := t.db
+	d.commitMu.Lock()
+	for item, ver := range t.reads {
+		if _, cur, _ := d.store.Read(item); cur != ver {
+			d.commitMu.Unlock()
+			return fmt.Errorf("%w: txn %d, item %d", errStaleRead, t.id, item)
 		}
-		lastLSN = lsn
 	}
-	lsn, err := t.db.log.Append(wal.Record{Kind: wal.KindCommit, TxnID: t.id})
+	fresh, lsn, err := d.StageWrites(t.id, writes)
+	if err == nil && fresh && len(writes) > 0 {
+		err = d.InstallWrites(writes)
+	}
+	d.commitMu.Unlock()
 	if err != nil {
-		return fmt.Errorf("db: log commit: %w", err)
+		return err
 	}
-	lastLSN = lsn
-	t.commitLSN = lastLSN
-	if t.db.Policy() == SyncOnCommit {
-		if err := t.db.gc.WaitDurable(lastLSN); err != nil {
+	if !fresh {
+		return fmt.Errorf("%w: txn %d", ErrAlreadyApplied, t.id)
+	}
+	t.commitLSN = lsn
+	if d.policy == SyncOnCommit {
+		if err := d.ForceTo(lsn); err != nil {
 			return fmt.Errorf("db: force log: %w", err)
 		}
 	}
-	if len(t.writes) > 0 {
-		if err := t.db.store.ApplyWriteSet(t.writes); err != nil {
-			return fmt.Errorf("db: install writes: %w", err)
-		}
-	}
-	t.db.mu.Lock()
-	t.db.applied[t.id] = true
-	t.db.stats.Commits++
-	t.db.mu.Unlock()
 	return nil
 }
 
-// Abort drops the transaction's buffered writes and releases its locks.
+// Abort drops the transaction's buffered writes.
 func (t *Txn) Abort() error {
 	if t.done {
 		return ErrTxnDone
 	}
 	t.done = true
-	t.db.locks.ReleaseAll(t.id)
 	t.db.mu.Lock()
 	t.db.stats.Aborts++
 	t.db.mu.Unlock()

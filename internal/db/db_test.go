@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -123,15 +124,15 @@ func TestBeginDuplicateID(t *testing.T) {
 	txn2.Abort()
 }
 
-func TestApplyWriteSetExactlyOnce(t *testing.T) {
+func TestStageWritesExactlyOnce(t *testing.T) {
 	d := openTestDB(t, SyncOnCommit)
-	ws := storage.WriteSet{1: 11, 2: 22}
-	applied, err := d.ApplyWriteSet(500, ws)
+	ws := []storage.Write{{Item: 1, Value: 11}, {Item: 2, Value: 22}}
+	applied, err := applyWrites(d, 500, ws...)
 	if err != nil || !applied {
 		t.Fatalf("first apply = %v, %v", applied, err)
 	}
 	// Re-applying the same transaction (a replayed delivery) is a no-op.
-	applied, err = d.ApplyWriteSet(500, ws)
+	applied, err = applyWrites(d, 500, ws...)
 	if err != nil || applied {
 		t.Fatalf("second apply = %v, %v; want skipped", applied, err)
 	}
@@ -153,7 +154,7 @@ func TestRecordAbort(t *testing.T) {
 		t.Fatal("abort not counted")
 	}
 	// Aborting an already-applied transaction is a no-op.
-	d.ApplyWriteSet(10, storage.WriteSet{1: 1})
+	applyWrites(d, 10, storage.Write{Item: 1, Value: 1})
 	if err := d.RecordAbort(10); err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +269,8 @@ func TestFileBackedDurabilityAcrossReopen(t *testing.T) {
 
 func TestStateTransferHelpers(t *testing.T) {
 	src := openTestDB(t, SyncOnCommit)
-	src.ApplyWriteSet(1, storage.WriteSet{1: 10})
-	src.ApplyWriteSet(2, storage.WriteSet{2: 20})
+	applyWrites(src, 1, storage.Write{Item: 1, Value: 10})
+	applyWrites(src, 2, storage.Write{Item: 2, Value: 20})
 
 	dst := openTestDB(t, SyncOnCommit)
 	dst.RestoreState(src.SnapshotState(), src.AppliedTxns())
@@ -280,7 +281,7 @@ func TestStateTransferHelpers(t *testing.T) {
 		t.Fatal("state transfer did not copy applied set")
 	}
 	// The receiver must not re-apply transferred transactions.
-	applied, _ := dst.ApplyWriteSet(2, storage.WriteSet{2: 999})
+	applied, _ := applyWrites(dst, 2, storage.Write{Item: 2, Value: 999})
 	if applied {
 		t.Fatal("transferred transaction re-applied")
 	}
@@ -301,6 +302,7 @@ func TestConcurrentLocalTransactions(t *testing.T) {
 	const perWorker = 25
 	var wg sync.WaitGroup
 	var committed sync.Map
+	var retries atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -314,14 +316,18 @@ func TestConcurrentLocalTransactions(t *testing.T) {
 				item := (w + i) % 10
 				v, err := txn.Read(item)
 				if err != nil {
-					txn.Abort()
-					continue
+					t.Errorf("read: %v", err)
+					return
 				}
 				if err := txn.Write(item, v+1); err != nil {
-					txn.Abort()
-					continue
+					t.Errorf("write: %v", err)
+					return
 				}
-				if err := txn.Commit(); err != nil {
+				if err := txn.Commit(); errors.Is(err, errStaleRead) {
+					retries.Add(1)
+					i-- // a concurrent commit overwrote item: retry
+					continue
+				} else if err != nil {
 					t.Errorf("commit: %v", err)
 					return
 				}
@@ -330,8 +336,9 @@ func TestConcurrentLocalTransactions(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Because every transaction reads x and writes x+1 under strict 2PL, the
-	// sum of final values equals the number of committed increments.
+	// Because every transaction reads x and writes x+1 and Commit validates
+	// the read, the sum of final values equals the number of committed
+	// increments: no update is lost, whatever the interleaving.
 	var sum int64
 	for i := 0; i < 10; i++ {
 		v, _, _ := d.ReadVersioned(i)
@@ -339,8 +346,39 @@ func TestConcurrentLocalTransactions(t *testing.T) {
 	}
 	var n int64
 	committed.Range(func(_, _ interface{}) bool { n++; return true })
-	if sum != n {
-		t.Fatalf("lost updates: sum=%d committed=%d", sum, n)
+	if sum != n || n != workers*perWorker {
+		t.Fatalf("lost updates: sum=%d committed=%d (want %d; %d retries)", sum, n, workers*perWorker, retries.Load())
+	}
+}
+
+// TestCommitFailsOnStaleRead: a Txn whose read a later commit overwrote
+// fails Commit and installs nothing, while a blind write to the same item
+// commits in commit order.
+func TestCommitFailsOnStaleRead(t *testing.T) {
+	d := openTestDB(t, SyncOnCommit)
+	stale, _ := d.Begin(0)
+	blind, _ := d.Begin(0)
+	if _, err := stale.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	w, _ := d.Begin(0)
+	w.Write(1, 5)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	blind.Write(1, 10)
+	if err := blind.Commit(); err != nil {
+		t.Fatalf("blind write: %v", err)
+	}
+	stale.Write(2, 20)
+	if err := stale.Commit(); !errors.Is(err, errStaleRead) {
+		t.Fatalf("commit over a stale read: %v", err)
+	}
+	if v, _, _ := d.ReadVersioned(2); v != 0 || d.Applied(stale.ID()) {
+		t.Fatalf("failed commit left item 2 = %d, applied = %v", v, d.Applied(stale.ID()))
+	}
+	if v, _, _ := d.ReadVersioned(1); v != 10 || versionOf(d, 1) != 2 {
+		t.Fatalf("item 1 = (%d, v%d), want the blind write's 10 at v2", v, versionOf(d, 1))
 	}
 }
 
@@ -350,8 +388,8 @@ func TestClosedDatabase(t *testing.T) {
 	if _, err := d.Begin(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Begin on closed db: %v", err)
 	}
-	if _, err := d.ApplyWriteSet(1, storage.WriteSet{1: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ApplyWriteSet on closed db: %v", err)
+	if _, _, err := d.StageWrites(1, []storage.Write{{Item: 1, Value: 1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("StageWrites on closed db: %v", err)
 	}
 	if err := d.RecordAbort(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RecordAbort on closed db: %v", err)
@@ -376,11 +414,13 @@ func TestQuickRecoveryPreservesCommitted(t *testing.T) {
 		want := make(map[int]int64)
 		for i, op := range ops {
 			item := int(op.Item % 32)
-			ws := storage.WriteSet{item: op.Value}
-			if _, err := d.ApplyWriteSet(uint64(i+1), ws); err != nil {
+			if _, err := applyWrites(d, uint64(i+1), storage.Write{Item: item, Value: op.Value}); err != nil {
 				return false
 			}
 			want[item] = op.Value
+		}
+		if err := d.Flush(); err != nil {
+			return false
 		}
 		d, err = crashAndReopen(d)
 		if err != nil {
@@ -407,6 +447,16 @@ func crashAndReopen(d *DB) (*DB, error) {
 	mem := d.log.(*wal.MemLog)
 	mem.Crash()
 	return Open(Config{Items: d.store.NumItems(), Policy: d.policy, Log: mem})
+}
+
+// applyWrites stages and installs one certified write set, as the replica's
+// apply loop does (writes sorted by item), without forcing the log.
+func applyWrites(d *DB, txnID uint64, writes ...storage.Write) (bool, error) {
+	fresh, _, err := d.StageWrites(txnID, writes)
+	if err != nil || !fresh {
+		return false, err
+	}
+	return true, d.InstallWrites(writes)
 }
 
 // versionOf reads the committed certification version of an item through the

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the read-only fast path of the database component: snapshot
-// transactions that bypass the lock manager entirely.  A ReadTxn reads the
+// transactions that take no locks at all.  A ReadTxn reads the
 // newest committed version of each item at or below its snapshot sequence,
 // so it observes a consistent prefix of the replica's apply order — no dirty
 // reads (half-installed transactions are below the visible watermark), and

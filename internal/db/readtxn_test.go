@@ -3,7 +3,6 @@ package db
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"groupsafe/internal/storage"
 )
@@ -64,7 +63,10 @@ func TestReadTxnNoDirtyReads(t *testing.T) {
 	}
 }
 
-func TestReadTxnNeverBlocksBehindExclusiveLock(t *testing.T) {
+// TestSnapshotNeverSeesBufferedWrite: a Txn's writes stay in its buffer
+// until Commit, so no snapshot taken meanwhile sees them, and neither does
+// the committed state; an aborted Txn leaves no trace.
+func TestSnapshotNeverSeesBufferedWrite(t *testing.T) {
 	d, err := Open(Config{Items: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -74,32 +76,30 @@ func TestReadTxnNeverBlocksBehindExclusiveLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The writer holds the exclusive 2PL lock on item 0 for the whole test.
 	if err := w.Write(0, 7); err != nil {
 		t.Fatal(err)
 	}
-
-	done := make(chan int64, 1)
-	go func() {
-		rt, err := d.BeginRead()
-		if err != nil {
-			done <- -1
-			return
-		}
-		defer rt.Close()
-		v, _ := rt.Read(0)
-		done <- v
-	}()
-	select {
-	case v := <-done:
-		if v != 0 {
-			t.Fatalf("read = %d, want pre-write 0", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("read-only transaction blocked behind an exclusive lock")
+	rt, err := d.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if v, _ := rt.Read(0); v != 0 {
+		t.Fatalf("snapshot read = %d, want pre-write 0", v)
+	}
+	if v, ver, _ := d.ReadVersioned(0); v != 0 || ver != 0 {
+		t.Fatalf("committed state = (%d, v%d) while the write is buffered", v, ver)
 	}
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
+	}
+	rt2, err := d.BeginRead()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt2.Close()
+	if v, _ := rt2.Read(0); v != 0 {
+		t.Fatalf("aborted write visible: %d", v)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestReadTxnGCKeepsLiveSnapshotAcrossCrashRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.ApplyWriteSet(1, storage.WriteSet{0: 11}); err != nil {
+	if _, err := applyWrites(d, 1, storage.Write{Item: 0, Value: 11}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -189,7 +189,7 @@ func TestReadTxnGCKeepsLiveSnapshotAcrossCrashRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 2; i <= 100; i++ {
-		if _, err := d.ApplyWriteSet(uint64(i), storage.WriteSet{0: int64(i)}); err != nil {
+		if _, err := applyWrites(d, uint64(i), storage.Write{Item: 0, Value: int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,8 +4,8 @@
 // chain: every committed write appends a new version stamped with the
 // store-wide apply sequence of its transaction (monotonic per replica) and
 // with the item's certification version counter (first-updater wins).  The
-// newest version is the committed state seen by the 2PL write path; read-only
-// snapshots (Snap) read the newest version at or below their snapshot
+// newest version is the committed state that certification validates reads
+// against; read-only snapshots (Snap) read the newest version at or below their snapshot
 // sequence without taking any item locks and never abort.  A watermark-driven
 // garbage collector prunes chain prefixes no live snapshot can see.
 //
@@ -391,8 +391,8 @@ type WriteSet map[int]int64
 
 // ApplyWriteSet installs all updates of ws as one transaction, appending a
 // new version of each written item under a single apply sequence.  Write sets
-// touching a common item must be ordered by the CALLER (the database layer's
-// 2PL locks or the apply scheduler's conflict graph provide this): version
+// touching a common item must be ordered by the CALLER (the database layer
+// installs under one mutex, the replica under its apply barrier): version
 // chains append in call order, and a same-item install racing between another
 // transaction's sequence reservation and its append would interleave the
 // chains' sequence order.  The stripe locks only serialise chain mutation
