@@ -361,7 +361,7 @@ func (r *Replica) externalize(staged []stagedTxn) {
 			// forced — the batch force ran before externalize).
 			// Counted before the send: the delegate may release the response
 			// before Send returns, and the count must not trail it.
-			ackBytes := encodePayload(ackPayload{TxnID: a.txnID, Replica: r.cfg.ID})
+			ackBytes := encodeVerySafeAck(a.txnID, r.cfg.ID)
 			r.mu.Lock()
 			r.stats.AcksSent++
 			r.mu.Unlock()
@@ -404,11 +404,9 @@ func requestMayWrite(req Request) bool {
 
 // onVerySafeAck records a per-replica acknowledgement at the delegate.
 func (r *Replica) onVerySafeAck(m transport.Message) {
-	var p ackPayload
-	if err := decodePayload(m.Payload, &p); err != nil {
-		return
+	if txnID, replica, err := decodeVerySafeAck(m.Payload); err == nil {
+		r.recordVerySafeAck(txnID, replica)
 	}
-	r.recordVerySafeAck(p.TxnID, p.Replica)
 }
 
 func (r *Replica) recordVerySafeAck(txnID uint64, replica string) {

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"groupsafe/internal/storage"
+	"groupsafe/internal/varint"
 	"groupsafe/internal/workload"
 )
 
@@ -169,32 +168,6 @@ const (
 	phaseDecideAbort
 )
 
-// lazyPayload is the write set propagated asynchronously at the 0-safe and
-// lazy (1-safe) levels.
-type lazyPayload struct {
-	TxnID    uint64
-	Delegate string
-	Writes   map[int]int64
-}
-
-// ackPayload is the per-replica acknowledgement used by the very-safe level.
-type ackPayload struct {
-	TxnID   uint64
-	Replica string
-}
-
-func encodePayload(v interface{}) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: encode payload: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func decodePayload(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 // sortedWrites converts a write map into the sorted slice form that staging
 // and the install take.
 func sortedWrites(writes map[int]int64) []storage.Write {
@@ -205,14 +178,12 @@ func sortedWrites(writes map[int]int64) []storage.Write {
 	return ws
 }
 
-// --- binary transaction payload codec (replicated hot path) ---
+// --- binary payload codec ---
 //
-// The lazy and very-safe control payloads above stay gob-encoded (they are
-// off the hot path), but the transaction payload travels once per update
-// transaction through the atomic broadcast, so it uses a compact varint
-// encoding with pooled scratch buffers: exactly one allocation per encode
-// (the wire slice itself) instead of gob's encoder, type descriptors and map
-// churn.
+// The transaction payload travels once per update transaction through the
+// atomic broadcast, so its encoder uses pooled scratch buffers: exactly one
+// allocation per encode, the wire slice itself.  The lazy levels propagate
+// their write sets in the same layout, without reads.
 
 // Payload magics: each versions one binary payload layout.  Both share the
 // header (appendHeader); twoPCMagic is the txnMagic layout with a phase byte
@@ -252,8 +223,7 @@ func appendHeader(buf []byte, magic byte, h txnHeader) []byte {
 		buf = append(buf, h.Phase)
 	}
 	buf = binary.AppendUvarint(buf, h.TxnID)
-	buf = binary.AppendUvarint(buf, uint64(len(h.Delegate)))
-	buf = append(buf, h.Delegate...)
+	buf = varint.AppendString(buf, h.Delegate)
 	buf = binary.AppendUvarint(buf, uint64(h.Level))
 	if magic == twoPCMagic {
 		buf = binary.AppendUvarint(buf, uint64(h.Coord))
@@ -298,99 +268,64 @@ func encodeTxnPayload(phase byte, txnID uint64, delegate string, level SafetyLev
 	return s.finish(buf)
 }
 
-// payloadReader walks the varint stream of a binary payload.  The first
-// malformed field clears ok for good and empties data, so a decoder checks
-// ok once, at the end.
-type payloadReader struct {
-	data []byte
-	ok   bool
-}
-
-func (p *payloadReader) fail() { p.data, p.ok = nil, false }
-
-func (p *payloadReader) uvarint() uint64 {
-	v, n := binary.Uvarint(p.data)
-	if n <= 0 {
-		p.fail()
-		return 0
-	}
-	p.data = p.data[n:]
-	return v
-}
-
-func (p *payloadReader) varint() int64 {
-	v, n := binary.Varint(p.data)
-	if n <= 0 {
-		p.fail()
-		return 0
-	}
-	p.data = p.data[n:]
-	return v
-}
-
-func (p *payloadReader) flag() byte {
-	if len(p.data) == 0 {
-		p.fail()
-		return 0
-	}
-	b := p.data[0]
-	p.data = p.data[1:]
-	return b
-}
-
-// count reads a length, which cannot exceed the bytes left: every counted
-// element takes at least one.
-func (p *payloadReader) count() int {
-	n := p.uvarint()
-	if n > uint64(len(p.data)) {
-		p.fail()
-		return 0
-	}
-	return int(n)
-}
-
 // readHeader parses the header appendHeader wrote into h and returns the
 // payload's magic (zero for an empty payload) and a reader positioned at the
 // body.
-func readHeader(data []byte, h *txnHeader) (byte, payloadReader) {
-	if len(data) == 0 {
-		return 0, payloadReader{}
-	}
-	magic, p := data[0], payloadReader{data: data[1:], ok: true}
+func readHeader(data []byte, h *txnHeader) (byte, varint.Reader) {
+	r := varint.NewReader(data)
+	magic := r.Byte()
 	h.Phase, h.Coord = phaseNone, 0
 	if magic == twoPCMagic {
-		if h.Phase = p.flag(); h.Phase == phaseNone || h.Phase > phaseDecideAbort {
-			p.fail()
+		if h.Phase = r.Byte(); h.Phase == phaseNone || h.Phase > phaseDecideAbort {
+			r.Fail()
 		}
 	}
-	h.TxnID = p.uvarint()
-	n := p.count()
-	h.Delegate = string(p.data[:n])
-	p.data = p.data[n:]
-	h.Level = SafetyLevel(p.uvarint())
+	h.TxnID = r.Uvarint()
+	h.Delegate = r.String()
+	h.Level = SafetyLevel(r.Uvarint())
 	if magic == twoPCMagic {
-		h.Coord = int(p.uvarint())
+		h.Coord = int(r.Uvarint())
 	}
-	return magic, p
+	return magic, r
 }
 
 // decodeTxnRecord decodes a binary transaction payload (txnMagic or
 // twoPCMagic) into rec, reusing rec's slices (the apply loop's decode arena).
+// Items must ascend, as the encoder emits them: the install and the WAL
+// staging path take each set sorted and duplicate-free.
 func decodeTxnRecord(data []byte, rec *txnRecord) error {
-	magic, p := readHeader(data, &rec.txnHeader)
+	magic, r := readHeader(data, &rec.txnHeader)
 	if magic != txnMagic && magic != twoPCMagic {
 		return errBadTxnPayload
 	}
 	rec.Reads = rec.Reads[:0]
-	for n := p.count(); n > 0; n-- {
-		rec.Reads = append(rec.Reads, readVer{Item: int(p.uvarint()), Ver: p.uvarint()})
+	for n := r.Count(); n > 0; n-- {
+		rec.Reads = append(rec.Reads, readVer{Item: int(r.Uvarint()), Ver: r.Uvarint()})
+		if k := len(rec.Reads) - 1; k > 0 && rec.Reads[k].Item <= rec.Reads[k-1].Item {
+			r.Fail()
+		}
 	}
 	rec.Writes = rec.Writes[:0]
-	for n := p.count(); n > 0; n-- {
-		rec.Writes = append(rec.Writes, storage.Write{Item: int(p.uvarint()), Value: p.varint()})
+	for n := r.Count(); n > 0; n-- {
+		rec.Writes = append(rec.Writes, storage.Write{Item: int(r.Uvarint()), Value: r.Varint()})
+		if k := len(rec.Writes) - 1; k > 0 && rec.Writes[k].Item <= rec.Writes[k-1].Item {
+			r.Fail()
+		}
 	}
-	if !p.ok {
+	if r.Err() != nil {
 		return errBadTxnPayload
 	}
 	return nil
+}
+
+// encodeVerySafeAck encodes a replica's very-safe acknowledgement: the
+// transaction id and the replica.
+func encodeVerySafeAck(txnID uint64, replica string) []byte {
+	return varint.AppendString(binary.AppendUvarint(nil, txnID), replica)
+}
+
+func decodeVerySafeAck(data []byte) (txnID uint64, replica string, err error) {
+	r := varint.NewReader(data)
+	txnID, replica = r.Uvarint(), r.String()
+	return txnID, replica, r.Err()
 }

@@ -57,7 +57,7 @@ func (r *Replica) executeLocal(ctx context.Context, req Request) (Result, error)
 		return res, nil
 	}
 	ws := sortedWrites(writes)
-	payload := encodePayload(lazyPayload{TxnID: req.ID, Delegate: r.cfg.ID, Writes: writes})
+	payload := encodeTxnPayload(phaseNone, req.ID, r.cfg.ID, level, 0, nil, writes)
 
 	// Enqueueing the propagation inside the barrier keeps conflicting write
 	// sets shipped in commit order, so the single drainer ships them in that
@@ -184,18 +184,14 @@ func (r *Replica) onLazy(m transport.Message) {
 	if r.Crashed() {
 		return
 	}
-	var p lazyPayload
-	if err := decodePayload(m.Payload, &p); err != nil {
-		return
-	}
-	ws := sortedWrites(p.Writes)
-	if !writesInRange(ws, r.dbase.Store().NumItems()) {
+	var p txnRecord
+	if decodeTxnRecord(m.Payload, &p) != nil || !writesInRange(p.Writes, r.dbase.Store().NumItems()) {
 		return
 	}
 	r.applyMu.Lock()
-	fresh, lsn, err := r.dbase.StageWrites(p.TxnID, ws)
+	fresh, lsn, err := r.dbase.StageWrites(p.TxnID, p.Writes)
 	if err == nil && fresh {
-		err = r.dbase.InstallWrites(ws)
+		err = r.dbase.InstallWrites(p.Writes)
 	}
 	r.applyMu.Unlock()
 	if err != nil || !fresh {

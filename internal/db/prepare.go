@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"groupsafe/internal/storage"
+	"groupsafe/internal/varint"
 	"groupsafe/internal/wal"
 )
 
@@ -46,26 +47,16 @@ func encodePrepareData(coord int, readItems []int) []byte {
 }
 
 func decodePrepareData(data []byte) (coord int, readItems []int, err error) {
-	c, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("db: bad prepare record data")
+	r := varint.NewReader(data)
+	coord = int(r.Uvarint())
+	readItems = make([]int, r.Count())
+	for i := range readItems {
+		readItems[i] = int(r.Uvarint())
 	}
-	data = data[n:]
-	cnt, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("db: bad prepare record data")
+	if err := r.Err(); err != nil {
+		return 0, nil, fmt.Errorf("db: bad prepare record data: %w", err)
 	}
-	data = data[n:]
-	items := make([]int, 0, cnt)
-	for i := uint64(0); i < cnt; i++ {
-		it, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, nil, fmt.Errorf("db: bad prepare record data")
-		}
-		data = data[n:]
-		items = append(items, int(it))
-	}
-	return int(c), items, nil
+	return coord, readItems, nil
 }
 
 // registerPreparedLocked indexes one prepared transaction; caller holds d.mu.

@@ -81,8 +81,6 @@
 package abcast
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -543,17 +541,17 @@ func (b *Broadcaster) onMessage(m transport.Message) {
 		}
 	case MsgNack:
 		var n nackMsg
-		if decode(m.Payload, &n) == nil {
+		if decodeNack(m.Payload, &n) == nil {
 			b.handleNack(n, m.From)
 		}
 	case MsgNewEpoch:
 		var ne newEpochMsg
-		if decode(m.Payload, &ne) == nil {
+		if decodeNewEpoch(m.Payload, &ne) == nil {
 			b.handleNewEpoch(ne, m.From)
 		}
 	case MsgState:
 		var st stateMsg
-		if decode(m.Payload, &st) == nil {
+		if decodeState(m.Payload, &st) == nil {
 			b.handleState(st, m.From)
 		}
 	}
@@ -630,18 +628,4 @@ func (b *Broadcaster) tryDeliver() {
 		b.mu.Lock() // deliverMu is released: at the sequencer, submitting delivers
 		b.submitLocked(drained)
 	}
-}
-
-func encode(v interface{}) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		// Encoding in-memory structs cannot fail at runtime for the types
-		// above; a failure indicates a programming error.
-		panic(fmt.Sprintf("abcast: encode: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func decode(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

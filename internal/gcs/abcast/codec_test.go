@@ -2,6 +2,7 @@ package abcast
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 )
@@ -124,7 +125,10 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.Run("gob-data-8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			encode(dataMsg{Entries: entries})
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(dataMsg{Entries: entries}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -88,7 +88,7 @@ func (b *Broadcaster) checkStalls() {
 	b.mu.Unlock()
 
 	if nack.MsgID != "" {
-		b.sendAll(transport.Message{Type: MsgNack, Payload: encode(nack)})
+		b.sendAll(transport.Message{Type: MsgNack, Payload: encodeNack(nack)})
 	}
 	if len(resend) > 0 {
 		b.sendAll(transport.Message{Type: MsgData, Payload: encodeData(dataMsg{Entries: resend})}) // retried next period

@@ -64,7 +64,7 @@ func (b *Broadcaster) Suspect(peer string) {
 	b.mu.Unlock()
 
 	if iAmNewSequencer {
-		b.sendAll(transport.Message{Type: MsgNewEpoch, Payload: encode(newEpochMsg{Epoch: e})})
+		b.sendAll(transport.Message{Type: MsgNewEpoch, Payload: encodeNewEpoch(newEpochMsg{Epoch: e})})
 		// A single-member group gathers only from itself.
 		b.finishGather()
 	}
@@ -111,7 +111,7 @@ func (b *Broadcaster) handleNewEpoch(ne newEpochMsg, from string) {
 	b.gathering = false
 	reply := b.snapshotStateLocked(ne.Epoch)
 	b.mu.Unlock()
-	_ = b.router.Send(from, transport.Message{Type: MsgState, Payload: encode(reply)}) // a lost reply is one vote fewer
+	_ = b.router.Send(from, transport.Message{Type: MsgState, Payload: encodeState(reply)}) // a lost reply is one vote fewer
 }
 
 func (b *Broadcaster) handleState(st stateMsg, from string) {

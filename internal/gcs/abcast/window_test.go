@@ -185,7 +185,7 @@ func TestTakeoverStateIsBounded(t *testing.T) {
 		if st.Base+uint64(len(st.Slots)) != history+1 {
 			t.Errorf("%s: state covers [%d, %d), want it to end at %d", n.addr, st.Base, st.Base+uint64(len(st.Slots)), history+1)
 		}
-		if size := len(encode(st)); size > 64<<10 {
+		if size := len(encodeState(st)); size > 64<<10 {
 			t.Errorf("%s: encoded takeover state is %d bytes", n.addr, size)
 		}
 	}

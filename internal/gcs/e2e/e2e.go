@@ -22,13 +22,13 @@
 package e2e
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"groupsafe/internal/gcs/abcast"
+	"groupsafe/internal/varint"
 	"groupsafe/internal/wal"
 )
 
@@ -407,20 +407,18 @@ func (b *Broadcaster) Close() {
 	}
 }
 
-// appendMessage appends the data of a message record to buf: the length of
-// the message id as a uvarint, the id, then the payload to the end.
+// appendMessage appends the data of a message record to buf: the message
+// id as a length-prefixed string, then the payload to the end.
 func appendMessage(buf []byte, msgID string, payload []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(msgID)))
-	buf = append(buf, msgID...)
-	return append(buf, payload...)
+	return append(varint.AppendString(buf, msgID), payload...)
 }
 
 // decodeMessage is the inverse of appendMessage; the results own their bytes.
 func decodeMessage(data []byte) (msgID string, payload []byte, err error) {
-	n, w := binary.Uvarint(data)
-	if w <= 0 || n > uint64(len(data)-w) {
-		return "", nil, errors.New("message id length runs past the record")
+	r := varint.NewReader(data)
+	msgID, payload = r.String(), append([]byte(nil), r.Rest()...)
+	if err := r.Err(); err != nil {
+		return "", nil, fmt.Errorf("message record: %w", err)
 	}
-	end := w + int(n)
-	return string(data[w:end]), append([]byte(nil), data[end:]...), nil
+	return msgID, payload, nil
 }

@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -370,6 +371,15 @@ func TestMessageRecordRoundTrip(t *testing.T) {
 		if _, _, err := decodeMessage(bad); err == nil {
 			t.Fatalf("decodeMessage(%v) accepted a malformed record", bad)
 		}
+	}
+}
+
+// TestMessageRecordGoldenBytes pins the message record's data: a log written
+// by any commit must replay on any other.
+func TestMessageRecordGoldenBytes(t *testing.T) {
+	const want = "0773312f332f3432a700"
+	if got := hex.EncodeToString(appendMessage(nil, "s1/3/42", []byte{0xa7, 0})); got != want {
+		t.Fatalf("message record = %s, want %s", got, want)
 	}
 }
 

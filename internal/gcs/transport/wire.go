@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"groupsafe/internal/varint"
 )
 
 // Binary wire format of the TCP transport.
@@ -14,9 +16,8 @@ import (
 // (magic + protocol version), so two processes built from incompatible
 // binaries fail the very first read with a clear error instead of silently
 // mis-decoding each other's traffic.  After the handshake the stream is a
-// sequence of length-prefixed frames in the same varint style as the abcast
-// and transaction payload codecs (PR 2): no gob type descriptors, one buffer
-// per message.
+// sequence of length-prefixed frames in the module's varint codec, like
+// every message they carry: one buffer per message.
 //
 //	handshake: "GSTP" <version byte>
 //	frame:     uvarint(bodyLen) body
@@ -35,8 +36,10 @@ const (
 	// version-3 member would misread every ORDER, and a version-3 sequencer
 	// would announce payloads the other members never get.  5: ORDERs and
 	// ACKs no longer carry the sender's applied sequence; a version-4 member
-	// would misread every one.
-	tcpVersion = 5
+	// would misread every one.  6: NACK, NEWEPOCH, STATE and the replica's
+	// rep.lazy and rep.ack payloads are varint layouts instead of gob; a
+	// version-5 member would misread every one.
+	tcpVersion = 6
 
 	// maxFrameSize bounds one frame; a peer announcing more is treated as
 	// corrupt and disconnected (fail fast instead of allocating unbounded).
@@ -80,31 +83,15 @@ func readHandshake(r io.Reader) error {
 
 // appendFrame encodes one message as a length-prefixed frame into buf.
 func appendFrame(buf []byte, m Message) []byte {
-	body := uvarintLen(uint64(len(m.Type))) + len(m.Type) +
-		uvarintLen(uint64(len(m.From))) + len(m.From) +
-		uvarintLen(uint64(len(m.To))) + len(m.To) +
-		uvarintLen(uint64(len(m.Payload))) + len(m.Payload)
+	body := varint.UvarintLen(uint64(len(m.Type))) + len(m.Type) +
+		varint.UvarintLen(uint64(len(m.From))) + len(m.From) +
+		varint.UvarintLen(uint64(len(m.To))) + len(m.To) +
+		varint.UvarintLen(uint64(len(m.Payload))) + len(m.Payload)
 	buf = binary.AppendUvarint(buf, uint64(body))
-	buf = appendWireString(buf, m.Type)
-	buf = appendWireString(buf, m.From)
-	buf = appendWireString(buf, m.To)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Payload)))
-	buf = append(buf, m.Payload...)
-	return buf
-}
-
-func appendWireString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	buf = varint.AppendString(buf, m.Type)
+	buf = varint.AppendString(buf, m.From)
+	buf = varint.AppendString(buf, m.To)
+	return varint.AppendBytes(buf, m.Payload)
 }
 
 // readFrame reads one frame from r into a fresh Message.  The payload is
@@ -126,39 +113,19 @@ func readFrame(r *bufio.Reader, scratch []byte, prev Message) (Message, []byte, 
 	if _, err := io.ReadFull(r, body); err != nil {
 		return Message{}, scratch, err
 	}
-	var m Message
-	pos := 0
-	next := func(prev string) (string, bool) {
-		l, n := binary.Uvarint(body[pos:])
-		if n <= 0 || l > uint64(len(body)-pos-n) {
-			return "", false
+	br := varint.NewReader(body)
+	str := func(prev string) string {
+		if s := br.Bytes(); string(s) != prev { // (compares in place)
+			return string(s)
 		}
-		pos += n
-		s := body[pos : pos+int(l)]
-		pos += int(l)
-		if string(s) == prev { // (compares in place)
-			return prev, true
-		}
-		return string(s), true
+		return prev
 	}
-	var ok bool
-	if m.Type, ok = next(prev.Type); !ok {
+	m := Message{Type: str(prev.Type), From: str(prev.From), To: str(prev.To)}
+	if p := br.Bytes(); len(p) > 0 {
+		m.Payload = append([]byte(nil), p...)
+	}
+	if br.Err() != nil {
 		return Message{}, scratch, errBadFrame
-	}
-	if m.From, ok = next(prev.From); !ok {
-		return Message{}, scratch, errBadFrame
-	}
-	if m.To, ok = next(prev.To); !ok {
-		return Message{}, scratch, errBadFrame
-	}
-	plen, n := binary.Uvarint(body[pos:])
-	if n <= 0 || plen != uint64(len(body)-pos-n) {
-		return Message{}, scratch, errBadFrame
-	}
-	pos += n
-	if plen > 0 {
-		m.Payload = make([]byte, plen)
-		copy(m.Payload, body[pos:])
 	}
 	return m, scratch, nil
 }

@@ -7,10 +7,9 @@ import (
 	"sort"
 
 	"groupsafe/internal/core"
+	"groupsafe/internal/varint"
 	"groupsafe/internal/workload"
 )
-
-var errTruncated = errors.New("netproto: truncated payload")
 
 // --- Request ---
 
@@ -57,33 +56,27 @@ func AppendRequest(buf []byte, req core.Request) []byte {
 
 // DecodeRequest decodes a client transaction.
 func DecodeRequest(data []byte) (core.Request, error) {
-	d := decoder{data: data}
+	r := varint.NewReader(data)
 	var req core.Request
-	req.ID = d.uvarint()
-	flags := d.uvarint()
+	req.ID = r.Uvarint()
+	flags := r.Uvarint()
 	if flags&^reqFlagsKnown != 0 {
 		return core.Request{}, fmt.Errorf("netproto: unknown request flags %#x", flags&^reqFlagsKnown)
 	}
 	req.ReadOnly = flags&reqFlagReadOnly != 0
 	if flags&reqFlagHasSafety != 0 {
-		lvl := core.SafetyLevel(d.uvarint())
+		lvl := core.SafetyLevel(r.Uvarint())
 		req.Safety = &lvl
 	}
-	req.MinFreshness = d.uvarint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(data)) {
-		return core.Request{}, errTruncated
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var op workload.Op
-		op.Write = d.byte() == 1
-		op.Item = int(d.uvarint())
+	req.MinFreshness = r.Uvarint()
+	for n := r.Count(); n > 0; n-- {
+		op := workload.Op{Write: r.Bool(), Item: int(r.Uvarint())}
 		if op.Write {
-			op.Value = d.varint()
+			op.Value = r.Varint()
 		}
 		req.Ops = append(req.Ops, op)
 	}
-	return req, d.err
+	return req, decodeErr(&r)
 }
 
 // --- Result ---
@@ -95,7 +88,7 @@ func AppendResult(buf []byte, res core.Result) []byte {
 	buf = binary.AppendUvarint(buf, uint64(res.Level))
 	buf = binary.AppendUvarint(buf, res.CommitLSN)
 	buf = binary.AppendUvarint(buf, res.Freshness)
-	buf = appendString(buf, res.Delegate)
+	buf = varint.AppendString(buf, res.Delegate)
 	items := make([]int, 0, len(res.ReadValues))
 	for it := range res.ReadValues {
 		items = append(items, it)
@@ -109,28 +102,28 @@ func AppendResult(buf []byte, res core.Result) []byte {
 	return buf
 }
 
-// DecodeResult decodes a transaction outcome.
+// DecodeResult decodes a transaction outcome.  The read values must ascend
+// by item, as AppendResult writes them.
 func DecodeResult(data []byte) (core.Result, error) {
-	d := decoder{data: data}
+	r := varint.NewReader(data)
 	var res core.Result
-	res.TxnID = d.uvarint()
-	res.Outcome = core.Outcome(d.byte())
-	res.Level = core.SafetyLevel(d.uvarint())
-	res.CommitLSN = d.uvarint()
-	res.Freshness = d.uvarint()
-	res.Delegate = d.string()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(data)) {
-		return core.Result{}, errTruncated
-	}
-	if n > 0 && d.err == nil {
+	res.TxnID = r.Uvarint()
+	res.Outcome = core.Outcome(r.Byte())
+	res.Level = core.SafetyLevel(r.Uvarint())
+	res.CommitLSN = r.Uvarint()
+	res.Freshness = r.Uvarint()
+	res.Delegate = r.String()
+	if n := r.Count(); n > 0 {
 		res.ReadValues = make(map[int]int64, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			it := int(d.uvarint())
-			res.ReadValues[it] = d.varint()
+		for prev := 0; n > 0; n-- {
+			it := int(r.Uvarint())
+			if len(res.ReadValues) > 0 && it <= prev {
+				r.Fail()
+			}
+			res.ReadValues[it], prev = r.Varint(), it
 		}
 	}
-	return res, d.err
+	return res, decodeErr(&r)
 }
 
 // --- ServerInfo ---
@@ -157,7 +150,7 @@ type ServerInfo struct {
 
 // AppendInfo encodes a server status report.
 func AppendInfo(buf []byte, info ServerInfo) []byte {
-	buf = appendString(buf, info.ID)
+	buf = varint.AppendString(buf, info.ID)
 	var crashed byte
 	if info.Crashed {
 		crashed = 1
@@ -166,7 +159,7 @@ func AppendInfo(buf []byte, info ServerInfo) []byte {
 	buf = binary.AppendUvarint(buf, info.ViewID)
 	buf = binary.AppendUvarint(buf, uint64(len(info.ViewMembers)))
 	for _, m := range info.ViewMembers {
-		buf = appendString(buf, m)
+		buf = varint.AppendString(buf, m)
 	}
 	buf = binary.AppendUvarint(buf, info.LastAppliedSeq)
 	buf = binary.AppendUvarint(buf, info.DurableLSN)
@@ -180,34 +173,23 @@ func AppendInfo(buf []byte, info ServerInfo) []byte {
 
 // DecodeInfo decodes a server status report.
 func DecodeInfo(data []byte) (ServerInfo, error) {
-	d := decoder{data: data}
+	r := varint.NewReader(data)
 	var info ServerInfo
-	info.ID = d.string()
-	info.Crashed = d.byte() != 0
-	info.ViewID = d.uvarint()
-	n := d.uvarint()
-	if d.err == nil && n > uint64(len(data)) {
-		return ServerInfo{}, errTruncated
+	info.ID = r.String()
+	info.Crashed = r.Bool()
+	info.ViewID = r.Uvarint()
+	for n := r.Count(); n > 0; n-- {
+		info.ViewMembers = append(info.ViewMembers, r.String())
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		info.ViewMembers = append(info.ViewMembers, d.string())
-	}
-	info.LastAppliedSeq = d.uvarint()
-	info.DurableLSN = d.uvarint()
-	n = d.uvarint()
-	if d.err == nil && n > uint64(len(data)) {
-		return ServerInfo{}, errTruncated
-	}
-	if n > 0 && d.err == nil {
-		info.Items = make([]ItemState, 0, n)
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			var it ItemState
-			it.Value = d.varint()
-			it.Version = d.uvarint()
-			info.Items = append(info.Items, it)
+	info.LastAppliedSeq = r.Uvarint()
+	info.DurableLSN = r.Uvarint()
+	if n := r.Count(); n > 0 {
+		info.Items = make([]ItemState, n)
+		for i := range info.Items {
+			info.Items[i] = ItemState{Value: r.Varint(), Version: r.Uvarint()}
 		}
 	}
-	return info, d.err
+	return info, decodeErr(&r)
 }
 
 // --- Errors ---
@@ -262,7 +244,7 @@ func CodeFor(err error) byte {
 // AppendError encodes an error as a MsgError payload.
 func AppendError(buf []byte, err error) []byte {
 	buf = append(buf, CodeFor(err))
-	return appendString(buf, err.Error())
+	return varint.AppendString(buf, err.Error())
 }
 
 // RemoteError is an error reported by the server, carrying the original
@@ -281,77 +263,18 @@ func (e *RemoteError) Unwrap() error { return codeToSentinel[e.Code] }
 
 // DecodeError decodes a MsgError payload.
 func DecodeError(data []byte) error {
-	d := decoder{data: data}
-	code := d.byte()
-	msg := d.string()
-	if d.err != nil {
-		return fmt.Errorf("netproto: malformed error frame: %w", d.err)
+	r := varint.NewReader(data)
+	code, msg := r.Byte(), r.String()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("netproto: malformed error frame: %w", err)
 	}
 	return &RemoteError{Code: code, Msg: msg}
 }
 
-// --- decoding primitives ---
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-type decoder struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// decodeErr is the error of a decoder that has read its last field.
+func decodeErr(r *varint.Reader) error {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("netproto: %w", err)
 	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = errTruncated
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.pos:])
-	if n <= 0 {
-		d.err = errTruncated
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.pos >= len(d.data) {
-		d.err = errTruncated
-		return 0
-	}
-	b := d.data[d.pos]
-	d.pos++
-	return b
-}
-
-func (d *decoder) string() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.data)-d.pos) {
-		d.err = errTruncated
-		return ""
-	}
-	s := string(d.data[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -146,5 +147,35 @@ func TestHandshakeRejectsForeignProtocols(t *testing.T) {
 	}
 	if err := ReadHandshake(bytes.NewReader([]byte("GSCL\x63"))); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("wrong version accepted: %v", err)
+	}
+}
+
+// TestGoldenBytes pins the client protocol (Version 2) byte for byte: a
+// client built from any commit that speaks it must reach any server that
+// does.
+func TestGoldenBytes(t *testing.T) {
+	lvl := core.VerySafe
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"request", "ac0202058080808020020007018101dfc508",
+			AppendRequest(nil, core.Request{ID: 300, Safety: &lvl, MinFreshness: 1 << 33, Ops: []workload.Op{
+				{Item: 7}, {Item: 129, Write: true, Value: -70000},
+			}})},
+		{"read-only request", "010100010002",
+			AppendRequest(nil, core.Request{ID: 1, ReadOnly: true, Ops: []workload.Op{{Item: 2}}})},
+		{"result", "808080808020010480204d0e3132372e302e302e313a3930303102038080808080808004840701",
+			AppendResult(nil, core.Result{TxnID: 1 << 40, Outcome: core.OutcomeCommitted, Level: core.Safety2,
+				CommitLSN: 4096, Freshness: 77, Delegate: "127.0.0.1:9001", ReadValues: map[int]int64{900: -1, 3: 1 << 50}})},
+		{"info", "027232010502027231027232c80196010205090000",
+			AppendInfo(nil, ServerInfo{ID: "r2", Crashed: true, ViewID: 5, ViewMembers: []string{"r1", "r2"},
+				LastAppliedSeq: 200, DurableLSN: 150, Items: []ItemState{{Value: -3, Version: 9}, {Value: 0, Version: 0}}})},
+		{"error", "023a74786e20353a20636f72653a2074696d6564206f75742077616974696e6720666f7220746865207472616e73616374696f6e206f7574636f6d65",
+			AppendError(nil, fmt.Errorf("txn 5: %w", core.ErrTimeout))},
+	} {
+		if got := hex.EncodeToString(c.data); got != c.want {
+			t.Errorf("%s = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+
+	"groupsafe/internal/varint"
 )
 
 // Handshake constants.  Bump Version when the frame or payload encodings
@@ -109,9 +111,10 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return Frame{}, fmt.Errorf("netproto: short frame: %w", err)
 	}
-	corr, c := binary.Uvarint(body)
-	if c <= 0 || c >= len(body) {
+	br := varint.NewReader(body)
+	f := Frame{CorrID: br.Uvarint(), Type: br.Byte(), Payload: br.Rest()}
+	if br.Err() != nil {
 		return Frame{}, errors.New("netproto: malformed frame header")
 	}
-	return Frame{CorrID: corr, Type: body[c], Payload: body[c+1:]}, nil
+	return f, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"groupsafe/internal/core"
 	"groupsafe/internal/storage"
+	"groupsafe/internal/varint"
 )
 
 // Varint codec for the state-transfer snapshot exchanged by srv.pull /
@@ -32,51 +33,21 @@ func appendSnapshot(buf []byte, s core.StateSnapshot) []byte {
 
 func decodeSnapshot(data []byte) (core.StateSnapshot, error) {
 	var s core.StateSnapshot
-	if len(data) == 0 || data[0] != snapMagic {
+	r := varint.NewReader(data)
+	if r.Byte() != snapMagic {
 		return s, errBadSnapshot
 	}
-	pos := 1
-	uvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
+	s.LastAppliedSeq = r.Uvarint()
+	s.Items = make([]storage.Item, r.Count())
+	for i := range s.Items {
+		s.Items[i] = storage.Item{Value: r.Varint(), Version: r.Uvarint()}
 	}
-	seq, ok := uvarint()
-	if !ok {
-		return s, errBadSnapshot
+	s.AppliedTxns = make([]uint64, r.Count())
+	for i := range s.AppliedTxns {
+		s.AppliedTxns[i] = r.Uvarint()
 	}
-	s.LastAppliedSeq = seq
-	nItems, ok := uvarint()
-	if !ok || nItems > uint64(len(data)) {
-		return s, errBadSnapshot
-	}
-	s.Items = make([]storage.Item, 0, nItems)
-	for i := uint64(0); i < nItems; i++ {
-		v, n := binary.Varint(data[pos:])
-		if n <= 0 {
-			return s, errBadSnapshot
-		}
-		pos += n
-		ver, ok := uvarint()
-		if !ok {
-			return s, errBadSnapshot
-		}
-		s.Items = append(s.Items, storage.Item{Value: v, Version: ver})
-	}
-	nTxns, ok := uvarint()
-	if !ok || nTxns > uint64(len(data)) {
-		return s, errBadSnapshot
-	}
-	s.AppliedTxns = make([]uint64, 0, nTxns)
-	for i := uint64(0); i < nTxns; i++ {
-		id, ok := uvarint()
-		if !ok {
-			return s, errBadSnapshot
-		}
-		s.AppliedTxns = append(s.AppliedTxns, id)
+	if r.Err() != nil {
+		return core.StateSnapshot{}, errBadSnapshot
 	}
 	return s, nil
 }
