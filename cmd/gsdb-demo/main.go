@@ -26,7 +26,6 @@ import (
 func main() {
 	levelFlag := flag.String("level", "group-safe", "safety level: 0-safe | 1-safe-lazy | group-safe | group-1-safe | 2-safe | very-safe")
 	replicas := flag.Int("replicas", 3, "number of replica servers")
-	partitions := flag.Int("partitions", 1, "hash partitions of the keyspace, each its own replica group and total order (1: single global order)")
 	txns := flag.Int("txns", 200, "number of transactions to run")
 	diskSync := flag.Duration("disk-sync", 2*time.Millisecond, "emulated log-force latency")
 	netLatency := flag.Duration("net-latency", 70*time.Microsecond, "emulated one-way network latency")
@@ -54,31 +53,22 @@ func main() {
 		overrideLevel = &l
 	}
 
-	openOpts := []gsdb.Option{
+	client, err := gsdb.Open(ctx,
 		gsdb.WithReplicas(*replicas),
 		gsdb.WithItems(10000),
 		gsdb.WithSafetyLevel(level),
 		gsdb.WithDiskSyncDelay(*diskSync),
 		gsdb.WithNetworkLatency(*netLatency),
-		gsdb.WithExecTimeout(15 * time.Second),
+		gsdb.WithExecTimeout(15*time.Second),
 		gsdb.WithSeed(*seed),
-	}
-	if *partitions > 1 {
-		openOpts = append(openOpts, gsdb.WithPartitions(*partitions))
-	}
-	client, err := gsdb.Open(ctx, openOpts...)
+	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 	defer client.Close()
 
-	if client.Partitions() > 1 {
-		fmt.Printf("started %d-replica cluster: safety level %s, %d keyspace partitions\n",
-			*replicas, client.Level(), client.Partitions())
-	} else {
-		fmt.Printf("started %d-replica cluster: safety level %s\n", *replicas, client.Level())
-	}
+	fmt.Printf("started %d-replica cluster: safety level %s\n", *replicas, client.Level())
 	wcfg := gsdb.DefaultWorkloadConfig()
 	wcfg.ReadFraction = *readFraction
 	wcfg.QueryMinOps = *queryKeys

@@ -48,7 +48,6 @@ func main() {
 		fdInterval   = flag.Duration("fd-interval", 50*time.Millisecond, "failure detector heartbeat interval")
 		fdTimeout    = flag.Duration("fd-timeout", 0, "silence after which a peer is suspected (default 4x fd-interval)")
 		resync       = flag.Duration("resync-interval", time.Second, "stall interval after which peer state is re-pulled")
-		partitions   = flag.Int("partitions", 1, "keyspace partitions; a server process hosts one replica of ONE partition's group, so this must stay 1 (see docs/OPERATIONS.md)")
 	)
 	if err := techniqueEnvError(); err != nil {
 		fatalf("%v", err)
@@ -81,16 +80,6 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *partitions > 1 {
-		fatalf("-partitions=%d: a gsdb-server process hosts one replica of a single partition's group; "+
-			"deploy %d independent replica groups (one per partition, each with its own -peers list and "+
-			"-wal-dir trees) and shard at the client — see docs/OPERATIONS.md, \"Partitioned keyspace\"",
-			*partitions, *partitions)
-	}
-	if *partitions < 1 {
-		fatalf("-partitions must be at least 1")
-	}
-
 	srv, err := server.Start(server.Config{
 		ID:                self,
 		Members:           peerList,

@@ -1,6 +1,7 @@
 package gsdb_test
 
 import (
+	"go/build"
 	"go/parser"
 	"go/token"
 	"os"
@@ -31,7 +32,6 @@ func TestImportBoundary(t *testing.T) {
 	allowed := map[string][]string{
 		"gsdb": {
 			"groupsafe/internal/core",
-			"groupsafe/internal/partition",
 			"groupsafe/internal/workload",
 			"groupsafe/internal/netproto",
 		},
@@ -60,6 +60,56 @@ func TestImportBoundary(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProductDependencies checks what the product links, transitively: no
+// package reachable from the public API, the two product commands or the
+// examples may depend on the keyspace-partitioning experiment, which only the
+// fuzzer and the benchmark build.  Imports are resolved for the default build
+// context, as `go list -deps` resolves them.
+func TestProductDependencies(t *testing.T) {
+	root := repoRoot(t)
+	const forbidden = "groupsafe/internal/partition"
+	roots := []string{"groupsafe/gsdb", "groupsafe/gsdb/server", "groupsafe/cmd/gsdb-demo", "groupsafe/cmd/gsdb-server"}
+	examples, err := os.ReadDir(filepath.Join(root, "examples"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range examples {
+		if e.IsDir() {
+			roots = append(roots, "groupsafe/examples/"+e.Name())
+		}
+	}
+
+	// via maps each reached module package to the package that first
+	// imported it, so a failure names the whole chain.
+	via := make(map[string]string)
+	queue := append([]string(nil), roots...)
+	for _, r := range roots {
+		via[r] = ""
+	}
+	for len(queue) > 0 {
+		path := queue[0]
+		queue = queue[1:]
+		pkg, err := build.Default.ImportDir(filepath.Join(root, strings.TrimPrefix(path, "groupsafe/")), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for _, imp := range pkg.Imports {
+			if _, seen := via[imp]; seen || !strings.HasPrefix(imp, "groupsafe/") {
+				continue
+			}
+			via[imp] = path
+			queue = append(queue, imp)
+		}
+	}
+	if _, reached := via[forbidden]; reached {
+		chain := forbidden
+		for p := via[forbidden]; p != ""; p = via[p] {
+			chain = p + " -> " + chain
+		}
+		t.Errorf("the product depends on %s: %s", forbidden, chain)
 	}
 }
 

@@ -55,5 +55,9 @@ func (cm *Commit) Durable(ctx context.Context) error {
 	if res.CommitLSN == 0 {
 		return nil // read-only: nothing was logged
 	}
-	return cm.client.cluster.WaitDurable(ctx, res)
+	r := cm.client.cluster.ReplicaByID(res.Delegate)
+	if r == nil {
+		return fmt.Errorf("%w: delegate %s", ErrNotFound, res.Delegate)
+	}
+	return r.WaitDurable(ctx, res.CommitLSN)
 }

@@ -172,11 +172,6 @@ func (c *RemoteClient) noteAdvert(idx int, seq uint64) {
 // re-checks it, and a wrong guess costs one rotation, never correctness.
 func (c *RemoteClient) routeSlot(o *txnOptions) int {
 	floor := o.freshness
-	for _, f := range o.freshnessVec {
-		if f > floor {
-			floor = f
-		}
-	}
 	n := len(c.addrs)
 	return route(n, int(c.rr.Add(1)-1)%n,
 		func(i int) bool { return c.endpointSuspended(c.addrs[i]) },

@@ -79,9 +79,10 @@
 //     exists; new functions, options and struct fields may be added;
 //   - an exported identifier may be removed, but only in a change whose
 //     CHANGES.md entry names each removed identifier and which commits
-//     the matching gsdb/api.txt diff;
-//   - the CI pipeline diffs `go doc -all ./gsdb` against the committed
-//     gsdb/api.txt, so every surface change is explicit in review;
+//     the matching api.txt diff;
+//   - the CI pipeline diffs `go doc -all` of gsdb and of each of these
+//     subpackages against the api.txt committed beside it, so every surface
+//     change is explicit in review;
 //   - packages under internal/ carry no compatibility promise at all — no
 //     code outside this module can import them, and neither do the examples
 //     (enforced by a test); the repository's own commands under cmd/
@@ -93,7 +94,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"groupsafe/internal/partition"
+	"groupsafe/internal/core"
 )
 
 // Open builds and starts an in-process replicated database cluster (one
@@ -108,7 +109,7 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	cluster, err := partition.New(cfg)
+	cluster, err := core.NewCluster(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("gsdb: open: %w", err)
 	}
@@ -118,7 +119,7 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 // Client is a handle on a running replicated database cluster.  All methods
 // are safe for concurrent use.
 type Client struct {
-	cluster  *partition.Cluster
+	cluster  *core.Cluster
 	closed   atomic.Bool
 	rr       atomic.Uint64
 	inflight []atomic.Int64 // per-replica requests currently being served
@@ -184,7 +185,7 @@ func (c *Client) track(i int) func() {
 
 // pickDelegate routes one call: the pinned delegate when Via was given,
 // otherwise the shared policy (route) over the live replicas, with each
-// replica's lag taken from its applied sequences (floorLag) and its load from
+// replica's lag taken from its applied sequence (floorLag) and its load from
 // the in-flight counters — so a floored session read lands on a replica that
 // can answer without blocking whenever one exists, and otherwise parks on the
 // least-lagging replica's freshness gate.
@@ -194,29 +195,19 @@ func (c *Client) pickDelegate(o *txnOptions) int {
 	}
 	n := c.cluster.Size()
 	return route(n, int(c.rr.Add(1)-1)%n,
-		c.cluster.ReplicaCrashed,
-		func(i int) uint64 { return c.floorLag(i, o) },
+		c.ReplicaCrashed,
+		func(i int) uint64 { return c.floorLag(i, o.freshness) },
 		func(i int) int64 { return c.inflight[i].Load() })
 }
 
-// floorLag returns how far replica i's applied sequences fall short of the
-// call's freshness floor, summed across partitions; 0 means the replica can
-// serve the floored read without waiting.
-func (c *Client) floorLag(i int, o *txnOptions) uint64 {
-	if o.freshness == 0 && len(o.freshnessVec) == 0 {
-		return 0
+// floorLag returns how far replica i's applied sequence falls short of the
+// call's freshness floor; 0 means the replica can serve the floored read
+// without waiting.
+func (c *Client) floorLag(i int, floor uint64) uint64 {
+	if applied := c.cluster.Replica(i).LastAppliedSeq(); applied < floor {
+		return floor - applied
 	}
-	var lag uint64
-	for p := 0; p < c.cluster.NumPartitions(); p++ {
-		floor := o.freshness
-		if p < len(o.freshnessVec) && o.freshnessVec[p] > floor {
-			floor = o.freshnessVec[p]
-		}
-		if applied := c.cluster.AppliedSeq(i, p); applied < floor {
-			lag += floor - applied
-		}
-	}
-	return lag
+	return 0
 }
 
 // WaitConsistent blocks until every live replica holds identical committed
@@ -249,21 +240,25 @@ func (c *Client) TotalStats() Stats { return c.cluster.TotalStats() }
 // Value returns the committed value of item at replica i.
 func (c *Client) Value(i, item int) (int64, error) { return c.cluster.Value(i, item) }
 
-// Partitions returns the number of keyspace partitions the cluster runs
-// (1 unless opened with WithPartitions).
-func (c *Client) Partitions() int { return c.cluster.NumPartitions() }
-
 // ReplicaID returns the network address of replica i ("" when out of range).
-func (c *Client) ReplicaID(i int) string { return c.cluster.ReplicaID(i) }
+func (c *Client) ReplicaID(i int) string {
+	if r := c.cluster.Replica(i); r != nil {
+		return r.ID()
+	}
+	return ""
+}
 
 // ReplicaCrashed reports whether replica i is currently crashed (false when
 // i is out of range).
-func (c *Client) ReplicaCrashed(i int) bool { return c.cluster.ReplicaCrashed(i) }
+func (c *Client) ReplicaCrashed(i int) bool {
+	if r := c.cluster.Replica(i); r != nil {
+		return r.Crashed()
+	}
+	return false
+}
 
 // Crash crash-stops server i: its endpoint goes silent and all volatile
-// state (buffers, unsynced logs, queued lazy propagations) is lost.  On a
-// partitioned cluster the whole server goes down — replica i of every
-// partition crashes together.
+// state (buffers, unsynced logs, queued lazy propagations) is lost.
 func (c *Client) Crash(i int) { c.cluster.Crash(i) }
 
 // Recover restarts crashed replica i, installing a state-transfer checkpoint
@@ -276,5 +271,8 @@ func (c *Client) Recover(i int) (int, error) { return c.cluster.Recover(i) }
 // in-process cluster runs no failure detector, so crashed peers are reported
 // this way).
 func (c *Client) Suspect(observer, suspect int) {
-	c.cluster.Suspect(observer, suspect)
+	obs, sus := c.cluster.Replica(observer), c.cluster.Replica(suspect)
+	if obs != nil && sus != nil {
+		obs.Suspect(sus.ID())
+	}
 }

@@ -54,20 +54,6 @@ func WithExecTimeout(d time.Duration) Option {
 	return func(cfg *core.ClusterConfig) { cfg.ExecTimeout = d }
 }
 
-// WithPartitions splits the keyspace into n hash partitions (default 1),
-// each replicated by its own group — its own total order, certification and
-// write-ahead logs — with every server hosting one replica of every
-// partition over one shared wire.  Transactions touching a single partition
-// run exactly like today's unpartitioned path; cross-partition updates are
-// decomposed by a router into per-partition sub-transactions committed with
-// an ordered two-phase commit, and results carry a per-partition freshness
-// vector (Result.FreshnessVec, WithFreshnessVec).  Partitioned operation
-// requires a group-communication safety level.  n <= 1 selects the
-// unpartitioned fast path.
-func WithPartitions(n int) Option {
-	return func(cfg *core.ClusterConfig) { cfg.Partitions = n }
-}
-
 // WithSeed seeds the cluster's network randomness (default 1).
 func WithSeed(seed int64) Option {
 	return func(cfg *core.ClusterConfig) { cfg.Seed = seed }
@@ -77,11 +63,10 @@ func WithSeed(seed int64) Option {
 type TxnOption func(*txnOptions)
 
 type txnOptions struct {
-	delegate     int
-	safety       *SafetyLevel
-	readOnly     bool
-	freshness    uint64
-	freshnessVec []uint64
+	delegate  int
+	safety    *SafetyLevel
+	readOnly  bool
+	freshness uint64
 }
 
 func newTxnOptions(opts []TxnOption) txnOptions {
@@ -103,9 +88,6 @@ func (o *txnOptions) apply(req *Request) {
 	}
 	if o.freshness > 0 {
 		req.MinFreshness = o.freshness
-	}
-	if len(o.freshnessVec) > 0 {
-		req.MinFreshnessVec = o.freshnessVec
 	}
 }
 
@@ -158,20 +140,4 @@ func ReadOnly() TxnOption {
 // 1-safe-lazy) a non-zero floor fails with ErrSafetyUnavailable.
 func WithFreshness(token uint64) TxnOption {
 	return func(o *txnOptions) { o.freshness = token }
-}
-
-// WithFreshnessVec sets per-partition freshness floors on a partitioned
-// cluster: entry p floors partition p's applied sequence before that
-// partition serves its share of the transaction's reads.  Feeding back the
-// element-wise maximum of the Result.FreshnessVec values seen so far gives
-// monotonic session reads — including reading your own cross-partition
-// writes — without forcing untouched partitions to catch up the way a scalar
-// WithFreshness floor would.  Entries beyond the partition count are
-// ignored; on an unpartitioned cluster entry 0 degenerates to WithFreshness.
-func WithFreshnessVec(vec []uint64) TxnOption {
-	return func(o *txnOptions) {
-		v := make([]uint64, len(vec))
-		copy(v, vec)
-		o.freshnessVec = v
-	}
 }

@@ -1,6 +1,9 @@
 package gsdb
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestRoutePolicy pins the one delegate-selection policy that both
 // Client.pickDelegate and RemoteClient.routeSlot adapt.
@@ -35,6 +38,37 @@ func TestRoutePolicy(t *testing.T) {
 			route(len(tc.down), tc.start, skip, lag, load)
 		}); allocs != 0 {
 			t.Errorf("%s: route allocates %v times per call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// floorRecorder is an executor that records the freshness floor each call
+// would route and wait by, and answers with a fixed token.
+type floorRecorder struct {
+	token  uint64
+	floors []uint64
+}
+
+func (f *floorRecorder) Execute(_ context.Context, _ Request, opts ...TxnOption) (Result, error) {
+	f.floors = append(f.floors, newTxnOptions(opts).freshness)
+	return Result{Outcome: OutcomeCommitted, Freshness: f.token}, nil
+}
+
+// TestSessionFloorIsALowerBound: a session call's floor is the larger of the
+// session's token and the caller's own WithFreshness, never the smaller.
+func TestSessionFloorIsALowerBound(t *testing.T) {
+	exec := &floorRecorder{token: 50}
+	s := &Session{exec: exec}
+	ctx := context.Background()
+	for _, opts := range [][]TxnOption{nil, {WithFreshness(1)}, {WithFreshness(70)}, nil} {
+		if _, err := s.Execute(ctx, Query(1), opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []uint64{0, 50, 70, 50}
+	for i := range want {
+		if exec.floors[i] != want[i] {
+			t.Fatalf("floors sent = %v, want %v", exec.floors, want)
 		}
 	}
 }

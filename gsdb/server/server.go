@@ -38,7 +38,9 @@ type Config struct {
 	// WALDir holds this replica's durable state, its write-ahead log.
 	// Each replica needs its own directory.
 	WALDir string
-	// Level is the safety criterion (default group-safe).
+	// Level is the safety criterion.  Its zero value is gsdb.Safety0, an
+	// unreplicated 0-safe server, so set it; the gsdb-server command's -level
+	// flag defaults to group-safe.
 	Level gsdb.SafetyLevel
 	// Items is the database size (default 1024).
 	Items int
@@ -49,7 +51,8 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	SuspectTimeout    time.Duration
 	// ResyncInterval is how often a stalled replica re-pulls peer state to
-	// close delivery gaps after a restart (default 1s).
+	// close delivery gaps after a restart (default 1s).  A pull names the
+	// puller's state, and only peers whose state differs answer it.
 	ResyncInterval time.Duration
 	// Logf receives operational log lines (default stderr).
 	Logf func(format string, args ...interface{})

@@ -14,8 +14,7 @@ type executor interface {
 }
 
 // Session threads the freshness token automatically: every Execute carries
-// the largest token (and, on partitioned clusters, the element-wise-largest
-// freshness vector) observed by any previous call in the session as its
+// the largest token observed by any previous call in the session as its
 // MinFreshness floor, and merges the result's token back in.  The guarantees
 // are the paper's session properties built from the total order: monotonic
 // reads, and read-your-own-writes across replicas — a committed update's
@@ -29,16 +28,16 @@ type executor interface {
 //
 // The token only ever grows, never resets — even across replica crashes and
 // failovers the session keeps reading forward.  Additional options combine
-// as usual; a WithFreshness/WithFreshnessVec floor stronger than the
-// session's is honoured.  A Session is safe for concurrent use; concurrent
-// calls may observe each other's tokens in any order, but each call's floor
-// is at least the largest token merged before it started.
+// as usual; a WithFreshness floor applies where it is stronger than the
+// session's.
+// A Session is safe for concurrent use; concurrent calls may observe each
+// other's tokens in any order, but each call's floor is at least the largest
+// token merged before it started.
 type Session struct {
 	exec executor
 
 	mu    sync.Mutex
 	token uint64
-	vec   []uint64
 }
 
 // NewSession starts a session on the embedded client.
@@ -48,75 +47,34 @@ func (c *Client) NewSession() *Session { return &Session{exec: c} }
 func (c *RemoteClient) NewSession() *Session { return &Session{exec: c} }
 
 // Execute runs one transaction with the session's freshness floor applied
-// and merges the resulting token back into the session.
+// and merges the resulting token back into the session.  The session's floor
+// goes last, so a weaker WithFreshness among opts cannot lower it.
 func (s *Session) Execute(ctx context.Context, req Request, opts ...TxnOption) (Result, error) {
-	token, vec := s.floor()
-	floored := make([]TxnOption, 0, len(opts)+2)
-	if token > 0 {
-		floored = append(floored, WithFreshness(token))
-	}
-	if len(vec) > 0 {
-		floored = append(floored, WithFreshnessVec(vec))
-	}
-	floored = append(floored, opts...)
+	token := s.Token()
+	floored := append(opts[:len(opts):len(opts)], func(o *txnOptions) {
+		o.freshness = max(o.freshness, token)
+	})
 	res, err := s.exec.Execute(ctx, req, floored...)
 	if err == nil {
-		s.merge(res)
+		s.merge(res.Freshness)
 	}
 	return res, err
 }
 
 // Token returns the session's current freshness token (the largest observed
-// so far; 0 before the first successful call).  On a partitioned cluster the
-// session tracks per-partition sequences instead — see TokenVec.
+// so far; 0 before the first successful call).
 func (s *Session) Token() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.token
 }
 
-// TokenVec returns a copy of the session's per-partition freshness vector
-// (nil before the first successful call on a partitioned cluster).
-func (s *Session) TokenVec() []uint64 {
+// merge folds a result's freshness token into the session; tokens are
+// monotone, so merging keeps the maximum.
+func (s *Session) merge(token uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.vec) == 0 {
-		return nil
-	}
-	return append([]uint64(nil), s.vec...)
-}
-
-// floor snapshots the session's current floor for one outgoing call.
-func (s *Session) floor() (uint64, []uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var vec []uint64
-	if len(s.vec) > 0 {
-		vec = append([]uint64(nil), s.vec...)
-	}
-	return s.token, vec
-}
-
-// merge folds a result's freshness information into the session; tokens are
-// monotone, so merging is element-wise max.  A result carrying a freshness
-// vector comes from a partitioned cluster, where the scalar Freshness is just
-// the vector's maximum and sequences are NOT comparable across partitions —
-// folding it into the scalar token would impose one partition's sequence as a
-// floor on every other partition's independent total order.  Partitioned
-// sessions therefore live entirely in the vector (Token stays 0; see
-// TokenVec).
-func (s *Session) merge(res Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(res.FreshnessVec) == 0 && res.Freshness > s.token {
-		s.token = res.Freshness
-	}
-	if len(res.FreshnessVec) > len(s.vec) {
-		s.vec = append(s.vec, make([]uint64, len(res.FreshnessVec)-len(s.vec))...)
-	}
-	for p, seq := range res.FreshnessVec {
-		if seq > s.vec[p] {
-			s.vec[p] = seq
-		}
+	if token > s.token {
+		s.token = token
 	}
 }

@@ -151,27 +151,3 @@ func TestSessionConcurrentUse(t *testing.T) {
 		}
 	}
 }
-
-// TestSessionOnPartitionedCluster: the session's per-partition freshness
-// vector gives read-your-writes across independent total orders.
-func TestSessionOnPartitionedCluster(t *testing.T) {
-	ctx := context.Background()
-	client := openTest(t, gsdb.WithReplicas(3), gsdb.WithItems(64), gsdb.WithPartitions(4))
-	s := client.NewSession()
-	for i := 0; i < 8; i++ {
-		item := i % 4 // one item per partition
-		if res, err := s.Execute(ctx, write(item, int64(50+i))); err != nil || !res.Committed() {
-			t.Fatalf("write %d: %+v, %v", i, res, err)
-		}
-		read, err := s.Execute(ctx, gsdb.Query(item))
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got := read.ReadValues[item]; got != int64(50+i) {
-			t.Fatalf("partitioned session read %d = %d, want %d", i, got, 50+i)
-		}
-	}
-	if vec := s.TokenVec(); len(vec) == 0 {
-		t.Fatal("partitioned session never accumulated a freshness vector")
-	}
-}

@@ -339,6 +339,9 @@ func TestClusterAccessors(t *testing.T) {
 	if _, err := c.Value(99, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Value on unknown replica: %v", err)
 	}
+	if _, err := c.Value(0, 1<<20); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Value of an item outside the database: %v", err)
+	}
 	if !c.Consistent() {
 		t.Fatal("fresh cluster should be consistent")
 	}

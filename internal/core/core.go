@@ -38,8 +38,9 @@ type ClusterConfig struct {
 	Seed int64
 	// Partitions is the number of keyspace partitions.  The core cluster
 	// itself is always one partition (one total order); the field is read by
-	// the partition router layered on top (internal/partition, gsdb), which
-	// builds one core cluster per partition.  Zero or one means unpartitioned.
+	// the partition router layered on top (internal/partition, built only by
+	// the fuzzer and the benchmark), which builds one core cluster per
+	// partition.  Zero or one means unpartitioned.
 	Partitions int
 	// Network, when non-nil, attaches the replicas to the given transport
 	// instead of building a private in-memory network.  The partition layer
@@ -255,6 +256,9 @@ func (c *Cluster) Value(i, item int) (int64, error) {
 	r := c.Replica(i)
 	if r == nil {
 		return 0, fmt.Errorf("%w: index %d", ErrNotFound, i)
+	}
+	if item < 0 || item >= c.cfg.Items {
+		return 0, fmt.Errorf("%w: item %d", ErrNotFound, item)
 	}
 	v, _, err := r.DB().ReadVersioned(item)
 	return v, err

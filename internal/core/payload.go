@@ -52,7 +52,7 @@ type Request struct {
 	// MinFreshnessVec is the partitioned form of MinFreshness: entry p floors
 	// partition p's applied sequence.  It is consumed by the partition router
 	// (which forwards each entry to the owning partition) and ignored by a
-	// single core replica; feeding back Result.FreshnessVec gives monotonic
+	// single core replica, so by every gsdb client; feeding back Result.FreshnessVec gives monotonic
 	// session reads on a partitioned cluster.  A scalar MinFreshness on a
 	// partitioned cluster floors every touched partition instead.  Nil or a
 	// short vector imposes no floor on the missing entries.

@@ -30,3 +30,24 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodePull checks the pull decoder the same way.
+func FuzzDecodePull(f *testing.F) {
+	f.Add(appendPull(nil, statePair{seq: 41, digest: 1<<64 - 1}))
+	f.Add(appendPull(nil, statePair{}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := decodePull(data)
+		if err != nil {
+			return
+		}
+		if got := appendPull(nil, p); !bytes.Equal(got, data) {
+			t.Fatalf("%x decodes to %+v, which encodes to %x", data, p, got)
+		}
+		for cut := range data {
+			if _, err := decodePull(data[:cut]); err == nil {
+				t.Fatalf("%x truncated to %d bytes decodes", data, cut)
+			}
+		}
+	})
+}

@@ -28,7 +28,8 @@ import (
 
 // Router message types of the server layer's pull-based state transfer.
 const (
-	// msgPull asks a peer for its current state snapshot.
+	// msgPull asks a peer for its current state snapshot; it carries the
+	// puller's statePair, and a peer holding the same pair does not answer.
 	msgPull = "srv.pull"
 	// msgSnap carries a peer's encoded snapshot back.
 	msgSnap = "srv.snap"
@@ -47,7 +48,8 @@ type Config struct {
 	// WALDir holds the durable state: the replica's one log, db.wal
 	// (database, broadcast message and id mark records).  Created if missing.
 	WALDir string
-	// Level is the safety criterion, as in core.ReplicaConfig.
+	// Level is the safety criterion, as in core.ReplicaConfig; the zero value
+	// is core.Safety0.
 	Level core.SafetyLevel
 	// Items is the database size.
 	Items int
@@ -61,6 +63,7 @@ type Config struct {
 	SuspectTimeout    time.Duration
 	// ResyncInterval is how often a stalled replica re-pulls a peer snapshot
 	// to close gaps left by messages sent while it was down (default 1s).
+	// Only peers whose state differs from the puller's answer.
 	ResyncInterval time.Duration
 	// Logf receives operational log lines (default os.Stderr via fmt).
 	Logf func(format string, args ...interface{})
@@ -266,9 +269,13 @@ func (s *Server) onDetectorEvent(ev fd.Event) {
 	}
 }
 
-// onPull answers a peer's state transfer request with our snapshot.
+// onPull answers a peer's state transfer request with our snapshot, unless
+// the request names the state we hold ourselves.
 func (s *Server) onPull(m transport.Message) {
 	snap := s.replica.Snapshot()
+	if p, err := decodePull(m.Payload); err == nil && p == pairOf(snap) {
+		return
+	}
 	router := s.replica.Router()
 	if router == nil {
 		return
@@ -297,25 +304,28 @@ func (s *Server) onSnap(m transport.Message) {
 	}
 }
 
-// pullFromPeers broadcasts a state transfer request to every peer.
+// pullFromPeers broadcasts a state transfer request, naming the state this
+// replica holds, to every peer.
 func (s *Server) pullFromPeers() {
 	router := s.replica.Router()
 	if router == nil {
 		return
 	}
+	pull := appendPull(nil, pairOf(s.replica.Snapshot()))
 	for _, peer := range s.cfg.Members {
 		if peer == s.cfg.ID {
 			continue
 		}
-		router.Send(peer, transport.Message{Type: msgPull})
+		router.Send(peer, transport.Message{Type: msgPull, Payload: pull})
 	}
 }
 
 // resyncLoop re-pulls peer snapshots whenever the replica's applied sequence
 // stalls: a replica that was dead while ORDER messages flowed has a delivery
 // gap the sequencer will never refill, and only a snapshot can close it.
-// Pulling on stall rather than on a detected gap is deliberately coarse —
-// installs are monotone merges, so a spurious pull costs one message pair.
+// Pulling on stall rather than on a detected gap is deliberately coarse:
+// installs are monotone merges, and a peer answers only when its state
+// differs, so an idle group whose replicas agree ships no snapshots.
 func (s *Server) resyncLoop() {
 	defer s.wg.Done()
 	last := s.replica.LastAppliedSeq()

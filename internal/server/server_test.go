@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -94,6 +95,57 @@ func TestThreeServerCommitAndConvergence(t *testing.T) {
 	}
 
 	waitConverged(t, servers, 10*time.Second)
+}
+
+// TestIdleGroupShipsNoSnapshots: an idle group whose replicas agree ships no
+// state.  Every resync tick of a stalled replica still pulls, but the pull
+// names the puller's state and a peer holding the same state does not answer.
+// 3 servers commit, agree, then idle for 2 s at ResyncInterval 200 ms; a
+// snapshot answered to a pull is counted as it arrives.  Were every pull
+// answered, about 60 would.
+func TestIdleGroupShipsNoSnapshots(t *testing.T) {
+	servers, _ := startCluster(t, 3, core.GroupSafe)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	for i := 0; i < 30; i++ {
+		res, err := servers[i%3].Replica().Execute(ctx, core.Request{Ops: []workload.Op{
+			{Item: i % 16, Write: true, Value: int64(i)},
+		}})
+		if err != nil || !res.Committed() {
+			t.Fatalf("txn %d: %+v, %v", i, res, err)
+		}
+	}
+	waitConverged(t, servers, 10*time.Second)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(25 * time.Millisecond) {
+		seq := servers[0].Replica().LastAppliedSeq()
+		if servers[1].Replica().LastAppliedSeq() == seq && servers[2].Replica().LastAppliedSeq() == seq {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("applied sequences did not agree")
+		}
+	}
+	time.Sleep(300 * time.Millisecond) // answers to pulls sent before agreement land
+
+	var served atomic.Int64
+	for _, srv := range servers {
+		srv.Replica().Router().Handle(msgSnap, func(m transport.Message) {
+			served.Add(1)
+			srv.onSnap(m)
+		})
+	}
+	time.Sleep(2 * time.Second)
+	if n := served.Load(); n != 0 {
+		t.Fatalf("an idle group that agrees served %d snapshots in 2s, want 0", n)
+	}
+
+	// A pull that names no state, as an earlier version sends, is answered.
+	servers[0].Replica().Router().Send(servers[1].PeerAddr(), transport.Message{Type: msgPull})
+	for deadline := time.Now().Add(5 * time.Second); served.Load() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an empty pull was not answered")
+		}
+	}
 }
 
 func waitConverged(t *testing.T, servers []*Server, d time.Duration) {
