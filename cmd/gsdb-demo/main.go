@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"groupsafe/gsdb"
-	"groupsafe/gsdb/stats"
+	"groupsafe/internal/stats"
 )
 
 func main() {

@@ -1,15 +1,12 @@
-// Failover: demonstrates the failure semantics that motivate the paper,
-// through the public gsdb API.
+// Failover: a group-safe cluster keeps serving transactions while a minority
+// of the servers is crashed, and the crashed server catches up through state
+// transfer when it recovers, all through the public gsdb API.
 //
-//  1. A group-safe cluster keeps serving transactions while a minority of the
-//     servers is crashed, and the crashed server catches up through state
-//     transfer when it recovers.
+// The total-failure schedules of Figs. 5 and 7 crash each server inside its
+// delivery window, which the public API cannot do; the example ends by
+// printing the command that replays them on the replication stack.
 //
-//  2. The Fig. 5 / Fig. 7 schedules are replayed: with classical atomic
-//     broadcast an acknowledged transaction is lost after a total failure,
-//     with end-to-end atomic broadcast (2-safe) it is recovered.
-//
-//     go run ./examples/failover
+//	go run ./examples/failover
 package main
 
 import (
@@ -19,12 +16,14 @@ import (
 	"time"
 
 	"groupsafe/gsdb"
-	"groupsafe/gsdb/experiments"
 )
 
 func main() {
 	minorityCrashDemo()
-	totalFailureDemo()
+	fmt.Println("=== total failure: classical vs end-to-end atomic broadcast ===")
+	fmt.Println("  Figs. 5 and 7 crash every server in its delivery window; replay them with")
+	fmt.Println("    go run ./cmd/gsdb-paper -figure 5   # classical abcast: the acknowledged transaction is lost")
+	fmt.Println("    go run ./cmd/gsdb-paper -figure 7   # end-to-end abcast (2-safe): it is recovered")
 }
 
 func minorityCrashDemo() {
@@ -77,21 +76,4 @@ func minorityCrashDemo() {
 	v, _ := client.Value(2, 3)
 	fmt.Printf("  recovered %s via state transfer (%d replayed messages); item3=%d on the recovered replica\n\n",
 		client.ReplicaID(2), replayed, v)
-}
-
-func totalFailureDemo() {
-	fmt.Println("=== total failure: classical vs end-to-end atomic broadcast ===")
-	fig5, err := experiments.RunFigure5()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fig7, err := experiments.RunFigure7()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  Fig. 5 (classical abcast, group-1-safe): client notified=%v, transaction lost=%v\n",
-		fig5.ClientNotified, fig5.TransactionLost)
-	fmt.Printf("  Fig. 7 (end-to-end abcast, 2-safe):      client notified=%v, transaction lost=%v (replayed %d messages)\n",
-		fig7.ClientNotified, fig7.TransactionLost, fig7.ReplayedMessages)
-	fmt.Println("  => classical group communication cannot give 2-safety; end-to-end atomic broadcast can")
 }

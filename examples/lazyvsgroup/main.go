@@ -13,10 +13,10 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"groupsafe/gsdb"
-	"groupsafe/gsdb/stats"
 )
 
 const transactions = 100
@@ -50,7 +50,7 @@ func runLevel(level gsdb.SafetyLevel) {
 	defer client.Close()
 
 	gen := gsdb.NewWorkload(gsdb.WorkloadConfig{Items: 5000, MinOps: 5, MaxOps: 10, WriteProb: 0.5}, 7)
-	sample := stats.NewSample()
+	var responses []time.Duration
 	commits, aborts := 0, 0
 	for i := 0; i < transactions; i++ {
 		delegate := i % client.Size()
@@ -59,7 +59,7 @@ func runLevel(level gsdb.SafetyLevel) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sample.AddDuration(time.Since(start))
+		responses = append(responses, time.Since(start))
 		if res.Committed() {
 			commits++
 		} else {
@@ -69,7 +69,20 @@ func runLevel(level gsdb.SafetyLevel) {
 	waitCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	consistent := client.WaitConsistent(waitCtx) == nil
 	cancel()
+	mean, p95 := meanAndP95(responses)
 	fmt.Printf("%-12s mean=%6.2f ms  p95=%6.2f ms  commits=%d aborts=%d  delivered-everywhere=%-5v consistent=%v\n",
-		client.Level(), sample.Mean(), sample.Percentile(95), commits, aborts,
+		client.Level(), mean, p95, commits, aborts,
 		client.Level().UsesGroupCommunication(), consistent)
+}
+
+// meanAndP95 returns the mean and the 95th percentile of the response times
+// in milliseconds; the percentile is the nearest rank of the sorted times.
+func meanAndP95(responses []time.Duration) (mean, p95 float64) {
+	slices.Sort(responses)
+	var sum time.Duration
+	for _, d := range responses {
+		sum += d
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return ms(sum) / float64(len(responses)), ms(responses[(len(responses)*95+99)/100-1])
 }

@@ -35,9 +35,7 @@ func TestImportBoundary(t *testing.T) {
 			"groupsafe/internal/workload",
 			"groupsafe/internal/netproto",
 		},
-		"gsdb/server":      {"groupsafe/internal/server"},
-		"gsdb/stats":       {"groupsafe/internal/stats"},
-		"gsdb/experiments": {"groupsafe/internal/experiments"},
+		"gsdb/server": {"groupsafe/internal/server"},
 	}
 	for pkgDir, whitelist := range allowed {
 		walkGoFiles(t, filepath.Join(root, pkgDir), func(file string, imports []string) {

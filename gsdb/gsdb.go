@@ -70,9 +70,7 @@
 //
 // # Stability policy
 //
-// The gsdb package and its subpackages — experiments (the Fig. 5/7 crash
-// schedules the failover example runs), stats and server — are the module's
-// public API:
+// The gsdb package and its subpackage server are the module's public API:
 //
 //   - an identifier exported by gsdb keeps its signature, its option
 //     semantics and its error identity (errors.Is) for as long as it
@@ -80,9 +78,9 @@
 //   - an exported identifier may be removed, but only in a change whose
 //     CHANGES.md entry names each removed identifier and which commits
 //     the matching api.txt diff;
-//   - the CI pipeline diffs `go doc -all` of gsdb and of each of these
-//     subpackages against the api.txt committed beside it, so every surface
-//     change is explicit in review;
+//   - the CI pipeline diffs `go doc -all` of gsdb and of server against
+//     the api.txt committed beside each, so every surface change is
+//     explicit in review;
 //   - packages under internal/ carry no compatibility promise at all — no
 //     code outside this module can import them, and neither do the examples
 //     (enforced by a test); the repository's own commands under cmd/

@@ -104,6 +104,7 @@ func lostAfterDelegateCrash(level core.SafetyLevel, n int) (bool, error) {
 	}
 	defer cluster.Close()
 
+	sentBefore, _ := cluster.Network().Stats()
 	res, err := cluster.Execute(context.Background(), 0, probeRequest())
 	if err != nil {
 		return false, err
@@ -114,7 +115,7 @@ func lostAfterDelegateCrash(level core.SafetyLevel, n int) (bool, error) {
 	cluster.Crash(0)
 
 	// The available system is everyone but the delegate.
-	return !availableSystemHasTransaction(cluster, 1, 2*time.Second), nil
+	return !availableSystemHasTransaction(cluster, 1, res, sentBefore), nil
 }
 
 // lostAfterMinorityCrash commits one transaction, crashes a minority of the
@@ -132,6 +133,7 @@ func lostAfterMinorityCrash(level core.SafetyLevel, n int) (bool, error) {
 	}
 	defer cluster.Close()
 
+	sentBefore, _ := cluster.Network().Stats()
 	res, err := cluster.Execute(context.Background(), 0, probeRequest())
 	if err != nil {
 		return false, err
@@ -144,7 +146,7 @@ func lostAfterMinorityCrash(level core.SafetyLevel, n int) (bool, error) {
 	for i := 0; i < minority; i++ {
 		cluster.Crash(n - 1 - i)
 	}
-	return !availableSystemHasTransaction(cluster, 0, 2*time.Second), nil
+	return !availableSystemHasTransaction(cluster, 0, res, sentBefore), nil
 }
 
 // lostAfterTotalFailure runs the Fig. 5 schedule for the level: every server
@@ -163,24 +165,62 @@ func lostAfterTotalFailure(level core.SafetyLevel) (bool, error) {
 	return result.TransactionLost, nil
 }
 
-// availableSystemHasTransaction polls the non-crashed replicas, starting at
-// index from, for the probe value.
-func availableSystemHasTransaction(cluster *core.Cluster, from int, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
+// availableSystemHasTransaction reports whether a non-crashed replica,
+// starting at index from, holds the probe write res committed.  It waits
+// until the answer is decided instead of for a fixed time:
+//   - at the group levels res.Freshness is the transaction's delivery seq,
+//     and once every live replica has applied past it none will install the
+//     write later;
+//   - at the lazy levels a replica other than the delegate gets the write
+//     only from the delegate's propagation, so once no frame has been sent
+//     since sentBefore and the delegate has crashed (a crashed endpoint sends
+//     nothing), none ever will.  A live lazy delegate installed the write
+//     before it answered.
+//
+// Reaching decideTimeout means the engine broke one of these rules, and the
+// transaction counts as not held.
+func availableSystemHasTransaction(cluster *core.Cluster, from int, res core.Result, sentBefore uint64) bool {
+	for deadline := time.Now().Add(decideTimeout); ; time.Sleep(time.Millisecond) {
+		decided := true
 		for i := from; i < cluster.Size(); i++ {
-			if cluster.Replica(i).Crashed() {
+			r := cluster.Replica(i)
+			if r.Crashed() {
 				continue
 			}
 			if v, err := cluster.Value(i, scenarioItem); err == nil && v == scenarioValue {
 				return true
 			}
+			decided = decided && r.LastAppliedSeq() >= res.Freshness
 		}
-		if time.Now().After(deadline) {
+		if res.Freshness == 0 {
+			sent, _ := cluster.Network().Stats()
+			decided = sent == sentBefore
+		}
+		if decided || time.Now().After(deadline) {
 			return false
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// decideTimeout bounds each wait for a decided outcome; only a broken engine
+// runs into it.
+const decideTimeout = 5 * time.Second
+
+// recoverAndSettle recovers replica i and waits until it has applied every
+// message it replayed from its log, so that its state is final once no live
+// peer is left to send it anything.  It returns the number of replayed
+// messages.
+func recoverAndSettle(cluster *core.Cluster, i int) (int, error) {
+	before := cluster.Replica(i).Stats().Delivered
+	replayed, err := cluster.Recover(i)
+	if err != nil {
+		return 0, err
+	}
+	r := cluster.Replica(i)
+	for deadline := time.Now().Add(decideTimeout); r.Stats().Delivered < before+uint64(replayed) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return replayed, nil
 }
 
 func probeRequest() core.Request {
@@ -264,18 +304,13 @@ func table3GroupFailsDelegateRecovers(level core.SafetyLevel) (bool, error) {
 	// The whole group is now down (S2, S3 crashed in the delivery window, the
 	// delegate crashes too)...
 	cluster.Crash(0)
-	// ...and only the delegate comes back.
-	if _, err := cluster.Recover(0); err != nil {
+	// ...and only the delegate comes back, with nobody to transfer state
+	// from: what it holds is what its own log gave it.
+	if _, err := recoverAndSettle(cluster, 0); err != nil {
 		return false, err
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, err := cluster.Value(0, scenarioItem); err == nil && v == scenarioValue {
-			return false, nil // recovered: not lost
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return true, nil
+	v, err := cluster.Value(0, scenarioItem)
+	return err != nil || v != scenarioValue, nil
 }
 
 // table3GroupFailsDelegateGone is the Fig. 5 schedule: the group fails and the

@@ -7,10 +7,6 @@ type Mailbox[T any] struct {
 	name    string
 	items   []T
 	waiters []*Process
-
-	puts   uint64
-	gets   uint64
-	maxLen int
 }
 
 // NewMailbox creates a mailbox attached to the engine.
@@ -24,20 +20,10 @@ func (m *Mailbox[T]) Name() string { return m.name }
 // Len returns the number of queued items.
 func (m *Mailbox[T]) Len() int { return len(m.items) }
 
-// MaxLen returns the largest observed backlog.
-func (m *Mailbox[T]) MaxLen() int { return m.maxLen }
-
-// Puts returns the total number of items ever put.
-func (m *Mailbox[T]) Puts() uint64 { return m.puts }
-
 // Put appends an item and wakes the oldest waiting reader, if any.  It may be
 // called from a process or from a Schedule callback.
 func (m *Mailbox[T]) Put(v T) {
 	m.items = append(m.items, v)
-	m.puts++
-	if len(m.items) > m.maxLen {
-		m.maxLen = len(m.items)
-	}
 	if len(m.waiters) > 0 {
 		w := m.waiters[0]
 		m.waiters = m.waiters[1:]
@@ -54,19 +40,5 @@ func (m *Mailbox[T]) Get(p *Process) T {
 	}
 	v := m.items[0]
 	m.items = m.items[1:]
-	m.gets++
 	return v
-}
-
-// TryGet removes and returns the oldest item without blocking.  The second
-// return value reports whether an item was available.
-func (m *Mailbox[T]) TryGet() (T, bool) {
-	var zero T
-	if len(m.items) == 0 {
-		return zero, false
-	}
-	v := m.items[0]
-	m.items = m.items[1:]
-	m.gets++
-	return v, true
 }

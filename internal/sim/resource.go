@@ -11,18 +11,9 @@ type Resource struct {
 	name    string
 	servers int
 	busy    int
-	waiters []*waiter
+	waiters []*Process
 
-	// statistics
-	totalBusy   time.Duration
-	totalWait   time.Duration
-	completions uint64
-	maxQueue    int
-}
-
-type waiter struct {
-	proc    *Process
-	arrived time.Duration
+	totalBusy time.Duration
 }
 
 // NewResource creates a resource with the given number of identical servers.
@@ -36,29 +27,15 @@ func NewResource(eng *Engine, name string, servers int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Servers returns the number of servers in the resource.
-func (r *Resource) Servers() int { return r.servers }
-
-// QueueLen returns the number of processes currently waiting.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
-// InUse returns the number of busy servers.
-func (r *Resource) InUse() int { return r.busy }
-
 // Acquire grabs one server of the resource, waiting in FIFO order if all
 // servers are busy.  It must be called from within a simulated process.
 func (r *Resource) Acquire(p *Process) {
-	arrived := r.eng.now
 	if r.busy < r.servers && len(r.waiters) == 0 {
 		r.busy++
 		return
 	}
-	r.waiters = append(r.waiters, &waiter{proc: p, arrived: arrived})
-	if len(r.waiters) > r.maxQueue {
-		r.maxQueue = len(r.waiters)
-	}
+	r.waiters = append(r.waiters, p)
 	p.block()
-	r.totalWait += r.eng.now - arrived
 }
 
 // Release frees one server of the resource and hands it to the oldest waiter,
@@ -69,7 +46,7 @@ func (r *Resource) Release() {
 		r.waiters = r.waiters[1:]
 		// The server slot is transferred to the waiter; busy count is
 		// unchanged.
-		r.eng.scheduleWake(w.proc, 0)
+		r.eng.scheduleWake(w, 0)
 		return
 	}
 	if r.busy > 0 {
@@ -82,7 +59,6 @@ func (r *Resource) Use(p *Process, d time.Duration) {
 	r.Acquire(p)
 	p.Hold(d)
 	r.totalBusy += d
-	r.completions++
 	r.Release()
 }
 
@@ -95,18 +71,3 @@ func (r *Resource) Utilization() float64 {
 	}
 	return float64(r.totalBusy) / (float64(elapsed) * float64(r.servers))
 }
-
-// AvgWait returns the average time spent waiting in the queue per completed
-// service.
-func (r *Resource) AvgWait() time.Duration {
-	if r.completions == 0 {
-		return 0
-	}
-	return r.totalWait / time.Duration(r.completions)
-}
-
-// Completions returns the number of completed services.
-func (r *Resource) Completions() uint64 { return r.completions }
-
-// MaxQueue returns the largest observed queue length.
-func (r *Resource) MaxQueue() int { return r.maxQueue }

@@ -70,29 +70,24 @@ func TestResourceStats(t *testing.T) {
 		e.Spawn("w", 0, func(p *Process) { r.Use(p, 10*time.Millisecond) })
 	}
 	e.Run(0)
-	if r.Completions() != 2 {
-		t.Fatalf("completions = %d, want 2", r.Completions())
+	// The second job waited 10ms, so the disk was busy the whole 20ms.
+	if e.Now() != 20*time.Millisecond {
+		t.Fatalf("end = %v, want 20ms", e.Now())
 	}
 	if u := r.Utilization(); u < 0.99 || u > 1.01 {
 		t.Fatalf("utilization = %v, want ~1.0", u)
-	}
-	// Second job waited 10ms.
-	if w := r.AvgWait(); w != 5*time.Millisecond {
-		t.Fatalf("avg wait = %v, want 5ms", w)
-	}
-	if r.MaxQueue() != 1 {
-		t.Fatalf("max queue = %d, want 1", r.MaxQueue())
-	}
-	if r.InUse() != 0 || r.QueueLen() != 0 {
-		t.Fatalf("resource should be idle at end: busy=%d queue=%d", r.InUse(), r.QueueLen())
 	}
 }
 
 func TestResourceMinServers(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "x", 0)
-	if r.Servers() != 1 {
-		t.Fatalf("servers = %d, want clamp to 1", r.Servers())
+	for i := 0; i < 2; i++ {
+		e.Spawn("w", 0, func(p *Process) { r.Use(p, 10*time.Millisecond) })
+	}
+	e.Run(0)
+	if e.Now() != 20*time.Millisecond {
+		t.Fatalf("two 10ms jobs ended at %v, want 20ms: a resource has at least one server, and zero clamps to it", e.Now())
 	}
 	if r.Name() != "x" {
 		t.Fatalf("name = %q", r.Name())
@@ -121,21 +116,8 @@ func TestMailboxFIFO(t *testing.T) {
 			t.Fatalf("mailbox order = %v, want %v", got, want)
 		}
 	}
-	if mb.Puts() != 3 || mb.Len() != 0 {
-		t.Fatalf("puts=%d len=%d", mb.Puts(), mb.Len())
-	}
-}
-
-func TestMailboxTryGet(t *testing.T) {
-	e := NewEngine(1)
-	mb := NewMailbox[string](e, "q")
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox should fail")
-	}
-	mb.Put("a")
-	v, ok := mb.TryGet()
-	if !ok || v != "a" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
+	if mb.Len() != 0 {
+		t.Fatalf("len = %d after every item was taken", mb.Len())
 	}
 }
 
@@ -163,7 +145,7 @@ func TestMailboxMultipleWaiters(t *testing.T) {
 	if !seen[100] || !seen[200] || !seen[300] {
 		t.Fatalf("items lost or duplicated: %v", got)
 	}
-	if mb.MaxLen() < 1 {
-		t.Fatalf("max len = %d", mb.MaxLen())
+	if mb.Len() != 0 {
+		t.Fatalf("len = %d after every item was taken", mb.Len())
 	}
 }

@@ -18,7 +18,8 @@ type Config struct {
 	// Items is the number of items in the database (Table 4: 10'000).
 	Items int
 	// CPUsPerServer and DisksPerServer size the per-server resources
-	// (Table 4: 2 and 2).
+	// (Table 4: 2 and 2).  A server installs as many write sets at once as
+	// it has disks.
 	CPUsPerServer  int
 	DisksPerServer int
 	// MinOps/MaxOps bound the transaction length (Table 4: 10–20), WriteProb
@@ -26,14 +27,6 @@ type Config struct {
 	MinOps    int
 	MaxOps    int
 	WriteProb float64
-	// ReadFraction is the fraction of transactions that are pure read-only
-	// queries (they terminate at their delegate with no broadcast — the
-	// query-vs-update workload axis).  Zero reproduces the Table 4 mix.
-	ReadFraction float64
-	// QueryMinOps/QueryMaxOps bound the keys-per-query of the read-only
-	// transactions generated via ReadFraction (both zero: MinOps/MaxOps).
-	QueryMinOps int
-	QueryMaxOps int
 	// BufferHitRatio is the probability that an operation finds its page in
 	// the buffer and needs no disk access (Table 4: 0.2).
 	BufferHitRatio float64
@@ -49,16 +42,6 @@ type Config struct {
 	CPUPerNetworkOp time.Duration
 	// CertifyCPU is the CPU cost of certifying one transaction.
 	CertifyCPU time.Duration
-	// BatchSize is the most transactions one simulated dissemination round
-	// carries.  1 (the default) is the paper's flow: every broadcast pays its
-	// own round.  Above 1 the delegate's sender is modelled delivery-clocked
-	// like the real one (internal/gcs/abcast): an idle delegate broadcasts
-	// immediately and co-travellers accumulate behind the in-flight round,
-	// flushing as one batch when the round completes.
-	BatchSize int
-	// ApplyWorkers bounds how many write sets a server installs concurrently
-	// (0: one install slot per disk).
-	ApplyWorkers int
 	// Duration is the simulated time during which transactions are generated.
 	Duration time.Duration
 	// WarmupFraction of Duration is discarded from the statistics.
@@ -85,7 +68,6 @@ func DefaultConfig() Config {
 		NetworkDelay:     70 * time.Microsecond,
 		CPUPerNetworkOp:  70 * time.Microsecond,
 		CertifyCPU:       300 * time.Microsecond,
-		BatchSize:        1,
 		Duration:         2 * time.Minute,
 		WarmupFraction:   0.1,
 		Seed:             1,
@@ -106,12 +88,6 @@ func (c Config) Validate() error {
 	if c.WriteProb < 0 || c.WriteProb > 1 || c.BufferHitRatio < 0 || c.BufferHitRatio > 1 {
 		return fmt.Errorf("simrep: probabilities must be in [0,1]")
 	}
-	if c.ReadFraction < 0 || c.ReadFraction > 1 {
-		return fmt.Errorf("simrep: read fraction must be in [0,1]")
-	}
-	if (c.QueryMinOps != 0 || c.QueryMaxOps != 0) && (c.QueryMinOps < 1 || c.QueryMaxOps < c.QueryMinOps) {
-		return fmt.Errorf("simrep: invalid query op bounds [%d,%d]", c.QueryMinOps, c.QueryMaxOps)
-	}
 	if c.DiskAccessMin <= 0 || c.DiskAccessMax < c.DiskAccessMin {
 		return fmt.Errorf("simrep: invalid disk access times")
 	}
@@ -120,9 +96,6 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 {
 		return fmt.Errorf("simrep: warmup fraction must be in [0,1)")
-	}
-	if c.ApplyWorkers < 0 {
-		return fmt.Errorf("simrep: apply workers must be non-negative")
 	}
 	return nil
 }
@@ -141,18 +114,11 @@ type Result struct {
 	Completed uint64
 	Committed uint64
 	Aborted   uint64
-	// Queries counts the completed read-only transactions (included in
-	// Completed and Committed; they execute locally and never abort).
-	Queries uint64
 	// ResponseMeanMs / ResponseP95Ms are response-time statistics in
 	// milliseconds (committed and aborted transactions alike, as observed by
 	// the client).
 	ResponseMeanMs float64
 	ResponseP95Ms  float64
-	// QueryMeanMs / UpdateMeanMs split the mean response time by transaction
-	// class (zero when the class did not occur).
-	QueryMeanMs  float64
-	UpdateMeanMs float64
 	// AbortRate is Aborted / Completed.
 	AbortRate float64
 	// ThroughputTPS is the measured completion rate.

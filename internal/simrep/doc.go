@@ -4,11 +4,11 @@
 // available), so this package re-implements the same resource model on top of
 // internal/sim: each server has two CPUs and two disks, the servers share a
 // LAN, transactions are generated according to Table 4, and the three
-// replication techniques (lazy / 1-safe, group-safe, group-1-safe — plus the
-// 2-safe, very-safe and 0-safe extensions) are expressed as flows over those
-// resources.
+// replication techniques Fig. 9 plots are expressed as flows over those
+// resources.  Run refuses every other safety level: the engine, not the
+// simulator, is where 0-safe, 2-safe and very-safe are measured.
 //
-// Protocol flows (documented substitutions are listed in DESIGN.md):
+// Protocol flows:
 //
 //   - lazy (1-safe): the delegate executes reads and writes against its local
 //     buffer (a disk access per buffer miss), forces its log, answers the
@@ -22,17 +22,9 @@
 //     broadcast; the client is answered as soon as the delivery order and the
 //     certification outcome are known; writes and log forces happen
 //     asynchronously, after the response.
-//   - 2-safe: group-1-safe plus a forced write of the message to the group
-//     communication log at the delegate before the response (end-to-end
-//     atomic broadcast).
-//   - very-safe: the response additionally waits until every server has
-//     installed and forced the transaction.
-//   - 0-safe: lazy without the log force in the response path.
 //
-// With Config.BatchSize > 1 the group-communication flows run through a
-// batched broadcast stage: transactions queue at their delegate's sender,
-// and everything that arrives while the previous round is in flight (up to
-// BatchSize) shares a single dissemination round and a single ordering round
-// on the LAN — the simulator counterpart of the delivery-clocked lane in
-// internal/gcs/abcast.
+// Every broadcast pays its own dissemination and ordering round, and a server
+// installs as many write sets at once as it has disks.  The forces a client
+// waits for (none at group-safe, the delegate's one at the other two) are the
+// engine's: TestResponseForcesMatchEngine counts both.
 package simrep

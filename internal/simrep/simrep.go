@@ -2,6 +2,7 @@ package simrep
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"groupsafe/internal/core"
@@ -10,11 +11,14 @@ import (
 	"groupsafe/internal/workload"
 )
 
-// Run simulates one safety level at one offered load and returns its
-// measured behaviour.
+// Run simulates one of the Fig. 9 techniques at one offered load and returns
+// its measured behaviour.
 func Run(cfg Config, level core.SafetyLevel, loadTPS float64) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	if !slices.Contains(Figure9Levels(), level) {
+		return Result{}, fmt.Errorf("simrep: %v is not simulated: the model has the paper's Fig. 9 techniques %v", level, Figure9Levels())
 	}
 	if loadTPS <= 0 {
 		return Result{}, fmt.Errorf("simrep: load must be positive, got %v", loadTPS)
@@ -36,18 +40,15 @@ type simTxn struct {
 	committed   bool
 	start       time.Duration
 	notify      *sim.Mailbox[bool]
-	remaining   int // servers still installing (very-safe)
 }
 
 // server models one replica server: two CPUs, two disks, a client admission
-// limit, the batched atomic-broadcast sender stage, and the in-order apply
-// stage fed by the atomic broadcast.
+// limit, and the in-order apply stage fed by the atomic broadcast.
 type server struct {
 	idx        int
 	cpu        *sim.Resource
 	disk       *sim.Resource
 	clients    *sim.Resource
-	bcastQueue *sim.Mailbox[*simTxn]
 	applyQueue *sim.Mailbox[*simTxn]
 	applySlots *sim.Resource
 }
@@ -63,19 +64,14 @@ type simulation struct {
 	versions []uint64
 	gen      *workload.Generator
 
-	batchSize int
-
 	nextSeq   uint64
 	warmupEnd time.Duration
 	genEnd    time.Duration
 
 	responses *stats.Sample
-	queryResp *stats.Sample
-	updResp   *stats.Sample
 	completed uint64
 	committed uint64
 	aborted   uint64
-	queries   uint64
 	lastDone  time.Duration
 }
 
@@ -89,25 +85,14 @@ func newSimulation(cfg Config, level core.SafetyLevel, loadTPS float64) *simulat
 		network:  sim.NewResource(eng, "lan", 1),
 		versions: make([]uint64, cfg.Items),
 		gen: workload.NewGenerator(workload.Config{
-			Items:        cfg.Items,
-			MinOps:       cfg.MinOps,
-			MaxOps:       cfg.MaxOps,
-			WriteProb:    cfg.WriteProb,
-			ReadFraction: cfg.ReadFraction,
-			QueryMinOps:  cfg.QueryMinOps,
-			QueryMaxOps:  cfg.QueryMaxOps,
+			Items:     cfg.Items,
+			MinOps:    cfg.MinOps,
+			MaxOps:    cfg.MaxOps,
+			WriteProb: cfg.WriteProb,
 		}, cfg.Seed),
 		warmupEnd: time.Duration(float64(cfg.Duration) * cfg.WarmupFraction),
 		genEnd:    cfg.Duration,
 		responses: stats.NewSample(),
-		queryResp: stats.NewSample(),
-		updResp:   stats.NewSample(),
-
-		batchSize: max(cfg.BatchSize, 1),
-	}
-	applyWorkers := cfg.ApplyWorkers
-	if applyWorkers <= 0 {
-		applyWorkers = cfg.DisksPerServer
 	}
 	for i := 0; i < cfg.Servers; i++ {
 		srv := &server{
@@ -115,9 +100,8 @@ func newSimulation(cfg Config, level core.SafetyLevel, loadTPS float64) *simulat
 			cpu:        sim.NewResource(eng, fmt.Sprintf("cpu-%d", i), cfg.CPUsPerServer),
 			disk:       sim.NewResource(eng, fmt.Sprintf("disk-%d", i), cfg.DisksPerServer),
 			clients:    sim.NewResource(eng, fmt.Sprintf("clients-%d", i), cfg.ClientsPerServer),
-			bcastQueue: sim.NewMailbox[*simTxn](eng, fmt.Sprintf("bcast-%d", i)),
 			applyQueue: sim.NewMailbox[*simTxn](eng, fmt.Sprintf("apply-%d", i)),
-			applySlots: sim.NewResource(eng, fmt.Sprintf("applyslots-%d", i), applyWorkers),
+			applySlots: sim.NewResource(eng, fmt.Sprintf("applyslots-%d", i), cfg.DisksPerServer),
 		}
 		s.servers = append(s.servers, srv)
 	}
@@ -131,11 +115,6 @@ func (s *simulation) run() {
 			s.eng.Spawn(fmt.Sprintf("dispatcher-%d", srv.idx), 0, func(p *sim.Process) {
 				s.dispatcher(p, srv)
 			})
-			if s.batchSize > 1 {
-				s.eng.Spawn(fmt.Sprintf("batcher-%d", srv.idx), 0, func(p *sim.Process) {
-					s.batcher(p, srv)
-				})
-			}
 		}
 	}
 	s.eng.Spawn("generator", 0, s.generator)
@@ -170,7 +149,6 @@ func (s *simulation) newTxn(delegate int) *simTxn {
 		readItems:   w.ReadItems(),
 		readVers:    make(map[int]uint64),
 		notify:      sim.NewMailbox[bool](s.eng, "notify"),
-		remaining:   s.cfg.Servers,
 	}
 	for _, op := range w.Ops {
 		if op.Write {
@@ -187,10 +165,9 @@ func (s *simulation) runTxn(p *sim.Process, t *simTxn) {
 	t.start = p.Now()
 
 	var committed bool
-	switch {
-	case s.level == core.Safety0 || s.level == core.Safety1Lazy:
-		committed = s.runLocal(p, t, srv)
-	default:
+	if s.level == core.Safety1Lazy {
+		committed = s.runLazy(p, t, srv)
+	} else {
 		committed = s.runReplicated(p, t, srv)
 	}
 	s.record(p.Now(), t, committed)
@@ -212,14 +189,12 @@ func (s *simulation) diskAccess() time.Duration {
 	return sim.UniformDuration(s.eng.Rand(), s.cfg.DiskAccessMin, s.cfg.DiskAccessMax)
 }
 
-// runLocal is the lazy (1-safe) and 0-safe flow: everything happens at the
-// delegate; propagation is asynchronous.
-func (s *simulation) runLocal(p *sim.Process, t *simTxn, srv *server) bool {
+// runLazy is the lazy (1-safe) flow: everything happens at the delegate;
+// propagation is asynchronous.
+func (s *simulation) runLazy(p *sim.Process, t *simTxn, srv *server) bool {
 	s.executeOps(p, srv, t.ops)
-	if s.level == core.Safety1Lazy {
-		// Force the commit record before answering the client.
-		srv.disk.Use(p, s.diskAccess())
-	}
+	// Force the commit record before answering the client.
+	srv.disk.Use(p, s.diskAccess())
 	// Asynchronous propagation and remote installation, outside the response.
 	// Remote log writes are group-committed (the paper runs all techniques
 	// with the same logging setting), so no per-transaction force is charged
@@ -247,8 +222,8 @@ func (s *simulation) runLocal(p *sim.Process, t *simTxn, srv *server) bool {
 	return true
 }
 
-// runReplicated is the group-communication flow of Fig. 2 (group-1-safe,
-// 2-safe, very-safe) and Fig. 8 (group-safe).
+// runReplicated is the group-communication flow of Fig. 2 (group-1-safe) and
+// Fig. 8 (group-safe).
 func (s *simulation) runReplicated(p *sim.Process, t *simTxn, srv *server) bool {
 	// Execution phase at the delegate.  Fig. 8 (group-safe) executes only the
 	// reads before the broadcast; Fig. 2 processes the whole transaction.
@@ -273,14 +248,8 @@ func (s *simulation) runReplicated(p *sim.Process, t *simTxn, srv *server) bool 
 		return true
 	}
 
-	// Atomic broadcast.  With batching the transaction queues at the
-	// delegate's sender stage and shares one broadcast round with its batch;
-	// unbatched it pays a dissemination round plus an ordering round on the
-	// shared LAN itself, with the per-message CPU cost at the delegate.
-	if s.batchSize > 1 {
-		srv.bcastQueue.Put(t)
-		return t.notify.Get(p)
-	}
+	// Atomic broadcast: a dissemination round plus an ordering round on the
+	// shared LAN, with the per-message CPU cost at the delegate.
 	peers := time.Duration(s.cfg.Servers - 1)
 	srv.cpu.Use(p, peers*s.cfg.CPUPerNetworkOp)
 	s.network.Use(p, peers*s.cfg.NetworkDelay)
@@ -301,36 +270,6 @@ func (s *simulation) orderAndEnqueue(t *simTxn) {
 	t.committed = s.certify(t)
 	for _, target := range s.servers {
 		target.applyQueue.Put(t)
-	}
-}
-
-// batcher is the delegate's batched atomic-broadcast sender stage, clocked
-// off its own rounds like the real sender: while it pays an in-flight round's
-// CPU and network costs, arrivals accumulate in bcastQueue, and the next loop
-// iteration flushes everything queued (up to BatchSize) as one dissemination
-// round and one ordering round on the LAN — the O(3n) → O(3n/B) message
-// reduction of the batched pipeline.  The round time itself is the batching
-// window, so an idle delegate never waits.  (The real sender's deadline
-// backstop exists only for stalled rounds — loss or a sequencer change —
-// which the simulated resource holds cannot exhibit, so it is not modelled.)
-func (s *simulation) batcher(p *sim.Process, srv *server) {
-	peers := time.Duration(s.cfg.Servers - 1)
-	for {
-		first := srv.bcastQueue.Get(p)
-		batch := []*simTxn{first}
-		for len(batch) < s.batchSize {
-			t, ok := srv.bcastQueue.TryGet()
-			if !ok {
-				break
-			}
-			batch = append(batch, t)
-		}
-		srv.cpu.Use(p, peers*s.cfg.CPUPerNetworkOp)
-		s.network.Use(p, peers*s.cfg.NetworkDelay)
-		s.network.Use(p, peers*s.cfg.NetworkDelay)
-		for _, t := range batch {
-			s.orderAndEnqueue(t)
-		}
 	}
 }
 
@@ -381,44 +320,24 @@ func (s *simulation) dispatcher(p *sim.Process, srv *server) {
 }
 
 // installReplicated performs the disk work of one delivered transaction at
-// one server and signals the level-specific completion events.  Background
-// log writes are group-committed; only the forces that sit on a response path
-// (the delegate's commit record for group-1-safe and 2-safe, the end-to-end
-// message log, the very-safe per-server log) are charged individually.
+// one server and signals the group-1-safe response.  Background log writes
+// are group-committed; only the delegate's commit record, which gates the
+// Fig. 2 response, is forced individually.
 func (s *simulation) installReplicated(p *sim.Process, srv *server, t *simTxn) {
 	isDelegate := srv.idx == t.delegateIdx
-	// End-to-end atomic broadcast forces the message to the group
-	// communication log before processing it.
-	if s.level.RequiresEndToEnd() {
-		srv.disk.Use(p, s.diskAccess())
-	}
 	// Install the writes.  In the Fig. 2 flow the delegate already executed
 	// its writes during the execution phase, so only the remote servers pay
 	// for them here; in the Fig. 8 flow every server installs them now.
 	if s.level == core.GroupSafe || !isDelegate {
 		s.installWrites(p, srv, t)
 	}
-	// Force the records that gate a response.
-	if isDelegate && (s.level == core.Group1Safe || s.level == core.Safety2) {
-		srv.disk.Use(p, s.diskAccess())
-	}
-	if s.level == core.VerySafe {
+	respond := isDelegate && s.level == core.Group1Safe
+	if respond {
 		srv.disk.Use(p, s.diskAccess())
 	}
 	srv.applySlots.Release()
-
-	if isDelegate && (s.level == core.Group1Safe || s.level == core.Safety2) {
+	if respond {
 		t.notify.Put(true)
-	}
-	if s.level == core.VerySafe {
-		if !isDelegate {
-			// Acknowledgement message back to the delegate.
-			s.network.Use(p, s.cfg.NetworkDelay)
-		}
-		t.remaining--
-		if t.remaining == 0 {
-			t.notify.Put(true)
-		}
 	}
 }
 
@@ -453,12 +372,6 @@ func (s *simulation) record(now time.Duration, t *simTxn, committed bool) {
 		s.aborted++
 	}
 	s.responses.AddDuration(now - t.start)
-	if len(t.writeOps) == 0 {
-		s.queries++
-		s.queryResp.AddDuration(now - t.start)
-	} else {
-		s.updResp.AddDuration(now - t.start)
-	}
 	if now > s.lastDone {
 		s.lastDone = now
 	}
@@ -472,11 +385,8 @@ func (s *simulation) result() Result {
 		Completed:      s.completed,
 		Committed:      s.committed,
 		Aborted:        s.aborted,
-		Queries:        s.queries,
 		ResponseMeanMs: s.responses.Mean(),
 		ResponseP95Ms:  s.responses.Percentile(95),
-		QueryMeanMs:    s.queryResp.Mean(),
-		UpdateMeanMs:   s.updResp.Mean(),
 	}
 	if s.completed > 0 {
 		r.AbortRate = float64(s.aborted) / float64(s.completed)

@@ -186,32 +186,12 @@ func TestAbortRateSmallAndFromCertification(t *testing.T) {
 }
 
 func TestExtensionLevels(t *testing.T) {
-	// The 2-safe and very-safe extensions must be strictly slower than
-	// group-safe (they add forced logs and extra synchronisation), and 0-safe
-	// must be the fastest of the non-broadcast levels.
-	cfg := shortConfig()
-	cfg.Duration = 10 * time.Second
-	load := 20.0
-	get := func(level core.SafetyLevel) float64 {
-		r, err := Run(cfg, level, load)
-		if err != nil {
-			t.Fatal(err)
+	// The levels the paper discusses but does not plot are measured on the
+	// engine, not simulated: Run refuses them rather than guess a flow.
+	for _, level := range []core.SafetyLevel{core.Safety0, core.Safety2, core.VerySafe} {
+		if _, err := Run(shortConfig(), level, 20); err == nil {
+			t.Errorf("%v: Run should refuse a level outside Fig. 9", level)
 		}
-		return r.ResponseMeanMs
-	}
-	gs := get(core.GroupSafe)
-	twoSafe := get(core.Safety2)
-	verySafe := get(core.VerySafe)
-	zeroSafe := get(core.Safety0)
-	lazy := get(core.Safety1Lazy)
-	if twoSafe <= gs {
-		t.Fatalf("2-safe (%.1f ms) should be slower than group-safe (%.1f ms)", twoSafe, gs)
-	}
-	if verySafe <= twoSafe {
-		t.Fatalf("very-safe (%.1f ms) should be slower than 2-safe (%.1f ms)", verySafe, twoSafe)
-	}
-	if zeroSafe >= lazy {
-		t.Fatalf("0-safe (%.1f ms) should be faster than lazy (%.1f ms): it skips the log force", zeroSafe, lazy)
 	}
 }
 
@@ -264,31 +244,5 @@ func TestFigure9Axes(t *testing.T) {
 	levels := Figure9Levels()
 	if len(levels) != 3 {
 		t.Fatalf("levels = %v", levels)
-	}
-}
-
-// TestReadHeavyThroughputScalesWithServers is the read scale-out claim in
-// the one form that does not depend on the host's cores: queries run on one
-// server's CPU and disks and nothing else, so at a 95 % read mix and an
-// offered load above every point's capacity, doubling the servers must lift
-// the completion rate per simulated second well clear of flat.
-func TestReadHeavyThroughputScalesWithServers(t *testing.T) {
-	saturated := func(servers int) float64 {
-		cfg := DefaultConfig()
-		cfg.Duration = 5 * time.Second
-		cfg.Servers = servers
-		cfg.ClientsPerServer = 8
-		cfg.ReadFraction = 0.95
-		cfg.MinOps, cfg.MaxOps = 2, 4
-		cfg.QueryMinOps, cfg.QueryMaxOps = 2, 4
-		res, err := Run(cfg, core.GroupSafe, 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.ThroughputTPS
-	}
-	three, six := saturated(3), saturated(6)
-	if three <= 0 || six < 1.5*three {
-		t.Fatalf("saturated 95%%-read throughput: %.0f tps at 3 servers, %.0f at 6, want at least 1.5x", three, six)
 	}
 }

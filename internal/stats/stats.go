@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the benchmark
 // harness and the performance simulator: response-time collectors with
-// exact percentiles, and a per-class breakdown of them.
+// exact percentiles.
 //
 // Sample stores every observation so percentiles are exact rather than
 // approximated — the data sets here (one simulated run, one benchmark
@@ -8,7 +8,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -37,9 +36,6 @@ func (s *Sample) AddDuration(d time.Duration) {
 	s.Add(float64(d) / float64(time.Millisecond))
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.values) }
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.values) == 0 {
@@ -55,21 +51,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.ensureSorted()
 	return s.values[len(s.values)-1]
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	var sq float64
-	for _, v := range s.values {
-		d := v - mean
-		sq += d * d
-	}
-	return math.Sqrt(sq / float64(n-1))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
@@ -104,64 +85,4 @@ func (s *Sample) ensureSorted() {
 		sort.Float64s(s.values)
 		s.sorted = true
 	}
-}
-
-// String renders a one-line summary.
-func (s *Sample) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f",
-		s.N(), s.Mean(), s.Median(), s.Percentile(95), s.Max())
-}
-
-// Breakdown groups observations by transaction class (typically "query" vs
-// "update"), keeping one Sample and one completion counter per class, so
-// per-class latency percentiles fall out of the same toolkit as the overall
-// ones.  It is not safe for concurrent use; collect under the caller's lock
-// like a plain Sample.
-type Breakdown struct {
-	classes map[string]*Sample
-	order   []string
-}
-
-// NewBreakdown returns an empty per-class collector.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{classes: make(map[string]*Sample)}
-}
-
-// Sample returns the sample of the given class, creating it on first use.
-func (b *Breakdown) Sample(class string) *Sample {
-	s, ok := b.classes[class]
-	if !ok {
-		s = NewSample()
-		b.classes[class] = s
-		b.order = append(b.order, class)
-	}
-	return s
-}
-
-// Classes returns the class names in first-observation order.
-func (b *Breakdown) Classes() []string {
-	out := make([]string, len(b.order))
-	copy(out, b.order)
-	return out
-}
-
-// N returns the total number of observations across classes.
-func (b *Breakdown) N() int {
-	n := 0
-	for _, s := range b.classes {
-		n += s.N()
-	}
-	return n
-}
-
-// String renders one summary line per class.
-func (b *Breakdown) String() string {
-	out := ""
-	for _, class := range b.order {
-		if out != "" {
-			out += "\n"
-		}
-		out += fmt.Sprintf("%-8s %s", class, b.classes[class].String())
-	}
-	return out
 }

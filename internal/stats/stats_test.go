@@ -15,9 +15,6 @@ func TestSampleBasics(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 5} {
 		s.Add(v)
 	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d", s.N())
-	}
 	if s.Mean() != 3 {
 		t.Fatalf("Mean = %v", s.Mean())
 	}
@@ -35,13 +32,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if got := s.Percentile(25); got != 2 {
 		t.Fatalf("P25 = %v", got)
-	}
-	want := math.Sqrt(2.5)
-	if math.Abs(s.StdDev()-want) > 1e-9 {
-		t.Fatalf("StdDev = %v, want %v", s.StdDev(), want)
-	}
-	if s.String() == "" {
-		t.Fatal("String should not be empty")
 	}
 }
 
@@ -76,25 +66,5 @@ func TestPercentileProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBreakdown(t *testing.T) {
-	b := NewBreakdown()
-	b.Sample("query").Add(1)
-	b.Sample("query").Add(3)
-	b.Sample("update").Add(10)
-	if got := b.Sample("query").Mean(); got != 2 {
-		t.Fatalf("query mean = %v", got)
-	}
-	if got := b.N(); got != 3 {
-		t.Fatalf("N = %d", got)
-	}
-	classes := b.Classes()
-	if len(classes) != 2 || classes[0] != "query" || classes[1] != "update" {
-		t.Fatalf("classes = %v", classes)
-	}
-	if b.String() == "" {
-		t.Fatal("empty String")
 	}
 }
